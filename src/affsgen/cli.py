@@ -73,6 +73,9 @@ def _cmd_generate(args) -> int:
     except (OSError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if not program.functions:
+        print(f"error: {args.program} defines no functions to test", file=sys.stderr)
+        return 2
     config = EngineConfig(budget=budget, rng_seed=args.seed)
     result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
     Path(args.out).write_text(result.to_json(), encoding="utf-8")

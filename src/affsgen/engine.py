@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
-from affsgen.fitness import FitnessContext, FitnessFunctionId, eval_fitness
+from affsgen.fitness import FitnessContext, evaluate_suite
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import (
@@ -161,6 +161,13 @@ class SearchResult:
 # --- goal coverage -----------------------------------------------------------
 
 
+def _killed_goals(ctx: FitnessContext, test: TestCase, mutants) -> list[MutantGoal]:
+    """Mutant goals this test kills, from ``mutants``, in mutant order."""
+    lines_hit = ctx.trace(test).lines_hit
+    return [MutantGoal(m.mutant_id) for m in mutants
+            if m.site in lines_hit and ctx.classify(m, test).status == MutantStatus.KILLED]
+
+
 def make_coverage_fn(goal: Goal, ctx: FitnessContext):
     """Map a test case to the set of goal ids it covers (memoized per test)."""
 
@@ -172,14 +179,7 @@ def make_coverage_fn(goal: Goal, ctx: FitnessContext):
             return {MethodGoal(name) for name, _ in ctx.trace(test).functions_called}
     else:
         def compute(test: TestCase) -> set[GoalId]:
-            trace = ctx.trace(test)
-            covered: set[GoalId] = set()
-            for mutant in ctx.mutants:
-                if mutant.site not in trace.lines_hit:
-                    continue
-                if ctx.classify(mutant, test).status == MutantStatus.KILLED:
-                    covered.add(MutantGoal(mutant.mutant_id))
-            return covered
+            return set(_killed_goals(ctx, test, ctx.mutants))
 
     cache: dict[TestCase, set[GoalId]] = {}
 
@@ -211,12 +211,8 @@ def make_archive_updater(goal: Goal, ctx: FitnessContext, archive: Archive, cove
             open_mutants = [m for m in ctx.mutants
                             if MutantGoal(m.mutant_id) not in archive.entries]
             for test in fresh:
-                trace = ctx.trace(test)
-                for mutant in open_mutants:
-                    if mutant.site not in trace.lines_hit:
-                        continue
-                    if ctx.classify(mutant, test).status == MutantStatus.KILLED:
-                        archive.offer(MutantGoal(mutant.mutant_id), test)
+                for covered in _killed_goals(ctx, test, open_mutants):
+                    archive.offer(covered, test)
     else:
         def update(tests) -> None:
             for test in tests:
@@ -252,10 +248,6 @@ def _subgoal_coverage(goal: Goal, suite: TestSuite, ctx: FitnessContext,
 # --- the GA ---------------------------------------------------------------------
 
 
-def _composite(suite: TestSuite, action: Action, ctx: FitnessContext) -> float:
-    return sum(eval_fitness(fn, suite, ctx) for fn in action.functions)
-
-
 def _tournament(rng: random.Random, size: int) -> int:
     a = rng.randrange(size)
     b = rng.randrange(size)
@@ -268,7 +260,7 @@ def evolve_one_generation(state: SearchState, program: Program, ctx: FitnessCont
     """Score, select, and rebuild the population; update archive and counters."""
     action = state.active_action
     scored = sorted(
-        ((_composite(suite, action, ctx), idx, suite)
+        ((evaluate_suite(suite, action.functions, ctx), idx, suite)
          for idx, suite in enumerate(state.population)),
         key=lambda triple: (triple[0], triple[1]),
     )
@@ -411,7 +403,7 @@ def _features_for(strategy: Strategy, best: TestSuite, ctx: FitnessContext, goal
     size = len(best.tests)
     features = {}
     for action in space:
-        mean = _composite(best, action, ctx) / len(action.functions)
+        mean = evaluate_suite(best, action.functions, ctx) / len(action.functions)
         features[action.action_id] = feature_vector(
             action, mean, size, gen_config.max_suite_size, subgoals)
     return features

@@ -461,7 +461,6 @@ def eval_fitness(fn: FitnessFunctionId, suite: TestSuite, ctx: FitnessContext) -
     if score is None:
         score = _EVALUATORS[fn](suite, ctx)
         ctx._suite_scores[key] = score
-        suite.cached_fitness[fn] = score
     return score
 
 
@@ -478,4 +477,5 @@ def composite_fitness(scores: dict[FitnessFunctionId, float]) -> float:
 
 def evaluate_suite(suite: TestSuite, functions: Iterable[FitnessFunctionId],
                    ctx: FitnessContext) -> float:
+    """Composite fitness of a suite under the given active functions."""
     return composite_fitness({fn: eval_fitness(fn, suite, ctx) for fn in functions})

@@ -14,17 +14,16 @@ import hashlib
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
-from affsgen.engine import Budget, EngineConfig, SearchResult, run_search
-from affsgen.fitness import FitnessContext
+from affsgen.engine import EngineConfig, SearchResult, run_search
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.minilang.parser import ParseError, parse
 from affsgen.testmodel import GenConfig, TestSuite
-from affsgen.tracing import behavior_signature
+from affsgen.tracing import run_test
 
 
 class CorpusError(ValueError):
@@ -88,8 +87,8 @@ def fault_detected(suite: TestSuite, pair: FaultPair,
                    interp: InterpConfig = InterpConfig()) -> bool:
     """True when any test behaves differently on the faulty version."""
     for test in suite.tests:
-        fixed = behavior_signature(pair.fixed_program, test, interp)
-        faulty = behavior_signature(pair.faulty_program, test, interp)
+        fixed = run_test(pair.fixed_program, test, interp).behavior
+        faulty = run_test(pair.faulty_program, test, interp).behavior
         if fixed != faulty:
             return True
     return False
@@ -174,16 +173,7 @@ def run_trial(pair: FaultPair, strategy_spec: str, goal: Goal, seed: int,
               engine: EngineConfig, gen_config: GenConfig,
               interp: InterpConfig) -> tuple[SearchResult, TrialRecord]:
     strategy = make_strategy(strategy_spec, goal)
-    config = EngineConfig(
-        population_size=engine.population_size,
-        elite_count=engine.elite_count,
-        crossover_rate=engine.crossover_rate,
-        mutation_rate=engine.mutation_rate,
-        fresh_random_per_gen=engine.fresh_random_per_gen,
-        skip_iter=engine.skip_iter,
-        budget=engine.budget,
-        rng_seed=seed,
-    )
+    config = replace(engine, rng_seed=seed)
     result = run_search(pair.fixed_program, goal, strategy, config, gen_config, interp)
     detected = fault_detected(result.final_suite, pair, interp)
     elapsed = sum(rec.elapsed_ns for rec in result.log)
@@ -214,10 +204,8 @@ def _goal_metric(goal: Goal, result: SearchResult) -> float:
 
 
 def _trial_job(args) -> dict:
-    (corpus_path, fault_id, strategy_spec, goal_value, seed,
+    (pair, fault_id, strategy_spec, goal_value, seed,
      engine, gen_config, interp) = args
-    pairs = {p.fault_id: p for p in load_corpus(corpus_path)}
-    pair = pairs[fault_id]
     goal = Goal(goal_value)
     try:
         _, record = run_trial(pair, strategy_spec, goal, seed, engine, gen_config, interp)
@@ -248,18 +236,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     if not pairs:
         raise CorpusError(f"no fault pairs found under {cfg.corpus_path}")
 
-    jobs = []
+    # each job carries its parsed pair, so workers never re-read the corpus
+    job_args, trials = [], []
     for pair in pairs:
         for strategy in cfg.strategies:
             for trial in range(cfg.trials_per_fault):
                 seed = derive_seed(cfg.master_seed, pair.fault_id, strategy, trial)
-                jobs.append((pair.fault_id, strategy, trial, seed))
-
-    job_args = [
-        (cfg.corpus_path, fault_id, strategy, cfg.goal.value, seed,
-         cfg.engine, cfg.generation, cfg.interp)
-        for fault_id, strategy, trial, seed in jobs
-    ]
+                job_args.append((pair, pair.fault_id, strategy, cfg.goal.value, seed,
+                                 cfg.engine, cfg.generation, cfg.interp))
+                trials.append(trial)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             raw_records = list(pool.map(_trial_job, job_args, chunksize=1))
@@ -267,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         raw_records = [_trial_job(args) for args in job_args]
 
     records: list[TrialRecord] = []
-    for (fault_id, strategy, trial, seed), raw in zip(jobs, raw_records):
+    for trial, raw in zip(trials, raw_records):
         raw["trial_index"] = trial
         records.append(TrialRecord(**raw))
 

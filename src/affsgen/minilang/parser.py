@@ -75,6 +75,11 @@ KEYWORDS = {
     "str",
 }
 
+# Deepest expression tree, and deepest bracket nesting, a program may use.
+# The parser, the interpreter and the tree walkers recurse once per level,
+# so past this a deep expression would exhaust Python's recursion limit.
+MAX_EXPR_DEPTH = 64
+
 _SYMBOLS = ("==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "=",
             "(", ")", "{", "}", "[", "]", ",", ";", ":")
 
@@ -177,6 +182,8 @@ class _Parser:
         self.next_line_id = 0
         self.next_branch_id = 0
         self.next_node_id = 0
+        self.heights: list[int] = []  # node_id -> height of its expression tree
+        self.nesting = 0  # brackets open around the expression being parsed
         self.branch_owner: dict[int, str] = {}
         self.current_function = ""
 
@@ -225,7 +232,11 @@ class _Parser:
         self.branch_owner[bid] = self.current_function
         return bid
 
-    def node_id(self) -> int:
+    def node_id(self, *children: Expr) -> int:
+        height = 1 + max((self.heights[c.node_id] for c in children), default=0)
+        if height > MAX_EXPR_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        self.heights.append(height)
         nid = self.next_node_id
         self.next_node_id += 1
         return nid
@@ -332,27 +343,35 @@ class _Parser:
         return Assign(name=name, expr=expr, line_id=lid)
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        expr = self.parse_or()
+        self.nesting -= 1
+        return expr
 
     def parse_or(self) -> Expr:
         expr = self.parse_and()
         while self.accept("name", "or"):
             rhs = self.parse_and()
-            expr = Binary(op="or", lhs=expr, rhs=rhs, node_id=self.node_id())
+            expr = Binary(op="or", lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
         return expr
 
     def parse_and(self) -> Expr:
         expr = self.parse_not()
         while self.accept("name", "and"):
             rhs = self.parse_not()
-            expr = Binary(op="and", lhs=expr, rhs=rhs, node_id=self.node_id())
+            expr = Binary(op="and", lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
         return expr
 
     def parse_not(self) -> Expr:
-        if self.accept("name", "not"):
-            operand = self.parse_not()
-            return Unary(op="not", operand=operand, node_id=self.node_id())
-        return self.parse_comparison()
+        count = 0
+        while self.accept("name", "not"):
+            count += 1
+        expr = self.parse_comparison()
+        for _ in range(count):
+            expr = Unary(op="not", operand=expr, node_id=self.node_id(expr))
+        return expr
 
     def parse_comparison(self) -> Expr:
         expr = self.parse_additive()
@@ -360,7 +379,7 @@ class _Parser:
         if tok.kind == "symbol" and tok.text in nodes.COMPARISON_OPS:
             self.pos += 1
             rhs = self.parse_additive()
-            return Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id())
+            return Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
         return expr
 
     def parse_additive(self) -> Expr:
@@ -370,7 +389,7 @@ class _Parser:
             if tok.kind == "symbol" and tok.text in ("+", "-"):
                 self.pos += 1
                 rhs = self.parse_term()
-                expr = Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id())
+                expr = Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
             else:
                 return expr
 
@@ -381,22 +400,25 @@ class _Parser:
             if tok.kind == "symbol" and tok.text in ("*", "/"):
                 self.pos += 1
                 rhs = self.parse_unary()
-                expr = Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id())
+                expr = Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
             else:
                 return expr
 
     def parse_unary(self) -> Expr:
-        if self.accept("symbol", "-"):
-            operand = self.parse_unary()
-            return Unary(op="neg", operand=operand, node_id=self.node_id())
-        return self.parse_postfix()
+        count = 0
+        while self.accept("symbol", "-"):
+            count += 1
+        expr = self.parse_postfix()
+        for _ in range(count):
+            expr = Unary(op="neg", operand=expr, node_id=self.node_id(expr))
+        return expr
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
         while self.accept("symbol", "["):
             index = self.parse_expr()
             self.expect("symbol", "]")
-            expr = Index(base=expr, index=index, node_id=self.node_id())
+            expr = Index(base=expr, index=index, node_id=self.node_id(expr, index))
         return expr
 
     def parse_primary(self) -> Expr:
@@ -415,7 +437,7 @@ class _Parser:
             self.expect("symbol", "(")
             operand = self.parse_expr()
             self.expect("symbol", ")")
-            return Len(operand=operand, node_id=self.node_id())
+            return Len(operand=operand, node_id=self.node_id(operand))
         if self.accept("symbol", "("):
             expr = self.parse_expr()
             self.expect("symbol", ")")
@@ -430,7 +452,7 @@ class _Parser:
                         if self.accept("symbol", ")"):
                             break
                         self.expect("symbol", ",")
-                return Call(name=name, args=args, node_id=self.node_id())
+                return Call(name=name, args=args, node_id=self.node_id(*args))
             return Var(name=name, node_id=self.node_id())
         raise self.error("expected expression")
 

@@ -73,14 +73,13 @@ class TestCase:
 
 
 class TestSuite:
-    """Ordered collection of test cases with a per-function fitness cache."""
+    """Ordered collection of test cases; `FitnessContext` caches scores by content."""
 
     __test__ = False  # stop pytest from collecting this domain type
-    __slots__ = ("tests", "cached_fitness")
+    __slots__ = ("tests",)
 
     def __init__(self, tests: Iterable[TestCase] = ()):
         self.tests: list[TestCase] = list(tests)
-        self.cached_fitness: dict = {}
 
     def clone(self) -> "TestSuite":
         return TestSuite(self.tests)
@@ -118,8 +117,6 @@ class MutantGoal:
 
 
 GoalId = Union[ExceptionGoal, MethodGoal, MutantGoal]
-
-_GOAL_RANK = {ExceptionGoal: 0, MethodGoal: 1, MutantGoal: 2}
 
 
 def goal_sort_key(goal: GoalId):

@@ -91,13 +91,3 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         returns={f: tuple(v) for f, v in returns.items()},
         behavior=tuple(behavior),
     )
-
-
-def behavior_signature(program: Program, test: TestCase,
-                       config: InterpConfig = InterpConfig()) -> tuple:
-    """Observable behavior of a test without the instrumentation detail."""
-    signature = []
-    for call in test.calls:
-        args = tuple(test.resolve(a) for a in call.args)
-        signature.append(behavior_of(execute(program, call.function, args, config)))
-    return tuple(signature)

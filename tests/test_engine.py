@@ -1,6 +1,8 @@
 """Search-loop behavior: cadence, elitism, determinism, archive, finalization."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,18 @@ from affsgen.engine import (
 )
 from affsgen.fitness import FitnessContext
 from affsgen.minilang import parse
-from affsgen.testmodel import Archive, GenConfig, TestSuite, literal_pool, random_suite
+from affsgen.mutation import MutantStatus
+from affsgen.testmodel import (
+    Archive,
+    CallStmt,
+    GenConfig,
+    MutantGoal,
+    TestCase,
+    TestSuite,
+    literal_pool,
+    random_suite,
+)
+from oracles import full_reexecution_status
 
 PROGRAM = parse("""
 fn guarded(x:int, y:int) {
@@ -217,3 +230,61 @@ def test_goal_metrics_reported():
     metrics = result.metrics
     assert metrics["mutants"] > 0
     assert 0.0 <= metrics["strong_mutation_score"] <= metrics["weak_mutation_score"] <= 100.0
+
+
+class _RecordingArchive(Archive):
+    __slots__ = ("offered",)
+
+    def __init__(self):
+        super().__init__()
+        self.offered = []
+
+    def offer(self, goal, test):
+        self.offered.append(goal)
+        super().offer(goal, test)
+
+
+def test_strong_mutation_updater_offers_only_unarchived_kills():
+    ctx = FitnessContext(PROGRAM)
+    test = TestCase(calls=(CallStmt("brittle", (0,)), CallStmt("brittle", (2,)),
+                           CallStmt("guarded", (60, 40))))
+    coverage = make_coverage_fn(Goal.STRONG_MUTATION, ctx)
+    killed = {MutantGoal(m.mutant_id) for m in ctx.mutants
+              if full_reexecution_status(m, test) == MutantStatus.KILLED}
+    assert len(killed) >= 3
+    assert coverage(test) == killed
+
+    held = min(killed, key=lambda g: g.mutant_id)
+    archive = _RecordingArchive()
+    archive.entries[held] = TestCase(calls=(CallStmt("brittle", (0,)),))
+    update = make_archive_updater(Goal.STRONG_MUTATION, ctx, archive, coverage)
+    update([test])
+    assert archive.offered == sorted(killed - {held}, key=lambda g: g.mutant_id)
+    update([test])  # a test is offered once per run
+    assert len(archive.offered) == len(killed) - 1
+
+
+# sha256 of to_json(omit_timing=True), taken before the duplicate composite,
+# strong-kill and test-execution paths were merged; any drift in seeded
+# behaviour changes them
+P05_DIGESTS = {
+    (Goal.EXCEPTIONS, "ucb"): "3f0f8202288bab4c819802d1e455174af06e7c19f6928f9d500eb77efdea4b1b",
+    (Goal.EXCEPTIONS, "sarsa"): "6a48c6c2b766480e5c43d99cd4808ea6c39450493a29b8e1ba1410527ec91b1f",
+    (Goal.DIVERSITY, "ucb"): "96ac49dee30f9107c73059e8210a61254c808e7bfc79bbf65c20486793517020",
+    (Goal.DIVERSITY, "sarsa"): "781636bfb5a3c2ef5ba6c118b12f55be04d4daec22bbbc5fd137e92c3b4a78dc",
+    (Goal.STRONG_MUTATION, "ucb"):
+        "cedd04685c688c46d7187c2b6cf5925593bdf3bb2087d3c64999d0c45213a07d",
+    (Goal.STRONG_MUTATION, "sarsa"):
+        "943835e196e116255c48c152fc7551e63ea3b7c122d0f0df812f21f7facf0d0f",
+}
+
+
+@pytest.mark.parametrize("goal, strategy", list(P05_DIGESTS))
+def test_seeded_output_is_byte_identical(goal, strategy):
+    source = Path(__file__).resolve().parent.parent / "corpus" / "p05_terrain_gates" / "fixed.minij"
+    program = parse(source.read_text(), "p05_terrain_gates")
+    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3),
+                          rng_seed=11)
+    result = run_search(program, goal, make_strategy(strategy, goal), config)
+    digest = hashlib.sha256(result.to_json(omit_timing=True).encode()).hexdigest()
+    assert digest == P05_DIGESTS[goal, strategy]

@@ -1,12 +1,14 @@
 """Corpus loading, fault detection, statistics, experiments, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from affsgen import harness
 from affsgen.affs import Goal
 from affsgen.cli import main as cli_main
 from affsgen.engine import Budget, EngineConfig
@@ -19,8 +21,10 @@ from affsgen.harness import (
     load_corpus,
     normalize_goal_metric,
     run_experiment,
+    run_trial,
     vargha_delaney_a,
 )
+from affsgen.minilang.interpreter import InterpConfig
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite
 from oracles import brute_force_a_measure
 
@@ -261,6 +265,38 @@ def test_experiment_with_worker_pool_matches_serial(tmp_path):
         keep_columns((pooled_dir / "trials.csv").read_text())
 
 
+def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
+    parsed = []
+    real_parse = harness.parse
+
+    def counting_parse(source, source_id="<anonymous>"):
+        parsed.append(source_id)
+        return real_parse(source, source_id)
+
+    monkeypatch.setattr(harness, "parse", counting_parse)
+    run_experiment(_experiment_config(_mini_corpus(tmp_path)), tmp_path / "out")
+    assert len(parsed) == 2 * 2  # fixed and faulty version of each pair, once
+
+
+def test_run_trial_copies_every_engine_field(monkeypatch):
+    engine = EngineConfig(population_size=5, elite_count=1, crossover_rate=0.5,
+                          mutation_rate=0.5, fresh_random_per_gen=1, skip_iter=2,
+                          budget=Budget(generations=2), rng_seed=99)
+    for f in dataclasses.fields(EngineConfig):
+        assert getattr(engine, f.name) != f.default, f.name
+    seen = []
+    real_search = harness.run_search
+
+    def recording_search(program, goal, strategy, config, *rest):
+        seen.append(config)
+        return real_search(program, goal, strategy, config, *rest)
+
+    monkeypatch.setattr(harness, "run_search", recording_search)
+    run_trial(_pair("p04_guarded_divide"), "static:ex", Goal.EXCEPTIONS, 1234,
+              engine, GenConfig(max_calls_per_test=2, max_suite_size=4), InterpConfig())
+    assert seen == [dataclasses.replace(engine, rng_seed=1234)]
+
+
 def test_experiment_empty_corpus_is_error(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -310,6 +346,22 @@ def test_cli_generate_bad_program_is_exit_2(tmp_path):
         "--strategy", "ucb", "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("source", [
+    "// nothing to test\n",
+    "fn f(x:int){ return x" + " + x" * 3000 + "; }",
+    "fn f(x:int){ return " + "(" * 2000 + "x" + ")" * 2000 + "; }",
+], ids=["no-functions", "sum-3000", "parens-2000"])
+def test_cli_generate_unusable_program_is_exit_2(tmp_path, capsys, source):
+    program = tmp_path / "p.minij"
+    program.write_text(source)
+    code = cli_main([
+        "generate", "--program", str(program), "--goal", "exceptions",
+        "--strategy", "ucb", "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_generate_unknown_strategy_is_exit_1(tmp_path):

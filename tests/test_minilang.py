@@ -1,6 +1,7 @@
 """Parser and interpreter behavior, branch distances, and their invariants."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,8 @@ from affsgen.minilang import (
     parse,
 )
 from affsgen.minilang.interpreter import InterpConfig
-from affsgen.minilang.parser import to_source
+from affsgen.minilang.parser import MAX_EXPR_DEPTH, to_source
+from affsgen.mutation import generate_mutants
 
 SIMPLE = "fn f(x:int){ if(x==5){return 1;} return 0; }"
 
@@ -51,6 +53,35 @@ def test_parse_duplicate_parameter_name():
 def test_parse_unknown_callee_rejected():
     with pytest.raises(ParseError, match="unknown function"):
         parse("fn f(){ return g(); }")
+
+
+def test_parse_admits_expressions_at_the_depth_cap():
+    chain = "x" + " + 1" * (MAX_EXPR_DEPTH - 1)
+    parens = "(" * (MAX_EXPR_DEPTH - 1) + "x" + ")" * (MAX_EXPR_DEPTH - 1)
+    negations = "-" * (MAX_EXPR_DEPTH - 1) + "x"
+    program = parse(f"fn a(x:int){{ return {chain}; }}"
+                    f"fn b(x:int){{ return {parens}; }}"
+                    f"fn c(x:int){{ return {negations}; }}")
+    assert parse(to_source(program)).node_count == program.node_count
+    assert generate_mutants(program)
+    assert execute(program, "a", (1,)).outcome == Returned(MAX_EXPR_DEPTH)
+    assert execute(program, "b", (1,)).outcome == Returned(1)
+    assert execute(program, "c", (1,)).outcome == Returned(-1)
+
+
+@pytest.mark.parametrize("expr", [
+    "x" + " + x" * 3000,  # a flat sum is a left-deep tree
+    "(" * 2000 + "x" + ")" * 2000,
+    "-" * 3000 + "x",
+    "not " * 3000 + "x",
+    "f(" * 2000 + "x" + ")" * 2000,
+    "x" + " + 1" * MAX_EXPR_DEPTH,
+    "(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+], ids=["sum-3000", "parens-2000", "negations-3000", "nots-3000", "calls-2000",
+        "sum-past-cap", "parens-past-cap"])
+def test_parse_rejects_expressions_past_the_depth_cap(expr):
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse(f"fn f(x:int){{ return {expr}; }}")
 
 
 def test_parse_ids_are_stable():
@@ -254,3 +285,21 @@ def test_every_execution_terminates_within_step_limit():
     for n in (-5, 0, 2, 999):
         result = execute(program, "spin", (n,), config)
         assert result.steps <= config.step_limit + 1
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True, reason=(
+    "p06 defect: _Interp._compare converts int operands with float(int(x)), which "
+    "overflows once a value passes float range. Clamping to +-inf there turned the 36 "
+    "failing p06 trials of the benchmark's sweep workload into completed runs: 62 s "
+    "serial instead of 11 s, against 51 s for all 432 sweep trials today "
+    "(2-vCPU Xeon), so the fix waits for a change that also pays for that work."))
+def test_p06_mutant_growing_past_float_range_hits_step_limit():
+    source = Path(__file__).resolve().parent.parent / "corpus" / "p06_loop_boundary" / "fixed.minij"
+    program = parse(source.read_text(), "p06_loop_boundary")
+    # countdown's `k = k - 3` becomes `k = k * 3`: k grows without bound
+    mutant = next(m for m in generate_mutants(program)
+                  if m.operator == "aor:-->*"
+                  and to_source(m.mutated_program).count("k = (k * 3);") == 1)
+    result = execute(mutant.mutated_program, "countdown", (1000,))
+    assert isinstance(result.outcome, Raised)
+    assert result.outcome.record.kind == "StepLimitExceeded"
