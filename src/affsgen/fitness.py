@@ -11,7 +11,7 @@ import enum
 import math
 from typing import Iterable
 
-from affsgen.minilang.interpreter import InterpConfig
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig
 from affsgen.minilang.nodes import (
     Binary,
     BoolLit,
@@ -164,11 +164,17 @@ def _int_bucket_distance(bucket: str, values: Iterable[int]) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic dynamic-programming edit distance (insert/delete/substitute).
+    """Edit distance (insert/delete/substitute), computed bit-parallel.
 
     A shared prefix and suffix never contribute edits, so they are stripped
-    before filling the matrix; rendered test lines mostly differ only in
-    their argument lists, which makes this a large constant-factor win.
+    first; rendered test lines mostly differ only in their argument lists.
+    What is left is scored with Myers' bit-vector algorithm in Hyyrö's
+    global-distance form (JACM 1999; "A bit-vector algorithm for computing
+    Levenshtein and Damerau edit distances", 2003): one column of the
+    dynamic-programming matrix is held as two bitmasks of vertical +1/-1
+    deltas, and each character of the shorter string advances the column in
+    a fixed number of integer operations. Python ints are unbounded, so the
+    longer string serves as the pattern whatever its length.
     """
     if a == b:
         return 0
@@ -188,25 +194,33 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
-    width = len(b) + 1
-    previous = list(range(width))
-    current = [0] * width
-    for i, ca in enumerate(a, start=1):
-        current[0] = i
-        diag = i - 1  # previous[0] of this row
-        left = i
-        for j, cb in enumerate(b, start=1):
-            up = previous[j]
-            best = diag if ca == cb else diag + 1
-            if up + 1 < best:
-                best = up + 1
-            if left + 1 < best:
-                best = left + 1
-            current[j] = best
-            diag = up
-            left = best
-        previous, current = current, previous
-    return previous[width - 1]
+    # bit i of peq[c] is set when a[i] == c
+    peq: dict[str, int] = {}
+    bit = 1
+    for ca in a:
+        peq[ca] = peq.get(ca, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv = mask  # vertical deltas of column 0 are all +1
+    mv = 0
+    score = len(a)
+    for cb in b:
+        eq = peq.get(cb, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # row 0 grows by one per column, so a +1 horizontal delta shifts in
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 # --- evaluation context --------------------------------------------------------
@@ -217,7 +231,12 @@ class FitnessContext:
 
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
-    so cached results stay valid.
+    so cached results stay valid. Below the traces, every distinct call of
+    the base program runs once: ``_calls`` keeps plain runs, from which each
+    test's trace is aggregated, and ``_watched_calls`` keeps the watched
+    runs mutant classification compares against. Both memos belong to this
+    context's one program and interpreter config. Mutant-program runs are
+    not kept.
     """
 
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
@@ -229,6 +248,8 @@ class FitnessContext:
         self.buckets = output_buckets(program)
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._mutants: list[Mutant] | None = None
+        self._calls: dict[tuple, ExecutionResult] = {}
+        self._watched_calls: dict[tuple, tuple[tuple, tuple]] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
         self._classifications: dict[tuple[int, TestCase], MutantOutcome] = {}
@@ -245,7 +266,7 @@ class FitnessContext:
     def trace(self, test: TestCase) -> TestTrace:
         trace = self._traces.get(test)
         if trace is None:
-            trace = run_test(self.program, test, self.interp)
+            trace = run_test(self.program, test, self.interp, self._calls)
             self._traces[test] = trace
             self.discovered_exceptions |= trace.exceptions
         return trace
@@ -262,7 +283,8 @@ class FitnessContext:
         key = (mutant.mutant_id, test)
         outcome = self._classifications.get(key)
         if outcome is None:
-            outcome = classify_against_mutant(mutant, test, self.trace(test), self.interp)
+            outcome = classify_against_mutant(mutant, test, self.trace(test), self.interp,
+                                              self._watched_calls)
             self._classifications[key] = outcome
         return outcome
 

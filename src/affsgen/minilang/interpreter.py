@@ -14,8 +14,8 @@ Semantics worth knowing:
     ``==``/``!=`` additionally accept two strings.
   * ``s[i]`` raises ``IndexOutOfBounds`` outside ``0 <= i < len(s)``.
   * A function body that ends without ``return`` yields the int 0.
-  * Exceeding the step limit or the call-depth cap raises
-    ``StepLimitExceeded``.
+  * Exceeding the step limit, the call-depth cap or the frame budget
+    raises ``StepLimitExceeded``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from affsgen.minilang.nodes import (
     Unary,
     Var,
     While,
+    statement_expressions,
 )
 
 K = 1.0  # offset for strict inequalities and != when the predicate just fails
@@ -54,6 +55,22 @@ STEP_LIMIT_EXCEEDED = "StepLimitExceeded"
 TYPE_ERROR = "TypeError"
 
 Value = Union[int, bool, str]
+
+# Python frames the tree walker stacks for one MiniJ activation: two per
+# statement block (_exec_body, _exec_stmt), at most four per expression
+# level (e.g. eval, _eval_inner, _pred_inner, _compare), and a few fixed ones
+# (_call, _assigned_value, and helpers or constructors at the innermost node).
+_FRAMES_PER_BLOCK = 2
+_FRAMES_PER_EXPR_LEVEL = 4
+_FRAMES_FIXED = 8
+
+# The summed frame costs of the active MiniJ calls may not exceed this; a
+# call past it raises StepLimitExceeded, as one past max_call_depth does.
+# It sits far enough below Python's default recursion limit (1000) that deep
+# MiniJ recursion ends the same way whether execute is called from a shallow
+# Python stack or from one about 300 frames deep. The parser's nesting caps
+# keep any single function's cost well below it.
+FRAME_BUDGET = 500
 
 
 class UnknownFunctionError(ValueError):
@@ -172,6 +189,50 @@ def _nu(x: float) -> float:
     return x / (x + 1.0)
 
 
+# --- static frame costs --------------------------------------------------
+
+
+def _expr_height(expr: Expr) -> int:
+    cls = type(expr)
+    if cls is Unary or cls is Len:
+        children = (expr.operand,)
+    elif cls is Binary:
+        children = (expr.lhs, expr.rhs)
+    elif cls is Index:
+        children = (expr.base, expr.index)
+    elif cls is Call:
+        children = expr.args
+    else:
+        children = ()
+    return 1 + max((_expr_height(c) for c in children), default=0)
+
+
+def _static_frame_cost(fn: FunctionDef) -> int:
+    """Upper bound on the Python frames one activation of ``fn`` stacks."""
+    blocks = height = 0
+    pending = [(fn.body, 1)]
+    while pending:
+        body, depth = pending.pop()
+        blocks = max(blocks, depth)
+        for stmt in body:
+            for root in statement_expressions(stmt):
+                height = max(height, _expr_height(root))
+            if type(stmt) is If:
+                pending.append((stmt.then_body, depth + 1))
+                pending.append((stmt.else_body, depth + 1))
+            elif type(stmt) is While:
+                pending.append((stmt.body, depth + 1))
+    return _FRAMES_PER_BLOCK * blocks + _FRAMES_PER_EXPR_LEVEL * height + _FRAMES_FIXED
+
+
+def _frame_cost(program: Program, name: str) -> int:
+    """Static frame cost of one function, computed once per program."""
+    cost = program._frame_costs.get(name)
+    if cost is None:
+        cost = program._frame_costs[name] = _static_frame_cost(program.function(name))
+    return cost
+
+
 # --- signals -------------------------------------------------------------
 
 
@@ -190,6 +251,7 @@ class _Interp:
         "program",
         "functions",
         "config",
+        "frames",
         "steps",
         "lines_hit",
         "branch_evals",
@@ -204,6 +266,7 @@ class _Interp:
         self.program = program
         self.functions = program.fn_map()
         self.config = config
+        self.frames = 0  # summed frame costs of the active calls
         self.steps = 0
         self.lines_hit: set[int] = set()
         self.branch_evals: list[BranchEval] = []
@@ -297,7 +360,12 @@ class _Interp:
         return q if (l >= 0) == (r >= 0) else -q
 
     def _call(self, name: str, args: list[Value], caller: str, depth: int) -> Value:
-        if depth + 1 >= self.config.max_call_depth:
+        if depth == 0:
+            # the entry activation is charged once it calls: runs without
+            # calls, most of them, never compute a cost
+            self.frames = _frame_cost(self.program, caller)
+        cost = _frame_cost(self.program, name)
+        if depth + 1 >= self.config.max_call_depth or self.frames + cost > FRAME_BUDGET:
             raise MiniJError(STEP_LIMIT_EXCEEDED, name)
         fn = self.functions[name]
         env: dict = {}
@@ -306,10 +374,13 @@ class _Interp:
                 raise MiniJError(TYPE_ERROR, caller)
             env[pname] = value
         self.called.add((name, False))  # only the entry frame counts as direct
+        self.frames += cost
         try:
             self._exec_body(fn.body, env, name, depth + 1)
         except _ReturnSignal as sig:
             return sig.value
+        finally:
+            self.frames -= cost
         return 0  # falling off the end yields int 0
 
     # -- predicate evaluation -----------------------------------------------

@@ -80,6 +80,10 @@ KEYWORDS = {
 # so past this a deep expression would exhaust Python's recursion limit.
 MAX_EXPR_DEPTH = 64
 
+# Deepest nesting of statement blocks (a function body is one level, each
+# if/while block inside it one more), for the same reason.
+MAX_BLOCK_DEPTH = 32
+
 _SYMBOLS = ("==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "=",
             "(", ")", "{", "}", "[", "]", ",", ";", ":")
 
@@ -184,6 +188,7 @@ class _Parser:
         self.next_node_id = 0
         self.heights: list[int] = []  # node_id -> height of its expression tree
         self.nesting = 0  # brackets open around the expression being parsed
+        self.blocks = 0  # statement blocks open around the current statement
         self.branch_owner: dict[int, str] = {}
         self.current_function = ""
 
@@ -289,12 +294,16 @@ class _Parser:
         return FunctionDef(name=name, params=params, body=body)
 
     def parse_block(self) -> list[Stmt]:
+        self.blocks += 1
+        if self.blocks > MAX_BLOCK_DEPTH:
+            raise self.error(f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels")
         self.expect("symbol", "{")
         stmts: list[Stmt] = []
         while not self.accept("symbol", "}"):
             if self.current.kind == "eof":
                 raise self.error("expected '}'")
             stmts.append(self.parse_statement())
+        self.blocks -= 1
         return stmts
 
     def parse_statement(self) -> Stmt:

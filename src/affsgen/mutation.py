@@ -46,7 +46,7 @@ from affsgen.minilang.nodes import (
     While,
 )
 from affsgen.testmodel import TestCase, TestSuite
-from affsgen.tracing import TestTrace, behavior_of
+from affsgen.tracing import TestTrace, behavior_of, call_key
 
 INFECTION_K = 1.0  # flat distance-to-infection when reached but state intact
 
@@ -300,8 +300,12 @@ def _watch_key(entry: tuple):
 
 
 def _run_watched_calls(program: Program, test: TestCase, call_indices, watch,
-                       config: InterpConfig):
-    """Watch sequence and behavior for the given calls of a test."""
+                       config: InterpConfig, memo: dict):
+    """Watch sequence and behavior for the given calls of a test.
+
+    ``memo`` maps (watch, ``call_key``) to that call's (recorded watch
+    values, behavior) on this program and config.
+    """
     kind, target = watch
     watch_node = target if kind == "node" else -1
     watch_line = target if kind == "line" else -1
@@ -310,23 +314,32 @@ def _run_watched_calls(program: Program, test: TestCase, call_indices, watch,
     for idx in call_indices:
         call = test.calls[idx]
         args = tuple(test.resolve(a) for a in call.args)
-        result = execute(program, call.function, args, config,
-                         watch_node=watch_node, watch_line=watch_line)
-        values.extend(_watch_key(entry) for entry in result.watch)
-        behavior.append(behavior_of(result))
+        key = (watch, call_key(call.function, args))
+        observed = memo.get(key)
+        if observed is None:
+            result = execute(program, call.function, args, config,
+                             watch_node=watch_node, watch_line=watch_line)
+            observed = memo[key] = (result.watch, behavior_of(result))
+        values.extend(_watch_key(entry) for entry in observed[0])
+        behavior.append(observed[1])
     return values, tuple(behavior)
 
 
 def classify_against_mutant(mutant: Mutant, test: TestCase, base_trace: TestTrace,
-                            config: InterpConfig = InterpConfig()) -> MutantOutcome:
+                            config: InterpConfig = InterpConfig(),
+                            base_memo: dict | None = None) -> MutantOutcome:
     """Classify one test against one mutant using the base trace for reachability.
 
     Calls of a test are independent (MiniJ has no state shared between
     calls), so only the calls whose base execution reached the mutated line
     are re-run against the mutant; the rest cannot behave differently. The
     base program is re-executed with a watch only when an infection check
-    actually needs base-side values.
+    actually needs base-side values. ``base_memo`` keeps those watched base
+    runs; one dict shared across the mutants of ``mutant.base_program`` (and
+    one config) lets every mutant watching the same site reuse them.
     """
+    if base_memo is None:
+        base_memo = {}
     if base_trace.test != test:
         raise ValueError("base trace was produced by a different test")
     reaching = [idx for idx, result in enumerate(base_trace.call_results)
@@ -336,7 +349,7 @@ def classify_against_mutant(mutant: Mutant, test: TestCase, base_trace: TestTrac
 
     watch = mutant.watch if mutant.watch[0] == "node" else ("node", -1)
     mutant_values, mutant_behavior = _run_watched_calls(
-        mutant.mutated_program, test, reaching, watch, config)
+        mutant.mutated_program, test, reaching, watch, config, {})
 
     base_behavior = tuple(base_trace.behavior[idx] for idx in reaching)
     if base_behavior != mutant_behavior:
@@ -346,7 +359,7 @@ def classify_against_mutant(mutant: Mutant, test: TestCase, base_trace: TestTrac
         # deletion: infected when the assignment ever changed the variable
         # (or its right-hand side raised, which the mutant would skip)
         base_values, _ = _run_watched_calls(
-            mutant.base_program, test, reaching, mutant.watch, config)
+            mutant.base_program, test, reaching, mutant.watch, config, base_memo)
         infected = any(
             entry == ("raise",) or (entry[0] == "a" and entry[1] != entry[2])
             for entry in base_values
@@ -357,7 +370,7 @@ def classify_against_mutant(mutant: Mutant, test: TestCase, base_trace: TestTrac
         infected = True
     else:
         base_values, _ = _run_watched_calls(
-            mutant.base_program, test, reaching, mutant.watch, config)
+            mutant.base_program, test, reaching, mutant.watch, config, base_memo)
         infected = base_values != mutant_values
 
     if infected:

@@ -44,8 +44,28 @@ def behavior_of(result: ExecutionResult) -> tuple:
     return ("raise",) + result.outcome.record.identity
 
 
-def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConfig()) -> TestTrace:
-    """Execute every call of a test case and aggregate the results."""
+def call_key(function: str, args: tuple) -> tuple:
+    """Memo key of one entry call: the function, its arguments, their types.
+
+    The types tag each argument with its kind: ``True == 1`` and both hash
+    alike, yet ``f(True)`` and ``f(1)`` are different calls. The key's
+    length fixes the argument count, so the flat layout is unambiguous.
+    """
+    return (function, *args, *map(type, args))
+
+
+def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConfig(),
+             memo: dict | None = None) -> TestTrace:
+    """Execute every call of a test case and aggregate the results.
+
+    Calls share no state, so a call's result depends only on the program,
+    the config and the call itself. ``memo`` maps ``call_key`` to the
+    ``ExecutionResult`` of that call; passing one dict to every test run on
+    the same program and config runs each distinct call once. Entry calls
+    that do not match a signature raise and are not memoized.
+    """
+    if memo is None:
+        memo = {}
     results = []
     lines: set[int] = set()
     branch_best: dict[int, list[float]] = {}
@@ -57,7 +77,10 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     behavior = []
     for call in test.calls:
         args = tuple(test.resolve(a) for a in call.args)
-        result = execute(program, call.function, args, config)
+        key = call_key(call.function, args)
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = execute(program, call.function, args, config)
         results.append(result)
         lines |= result.lines_hit
         called |= result.called_functions

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately re-implement behavior through separate, simpler code
-paths: a plain recursive Levenshtein, naive pair counting for the effect
+paths: a plain recursive Levenshtein and a full-matrix one, naive pair
+counting for the effect
 size, and a bare tree-walking evaluator that re-executes base and mutant
 programs while snapshotting the whole variable store after every statement.
 """
@@ -42,6 +43,20 @@ def naive_levenshtein(a: str, b: str) -> int:
         naive_levenshtein(a, b[:-1]) + 1,
         naive_levenshtein(a[:-1], b[:-1]) + cost,
     )
+
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """Textbook Wagner-Fischer: fill the whole (len(a)+1) x (len(b)+1) matrix."""
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        d[i][0] = i
+    for j in range(len(b) + 1):
+        d[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
+    return d[len(a)][len(b)]
 
 
 def brute_force_a_measure(xs, ys) -> float:

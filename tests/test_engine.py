@@ -279,6 +279,26 @@ P05_DIGESTS = {
 }
 
 
+# The diversity goal under ucb on programs whose tests make several calls
+# each: p07 takes strings, p09 three ints. Taken before the bit-parallel edit
+# distance and the base-call memos went in.
+DIVERSITY_DIGESTS = {
+    "p07_string_guards": "478405e1ba2e93da9f4de2e10d1a164d1360def245c0baeb0c5d5597d734665c",
+    "p09_median_pick": "66d2e10c2d14675854cf6ea0e00ce832e7400fc13bbf56b11f839c99275f68b8",
+}
+
+
+@pytest.mark.parametrize("fault_id", list(DIVERSITY_DIGESTS))
+def test_seeded_diversity_output_is_byte_identical(fault_id):
+    source = Path(__file__).resolve().parent.parent / "corpus" / fault_id / "fixed.minij"
+    program = parse(source.read_text(), fault_id)
+    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3),
+                          rng_seed=11)
+    result = run_search(program, Goal.DIVERSITY, make_strategy("ucb", Goal.DIVERSITY), config)
+    digest = hashlib.sha256(result.to_json(omit_timing=True).encode()).hexdigest()
+    assert digest == DIVERSITY_DIGESTS[fault_id]
+
+
 @pytest.mark.parametrize("goal, strategy", list(P05_DIGESTS))
 def test_seeded_output_is_byte_identical(goal, strategy):
     source = Path(__file__).resolve().parent.parent / "corpus" / "p05_terrain_gates" / "fixed.minij"

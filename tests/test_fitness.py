@@ -16,7 +16,7 @@ from affsgen.fitness import (
 )
 from affsgen.minilang import parse
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
-from oracles import naive_levenshtein
+from oracles import dp_levenshtein, naive_levenshtein
 
 PROGRAM = parse("""
 fn classify(x:int) {
@@ -157,6 +157,41 @@ def test_levenshtein_matches_naive_oracle():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+
+def test_dp_oracle_matches_naive_oracle():
+    rng = random.Random(13)
+    for _ in range(300):
+        a = "".join(rng.choice("ab(") for _ in range(rng.randint(0, 7)))
+        b = "".join(rng.choice("ab(") for _ in range(rng.randint(0, 7)))
+        assert dp_levenshtein(a, b) == naive_levenshtein(a, b)
+
+
+# few symbols make long strings share structure; full unicode makes them
+# differ; past 64 characters a pattern no longer fits one machine word
+_LONG_TEXT = st.one_of(
+    st.text(alphabet="ab(,é中", max_size=150),
+    st.text(alphabet="ab(,é中", min_size=65, max_size=150),
+    st.text(max_size=150),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LONG_TEXT, _LONG_TEXT)
+def test_levenshtein_matches_dp_oracle_past_64_characters(a, b):
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+    # the same pair behind a shared prefix and suffix, which are stripped
+    assert levenshtein("x(" + a + ");", "x(" + b + ");") == dp_levenshtein(a, b)
+
+
+def test_levenshtein_on_patterns_wider_than_a_machine_word():
+    rng = random.Random(5)
+    for _ in range(100):
+        a = "".join(rng.choice("abc") for _ in range(rng.randint(60, 140)))
+        b = "".join(rng.choice("abc") for _ in range(rng.randint(0, 140)))
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+    assert levenshtein("a" * 130, "b" * 70) == 130
+    assert levenshtein("ab" * 70, "ba" * 70) == 2
 
 
 @settings(max_examples=300)

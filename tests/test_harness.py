@@ -352,7 +352,8 @@ def test_cli_generate_bad_program_is_exit_2(tmp_path):
     "// nothing to test\n",
     "fn f(x:int){ return x" + " + x" * 3000 + "; }",
     "fn f(x:int){ return " + "(" * 2000 + "x" + ")" * 2000 + "; }",
-], ids=["no-functions", "sum-3000", "parens-2000"])
+    "fn f(x:int){ " + "if (x > 0) { " * 2000 + "return x; " + "} " * 2000 + "return 0; }",
+], ids=["no-functions", "sum-3000", "parens-2000", "if-blocks-2000"])
 def test_cli_generate_unusable_program_is_exit_2(tmp_path, capsys, source):
     program = tmp_path / "p.minij"
     program.write_text(source)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from affsgen.minilang import (
     ArityError,
+    ExceptionRecord,
     ParseError,
     Raised,
     Returned,
@@ -16,8 +17,8 @@ from affsgen.minilang import (
     execute,
     parse,
 )
-from affsgen.minilang.interpreter import InterpConfig
-from affsgen.minilang.parser import MAX_EXPR_DEPTH, to_source
+from affsgen.minilang.interpreter import FRAME_BUDGET, InterpConfig
+from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import generate_mutants
 
 SIMPLE = "fn f(x:int){ if(x==5){return 1;} return 0; }"
@@ -82,6 +83,29 @@ def test_parse_admits_expressions_at_the_depth_cap():
 def test_parse_rejects_expressions_past_the_depth_cap(expr):
     with pytest.raises(ParseError, match="nested deeper than"):
         parse(f"fn f(x:int){{ return {expr}; }}")
+
+
+def _nested_ifs(levels: int, inner: str = "return x;") -> str:
+    body = inner
+    for _ in range(levels):
+        body = f"if (x > 0) {{ {body} }}"
+    return f"fn f(x:int){{ {body} return 0; }}"
+
+
+def test_parse_admits_blocks_at_the_depth_cap():
+    # the function body is the first block level
+    program = parse(_nested_ifs(MAX_BLOCK_DEPTH - 1))
+    assert program.branch_count == MAX_BLOCK_DEPTH - 1
+    assert parse(to_source(program)).line_count == program.line_count
+    assert execute(program, "f", (3,)).outcome == Returned(3)
+
+
+@pytest.mark.parametrize("levels", [MAX_BLOCK_DEPTH, 2000], ids=["past-cap", "ifs-2000"])
+def test_parse_rejects_blocks_past_the_depth_cap(levels):
+    with pytest.raises(ParseError, match="blocks nested deeper than"):
+        parse(_nested_ifs(levels))
+    with pytest.raises(ParseError, match="blocks nested deeper than"):
+        parse(_nested_ifs(levels).replace("if (x > 0)", "while (x > 0)"))
 
 
 def test_parse_ids_are_stable():
@@ -163,6 +187,43 @@ def test_call_depth_capped():
     result = execute(program, "f", (0,))
     assert isinstance(result.outcome, Raised)
     assert result.outcome.record.kind == "StepLimitExceeded"
+
+
+DEEP_RECURSION = parse(
+    "fn f(x:int){ if (x <= 0) {return 0;} return 1 + (1 + (1 + (1 + (1 + f(x-1))))); }")
+
+
+def _worst_case_recursion() -> str:
+    # the tallest expression the parser admits, recursing at its bottom,
+    # inside the deepest blocks it admits
+    expr = "g(x - 1)" + " + 1" * (MAX_EXPR_DEPTH - 4)
+    body = f"return {expr};"
+    for _ in range(MAX_BLOCK_DEPTH - 1):
+        body = f"if (x > 0) {{ {body} }}"
+    return f"fn g(x:int){{ if (x <= 0) {{ return 0; }} {body} return 0; }}"
+
+
+def test_recursion_inside_deep_expressions_hits_step_limit():
+    result = execute(DEEP_RECURSION, "f", (100,))
+    assert result.outcome == Raised(ExceptionRecord("StepLimitExceeded", "f"))
+    assert execute(DEEP_RECURSION, "f", (5,)).outcome == Returned(25)
+
+
+def test_result_does_not_depend_on_the_callers_stack_depth():
+    worst = parse(_worst_case_recursion())
+    cases = [(DEEP_RECURSION, "f", (100,)), (DEEP_RECURSION, "f", (3,)),
+             (worst, "g", (1000,)), (parse("fn f(n:int){ return f(n + 1); }"), "f", (0,))]
+
+    def from_depth(frames, program, entry, args):
+        if frames == 0:
+            return execute(program, entry, args)
+        return from_depth(frames - 1, program, entry, args)
+
+    for program, entry, args in cases:
+        shallow = execute(program, entry, args)
+        assert from_depth(300, program, entry, args) == shallow
+    assert execute(worst, "g", (1000,)).outcome.record.kind == "StepLimitExceeded"
+    assert FRAME_BUDGET + 300 < 1000  # Python's default recursion limit
 
 
 def test_explicit_throw_carries_tag_and_function():
