@@ -59,18 +59,20 @@ Value = Union[int, bool, str]
 # Python frames the tree walker stacks for one MiniJ activation: two per
 # statement block (_exec_body, _exec_stmt), at most four per expression
 # level (e.g. eval, _eval_inner, _pred_inner, _compare), and a few fixed ones
-# (_call, _assigned_value, and helpers or constructors at the innermost node).
+# (_assigned_value, and helpers or constructors at the innermost node).
 _FRAMES_PER_BLOCK = 2
 _FRAMES_PER_EXPR_LEVEL = 4
 _FRAMES_FIXED = 8
 
-# The summed frame costs of the active MiniJ calls may not exceed this; a
-# call past it raises StepLimitExceeded, as one past max_call_depth does.
-# It sits far enough below Python's default recursion limit (1000) that deep
-# MiniJ recursion ends the same way whether execute is called from a shallow
-# Python stack or from one about 300 frames deep. The parser's nesting caps
-# keep any single function's cost well below it.
-FRAME_BUDGET = 500
+# Each active MiniJ call is charged the frames stacked at its call site, and
+# the innermost one its callee's whole height as well; a call that would take
+# the sum past this raises StepLimitExceeded, as one past max_call_depth does.
+# Plain recursion stops at max_call_depth first. The budget sits far enough
+# below Python's default recursion limit (1000) that deep MiniJ recursion ends
+# the same way whether execute is called from a shallow Python stack or from
+# one about 300 frames deep. The parser's nesting caps keep any single
+# function's height well below it.
+FRAME_BUDGET = 600
 
 
 class UnknownFunctionError(ValueError):
@@ -225,12 +227,65 @@ def _static_frame_cost(fn: FunctionDef) -> int:
     return _FRAMES_PER_BLOCK * blocks + _FRAMES_PER_EXPR_LEVEL * height + _FRAMES_FIXED
 
 
-def _frame_cost(program: Program, name: str) -> int:
-    """Static frame cost of one function, computed once per program."""
-    cost = program._frame_costs.get(name)
-    if cost is None:
-        cost = program._frame_costs[name] = _static_frame_cost(program.function(name))
-    return cost
+def _site_frames(expr: Expr, frames: int, as_pred: bool, sites: dict[int, int]) -> None:
+    """Record, for each call in ``expr``, the frames stacked from the
+    statement's _exec_stmt down to its _call; ``frames`` counts those above
+    ``expr``, which is evaluated by pred if ``as_pred`` and by eval if not."""
+    cls = type(expr)
+    op = expr.op if cls is Binary or cls is Unary else None
+    if op in ("and", "or", "not"):
+        frames += 2 if as_pred else 3  # pred, _pred_inner | eval, _eval_inner, _pred_inner
+        children = (expr.lhs, expr.rhs) if cls is Binary else (expr.operand,)
+        as_pred = True
+    elif op in _NEGATION:
+        frames += 3 if as_pred else 4  # the above, then _compare
+        children = (expr.lhs, expr.rhs)
+        as_pred = False
+    else:
+        frames += 3 if as_pred else 2  # pred, _pred_inner, _eval_inner | eval, _eval_inner
+        as_pred = False
+        if cls is Binary:
+            children, frames = (expr.lhs, expr.rhs), frames + 1  # _arith
+        elif cls is Unary or cls is Len:
+            children = (expr.operand,)
+        elif cls is Index:
+            children = (expr.base, expr.index)
+        elif cls is Call:
+            sites[expr.node_id] = max(frames + 1, sites.get(expr.node_id, 0))  # _call
+            children, frames = expr.args, frames + 1  # the argument list comprehension
+        else:
+            children = ()
+    for child in children:
+        _site_frames(child, frames, as_pred, sites)
+
+
+def _frame_costs(program: Program) -> tuple[dict[int, int], dict[str, int]]:
+    """Per program, once: the frames stacked at each call site (by node id)
+    and the height of one whole activation of each function."""
+    costs = program._frame_costs
+    if costs is None:
+        sites: dict[int, int] = {}
+        for fn in program.functions:
+            pending = [(fn.body, 1)]
+            while pending:
+                body, depth = pending.pop()
+                above = _FRAMES_PER_BLOCK * depth
+                for stmt in body:
+                    cls = type(stmt)
+                    if cls is Let or cls is Assign:
+                        _site_frames(stmt.expr, above + 1, False, sites)  # _assigned_value
+                    elif cls is Return:
+                        _site_frames(stmt.expr, above, False, sites)
+                    elif cls is If:
+                        _site_frames(stmt.cond, above, True, sites)
+                        pending.append((stmt.then_body, depth + 1))
+                        pending.append((stmt.else_body, depth + 1))
+                    elif cls is While:
+                        _site_frames(stmt.cond, above, True, sites)
+                        pending.append((stmt.body, depth + 1))
+        heights = {fn.name: _static_frame_cost(fn) for fn in program.functions}
+        costs = program._frame_costs = (sites, heights)
+    return costs
 
 
 # --- signals -------------------------------------------------------------
@@ -266,7 +321,7 @@ class _Interp:
         self.program = program
         self.functions = program.fn_map()
         self.config = config
-        self.frames = 0  # summed frame costs of the active calls
+        self.frames = 0  # summed call-site frame costs of the active calls
         self.steps = 0
         self.lines_hit: set[int] = set()
         self.branch_evals: list[BranchEval] = []
@@ -322,7 +377,7 @@ class _Interp:
             return value
         if cls is Call:
             args = [self.eval(a, env, fname, depth) for a in node.args]
-            return self._call(node.name, args, fname, depth)
+            return self._call(node.name, args, fname, depth, node.node_id)
         if cls is Len:
             v = self.eval(node.operand, env, fname, depth)
             if not isinstance(v, str):
@@ -359,13 +414,11 @@ class _Interp:
         q = abs(l) // abs(r)
         return q if (l >= 0) == (r >= 0) else -q
 
-    def _call(self, name: str, args: list[Value], caller: str, depth: int) -> Value:
-        if depth == 0:
-            # the entry activation is charged once it calls: runs without
-            # calls, most of them, never compute a cost
-            self.frames = _frame_cost(self.program, caller)
-        cost = _frame_cost(self.program, name)
-        if depth + 1 >= self.config.max_call_depth or self.frames + cost > FRAME_BUDGET:
+    def _call(self, name: str, args: list[Value], caller: str, depth: int, site: int) -> Value:
+        sites, heights = _frame_costs(self.program)
+        outer = self.frames
+        frames = outer + sites[site]
+        if depth + 1 >= self.config.max_call_depth or frames + heights[name] > FRAME_BUDGET:
             raise MiniJError(STEP_LIMIT_EXCEEDED, name)
         fn = self.functions[name]
         env: dict = {}
@@ -374,13 +427,13 @@ class _Interp:
                 raise MiniJError(TYPE_ERROR, caller)
             env[pname] = value
         self.called.add((name, False))  # only the entry frame counts as direct
-        self.frames += cost
+        self.frames = frames
         try:
             self._exec_body(fn.body, env, name, depth + 1)
         except _ReturnSignal as sig:
             return sig.value
         finally:
-            self.frames -= cost
+            self.frames = outer
         return 0  # falling off the end yields int 0
 
     # -- predicate evaluation -----------------------------------------------

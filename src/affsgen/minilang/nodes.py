@@ -154,8 +154,9 @@ class Program:
     # branch_id -> name of the function containing the branch site
     branch_owner: dict[int, str] = field(default_factory=dict)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
-    # function name -> the interpreter's static frame cost, filled on first use
-    _frame_costs: dict = field(default_factory=dict, repr=False, compare=False)
+    # the interpreter's static frame costs (per call site, per function),
+    # filled on the first MiniJ call
+    _frame_costs: tuple | None = field(default=None, repr=False, compare=False)
 
     def fn_map(self) -> dict[str, FunctionDef]:
         if self._fn_map is None:
