@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from affsgen.fitness import FN_BY_NAME, FN_NAMES, FitnessFunctionId
 
@@ -124,73 +124,12 @@ def single_function_action(goal: Goal, fn: FitnessFunctionId) -> Action:
     raise ValueError(f"{FN_NAMES[fn]} alone is not a valid action for {goal.value}")
 
 
-# --- UCB -----------------------------------------------------------------------
+# --- agent constants and features ---------------------------------------------------
 
-
-@dataclass(slots=True)
-class UcbConfig:
-    c: float = 1.414
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("confidence level c must be larger than 0")
-
-
-class BanditStats:
-    """Per-action selection counts and accumulated reward."""
-
-    __slots__ = ("actions", "times_selected", "sum_reward", "seeding_order")
-
-    def __init__(self, actions: list[Action], seeding_order: list[int] | None = None):
-        self.actions = list(actions)
-        self.times_selected = {a.action_id: 0 for a in actions}
-        self.sum_reward = {a.action_id: 0.0 for a in actions}
-        self.seeding_order = list(seeding_order) if seeding_order is not None \
-            else [a.action_id for a in actions]
-
-    def by_id(self, action_id: int) -> Action:
-        for action in self.actions:
-            if action.action_id == action_id:
-                return action
-        raise KeyError(action_id)
-
-    def total_reward(self) -> float:
-        return sum(self.sum_reward.values())
-
-
-def ucb_select(stats: BanditStats, t: int, cfg: UcbConfig) -> Action:
-    """Pick the next action: untried ones first, then the largest upper bound.
-
-    The bound is mean reward plus c * sqrt(ln t / times-selected); ties break
-    toward the lowest action id.
-    """
-    if not stats.actions:
-        raise ValueError("empty action space")
-    for action_id in stats.seeding_order:
-        if stats.times_selected[action_id] == 0:
-            return stats.by_id(action_id)
-    log_t = math.log(t) if t > 1 else 0.0
-    best_action = None
-    best_bound = -math.inf
-    for action in sorted(stats.actions, key=lambda a: a.action_id):
-        n = stats.times_selected[action.action_id]
-        bound = stats.sum_reward[action.action_id] / n + cfg.c * math.sqrt(log_t / n)
-        if bound > best_bound:
-            best_bound = bound
-            best_action = action
-    return best_action
-
-
-def ucb_update(stats: BanditStats, action: Action, reward: float) -> BanditStats:
-    """Record one observation: bump the selection count and accumulate reward."""
-    if action.action_id not in stats.times_selected:
-        raise KeyError(f"action {action.action_id} is not in the space")
-    stats.times_selected[action.action_id] += 1
-    stats.sum_reward[action.action_id] += reward
-    return stats
-
-
-# --- DSG-Sarsa -------------------------------------------------------------------
+UCB_C = 1.414  # UCB confidence level
+ALPHA = 0.1  # Sarsa step size of the weights
+BETA = 0.1  # Sarsa step size of the average reward
+EPSILON = 0.1  # Sarsa exploration probability
 
 FEATURE_DIM = len(FitnessFunctionId) + 3
 
@@ -212,72 +151,6 @@ class SarsaTraceEntry:
     action_id: int
     q_old: float
     q_new: float
-
-
-@dataclass(slots=True)
-class SarsaAgent:
-    actions: list[Action]
-    alpha: float = 0.1
-    beta: float = 0.1
-    epsilon: float = 0.1
-    weights: list[float] = field(default_factory=lambda: [0.0] * FEATURE_DIM)
-    average_reward: float = 0.0
-    seeding_order: list[int] = field(default_factory=list)
-    seeded: int = 0
-    last_action: Action | None = None
-    last_features: tuple[float, ...] | None = None
-    trace: list[SarsaTraceEntry] = field(default_factory=list)
-
-    def q_value(self, features: tuple[float, ...]) -> float:
-        if len(features) != len(self.weights):
-            raise ValueError("feature dimension does not match the weight vector")
-        return sum(w * x for w, x in zip(self.weights, features))
-
-
-def sarsa_step(agent: SarsaAgent, reward: float,
-               features_by_action: dict[int, tuple[float, ...]],
-               rng: random.Random) -> Action:
-    """One differential semi-gradient update plus epsilon-greedy selection.
-
-    Computes delta = reward - averageReward + q(S',A') - q(S,A), moves the
-    average reward by beta * delta, moves the weights by
-    alpha * delta * X(S,A), and returns the newly selected action.
-    """
-    if agent.last_action is None or agent.last_features is None:
-        raise ValueError("agent must be initialized with an initial action first")
-    q_old = agent.q_value(agent.last_features)
-
-    if agent.seeded < len(agent.seeding_order):
-        new_action = next(
-            a for a in agent.actions
-            if a.action_id == agent.seeding_order[agent.seeded]
-        )
-        agent.seeded += 1
-    else:
-        new_action = _epsilon_greedy(agent, features_by_action, rng)
-
-    new_features = features_by_action[new_action.action_id]
-    q_new = agent.q_value(new_features)
-    delta = reward - agent.average_reward + q_new - q_old
-    agent.average_reward += agent.beta * delta
-    agent.weights = [w + agent.alpha * delta * x
-                     for w, x in zip(agent.weights, agent.last_features)]
-    agent.trace.append(SarsaTraceEntry(delta=delta, reward=reward,
-                                       action_id=new_action.action_id,
-                                       q_old=q_old, q_new=q_new))
-    agent.last_action = new_action
-    agent.last_features = new_features
-    return new_action
-
-
-def _epsilon_greedy(agent: SarsaAgent, features_by_action: dict, rng: random.Random) -> Action:
-    ordered = sorted(agent.actions, key=lambda a: a.action_id)
-    if rng.random() < agent.epsilon:
-        return ordered[rng.randrange(len(ordered))]
-    qs = [(agent.q_value(features_by_action[a.action_id]), a) for a in ordered]
-    best = max(q for q, _ in qs)
-    top = [a for q, a in qs if q == best]
-    return top[rng.randrange(len(top))]
 
 
 # --- rewards -----------------------------------------------------------------------
@@ -339,20 +212,34 @@ class RewardTracker:
 
 
 class Strategy:
-    """One action-selection policy driving a single search run."""
+    """One action-selection policy driving a single search run.
+
+    ``features`` is a callable ``features(action) -> tuple`` giving the
+    feature vector of an action on the current best suite. The engine builds
+    a vector only when a strategy calls it, and only Sarsa does.
+    ``seeding_length`` is the number of ticks the strategy spends trying
+    every action once (0 for the non-learning strategies).
+    ``initial_action`` starts a run and resets whatever the strategy learned.
+    The agents' settings are the module constants ``UCB_C``, ``ALPHA``,
+    ``BETA`` and ``EPSILON``.
+    """
 
     name = "strategy"
-    is_reinforcement = False
+    seeding_length = 0
 
-    def initial_action(self, features_by_action: dict, rng: random.Random) -> Action:
+    def initial_action(self, features, rng: random.Random) -> Action:
         raise NotImplementedError
 
-    def update_and_select(self, reward: float, features_by_action: dict,
-                          t: int, rng: random.Random) -> Action:
+    def update_and_select(self, reward: float, features, t: int,
+                          rng: random.Random) -> Action:
         raise NotImplementedError
 
-    def rewards_observed(self) -> float:
-        return 0.0
+
+def _checked_space(goal: Goal, space: list[Action] | None) -> list[Action]:
+    space = action_space(goal) if space is None else list(space)
+    if not space:
+        raise ValueError("empty action space")
+    return space
 
 
 class StaticStrategy(Strategy):
@@ -360,10 +247,10 @@ class StaticStrategy(Strategy):
         self.action = action
         self.name = name
 
-    def initial_action(self, features_by_action, rng) -> Action:
+    def initial_action(self, features, rng) -> Action:
         return self.action
 
-    def update_and_select(self, reward, features_by_action, t, rng) -> Action:
+    def update_and_select(self, reward, features, t, rng) -> Action:
         return self.action
 
 
@@ -372,81 +259,115 @@ class RandomPerRunStrategy(Strategy):
 
     def __init__(self, goal: Goal, space: list[Action] | None = None):
         self.name = "random"
-        self.space = space if space is not None else action_space(goal)
+        self.space = _checked_space(goal, space)
         self.action: Action | None = None
 
-    def initial_action(self, features_by_action, rng) -> Action:
+    def initial_action(self, features, rng) -> Action:
         self.action = self.space[rng.randrange(len(self.space))]
         return self.action
 
-    def update_and_select(self, reward, features_by_action, t, rng) -> Action:
+    def update_and_select(self, reward, features, t, rng) -> Action:
         return self.action
 
 
 class UcbStrategy(Strategy):
-    is_reinforcement = True
+    """UCB1 over the action space: untried actions first, then the largest bound.
 
-    def __init__(self, goal: Goal, cfg: UcbConfig = UcbConfig(),
-                 space: list[Action] | None = None):
+    The bound is mean reward plus UCB_C * sqrt(ln t / times selected). Ties
+    break toward the earliest action of the space, which is the lowest id for
+    every space ``action_space`` builds.
+    """
+
+    def __init__(self, goal: Goal, space: list[Action] | None = None):
         self.name = "ucb"
-        self.cfg = cfg
-        self.space = space if space is not None else action_space(goal)
-        self.stats: BanditStats | None = None
-        self.current: Action | None = None
+        self.space = _checked_space(goal, space)
+        self.seeding_length = len(self.space)
 
-    def initial_action(self, features_by_action, rng) -> Action:
-        order = [a.action_id for a in self.space]
-        rng.shuffle(order)
-        self.stats = BanditStats(self.space, seeding_order=order)
-        self.current = ucb_select(self.stats, 0, self.cfg)
+    def initial_action(self, features, rng) -> Action:
+        self.times_selected = {a.action_id: 0 for a in self.space}
+        self.sum_reward = {a.action_id: 0.0 for a in self.space}
+        self.seeding_order = list(self.space)
+        rng.shuffle(self.seeding_order)
+        self.current = self._select(0)
         return self.current
 
-    def update_and_select(self, reward, features_by_action, t, rng) -> Action:
-        ucb_update(self.stats, self.current, reward)
-        self.current = ucb_select(self.stats, t, self.cfg)
+    def update_and_select(self, reward, features, t, rng) -> Action:
+        self.times_selected[self.current.action_id] += 1
+        self.sum_reward[self.current.action_id] += reward
+        self.current = self._select(t)
         return self.current
 
-    def rewards_observed(self) -> float:
-        return self.stats.total_reward() if self.stats else 0.0
+    def _select(self, t: int) -> Action:
+        for action in self.seeding_order:
+            if self.times_selected[action.action_id] == 0:
+                return action
+        log_t = math.log(t) if t > 1 else 0.0
+        best_action = None
+        best_bound = -math.inf
+        for action in self.space:
+            n = self.times_selected[action.action_id]
+            bound = self.sum_reward[action.action_id] / n + UCB_C * math.sqrt(log_t / n)
+            if bound > best_bound:
+                best_bound = bound
+                best_action = action
+        return best_action
 
 
 class SarsaStrategy(Strategy):
-    is_reinforcement = True
+    """Differential semi-gradient Sarsa with a linear Q over feature vectors.
 
-    def __init__(self, goal: Goal, alpha: float = 0.1, beta: float = 0.1,
-                 epsilon: float = 0.1, space: list[Action] | None = None):
+    Each tick computes delta = reward - average reward + q(S',A') - q(S,A),
+    moves the average reward by BETA * delta and the weights by
+    ALPHA * delta * X(S,A). After seeding it picks a uniform random action
+    with probability EPSILON, else one of the highest Q at random. Only the
+    greedy step reads every action's features.
+    """
+
+    def __init__(self, goal: Goal, space: list[Action] | None = None):
         self.name = "sarsa"
-        self.space = space if space is not None else action_space(goal)
-        self.alpha, self.beta, self.epsilon = alpha, beta, epsilon
-        self.agent: SarsaAgent | None = None
+        self.space = _checked_space(goal, space)
+        self.seeding_length = len(self.space)
 
-    def initial_action(self, features_by_action, rng) -> Action:
-        order = [a.action_id for a in self.space]
-        rng.shuffle(order)
-        self.agent = SarsaAgent(actions=self.space, alpha=self.alpha, beta=self.beta,
-                                epsilon=self.epsilon, seeding_order=order)
-        first = next(a for a in self.space if a.action_id == order[0])
-        self.agent.seeded = 1
-        self.agent.last_action = first
-        self.agent.last_features = features_by_action[first.action_id]
+    def initial_action(self, features, rng) -> Action:
+        self.weights = [0.0] * FEATURE_DIM
+        self.average_reward = 0.0
+        self.trace: list[SarsaTraceEntry] = []
+        self.seeding_order = list(self.space)
+        rng.shuffle(self.seeding_order)
+        first = self.seeding_order[0]
+        self.seeded = 1
+        self.last_features = features(first)
         return first
 
-    def update_and_select(self, reward, features_by_action, t, rng) -> Action:
-        return sarsa_step(self.agent, reward, features_by_action, rng)
+    def update_and_select(self, reward, features, t, rng) -> Action:
+        q_old = self._q(self.last_features)
+        if self.seeded < len(self.seeding_order):
+            action = self.seeding_order[self.seeded]
+            self.seeded += 1
+            new_features = features(action)
+        elif rng.random() < EPSILON:
+            action = self.space[rng.randrange(len(self.space))]
+            new_features = features(action)
+        else:
+            vectors = [features(a) for a in self.space]
+            qs = [self._q(x) for x in vectors]
+            best = max(qs)
+            top = [i for i, q in enumerate(qs) if q == best]
+            chosen = top[rng.randrange(len(top))]
+            action, new_features = self.space[chosen], vectors[chosen]
+        q_new = self._q(new_features)
+        delta = reward - self.average_reward + q_new - q_old
+        self.average_reward += BETA * delta
+        self.weights = [w + ALPHA * delta * x
+                        for w, x in zip(self.weights, self.last_features)]
+        self.trace.append(SarsaTraceEntry(delta=delta, reward=reward,
+                                          action_id=action.action_id,
+                                          q_old=q_old, q_new=q_new))
+        self.last_features = new_features
+        return action
 
-    def rewards_observed(self) -> float:
-        return sum(e.reward for e in self.agent.trace) if self.agent else 0.0
-
-
-def baseline_strategies(goal: Goal) -> dict[str, Strategy]:
-    """The three non-learning strategies: single-function, default, random."""
-    single = _REQUIRED.get(goal, F.STRONG_MUT)
-    return {
-        "static": StaticStrategy(single_function_action(goal, single),
-                                 name=f"static:{FN_NAMES[single]}"),
-        "default": StaticStrategy(default_combination(goal), name="default"),
-        "random": RandomPerRunStrategy(goal),
-    }
+    def _q(self, features: tuple[float, ...]) -> float:
+        return sum(w * x for w, x in zip(self.weights, features, strict=True))
 
 
 def make_strategy(spec: str, goal: Goal, space: list[Action] | None = None) -> Strategy:

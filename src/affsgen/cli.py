@@ -21,6 +21,7 @@ from affsgen.harness import (
 )
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.parser import ParseError, parse
+from affsgen.mutation import generate_mutants
 from affsgen.testmodel import GenConfig
 
 GOALS = {g.value: g for g in Goal}
@@ -76,6 +77,11 @@ def _cmd_generate(args) -> int:
     if not program.functions:
         print(f"error: {args.program} defines no functions to test", file=sys.stderr)
         return 2
+    if not generate_mutants(program):
+        # mutation scores, which the strong-mutation reward and the weak_mut
+        # fitness need, are undefined without mutants
+        print(f"error: {args.program} has no mutation sites", file=sys.stderr)
+        return 2
     config = EngineConfig(budget=budget, rng_seed=args.seed)
     result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
     Path(args.out).write_text(result.to_json(), encoding="utf-8")
@@ -126,10 +132,17 @@ def _cmd_report(args) -> int:
     summary_path = Path(args.in_dir) / "summary.json"
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        report = format_report(summary)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(format_report(summary))
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        # JSONDecodeError is a ValueError; the others come from a summary
+        # missing the fields or types run_experiment writes
+        print(f"error: {summary_path} is not an experiment summary: "
+              f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

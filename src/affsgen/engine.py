@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
@@ -95,7 +96,6 @@ class SearchState:
     best_suite: TestSuite
     archive: Archive
     log: list[GenerationRecord] = field(default_factory=list)
-    strategy_updates: int = 0
     best_composite: float = 0.0
 
 
@@ -110,10 +110,23 @@ class SearchResult:
     covered_goals: set[GoalId]
     log: list[GenerationRecord]
     metrics: dict
-    generations: int
-    strategy_updates: int
-    rewards_logged: list[float]
-    action_histogram: dict[int, int]
+
+    @property
+    def generations(self) -> int:
+        return len(self.log)
+
+    @property
+    def rewards_logged(self) -> list[float]:
+        return [rec.reward for rec in self.log if rec.reward is not None]
+
+    @property
+    def strategy_updates(self) -> int:
+        return len(self.rewards_logged)
+
+    @property
+    def action_histogram(self) -> dict[int, int]:
+        """Generations spent under each action id, in order of first use."""
+        return dict(Counter(rec.action_id for rec in self.log))
 
     def to_dict(self, omit_timing: bool = False) -> dict:
         """JSON-ready form; timing can be omitted for byte-stable comparison."""
@@ -311,12 +324,11 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
     archive = Archive()
     archive_update = make_archive_updater(goal, ctx, archive, coverage_fn)
 
-    space_size = len(getattr(strategy, "space", [])) if strategy.is_reinforcement else 0
-    tracker = RewardTracker(goal, seeding_length=space_size)
+    tracker = RewardTracker(goal, seeding_length=strategy.seeding_length)
 
     provisional_best = population[0]
-    features = _features_for(strategy, provisional_best, ctx, goal, gen_config, coverage_fn)
-    action = strategy.initial_action(features, rng)
+    action = strategy.initial_action(
+        _features_of(provisional_best, ctx, goal, gen_config, coverage_fn), rng)
 
     state = SearchState(
         generation=0,
@@ -327,8 +339,6 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
     )
     tracker.prime(provisional_best, ctx)
 
-    rewards_logged: list[float] = []
-    histogram: dict[int, int] = {}
     started = time.monotonic()
     tick = 0
 
@@ -343,15 +353,10 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         reward: float | None = None
         if state.generation % config.skip_iter == 0:
             reward = tracker.measure(state.best_suite, ctx, tick)
-            features = _features_for(strategy, state.best_suite, ctx, goal,
-                                     gen_config, coverage_fn)
+            features = _features_of(state.best_suite, ctx, goal, gen_config, coverage_fn)
             state.active_action = strategy.update_and_select(
                 reward, features, state.generation, rng)
-            state.strategy_updates += 1
-            rewards_logged.append(reward)
             tick += 1
-        histogram[state.active_action.action_id] = \
-            histogram.get(state.active_action.action_id, 0) + 1
         state.log.append(GenerationRecord(
             generation=state.generation,
             action_id=state.active_action.action_id,
@@ -386,26 +391,25 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         covered_goals=covered,
         log=state.log,
         metrics=metrics,
-        generations=state.generation,
-        strategy_updates=state.strategy_updates,
-        rewards_logged=rewards_logged,
-        action_histogram=histogram,
     )
 
 
-def _features_for(strategy: Strategy, best: TestSuite, ctx: FitnessContext, goal: Goal,
-                  gen_config: GenConfig, coverage_fn) -> dict[int, tuple[float, ...]]:
-    """Per-action feature vectors of the current best suite (RL strategies only)."""
-    space = getattr(strategy, "space", None)
-    if not strategy.is_reinforcement or space is None:
-        return {}
-    subgoals = _subgoal_coverage(goal, best, ctx, coverage_fn)
-    size = len(best.tests)
-    features = {}
-    for action in space:
+def _features_of(best: TestSuite, ctx: FitnessContext, goal: Goal, gen_config: GenConfig,
+                 coverage_fn):
+    """``features(action)``: an action's feature vector on ``best``, built on demand.
+
+    The subgoal coverage is computed on the first call only.
+    """
+    subgoals: float | None = None
+
+    def features(action: Action) -> tuple[float, ...]:
+        nonlocal subgoals
+        if subgoals is None:
+            subgoals = _subgoal_coverage(goal, best, ctx, coverage_fn)
         mean = evaluate_suite(best, action.functions, ctx) / len(action.functions)
-        features[action.action_id] = feature_vector(
-            action, mean, size, gen_config.max_suite_size, subgoals)
+        return feature_vector(action, mean, len(best.tests), gen_config.max_suite_size,
+                              subgoals)
+
     return features
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
@@ -97,20 +97,22 @@ def fault_detected(suite: TestSuite, pair: FaultPair,
 # --- metrics -------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, kw_only=True)
 class TrialRecord:
+    """One row of trials.csv; the defaults are those of a trial that raised."""
+
     fault_id: str
     strategy: str
-    trial_index: int
+    trial_index: int = -1
     seed: int
-    goal_metric: float
-    normalized_goal_metric: float | None
-    fault_detected: bool
-    generations_completed: int
-    mean_seconds_per_generation: float
-    suite_size: int
-    rendered_chars: int
-    action_histogram: dict[int, int]
+    goal_metric: float = 0.0
+    normalized_goal_metric: float | None = None
+    fault_detected: bool = False
+    generations_completed: int = 0
+    mean_seconds_per_generation: float = 0.0
+    suite_size: int = 0
+    rendered_chars: int = 0
+    action_histogram: dict[int, int] = field(default_factory=dict)
     error: str = ""
 
 
@@ -181,16 +183,14 @@ def run_trial(pair: FaultPair, strategy_spec: str, goal: Goal, seed: int,
     record = TrialRecord(
         fault_id=pair.fault_id,
         strategy=strategy_spec,
-        trial_index=-1,
         seed=seed,
         goal_metric=_goal_metric(goal, result),
-        normalized_goal_metric=None,
         fault_detected=detected,
         generations_completed=result.generations,
         mean_seconds_per_generation=mean_seconds,
         suite_size=result.metrics["suite_size"],
         rendered_chars=result.metrics["rendered_chars"],
-        action_histogram=dict(result.action_histogram),
+        action_histogram=result.action_histogram,
     )
     return result, record
 
@@ -209,23 +209,10 @@ def _trial_job(args) -> dict:
     goal = Goal(goal_value)
     try:
         _, record = run_trial(pair, strategy_spec, goal, seed, engine, gen_config, interp)
-        return asdict(record)
     except Exception as err:  # recorded per-trial, never aborts the sweep
-        return {
-            "fault_id": fault_id,
-            "strategy": strategy_spec,
-            "trial_index": -1,
-            "seed": seed,
-            "goal_metric": 0.0,
-            "normalized_goal_metric": None,
-            "fault_detected": False,
-            "generations_completed": 0,
-            "mean_seconds_per_generation": 0.0,
-            "suite_size": 0,
-            "rendered_chars": 0,
-            "action_histogram": {},
-            "error": f"{type(err).__name__}: {err}",
-        }
+        record = TrialRecord(fault_id=fault_id, strategy=strategy_spec, seed=seed,
+                             error=f"{type(err).__name__}: {err}")
+    return asdict(record)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -272,12 +259,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     return summary
 
 
-_TRIAL_COLUMNS = (
-    "fault_id", "strategy", "trial_index", "seed", "goal_metric",
-    "normalized_goal_metric", "fault_detected", "generations_completed",
-    "mean_seconds_per_generation", "suite_size", "rendered_chars",
-    "action_histogram", "error",
-)
+_TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+
+def _csv_cell(value):
+    """The trials.csv text of one TrialRecord field."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return repr(value)  # floats in full, None as "None"
 
 
 def _write_trials_csv(path: Path, records: list[TrialRecord]) -> None:
@@ -285,14 +278,7 @@ def _write_trials_csv(path: Path, records: list[TrialRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(_TRIAL_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.fault_id, r.strategy, r.trial_index, r.seed,
-                repr(r.goal_metric), repr(r.normalized_goal_metric),
-                int(r.fault_detected), r.generations_completed,
-                repr(r.mean_seconds_per_generation), r.suite_size,
-                r.rendered_chars,
-                json.dumps(r.action_histogram, sort_keys=True), r.error,
-            ])
+            writer.writerow([_csv_cell(getattr(r, name)) for name in _TRIAL_COLUMNS])
 
 
 def _write_actions_csv(path: Path, records: list[TrialRecord]) -> None:

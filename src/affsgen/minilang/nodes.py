@@ -151,8 +151,6 @@ class Program:
     line_count: int = 0
     branch_count: int = 0
     node_count: int = 0
-    # branch_id -> name of the function containing the branch site
-    branch_owner: dict[int, str] = field(default_factory=dict)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
     # the interpreter's static frame costs (per call site, per function),
     # filled on the first MiniJ call

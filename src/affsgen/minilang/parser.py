@@ -189,8 +189,6 @@ class _Parser:
         self.heights: list[int] = []  # node_id -> height of its expression tree
         self.nesting = 0  # brackets open around the expression being parsed
         self.blocks = 0  # statement blocks open around the current statement
-        self.branch_owner: dict[int, str] = {}
-        self.current_function = ""
 
     # -- token helpers ----------------------------------------------------
 
@@ -234,7 +232,6 @@ class _Parser:
     def branch_id(self) -> int:
         bid = self.next_branch_id
         self.next_branch_id += 1
-        self.branch_owner[bid] = self.current_function
         return bid
 
     def node_id(self, *children: Expr) -> int:
@@ -264,7 +261,6 @@ class _Parser:
             line_count=self.next_line_id,
             branch_count=self.next_branch_id,
             node_count=self.next_node_id,
-            branch_owner=self.branch_owner,
         )
         _validate_calls(program)
         return program
@@ -272,7 +268,6 @@ class _Parser:
     def parse_function(self) -> FunctionDef:
         self.expect("name", "fn")
         name = self.expect_name()
-        self.current_function = name
         self.expect("symbol", "(")
         params: list[tuple[str, str]] = []
         if not self.accept("symbol", ")"):

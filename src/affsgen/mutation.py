@@ -157,7 +157,6 @@ def _clone_program(program: Program, transform: ExprTransform | None = None,
         line_count=program.line_count,
         branch_count=program.branch_count,
         node_count=program.node_count + 1,  # headroom for one wrapper node
-        branch_owner=dict(program.branch_owner),
     )
 
 

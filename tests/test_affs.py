@@ -6,26 +6,20 @@ import random
 
 import pytest
 
+from affsgen import affs
 from affsgen.affs import (
     Action,
-    BanditStats,
     Goal,
     RandomPerRunStrategy,
-    SarsaAgent,
     SarsaStrategy,
     StaticStrategy,
-    UcbConfig,
     UcbStrategy,
     action_space,
-    baseline_strategies,
     default_combination,
     feature_vector,
     load_pinned_space,
     make_strategy,
-    sarsa_step,
     single_function_action,
-    ucb_select,
-    ucb_update,
 )
 from affsgen.fitness import FitnessFunctionId as F
 
@@ -98,91 +92,96 @@ def _two_arms():
     return [Action((F.EX,), 0), Action((F.EX, F.BRANCH), 1)]
 
 
+def _unread(action):
+    raise AssertionError("this strategy must not read feature vectors")
+
+
+def _bandit(observations, order=(0, 1)):
+    """A two-arm UCB strategy after ``observations``, a list of (arm, reward)."""
+    strategy = UcbStrategy(Goal.EXCEPTIONS, space=_two_arms())
+    strategy.initial_action(_unread, random.Random(0))
+    strategy.seeding_order = [strategy.space[i] for i in order]
+    for t, (arm, reward) in enumerate(observations, start=1):
+        strategy.current = strategy.space[arm]
+        strategy.update_and_select(reward, _unread, t, random.Random(t))
+    return strategy
+
+
 def test_ucb_selects_untried_action_first():
-    actions = _two_arms()
-    stats = BanditStats(actions, seeding_order=[1, 0])
-    ucb_update(stats, actions[1], reward=-100.0)
+    strategy = _bandit([(1, -100.0)], order=(1, 0))
     # action 0 untried: selected regardless of rewards
-    assert ucb_select(stats, t=5, cfg=UcbConfig(c=2.0)).action_id == 0
+    assert strategy.current.action_id == 0
+    assert strategy._select(5).action_id == 0
 
 
-def test_ucb_greedy_limit_prefers_higher_mean():
-    actions = _two_arms()
-    stats = BanditStats(actions)
-    ucb_update(stats, actions[0], 2.0)
-    ucb_update(stats, actions[1], 0.5)
-    chosen = ucb_select(stats, t=2, cfg=UcbConfig(c=1e-12))
-    assert chosen.action_id == 0
+def test_ucb_greedy_limit_prefers_higher_mean(monkeypatch):
+    monkeypatch.setattr(affs, "UCB_C", 1e-12)
+    strategy = _bandit([(0, 2.0), (1, 0.5)])
+    assert strategy._select(2).action_id == 0
 
 
 def test_ucb_exploration_bonus_dominates():
-    # a: n=10, sum=10; b: n=1, sum=0.9; c=2, t=11 -> bound(b) wins
-    actions = _two_arms()
-    stats = BanditStats(actions)
-    for _ in range(10):
-        ucb_update(stats, actions[0], 1.0)
-    ucb_update(stats, actions[1], 0.9)
-    bound_a = 1.0 + 2.0 * math.sqrt(math.log(11) / 10)
-    bound_b = 0.9 + 2.0 * math.sqrt(math.log(11) / 1)
+    # a: n=10, sum=10; b: n=1, sum=0.9; t=11 -> bound(b) wins
+    strategy = _bandit([(0, 1.0)] * 10 + [(1, 0.9)])
+    bound_a = 1.0 + affs.UCB_C * math.sqrt(math.log(11) / 10)
+    bound_b = 0.9 + affs.UCB_C * math.sqrt(math.log(11) / 1)
     assert bound_b > bound_a
-    assert ucb_select(stats, t=11, cfg=UcbConfig(c=2.0)).action_id == 1
+    assert strategy._select(11).action_id == 1
+
+
+def test_ucb_ties_break_toward_the_lowest_action_id():
+    strategy = _bandit([(1, 1.0), (0, 1.0)], order=(1, 0))
+    assert strategy._select(2).action_id == 0
+    assert strategy._select(50).action_id == 0
 
 
 def test_ucb_update_arithmetic():
-    actions = _two_arms()
-    stats = BanditStats(actions)
-    ucb_update(stats, actions[0], 1.0)
-    ucb_update(stats, actions[0], 3.0)
-    assert stats.sum_reward[0] / stats.times_selected[0] == 2.0
+    strategy = _bandit([(0, 1.0), (0, 3.0)])
+    assert strategy.sum_reward[0] / strategy.times_selected[0] == 2.0
     # unselected arm untouched
-    assert stats.times_selected[1] == 0
-    assert stats.sum_reward[1] == 0.0
-    ucb_update(stats, actions[1], 0.0)
-    assert stats.times_selected[1] == 1
-    assert stats.sum_reward[1] == 0.0
-
-
-def test_ucb_update_rejects_unknown_action():
-    stats = BanditStats(_two_arms())
-    with pytest.raises(KeyError):
-        ucb_update(stats, Action((F.EX,), 99), 1.0)
+    assert strategy.times_selected[1] == 0
+    assert strategy.sum_reward[1] == 0.0
+    strategy = _bandit([(0, 1.0), (0, 3.0), (1, 0.0)])
+    assert strategy.times_selected[1] == 1
+    assert strategy.sum_reward[1] == 0.0
 
 
 def test_ucb_select_empty_space():
     with pytest.raises(ValueError):
-        ucb_select(BanditStats([]), 1, UcbConfig())
-
-
-def test_ucb_config_requires_positive_c():
+        UcbStrategy(Goal.EXCEPTIONS, space=[])
     with pytest.raises(ValueError):
-        UcbConfig(c=0.0)
+        SarsaStrategy(Goal.EXCEPTIONS, space=[])
 
 
-def test_ucb_argmax_invariant_under_reward_scaling():
-    actions = _two_arms()
+def test_ucb_argmax_invariant_under_reward_scaling(monkeypatch):
+    monkeypatch.setattr(affs, "UCB_C", 1e-12)
     for scale in (1.0, 7.5, 1000.0):
-        stats = BanditStats(actions)
-        ucb_update(stats, actions[0], 0.4 * scale)
-        ucb_update(stats, actions[1], 0.9 * scale)
-        assert ucb_select(stats, t=2, cfg=UcbConfig(c=1e-12)).action_id == 1
+        strategy = _bandit([(0, 0.4 * scale), (1, 0.9 * scale)])
+        assert strategy._select(2).action_id == 1
 
 
 # --- DSG-Sarsa ------------------------------------------------------------------
 
 
+def _sarsa(space, weights, first_features):
+    """A Sarsa strategy started on ``first_features`` with the given weights."""
+    strategy = SarsaStrategy(Goal.EXCEPTIONS, space=space)
+    strategy.initial_action(lambda action: first_features, random.Random(0))
+    strategy.weights = list(weights)
+    return strategy
+
+
 def test_sarsa_hand_computed_step():
     # 1-dim features: W=[1], X(S,A)=[2], X(S',A')=[3], reward=1, alpha=beta=0.1
+    assert affs.ALPHA == affs.BETA == 0.1
     action = Action((F.EX,), 0)
-    agent = SarsaAgent(actions=[action], alpha=0.1, beta=0.1, epsilon=0.0,
-                       weights=[1.0], seeding_order=[0], seeded=1,
-                       last_action=action, last_features=(2.0,))
-    chosen = sarsa_step(agent, reward=1.0, features_by_action={0: (3.0,)},
-                        rng=random.Random(0))
+    strategy = _sarsa([action], weights=[1.0], first_features=(2.0,))
+    chosen = strategy.update_and_select(1.0, lambda a: (3.0,), 1, random.Random(0))
     assert chosen == action
-    entry = agent.trace[-1]
+    entry = strategy.trace[-1]
     assert entry.delta == pytest.approx(2.0, abs=1e-12)
-    assert agent.weights[0] == pytest.approx(1.4, abs=1e-12)
-    assert agent.average_reward == pytest.approx(0.2, abs=1e-12)
+    assert strategy.weights[0] == pytest.approx(1.4, abs=1e-12)
+    assert strategy.average_reward == pytest.approx(0.2, abs=1e-12)
     assert entry.q_old == pytest.approx(2.0, abs=1e-12)
     assert entry.q_new == pytest.approx(3.0, abs=1e-12)
 
@@ -190,47 +189,85 @@ def test_sarsa_hand_computed_step():
 DIM = len(F) + 3  # one-hot block plus fitness, size, and coverage slots
 
 
-def test_sarsa_zero_weights_delta_equals_reward():
-    actions = [Action((F.EX,), 0), Action((F.EX, F.LINE), 1)]
-    agent = SarsaAgent(actions=actions, beta=0.25, seeding_order=[0, 1], seeded=1,
-                       last_action=actions[0],
-                       last_features=tuple([0.0] * DIM))
-    features = {a.action_id: tuple([0.0] * DIM) for a in actions}
-    sarsa_step(agent, reward=4.0, features_by_action=features, rng=random.Random(1))
-    assert agent.trace[-1].delta == pytest.approx(4.0)
-    assert agent.average_reward == pytest.approx(0.25 * 4.0)
+def test_sarsa_zero_weights_delta_equals_reward(monkeypatch):
+    monkeypatch.setattr(affs, "BETA", 0.25)
+    zeros = tuple([0.0] * DIM)
+    strategy = _sarsa([Action((F.EX,), 0), Action((F.EX, F.LINE), 1)],
+                      weights=[0.0] * DIM, first_features=zeros)
+    strategy.update_and_select(4.0, lambda a: zeros, 1, random.Random(1))
+    assert strategy.trace[-1].delta == pytest.approx(4.0)
+    assert strategy.average_reward == pytest.approx(0.25 * 4.0)
 
 
-def test_sarsa_alpha_zero_freezes_weights():
-    action = Action((F.EX,), 0)
-    agent = SarsaAgent(actions=[action], alpha=0.0, weights=[5.0], seeding_order=[0],
-                       seeded=1, last_action=action, last_features=(1.0,))
-    sarsa_step(agent, reward=9.0, features_by_action={0: (1.0,)}, rng=random.Random(2))
-    assert agent.weights == [5.0]
+def test_sarsa_alpha_zero_freezes_weights(monkeypatch):
+    monkeypatch.setattr(affs, "ALPHA", 0.0)
+    strategy = _sarsa([Action((F.EX,), 0)], weights=[5.0], first_features=(1.0,))
+    strategy.update_and_select(9.0, lambda a: (1.0,), 1, random.Random(2))
+    assert strategy.weights == [5.0]
 
 
 def test_sarsa_dimension_mismatch():
-    action = Action((F.EX,), 0)
-    agent = SarsaAgent(actions=[action], weights=[1.0, 2.0], seeding_order=[0],
-                       seeded=1, last_action=action, last_features=(1.0,))
+    strategy = _sarsa([Action((F.EX,), 0)], weights=[1.0, 2.0], first_features=(1.0,))
     with pytest.raises(ValueError):
-        sarsa_step(agent, 1.0, {0: (1.0,)}, random.Random(0))
+        strategy.update_and_select(1.0, lambda a: (1.0,), 1, random.Random(0))
 
 
-def test_sarsa_epsilon_one_is_uniform():
+def _counting(vector):
+    """A features callable that returns ``vector`` and records who asked."""
+    asked = []
+
+    def features(action):
+        asked.append(action.action_id)
+        return vector
+
+    return features, asked
+
+
+def test_sarsa_epsilon_one_is_uniform(monkeypatch):
+    monkeypatch.setattr(affs, "EPSILON", 1.0)
     actions = [Action((F.EX,), i) for i in range(4)]
-    agent = SarsaAgent(actions=actions, epsilon=1.0, weights=[0.0],
-                       seeding_order=[0, 1, 2, 3], seeded=4,
-                       last_action=actions[0], last_features=(0.0,))
+    strategy = _sarsa(actions, weights=[0.0], first_features=(0.0,))
     rng = random.Random(77)
+    features, asked = _counting((0.0,))
+    for t in range(1, 4):  # the rest of the seeding
+        strategy.update_and_select(0.0, features, t, rng)
+    assert strategy.seeded == 4
     counts = {i: 0 for i in range(4)}
-    features = {i: (0.0,) for i in range(4)}
     draws = 10_000
-    for _ in range(draws):
-        chosen = sarsa_step(agent, reward=0.0, features_by_action=features, rng=rng)
+    for t in range(draws):
+        asked.clear()
+        chosen = strategy.update_and_select(0.0, features, t, rng)
         counts[chosen.action_id] += 1
+        assert asked == [chosen.action_id]  # an exploring step reads one vector
     for count in counts.values():
         assert abs(count / draws - 0.25) <= 0.03
+
+
+def test_sarsa_reads_every_action_only_on_a_greedy_step(monkeypatch):
+    monkeypatch.setattr(affs, "EPSILON", 0.0)
+    actions = [Action((F.EX,), i) for i in range(5)]
+    strategy = _sarsa(actions, weights=[0.0], first_features=(0.0,))
+    features, asked = _counting((0.0,))
+    rng = random.Random(3)
+    for t in range(1, 5):
+        asked.clear()
+        chosen = strategy.update_and_select(0.0, features, t, rng)
+        assert asked == [chosen.action_id]  # seeding reads the seeded action only
+    asked.clear()
+    strategy.update_and_select(0.0, features, 5, rng)
+    assert asked == [0, 1, 2, 3, 4]
+
+
+def test_sarsa_greedy_ties_break_at_random(monkeypatch):
+    monkeypatch.setattr(affs, "EPSILON", 0.0)
+    actions = [Action((F.EX,), i) for i in range(3)]
+    strategy = _sarsa(actions, weights=[1.0], first_features=(0.0,))
+    strategy.seeded = len(actions)
+    vectors = {0: (1.0,), 1: (2.0,), 2: (2.0,)}
+    chosen = {strategy.update_and_select(0.0, lambda a: vectors[a.action_id], t,
+                                         random.Random(t)).action_id
+              for t in range(40)}
+    assert chosen == {1, 2}
 
 
 # --- seeding completeness --------------------------------------------------------
@@ -238,41 +275,53 @@ def test_sarsa_epsilon_one_is_uniform():
 
 def _drive_seeding(strategy, space_size):
     rng = random.Random(5)
-    features = {a.action_id: tuple([0.0] * DIM)
-                for a in strategy.space}
-    strategy.initial_action(features, rng)
+    zeros = tuple([0.0] * DIM)
+    strategy.initial_action(lambda action: zeros, rng)
     for t in range(1, space_size + 1):
-        strategy.update_and_select(reward=0.0, features_by_action=features, t=t, rng=rng)
+        strategy.update_and_select(0.0, lambda action: zeros, t, rng)
 
 
 def test_seeding_completeness_all_goals_ucb():
     for goal in Goal:
         strategy = UcbStrategy(goal)
         size = len(strategy.space)
+        assert strategy.seeding_length == size
         _drive_seeding(strategy, size)
-        assert all(strategy.stats.times_selected[a.action_id] == 1 for a in strategy.space)
+        assert all(strategy.times_selected[a.action_id] == 1 for a in strategy.space)
 
 
 def test_seeding_completeness_all_goals_sarsa():
     for goal in Goal:
         strategy = SarsaStrategy(goal)
         size = len(strategy.space)
+        assert strategy.seeding_length == size
         _drive_seeding(strategy, size)
-        seen = {e.action_id for e in strategy.agent.trace} | {strategy.agent.seeding_order[0]}
-        assert strategy.agent.seeded == size
-        assert len(seen) >= size - 1  # every action visited during seeding
+        seeded = [strategy.seeding_order[0].action_id]
+        seeded += [e.action_id for e in strategy.trace[:size - 1]]
+        assert strategy.seeded == size
+        assert sorted(seeded) == [a.action_id for a in strategy.space]
 
 
 def test_ucb_reward_bookkeeping_totals():
     strategy = UcbStrategy(Goal.EXCEPTIONS)
     rng = random.Random(9)
-    features = {}
-    strategy.initial_action(features, rng)
+    strategy.initial_action(_unread, rng)
     rewards = [rng.uniform(0, 5) for _ in range(100)]
     for t, reward in enumerate(rewards, start=1):
-        strategy.update_and_select(reward, features, t, rng)
-    assert strategy.stats.total_reward() == pytest.approx(sum(rewards))
-    assert strategy.rewards_observed() == pytest.approx(sum(rewards))
+        strategy.update_and_select(reward, _unread, t, rng)
+    assert sum(strategy.sum_reward.values()) == pytest.approx(sum(rewards))
+    assert sum(strategy.times_selected.values()) == len(rewards)
+
+
+def test_initial_action_starts_a_fresh_run():
+    for strategy in (UcbStrategy(Goal.EXCEPTIONS), SarsaStrategy(Goal.EXCEPTIONS)):
+        _drive_seeding(strategy, 80)
+        rerun = type(strategy)(Goal.EXCEPTIONS)
+        _drive_seeding(rerun, 80)
+        _drive_seeding(strategy, 80)
+        assert vars(strategy).keys() == vars(rerun).keys()
+        for name, value in vars(rerun).items():
+            assert getattr(strategy, name) == value, name
 
 
 # --- baselines --------------------------------------------------------------------
@@ -281,30 +330,26 @@ def test_ucb_reward_bookkeeping_totals():
 def test_static_strategy_never_changes_action():
     strategy = StaticStrategy(single_function_action(Goal.EXCEPTIONS, F.EX), "static:ex")
     rng = random.Random(0)
-    action = strategy.initial_action({}, rng)
+    action = strategy.initial_action(_unread, rng)
+    assert strategy.seeding_length == 0
     for t in range(1, 20):
-        assert strategy.update_and_select(1.0, {}, t, rng) == action
+        assert strategy.update_and_select(1.0, _unread, t, rng) == action
 
 
 def test_random_per_run_is_seed_stable():
     first = RandomPerRunStrategy(Goal.DIVERSITY)
     second = RandomPerRunStrategy(Goal.DIVERSITY)
-    a = first.initial_action({}, random.Random(123))
-    b = second.initial_action({}, random.Random(123))
+    a = first.initial_action(_unread, random.Random(123))
+    b = second.initial_action(_unread, random.Random(123))
     assert a == b
-    assert first.update_and_select(0.0, {}, 3, random.Random(9)) == a
+    assert first.seeding_length == 0
+    assert first.update_and_select(0.0, _unread, 3, random.Random(9)) == a
 
 
 def test_default_combination_sizes():
     assert len(default_combination(Goal.EXCEPTIONS).functions) == 8
     assert len(default_combination(Goal.DIVERSITY).functions) == 8
     assert len(default_combination(Goal.STRONG_MUTATION).functions) == 6
-
-
-def test_baseline_factory():
-    for goal in Goal:
-        bundle = baseline_strategies(goal)
-        assert set(bundle) == {"static", "default", "random"}
 
 
 def test_make_strategy_specs():

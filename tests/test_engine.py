@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from affsgen.affs import Goal, RewardTracker, make_strategy
+from affsgen import affs, engine
+from affsgen.affs import Goal, RewardTracker, action_space, make_strategy
 from affsgen.engine import (
     Budget,
     EngineConfig,
@@ -16,6 +17,7 @@ from affsgen.engine import (
     run_search,
 )
 from affsgen.fitness import FitnessContext
+from affsgen.fitness import FitnessFunctionId as F
 from affsgen.minilang import parse
 from affsgen.mutation import MutantStatus
 from affsgen.testmodel import (
@@ -170,6 +172,65 @@ def test_reward_log_matches_update_count():
     assert len(result.rewards_logged) == result.strategy_updates == 20 // 3
     ticks = [rec for rec in result.log if rec.reward is not None]
     assert len(ticks) == result.strategy_updates
+
+
+def test_run_counters_are_read_from_the_log():
+    result = run_search(PROGRAM, Goal.EXCEPTIONS, make_strategy("sarsa", Goal.EXCEPTIONS),
+                        _config(budget=Budget(generations=7), skip_iter=2))
+    assert result.generations == len(result.log) == 7
+    assert result.rewards_logged == [rec.reward for rec in result.log
+                                     if rec.generation % 2 == 0]
+    assert result.strategy_updates == 3
+    assert sum(result.action_histogram.values()) == 7
+    assert list(result.action_histogram) == list(dict.fromkeys(
+        rec.action_id for rec in result.log))
+
+
+def test_ucb_never_builds_feature_vectors(monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("UCB reads no feature vectors")
+
+    monkeypatch.setattr(engine, "feature_vector", unread)
+    result = run_search(PROGRAM, Goal.STRONG_MUTATION,
+                        make_strategy("ucb", Goal.STRONG_MUTATION),
+                        _config(budget=Budget(generations=4), skip_iter=1))
+    assert result.strategy_updates == 4
+
+
+def test_sarsa_builds_one_feature_vector_per_tick_while_seeding(monkeypatch):
+    built = []
+    original = engine.feature_vector
+
+    def counting(action, *args):
+        built.append(action.action_id)
+        return original(action, *args)
+
+    monkeypatch.setattr(engine, "feature_vector", counting)
+    strategy = make_strategy("sarsa", Goal.EXCEPTIONS)
+    generations = 5
+    assert generations < len(strategy.space)
+    run_search(PROGRAM, Goal.EXCEPTIONS, strategy,
+               _config(budget=Budget(generations=generations), skip_iter=1))
+    # the initial action plus one per tick, each the action seeded then
+    assert len(built) == generations + 1
+    assert built == [a.action_id for a in strategy.seeding_order[:generations + 1]]
+
+
+def test_subgoal_coverage_is_computed_once_per_tick(monkeypatch):
+    computed = []
+    original = engine._subgoal_coverage
+
+    def counting(*args):
+        computed.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_subgoal_coverage", counting)
+    monkeypatch.setattr(affs, "EPSILON", 0.0)  # every tick after seeding is greedy
+    space = action_space(Goal.EXCEPTIONS, pinned=[(F.EX,), (F.EX, F.BRANCH), (F.EX, F.LINE)])
+    strategy = make_strategy("sarsa", Goal.EXCEPTIONS, space=space)
+    run_search(PROGRAM, Goal.EXCEPTIONS, strategy,
+               _config(budget=Budget(generations=12), skip_iter=1))
+    assert len(computed) == 1 + 12  # the initial action and each tick
 
 
 def test_exception_reward_definition():

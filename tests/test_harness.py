@@ -297,6 +297,33 @@ def test_run_trial_copies_every_engine_field(monkeypatch):
     assert seen == [dataclasses.replace(engine, rng_seed=1234)]
 
 
+def test_a_failing_trial_is_a_row_of_every_column(tmp_path, monkeypatch):
+    real_search = harness.run_search
+
+    def failing_on_p02(program, *rest):
+        if program.source_id == "p02_bigger_swap":
+            raise RuntimeError("boom")
+        return real_search(program, *rest)
+
+    monkeypatch.setattr(harness, "run_search", failing_on_p02)
+    cfg = _experiment_config(_mini_corpus(tmp_path), strategies=["static:ex"],
+                             trials_per_fault=1)
+    run_experiment(cfg, tmp_path / "out")
+    with open(tmp_path / "out" / "trials.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == [f.name for f in dataclasses.fields(TrialRecord)]
+    assert [r["fault_id"] for r in rows] == ["p02_bigger_swap", "p04_guarded_divide"]
+    assert rows[0] == {
+        "fault_id": "p02_bigger_swap", "strategy": "static:ex", "trial_index": "0",
+        "seed": str(derive_seed(11, "p02_bigger_swap", "static:ex", 0)),
+        "goal_metric": "0.0", "normalized_goal_metric": "0.0", "fault_detected": "0",
+        "generations_completed": "0", "mean_seconds_per_generation": "0.0",
+        "suite_size": "0", "rendered_chars": "0", "action_histogram": "{}",
+        "error": "RuntimeError: boom",
+    }
+    assert rows[1]["error"] == "" and rows[1]["generations_completed"] == "6"
+
+
 def test_experiment_empty_corpus_is_error(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -353,7 +380,8 @@ def test_cli_generate_bad_program_is_exit_2(tmp_path):
     "fn f(x:int){ return x" + " + x" * 3000 + "; }",
     "fn f(x:int){ return " + "(" * 2000 + "x" + ")" * 2000 + "; }",
     "fn f(x:int){ " + "if (x > 0) { " * 2000 + "return x; " + "} " * 2000 + "return 0; }",
-], ids=["no-functions", "sum-3000", "parens-2000", "if-blocks-2000"])
+    "fn f(x:int){ return x; }",
+], ids=["no-functions", "sum-3000", "parens-2000", "if-blocks-2000", "no-mutants"])
 def test_cli_generate_unusable_program_is_exit_2(tmp_path, capsys, source):
     program = tmp_path / "p.minij"
     program.write_text(source)
@@ -362,6 +390,18 @@ def test_cli_generate_unusable_program_is_exit_2(tmp_path, capsys, source):
         "--strategy", "ucb", "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
     ])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "{}",
+    "[1, 2]",
+    '{"goal": "exceptions", "strategies": {"ucb": "fast"}}',
+], ids=["not-json", "no-fields", "a-list", "bad-row"])
+def test_cli_report_malformed_summary_is_exit_2(tmp_path, capsys, text):
+    (tmp_path / "summary.json").write_text(text)
+    assert cli_main(["report", "--in", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
