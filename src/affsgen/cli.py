@@ -93,6 +93,8 @@ def _cmd_generate(args) -> int:
 
 def _experiment_config(path: str) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(raw).__name__}")
     goal_name = raw.get("goal")
     if goal_name not in GOALS:
         raise ConfigError(f"unknown goal {goal_name!r}; expected one of {sorted(GOALS)}")

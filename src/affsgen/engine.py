@@ -176,9 +176,8 @@ class SearchResult:
 
 def _killed_goals(ctx: FitnessContext, test: TestCase, mutants) -> list[MutantGoal]:
     """Mutant goals this test kills, from ``mutants``, in mutant order."""
-    lines_hit = ctx.trace(test).lines_hit
     return [MutantGoal(m.mutant_id) for m in mutants
-            if m.site in lines_hit and ctx.classify(m, test).status == MutantStatus.KILLED]
+            if ctx.classify(m, test) == MutantStatus.KILLED]
 
 
 def make_coverage_fn(goal: Goal, ctx: FitnessContext):

@@ -29,14 +29,14 @@ from affsgen.minilang.nodes import (
 )
 from affsgen.mutation import (
     Mutant,
-    MutantOutcome,
     MutantStatus,
+    best_status,
     classify_against_mutant,
     generate_mutants,
     mutation_score,
 )
 from affsgen.testmodel import TestCase, TestSuite, render_test
-from affsgen.tracing import TestTrace, run_test
+from affsgen.tracing import TestTrace, call_of, run_test
 
 INF = math.inf
 
@@ -232,11 +232,14 @@ class FitnessContext:
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
     so cached results stay valid. Below the traces, every distinct call of
-    the base program runs once: ``_calls`` keeps plain runs, from which each
-    test's trace is aggregated, and ``_watched_calls`` keeps the watched
-    runs mutant classification compares against. Both memos belong to this
-    context's one program and interpreter config. Mutant-program runs are
-    not kept.
+    the base program runs once: ``_calls`` maps each ``call_key`` to its
+    plain run, from which each test's trace is aggregated, and
+    ``_watched_calls`` maps (mutant watch, ``call_key``) to the values the
+    base run records at that watch, which classification compares against.
+    ``_classifications`` maps (mutant id, ``call_key``) to the status of one
+    call that reaches the mutant's site; a test's status is folded from its
+    calls'. All three belong to this context's one program and interpreter
+    config. Mutant-program runs are not kept.
     """
 
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
@@ -249,10 +252,10 @@ class FitnessContext:
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._mutants: list[Mutant] | None = None
         self._calls: dict[tuple, ExecutionResult] = {}
-        self._watched_calls: dict[tuple, tuple[tuple, tuple]] = {}
+        self._watched_calls: dict[tuple, tuple] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
-        self._classifications: dict[tuple[int, TestCase], MutantOutcome] = {}
+        self._classifications: dict[tuple[int, tuple], MutantStatus] = {}
         self._pair_distance: dict[tuple[TestCase, TestCase], int] = {}
         self._line_distance: dict[tuple[str, str], int] = {}
         self._suite_scores: dict[tuple[FitnessFunctionId, tuple[TestCase, ...]], float] = {}
@@ -279,14 +282,25 @@ class FitnessContext:
             self._renders[test] = lines
         return lines
 
-    def classify(self, mutant: Mutant, test: TestCase) -> MutantOutcome:
-        key = (mutant.mutant_id, test)
-        outcome = self._classifications.get(key)
-        if outcome is None:
-            outcome = classify_against_mutant(mutant, test, self.trace(test), self.interp,
-                                              self._watched_calls)
-            self._classifications[key] = outcome
-        return outcome
+    def classify(self, mutant: Mutant, test: TestCase) -> MutantStatus:
+        """Highest status of the test's calls on a mutant; stops at the first kill."""
+        trace = self.trace(test)
+        best = MutantStatus.NOT_REACHED
+        if mutant.site not in trace.lines_hit:
+            return best
+        for key, base in zip(trace.call_keys, trace.call_results):
+            if mutant.site not in base.lines_hit:
+                continue
+            ckey = (mutant.mutant_id, key)
+            status = self._classifications.get(ckey)
+            if status is None:
+                status = self._classifications[ckey] = classify_against_mutant(
+                    mutant, *call_of(key), base, self.interp, self._watched_calls).status
+            if status > best:
+                best = status
+                if best == MutantStatus.KILLED:
+                    break
+        return best
 
     def mutation_score(self, suite: TestSuite, mode: str) -> float:
         return mutation_score(suite, self.mutants, mode, self.classify)
@@ -413,49 +427,30 @@ def _fit_output(suite: TestSuite, ctx: FitnessContext) -> float:
     return total / len(ctx.buckets)
 
 
-def _fit_weak_mut(suite: TestSuite, ctx: FitnessContext) -> float:
+# stage of a mutant by the best status a suite reaches on it
+_WEAK_STAGES = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.5,
+                MutantStatus.INFECTED: 0.0, MutantStatus.KILLED: 0.0}
+_STRONG_STAGES = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.75,
+                  MutantStatus.INFECTED: 0.25, MutantStatus.KILLED: 0.0}
+
+
+def _mean_stage(suite: TestSuite, ctx: FitnessContext, stages: dict,
+                stop: MutantStatus) -> float:
     mutants = ctx.mutants
     if not mutants:
         raise ValueError("mutation score is undefined for an empty mutant list")
     total = 0.0
     for mutant in mutants:
-        best = INF
-        for test in suite.tests:
-            outcome = ctx.classify(mutant, test)
-            if outcome.status >= MutantStatus.INFECTED:
-                best = 0.0
-                break
-            best = min(best, outcome.infection_distance)
-        total += nu(best)
+        total += stages[best_status(mutant, suite.tests, ctx.classify, stop)]
     return total / len(mutants)
+
+
+def _fit_weak_mut(suite: TestSuite, ctx: FitnessContext) -> float:
+    return _mean_stage(suite, ctx, _WEAK_STAGES, MutantStatus.INFECTED)
 
 
 def _fit_strong_mut(suite: TestSuite, ctx: FitnessContext) -> float:
-    mutants = ctx.mutants
-    if not mutants:
-        raise ValueError("mutation score is undefined for an empty mutant list")
-    total = 0.0
-    for mutant in mutants:
-        best_status = MutantStatus.NOT_REACHED
-        best_distance = INF
-        for test in suite.tests:
-            outcome = ctx.classify(mutant, test)
-            if outcome.status > best_status:
-                best_status = outcome.status
-            if outcome.infection_distance < best_distance:
-                best_distance = outcome.infection_distance
-            if best_status == MutantStatus.KILLED:
-                break
-        if best_status == MutantStatus.KILLED:
-            stage = 0.0
-        elif best_status == MutantStatus.INFECTED:
-            stage = 0.25
-        elif best_status == MutantStatus.REACHED_NOT_INFECTED:
-            stage = 0.5 + 0.5 * nu(best_distance)
-        else:
-            stage = 1.0
-        total += stage
-    return total / len(mutants)
+    return _mean_stage(suite, ctx, _STRONG_STAGES, MutantStatus.KILLED)
 
 
 def _fit_diversity(suite: TestSuite, ctx: FitnessContext) -> float:

@@ -163,6 +163,11 @@ class ExperimentConfig:
             raise ConfigError("trials_per_fault must be at least 1")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
+        for spec in self.strategies:
+            try:
+                make_strategy(spec, self.goal)
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
 
 
 def derive_seed(master_seed: int, fault_id: str, strategy: str, trial: int) -> int:

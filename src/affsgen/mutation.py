@@ -8,20 +8,20 @@ Operator table (rank order):
   4. deletion of assignment statements
 
 Mutants keep the base program's line, branch, and expression ids, so traces
-from the base program line up with the mutated one. Classification watches
-the mutated site in both runs: the mutant is infected once the site produces
-a different value than the base run, and killed once any observable outcome
-(return values, exception identities) differs.
+from the base program line up with the mutated one. Classification takes
+one call at a time (calls share no state) and watches the mutated site in
+both runs: the mutant is infected once the site produces a different value
+than the base run, and killed once any observable outcome (return values,
+exception identities) differs. A test's status is the highest of its calls'.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from affsgen.minilang.interpreter import InterpConfig, execute, kind_of
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, execute, kind_of
 from affsgen.minilang.nodes import (
     ARITHMETIC_OPS,
     Assign,
@@ -46,9 +46,7 @@ from affsgen.minilang.nodes import (
     While,
 )
 from affsgen.testmodel import TestCase, TestSuite
-from affsgen.tracing import TestTrace, behavior_of, call_key
-
-INFECTION_K = 1.0  # flat distance-to-infection when reached but state intact
+from affsgen.tracing import behavior_of, call_key
 
 
 class MutantStatus(enum.IntEnum):
@@ -61,11 +59,9 @@ class MutantStatus(enum.IntEnum):
 @dataclass(frozen=True, slots=True)
 class MutantOutcome:
     status: MutantStatus
-    infection_distance: float
 
-    def __post_init__(self):
-        infected = self.status >= MutantStatus.INFECTED
-        assert (self.infection_distance == 0.0) == infected
+
+_OUTCOMES = {status: MutantOutcome(status) for status in MutantStatus}
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,108 +283,85 @@ def generate_mutants(program: Program) -> list[Mutant]:
 
 
 def _value_key(value):
-    return (kind_of(value), value)
+    return (kind_of(value), value)  # True == 1, yet they are different values
 
 
-def _watch_key(entry: tuple):
-    if entry[0] == "v":
-        return ("v", _value_key(entry[1]))
-    if entry[0] == "a":
-        return ("a", _value_key(entry[1]), _value_key(entry[2]))
-    return entry  # ("raise",)
+def _node_key(entry: tuple):
+    """A node watch entry, ("v", value) or ("raise",), with its value's kind."""
+    return ("v", _value_key(entry[1])) if entry[0] == "v" else entry
 
 
-def _run_watched_calls(program: Program, test: TestCase, call_indices, watch,
-                       config: InterpConfig, memo: dict):
-    """Watch sequence and behavior for the given calls of a test.
-
-    ``memo`` maps (watch, ``call_key``) to that call's (recorded watch
-    values, behavior) on this program and config.
-    """
-    kind, target = watch
-    watch_node = target if kind == "node" else -1
-    watch_line = target if kind == "line" else -1
-    values: list = []
-    behavior: list = []
-    for idx in call_indices:
-        call = test.calls[idx]
-        args = tuple(test.resolve(a) for a in call.args)
-        key = (watch, call_key(call.function, args))
-        observed = memo.get(key)
-        if observed is None:
-            result = execute(program, call.function, args, config,
-                             watch_node=watch_node, watch_line=watch_line)
-            observed = memo[key] = (result.watch, behavior_of(result))
-        values.extend(_watch_key(entry) for entry in observed[0])
-        behavior.append(observed[1])
-    return values, tuple(behavior)
-
-
-def classify_against_mutant(mutant: Mutant, test: TestCase, base_trace: TestTrace,
-                            config: InterpConfig = InterpConfig(),
+def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
+                            base: ExecutionResult, config: InterpConfig = InterpConfig(),
                             base_memo: dict | None = None) -> MutantOutcome:
-    """Classify one test against one mutant using the base trace for reachability.
+    """Classify one call against one mutant, given the base program's result for it.
 
-    Calls of a test are independent (MiniJ has no state shared between
-    calls), so only the calls whose base execution reached the mutated line
-    are re-run against the mutant; the rest cannot behave differently. The
-    base program is re-executed with a watch only when an infection check
-    actually needs base-side values. ``base_memo`` keeps those watched base
-    runs; one dict shared across the mutants of ``mutant.base_program`` (and
-    one config) lets every mutant watching the same site reuse them.
+    A call that does not reach the mutated line is NOT_REACHED. Otherwise
+    the mutant is run on the call: it is KILLED when its behaviour differs
+    from ``base``, INFECTED when the watched site's sequence of values
+    differs from the base run's, else REACHED_NOT_INFECTED. The base program
+    is re-run with the watch only when that comparison needs it.
+    ``base_memo`` maps (watch, ``call_key``) to the values such a run
+    records; one dict shared across the mutants of ``mutant.base_program``
+    (and one config) lets every mutant watching the same site reuse them.
     """
+    if mutant.site not in base.lines_hit:
+        return _OUTCOMES[MutantStatus.NOT_REACHED]
+    kind, target = mutant.watch
+    result = execute(mutant.mutated_program, function, args, config,
+                     watch_node=target if kind == "node" else -1)
+    if behavior_of(result) != behavior_of(base):
+        return _OUTCOMES[MutantStatus.KILLED]
+    if kind == "node" and not result.watch:
+        # the site was never evaluated, so the two runs were identical
+        return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
+    if kind == "node" and mutant.always_infects_on_eval:
+        return _OUTCOMES[MutantStatus.INFECTED]
+
+    key = (mutant.watch, call_key(function, args))
     if base_memo is None:
         base_memo = {}
-    if base_trace.test != test:
-        raise ValueError("base trace was produced by a different test")
-    reaching = [idx for idx, result in enumerate(base_trace.call_results)
-                if mutant.site in result.lines_hit]
-    if not reaching:
-        return MutantOutcome(MutantStatus.NOT_REACHED, math.inf)
-
-    watch = mutant.watch if mutant.watch[0] == "node" else ("node", -1)
-    mutant_values, mutant_behavior = _run_watched_calls(
-        mutant.mutated_program, test, reaching, watch, config, {})
-
-    base_behavior = tuple(base_trace.behavior[idx] for idx in reaching)
-    if base_behavior != mutant_behavior:
-        return MutantOutcome(MutantStatus.KILLED, 0.0)
-
-    if mutant.watch[0] == "line":
+    base_values = base_memo.get(key)
+    if base_values is None:
+        base_values = base_memo[key] = execute(
+            mutant.base_program, function, args, config,
+            watch_node=target if kind == "node" else -1,
+            watch_line=target if kind == "line" else -1).watch
+    if kind == "line":
         # deletion: infected when the assignment ever changed the variable
         # (or its right-hand side raised, which the mutant would skip)
-        base_values, _ = _run_watched_calls(
-            mutant.base_program, test, reaching, mutant.watch, config, base_memo)
         infected = any(
-            entry == ("raise",) or (entry[0] == "a" and entry[1] != entry[2])
+            entry == ("raise",)
+            or (entry[0] == "a" and _value_key(entry[1]) != _value_key(entry[2]))
             for entry in base_values
         )
-    elif not mutant_values:
-        infected = False  # site never evaluated; the runs were identical
-    elif mutant.always_infects_on_eval:
-        infected = True
     else:
-        base_values, _ = _run_watched_calls(
-            mutant.base_program, test, reaching, mutant.watch, config, base_memo)
-        infected = base_values != mutant_values
+        infected = list(map(_node_key, base_values)) != list(map(_node_key, result.watch))
+    return _OUTCOMES[MutantStatus.INFECTED if infected else MutantStatus.REACHED_NOT_INFECTED]
 
-    if infected:
-        return MutantOutcome(MutantStatus.INFECTED, 0.0)
-    return MutantOutcome(MutantStatus.REACHED_NOT_INFECTED, INFECTION_K)
+
+def best_status(mutant: Mutant, tests: Iterable[TestCase],
+                classify: Callable[[Mutant, TestCase], MutantStatus],
+                stop: MutantStatus) -> MutantStatus:
+    """Highest status the tests reach on a mutant, stopping once one reaches ``stop``."""
+    best = MutantStatus.NOT_REACHED
+    for test in tests:
+        status = classify(mutant, test)
+        if status > best:
+            best = status
+            if best >= stop:
+                break
+    return best
 
 
 def mutation_score(suite: TestSuite, mutants: list[Mutant], mode: str,
-                   classify: Callable[[Mutant, TestCase], MutantOutcome]) -> float:
+                   classify: Callable[[Mutant, TestCase], MutantStatus]) -> float:
     """Percentage of mutants detected: infected-or-killed (weak) or killed (strong)."""
     if not mutants:
         raise ValueError("mutation score is undefined for an empty mutant list")
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mutation mode {mode!r}")
     threshold = MutantStatus.INFECTED if mode == "weak" else MutantStatus.KILLED
-    detected = 0
-    for mutant in mutants:
-        for test in suite.tests:
-            if classify(mutant, test).status >= threshold:
-                detected += 1
-                break
+    detected = sum(best_status(mutant, suite.tests, classify, threshold) >= threshold
+                   for mutant in mutants)
     return 100.0 * detected / len(mutants)

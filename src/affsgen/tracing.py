@@ -11,6 +11,7 @@ from affsgen.minilang.interpreter import (
     Raised,
     Returned,
     execute,
+    kind_of,
 )
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import TestCase
@@ -22,7 +23,8 @@ INF = math.inf
 class TestTrace:
     """Everything observed while running one test case against a program."""
 
-    test: TestCase
+    # per call, in test order: its ``call_key`` and its result
+    call_keys: tuple[tuple, ...]
     call_results: tuple[ExecutionResult, ...]
     lines_hit: frozenset[int]
     # branch_id -> best (distance_true, distance_false) across all evaluations
@@ -38,9 +40,14 @@ class TestTrace:
 
 
 def behavior_of(result: ExecutionResult) -> tuple:
-    """Observable identity of one call: return value or exception identity."""
+    """Observable identity of one call: return value or exception identity.
+
+    The value is tagged with its kind, since ``True == 1``: returning ``1``
+    where the base returns ``true`` is a different behaviour.
+    """
     if isinstance(result.outcome, Returned):
-        return ("return", result.outcome.value)
+        value = result.outcome.value
+        return ("return", kind_of(value), value)
     return ("raise",) + result.outcome.record.identity
 
 
@@ -52,6 +59,11 @@ def call_key(function: str, args: tuple) -> tuple:
     length fixes the argument count, so the flat layout is unambiguous.
     """
     return (function, *args, *map(type, args))
+
+
+def call_of(key: tuple) -> tuple[str, tuple]:
+    """The function and arguments of a ``call_key``."""
+    return key[0], key[1:(len(key) + 1) // 2]
 
 
 def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConfig(),
@@ -66,6 +78,7 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     """
     if memo is None:
         memo = {}
+    keys = []
     results = []
     lines: set[int] = set()
     branch_best: dict[int, list[float]] = {}
@@ -81,6 +94,7 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         result = memo.get(key)
         if result is None:
             result = memo[key] = execute(program, call.function, args, config)
+        keys.append(key)
         results.append(result)
         lines |= result.lines_hit
         called |= result.called_functions
@@ -103,7 +117,7 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
             returns.setdefault(call.function, []).append(result.outcome.value)
         behavior.append(behavior_of(result))
     return TestTrace(
-        test=test,
+        call_keys=tuple(keys),
         call_results=tuple(results),
         lines_hit=frozenset(lines),
         branch_best={b: tuple(v) for b, v in branch_best.items()},

@@ -211,12 +211,15 @@ def _exec(body, env, fn, program, steps, events):
             raise TypeError(f"unexpected statement {stmt!r}")
 
 
+def _kind(value) -> str:
+    return "bool" if isinstance(value, bool) else ("int" if isinstance(value, int) else "str")
+
+
 def _call(name, args, caller, program: Program, steps, events):
     fn = program.function(name)
     env = {}
     for (pname, pkind), value in zip(fn.params, args):
-        actual = "bool" if isinstance(value, bool) else ("int" if isinstance(value, int) else "str")
-        if actual != pkind:
+        if _kind(value) != pkind:
             raise _Abort("TypeError", caller)
         env[pname] = value
     try:
@@ -238,7 +241,8 @@ def oracle_run(program: Program, test: TestCase):
         call_events: list = []
         try:
             value = _call(call.function, list(args), call.function, program, steps, call_events)
-            outcomes.append(("return", value))
+            # tagged with its kind, since True == 1
+            outcomes.append(("return", _kind(value), value))
         except _Abort as abort:
             outcomes.append(("raise", abort.label, abort.fn))
         events.extend(call_events)

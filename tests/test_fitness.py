@@ -15,8 +15,9 @@ from affsgen.fitness import (
     suite_diversity,
 )
 from affsgen.minilang import parse
+from affsgen.mutation import MutantStatus
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
-from oracles import dp_levenshtein, naive_levenshtein
+from oracles import dp_levenshtein, full_reexecution_status, naive_levenshtein
 
 PROGRAM = parse("""
 fn classify(x:int) {
@@ -139,6 +140,41 @@ def test_strong_mut_zero_iff_full_strong_score():
     score = ctx.mutation_score(suite, "strong")
     fitness = eval_fitness(F.STRONG_MUT, suite, ctx)
     assert (fitness == 0.0) == (score == 100.0)
+
+
+STAGED = parse("fn f(a:int){ let t = a + 1; if (t > 0) { return 1; } return 0; }", "staged")
+
+
+def test_mutation_fitness_is_the_mean_of_stage_tables():
+    ctx = FitnessContext(STAGED)
+    mutants = ctx.mutants
+    # f(5): t goes 6 -> 4 without changing the result; 6 >= 0 holds too;
+    # 6 < 0 flips the branch; `return 0` is never reached
+    picks = {
+        MutantStatus.INFECTED: ("aor:+->-", 0),
+        MutantStatus.REACHED_NOT_INFECTED: ("ror:>->>=", 1),
+        MutantStatus.KILLED: ("ror:>-><", 1),
+        MutantStatus.NOT_REACHED: ("const:+1", 3),
+    }
+    ctx._mutants = [next(m for m in mutants if (m.operator, m.site) == pick)
+                    for pick in picks.values()]
+    suite = TestSuite([_case("f", 5)])
+    for status, mutant in zip(picks, ctx._mutants):
+        assert ctx.classify(mutant, suite.tests[0]) == status
+    assert eval_fitness(F.WEAK_MUT, suite, ctx) == (1.0 + 0.5 + 0.0 + 0.0) / 4
+    assert eval_fitness(F.STRONG_MUT, suite, ctx) == (1.0 + 0.75 + 0.25 + 0.0) / 4
+
+    # every mutant, against the best status the oracle gives any test
+    weak = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.5,
+            MutantStatus.INFECTED: 0.0, MutantStatus.KILLED: 0.0}
+    strong = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.75,
+              MutantStatus.INFECTED: 0.25, MutantStatus.KILLED: 0.0}
+    ctx = FitnessContext(STAGED)
+    suite = TestSuite([_case("f", 5), _case("f", 0)])
+    best = [max(full_reexecution_status(m, t) for t in suite.tests) for m in ctx.mutants]
+    assert set(best) == set(MutantStatus)
+    assert eval_fitness(F.WEAK_MUT, suite, ctx) == sum(weak[s] for s in best) / len(best)
+    assert eval_fitness(F.STRONG_MUT, suite, ctx) == sum(strong[s] for s in best) / len(best)
 
 
 # --- levenshtein ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from affsgen.engine import Budget, EngineConfig
 from affsgen.harness import (
     CorpusError,
     ExperimentConfig,
+    FaultPair,
     TrialRecord,
     derive_seed,
     fault_detected,
@@ -24,6 +25,7 @@ from affsgen.harness import (
     run_trial,
     vargha_delaney_a,
 )
+from affsgen.minilang import parse
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite
 from oracles import brute_force_a_measure
@@ -116,6 +118,18 @@ def test_off_boundary_test_misses_boundary_fault():
     pair = _pair("p08_account_rules")
     suite = TestSuite([_case("withdraw", 50, 10)])
     assert fault_detected(suite, pair) is False
+
+
+def test_a_fault_returning_one_for_true_is_detected():
+    # True == 1 in Python; behaviours must still tell them apart
+    pair = FaultPair(
+        fault_id="bool_int",
+        fixed_program=parse("fn f(b:bool){ let r = 1; if (b) { r = true; } return r; }"),
+        faulty_program=parse("fn f(b:bool){ let r = 1; return r; }"),
+        description="",
+    )
+    assert fault_detected(TestSuite([_case("f", True)]), pair) is True
+    assert fault_detected(TestSuite([_case("f", False)]), pair) is False
 
 
 # --- normalization -----------------------------------------------------------------
@@ -438,6 +452,26 @@ def test_cli_experiment_bad_config_is_exit_1(tmp_path):
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({"goal": "nope", "strategies": ["ucb"]}))
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_experiment_unknown_strategy_is_exit_1(tmp_path, capsys):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "goal": "exceptions", "strategies": ["ucb", "zigzag"],
+        "corpus": str(_mini_corpus(tmp_path)), "trials_per_fault": 1,
+        "engine": {"population_size": 6, "budget": {"generations": 2}},
+    }))
+    out_dir = tmp_path / "o"
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: unknown strategy 'zigzag'\n"
+    assert not out_dir.exists()
+
+
+def test_cli_experiment_config_not_an_object_is_exit_1(tmp_path, capsys):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(["exceptions", "ucb"]))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_experiment_missing_corpus_is_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 """The per-context memos of base-program calls: same traces, same classifications."""
 
 import dataclasses
+import hashlib
 import random
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from affsgen import mutation
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ArityError, parse
-from affsgen.mutation import classify_against_mutant
+from affsgen.minilang.interpreter import execute
+from affsgen.mutation import MutantStatus, classify_against_mutant
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from affsgen.tracing import call_key, run_test
 
@@ -48,6 +50,16 @@ def test_context_trace_equals_run_test_on_cold_and_warm_memo(seed):
         assert len(warm._calls) <= sum(len(t.calls) for t in tests)
 
 
+def _fresh_status(mutant, test: TestCase) -> MutantStatus:
+    """A test's status from scratch: every call classified with no memo."""
+    statuses = [MutantStatus.NOT_REACHED]
+    for call in test.calls:
+        args = tuple(test.resolve(a) for a in call.args)
+        base = execute(mutant.base_program, call.function, args)
+        statuses.append(classify_against_mutant(mutant, call.function, args, base).status)
+    return max(statuses)
+
+
 @pytest.mark.parametrize("fault_id", ["p05", "p07", "p08", "p09", "p12"])
 def test_classifications_with_warm_memo_equal_fresh_ones(fault_id):
     program = next(p for p in PROGRAMS if p.source_id.startswith(fault_id))
@@ -58,9 +70,80 @@ def test_classifications_with_warm_memo_equal_fresh_ones(fault_id):
     ctx = FitnessContext(program)
     for test in tests:
         for mutant in ctx.mutants:
-            fresh = classify_against_mutant(mutant, test, run_test(program, test))
+            fresh = _fresh_status(mutant, test)
             assert ctx.classify(mutant, test) == fresh, (mutant.operator, mutant.site, test)
     assert ctx._watched_calls
+
+
+def _pinned_classifications() -> str:
+    """sha256 over (program, mutant id, test index, status) on the whole corpus.
+
+    Seeded random tests, then tests joined from them, so that calls repeat
+    within a test and across tests. An ``OverflowError`` (p06, a known
+    interpreter defect) is recorded as a status.
+    """
+    digest = hashlib.sha256()
+    for index, program in enumerate(PROGRAMS):
+        rng = random.Random(index)
+        tests = [random_test_case(program, rng, GenConfig(max_calls_per_test=4))
+                 for _ in range(6)]
+        calls = [_literal_calls(test) for test in tests]
+        tests += [TestCase(calls=calls[0] + calls[1]),
+                  TestCase(calls=calls[2] + calls[2]),
+                  TestCase(calls=calls[3][::-1] + calls[0])]
+        ctx = FitnessContext(program)
+        for test_index, test in enumerate(tests):
+            for mutant in ctx.mutants:
+                try:
+                    status = ctx.classify(mutant, test).name
+                except OverflowError:
+                    status = "OverflowError"
+                digest.update(f"{program.source_id}\t{mutant.mutant_id}\t"
+                              f"{test_index}\t{status}\n".encode())
+    return digest.hexdigest()
+
+
+def test_corpus_classifications_are_pinned():
+    assert _pinned_classifications() == (
+        "70acc80fd8ec84745a65681e5ff5e9688f88a9f33fffd3ca1497996d31f6c2e0")
+
+
+def _count_mutant_runs(monkeypatch, mutant) -> list:
+    """Arguments of every run of ``mutant``'s program, in order."""
+    runs = []
+    real_execute = mutation.execute
+
+    def counting_execute(prog, function, args, *rest, **kwargs):
+        if prog is mutant.mutated_program:
+            runs.append(tuple(args))
+        return real_execute(prog, function, args, *rest, **kwargs)
+
+    monkeypatch.setattr(mutation, "execute", counting_execute)
+    return runs
+
+
+def test_a_call_shared_by_two_tests_runs_the_mutant_once(monkeypatch):
+    program = parse("fn f(a:int){ if (a > 0) { return a * 2; } return 0; }")
+    ctx = FitnessContext(program)
+    mutant = next(m for m in ctx.mutants if m.operator == "aor:*->+")
+    runs = _count_mutant_runs(monkeypatch, mutant)
+    # 2 * 2 == 2 + 2: the shared call does not kill, so every test runs it
+    first = TestCase(calls=(CallStmt("f", (2,)),))
+    second = TestCase(calls=(CallStmt("f", (-5,)), CallStmt("f", (2,)), CallStmt("f", (2,))))
+    assert ctx.classify(mutant, first) == MutantStatus.REACHED_NOT_INFECTED
+    assert ctx.classify(mutant, second) == MutantStatus.REACHED_NOT_INFECTED
+    assert runs == [(2,)]
+
+
+def test_the_first_killing_call_ends_the_test(monkeypatch):
+    program = parse("fn f(a:int){ if (a > 0) { return a * 2; } return 0; }")
+    ctx = FitnessContext(program)
+    mutant = next(m for m in ctx.mutants if m.operator == "aor:*->+")
+    runs = _count_mutant_runs(monkeypatch, mutant)
+    test = TestCase(calls=(CallStmt("f", (-1,)), CallStmt("f", (3,)),
+                           CallStmt("f", (2,)), CallStmt("f", (4,))))
+    assert ctx.classify(mutant, test) == MutantStatus.KILLED
+    assert runs == [(3,)]
 
 
 def test_bool_and_int_arguments_are_different_calls():

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from affsgen.fitness import FitnessContext
 from affsgen.minilang import parse
+from affsgen.minilang.interpreter import execute
 from affsgen.minilang.parser import to_source
 from affsgen.mutation import (
     MutantStatus,
@@ -13,8 +15,7 @@ from affsgen.mutation import (
     mutation_score,
 )
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
-from affsgen.tracing import run_test
-from oracles import full_reexecution_status
+from oracles import full_reexecution_status, oracle_run
 
 ADD = parse("fn f(a:int, b:int){ if (a < 5) { return a + b; } return 0; }")
 
@@ -58,61 +59,47 @@ def test_mutants_parse_successfully():
         parse(to_source(m.mutated_program))
 
 
+def _classify_call(mutant, function, args):
+    base = execute(mutant.base_program, function, args)
+    return classify_against_mutant(mutant, function, args, base).status
+
+
 def test_classification_examples():
     mutants = generate_mutants(ADD)
     add_sub = next(m for m in mutants if m.operator == "aor:+->-")
     # 1 + 0 == 1 - 0: reached but state intact
-    t = _test(("f", (1, 0)))
-    assert classify_against_mutant(add_sub, t, run_test(ADD, t)).status \
-        == MutantStatus.REACHED_NOT_INFECTED
+    assert _classify_call(add_sub, "f", (1, 0)) == MutantStatus.REACHED_NOT_INFECTED
     # 1 + 2 = 3 vs 1 - 2 = -1: returned value differs
-    t = _test(("f", (1, 2)))
-    assert classify_against_mutant(add_sub, t, run_test(ADD, t)).status == MutantStatus.KILLED
+    assert _classify_call(add_sub, "f", (1, 2)) == MutantStatus.KILLED
     # branch arm not executed
-    t = _test(("f", (9, 9)))
-    assert classify_against_mutant(add_sub, t, run_test(ADD, t)).status == MutantStatus.NOT_REACHED
+    assert _classify_call(add_sub, "f", (9, 9)) == MutantStatus.NOT_REACHED
 
 
-def test_classification_rejects_foreign_trace():
-    mutants = generate_mutants(ADD)
-    t1 = _test(("f", (1, 0)))
-    t2 = _test(("f", (2, 0)))
-    with pytest.raises(ValueError):
-        classify_against_mutant(mutants[0], t2, run_test(ADD, t1))
+def test_a_bool_return_where_the_base_returns_an_int_kills():
+    # True == 1 in Python; the behaviour must still tell them apart
+    program = parse("fn f(b:bool){ let r = 1; if (b) { r = true; } return r; }")
+    deletion = next(m for m in generate_mutants(program) if m.operator == "delete-assignment")
+    assert _classify_call(deletion, "f", (True,)) == MutantStatus.KILLED
+    assert _classify_call(deletion, "f", (False,)) == MutantStatus.NOT_REACHED
+    assert full_reexecution_status(deletion, _test(("f", (True,)))) == MutantStatus.KILLED
 
 
-def test_infection_distance_zero_iff_infected():
-    mutants = generate_mutants(ADD)
-    for t in [_test(("f", (1, 0))), _test(("f", (1, 2))), _test(("f", (9, 9)))]:
-        trace = run_test(ADD, t)
-        for m in mutants:
-            outcome = classify_against_mutant(m, t, trace)
-            assert (outcome.infection_distance == 0.0) == (
-                outcome.status >= MutantStatus.INFECTED
-            )
+def test_oracle_outcomes_tell_true_from_one():
+    base = parse("fn f(b:bool){ let r = 1; if (b) { r = true; } return r; }")
+    faulty = parse("fn f(b:bool){ let r = 1; return r; }")
+    test = _test(("f", (True,)))
+    assert oracle_run(base, test)[0] == (("return", "bool", True),)
+    assert oracle_run(faulty, test)[0] == (("return", "int", 1),)
 
 
 # --- mutation score -----------------------------------------------------------
 
 
-def _classifier(program, tests):
-    traces = {t: run_test(program, t) for t in tests}
-    cache = {}
-
-    def classify(m, t):
-        key = (m.mutant_id, t)
-        if key not in cache:
-            cache[key] = classify_against_mutant(m, t, traces[t])
-        return cache[key]
-
-    return classify
+def _classifier(program):
+    return FitnessContext(program).classify
 
 
 def test_score_formula():
-    class FakeOutcome:
-        def __init__(self, status):
-            self.status = status
-
     mutants = list(range(12))
 
     class FakeMutant:
@@ -124,18 +111,17 @@ def test_score_formula():
     killed = {0, 1, 2}
 
     def classify(m, t):
-        return FakeOutcome(MutantStatus.KILLED if m.mutant_id in killed
-                           else MutantStatus.NOT_REACHED)
+        return MutantStatus.KILLED if m.mutant_id in killed else MutantStatus.NOT_REACHED
 
     assert mutation_score(suite, fakes, "strong", classify) == 25.0
     assert mutation_score(suite, fakes, "weak", classify) == 25.0
-    all_killed = lambda m, t: FakeOutcome(MutantStatus.KILLED)
+    all_killed = lambda m, t: MutantStatus.KILLED
     assert mutation_score(suite, fakes, "strong", all_killed) == 100.0
 
 
 def test_score_empty_suite_is_zero():
     mutants = generate_mutants(ADD)
-    classify = _classifier(ADD, [])
+    classify = _classifier(ADD)
     assert mutation_score(TestSuite(), mutants, "weak", classify) == 0.0
     assert mutation_score(TestSuite(), mutants, "strong", classify) == 0.0
 
@@ -156,7 +142,7 @@ def test_strong_never_exceeds_weak_on_random_suites():
     for _ in range(25):
         tests = [random_test_case(program, rng, cfg) for _ in range(rng.randint(0, 4))]
         suite = TestSuite(tests)
-        classify = _classifier(program, tests)
+        classify = _classifier(program)
         if not mutants:
             continue
         weak = mutation_score(suite, mutants, "weak", classify)
@@ -170,7 +156,7 @@ def test_adding_a_test_never_lowers_scores():
     rng = random.Random(3)
     cfg = GenConfig(max_calls_per_test=3)
     tests = [random_test_case(program, rng, cfg) for _ in range(6)]
-    classify = _classifier(program, tests)
+    classify = _classifier(program)
     for mode in ("weak", "strong"):
         previous = 0.0
         for size in range(0, len(tests) + 1):
@@ -195,12 +181,21 @@ def test_classifier_agrees_with_full_reexecution_oracle():
     cfg = GenConfig(max_calls_per_test=3)
     for program in ORACLE_PROGRAMS:
         mutants = generate_mutants(program)
+        ctx = FitnessContext(program)
         tests = [random_test_case(program, rng, cfg) for _ in range(12)]
         for test in tests:
-            trace = run_test(program, test)
             for mutant in mutants:
+                # each call on its own, then the whole test as the fold of its calls
+                for call in test.calls:
+                    args = tuple(test.resolve(a) for a in call.args)
+                    expected = full_reexecution_status(mutant, _test((call.function, args)))
+                    actual = _classify_call(mutant, call.function, args)
+                    assert actual == expected, (
+                        program.source_id, mutant.operator, mutant.site, call,
+                        actual.name, expected.name,
+                    )
                 expected = full_reexecution_status(mutant, test)
-                actual = classify_against_mutant(mutant, test, trace).status
+                actual = ctx.classify(mutant, test)
                 assert actual == expected, (
                     program.source_id, mutant.operator, mutant.site, test,
                     actual.name, expected.name,
