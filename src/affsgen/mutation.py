@@ -315,7 +315,9 @@ def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
     if kind == "node" and not result.watch:
         # the site was never evaluated, so the two runs were identical
         return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
-    if kind == "node" and mutant.always_infects_on_eval:
+    if kind == "node" and mutant.always_infects_on_eval and result.watch[0] != ("raise",):
+        # the first evaluation differs unless it raised, which ends the call
+        # alike in both runs
         return _OUTCOMES[MutantStatus.INFECTED]
 
     key = (mutant.watch, call_key(function, args))

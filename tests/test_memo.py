@@ -105,7 +105,7 @@ def _pinned_classifications() -> str:
 
 def test_corpus_classifications_are_pinned():
     assert _pinned_classifications() == (
-        "70acc80fd8ec84745a65681e5ff5e9688f88a9f33fffd3ca1497996d31f6c2e0")
+        "2e3a63472c90fbe695ebcb384681370c377a159f56165b82ab913d8214650fd6")
 
 
 def _count_mutant_runs(monkeypatch, mutant) -> list:

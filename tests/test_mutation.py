@@ -75,6 +75,15 @@ def test_classification_examples():
     assert _classify_call(add_sub, "f", (9, 9)) == MutantStatus.NOT_REACHED
 
 
+def test_a_negated_condition_that_raises_is_not_infected():
+    # both runs raise at the condition's first evaluation, so it never yields
+    # a value that the negation could change
+    program = parse('fn f(s:str){ if (s[5] == "a") { return 1; } return 0; }')
+    negation = next(m for m in generate_mutants(program) if m.operator == "negate-condition")
+    assert _classify_call(negation, "f", ("",)) == MutantStatus.REACHED_NOT_INFECTED
+    assert _classify_call(negation, "f", ("bcdefgh",)) == MutantStatus.KILLED
+
+
 def test_a_bool_return_where_the_base_returns_an_int_kills():
     # True == 1 in Python; the behaviour must still tell them apart
     program = parse("fn f(b:bool){ let r = 1; if (b) { r = true; } return r; }")
