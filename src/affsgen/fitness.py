@@ -11,7 +11,7 @@ import enum
 import math
 from typing import Iterable
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides
 from affsgen.minilang.nodes import (
     Binary,
     BoolLit,
@@ -34,6 +34,8 @@ from affsgen.mutation import (
     classify_against_mutant,
     generate_mutants,
     mutation_score,
+    schema_roots,
+    schema_run,
 )
 from affsgen.testmodel import TestCase, TestSuite, render_test
 from affsgen.tracing import TestTrace, call_of, run_test
@@ -234,12 +236,13 @@ class FitnessContext:
     so cached results stay valid. Below the traces, every distinct call of
     the base program runs once: ``_calls`` maps each ``call_key`` to its
     plain run, from which each test's trace is aggregated, and
-    ``_watched_calls`` maps (mutant watch, ``call_key``) to the values the
-    base run records at that watch, which classification compares against.
+    ``_schema_runs`` maps it to its one schema run, which tells every
+    mutant's infection on that call (see ``mutation.schema_run``).
     ``_classifications`` maps (mutant id, ``call_key``) to the status of one
     call that reaches the mutant's site; a test's status is folded from its
     calls'. All three belong to this context's one program and interpreter
-    config. Mutant-program runs are not kept.
+    config. A mutant program runs only on calls the schema run cannot
+    settle, and those runs are not kept.
     """
 
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
@@ -251,8 +254,9 @@ class FitnessContext:
         self.buckets = output_buckets(program)
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._mutants: list[Mutant] | None = None
+        self._schema_roots: dict[int, list[tuple]] | None = None
         self._calls: dict[tuple, ExecutionResult] = {}
-        self._watched_calls: dict[tuple, tuple] = {}
+        self._schema_runs: dict[tuple, Sides] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
         self._classifications: dict[tuple[int, tuple], MutantStatus] = {}
@@ -294,8 +298,14 @@ class FitnessContext:
             ckey = (mutant.mutant_id, key)
             status = self._classifications.get(ckey)
             if status is None:
+                schema = self._schema_runs.get(key)
+                if schema is None:
+                    if self._schema_roots is None:
+                        self._schema_roots = schema_roots(self.mutants)
+                    schema = self._schema_runs[key] = schema_run(
+                        self.program, self._schema_roots, *call_of(key), self.interp)
                 status = self._classifications[ckey] = classify_against_mutant(
-                    mutant, *call_of(key), base, self.interp, self._watched_calls).status
+                    mutant, *call_of(key), base, self.interp, schema).status
             if status > best:
                 best = status
                 if best == MutantStatus.KILLED:

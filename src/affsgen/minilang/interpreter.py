@@ -20,7 +20,7 @@ Semantics worth knowing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from affsgen.minilang.nodes import (
@@ -59,7 +59,7 @@ Value = Union[int, bool, str]
 # Python frames the tree walker stacks for one MiniJ activation: two per
 # statement block (_exec_body, _exec_stmt), at most four per expression
 # level (e.g. eval, _eval_inner, _pred_inner, _compare), and a few fixed ones
-# (_assigned_value, and helpers or constructors at the innermost node).
+# (helpers or constructors at the innermost node).
 _FRAMES_PER_BLOCK = 2
 _FRAMES_PER_EXPR_LEVEL = 4
 _FRAMES_FIXED = 8
@@ -71,7 +71,9 @@ _FRAMES_FIXED = 8
 # below Python's default recursion limit (1000) that deep MiniJ recursion ends
 # the same way whether execute is called from a shallow Python stack or from
 # one about 300 frames deep. The parser's nesting caps keep any single
-# function's height well below it.
+# function's height well below it. Side evaluations (``Sides``) are not
+# charged: they stack one frame more per active root they hook, which only
+# recursion through that root multiplies, and two more during a redo.
 FRAME_BUDGET = 600
 
 
@@ -133,8 +135,6 @@ class ExecutionResult:
     called_functions: frozenset[tuple[str, bool]]
     outcome: Outcome
     steps: int
-    # recorded values of the watched node/statement, when a watch was set
-    watch: tuple[tuple, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,9 +272,7 @@ def _frame_costs(program: Program) -> tuple[dict[int, int], dict[str, int]]:
                 above = _FRAMES_PER_BLOCK * depth
                 for stmt in body:
                     cls = type(stmt)
-                    if cls is Let or cls is Assign:
-                        _site_frames(stmt.expr, above + 1, False, sites)  # _assigned_value
-                    elif cls is Return:
+                    if cls is Let or cls is Assign or cls is Return:
                         _site_frames(stmt.expr, above, False, sites)
                     elif cls is If:
                         _site_frames(stmt.cond, above, True, sites)
@@ -298,7 +296,30 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-_WATCH_RAISED = ("raise",)
+class Sides:
+    """What one run evaluates on the side of some statement roots, and what it finds.
+
+    ``roots`` maps the node id of a statement's root expression to its
+    alternatives, ``(key, program, expr)`` triples. At every evaluation of
+    that root the run counts the evaluation in ``evals`` (root id to
+    ``[values, raises]``) and then, for each alternative whose key is not
+    yet ``infected``, redoes the root as ``expr`` of ``program`` in the same
+    environment, on a throwaway interpreter that starts from the root's
+    step count and frames, so the run's own result is untouched. The key
+    becomes ``infected`` when the redo's kinded value or raise identity
+    differs from the root's, and ``drifted`` when only the step count after
+    it does. An alternative without a program is a deleted assignment: its
+    value is the old value of the variable ``expr`` names, taken without a
+    step. Instances hash by identity, so a call's arguments stay hashable.
+    """
+
+    __slots__ = ("roots", "evals", "infected", "drifted")
+
+    def __init__(self, roots: dict[int, list[tuple]]):
+        self.roots = roots
+        self.evals: dict[int, list[int]] = {}
+        self.infected: set = set()
+        self.drifted: set = set()
 
 
 class _Interp:
@@ -311,13 +332,11 @@ class _Interp:
         "lines_hit",
         "branch_evals",
         "called",
-        "watch_node",
-        "watch_line",
-        "watch_values",
+        "sides",
+        "roots",
     )
 
-    def __init__(self, program: Program, config: InterpConfig,
-                 watch_node: int = -1, watch_line: int = -1):
+    def __init__(self, program: Program, config: InterpConfig, sides: Sides | None = None):
         self.program = program
         self.functions = program.fn_map()
         self.config = config
@@ -326,9 +345,8 @@ class _Interp:
         self.lines_hit: set[int] = set()
         self.branch_evals: list[BranchEval] = []
         self.called: set[tuple[str, bool]] = set()
-        self.watch_node = watch_node
-        self.watch_line = watch_line
-        self.watch_values: list[tuple] = []
+        self.sides = sides
+        self.roots = {} if sides is None else sides.roots
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -340,15 +358,9 @@ class _Interp:
     # -- expression evaluation ----------------------------------------------
 
     def eval(self, node: Expr, env: dict, fname: str, depth: int) -> Value:
+        if node.node_id in self.roots:
+            return self._side(node, env, fname, depth, False)
         self._tick(fname)
-        if self.watch_node >= 0 and node.node_id == self.watch_node:
-            try:
-                value = self._eval_inner(node, env, fname, depth)
-            except MiniJError:
-                self.watch_values.append(_WATCH_RAISED)
-                raise
-            self.watch_values.append(("v", value))
-            return value
         return self._eval_inner(node, env, fname, depth)
 
     def _eval_inner(self, node: Expr, env: dict, fname: str, depth: int) -> Value:
@@ -440,16 +452,60 @@ class _Interp:
 
     def pred(self, node: Expr, env: dict, fname: str, depth: int) -> tuple[bool, float, float]:
         """Evaluate a branch predicate: (value, distance-to-true, distance-to-false)."""
+        if node.node_id in self.roots:
+            return self._side(node, env, fname, depth, True)
         self._tick(fname)
-        if self.watch_node >= 0 and node.node_id == self.watch_node:
-            try:
-                result = self._pred_inner(node, env, fname, depth)
-            except MiniJError:
-                self.watch_values.append(_WATCH_RAISED)
-                raise
-            self.watch_values.append(("v", result[0]))
-            return result
         return self._pred_inner(node, env, fname, depth)
+
+    def _side(self, node: Expr, env: dict, fname: str, depth: int, as_pred: bool):
+        """Evaluate a root that ``self.sides`` lists, count it, and redo its alternatives."""
+        start, frames = self.steps, self.frames
+        counts = self.sides.evals.setdefault(node.node_id, [0, 0])
+        try:
+            self._tick(fname)
+            if as_pred:
+                result = self._pred_inner(node, env, fname, depth)
+            else:
+                result = self._eval_inner(node, env, fname, depth)
+        except MiniJError as err:
+            counts[1] += 1
+            self._redo(node, ("raise", err.record.identity), -1, env, fname, depth, as_pred,
+                       start, frames)
+            raise
+        counts[0] += 1
+        value = result[0] if as_pred else result
+        self._redo(node, (kind_of(value), value), self.steps, env, fname, depth, as_pred,
+                   start, frames)
+        return result
+
+    def _redo(self, node: Expr, seen: tuple, steps: int, env: dict, fname: str, depth: int,
+              as_pred: bool, start: int, frames: int) -> None:
+        """Redo a root's alternatives that are not yet infected, given what the
+        root gave (``seen``) and the step count after it (``steps``)."""
+        sides = self.sides
+        for key, program, expr in sides.roots[node.node_id]:
+            if key in sides.infected:
+                continue
+            if program is None:
+                value = env[expr.name]
+                if (kind_of(value), value) != seen:
+                    sides.infected.add(key)
+                continue
+            side = _Interp(program, self.config)
+            side.steps, side.frames = start, frames
+            try:
+                if as_pred:
+                    value = side.pred(expr, env, fname, depth)[0]
+                else:
+                    value = side.eval(expr, env, fname, depth)
+            except MiniJError as err:
+                if ("raise", err.record.identity) != seen:
+                    sides.infected.add(key)
+                continue
+            if (kind_of(value), value) != seen:
+                sides.infected.add(key)
+            elif side.steps != steps:
+                sides.drifted.add(key)
 
     def _pred_inner(self, node: Expr, env: dict, fname: str, depth: int) -> tuple[bool, float, float]:
         if type(node) is Binary:
@@ -507,12 +563,12 @@ class _Interp:
         self.lines_hit.add(stmt.line_id)
         cls = type(stmt)
         if cls is Let:
-            env[stmt.name] = self._assigned_value(stmt, env, fname, depth, old=None)
+            env[stmt.name] = self.eval(stmt.expr, env, fname, depth)
             return
         if cls is Assign:
             if stmt.name not in env:
                 raise MiniJError(TYPE_ERROR, fname)
-            env[stmt.name] = self._assigned_value(stmt, env, fname, depth, old=env[stmt.name])
+            env[stmt.name] = self.eval(stmt.expr, env, fname, depth)
             return
         if cls is If:
             taken, d_true, d_false = self.pred(stmt.cond, env, fname, depth)
@@ -536,28 +592,19 @@ class _Interp:
             raise MiniJError(EXPLICIT_THROW, fname, tag=stmt.tag)
         raise TypeError(f"unknown statement node {stmt!r}")
 
-    def _assigned_value(self, stmt, env: dict, fname: str, depth: int, old):
-        """Evaluate an assignment RHS, recording (old, new) when this line is watched."""
-        if self.watch_line >= 0 and stmt.line_id == self.watch_line:
-            try:
-                value = self.eval(stmt.expr, env, fname, depth)
-            except MiniJError:
-                self.watch_values.append(_WATCH_RAISED)
-                raise
-            self.watch_values.append(("a", old, value))
-            return value
-        return self.eval(stmt.expr, env, fname, depth)
-
 
 def execute(
     program: Program,
     entry: str,
     args: tuple[Value, ...] | list[Value],
     config: InterpConfig = InterpConfig(),
-    watch_node: int = -1,
-    watch_line: int = -1,
+    sides: Sides | None = None,
 ) -> ExecutionResult:
     """Run one entry call and return the full instrumented result.
+
+    With ``sides``, the run also evaluates the alternatives it lists at
+    their roots and records what it finds there in ``sides`` (see
+    ``Sides``); the result is the same as without.
 
     Raises UnknownFunctionError / ArityError for malformed entry calls; every
     in-language failure is captured as a Raised outcome instead.
@@ -573,7 +620,7 @@ def execute(
                 f"{entry} parameter {pname!r} expects {pkind}, got {kind_of(value)}"
             )
 
-    interp = _Interp(program, config, watch_node=watch_node, watch_line=watch_line)
+    interp = _Interp(program, config, sides)
     env = dict(zip((p for p, _ in fn.params), args))
     interp.called.add((entry, True))
     outcome: Outcome
@@ -591,5 +638,4 @@ def execute(
         called_functions=frozenset(interp.called),
         outcome=outcome,
         steps=interp.steps,
-        watch=tuple(interp.watch_values),
     )

@@ -8,25 +8,41 @@ Operator table (rank order):
   4. deletion of assignment statements
 
 Mutants keep the base program's line, branch, and expression ids, so traces
-from the base program line up with the mutated one. Classification takes
-one call at a time (calls share no state) and watches the mutated site in
-both runs: the mutant is infected once the site produces a different value
-than the base run, and killed once any observable outcome (return values,
-exception identities) differs. A test's status is the highest of its calls'.
+from the base program line up with the mutated one. A mutated program
+copies only the path from its function down to the swapped node and shares
+every other node with the base program.
+
+Classification takes one call at a time (calls share no state). One schema
+run of the base program per call (Untch, Offutt and Harrold, ISSTA 1993)
+decides infection for every mutant at once: at each evaluation of a
+mutation site's statement root it redoes the root as each mutant would, in
+the same state (see ``Sides``). A mutant is infected once a redo gives a
+different value or raise, and drifted when one agrees but takes a different
+number of steps. A reached mutant that is neither runs exactly as the base
+program does, so it is not run. Any other mutant runs once on the call: it
+is killed when an observable outcome (return value, exception identity)
+differs, and infected when a redo was, or when it drifted and its run
+evaluated the root a different number of times. A deleted assignment is
+infected when its right side raises or changes the variable, and always
+runs. This equals comparing the sequences of root values of the two whole
+runs, except when the root calls back into its own function: then each
+redo runs the mutant's whole recursion, while the base's nested
+evaluations are each compared on their own, so the statuses can differ. A
+test's status is the highest of its calls'.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, execute, kind_of
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, execute
 from affsgen.minilang.nodes import (
     ARITHMETIC_OPS,
     Assign,
     Binary,
-    BoolLit,
     Call,
     COMPARISON_OPS,
     Expr,
@@ -35,18 +51,17 @@ from affsgen.minilang.nodes import (
     Index,
     IntLit,
     Len,
-    Let,
     Program,
-    Return,
     Stmt,
-    StrLit,
     Throw,
     Unary,
     Var,
     While,
+    walk_expressions,
+    walk_statements,
 )
 from affsgen.testmodel import TestCase, TestSuite
-from affsgen.tracing import behavior_of, call_key
+from affsgen.tracing import behavior_of
 
 
 class MutantStatus(enum.IntEnum):
@@ -63,6 +78,8 @@ class MutantOutcome:
 
 _OUTCOMES = {status: MutantOutcome(status) for status in MutantStatus}
 
+DELETE_ASSIGNMENT = "delete-assignment"
+
 
 @dataclass(frozen=True, slots=True)
 class Mutant:
@@ -71,275 +88,185 @@ class Mutant:
     site: int  # line id of the mutated statement
     operator: str
     mutated_program: Program
-    # what to watch during classification: ("node", node_id) or ("line", line_id)
-    watch: tuple[str, int]
-    # constant perturbation and condition negation differ from the base value
-    # on every evaluation, so any evaluation at all means infection
-    always_infects_on_eval: bool = False
-
-
-# --- program cloning -------------------------------------------------------
-
-ExprTransform = Callable[[Expr, Callable[[Expr], Expr]], "Expr | None"]
-
-
-def _clone_expr(expr: Expr, transform: ExprTransform | None) -> Expr:
-    if transform is not None:
-        replaced = transform(expr, lambda e: _clone_expr(e, transform))
-        if replaced is not None:
-            return replaced
-    cls = type(expr)
-    if cls is IntLit:
-        return IntLit(expr.value, expr.node_id)
-    if cls is BoolLit:
-        return BoolLit(expr.value, expr.node_id)
-    if cls is StrLit:
-        return StrLit(expr.value, expr.node_id)
-    if cls is Var:
-        return Var(expr.name, expr.node_id)
-    if cls is Unary:
-        return Unary(expr.op, _clone_expr(expr.operand, transform), expr.node_id)
-    if cls is Binary:
-        return Binary(expr.op, _clone_expr(expr.lhs, transform),
-                      _clone_expr(expr.rhs, transform), expr.node_id)
-    if cls is Call:
-        return Call(expr.name, [_clone_expr(a, transform) for a in expr.args], expr.node_id)
-    if cls is Len:
-        return Len(_clone_expr(expr.operand, transform), expr.node_id)
-    if cls is Index:
-        return Index(_clone_expr(expr.base, transform),
-                     _clone_expr(expr.index, transform), expr.node_id)
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def _clone_body(body: list[Stmt], transform: ExprTransform | None,
-                delete_line: int) -> list[Stmt]:
-    out: list[Stmt] = []
-    for stmt in body:
-        cls = type(stmt)
-        if cls is Assign and stmt.line_id == delete_line:
-            continue
-        if cls is Let:
-            out.append(Let(stmt.name, _clone_expr(stmt.expr, transform), stmt.line_id))
-        elif cls is Assign:
-            out.append(Assign(stmt.name, _clone_expr(stmt.expr, transform), stmt.line_id))
-        elif cls is Return:
-            out.append(Return(_clone_expr(stmt.expr, transform), stmt.line_id))
-        elif cls is Throw:
-            out.append(Throw(stmt.tag, stmt.line_id))
-        elif cls is If:
-            out.append(If(_clone_expr(stmt.cond, transform),
-                          _clone_body(stmt.then_body, transform, delete_line),
-                          _clone_body(stmt.else_body, transform, delete_line),
-                          stmt.line_id, stmt.branch_id))
-        elif cls is While:
-            out.append(While(_clone_expr(stmt.cond, transform),
-                             _clone_body(stmt.body, transform, delete_line),
-                             stmt.line_id, stmt.branch_id))
-        else:
-            raise TypeError(f"unknown statement node {stmt!r}")
-    return out
-
-
-def _clone_program(program: Program, transform: ExprTransform | None = None,
-                   delete_line: int = -1) -> Program:
-    functions = [
-        FunctionDef(fn.name, list(fn.params), _clone_body(fn.body, transform, delete_line))
-        for fn in program.functions
-    ]
-    return Program(
-        functions=functions,
-        source_id=program.source_id,
-        line_count=program.line_count,
-        branch_count=program.branch_count,
-        node_count=program.node_count + 1,  # headroom for one wrapper node
-    )
+    # what the mutant evaluates where the base evaluates the site's root
+    # expression, under the same node id: the mutated root or, for a deleted
+    # assignment, a read of the variable, which keeps its old value
+    root: Expr
 
 
 # --- mutant generation -------------------------------------------------------
 
 
-def _statement_sites(program: Program):
-    """Yield (line_id, stmt) for every statement, in line order."""
-    from affsgen.minilang.nodes import walk_statements
+def _swap_expr(expr: Expr, target: Expr, new: Expr) -> Expr:
+    """``expr`` with ``target`` replaced by ``new``, copying only the nodes
+    above it; ``expr`` itself when ``target`` is not below it."""
+    if expr is target:
+        return new
+    cls = type(expr)
+    if cls is Binary:
+        lhs, rhs = _swap_expr(expr.lhs, target, new), _swap_expr(expr.rhs, target, new)
+        if lhs is not expr.lhs or rhs is not expr.rhs:
+            return Binary(expr.op, lhs, rhs, expr.node_id)
+    elif cls is Unary or cls is Len:
+        operand = _swap_expr(expr.operand, target, new)
+        if operand is not expr.operand:
+            return Unary(expr.op, operand, expr.node_id) if cls is Unary else Len(operand, expr.node_id)
+    elif cls is Index:
+        base, index = _swap_expr(expr.base, target, new), _swap_expr(expr.index, target, new)
+        if base is not expr.base or index is not expr.index:
+            return Index(base, index, expr.node_id)
+    elif cls is Call:
+        args = [_swap_expr(arg, target, new) for arg in expr.args]
+        if any(a is not b for a, b in zip(args, expr.args)):
+            return Call(expr.name, args, expr.node_id)
+    return expr
 
-    sites = []
+
+def _swap_body(body: list[Stmt], target: Stmt, new: Stmt | None) -> list[Stmt]:
+    """``body`` with ``target`` replaced by ``new``, or dropped when None,
+    copying only the statements and bodies on the path down to it; ``body``
+    itself when ``target`` is not in it."""
+    for i, stmt in enumerate(body):
+        if stmt is target:
+            swapped = [] if new is None else [new]
+        elif type(stmt) is If:
+            then_body = _swap_body(stmt.then_body, target, new)
+            else_body = _swap_body(stmt.else_body, target, new)
+            if then_body is stmt.then_body and else_body is stmt.else_body:
+                continue
+            swapped = [If(stmt.cond, then_body, else_body, stmt.line_id, stmt.branch_id)]
+        elif type(stmt) is While:
+            inner = _swap_body(stmt.body, target, new)
+            if inner is stmt.body:
+                continue
+            swapped = [While(stmt.cond, inner, stmt.line_id, stmt.branch_id)]
+        else:
+            continue
+        return body[:i] + swapped + body[i + 1:]
+    return body
+
+
+def _swap(program: Program, target: Stmt, new: Stmt | None) -> Program:
+    """``program`` with one statement replaced or deleted, sharing every
+    function, statement and expression off the path down to it."""
+    functions = []
     for fn in program.functions:
-        for stmt in walk_statements(fn.body):
-            sites.append((stmt.line_id, stmt))
-    sites.sort(key=lambda pair: pair[0])
-    return sites
-
-
-def _expr_nodes(stmt: Stmt):
-    from affsgen.minilang.nodes import statement_expressions, walk_expressions
-
-    for root in statement_expressions(stmt):
-        yield from walk_expressions(root)
-
-
-def _replace_op(node_id: int, new_op: str) -> ExprTransform:
-    def transform(expr: Expr, clone_child):
-        if isinstance(expr, Binary) and expr.node_id == node_id:
-            return Binary(new_op, clone_child(expr.lhs), clone_child(expr.rhs), expr.node_id)
-        return None
-
-    return transform
-
-
-def _perturb_const(node_id: int, delta: int) -> ExprTransform:
-    def transform(expr: Expr, clone_child):
-        if isinstance(expr, IntLit) and expr.node_id == node_id:
-            return IntLit(expr.value + delta, expr.node_id)
-        return None
-
-    return transform
-
-
-def _negate_condition(node_id: int, fresh_id: int) -> ExprTransform:
-    def transform(expr: Expr, clone_child):
-        if expr.node_id == node_id:
-            inner = _clone_expr(expr, None)
-            # the wrapper takes over the watched id; the original node gets a
-            # fresh one so the watch sees exactly one value per evaluation
-            inner.node_id = fresh_id
-            return Unary("not", inner, node_id)
-        return None
-
-    return transform
-
-
-def _stmt_root(stmt: Stmt) -> int:
-    """The statement's root expression node; its value is what touches state.
-
-    Infection is judged there rather than at the mutated node itself: a
-    changed sub-expression only corrupts state once the difference reaches
-    the value the statement actually consumes.
-    """
-    if isinstance(stmt, (Let, Assign, Return)):
-        return stmt.expr.node_id
-    if isinstance(stmt, (If, While)):
-        return stmt.cond.node_id
-    return -1
+        body = _swap_body(fn.body, target, new)
+        functions.append(fn if body is fn.body else FunctionDef(fn.name, fn.params, body))
+    return Program(
+        functions=functions,
+        source_id=program.source_id,
+        line_count=program.line_count,
+        branch_count=program.branch_count,
+        node_count=program.node_count + 1,  # the negated condition's fresh id
+    )
 
 
 def generate_mutants(program: Program) -> list[Mutant]:
     """Deterministic first-order mutants, ordered by (line id, operator rank)."""
-    candidates: list[tuple[int, int, int, str, ExprTransform | None, int, tuple[str, int]]] = []
-    seq = 0
-    for line_id, stmt in _statement_sites(program):
-        root = _stmt_root(stmt)
-        for expr in _expr_nodes(stmt):
-            if isinstance(expr, Binary) and expr.op in ARITHMETIC_OPS:
-                for op in ARITHMETIC_OPS:
-                    if op != expr.op:
-                        candidates.append((line_id, 0, seq, f"aor:{expr.op}->{op}",
-                                           _replace_op(expr.node_id, op), -1,
-                                           ("node", root)))
-                        seq += 1
-            elif isinstance(expr, Binary) and expr.op in COMPARISON_OPS:
-                for op in COMPARISON_OPS:
-                    if op != expr.op:
-                        candidates.append((line_id, 1, seq, f"ror:{expr.op}->{op}",
-                                           _replace_op(expr.node_id, op), -1,
-                                           ("node", root)))
-                        seq += 1
-        if isinstance(stmt, (If, While)):
-            cond_id = stmt.cond.node_id
-            candidates.append((line_id, 2, seq, "negate-condition",
-                               _negate_condition(cond_id, program.node_count), -1,
-                               ("node", cond_id)))
-            seq += 1
-        for expr in _expr_nodes(stmt):
-            if isinstance(expr, IntLit):
+    statements = sorted((stmt for fn in program.functions for stmt in walk_statements(fn.body)),
+                        key=lambda stmt: stmt.line_id)
+    candidates: list[tuple[int, int, int, str, Expr, Program]] = []
+    for stmt in statements:
+        line_id = stmt.line_id
+        if type(stmt) is Throw:
+            continue
+        attr = "cond" if type(stmt) in (If, While) else "expr"
+        base_root = getattr(stmt, attr)
+
+        def add(rank: int, operator: str, root: Expr, mutated: Program | None = None) -> None:
+            if mutated is None:
+                mutated = _swap(program, stmt, dataclasses.replace(stmt, **{attr: root}))
+            candidates.append((line_id, rank, len(candidates), operator, root, mutated))
+
+        nodes = list(walk_expressions(base_root))
+        for expr in nodes:
+            if type(expr) is Binary and expr.op in ARITHMETIC_OPS:
+                rank, ops, label = 0, ARITHMETIC_OPS, "aor"
+            elif type(expr) is Binary and expr.op in COMPARISON_OPS:
+                rank, ops, label = 1, COMPARISON_OPS, "ror"
+            else:
+                continue
+            for op in ops:
+                if op != expr.op:
+                    add(rank, f"{label}:{expr.op}->{op}",
+                        _swap_expr(base_root, expr, Binary(op, expr.lhs, expr.rhs, expr.node_id)))
+        if type(stmt) in (If, While):
+            # the negation takes over the condition's id, so the site's root
+            # keeps it; the condition moves to a fresh one
+            inner = dataclasses.replace(base_root, node_id=program.node_count)
+            add(2, "negate-condition", Unary("not", inner, base_root.node_id))
+        for expr in nodes:
+            if type(expr) is IntLit:
                 for delta in (1, -1):
-                    candidates.append((line_id, 3, seq, f"const:{delta:+d}",
-                                       _perturb_const(expr.node_id, delta), -1,
-                                       ("node", root)))
-                    seq += 1
-        if isinstance(stmt, Assign):
-            candidates.append((line_id, 4, seq, "delete-assignment",
-                               None, line_id, ("line", line_id)))
-            seq += 1
+                    add(3, f"const:{delta:+d}",
+                        _swap_expr(base_root, expr, IntLit(expr.value + delta, expr.node_id)))
+        if type(stmt) is Assign:
+            add(4, DELETE_ASSIGNMENT, Var(stmt.name, base_root.node_id), _swap(program, stmt, None))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    mutants = []
-    for mutant_id, (line_id, rank, _, operator, transform, delete_line, watch) in enumerate(candidates):
-        mutated = _clone_program(program, transform, delete_line)
-        mutants.append(Mutant(
-            mutant_id=mutant_id,
-            base_program=program,
-            site=line_id,
-            operator=operator,
-            mutated_program=mutated,
-            watch=watch,
-            # negating a condition flips its value on every evaluation
-            always_infects_on_eval=rank == 2,
-        ))
-    return mutants
+    return [
+        Mutant(mutant_id=mutant_id, base_program=program, site=line_id, operator=operator,
+               mutated_program=mutated, root=root)
+        for mutant_id, (line_id, _, _, operator, root, mutated) in enumerate(candidates)
+    ]
 
 
 # --- classification ---------------------------------------------------------
 
 
-def _value_key(value):
-    return (kind_of(value), value)  # True == 1, yet they are different values
+def schema_roots(mutants: Iterable[Mutant]) -> dict[int, list[tuple]]:
+    """The ``Sides`` roots of a schema run: one alternative per mutant, keyed by its id."""
+    roots: dict[int, list[tuple]] = {}
+    for mutant in mutants:
+        program = None if mutant.operator == DELETE_ASSIGNMENT else mutant.mutated_program
+        roots.setdefault(mutant.root.node_id, []).append(
+            (mutant.mutant_id, program, mutant.root))
+    return roots
 
 
-def _node_key(entry: tuple):
-    """A node watch entry, ("v", value) or ("raise",), with its value's kind."""
-    return ("v", _value_key(entry[1])) if entry[0] == "v" else entry
+def schema_run(program: Program, roots: dict[int, list[tuple]], function: str, args: tuple,
+               config: InterpConfig = InterpConfig()) -> Sides:
+    """Run ``program`` once on a call, redoing every listed mutant's root on the side."""
+    sides = Sides(roots)
+    execute(program, function, args, config, sides)
+    return sides
 
 
 def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
                             base: ExecutionResult, config: InterpConfig = InterpConfig(),
-                            base_memo: dict | None = None) -> MutantOutcome:
+                            schema: Sides | None = None) -> MutantOutcome:
     """Classify one call against one mutant, given the base program's result for it.
 
     A call that does not reach the mutated line is NOT_REACHED. Otherwise
-    the mutant is run on the call: it is KILLED when its behaviour differs
-    from ``base``, INFECTED when the watched site's sequence of values
-    differs from the base run's, else REACHED_NOT_INFECTED. The base program
-    is re-run with the watch only when that comparison needs it.
-    ``base_memo`` maps (watch, ``call_key``) to the values such a run
-    records; one dict shared across the mutants of ``mutant.base_program``
-    (and one config) lets every mutant watching the same site reuse them.
+    ``schema``, the ``schema_run`` of the call over a set of mutants that
+    includes this one (one over just this mutant when None), tells whether
+    the mutant is infected or drifted. When it is neither, the mutant would
+    run exactly as the base does: REACHED_NOT_INFECTED, without a run.
+    Otherwise the mutant runs once: KILLED when its behaviour differs from
+    ``base``; else INFECTED when it is infected or, drifted and not a
+    deletion, evaluated its root a different number of times, or raised
+    there a different number of times, than the base did; else
+    REACHED_NOT_INFECTED. A deleted assignment always runs. Statuses differ
+    from comparing the whole runs' sequences of root values only when the
+    root can call back into its own function.
     """
     if mutant.site not in base.lines_hit:
         return _OUTCOMES[MutantStatus.NOT_REACHED]
-    kind, target = mutant.watch
-    result = execute(mutant.mutated_program, function, args, config,
-                     watch_node=target if kind == "node" else -1)
+    if schema is None:
+        schema = schema_run(mutant.base_program, schema_roots([mutant]), function, args, config)
+    infected = mutant.mutant_id in schema.infected
+    deletion = mutant.operator == DELETE_ASSIGNMENT
+    if not (infected or deletion or mutant.mutant_id in schema.drifted):
+        return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
+    root = mutant.root.node_id
+    counts = None if infected or deletion else Sides({root: []})
+    result = execute(mutant.mutated_program, function, args, config, counts)
     if behavior_of(result) != behavior_of(base):
         return _OUTCOMES[MutantStatus.KILLED]
-    if kind == "node" and not result.watch:
-        # the site was never evaluated, so the two runs were identical
-        return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
-    if kind == "node" and mutant.always_infects_on_eval and result.watch[0] != ("raise",):
-        # the first evaluation differs unless it raised, which ends the call
-        # alike in both runs
+    if infected or (counts is not None and counts.evals.get(root) != schema.evals.get(root)):
         return _OUTCOMES[MutantStatus.INFECTED]
-
-    key = (mutant.watch, call_key(function, args))
-    if base_memo is None:
-        base_memo = {}
-    base_values = base_memo.get(key)
-    if base_values is None:
-        base_values = base_memo[key] = execute(
-            mutant.base_program, function, args, config,
-            watch_node=target if kind == "node" else -1,
-            watch_line=target if kind == "line" else -1).watch
-    if kind == "line":
-        # deletion: infected when the assignment ever changed the variable
-        # (or its right-hand side raised, which the mutant would skip)
-        infected = any(
-            entry == ("raise",)
-            or (entry[0] == "a" and _value_key(entry[1]) != _value_key(entry[2]))
-            for entry in base_values
-        )
-    else:
-        infected = list(map(_node_key, base_values)) != list(map(_node_key, result.watch))
-    return _OUTCOMES[MutantStatus.INFECTED if infected else MutantStatus.REACHED_NOT_INFECTED]
+    return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
 
 
 def best_status(mutant: Mutant, tests: Iterable[TestCase],

@@ -27,7 +27,7 @@ from affsgen.minilang.nodes import (
     Var,
     While,
 )
-from affsgen.mutation import Mutant, MutantStatus
+from affsgen.mutation import DELETE_ASSIGNMENT, Mutant, MutantStatus
 from affsgen.testmodel import TestCase
 
 
@@ -258,7 +258,7 @@ def full_reexecution_status(mutant: Mutant, test: TestCase) -> MutantStatus:
     mutant_outcomes, mutant_events = oracle_run(mutant.mutated_program, test)
     if base_outcomes != mutant_outcomes:
         return MutantStatus.KILLED
-    if mutant.watch[0] == "line":
+    if mutant.operator == DELETE_ASSIGNMENT:
         # a deleted statement emits no event; align the streams by dropping
         # the site's events on both sides
         base_events = [e for e in base_events if e[0] != mutant.site]

@@ -6,7 +6,7 @@ import pytest
 
 from affsgen.fitness import FitnessContext
 from affsgen.minilang import parse
-from affsgen.minilang.interpreter import execute
+from affsgen.minilang.interpreter import InterpConfig, execute
 from affsgen.minilang.parser import to_source
 from affsgen.mutation import (
     MutantStatus,
@@ -99,6 +99,54 @@ def test_oracle_outcomes_tell_true_from_one():
     test = _test(("f", (True,)))
     assert oracle_run(base, test)[0] == (("return", "bool", True),)
     assert oracle_run(faulty, test)[0] == (("return", "int", 1),)
+
+
+# statuses that comparing the two whole runs' sequences of root values gives
+AND_IN_LOOP = ("fn f(x:int){ let c = 0; while (true) {"
+               " if ((x > 0) and (x > 5)) { c = c + 1; } c = c + 1; } return c; }")
+CALL_IN_ROOT = ("fn g(n:int){ let k = 0; while (k < n) { k = k + 1; } return 0; }"
+                " fn f(x:int){ let y = g(x + 1); return y + x; }")
+ASSIGN_IN_LOOP = ("fn f(x:int){ let a = 0; while (true) {"
+                  " a = a + x; if (a > 1000) { return a; } } return 0; }")
+SCHEMA_CASES = [
+    # the mutant skips the right side of the and, so its run drifts; at this
+    # limit it raises inside the condition where the base completes it
+    (AND_IN_LOOP, 3, "ror:>->==", (1,), 31, MutantStatus.INFECTED),
+    (AND_IN_LOOP, 4, "ror:>->!=", (1,), 31, MutantStatus.REACHED_NOT_INFECTED),
+    # g returns 0 whatever its argument, in a number of steps that depends on it
+    (CALL_IN_ROOT, 16, "aor:+->-", (3,), 10_000, MutantStatus.REACHED_NOT_INFECTED),
+    (CALL_IN_ROOT, 19, "const:+1", (3,), 10_000, MutantStatus.REACHED_NOT_INFECTED),
+    (CALL_IN_ROOT, 19, "const:+1", (3,), 45, MutantStatus.KILLED),
+    # a = a + 0 never changes a; at 23 the limit strikes as the right side
+    # starts, which counts as that side raising
+    (ASSIGN_IN_LOOP, 6, "delete-assignment", (0,), 22, MutantStatus.REACHED_NOT_INFECTED),
+    (ASSIGN_IN_LOOP, 6, "delete-assignment", (0,), 23, MutantStatus.INFECTED),
+    (ASSIGN_IN_LOOP, 6, "delete-assignment", (1,), 23, MutantStatus.INFECTED),
+]
+
+
+@pytest.mark.parametrize("source, mutant_id, operator, args, step_limit, expected", SCHEMA_CASES)
+def test_schema_rule_matches_whole_run_comparison(source, mutant_id, operator, args,
+                                                  step_limit, expected):
+    mutant = generate_mutants(parse(source))[mutant_id]
+    assert mutant.operator == operator
+    base = execute(mutant.base_program, "f", args, InterpConfig(step_limit=step_limit))
+    status = classify_against_mutant(mutant, "f", args, base, InterpConfig(step_limit=step_limit))
+    assert status.status == expected
+
+
+def test_recursion_through_the_site_is_compared_per_evaluation():
+    # both runs end in StepLimitExceeded in f. Each redo of the root raises
+    # that too, as the base's evaluation does, so the schema run finds the
+    # mutant neither infected nor drifted; comparing the sequences of root
+    # values of the two whole runs, which nest differently, says INFECTED
+    program = parse("fn f(x:int){ if (x <= 0) { return 0; } return f(x - 1) + 1; }")
+    mutant = generate_mutants(program)[16]
+    assert to_source(mutant.mutated_program).count("x - 2") == 1
+    config = InterpConfig(step_limit=300)
+    base = execute(program, "f", (56,), config)
+    assert classify_against_mutant(mutant, "f", (56,), base, config).status == (
+        MutantStatus.REACHED_NOT_INFECTED)
 
 
 # --- mutation score -----------------------------------------------------------
