@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -161,6 +162,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials_per_fault < 1:
             raise ConfigError("trials_per_fault must be at least 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         for spec in self.strategies:
@@ -237,8 +240,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
                 job_args.append((pair, pair.fault_id, strategy, cfg.goal.value, seed,
                                  cfg.engine, cfg.generation, cfg.interp))
                 trials.append(trial)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a pool starts all its workers at once, so it gets no more than the CPUs
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw_records = list(pool.map(_trial_job, job_args, chunksize=1))
     else:
         raw_records = [_trial_job(args) for args in job_args]

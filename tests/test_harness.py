@@ -13,6 +13,7 @@ from affsgen.affs import Goal
 from affsgen.cli import main as cli_main
 from affsgen.engine import Budget, EngineConfig
 from affsgen.harness import (
+    ConfigError,
     CorpusError,
     ExperimentConfig,
     FaultPair,
@@ -350,6 +351,36 @@ def test_experiment_config_validation(tmp_path):
         _experiment_config(tmp_path, trials_per_fault=0)
     with pytest.raises(ValueError):
         _experiment_config(tmp_path, strategies=[])
+    for workers in (0, -2):
+        with pytest.raises(ConfigError):
+            _experiment_config(tmp_path, workers=workers)
+
+
+def test_experiment_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records its size and runs every job in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    corpus = _mini_corpus(tmp_path)
+    for workers in (1, 2, 10_000):
+        run_experiment(_experiment_config(corpus, workers=workers), tmp_path / str(workers))
+    assert started == [2, 3]
+    assert (tmp_path / "10000" / "trials.csv").read_text().count("\n") == 1 + 2 * 2 * 3
 
 
 # --- CLI -------------------------------------------------------------------------------
@@ -451,6 +482,8 @@ def test_cli_experiment_and_report(tmp_path, capsys):
 def test_cli_experiment_bad_config_is_exit_1(tmp_path):
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({"goal": "nope", "strategies": ["ucb"]}))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["ucb"], "workers": 0}))
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
 
 
