@@ -101,6 +101,10 @@ def _experiment_config(path: str) -> ExperimentConfig:
     engine_raw = dict(raw.get("engine", {}))
     budget_raw = engine_raw.pop("budget", {"generations": 200})
     engine = EngineConfig(budget=Budget(**budget_raw), **engine_raw)
+    try:
+        interp = InterpConfig(**raw.get("interp", {}))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad interp settings: {err}") from err
     return ExperimentConfig(
         goal=GOALS[goal_name],
         strategies=list(raw.get("strategies", [])),
@@ -109,7 +113,7 @@ def _experiment_config(path: str) -> ExperimentConfig:
         master_seed=int(raw.get("master_seed", 2024)),
         engine=engine,
         generation=GenConfig(**raw.get("generation", {})),
-        interp=InterpConfig(**raw.get("interp", {})),
+        interp=interp,
         workers=int(raw.get("workers", 1)),
     )
 

@@ -12,6 +12,7 @@ from the archive.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -52,8 +53,9 @@ class Budget:
             raise ValueError("budget needs a generation count or a wall-clock limit")
         if self.generations is not None and self.generations <= 0:
             raise ValueError("generation budget must be positive")
-        if self.seconds is not None and self.seconds <= 0:
-            raise ValueError("wall-clock budget must be positive")
+        if self.seconds is not None and not (math.isfinite(self.seconds) and self.seconds > 0):
+            # a NaN limit would never be reached, nor an infinite one
+            raise ValueError(f"wall-clock budget must be positive and finite, not {self.seconds!r}")
 
 
 @dataclass(frozen=True, slots=True)

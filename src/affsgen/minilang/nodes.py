@@ -9,7 +9,7 @@ locations stably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 Kind = str  # one of "int", "bool", "str"
@@ -151,10 +151,20 @@ class Program:
     line_count: int = 0
     branch_count: int = 0
     node_count: int = 0
+    # a mutated program's base program, and the root it replaces there: the
+    # node id and the alternative root, None for a deleted assignment
+    base: "Program | None" = field(default=None, repr=False, compare=False)
+    root_id: int = field(default=-1, repr=False, compare=False)
+    alt_root: "Expr | None" = field(default=None, repr=False, compare=False)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
-    # the interpreter's static frame costs (per call site, per function),
-    # filled on the first MiniJ call
-    _frame_costs: tuple | None = field(default=None, repr=False, compare=False)
+    # the interpreter's compiled module and hooks, set on the first run
+    _compiled: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # compiled code does not pickle; a copy compiles on its first run
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["_compiled"] = None
+        return (None, state)
 
     def fn_map(self) -> dict[str, FunctionDef]:
         if self._fn_map is None:

@@ -490,7 +490,8 @@ def parse(source: str, source_id: str = "<anonymous>") -> Program:
 # --- pretty printer ------------------------------------------------------
 
 
-def _expr_source(expr: Expr) -> str:
+def expr_source(expr: Expr) -> str:
+    """Render an expression as MiniJ text, fully parenthesized."""
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, BoolLit):
@@ -501,30 +502,30 @@ def _expr_source(expr: Expr) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Unary):
-        inner = _expr_source(expr.operand)
+        inner = expr_source(expr.operand)
         return f"(-{inner})" if expr.op == "neg" else f"(not {inner})"
     if isinstance(expr, Binary):
-        return f"({_expr_source(expr.lhs)} {expr.op} {_expr_source(expr.rhs)})"
+        return f"({expr_source(expr.lhs)} {expr.op} {expr_source(expr.rhs)})"
     if isinstance(expr, Call):
-        return f"{expr.name}({', '.join(_expr_source(a) for a in expr.args)})"
+        return f"{expr.name}({', '.join(expr_source(a) for a in expr.args)})"
     if isinstance(expr, Len):
-        return f"len({_expr_source(expr.operand)})"
+        return f"len({expr_source(expr.operand)})"
     if isinstance(expr, Index):
-        return f"{_expr_source(expr.base)}[{_expr_source(expr.index)}]"
+        return f"{expr_source(expr.base)}[{expr_source(expr.index)}]"
     raise TypeError(f"unknown expression node {expr!r}")
 
 
 def _stmt_source(stmt: Stmt, indent: str) -> list[str]:
     if isinstance(stmt, Let):
-        return [f"{indent}let {stmt.name} = {_expr_source(stmt.expr)};"]
+        return [f"{indent}let {stmt.name} = {expr_source(stmt.expr)};"]
     if isinstance(stmt, Assign):
-        return [f"{indent}{stmt.name} = {_expr_source(stmt.expr)};"]
+        return [f"{indent}{stmt.name} = {expr_source(stmt.expr)};"]
     if isinstance(stmt, Return):
-        return [f"{indent}return {_expr_source(stmt.expr)};"]
+        return [f"{indent}return {expr_source(stmt.expr)};"]
     if isinstance(stmt, Throw):
         return [f'{indent}throw "{stmt.tag}";']
     if isinstance(stmt, If):
-        lines = [f"{indent}if ({_expr_source(stmt.cond)}) {{"]
+        lines = [f"{indent}if ({expr_source(stmt.cond)}) {{"]
         for inner in stmt.then_body:
             lines.extend(_stmt_source(inner, indent + "  "))
         if stmt.else_body:
@@ -534,7 +535,7 @@ def _stmt_source(stmt: Stmt, indent: str) -> list[str]:
         lines.append(f"{indent}}}")
         return lines
     if isinstance(stmt, While):
-        lines = [f"{indent}while ({_expr_source(stmt.cond)}) {{"]
+        lines = [f"{indent}while ({expr_source(stmt.cond)}) {{"]
         for inner in stmt.body:
             lines.extend(_stmt_source(inner, indent + "  "))
         lines.append(f"{indent}}}")

@@ -146,9 +146,12 @@ def _swap_body(body: list[Stmt], target: Stmt, new: Stmt | None) -> list[Stmt]:
     return body
 
 
-def _swap(program: Program, target: Stmt, new: Stmt | None) -> Program:
+def _swap(program: Program, target: Stmt, new: Stmt | None, root_id: int,
+          alt_root: Expr | None) -> Program:
     """``program`` with one statement replaced or deleted, sharing every
-    function, statement and expression off the path down to it."""
+    function, statement and expression off the path down to it. The result
+    records the base program, the node id of the replaced statement's root
+    and the root that replaces it (None for a deletion)."""
     functions = []
     for fn in program.functions:
         body = _swap_body(fn.body, target, new)
@@ -159,6 +162,9 @@ def _swap(program: Program, target: Stmt, new: Stmt | None) -> Program:
         line_count=program.line_count,
         branch_count=program.branch_count,
         node_count=program.node_count + 1,  # the negated condition's fresh id
+        base=program,
+        root_id=root_id,
+        alt_root=alt_root,
     )
 
 
@@ -176,7 +182,8 @@ def generate_mutants(program: Program) -> list[Mutant]:
 
         def add(rank: int, operator: str, root: Expr, mutated: Program | None = None) -> None:
             if mutated is None:
-                mutated = _swap(program, stmt, dataclasses.replace(stmt, **{attr: root}))
+                mutated = _swap(program, stmt, dataclasses.replace(stmt, **{attr: root}),
+                                base_root.node_id, root)
             candidates.append((line_id, rank, len(candidates), operator, root, mutated))
 
         nodes = list(walk_expressions(base_root))
@@ -202,7 +209,8 @@ def generate_mutants(program: Program) -> list[Mutant]:
                     add(3, f"const:{delta:+d}",
                         _swap_expr(base_root, expr, IntLit(expr.value + delta, expr.node_id)))
         if type(stmt) is Assign:
-            add(4, DELETE_ASSIGNMENT, Var(stmt.name, base_root.node_id), _swap(program, stmt, None))
+            add(4, DELETE_ASSIGNMENT, Var(stmt.name, base_root.node_id),
+                _swap(program, stmt, None, base_root.node_id, None))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     return [

@@ -515,3 +515,54 @@ def test_cli_experiment_missing_corpus_is_exit_2(tmp_path):
         "engine": {"population_size": 6, "budget": {"generations": 2}},
     }))
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0])
+def test_budget_rejects_a_wall_clock_limit_that_is_not_positive_and_finite(seconds):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Budget(seconds=seconds)
+    with pytest.raises(ValueError):
+        Budget(generations=3, seconds=seconds)
+
+
+def _no_search(monkeypatch) -> list:
+    started = []
+    monkeypatch.setattr(harness, "run_search", lambda *a, **k: started.append(a))
+    monkeypatch.setattr("affsgen.cli.run_search", lambda *a, **k: started.append(a))
+    return started
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf"])
+def test_cli_generate_with_a_non_finite_budget_is_exit_1(tmp_path, capsys, monkeypatch, seconds):
+    started = _no_search(monkeypatch)
+    code = cli_main([
+        "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
+        "--goal", "exceptions", "--strategy", "ucb",
+        "--budget-seconds", seconds, "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert started == [] and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("engine, interp", [
+    ({"budget": {"seconds": float("nan")}}, {}),
+    ({"budget": {"seconds": float("inf")}}, {}),
+    ({"budget": {"generations": 2}}, {"step_limit": "x"}),
+    ({"budget": {"generations": 2}}, {"step_limit": 0}),
+    ({"budget": {"generations": 2}}, {"max_call_depth": 10**6}),
+    ({"budget": {"generations": 2}}, {"frames": 3}),
+], ids=["nan-seconds", "inf-seconds", "step-limit-str", "step-limit-0", "call-depth-huge",
+        "unknown-key"])
+def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch, engine, interp):
+    started = _no_search(monkeypatch)
+    config_path = tmp_path / "exp.json"
+    # json writes NaN and Infinity, and reads them back
+    config_path.write_text(json.dumps({
+        "goal": "exceptions", "strategies": ["ucb"], "trials_per_fault": 1,
+        "corpus": str(_mini_corpus(tmp_path)), "engine": engine, "interp": interp,
+    }))
+    out_dir = tmp_path / "o"
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert started == [] and not out_dir.exists()

@@ -17,7 +17,7 @@ from affsgen.minilang import (
     execute,
     parse,
 )
-from affsgen.minilang.interpreter import FRAME_BUDGET, InterpConfig
+from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import generate_mutants
 
@@ -223,11 +223,10 @@ def test_result_does_not_depend_on_the_callers_stack_depth():
         shallow = execute(program, entry, args)
         assert from_depth(300, program, entry, args) == shallow
     assert execute(worst, "g", (1000,)).outcome.record.kind == "StepLimitExceeded"
-    assert FRAME_BUDGET + 300 < 1000  # Python's default recursion limit
 
 
 def test_plain_recursion_stops_at_the_call_depth_cap():
-    # the frame budget must not cut plain recursion short of max_call_depth
+    # deep expressions and blocks around the call do not cut it short
     assert InterpConfig().max_call_depth == 50
     for source in ("fn f(n:int){ if (n <= 0) { return 0; } return f(n - 1); }",
                    "fn f(n:int){ if (n > 0) { return 1 + f(n - 1); } return 0; }",
@@ -237,80 +236,6 @@ def test_plain_recursion_stops_at_the_call_depth_cap():
         assert isinstance(execute(program, "f", (49,)).outcome, Returned), source
         assert execute(program, "f", (50,)).outcome == Raised(
             ExceptionRecord("StepLimitExceeded", "f")), source
-
-
-_WRAPPERS = ["1 + ({})", "({}) * 2", "({}) == 0", "0 < ({})", "not ({})", "-({})",
-             "true and ({})", "false or ({})", "len({})", "g({})", '"ab"[({})]']
-_STATEMENTS = ["let r = {}; return 0;", "let r = 0; r = {}; return r;", "return {};",
-               "if ({}) {{ return 1; }} return 0;", "while ({}) {{ return 1; }} return 0;"]
-
-
-def _stack_profile(program, entry, args):
-    """Run execute under a profiler. Return the outcome and the Python frames
-    seen: the deepest stack under execute, and (actual, charged) pairs for
-    each call site and for each frame within an activation."""
-    import sys
-
-    from affsgen.minilang import interpreter
-
-    depth = 0
-    active: list[tuple[int, str]] = []  # (stack depth of an activation's call, function)
-    seen = {"deepest": 0, "site": [], "height": []}
-
-    def profile(frame, event, arg):
-        nonlocal depth
-        if event == "call":
-            depth += 1
-            code = frame.f_code
-            if code is interpreter.execute.__code__:
-                active.append((depth, entry))
-            elif active:
-                seen["deepest"] = max(seen["deepest"], depth - active[0][0])
-                sites, heights = interpreter._frame_costs(program)
-                if code is interpreter._Interp._call.__code__:
-                    seen["site"].append((depth - active[-1][0], sites[frame.f_locals["site"]]))
-                    active.append((depth, frame.f_locals["name"]))
-                else:
-                    seen["height"].append((depth - active[-1][0], heights[active[-1][1]]))
-        elif event == "return":
-            if active and active[-1][0] == depth:
-                active.pop()
-            depth -= 1
-
-    sys.setprofile(profile)
-    try:
-        outcome = execute(program, entry, args).outcome
-    finally:
-        sys.setprofile(None)
-    return outcome, seen
-
-
-@settings(max_examples=40, deadline=None)
-@given(wrappers=st.lists(st.sampled_from(_WRAPPERS), max_size=6),
-       statement=st.sampled_from(_STATEMENTS), blocks=st.integers(0, 4))
-def test_static_frame_costs_bound_the_python_stack(wrappers, statement, blocks):
-    expr = "f(n - 1)"
-    for wrapper in wrappers:
-        expr = wrapper.format(expr)
-    body = statement.format(expr)
-    for _ in range(blocks):
-        body = f"if (n > 0) {{ {body} }} return 0;"
-    program = parse("fn g(x:int){ return x; } "
-                    f"fn f(n:int){{ if (n <= 0) {{ return 0; }} {body} }}")
-    outcome, seen = _stack_profile(program, "f", (60,))
-    assert outcome == Raised(ExceptionRecord("StepLimitExceeded", "f"))
-    assert len(seen["site"]) >= 10
-    for actual, charged in seen["site"] + seen["height"]:
-        assert actual <= charged
-    assert seen["deepest"] <= FRAME_BUDGET
-
-
-def test_worst_case_recursion_stays_within_the_frame_budget():
-    outcome, seen = _stack_profile(parse(_worst_case_recursion()), "g", (1000,))
-    assert outcome == Raised(ExceptionRecord("StepLimitExceeded", "g"))
-    for actual, charged in seen["site"] + seen["height"]:
-        assert actual <= charged
-    assert FRAME_BUDGET // 2 < seen["deepest"] <= FRAME_BUDGET
 
 
 def test_explicit_throw_carries_tag_and_function():
@@ -436,7 +361,7 @@ def test_every_execution_terminates_within_step_limit():
 
 
 @pytest.mark.xfail(raises=OverflowError, strict=True, reason=(
-    "p06 defect: _Interp._compare converts int operands with float(int(x)), which "
+    "p06 defect: comparisons convert int operands with float(), which "
     "overflows once a value passes float range. Clamping to +-inf there turned the 36 "
     "failing p06 trials of the benchmark's sweep workload into completed runs: 62 s "
     "serial instead of 11 s, against 51 s for all 432 sweep trials today "
