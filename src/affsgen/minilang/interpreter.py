@@ -71,8 +71,10 @@ Value = Union[int, bool, str]
 # even when execute is called from 300 frames deep.
 MAX_CALL_DEPTH = 100
 
-# compiled base programs kept, the least recently first run evicted first
+# compiled base programs kept, the least recently first run evicted first;
+# and schema-run hook sets kept per program
 _MODULE_CACHE = 64
+_SCHEMA_CACHE = 4
 
 
 class UnknownFunctionError(ValueError):
@@ -227,7 +229,7 @@ class _Compiled:
     functions and alternatives compiled into it on demand."""
 
     __slots__ = ("program", "namespace", "roots", "index", "instrumented", "lean",
-                 "_root_functions", "_alternatives")
+                 "_root_functions", "_alternatives", "_schemas")
 
     def __init__(self, program: Program):
         source, self.roots = codegen.program_source(program)
@@ -239,6 +241,7 @@ class _Compiled:
         self.lean = [self.namespace[f"K{i}"] for i in range(len(program.functions))]
         self._root_functions: dict[tuple[int, bool], object] = {}
         self._alternatives: dict[tuple[int, str], object] = {}
+        self._schemas: dict[tuple[int, InterpConfig], tuple] = {}
 
     def _define(self, name: str, expr: Expr, node_id: int, instrumented: bool):
         source = codegen.root_source(name, self.roots[node_id], expr, instrumented, self.program)
@@ -254,6 +257,18 @@ class _Compiled:
                 f"{'B' if instrumented else 'b'}{node_id}", self.roots[node_id].expr,
                 node_id, instrumented)
         return fn
+
+    def schema(self, roots: dict, config: InterpConfig) -> tuple[list, dict]:
+        """The side hooks of a schema run over ``roots``, built once for the
+        last few root sets and kept; see ``_side_hooks``."""
+        key = (id(roots), config)
+        entry = self._schemas.get(key)
+        if entry is None or entry[0] is not roots:
+            entry = (roots, *_side_hooks(self, _NO_HOOKS, roots, config, True))
+            while len(self._schemas) >= _SCHEMA_CACHE:
+                del self._schemas[next(iter(self._schemas))]
+            self._schemas[key] = entry
+        return entry[1], entry[2]
 
     def alternative(self, node_id: int, expr: Expr):
         """``expr`` evaluated in place of root ``node_id``, in lean code."""
@@ -309,8 +324,9 @@ class Sides:
     raise identity differs from the root's, and ``drifted`` when only the
     step count after it does. An alternative without a program is a deleted
     assignment: its value is the old value of the variable ``expr`` names,
-    taken without a step. Instances hash by identity, so a call's arguments
-    stay hashable.
+    taken without a step. The hooks a schema run builds from ``roots`` are
+    kept for later runs over the same dict, which must not change. Instances
+    hash by identity, so a call's arguments stay hashable.
     """
 
     __slots__ = ("roots", "evals", "infected", "drifted")
@@ -322,10 +338,11 @@ class Sides:
         self.drifted: set = set()
 
 
-def _side_hook(sides: Sides, node_id: int, alternatives: list[tuple], inner, pred: bool,
+def _side_hook(box: list, node_id: int, alternatives: list[tuple], inner, pred: bool,
                target: int, config: InterpConfig):
-    """A hook that evaluates a root through ``inner``, counts it, and redoes
-    its alternatives; ``pred`` when ``inner`` gives a predicate's triple."""
+    """A hook that evaluates a root through ``inner``, counts it in the run's
+    ``Sides`` (``box[0]``), and redoes its alternatives; ``pred`` when
+    ``inner`` gives a predicate's triple."""
     redo = []
     for key, program, _ in alternatives:
         if program is None:
@@ -334,50 +351,60 @@ def _side_hook(sides: Sides, node_id: int, alternatives: list[tuple], inner, pre
             hooks = _plan(program)[1]
             redo.append((key, hooks[program.root_id],
                          (config.step_limit, config.max_call_depth - 1, hooks)))
-    evals, infected, drifted = sides.evals, sides.infected, sides.drifted
-
-    def compare(seen: tuple, after: int, start: int, depth: int, env: tuple) -> None:
-        for key, alternative, context in redo:
-            if key in infected:
-                continue
-            if alternative is None:
-                value = env[target]
-                if (type(value), value) != seen:
-                    infected.add(key)
-                continue
-            try:
-                value, steps = alternative(context, start, depth, *env)
-            except MiniJError as err:
-                if ("raise", err.record.identity) != seen:
-                    infected.add(key)
-                continue
-            if (type(value), value) != seen:
-                infected.add(key)
-            elif steps != after:
-                drifted.add(key)
 
     def hook(C, S, D, *env):
-        counts = evals.get(node_id)
+        sides = box[0]
+        counts = sides.evals.get(node_id)
         if counts is None:
-            counts = evals[node_id] = [0, 0]
+            counts = sides.evals[node_id] = [0, 0]
+        infected = sides.infected
         try:
             result, after = inner(C, S, D, *env)
         except MiniJError as err:
             counts[1] += 1
-            compare(("raise", err.record.identity), -1, S, D, env)
+            # only a redo that raises the same error is not infected
+            for key, alternative, context in redo:
+                if key in infected:
+                    continue
+                try:
+                    if alternative is not None:
+                        alternative(context, S, D, *env)
+                except MiniJError as other:
+                    if other.record.identity == err.record.identity:
+                        continue
+                infected.add(key)
             raise
         counts[0] += 1
         value = result[0] if pred else result
-        compare((type(value), value), after, S, D, env)
+        for key, alternative, context in redo:
+            if key in infected:
+                continue
+            if alternative is None:
+                other = env[target]
+                if other != value or type(other) is not type(value):
+                    infected.add(key)
+                continue
+            try:
+                other, steps = alternative(context, S, D, *env)
+            except MiniJError:
+                infected.add(key)
+                continue
+            if other != value or type(other) is not type(value):
+                infected.add(key)
+            elif steps != after:
+                sides.drifted.add(key)
         return result, after
 
     return hook
 
 
-def _with_sides(module: _Compiled, hooks: dict, sides: Sides, config: InterpConfig,
-                instrumented: bool) -> dict:
+def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfig,
+                instrumented: bool) -> tuple[list, dict]:
+    """``hooks`` plus one for each root ``roots`` lists, and the box they
+    read the run's ``Sides`` from."""
+    box: list = [None]
     hooks = dict(hooks)
-    for node_id, alternatives in sides.roots.items():
+    for node_id, alternatives in roots.items():
         info = module.roots.get(node_id)
         if info is None:
             continue  # not a root of this program
@@ -388,9 +415,9 @@ def _with_sides(module: _Compiled, hooks: dict, sides: Sides, config: InterpConf
         else:
             inner = module.root_function(node_id, instrumented)
             pred = instrumented and info.cond
-        hooks[node_id] = _side_hook(sides, node_id, alternatives, inner, pred, info.target,
+        hooks[node_id] = _side_hook(box, node_id, alternatives, inner, pred, info.target,
                                     config)
-    return hooks
+    return box, hooks
 
 
 # --- execution -------------------------------------------------------------------
@@ -429,8 +456,13 @@ def execute(
 
     module, hooks = program._compiled or _plan(program)
     kill = program.base is not None
+    box = previous = None
     if sides is not None:
-        hooks = _with_sides(module, hooks, sides, config, not kill)
+        if kill:
+            box, hooks = _side_hooks(module, hooks, sides.roots, config, False)
+        else:
+            box, hooks = module.schema(sides.roots, config)
+        previous, box[0] = box[0], sides
     index = module.index[entry]
     limit, deepest = config.step_limit, config.max_call_depth - 1
     lines: set[int] = set()
@@ -446,6 +478,9 @@ def execute(
         outcome = Returned(value)
     except MiniJError as err:
         outcome, steps = Raised(err.record), err.steps
+    finally:
+        if box is not None:
+            box[0] = previous
     if kill:
         return ExecutionResult(_EMPTY, (), _EMPTY, outcome, steps)
     return ExecutionResult(

@@ -98,18 +98,18 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         results.append(result)
         lines |= result.lines_hit
         called |= result.called_functions
-        for ev in result.branch_evals:
-            best = branch_best.setdefault(ev.branch_id, [INF, INF])
-            if ev.distance_true < best[0]:
-                best[0] = ev.distance_true
-            if ev.distance_false < best[1]:
-                best[1] = ev.distance_false
-            if ev.direct:
-                best = branch_best_direct.setdefault(ev.branch_id, [INF, INF])
-                if ev.distance_true < best[0]:
-                    best[0] = ev.distance_true
-                if ev.distance_false < best[1]:
-                    best[1] = ev.distance_false
+        for branch_id, _, distance_true, distance_false, direct in result.branch_evals:
+            best = branch_best.setdefault(branch_id, [INF, INF])
+            if distance_true < best[0]:
+                best[0] = distance_true
+            if distance_false < best[1]:
+                best[1] = distance_false
+            if direct:
+                best = branch_best_direct.setdefault(branch_id, [INF, INF])
+                if distance_true < best[0]:
+                    best[0] = distance_true
+                if distance_false < best[1]:
+                    best[1] = distance_false
         if isinstance(result.outcome, Raised):
             exceptions.add(result.outcome.record.identity)
         else:
