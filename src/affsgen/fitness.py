@@ -11,7 +11,7 @@ import enum
 import math
 from typing import Iterable
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Schema, Sides
 from affsgen.minilang.nodes import (
     Binary,
     BoolLit,
@@ -254,7 +254,7 @@ class FitnessContext:
         self.buckets = output_buckets(program)
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._mutants: list[Mutant] | None = None
-        self._schema_roots: dict[int, list[tuple]] | None = None
+        self._schema_roots: Schema | None = None
         self._calls: dict[tuple, ExecutionResult] = {}
         self._schema_runs: dict[tuple, Sides] = {}
         self._traces: dict[TestCase, TestTrace] = {}

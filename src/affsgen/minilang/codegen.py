@@ -36,6 +36,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from affsgen.minilang.interpreter import (
+    DIV_BY_ZERO,
+    EXPLICIT_THROW,
+    INDEX_OUT_OF_BOUNDS,
+    STEP_LIMIT_EXCEEDED,
+    TYPE_ERROR,
+)
 from affsgen.minilang.nodes import (
     Assign,
     Binary,
@@ -61,11 +68,6 @@ from affsgen.minilang.nodes import (
     walk_statements,
 )
 
-DIV_BY_ZERO = "DivByZero"
-INDEX_OUT_OF_BOUNDS = "IndexOutOfBounds"
-EXPLICIT_THROW = "ExplicitThrow"
-STEP_LIMIT_EXCEEDED = "StepLimitExceeded"
-TYPE_ERROR = "TypeError"
 
 # nested loops, and indentation levels, in one generated function before a
 # statement block is outlined; and indentation before an expression is

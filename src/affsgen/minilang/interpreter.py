@@ -41,25 +41,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from affsgen.minilang import codegen
-from affsgen.minilang.codegen import (
-    DIV_BY_ZERO,
-    EXPLICIT_THROW,
-    INDEX_OUT_OF_BOUNDS,
-    STEP_LIMIT_EXCEEDED,
-    TYPE_ERROR,
-)
 from affsgen.minilang.nodes import Expr, Program
 from affsgen.minilang.parser import expr_source, to_source
 
 __all__ = [
     "DIV_BY_ZERO", "EXPLICIT_THROW", "INDEX_OUT_OF_BOUNDS", "STEP_LIMIT_EXCEEDED",
     "TYPE_ERROR", "K", "MAX_CALL_DEPTH", "ArityError", "BranchEval", "ExceptionRecord",
-    "ExecutionResult", "InterpConfig", "MiniJError", "Raised", "Returned", "Sides",
+    "ExecutionResult", "InterpConfig", "MiniJError", "Raised", "Returned", "Schema", "Sides",
     "UnknownFunctionError", "branch_distance", "execute", "kind_of", "string_eq_distance",
 ]
 
 K = 1.0  # offset for strict inequalities and != when the predicate just fails
+
+DIV_BY_ZERO = "DivByZero"
+INDEX_OUT_OF_BOUNDS = "IndexOutOfBounds"
+EXPLICIT_THROW = "ExplicitThrow"
+STEP_LIMIT_EXCEEDED = "StepLimitExceeded"
+TYPE_ERROR = "TypeError"
 
 Value = Union[int, bool, str]
 
@@ -71,10 +69,8 @@ Value = Union[int, bool, str]
 # even when execute is called from 300 frames deep.
 MAX_CALL_DEPTH = 100
 
-# compiled base programs kept, the least recently first run evicted first;
-# and schema-run hook sets kept per program
-_MODULE_CACHE = 64
-_SCHEMA_CACHE = 4
+# compiled base programs kept, the least recently first run evicted first
+_MODULE_CACHE = 8
 
 
 class UnknownFunctionError(ValueError):
@@ -229,9 +225,11 @@ class _Compiled:
     functions and alternatives compiled into it on demand."""
 
     __slots__ = ("program", "namespace", "roots", "index", "instrumented", "lean",
-                 "_root_functions", "_alternatives", "_schemas")
+                 "_root_functions", "_alternatives")
 
     def __init__(self, program: Program):
+        from affsgen.minilang import codegen  # imported on the first run, not with the package
+
         source, self.roots = codegen.program_source(program)
         self.program = program
         self.namespace = dict(_RUNTIME)
@@ -241,9 +239,10 @@ class _Compiled:
         self.lean = [self.namespace[f"K{i}"] for i in range(len(program.functions))]
         self._root_functions: dict[tuple[int, bool], object] = {}
         self._alternatives: dict[tuple[int, str], object] = {}
-        self._schemas: dict[tuple[int, InterpConfig], tuple] = {}
 
     def _define(self, name: str, expr: Expr, node_id: int, instrumented: bool):
+        from affsgen.minilang import codegen
+
         source = codegen.root_source(name, self.roots[node_id], expr, instrumented, self.program)
         exec(compile(source, f"<minij {self.program.source_id} {name}>", "exec"), self.namespace)
         return self.namespace[name]
@@ -257,18 +256,6 @@ class _Compiled:
                 f"{'B' if instrumented else 'b'}{node_id}", self.roots[node_id].expr,
                 node_id, instrumented)
         return fn
-
-    def schema(self, roots: dict, config: InterpConfig) -> tuple[list, dict]:
-        """The side hooks of a schema run over ``roots``, built once for the
-        last few root sets and kept; see ``_side_hooks``."""
-        key = (id(roots), config)
-        entry = self._schemas.get(key)
-        if entry is None or entry[0] is not roots:
-            entry = (roots, *_side_hooks(self, _NO_HOOKS, roots, config, True))
-            while len(self._schemas) >= _SCHEMA_CACHE:
-                del self._schemas[next(iter(self._schemas))]
-            self._schemas[key] = entry
-        return entry[1], entry[2]
 
     def alternative(self, node_id: int, expr: Expr):
         """``expr`` evaluated in place of root ``node_id``, in lean code."""
@@ -324,9 +311,8 @@ class Sides:
     raise identity differs from the root's, and ``drifted`` when only the
     step count after it does. An alternative without a program is a deleted
     assignment: its value is the old value of the variable ``expr`` names,
-    taken without a step. The hooks a schema run builds from ``roots`` are
-    kept for later runs over the same dict, which must not change. Instances
-    hash by identity, so a call's arguments stay hashable.
+    taken without a step. Instances hash by identity, so a call's arguments
+    stay hashable.
     """
 
     __slots__ = ("roots", "evals", "infected", "drifted")
@@ -338,21 +324,45 @@ class Sides:
         self.drifted: set = set()
 
 
+class Schema(dict):
+    """``Sides`` roots for many schema runs of one base program: the hooks
+    the first run builds from them are kept here for the others, so the
+    roots must not change after it."""
+
+    __slots__ = ("hooks",)
+
+    def __init__(self, roots: dict):
+        super().__init__(roots)
+        self.hooks: dict[tuple[int, InterpConfig], tuple[list, dict]] = {}
+
+
 def _side_hook(box: list, node_id: int, alternatives: list[tuple], inner, pred: bool,
-               target: int, config: InterpConfig):
-    """A hook that evaluates a root through ``inner``, counts it in the run's
-    ``Sides`` (``box[0]``), and redoes its alternatives; ``pred`` when
-    ``inner`` gives a predicate's triple."""
-    redo = []
-    for key, program, _ in alternatives:
-        if program is None:
-            redo.append((key, None, None))
-        else:
-            hooks = _plan(program)[1]
-            redo.append((key, hooks[program.root_id],
-                         (config.step_limit, config.max_call_depth - 1, hooks)))
+               target: int, config: InterpConfig, module: _Compiled):
+    """A hook that evaluates a root, counts it in the run's ``Sides``
+    (``box[0]``), and redoes its alternatives. The root is evaluated
+    through ``inner``, or, when that is None, through the base program's
+    root function, compiled with the alternatives on the first evaluation;
+    ``pred`` when it gives a predicate's triple."""
+    redo = None
+
+    def prepare() -> list:
+        nonlocal inner
+        if inner is None:
+            inner = module.root_function(node_id, True)
+        prepared = []
+        for key, program, _ in alternatives:
+            if program is None:
+                prepared.append((key, None, None))
+            else:
+                hooks = _plan(program)[1]
+                prepared.append((key, hooks[program.root_id],
+                                 (config.step_limit, config.max_call_depth - 1, hooks)))
+        return prepared
 
     def hook(C, S, D, *env):
+        nonlocal redo
+        if redo is None:
+            redo = prepare()
         sides = box[0]
         counts = sides.evals.get(node_id)
         if counts is None:
@@ -412,11 +422,12 @@ def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfi
             inner, pred = hooks[node_id], False
             if inner is None:
                 continue  # a deleted statement, which never runs
+        elif instrumented:
+            inner, pred = None, info.cond
         else:
-            inner = module.root_function(node_id, instrumented)
-            pred = instrumented and info.cond
+            inner, pred = module.root_function(node_id, False), False
         hooks[node_id] = _side_hook(box, node_id, alternatives, inner, pred, info.target,
-                                    config)
+                                    config, module)
     return box, hooks
 
 
@@ -458,10 +469,13 @@ def execute(
     kill = program.base is not None
     box = previous = None
     if sides is not None:
-        if kill:
-            box, hooks = _side_hooks(module, hooks, sides.roots, config, False)
-        else:
-            box, hooks = module.schema(sides.roots, config)
+        kept = None if kill else getattr(sides.roots, "hooks", None)
+        built = None if kept is None else kept.get((id(module), config))
+        if built is None:
+            built = _side_hooks(module, hooks, sides.roots, config, not kill)
+            if kept is not None:
+                kept[(id(module), config)] = built
+        box, hooks = built
         previous, box[0] = box[0], sides
     index = module.index[entry]
     limit, deepest = config.step_limit, config.max_call_depth - 1

@@ -76,8 +76,9 @@ KEYWORDS = {
 }
 
 # Deepest expression tree, and deepest bracket nesting, a program may use.
-# The parser, the interpreter and the tree walkers recurse once per level,
-# so past this a deep expression would exhaust Python's recursion limit.
+# The parser, the code generator and the tree walkers recurse once per
+# level, so past this a deep expression would exhaust Python's recursion
+# limit.
 MAX_EXPR_DEPTH = 64
 
 # Deepest nesting of statement blocks (a function body is one level, each

@@ -10,7 +10,13 @@ Operator table (rank order):
 Mutants keep the base program's line, branch, and expression ids, so traces
 from the base program line up with the mutated one. A mutated program
 copies only the path from its function down to the swapped node and shares
-every other node with the base program.
+every other node with the base program. It also records its base program,
+the node id of the statement root it replaces and the root that replaces
+it (none for a deleted assignment). That is all a mutant run needs: it runs
+the base program's compiled module, whose guard at that root evaluates the
+mutant's root, compiled on its own, or skips the deleted statement, tick
+included (see ``interpreter``). Such a kill run reports only its outcome
+and step count.
 
 Classification takes one call at a time (calls share no state). One schema
 run of the base program per call (Untch, Offutt and Harrold, ISSTA 1993)
@@ -38,7 +44,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, execute
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Schema, Sides, execute
 from affsgen.minilang.nodes import (
     ARITHMETIC_OPS,
     Assign,
@@ -223,17 +229,17 @@ def generate_mutants(program: Program) -> list[Mutant]:
 # --- classification ---------------------------------------------------------
 
 
-def schema_roots(mutants: Iterable[Mutant]) -> dict[int, list[tuple]]:
-    """The ``Sides`` roots of a schema run: one alternative per mutant, keyed by its id."""
+def schema_roots(mutants: Iterable[Mutant]) -> Schema:
+    """The ``Sides`` roots of schema runs: one alternative per mutant, keyed by its id."""
     roots: dict[int, list[tuple]] = {}
     for mutant in mutants:
         program = None if mutant.operator == DELETE_ASSIGNMENT else mutant.mutated_program
         roots.setdefault(mutant.root.node_id, []).append(
             (mutant.mutant_id, program, mutant.root))
-    return roots
+    return Schema(roots)
 
 
-def schema_run(program: Program, roots: dict[int, list[tuple]], function: str, args: tuple,
+def schema_run(program: Program, roots: Schema, function: str, args: tuple,
                config: InterpConfig = InterpConfig()) -> Sides:
     """Run ``program`` once on a call, redoing every listed mutant's root on the side."""
     sides = Sides(roots)
