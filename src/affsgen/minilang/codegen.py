@@ -1,9 +1,9 @@
 """Python source for MiniJ programs, in mutant-schema form.
 
-``program_source`` emits one Python function per MiniJ function in two
-variants: an instrumented one (prefix ``I``) that records lines, branch
-evaluations and called functions, and a lean one (prefix ``K``) that keeps
-only the step count and the outcome. ``root_source`` emits one statement
+``program_source`` emits one Python function per MiniJ function, in one
+of two variants: instrumented (prefix ``I``), which records lines, branch
+evaluations and called functions, or lean (prefix ``K``), which keeps only
+the step count and the outcome. ``root_source`` emits one statement
 root as a function of its own, for hooks and mutant alternatives. The
 emitted code runs in a namespace that ``interpreter`` supplies: ``E`` (the
 ``MiniJError`` class), ``X`` (records the lines of a group of ticks that
@@ -669,23 +669,23 @@ def _locals(fn: FunctionDef) -> dict[str, str]:
     return names
 
 
-def program_source(program: Program) -> tuple[str, dict[int, RootInfo]]:
-    """The Python source of a program's functions, and what each statement
-    root's hook sees. MiniJ function ``i`` (in program order) becomes
-    ``I{i}`` and ``K{i}``."""
-    module = _Module(program)
+def program_source(program: Program, instrumented: bool) -> tuple[str, dict[int, RootInfo]]:
+    """The Python source of one variant of a program's functions, and what
+    each statement root's hook sees. MiniJ function ``i`` (in program order)
+    becomes ``I{i}``, instrumented, or ``K{i}``, lean."""
+    prefix = "I" if instrumented else "K"
+    module = _Module(program, prefix=f"{prefix}_")
     for i, fn in enumerate(program.functions):
         names = _locals(fn)
         params = tuple(names[p] for p, _ in fn.params)
         unbound = [v for n, v in names.items() if v not in params]
-        for instrumented in (True, False):
-            code = _Code(module, fn.name, instrumented, names, params)
-            if unbound:
-                code.emit(" = ".join(unbound) + " = U")
-            if not code.block(fn.body):
-                code.flush()
-                code.ret("0")  # falling off the end yields int 0
-            module.sources.append(code.finish(f"{'I' if instrumented else 'K'}{i}", params))
+        code = _Code(module, fn.name, instrumented, names, params)
+        if unbound:
+            code.emit(" = ".join(unbound) + " = U")
+        if not code.block(fn.body):
+            code.flush()
+            code.ret("0")  # falling off the end yields int 0
+        module.sources.append(code.finish(f"{prefix}{i}", params))
     return "\n".join(module.sources) + "\n", module.roots
 
 

@@ -221,30 +221,40 @@ _RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_dis
 
 
 class _Compiled:
-    """One base program's generated module: its functions, and the root
-    functions and alternatives compiled into it on demand."""
+    """One base program's generated module: its functions, in the
+    instrumented and the lean variant, and the root functions and
+    alternatives compiled into it, each on first use."""
 
-    __slots__ = ("program", "namespace", "roots", "index", "instrumented", "lean",
+    __slots__ = ("program", "namespace", "roots", "index", "_functions",
                  "_root_functions", "_alternatives")
 
     def __init__(self, program: Program):
-        from affsgen.minilang import codegen  # imported on the first run, not with the package
-
-        source, self.roots = codegen.program_source(program)
         self.program = program
         self.namespace = dict(_RUNTIME)
-        exec(compile(source, f"<minij {program.source_id}>", "exec"), self.namespace)
+        self.roots: dict = {}
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
-        self.instrumented = [self.namespace[f"I{i}"] for i in range(len(program.functions))]
-        self.lean = [self.namespace[f"K{i}"] for i in range(len(program.functions))]
+        self._functions: list = [None, None]  # lean, instrumented
         self._root_functions: dict[tuple[int, bool], object] = {}
         self._alternatives: dict[tuple[int, str], object] = {}
 
-    def _define(self, name: str, expr: Expr, node_id: int, instrumented: bool):
-        from affsgen.minilang import codegen
-
-        source = codegen.root_source(name, self.roots[node_id], expr, instrumented, self.program)
+    def _exec(self, source: str, name: str) -> None:
         exec(compile(source, f"<minij {self.program.source_id} {name}>", "exec"), self.namespace)
+
+    def functions(self, instrumented: bool) -> list:
+        """The program's functions in one variant, in program order."""
+        functions = self._functions[instrumented]
+        if functions is None:
+            source, self.roots = codegen.program_source(self.program, instrumented)
+            prefix = "I" if instrumented else "K"
+            self._exec(source, prefix)
+            functions = self._functions[instrumented] = [
+                self.namespace[f"{prefix}{i}"] for i in range(len(self.program.functions))]
+        return functions
+
+    def _define(self, name: str, expr: Expr, node_id: int, instrumented: bool):
+        self.functions(instrumented)  # what the root's code may call, and its hook information
+        self._exec(codegen.root_source(name, self.roots[node_id], expr, instrumented,
+                                       self.program), name)
         return self.namespace[name]
 
     def root_function(self, node_id: int, instrumented: bool):
@@ -252,6 +262,7 @@ class _Compiled:
         key = (node_id, instrumented)
         fn = self._root_functions.get(key)
         if fn is None:
+            self.functions(instrumented)
             fn = self._root_functions[key] = self._define(
                 f"{'B' if instrumented else 'b'}{node_id}", self.roots[node_id].expr,
                 node_id, instrumented)
@@ -467,6 +478,7 @@ def execute(
 
     module, hooks = program._compiled or _plan(program)
     kill = program.base is not None
+    function = module.functions(not kill)[module.index[entry]]
     box = previous = None
     if sides is not None:
         kept = None if kill else getattr(sides.roots, "hooks", None)
@@ -477,7 +489,6 @@ def execute(
                 kept[(id(module), config)] = built
         box, hooks = built
         previous, box[0] = box[0], sides
-    index = module.index[entry]
     limit, deepest = config.step_limit, config.max_call_depth - 1
     lines: set[int] = set()
     branches: list[BranchEval] = []
@@ -485,10 +496,10 @@ def execute(
     outcome: Outcome
     try:
         if kill:
-            value, steps = module.lean[index]((limit, deepest, hooks), 0, 0, *args)
+            value, steps = function((limit, deepest, hooks), 0, 0, *args)
         else:
             context = (limit, deepest, hooks, lines.add, branches.append, called.add)
-            value, steps = module.instrumented[index](context, 0, 0, *args)
+            value, steps = function(context, 0, 0, *args)
         outcome = Returned(value)
     except MiniJError as err:
         outcome, steps = Raised(err.record), err.steps
@@ -504,3 +515,7 @@ def execute(
         outcome=outcome,
         steps=steps,
     )
+
+
+# the code generator reads this module's error kinds, so it comes last
+from affsgen.minilang import codegen  # noqa: E402
