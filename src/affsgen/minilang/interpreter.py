@@ -244,6 +244,8 @@ class _Compiled:
         """The program's functions in one variant, in program order."""
         functions = self._functions[instrumented]
         if functions is None:
+            from affsgen.minilang import codegen  # imported on the first run, not with the package
+
             source, self.roots = codegen.program_source(self.program, instrumented)
             prefix = "I" if instrumented else "K"
             self._exec(source, prefix)
@@ -252,6 +254,8 @@ class _Compiled:
         return functions
 
     def _define(self, name: str, expr: Expr, node_id: int, instrumented: bool):
+        from affsgen.minilang import codegen
+
         self.functions(instrumented)  # what the root's code may call, and its hook information
         self._exec(codegen.root_source(name, self.roots[node_id], expr, instrumented,
                                        self.program), name)
@@ -515,7 +519,3 @@ def execute(
         outcome=outcome,
         steps=steps,
     )
-
-
-# the code generator reads this module's error kinds, so it comes last
-from affsgen.minilang import codegen  # noqa: E402

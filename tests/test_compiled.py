@@ -275,17 +275,19 @@ def test_generated_code_compiles_and_runs_at_both_parser_caps():
         config = InterpConfig(step_limit=steps)
         assert execute(program, "f", args, config) == treewalk.execute(program, "f", args, config)
     assert execute(program, "f", (10,)).outcome == Returned(9)  # recursed down to x == 1
-    mutants = generate_mutants(program)
+    # every alternative of a chain's root compiles the whole chain: take a sample
+    mutants = generate_mutants(program)[::20]
     roots = schema_roots(mutants)
     # the tree walker stacks hundreds of Python frames per activation here
-    _assert_same_runs(program, "f", (1,), InterpConfig(), mutants[::7], roots)
+    _assert_same_runs(program, "f", (1,), InterpConfig(), mutants, roots)
 
 
 def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_python_frames():
     assert sys.getrecursionlimit() >= 1000
     config = InterpConfig(max_call_depth=MAX_CALL_DEPTH, step_limit=10**7)
     program = parse(_deepest_program())
-    mutants = generate_mutants(program)
+    # the recursion's root (its only arithmetic), hooked at every level
+    mutants = [m for m in generate_mutants(program) if m.operator.startswith("aor")]
     roots = schema_roots(mutants)
 
     def from_depth(frames, run):
