@@ -591,9 +591,8 @@ class _Code:
         code = _Code(self.module, self.fname, self.instrumented, self.names, self.defined,
                      block_vars=order)
         done = code.block(body)
-        if not done:
-            code.flush()
-            code.ret("U")
+        code.flush()
+        code.ret("U")
         self.module.sources.append(code.finish(name, order))
         values = "".join(", " + v for v in order)
         self.emit(f"S, R{values} = {name}(C, S, D{values})")
@@ -638,10 +637,8 @@ class _Code:
                 return emit_arm
 
             self.branch(t, arm(stmt.then_body), arm(stmt.else_body))
-            if not outs:
-                return True
-            self.defined = set.intersection(*outs)
-            return False
+            self.defined = set.intersection(*outs) if outs else before
+            return not outs
         if cls is While:
             self.flush()  # the loop head is a join point
             before = set(self.defined)
@@ -682,9 +679,9 @@ def program_source(program: Program, instrumented: bool) -> tuple[str, dict[int,
         code = _Code(module, fn.name, instrumented, names, params)
         if unbound:
             code.emit(" = ".join(unbound) + " = U")
-        if not code.block(fn.body):
-            code.flush()
-            code.ret("0")  # falling off the end yields int 0
+        code.block(fn.body)
+        code.flush()
+        code.ret("0")  # falling off the end yields int 0
         module.sources.append(code.finish(f"{prefix}{i}", params))
     return "\n".join(module.sources) + "\n", module.roots
 

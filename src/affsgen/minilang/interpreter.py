@@ -253,12 +253,15 @@ class _Compiled:
                 self.namespace[f"{prefix}{i}"] for i in range(len(self.program.functions))]
         return functions
 
-    def _define(self, name: str, expr: Expr, node_id: int, instrumented: bool):
+    def _define(self, name: str, node_id: int, expr: Expr | None, instrumented: bool):
+        """Compile ``expr``, or the base program's root when None, as a
+        function ``name`` evaluating root ``node_id``."""
         from affsgen.minilang import codegen
 
         self.functions(instrumented)  # what the root's code may call, and its hook information
-        self._exec(codegen.root_source(name, self.roots[node_id], expr, instrumented,
-                                       self.program), name)
+        info = self.roots[node_id]
+        self._exec(codegen.root_source(name, info, info.expr if expr is None else expr,
+                                       instrumented, self.program), name)
         return self.namespace[name]
 
     def root_function(self, node_id: int, instrumented: bool):
@@ -266,10 +269,8 @@ class _Compiled:
         key = (node_id, instrumented)
         fn = self._root_functions.get(key)
         if fn is None:
-            self.functions(instrumented)
             fn = self._root_functions[key] = self._define(
-                f"{'B' if instrumented else 'b'}{node_id}", self.roots[node_id].expr,
-                node_id, instrumented)
+                f"{'B' if instrumented else 'b'}{node_id}", node_id, None, instrumented)
         return fn
 
     def alternative(self, node_id: int, expr: Expr):
@@ -278,7 +279,7 @@ class _Compiled:
         fn = self._alternatives.get(key)
         if fn is None:
             fn = self._alternatives[key] = self._define(
-                f"A{len(self._alternatives)}", expr, node_id, False)
+                f"A{len(self._alternatives)}", node_id, expr, False)
         return fn
 
 

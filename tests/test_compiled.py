@@ -1,6 +1,7 @@
 """Compiled execution against the reference tree walker, and the semantics
 that are easy to get wrong."""
 
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treewalk
+from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, parse
+from affsgen.minilang.codegen import program_source
 from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Sides, execute
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from affsgen.mutation import generate_mutants, schema_roots
@@ -254,25 +257,48 @@ def test_compiled_code_is_shared_by_equal_programs_and_by_mutants():
     assert first._compiled[0] is second._compiled[0] is mutant.mutated_program._compiled[0]
 
 
+def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
+    program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
+    context = FitnessContext(program)
+    assert context.mutants
+    assert program._compiled is None
+    assert all(m.mutated_program._compiled is None for m in context.mutants)
+    first = execute(program, "f", (2,))
+    assert program._compiled is not None
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy._compiled is None
+    assert execute(copy, "f", (2,)) == first
+
+
 # --- CPython's limits and the stack --------------------------------------------------
 
 
-def _deepest_program() -> str:
-    """Whiles nested as deep as the parser admits (the function body is the
-    first block), and/or chains MAX_EXPR_DEPTH deep in the outermost and
-    the innermost condition, and a recursion at the bottom."""
+def _deepest_program(block: str = "while") -> str:
+    """``block`` statements nested as deep as the parser admits (the
+    function body is the first block), and/or chains MAX_EXPR_DEPTH deep in
+    the outermost and the innermost condition, and a recursion at the
+    bottom. Nested whiles outline blocks; nested ifs, which CPython does not
+    count as loops, outline the innermost chain."""
     chain = "(x > 0)"
     for i in range(MAX_EXPR_DEPTH - 2):
         chain = f"((x > {i % 3}) {'and' if i % 2 else 'or'} {chain})"
-    body = f"while ({chain}) {{ return g(x - 1) + 1; }}"
+    body = f"{block} ({chain}) {{ return g(x - 1) + 1; }}"
     for _ in range(MAX_BLOCK_DEPTH - 3):
-        body = f"while (x > 0) {{ {body} }}"
-    return (f"fn g(x:int){{ while ({chain}) {{ {body} }} return 0; }}"
+        body = f"{block} (x > 0) {{ {body} }}"
+    return (f"fn g(x:int){{ {block} ({chain}) {{ {body} }} return 0; }}"
             "fn f(x:int){ return g(x); }")
 
 
-def test_generated_code_compiles_and_runs_at_both_parser_caps():
-    program = parse(_deepest_program())
+@pytest.mark.parametrize("block, helpers", [("while", "O"), ("if", "X")])
+def test_deep_programs_are_outlined_into_helpers(block, helpers):
+    for instrumented in (True, False):
+        source, _ = program_source(parse(_deepest_program(block)), instrumented)
+        assert f"def {'I' if instrumented else 'K'}_{helpers}" in source
+
+
+@pytest.mark.parametrize("block", ["while", "if"])
+def test_generated_code_compiles_and_runs_at_both_parser_caps(block):
+    program = parse(_deepest_program(block))
     for args, steps in [((3,), 10_000), ((10,), 10_000), ((MAX_CALL_DEPTH,), 200)]:
         config = InterpConfig(step_limit=steps)
         assert execute(program, "f", args, config) == treewalk.execute(program, "f", args, config)
@@ -284,10 +310,11 @@ def test_generated_code_compiles_and_runs_at_both_parser_caps():
     _assert_same_runs(program, "f", (1,), InterpConfig(), mutants, roots)
 
 
-def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_python_frames():
+@pytest.mark.parametrize("block", ["while", "if"])
+def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_python_frames(block):
     assert sys.getrecursionlimit() >= 1000
     config = InterpConfig(max_call_depth=MAX_CALL_DEPTH, step_limit=10**7)
-    program = parse(_deepest_program())
+    program = parse(_deepest_program(block))
     # the recursion's root (its only arithmetic), hooked at every level
     mutants = [m for m in generate_mutants(program) if m.operator.startswith("aor")]
     roots = schema_roots(mutants)
