@@ -353,18 +353,18 @@ class Schema(dict):
 
 
 def _side_hook(box: list, node_id: int, alternatives: list[tuple], inner, pred: bool,
-               target: int, config: InterpConfig, module: _Compiled):
+               target: int, config: InterpConfig, module: _Compiled, instrumented: bool):
     """A hook that evaluates a root, counts it in the run's ``Sides``
     (``box[0]``), and redoes its alternatives. The root is evaluated
     through ``inner``, or, when that is None, through the base program's
-    root function, compiled with the alternatives on the first evaluation;
-    ``pred`` when it gives a predicate's triple."""
+    root function in the run's variant, compiled with the alternatives on
+    the first evaluation; ``pred`` when it gives a predicate's triple."""
     redo = None
 
     def prepare() -> list:
         nonlocal inner
         if inner is None:
-            inner = module.root_function(node_id, True)
+            inner = module.root_function(node_id, instrumented)
         prepared = []
         for key, program, _ in alternatives:
             if program is None:
@@ -438,12 +438,10 @@ def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfi
             inner, pred = hooks[node_id], False
             if inner is None:
                 continue  # a deleted statement, which never runs
-        elif instrumented:
-            inner, pred = None, info.cond
         else:
-            inner, pred = module.root_function(node_id, False), False
+            inner, pred = None, instrumented and info.cond
         hooks[node_id] = _side_hook(box, node_id, alternatives, inner, pred, info.target,
-                                    config, module)
+                                    config, module, instrumented)
     return box, hooks
 
 

@@ -55,6 +55,15 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
         assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps), mutant.operator
         assert not (killed.lines_hit or killed.branch_evals or killed.called_functions)
         assert ours.evals == theirs.evals, mutant.operator
+    if mutants:
+        # a kill run with every root's alternatives on the side
+        ours, theirs = Sides(roots), Sides(roots)
+        killed = _run(execute, mutants[0].mutated_program, entry, args, config, ours)
+        walked = _run(treewalk.execute, mutants[0].mutated_program, entry, args, config, theirs)
+        if "OverflowError" not in (killed, walked):
+            assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps)
+            assert (ours.evals, ours.infected, ours.drifted) == (
+                theirs.evals, theirs.infected, theirs.drifted)
 
 
 @settings(max_examples=12, deadline=None)
