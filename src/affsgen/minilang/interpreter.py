@@ -294,10 +294,11 @@ def _plan(program: Program) -> tuple[_Compiled, dict]:
     if plan is not None:
         return plan
     if program.base is not None:
-        module = _plan(program.base)[0]
+        # the base may itself be mutated: keep its hooks under this one
+        module, hooks = _plan(program.base)
         alternative = (None if program.alt_root is None
                        else module.alternative(program.root_id, program.alt_root))
-        plan = program._compiled = (module, {program.root_id: alternative})
+        plan = program._compiled = (module, {**hooks, program.root_id: alternative})
         return plan
     key = to_source(program)
     module = _MODULES.pop(key, None)

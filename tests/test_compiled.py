@@ -266,6 +266,16 @@ def test_compiled_code_is_shared_by_equal_programs_and_by_mutants():
     assert first._compiled[0] is second._compiled[0] is mutant.mutated_program._compiled[0]
 
 
+def test_a_mutant_of_a_mutant_keeps_both_changes():
+    program = parse("fn f(x:int){ let y = x + 1; if (y > 3) { return y * 2; } return y - 1; }")
+    for first in generate_mutants(program)[::3]:
+        for second in generate_mutants(first.mutated_program)[::4]:
+            for x in (-2, 2, 3, 7):
+                ours = execute(second.mutated_program, "f", (x,))
+                theirs = treewalk.execute(second.mutated_program, "f", (x,))
+                assert (ours.outcome, ours.steps) == (theirs.outcome, theirs.steps)
+
+
 def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
     program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
     context = FitnessContext(program)
