@@ -675,7 +675,7 @@ def program_source(program: Program, instrumented: bool) -> tuple[str, dict[int,
     for i, fn in enumerate(program.functions):
         names = _locals(fn)
         params = tuple(names[p] for p, _ in fn.params)
-        unbound = [v for n, v in names.items() if v not in params]
+        unbound = [v for v in names.values() if v not in params]
         code = _Code(module, fn.name, instrumented, names, params)
         if unbound:
             code.emit(" = ".join(unbound) + " = U")
