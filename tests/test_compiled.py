@@ -60,10 +60,12 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
         ours, theirs = Sides(roots), Sides(roots)
         killed = _run(execute, mutants[0].mutated_program, entry, args, config, ours)
         walked = _run(treewalk.execute, mutants[0].mutated_program, entry, args, config, theirs)
-        if "OverflowError" not in (killed, walked):
-            assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps)
-            assert (ours.evals, ours.infected, ours.drifted) == (
-                theirs.evals, theirs.infected, theirs.drifted)
+        if "OverflowError" in (killed, walked):
+            assert killed == walked
+            return
+        assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps)
+        assert (ours.evals, ours.infected, ours.drifted) == (
+            theirs.evals, theirs.infected, theirs.drifted)
 
 
 @settings(max_examples=12, deadline=None)
@@ -73,11 +75,14 @@ def test_every_corpus_function_runs_as_the_tree_walker_does(seed):
     for program in PROGRAMS:
         mutants = generate_mutants(program)
         roots = schema_roots(mutants)
-        test = random_test_case(program, rng, GenConfig(max_calls_per_test=len(program.functions)))
-        for call in test.calls:
-            args = tuple(test.resolve(a) for a in call.args)
+        calls: dict[str, tuple] = {}  # one call of each function, drawn from random tests
+        while len(calls) < len(program.functions):
+            test = random_test_case(program, rng, GenConfig(max_calls_per_test=4))
+            for call in test.calls:
+                calls.setdefault(call.function, tuple(test.resolve(a) for a in call.args))
+        for function, args in calls.items():
             config = InterpConfig(step_limit=rng.choice(STEP_LIMITS))
-            _assert_same_runs(program, call.function, args, config,
+            _assert_same_runs(program, function, args, config,
                               rng.sample(mutants, min(6, len(mutants))), roots)
 
 
@@ -196,52 +201,12 @@ def test_generated_programs_run_as_the_tree_walker_does(seed):
                           rng.sample(mutants, min(8, len(mutants))), roots)
 
 
-# --- semantics ----------------------------------------------------------------------
-
-
-def _outcome(source: str, entry: str, *args):
-    return execute(parse(source), entry, args).outcome
-
-
-def test_a_bool_is_not_an_int():
-    assert _outcome("fn f(b:bool){ return b + 1; }", "f", True).record.kind == "TypeError"
-    assert _outcome("fn f(b:bool){ return -b; }", "f", True).record.kind == "TypeError"
-    assert _outcome('fn f(b:bool){ return "ab"[b]; }', "f", False).record.kind == "TypeError"
-    assert _outcome("fn g(x:int){ return x; } fn f(b:bool){ return g(b); }",
-                    "f", True) == Raised(ExceptionRecord("TypeError", "f"))
-    # yet it compares as 0 or 1
-    assert _outcome("fn f(b:bool){ return b == 1; }", "f", True) == Returned(True)
-    assert _outcome("fn f(b:bool){ return b < 1; }", "f", False) == Returned(True)
-
-
-def test_division_truncates_toward_zero_for_every_sign():
-    source = "fn f(a:int, b:int){ return a / b; }"
-    for a, b, q in [(7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3), (0, -5, 0),
-                    (2**70 + 1, -2, -(2**69))]:
-        assert _outcome(source, "f", a, b) == Returned(q)
-    assert _outcome("fn f(a:int){ return a / -1; }", "f", -9) == Returned(9)
-    assert _outcome("fn f(a:int){ return a / 0; }", "f", 9).record.kind == "DivByZero"
-
-
-def test_string_equality_distance_counts_mismatches_and_length():
-    program = parse('fn f(s:str){ if (s == "abcd") { return 1; } return 0; }')
-    for s, distance in [("abcd", 0.0), ("abxd", 1.0), ("ab", 2.0), ("xbcdef", 3.0), ("", 4.0)]:
-        (branch,) = execute(program, "f", (s,)).branch_evals
-        assert branch.distance_true == distance
-        assert branch.distance_false == (1.0 if distance == 0.0 else 0.0)
-
-
-def test_numbers_compare_as_floats():
-    # 2**53 + 1 has no float of its own, so it equals 2**53
-    source = "fn f(a:int, b:int){ return a == b; }"
-    assert _outcome(source, "f", 9007199254740993, 9007199254740992) == Returned(True)
-    assert _outcome(source, "f", 9007199254740993, 9007199254740993) == Returned(True)
-    assert _outcome(source, "f", 3, 4) == Returned(False)
+# --- variables, hooks and the compiled-code cache -------------------------------------
 
 
 def test_an_unbound_variable_is_a_type_error_where_it_is_read():
     source = "fn f(x:int){ if (x > 0) { let y = 1; } return y; }"
-    assert _outcome(source, "f", 1) == Returned(1)
+    assert execute(parse(source), "f", (1,)).outcome == Returned(1)
     result = execute(parse(source), "f", (0,))
     assert result == treewalk.execute(parse(source), "f", (0,))
     assert result.outcome.record.kind == "TypeError"

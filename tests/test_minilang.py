@@ -281,9 +281,44 @@ def test_mixed_arithmetic_is_type_error():
 
 def test_division_truncates_toward_zero():
     program = parse("fn f(a:int, b:int){ return a / b; }")
-    assert execute(program, "f", (7, 2)).outcome == Returned(3)
-    assert execute(program, "f", (-7, 2)).outcome == Returned(-3)
-    assert execute(program, "f", (7, -2)).outcome == Returned(-3)
+    for a, b, q in [(7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3), (0, -5, 0),
+                    (2**70 + 1, -2, -(2**69))]:
+        assert execute(program, "f", (a, b)).outcome == Returned(q)
+    # a literal divisor takes a shorter path in compiled code
+    assert execute(parse("fn f(a:int){ return a / -1; }"), "f", (-9,)).outcome == Returned(9)
+    assert execute(parse("fn f(a:int){ return a / 0; }"), "f", (9,)).outcome.record.kind == (
+        "DivByZero")
+
+
+def _outcome(source: str, entry: str, *args):
+    return execute(parse(source), entry, args).outcome
+
+
+def test_a_bool_is_not_an_int():
+    assert _outcome("fn f(b:bool){ return b + 1; }", "f", True).record.kind == "TypeError"
+    assert _outcome("fn f(b:bool){ return -b; }", "f", True).record.kind == "TypeError"
+    assert _outcome('fn f(b:bool){ return "ab"[b]; }', "f", False).record.kind == "TypeError"
+    assert _outcome("fn g(x:int){ return x; } fn f(b:bool){ return g(b); }",
+                    "f", True) == Raised(ExceptionRecord("TypeError", "f"))
+    # yet it compares as 0 or 1
+    assert _outcome("fn f(b:bool){ return b == 1; }", "f", True) == Returned(True)
+    assert _outcome("fn f(b:bool){ return b < 1; }", "f", False) == Returned(True)
+
+
+def test_string_equality_distance_counts_mismatches_and_length():
+    program = parse('fn f(s:str){ if (s == "abcd") { return 1; } return 0; }')
+    for s, distance in [("abcd", 0.0), ("abxd", 1.0), ("ab", 2.0), ("xbcdef", 3.0), ("", 4.0)]:
+        (branch,) = execute(program, "f", (s,)).branch_evals
+        assert branch.distance_true == distance
+        assert branch.distance_false == (1.0 if distance == 0.0 else 0.0)
+
+
+def test_numbers_compare_as_floats():
+    # 2**53 + 1 has no float of its own, so it equals 2**53
+    source = "fn f(a:int, b:int){ return a == b; }"
+    assert _outcome(source, "f", 9007199254740993, 9007199254740992) == Returned(True)
+    assert _outcome(source, "f", 9007199254740993, 9007199254740993) == Returned(True)
+    assert _outcome(source, "f", 3, 4) == Returned(False)
 
 
 def test_fall_off_end_returns_zero():
