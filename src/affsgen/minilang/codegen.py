@@ -75,18 +75,23 @@ LOOP_NESTING = 16
 BLOCK_INDENT = 40
 EXPR_INDENT = 80
 
-_EXACT_FLOAT = 2 ** 53
+K = 1.0  # distance offset for strict inequalities and != when the predicate just fails
 
-# distances to true and to false of ``a op b`` on floats, as
-# ``interpreter.branch_distance`` computes them for op and its negation
-_DISTANCES = {
-    "==": ("abs({a} - {b})", "1.0 if {a} == {b} else 0.0"),
-    "!=": ("1.0 if {a} == {b} else 0.0", "abs({a} - {b})"),
-    "<": ("{a} - {b} + 1.0 if {a} >= {b} else 0.0", "{b} - {a} if {b} > {a} else 0.0"),
-    "<=": ("{a} - {b} if {a} > {b} else 0.0", "{b} - {a} + 1.0 if {b} >= {a} else 0.0"),
-    ">": ("{b} - {a} + 1.0 if {b} >= {a} else 0.0", "{a} - {b} if {a} > {b} else 0.0"),
-    ">=": ("{b} - {a} if {b} > {a} else 0.0", "{a} - {b} + 1.0 if {a} >= {b} else 0.0"),
+# distance >= 0 from ``{a} op {b}`` on floats to the predicate holding: zero
+# exactly when it holds, else growing with how far the operands are from it
+_DISTANCE = {
+    "==": "abs({a} - {b})",
+    "!=": "{K} if {a} == {b} else 0.0",
+    "<": "{a} - {b} + {K} if {a} >= {b} else 0.0",
+    "<=": "{a} - {b} if {a} > {b} else 0.0",
+    ">": "{b} - {a} + {K} if {b} >= {a} else 0.0",
+    ">=": "{b} - {a} if {b} > {a} else 0.0",
 }
+_NEGATION = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+
+
+def _distance(op: str, a: str, b: str) -> str:
+    return _DISTANCE[op].format(a=a, b=b, K=repr(K))
 
 
 class RootInfo(NamedTuple):
@@ -114,24 +119,6 @@ def _variables(expr: Expr) -> set[str]:
 
 def _literal(value) -> str:
     return f"({value!r})" if type(value) is int and value < 0 else repr(value)
-
-
-def _int_literal(operand: str) -> int | None:
-    """The value of an int operand that is a literal, else None."""
-    try:
-        return int(operand.strip("()"))
-    except ValueError:
-        return None
-
-
-def _as_float(operand: str, kind: str | None) -> str | None:
-    """A constant for ``float(operand)`` when the operand is a small literal."""
-    if kind == "bool" and operand in ("True", "False"):
-        return "1.0" if operand == "True" else "0.0"
-    value = _int_literal(operand) if kind == "int" else None
-    if value is not None and abs(value) < _EXACT_FLOAT:
-        return repr(float(value))
-    return None
 
 
 class _Module:
@@ -346,16 +333,9 @@ class _Code:
             self.emit(f"{t} = {l} {op} {r}")
             return t, "int"
         # division truncates toward zero
-        divisor = _int_literal(r) if rk == "int" else None
-        if divisor is None:
-            self.emit(f"if {r} == 0: {self.raise_(DIV_BY_ZERO)}")
-            self.emit(f"{t} = abs({l}) // abs({r})")
-            self.emit(f"if ({l} >= 0) != ({r} >= 0): {t} = -{t}")
-        elif divisor == 0:
-            self.emit(self.raise_(DIV_BY_ZERO))
-        else:
-            self.emit(f"{t} = abs({l}) // {abs(divisor)}")
-            self.emit(f"if {l} {'<' if divisor > 0 else '>='} 0: {t} = -{t}")
+        self.emit(f"if {r} == 0: {self.raise_(DIV_BY_ZERO)}")
+        self.emit(f"{t} = abs({l}) // abs({r})")
+        self.emit(f"if ({l} >= 0) != ({r} >= 0): {t} = -{t}")
         return t, "int"
 
     def call(self, expr: Call) -> tuple[str, None]:
@@ -407,7 +387,7 @@ class _Code:
         if not _is_boolean(expr):
             o = self.cond(expr)
             dt, df = self.temp(), self.temp()
-            self.emit(f"{dt} = 0.0 if {o} else 1.0; {df} = 1.0 if {o} else 0.0")
+            self.emit(f"{dt} = 0.0 if {o} else {K!r}; {df} = {K!r} if {o} else 0.0")
             return o, dt, df
         self.tick()
         op = expr.op
@@ -457,25 +437,19 @@ class _Code:
                 self.emit(f"if type({l}) is not type({r}): {self.raise_(TYPE_ERROR)}")
             self.emit(f"{t} = {l} {op} {r}")
             if dist is not None:
-                d_eq, d_ne = f"SD({l}, {r})", f"1.0 if {l} == {r} else 0.0"
+                d_eq, d_ne = f"SD({l}, {r})", _distance("!=", l, r)
                 dt, df = (d_eq, d_ne) if op == "==" else (d_ne, d_eq)
                 self.emit(f"{dist[0]} = {dt}; {dist[1]} = {df}")
 
         def numbers():
             # ints and bools compare as floats: exact up to 2**53
-            a, b = _as_float(l, lk), _as_float(r, rk)
-            if a is None:
-                a = self.temp()
-                self.emit(f"{a} = float({l})")
-            if b is None:
-                b = self.temp()
-                self.emit(f"{b} = float({r})")
+            a, b = self.temp(), self.temp()
+            self.emit(f"{a} = float({l}); {b} = float({r})")
             if dist is None:
                 self.emit(f"{t} = {a} {op} {b}")
                 return
-            dt, df = _DISTANCES[op]
-            self.emit(f"{dist[0]} = {dt.format(a=a, b=b)}; {dist[1]} = {df.format(a=a, b=b)}; "
-                      f"{t} = {dist[0]} == 0.0")
+            self.emit(f"{dist[0]} = {_distance(op, a, b)}; "
+                      f"{dist[1]} = {_distance(_NEGATION[op], a, b)}; {t} = {dist[0]} == 0.0")
 
         numeric = ("int", "bool")
         if lk == rk == "str":

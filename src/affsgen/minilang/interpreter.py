@@ -46,12 +46,10 @@ from affsgen.minilang.parser import expr_source, to_source
 
 __all__ = [
     "DIV_BY_ZERO", "EXPLICIT_THROW", "INDEX_OUT_OF_BOUNDS", "STEP_LIMIT_EXCEEDED",
-    "TYPE_ERROR", "K", "MAX_CALL_DEPTH", "ArityError", "BranchEval", "ExceptionRecord",
+    "TYPE_ERROR", "MAX_CALL_DEPTH", "ArityError", "BranchEval", "ExceptionRecord",
     "ExecutionResult", "InterpConfig", "MiniJError", "Raised", "Returned", "Schema", "Sides",
-    "UnknownFunctionError", "branch_distance", "execute", "kind_of", "string_eq_distance",
+    "UnknownFunctionError", "execute", "kind_of", "string_eq_distance",
 ]
-
-K = 1.0  # offset for strict inequalities and != when the predicate just fails
 
 DIV_BY_ZERO = "DivByZero"
 INDEX_OUT_OF_BOUNDS = "IndexOutOfBounds"
@@ -66,10 +64,15 @@ Value = Union[int, bool, str]
 # call (at most two of each at the parser's nesting caps) and, in a run with
 # side evaluations, two per hooked root it is inside. At this cap the
 # deepest recursion stays below Python's default recursion limit of 1000
-# even when execute is called from 300 frames deep.
+# even when execute is called from 300 frames deep. Everything a run calls is
+# compiled before it starts, so code generation never adds to that stack.
 MAX_CALL_DEPTH = 100
 
-# compiled base programs kept, the least recently first run evicted first
+# compiled base programs kept, the least recently first run evicted first. A
+# trial runs one corpus pair's fixed and faulty programs, and an experiment's
+# jobs take the pairs one after another, so a few entries keep every program
+# still in use: at 8, each process of a seed-2024 sweep compiled each program
+# it ran once, as with no bound.
 _MODULE_CACHE = 8
 
 
@@ -162,30 +165,7 @@ def kind_of(value: Value) -> str:
     return "str"
 
 
-# --- branch distances ----------------------------------------------------
-
-
-def branch_distance(op: str, lhs: float, rhs: float) -> float:
-    """Distance ``>= 0`` from ``lhs op rhs`` to the predicate holding.
-
-    Zero exactly when the predicate holds; otherwise grows with how far the
-    operands are from satisfying it. Booleans should be passed as 0/1.
-    """
-    l = float(lhs)
-    r = float(rhs)
-    if op == "==":
-        return abs(l - r)
-    if op == "!=":
-        return K if l == r else 0.0
-    if op == "<":
-        return l - r + K if l >= r else 0.0
-    if op == "<=":
-        return l - r if l > r else 0.0
-    if op == ">":
-        return r - l + K if r >= l else 0.0
-    if op == ">=":
-        return r - l if r > l else 0.0
-    raise ValueError(f"not a comparison operator: {op!r}")
+# --- string distance -------------------------------------------------------
 
 
 def string_eq_distance(a: str, b: str) -> float:
@@ -317,8 +297,8 @@ def _plan(program: Program) -> tuple[_Compiled, dict]:
 class Sides:
     """What one run evaluates on the side of some statement roots, and what it finds.
 
-    ``roots`` maps the node id of a statement's root expression to its
-    alternatives, ``(key, program, expr)`` triples: ``program`` is a mutated
+    ``roots``, a ``Schema``, maps the node id of a statement's root
+    expression to its alternatives, ``(key, program, expr)`` triples: ``program`` is a mutated
     program whose root there is ``expr``. At every evaluation of that root
     the run counts the evaluation in ``evals`` (root id to ``[values,
     raises]``) and then, for each alternative whose key is not yet
@@ -334,7 +314,7 @@ class Sides:
 
     __slots__ = ("roots", "evals", "infected", "drifted")
 
-    def __init__(self, roots: dict[int, list[tuple]]):
+    def __init__(self, roots: Schema):
         self.roots = roots
         self.evals: dict[int, list[int]] = {}
         self.infected: set = set()
@@ -342,44 +322,26 @@ class Sides:
 
 
 class Schema(dict):
-    """``Sides`` roots for many schema runs of one base program: the hooks
-    the first run builds from them are kept here for the others, so the
-    roots must not change after it."""
+    """``Sides`` roots for many schema runs: the hooks the first run of a
+    program builds from them are kept here for the program's later runs,
+    so the roots must not change after it."""
 
     __slots__ = ("hooks",)
 
     def __init__(self, roots: dict):
         super().__init__(roots)
-        self.hooks: dict[tuple[int, InterpConfig], tuple[list, dict]] = {}
+        # (id of the program, config) -> (the program, kept alive so its
+        # id stays its own, and its box and hooks)
+        self.hooks: dict[tuple[int, InterpConfig], tuple[Program, list, dict]] = {}
 
 
-def _side_hook(box: list, node_id: int, alternatives: list[tuple], inner, pred: bool,
-               target: int, config: InterpConfig, module: _Compiled, instrumented: bool):
-    """A hook that evaluates a root, counts it in the run's ``Sides``
-    (``box[0]``), and redoes its alternatives. The root is evaluated
-    through ``inner``, or, when that is None, through the base program's
-    root function in the run's variant, compiled with the alternatives on
-    the first evaluation; ``pred`` when it gives a predicate's triple."""
-    redo = None
-
-    def prepare() -> list:
-        nonlocal inner
-        if inner is None:
-            inner = module.root_function(node_id, instrumented)
-        prepared = []
-        for key, program, _ in alternatives:
-            if program is None:
-                prepared.append((key, None, None))
-            else:
-                hooks = _plan(program)[1]
-                prepared.append((key, hooks[program.root_id],
-                                 (config.step_limit, config.max_call_depth - 1, hooks)))
-        return prepared
+def _side_hook(box: list, node_id: int, redo: list[tuple], inner, pred: bool, target: int):
+    """A hook that evaluates a root through ``inner``, counts it in the run's
+    ``Sides`` (``box[0]``), and redoes the alternatives ``redo`` lists as
+    ``(key, function, context)``, where a deleted assignment has no function;
+    ``pred`` when ``inner`` gives a predicate's triple."""
 
     def hook(C, S, D, *env):
-        nonlocal redo
-        if redo is None:
-            redo = prepare()
         sides = box[0]
         counts = sides.evals.get(node_id)
         if counts is None:
@@ -428,7 +390,8 @@ def _side_hook(box: list, node_id: int, alternatives: list[tuple], inner, pred: 
 def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfig,
                 instrumented: bool) -> tuple[list, dict]:
     """``hooks`` plus one for each root ``roots`` lists, and the box they
-    read the run's ``Sides`` from."""
+    read the run's ``Sides`` from. Every root function and alternative the
+    hooks call is compiled here, before the run starts."""
     box: list = [None]
     hooks = dict(hooks)
     for node_id, alternatives in roots.items():
@@ -440,9 +403,17 @@ def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfi
             if inner is None:
                 continue  # a deleted statement, which never runs
         else:
-            inner, pred = None, instrumented and info.cond
-        hooks[node_id] = _side_hook(box, node_id, alternatives, inner, pred, info.target,
-                                    config, module, instrumented)
+            inner = module.root_function(node_id, instrumented)
+            pred = instrumented and info.cond
+        redo = []
+        for key, program, _ in alternatives:
+            if program is None:
+                redo.append((key, None, None))
+            else:
+                own = _plan(program)[1]
+                redo.append((key, own[program.root_id],
+                             (config.step_limit, config.max_call_depth - 1, own)))
+        hooks[node_id] = _side_hook(box, node_id, redo, inner, pred, info.target)
     return box, hooks
 
 
@@ -485,13 +456,12 @@ def execute(
     function = module.functions(not kill)[module.index[entry]]
     box = previous = None
     if sides is not None:
-        kept = None if kill else getattr(sides.roots, "hooks", None)
-        built = None if kept is None else kept.get((id(module), config))
+        kept = sides.roots.hooks
+        built = kept.get((id(program), config))
         if built is None:
-            built = _side_hooks(module, hooks, sides.roots, config, not kill)
-            if kept is not None:
-                kept[(id(module), config)] = built
-        box, hooks = built
+            built = kept[(id(program), config)] = (
+                program, *_side_hooks(module, hooks, sides.roots, config, not kill))
+        _, box, hooks = built
         previous, box[0] = box[0], sides
     limit, deepest = config.step_limit, config.max_call_depth - 1
     lines: set[int] = set()

@@ -274,7 +274,7 @@ def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
     if not (infected or deletion or mutant.mutant_id in schema.drifted):
         return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
     root = mutant.root.node_id
-    counts = None if infected or deletion else Sides({root: []})
+    counts = None if infected or deletion else Sides(Schema({root: []}))
     result = execute(mutant.mutated_program, function, args, config, counts)
     if behavior_of(result) != behavior_of(base):
         return _OUTCOMES[MutantStatus.KILLED]

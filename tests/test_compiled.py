@@ -14,7 +14,7 @@ from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, parse
 from affsgen.minilang.codegen import program_source
-from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Sides, execute
+from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Schema, Sides, execute
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from affsgen.mutation import generate_mutants, schema_roots
 from affsgen.testmodel import GenConfig, random_test_case
@@ -46,7 +46,8 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
             theirs.evals, theirs.infected, theirs.drifted)
     for mutant in mutants:
         # a kill run fills only the outcome and the step count
-        ours, theirs = Sides({mutant.root.node_id: []}), Sides({mutant.root.node_id: []})
+        ours = Sides(Schema({mutant.root.node_id: []}))
+        theirs = Sides(Schema({mutant.root.node_id: []}))
         killed = _run(execute, mutant.mutated_program, entry, args, config, ours)
         walked = _run(treewalk.execute, mutant.mutated_program, entry, args, config, theirs)
         if "OverflowError" in (killed, walked):

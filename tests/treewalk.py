@@ -15,7 +15,6 @@ from affsgen.minilang.interpreter import (
     INDEX_OUT_OF_BOUNDS,
     STEP_LIMIT_EXCEEDED,
     TYPE_ERROR,
-    K,
     ArityError,
     BranchEval,
     ExceptionRecord,
@@ -27,10 +26,10 @@ from affsgen.minilang.interpreter import (
     Sides,
     UnknownFunctionError,
     Value,
-    branch_distance,
     kind_of,
     string_eq_distance,
 )
+from affsgen.minilang.codegen import K
 from affsgen.minilang.nodes import (
     Binary,
     BoolLit,
@@ -53,6 +52,29 @@ from affsgen.minilang.nodes import (
 )
 
 _NEGATION = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def branch_distance(op: str, lhs: float, rhs: float) -> float:
+    """Distance ``>= 0`` from ``lhs op rhs`` to the predicate holding.
+
+    Zero exactly when the predicate holds; otherwise grows with how far the
+    operands are from satisfying it. Booleans should be passed as 0/1.
+    """
+    l = float(lhs)
+    r = float(rhs)
+    if op == "==":
+        return abs(l - r)
+    if op == "!=":
+        return K if l == r else 0.0
+    if op == "<":
+        return l - r + K if l >= r else 0.0
+    if op == "<=":
+        return l - r if l > r else 0.0
+    if op == ">":
+        return r - l + K if r >= l else 0.0
+    if op == ">=":
+        return r - l if r > l else 0.0
+    raise ValueError(f"not a comparison operator: {op!r}")
 
 
 def _nu(x: float) -> float:
