@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Schema, Sides
 from affsgen.minilang.nodes import (
@@ -165,64 +165,83 @@ def _int_bucket_distance(bucket: str, values: Iterable[int]) -> float:
 # --- levenshtein and diversity -----------------------------------------------
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (insert/delete/substitute), computed bit-parallel.
+class PackedLines(NamedTuple):
+    """Several patterns packed as lanes of one integer, for ``packed_distance``.
 
-    A shared prefix and suffix never contribute edits, so they are stripped
-    first; rendered test lines mostly differ only in their argument lists.
-    What is left is scored with Myers' bit-vector algorithm in Hyyrö's
-    global-distance form (JACM 1999; "A bit-vector algorithm for computing
-    Levenshtein and Damerau edit distances", 2003): one column of the
-    dynamic-programming matrix is held as two bitmasks of vertical +1/-1
-    deltas, and each character of the shorter string advances the column in
-    a fixed number of integer operations. Python ints are unbounded, so the
-    longer string serves as the pattern whatever its length.
+    Lane by lane, low bits first, each non-empty line takes as many bits as
+    it has characters, followed by one zero guard bit. Bit i of ``peq[c]``
+    is set where lane position i holds character c; ``lows`` has the lowest
+    bit of every lane set; ``mask`` has every lane bit set and every guard
+    bit clear. ``count`` is the number of lines, empty ones included.
     """
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    start = 0
-    limit = min(la, lb)
-    while start < limit and a[start] == b[start]:
-        start += 1
-    end = 0
-    while end < limit - start and a[la - 1 - end] == b[lb - 1 - end]:
-        end += 1
-    a = a[start: la - end]
-    b = b[start: lb - end]
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    # bit i of peq[c] is set when a[i] == c
+
+    peq: dict[str, int]
+    lows: int
+    mask: int
+    count: int
+
+
+def pack_lines(lines: tuple[str, ...]) -> PackedLines:
+    """Pack every line as one lane of a single bit-vector pattern."""
     peq: dict[str, int] = {}
-    bit = 1
-    for ca in a:
-        peq[ca] = peq.get(ca, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
+    lows = mask = 0
+    low = 1
+    for line in lines:
+        if not line:
+            continue  # an empty line is all insertions: count * len(text) covers it
+        bit = low
+        for c in line:
+            peq[c] = peq.get(c, 0) | bit
+            bit <<= 1
+        lows |= low
+        mask |= bit - low
+        low = bit << 1  # skip the guard bit
+    return PackedLines(peq, lows, mask, len(lines))
+
+
+def packed_distance(packed: PackedLines, text: str) -> int:
+    """Edit distance from ``text`` to every packed line, summed over the lines.
+
+    Myers' bit-vector algorithm in Hyyrö's global-distance form (JACM 1999;
+    "A bit-vector algorithm for computing Levenshtein and Damerau edit
+    distances", 2003), run on all lanes at once as in Hyyrö, Fredriksson
+    and Navarro, "Increased bit-parallelism for approximate and multiple
+    string matching" (JEA 2005). One column of each lane's
+    dynamic-programming matrix is held as two bitmasks of vertical +1 and -1
+    deltas, ``pv`` and ``mv``, and each character of ``text`` advances every
+    column in a fixed number of integer operations.
+
+    Lanes stay independent: the guard bit above each lane is clear in
+    ``eq`` and ``pv``, so it absorbs the carry out of ``(eq & pv) + pv``
+    and nothing carries on into the next lane. After the shift, ``lows``
+    sets every lane's lowest bit of ``ph`` to row 0's +1 horizontal delta,
+    whatever came up from the guard bit below, and ``mask`` clears the guard
+    bits of ``pv``, which keeps them clear in ``mh`` and ``mv`` too.
+
+    No lane keeps a score. The last row of a lane's column is
+    ``D[m][n] = n + Σ`` of the column's vertical deltas, because
+    ``D[0][n] = n``; summed over the lanes that is
+    ``count·n + popcount(pv) − popcount(mv)``, with ``n = len(text)``. An
+    empty line has no lane and adds its ``n`` through ``count``.
+    """
+    peq, lows, mask, count = packed
     pv = mask  # vertical deltas of column 0 are all +1
     mv = 0
-    score = len(a)
-    for cb in b:
-        eq = peq.get(cb, 0)
+    for c in text:
+        eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | (xh | pv) ^ mask  # ~(xh | pv) on the lane bits
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        # row 0 grows by one per column, so a +1 horizontal delta shifts in
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        ph = (ph << 1) | lows
+        pv = ((mh << 1) | (xv | ph) ^ mask) & mask
         mv = ph & xv
-    return score
+    return count * len(text) + pv.bit_count() - mv.bit_count()
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance (insert/delete/substitute): ``packed_distance`` of one lane."""
+    return packed_distance(pack_lines((a,)), b)
 
 
 # --- evaluation context --------------------------------------------------------
@@ -243,6 +262,14 @@ class FitnessContext:
     calls'. All three belong to this context's one program and interpreter
     config. A mutant program runs only on calls the schema run cannot
     settle, and those runs are not kept.
+
+    Diversity is memoized on rendered lines at three levels:
+    ``_pair_distance`` maps an ordered pair of two tests' lines to their
+    summed line-pair distance; ``_packed`` maps one test's lines to their
+    ``pack_lines`` table; and ``_line_distance`` maps (packed lines, line)
+    to that line's distance summed over all the packed lines, one
+    ``packed_distance`` pass. A pair packs the side with more characters
+    and steps through the other side's lines.
     """
 
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
@@ -260,8 +287,9 @@ class FitnessContext:
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
         self._classifications: dict[tuple[int, tuple], MutantStatus] = {}
-        self._pair_distance: dict[tuple[TestCase, TestCase], int] = {}
-        self._line_distance: dict[tuple[str, str], int] = {}
+        self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
+        self._packed: dict[tuple[str, ...], PackedLines] = {}
+        self._line_distance: dict[tuple[tuple[str, ...], str], int] = {}
         self._suite_scores: dict[tuple[FitnessFunctionId, tuple[TestCase, ...]], float] = {}
 
     @property
@@ -322,15 +350,20 @@ class FitnessContext:
         cached = self._pair_distance.get(key)
         if cached is not None:
             return cached
+        # pack the side with more characters, so fewer characters are stepped
+        packed_lines, other = key
+        if sum(map(len, packed_lines)) < sum(map(len, other)):
+            packed_lines, other = other, packed_lines
+        packed = self._packed.get(packed_lines)
+        if packed is None:
+            packed = self._packed[packed_lines] = pack_lines(packed_lines)
         total = 0
-        for la in lines_a:
-            for lb in lines_b:
-                lkey = (la, lb) if la <= lb else (lb, la)
-                d = self._line_distance.get(lkey)
-                if d is None:
-                    d = levenshtein(la, lb)
-                    self._line_distance[lkey] = d
-                total += d
+        for line in other:
+            lkey = (packed_lines, line)
+            d = self._line_distance.get(lkey)
+            if d is None:
+                d = self._line_distance[lkey] = packed_distance(packed, line)
+            total += d
         self._pair_distance[key] = total
         return total
 

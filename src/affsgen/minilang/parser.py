@@ -491,6 +491,12 @@ def parse(source: str, source_id: str = "<anonymous>") -> Program:
 # --- pretty printer ------------------------------------------------------
 
 
+def string_source(value: str) -> str:
+    """A string as a MiniJ literal: quoted, on one line, read back unchanged."""
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def expr_source(expr: Expr) -> str:
     """Render an expression as MiniJ text, fully parenthesized."""
     if isinstance(expr, IntLit):
@@ -498,8 +504,7 @@ def expr_source(expr: Expr) -> str:
     if isinstance(expr, BoolLit):
         return "true" if expr.value else "false"
     if isinstance(expr, StrLit):
-        escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return string_source(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Unary):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Union
 
 from affsgen.minilang.nodes import IntLit, Program, StrLit, statement_expressions, walk_expressions, walk_statements
+from affsgen.minilang.parser import string_source
 
 Literal = Union[int, bool, str]
 
@@ -154,6 +155,18 @@ class GenConfig:
     # per-test probability of receiving one change (insert/delete call,
     # or literal tweak); literal tweaks nudge ints by +-1/+-10 or redraw
     test_change_prob: float = 0.5
+
+    def __post_init__(self):
+        if self.max_calls_per_test < 1 or self.max_suite_size < 1:
+            raise ValueError("max_calls_per_test and max_suite_size must be at least 1")
+        if self.int_min > self.int_max:
+            raise ValueError(f"int_min {self.int_min} exceeds int_max {self.int_max}")
+        if self.str_max_len < 0 or not self.str_alphabet:
+            raise ValueError("str_max_len must be at least 0 and str_alphabet non-empty")
+        for name in ("pool_prob", "alias_prob", "add_test_prob", "remove_test_prob",
+                     "test_change_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def literal_pool(program: Program) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -312,8 +325,7 @@ def _render_literal(value: Literal) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return string_source(value)
 
 
 def render_test(test: TestCase) -> str:

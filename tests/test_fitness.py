@@ -12,6 +12,8 @@ from affsgen.fitness import (
     eval_fitness,
     levenshtein,
     nu,
+    pack_lines,
+    packed_distance,
     suite_diversity,
 )
 from affsgen.minilang import parse
@@ -216,7 +218,7 @@ _LONG_TEXT = st.one_of(
 @given(_LONG_TEXT, _LONG_TEXT)
 def test_levenshtein_matches_dp_oracle_past_64_characters(a, b):
     assert levenshtein(a, b) == dp_levenshtein(a, b)
-    # the same pair behind a shared prefix and suffix, which are stripped
+    # the same pair behind a shared prefix and suffix
     assert levenshtein("x(" + a + ");", "x(" + b + ");") == dp_levenshtein(a, b)
 
 
@@ -236,6 +238,90 @@ def test_levenshtein_metric_axioms(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)
     assert (levenshtein(a, b) == 0) == (a == b)
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+# --- packed lines -----------------------------------------------------------------
+
+
+def _summed_dp(packed_lines, other_lines):
+    return sum(dp_levenshtein(x, y) for x in packed_lines for y in other_lines)
+
+
+def _packed_sum(packed_lines, other_lines):
+    packed = pack_lines(tuple(packed_lines))
+    return sum(packed_distance(packed, line) for line in other_lines)
+
+
+# empty lines, runs of one character, non-ASCII text, and lines that end
+# on either side of a 64-bit word edge once packed behind other lanes
+_LINE = st.one_of(
+    st.just(""),
+    st.text(alphabet="ab(,é中", max_size=70),
+    st.builds(lambda c, n: c * n, st.sampled_from("aé"), st.integers(0, 70)),
+    st.text(max_size=20),
+)
+_LINES = st.lists(_LINE, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LINES, _LINES)
+def test_packed_sum_matches_dp_oracle_in_both_directions(lines_a, lines_b):
+    expected = _summed_dp(lines_a, lines_b)
+    assert _packed_sum(lines_a, lines_b) == expected
+    assert _packed_sum(lines_b, lines_a) == expected
+
+
+def test_packed_sum_at_lane_and_word_edges():
+    rng = random.Random(8)
+    widths = (0, 1, 63, 64, 65, 130)
+    for _ in range(30):
+        packed_lines = ["".join(rng.choice("ab") for _ in range(rng.choice(widths)))
+                        for _ in range(rng.randint(1, 4))]
+        other_lines = ["".join(rng.choice("ab") for _ in range(rng.choice(widths)))
+                       for _ in range(rng.randint(1, 3))]
+        assert _packed_sum(packed_lines, other_lines) == _summed_dp(packed_lines, other_lines)
+    # one character repeated across lanes: carries run into every guard bit
+    runs = ["a" * 63, "a" * 64, "", "a" * 65, "a" * 130]
+    for n in (0, 1, 63, 64, 65, 130, 131):
+        assert packed_distance(pack_lines(tuple(runs)), "a" * n) == sum(
+            abs(len(r) - n) for r in runs)
+        assert packed_distance(pack_lines(tuple(runs)), "b" * n) == sum(
+            max(len(r), n) for r in runs)
+
+
+def test_packed_sum_of_empty_sides():
+    assert packed_distance(pack_lines(()), "abc") == 0
+    assert _packed_sum(["ab", "", "中é"], []) == 0
+    assert packed_distance(pack_lines(("ab", "", "中é")), "") == 4
+    assert packed_distance(pack_lines(("", "")), "xyz") == 6
+
+
+def _random_tests(seed, count):
+    rng = random.Random(seed)
+    cfg = GenConfig(max_calls_per_test=5, str_alphabet="ab中")
+    return [random_test_case(PROGRAM, rng, cfg) for _ in range(count)]
+
+
+def test_pair_distance_is_symmetric_and_matches_the_line_sum():
+    ctx = _ctx()
+    tests = _random_tests(21, 12)
+    for a in tests:
+        for b in tests:
+            expected = _summed_dp(ctx.rendered_lines(a), ctx.rendered_lines(b))
+            assert ctx.test_pair_distance(a, b) == expected
+            assert ctx.test_pair_distance(b, a) == expected
+
+
+def test_pair_distance_of_a_warm_context_equals_a_fresh_one():
+    warm = _ctx()
+    tests = _random_tests(22, 15)
+    for a in tests:
+        for b in tests:
+            warm.test_pair_distance(a, b)
+    rng = random.Random(23)
+    for _ in range(60):
+        a, b = rng.choice(tests), rng.choice(tests)
+        assert warm.test_pair_distance(a, b) == _ctx().test_pair_distance(a, b)
 
 
 # --- diversity --------------------------------------------------------------------

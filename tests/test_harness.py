@@ -566,3 +566,27 @@ def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch,
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert started == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize("generation", [
+    {"max_suite_size": 0},
+    {"max_calls_per_test": 0},
+    {"int_min": 5, "int_max": 1},
+    {"str_max_len": -1},
+    {"str_alphabet": ""},
+    {"alias_prob": 1.5},
+    {"test_change_prob": float("nan")},
+], ids=["suite-size-0", "calls-0", "int-range", "str-len", "alphabet", "prob-high", "prob-nan"])
+def test_cli_experiment_with_bad_generation_settings_is_exit_1(tmp_path, capsys, monkeypatch,
+                                                              generation):
+    started = _no_search(monkeypatch)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "goal": "exceptions", "strategies": ["ucb"], "trials_per_fault": 1,
+        "corpus": str(_mini_corpus(tmp_path)), "engine": {"budget": {"generations": 2}},
+        "generation": generation,
+    }))
+    out_dir = tmp_path / "o"
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert started == [] and not out_dir.exists()

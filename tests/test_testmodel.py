@@ -6,6 +6,7 @@ import random
 import pytest
 
 from affsgen.minilang import parse
+from affsgen.minilang.parser import expr_source
 from affsgen.testmodel import (
     Archive,
     CallStmt,
@@ -19,6 +20,7 @@ from affsgen.testmodel import (
     augment_from_archive,
     crossover,
     crossover_at,
+    literal_pool,
     minimize,
     mutate_suite,
     random_suite,
@@ -161,6 +163,29 @@ def test_mutation_sweep_preserves_invariants():
                     test.resolve(arg)  # binding chains stay resolvable
 
 
+@pytest.mark.parametrize("settings", [
+    {"max_calls_per_test": 0},
+    {"max_suite_size": 0},
+    {"int_min": 5, "int_max": 1},
+    {"str_max_len": -1},
+    {"str_alphabet": ""},
+    {"pool_prob": -0.1},
+    {"alias_prob": 1.01},
+    {"add_test_prob": 2.0},
+    {"remove_test_prob": -1.0},
+    {"test_change_prob": float("nan")},
+])
+def test_gen_config_rejects_settings_no_search_can_use(settings):
+    with pytest.raises(ValueError):
+        GenConfig(**settings)
+
+
+def test_gen_config_accepts_its_edge_values():
+    GenConfig(max_calls_per_test=1, max_suite_size=1, int_min=3, int_max=3, str_max_len=0,
+              str_alphabet="a", pool_prob=0.0, alias_prob=1.0, add_test_prob=0.0,
+              remove_test_prob=1.0, test_change_prob=0.0)
+
+
 # --- rendering ----------------------------------------------------------------------
 
 
@@ -170,6 +195,18 @@ def test_render_resolves_alias_chains():
         bindings=(("x", "var"), ("y", Ref("x"))),
     )
     assert render_test(test) == 'two("var")'
+
+
+def test_render_keeps_a_harvested_newline_literal_on_one_line():
+    program = parse('fn two(s:str){ if (s == "a\\nb") { return 1; } return 0; }')
+    value = "a\nb"
+    assert value in literal_pool(program)[1]
+    assert render_test(_case("two", value)) == 'two("a\\nb")'
+    # one escaping rule with the program printer, and the literal reads back
+    condition = program.functions[0].body[0].cond
+    assert expr_source(condition.rhs) == '"a\\nb"'
+    literal = parse('fn f(){ return "a\\nb"; }').functions[0].body[0].expr
+    assert literal.value == value
 
 
 def test_render_empty_test():
