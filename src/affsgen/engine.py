@@ -51,8 +51,10 @@ class Budget:
     def __post_init__(self):
         if self.generations is None and self.seconds is None:
             raise ValueError("budget needs a generation count or a wall-clock limit")
-        if self.generations is not None and self.generations <= 0:
-            raise ValueError("generation budget must be positive")
+        if self.generations is not None and (type(self.generations) is not int
+                                             or self.generations < 1):
+            raise ValueError(f"generation budget must be an int of at least 1, "
+                             f"not {self.generations!r}")
         if self.seconds is not None and not (math.isfinite(self.seconds) and self.seconds > 0):
             # a NaN limit would never be reached, nor an infinite one
             raise ValueError(f"wall-clock budget must be positive and finite, not {self.seconds!r}")
@@ -70,10 +72,11 @@ class EngineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population size must be at least 2")
-        if self.skip_iter < 1:
-            raise ValueError("skip_iter must be at least 1")
+        for name, least in (("population_size", 2), ("elite_count", 0),
+                            ("fresh_random_per_gen", 0), ("skip_iter", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int of at least {least}, not {value!r}")
         for rate in (self.crossover_rate, self.mutation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")

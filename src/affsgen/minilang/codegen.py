@@ -1,10 +1,13 @@
 """Python source for MiniJ programs, in mutant-schema form.
 
 ``program_source`` emits one Python function per MiniJ function, in one
-of two variants: instrumented (prefix ``I``), which records lines, branch
-evaluations and called functions, or lean (prefix ``K``), which keeps only
-the step count and the outcome. ``root_source`` emits one statement
-root as a function of its own, for hooks and mutant alternatives. The
+of two shapes. The instrumented variant (prefix ``I``) serves traced runs,
+runs of a base program without side evaluations: it records lines, branch
+evaluations and called functions, and evaluates every statement root
+inline. The lean variant (prefix ``K``) serves every other run: it keeps
+only the step count and the outcome, and guards each statement root with
+its hook, if the run has one. ``root_source`` emits one statement root as
+a lean function of its own, for hooks and mutant alternatives. The
 emitted code runs in a namespace that ``interpreter`` supplies: ``E`` (the
 ``MiniJError`` class), ``X`` (records the lines of a group of ticks that
 crosses the step limit and returns its error), ``U`` (the value of a
@@ -13,12 +16,12 @@ variable not yet bound), ``SD`` (the string-equality distance), ``BE``
 
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``.
-The context is ``(L, M, H)`` in lean code and ``(L, M, H, LA, BA, CA)`` in
-instrumented code: the step limit, the deepest call depth allowed, the hooks
-(root node id to a function that evaluates that root, or None where a
-deleted assignment skips its statement), and the recorders of lines, branch
-evaluations and calls. An in-language failure raises ``E`` carrying the
-step count.
+The context is ``(L, M, H)`` in lean code and ``(L, M, LA, BA, CA)`` in
+instrumented code: the step limit, the deepest call depth allowed, and
+either the hooks (root node id to a function that evaluates that root, or
+None where a deleted assignment skips its statement) or the recorders of
+lines, branch evaluations and calls. An in-language failure raises ``E``
+carrying the step count.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -27,9 +30,12 @@ between them, so a group that crosses the limit fails on its first tick
 past it, with the step count at the limit plus one. Lines are recorded with
 the tick of their statement, and only if that tick lies within the limit.
 
-CPython nests at most 20 loop blocks in one function and about 100
-indentation levels; deep statement blocks and deep ``and``/``or`` chains are
-outlined into helper functions before they reach either.
+CPython nests at most 20 loop blocks in one function and 100 indentation
+levels, and the parser's caps (``MAX_BLOCK_DEPTH``, ``MAX_EXPR_DEPTH``) keep
+generated code under both without helper functions. Each MiniJ ``while`` is
+one ``while True:``, so at most 15 loops nest; a nested block, an
+``and``/``or`` operand and a hooked root each indent one level, so the
+deepest code at both caps indents fewer than 80 levels.
 """
 
 from __future__ import annotations
@@ -68,12 +74,6 @@ from affsgen.minilang.nodes import (
     walk_statements,
 )
 
-
-# nested loops, and indentation levels, in one generated function before a
-# statement block is outlined; and indentation before an expression is
-LOOP_NESTING = 16
-BLOCK_INDENT = 40
-EXPR_INDENT = 80
 
 K = 1.0  # distance offset for strict inequalities and != when the predicate just fails
 
@@ -122,36 +122,26 @@ def _literal(value) -> str:
 
 
 class _Module:
-    """Shared state of one program's generation: function indices, helpers, roots."""
+    """Shared state of one program's generation: function indices and roots."""
 
-    def __init__(self, program: Program, prefix: str = ""):
-        self.prefix = prefix
+    def __init__(self, program: Program):
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
         self.params = {fn.name: fn.params for fn in program.functions}
-        self.sources: list[str] = []
         self.roots: dict[int, RootInfo] = {}
-        self.helpers = 0
-
-    def fresh(self, prefix: str) -> str:
-        self.helpers += 1
-        return f"{self.prefix}{prefix}{self.helpers}"
 
 
 class _Code:
     """One generated function, emitted line by line."""
 
-    def __init__(self, module: _Module, fname: str, instrumented: bool, names: dict,
-                 defined, block_vars: tuple | None = None):
+    def __init__(self, module: _Module, fname: str, instrumented: bool, names: dict, defined):
         self.module = module
         self.fname = fname
         self.fq = repr(fname)
         self.instrumented = instrumented
         self.names = names
         self.defined = set(defined)
-        self.block_vars = block_vars  # the variables an outlined block returns
         self.lines: list[str] = []
         self.depth = 1
-        self.loops = 0
         self.ticks = 0  # pending ticks, not yet added to S
         self.events: list[tuple[int, int]] = []  # (pending tick, line id) to record
         self.temps = 0
@@ -224,38 +214,13 @@ class _Code:
 
     def finish(self, name: str, params) -> str:
         args = "".join(f", {p}" for p in params)
-        head = "L, M, H, LA, BA, CA = C" if self.instrumented else "L, M, H = C"
+        head = "L, M, LA, BA, CA = C" if self.instrumented else "L, M, H = C"
         return "\n".join([f"def {name}(C, S, D{args}):", " " + head] + self.lines)
 
     # -- expressions ----------------------------------------------------------------
 
-    def outline(self, expr: Expr, mode: str):
-        """Evaluate ``expr`` in a helper function, to keep indentation in bounds."""
-        self.flush()
-        params = tuple(sorted(self.names[n] for n in _variables(expr) if n in self.names))
-        name = self.module.fresh("X")
-        code = _Code(self.module, self.fname, self.instrumented, self.names,
-                     self.defined & set(params))
-        result = getattr(code, mode)(expr)
-        code.flush()
-        if mode == "pred":
-            code.emit(f"return (({', '.join(result)}), S)")
-        else:
-            code.emit(f"return ({result[0] if mode == 'value' else result}, S)")
-        self.module.sources.append(code.finish(name, params))
-        call = f"{name}(C, S, D{''.join(', ' + p for p in params)})"
-        if mode == "pred":
-            out = (self.temp(), self.temp(), self.temp())
-            self.emit(f"({', '.join(out)}), S = {call}")
-            return out
-        t = self.temp()
-        self.emit(f"{t}, S = {call}")
-        return (t, None) if mode == "value" else t
-
     def value(self, expr: Expr) -> tuple[str, str | None]:
         """Evaluate ``expr`` as a value: its operand and, if known, its kind."""
-        if self.depth >= EXPR_INDENT:
-            return self.outline(expr, "value")
         if _is_boolean(expr):
             return self.cond(expr), "bool"
         cls = type(expr)
@@ -355,8 +320,6 @@ class _Code:
 
     def cond(self, expr: Expr) -> str:
         """Evaluate ``expr`` as a predicate's value, which must be a bool."""
-        if self.depth >= EXPR_INDENT:
-            return self.outline(expr, "cond")
         if not _is_boolean(expr):
             o, kind = self.value(expr)
             if kind != "bool":
@@ -382,8 +345,6 @@ class _Code:
 
     def pred(self, expr: Expr) -> tuple[str, str, str]:
         """Evaluate a branch predicate: (value, distance to true, distance to false)."""
-        if self.depth >= EXPR_INDENT:
-            return self.outline(expr, "pred")
         if not _is_boolean(expr):
             o = self.cond(expr)
             dt, df = self.temp(), self.temp()
@@ -474,21 +435,39 @@ class _Code:
 
     # -- statements -----------------------------------------------------------------
 
-    def ret(self, operand: str) -> None:
-        if self.block_vars is None:
-            self.emit(f"return ({operand}, S)")
-        else:
-            self.emit(f"return (S, {operand}{''.join(', ' + v for v in self.block_vars)})")
-
     def statement_tick(self, stmt: Stmt) -> None:
         self.tick()
         if self.instrumented:
             self.events.append((self.ticks, stmt.line_id))
 
     def root(self, expr: Expr, cond: bool, targets: str, assign: Assign | None = None) -> None:
-        """Evaluate a statement root into ``targets``, through its hook if the
-        run has one. An assignment's statement tick is taken here, since a
-        deleted assignment (a hook of None) skips its whole statement."""
+        """Evaluate a statement root into ``targets``: inline in instrumented
+        code, and in lean code through its hook if the run has one. An
+        assignment's statement tick is taken here, since a deleted assignment
+        (a hook of None) skips its whole statement. The root ends with its
+        ticks flushed, which a ``return`` after it relies on."""
+
+        def check_assignable():
+            local = self.names[assign.name]
+            if local not in self.defined:
+                self.flush()
+                self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
+
+        def inline():
+            if assign is not None:
+                self.statement_tick(assign)
+                check_assignable()
+            if not cond:
+                self.emit(f"{targets} = {self.value(expr)[0]}")
+            elif self.instrumented:
+                self.emit(f"{targets} = {', '.join(self.pred(expr))}")
+            else:
+                self.emit(f"{targets} = {self.cond(expr)}")
+
+        if self.instrumented:
+            inline()
+            self.flush()
+            return
         node = expr.node_id
         params = sorted(self.names[n] for n in _variables(expr) if n in self.names)
         target = -1
@@ -500,12 +479,6 @@ class _Code:
         self.module.roots[node] = RootInfo(self.fname, cond, self.names, tuple(params),
                                            frozenset(self.defined), target, expr)
         call = f"(C, S, D{''.join(', ' + p for p in params)})"
-
-        def check_assignable():
-            local = self.names[assign.name]
-            if local not in self.defined:
-                self.flush()
-                self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
 
         def hooked():
             if assign is None:
@@ -521,17 +494,6 @@ class _Code:
             self.flush()
             self.emit(f"{targets}, S = h{call}")
             self.depth -= 1
-
-        def inline():
-            if assign is not None:
-                self.statement_tick(assign)
-                check_assignable()
-            if not cond:
-                self.emit(f"{targets} = {self.value(expr)[0]}")
-            elif self.instrumented:
-                self.emit(f"{targets} = {', '.join(self.pred(expr))}")
-            else:
-                self.emit(f"{targets} = {self.cond(expr)}")
 
         self.branch(f"{node} in H", hooked, inline)
 
@@ -555,29 +517,6 @@ class _Code:
             done = self.statement(stmt) or done
         return done
 
-    def nested(self, body: list[Stmt]) -> bool:
-        """A block inside an if or while, outlined when nesting runs deep."""
-        if self.loops < LOOP_NESTING and self.depth < BLOCK_INDENT:
-            return self.block(body)
-        self.flush()
-        order = tuple(self.names.values())
-        name = self.module.fresh("O")
-        code = _Code(self.module, self.fname, self.instrumented, self.names, self.defined,
-                     block_vars=order)
-        done = code.block(body)
-        code.flush()
-        code.ret("U")
-        self.module.sources.append(code.finish(name, order))
-        values = "".join(", " + v for v in order)
-        self.emit(f"S, R{values} = {name}(C, S, D{values})")
-        self.emit("if R is not U:")
-        self.depth += 1
-        self.ret("R")
-        self.depth -= 1
-        if not done:
-            self.defined = code.defined
-        return done
-
     def statement(self, stmt: Stmt) -> bool:
         cls = type(stmt)
         if cls is Assign:
@@ -592,7 +531,7 @@ class _Code:
         if cls is Return:
             t = self.temp()
             self.root(stmt.expr, False, t)
-            self.ret(t)
+            self.emit(f"return ({t}, S)")
             return True
         if cls is Throw:
             self.flush()
@@ -606,7 +545,7 @@ class _Code:
             def arm(body):
                 def emit_arm():
                     self.defined = set(before)
-                    if not self.nested(body):
+                    if not self.block(body):
                         outs.append(self.defined)
                 return emit_arm
 
@@ -618,12 +557,10 @@ class _Code:
             before = set(self.defined)
             self.emit("while True:")
             self.depth += 1
-            self.loops += 1
             t = self.condition(stmt)
             self.emit(f"if not {t}: break")
-            self.nested(stmt.body)
+            self.block(stmt.body)
             self.flush()
-            self.loops -= 1
             self.depth -= 1
             self.defined = before
             return False
@@ -642,10 +579,12 @@ def _locals(fn: FunctionDef) -> dict[str, str]:
 
 def program_source(program: Program, instrumented: bool) -> tuple[str, dict[int, RootInfo]]:
     """The Python source of one variant of a program's functions, and what
-    each statement root's hook sees. MiniJ function ``i`` (in program order)
-    becomes ``I{i}``, instrumented, or ``K{i}``, lean."""
+    each statement root's hook sees (lean code only: instrumented code has
+    no hooks). MiniJ function ``i`` (in program order) becomes ``I{i}``,
+    instrumented, or ``K{i}``, lean."""
     prefix = "I" if instrumented else "K"
-    module = _Module(program, prefix=f"{prefix}_")
+    module = _Module(program)
+    sources = []
     for i, fn in enumerate(program.functions):
         names = _locals(fn)
         params = tuple(names[p] for p, _ in fn.params)
@@ -655,24 +594,16 @@ def program_source(program: Program, instrumented: bool) -> tuple[str, dict[int,
             code.emit(" = ".join(unbound) + " = U")
         code.block(fn.body)
         code.flush()
-        code.ret("0")  # falling off the end yields int 0
-        module.sources.append(code.finish(f"{prefix}{i}", params))
-    return "\n".join(module.sources) + "\n", module.roots
+        code.emit("return (0, S)")  # falling off the end yields int 0
+        sources.append(code.finish(f"{prefix}{i}", params))
+    return "\n".join(sources) + "\n", module.roots
 
 
-def root_source(name: str, info: RootInfo, expr: Expr, instrumented: bool,
-                program: Program) -> str:
-    """A function ``name`` evaluating ``expr`` at the root ``info`` describes,
-    with that root's statement already ticked; helpers it needs come first."""
-    module = _Module(program, prefix=f"{name}_")
-    code = _Code(module, info.function, instrumented, info.names, info.defined)
-    if not info.cond:
-        result = code.value(expr)[0]
-    elif instrumented:
-        result = "(" + ", ".join(code.pred(expr)) + ")"
-    else:
-        result = code.cond(expr)
+def root_source(name: str, info: RootInfo, expr: Expr, program: Program) -> str:
+    """A lean function ``name`` evaluating ``expr`` at the root ``info``
+    describes, with that root's statement already ticked."""
+    code = _Code(_Module(program), info.function, False, info.names, info.defined)
+    result = code.cond(expr) if info.cond else code.value(expr)[0]
     code.flush()
     code.emit(f"return ({result}, S)")
-    module.sources.append(code.finish(name, info.params))
-    return "\n".join(module.sources) + "\n"
+    return code.finish(name, info.params) + "\n"

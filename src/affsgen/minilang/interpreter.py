@@ -1,21 +1,24 @@
 """Compiled, instrumented execution of MiniJ programs.
 
 Each base program is compiled once, lazily on its first run, into a Python
-module (``codegen``): one function per MiniJ function, with a guard at
-every statement root. The module serves every run of the program and of its
-mutants, in the form of mutant schemata (Untch, Offutt and Harrold, ISSTA
-1993): a mutated program runs its base's module with a hook at its root,
-which evaluates a small, separately compiled alternative there, or skips
-the whole statement of a deleted assignment. Compiled code is cached per
-base program, keyed by its source text, and the cache holds a bounded
-number of programs.
+module (``codegen``) that serves every run of the program and of its
+mutants. A traced run, one of a base program without side evaluations,
+runs the instrumented variant: one function per MiniJ function, recording
+as it goes. Every other run takes the lean variant, with a guard at every
+statement root, in the form of mutant schemata (Untch, Offutt and Harrold,
+ISSTA 1993): a mutated program runs its base's lean code with a hook at its
+root, which evaluates a small, separately compiled alternative there, or
+skips the whole statement of a deleted assignment; a schema run hooks the
+roots it evaluates alternatives at. Compiled code is cached per base
+program, keyed by its source text, and the cache holds a bounded number of
+programs.
 
-A run of a base program records the statements reached, every
-branch-predicate evaluation with distances toward both outcomes, the set of
-functions called (flagged direct for the entry frame), the step count and
-the final outcome. A run of a mutated program (a kill run) records only the
-step count and the outcome. Execution is deterministic and bounded by a
-step limit.
+A traced run records the statements reached, every branch-predicate
+evaluation with distances toward both outcomes, the set of functions called
+(flagged direct for the entry frame), the step count and the final outcome.
+Every other run, a kill run of a mutated program or a run with side
+evaluations, records only the step count and the outcome. Execution is
+deterministic and bounded by a step limit.
 
 Semantics worth knowing:
   * Every expression node and every statement takes one step.
@@ -60,12 +63,11 @@ TYPE_ERROR = "TypeError"
 Value = Union[int, bool, str]
 
 # Deepest call depth a config may allow. A MiniJ activation stacks one
-# Python frame, plus one per outlined block or expression on the path to a
-# call (at most two of each at the parser's nesting caps) and, in a run with
-# side evaluations, two per hooked root it is inside. At this cap the
-# deepest recursion stays below Python's default recursion limit of 1000
-# even when execute is called from 300 frames deep. Everything a run calls is
-# compiled before it starts, so code generation never adds to that stack.
+# Python frame, plus two per hooked root it is inside (the hook and the root
+# function or alternative it calls). At this cap the deepest recursion stays
+# below Python's default recursion limit of 1000 even when execute is called
+# from 300 frames deep. Everything a run calls is compiled before it starts,
+# so code generation never adds to that stack.
 MAX_CALL_DEPTH = 100
 
 # compiled base programs kept, the least recently first run evicted first. A
@@ -132,8 +134,9 @@ class BranchEval(NamedTuple):
 class ExecutionResult:
     """What one entry call did.
 
-    A run of a base program fills every field. A kill run, one of a mutated
-    program, fills only ``outcome`` and ``steps``: ``lines_hit``,
+    A traced run, one of a base program without side evaluations, fills
+    every field. Every other run (a kill run, of a mutated program, or any
+    run with sides) fills only ``outcome`` and ``steps``: ``lines_hit``,
     ``branch_evals`` and ``called_functions`` are empty.
     """
 
@@ -202,8 +205,9 @@ _RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_dis
 
 class _Compiled:
     """One base program's generated module: its functions, in the
-    instrumented and the lean variant, and the root functions and
-    alternatives compiled into it, each on first use."""
+    instrumented and the lean variant, and the lean root functions and
+    alternatives compiled into it, each on first use. ``roots`` holds the
+    lean variant's hook information."""
 
     __slots__ = ("program", "namespace", "roots", "index", "_functions",
                  "_root_functions", "_alternatives")
@@ -214,7 +218,7 @@ class _Compiled:
         self.roots: dict = {}
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
         self._functions: list = [None, None]  # lean, instrumented
-        self._root_functions: dict[tuple[int, bool], object] = {}
+        self._root_functions: dict[int, object] = {}
         self._alternatives: dict[tuple[int, str], object] = {}
 
     def _exec(self, source: str, name: str) -> None:
@@ -226,40 +230,40 @@ class _Compiled:
         if functions is None:
             from affsgen.minilang import codegen  # imported on the first run, not with the package
 
-            source, self.roots = codegen.program_source(self.program, instrumented)
+            source, roots = codegen.program_source(self.program, instrumented)
+            if not instrumented:
+                self.roots = roots
             prefix = "I" if instrumented else "K"
             self._exec(source, prefix)
             functions = self._functions[instrumented] = [
                 self.namespace[f"{prefix}{i}"] for i in range(len(self.program.functions))]
         return functions
 
-    def _define(self, name: str, node_id: int, expr: Expr | None, instrumented: bool):
-        """Compile ``expr``, or the base program's root when None, as a
+    def _define(self, name: str, node_id: int, expr: Expr | None):
+        """Compile ``expr``, or the base program's root when None, as a lean
         function ``name`` evaluating root ``node_id``."""
         from affsgen.minilang import codegen
 
-        self.functions(instrumented)  # what the root's code may call, and its hook information
+        self.functions(False)  # what the root's code may call, and its hook information
         info = self.roots[node_id]
         self._exec(codegen.root_source(name, info, info.expr if expr is None else expr,
-                                       instrumented, self.program), name)
+                                       self.program), name)
         return self.namespace[name]
 
-    def root_function(self, node_id: int, instrumented: bool):
+    def root_function(self, node_id: int):
         """The base program's root ``node_id`` as a function of its own."""
-        key = (node_id, instrumented)
-        fn = self._root_functions.get(key)
+        fn = self._root_functions.get(node_id)
         if fn is None:
-            fn = self._root_functions[key] = self._define(
-                f"{'B' if instrumented else 'b'}{node_id}", node_id, None, instrumented)
+            fn = self._root_functions[node_id] = self._define(f"b{node_id}", node_id, None)
         return fn
 
     def alternative(self, node_id: int, expr: Expr):
-        """``expr`` evaluated in place of root ``node_id``, in lean code."""
+        """``expr`` evaluated in place of root ``node_id``."""
         key = (node_id, expr_source(expr))
         fn = self._alternatives.get(key)
         if fn is None:
             fn = self._alternatives[key] = self._define(
-                f"A{len(self._alternatives)}", node_id, expr, False)
+                f"A{len(self._alternatives)}", node_id, expr)
         return fn
 
 
@@ -303,10 +307,11 @@ class Sides:
     the run counts the evaluation in ``evals`` (root id to ``[values,
     raises]``) and then, for each alternative whose key is not yet
     ``infected``, redoes the root as ``program`` would, in the same
-    environment and from the root's step count, so the run's own result is
-    untouched. The key becomes ``infected`` when the redo's kinded value or
-    raise identity differs from the root's, and ``drifted`` when only the
-    step count after it does. An alternative without a program is a deleted
+    environment and from the root's step count, so the run's outcome and
+    step count are untouched; like a kill run, the run fills only those two.
+    The key becomes ``infected`` when the redo's kinded value or raise
+    identity differs from the root's, and ``drifted`` when only the step
+    count after it does. An alternative without a program is a deleted
     assignment: its value is the old value of the variable ``expr`` names,
     taken without a step. Instances hash by identity, so a call's arguments
     stay hashable.
@@ -335,11 +340,10 @@ class Schema(dict):
         self.hooks: dict[tuple[int, InterpConfig], tuple[Program, list, dict]] = {}
 
 
-def _side_hook(box: list, node_id: int, redo: list[tuple], inner, pred: bool, target: int):
+def _side_hook(box: list, node_id: int, redo: list[tuple], inner, target: int):
     """A hook that evaluates a root through ``inner``, counts it in the run's
     ``Sides`` (``box[0]``), and redoes the alternatives ``redo`` lists as
-    ``(key, function, context)``, where a deleted assignment has no function;
-    ``pred`` when ``inner`` gives a predicate's triple."""
+    ``(key, function, context)``, where a deleted assignment has no function."""
 
     def hook(C, S, D, *env):
         sides = box[0]
@@ -364,13 +368,12 @@ def _side_hook(box: list, node_id: int, redo: list[tuple], inner, pred: bool, ta
                 infected.add(key)
             raise
         counts[0] += 1
-        value = result[0] if pred else result
         for key, alternative, context in redo:
             if key in infected:
                 continue
             if alternative is None:
                 other = env[target]
-                if other != value or type(other) is not type(value):
+                if other != result or type(other) is not type(result):
                     infected.add(key)
                 continue
             try:
@@ -378,7 +381,7 @@ def _side_hook(box: list, node_id: int, redo: list[tuple], inner, pred: bool, ta
             except MiniJError:
                 infected.add(key)
                 continue
-            if other != value or type(other) is not type(value):
+            if other != result or type(other) is not type(result):
                 infected.add(key)
             elif steps != after:
                 sides.drifted.add(key)
@@ -387,8 +390,8 @@ def _side_hook(box: list, node_id: int, redo: list[tuple], inner, pred: bool, ta
     return hook
 
 
-def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfig,
-                instrumented: bool) -> tuple[list, dict]:
+def _side_hooks(module: _Compiled, hooks: dict, roots: dict,
+                config: InterpConfig) -> tuple[list, dict]:
     """``hooks`` plus one for each root ``roots`` lists, and the box they
     read the run's ``Sides`` from. Every root function and alternative the
     hooks call is compiled here, before the run starts."""
@@ -398,13 +401,12 @@ def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfi
         info = module.roots.get(node_id)
         if info is None:
             continue  # not a root of this program
-        if node_id in hooks:  # a mutated program's own root, run lean
-            inner, pred = hooks[node_id], False
+        if node_id in hooks:  # a mutated program's own root
+            inner = hooks[node_id]
             if inner is None:
                 continue  # a deleted statement, which never runs
         else:
-            inner = module.root_function(node_id, instrumented)
-            pred = instrumented and info.cond
+            inner = module.root_function(node_id)
         redo = []
         for key, program, _ in alternatives:
             if program is None:
@@ -413,7 +415,7 @@ def _side_hooks(module: _Compiled, hooks: dict, roots: dict, config: InterpConfi
                 own = _plan(program)[1]
                 redo.append((key, own[program.root_id],
                              (config.step_limit, config.max_call_depth - 1, own)))
-        hooks[node_id] = _side_hook(box, node_id, redo, inner, pred, info.target)
+        hooks[node_id] = _side_hook(box, node_id, redo, inner, info.target)
     return box, hooks
 
 
@@ -432,10 +434,11 @@ def execute(
 ) -> ExecutionResult:
     """Run one entry call and return its result.
 
-    A base program's run is instrumented; a mutated program's is a kill run
-    (see ``ExecutionResult``). With ``sides``, the run also evaluates the
-    alternatives it lists at their roots and records what it finds there in
-    ``sides`` (see ``Sides``); the result is the same as without.
+    A base program's run without ``sides`` is traced; every other run fills
+    only ``outcome`` and ``steps`` (see ``ExecutionResult``). With
+    ``sides``, the run also evaluates the alternatives it lists at their
+    roots and records what it finds there in ``sides`` (see ``Sides``); its
+    outcome and step count are the same as without.
 
     Raises UnknownFunctionError / ArityError for malformed entry calls; every
     in-language failure is captured as a Raised outcome instead.
@@ -452,15 +455,15 @@ def execute(
             )
 
     module, hooks = program._compiled or _plan(program)
-    kill = program.base is not None
-    function = module.functions(not kill)[module.index[entry]]
+    traced = program.base is None and sides is None
+    function = module.functions(traced)[module.index[entry]]
     box = previous = None
     if sides is not None:
         kept = sides.roots.hooks
         built = kept.get((id(program), config))
         if built is None:
             built = kept[(id(program), config)] = (
-                program, *_side_hooks(module, hooks, sides.roots, config, not kill))
+                program, *_side_hooks(module, hooks, sides.roots, config))
         _, box, hooks = built
         previous, box[0] = box[0], sides
     limit, deepest = config.step_limit, config.max_call_depth - 1
@@ -469,18 +472,18 @@ def execute(
     called = {(entry, True)}
     outcome: Outcome
     try:
-        if kill:
-            value, steps = function((limit, deepest, hooks), 0, 0, *args)
-        else:
-            context = (limit, deepest, hooks, lines.add, branches.append, called.add)
+        if traced:
+            context = (limit, deepest, lines.add, branches.append, called.add)
             value, steps = function(context, 0, 0, *args)
+        else:
+            value, steps = function((limit, deepest, hooks), 0, 0, *args)
         outcome = Returned(value)
     except MiniJError as err:
         outcome, steps = Raised(err.record), err.steps
     finally:
         if box is not None:
             box[0] = previous
-    if kill:
+    if not traced:
         return ExecutionResult(_EMPTY, (), _EMPTY, outcome, steps)
     return ExecutionResult(
         lines_hit=frozenset(lines),

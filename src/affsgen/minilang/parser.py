@@ -82,8 +82,11 @@ KEYWORDS = {
 MAX_EXPR_DEPTH = 64
 
 # Deepest nesting of statement blocks (a function body is one level, each
-# if/while block inside it one more), for the same reason.
-MAX_BLOCK_DEPTH = 32
+# if/while block inside it one more), for the same reason and for CPython's
+# limits on the generated code (see ``codegen``): at 16 a function nests at
+# most 15 loops, under CPython's 20 per function, and 16 blocks plus a
+# condition MAX_EXPR_DEPTH deep stay under its 100 indentation levels.
+MAX_BLOCK_DEPTH = 16
 
 _SYMBOLS = ("==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "=",
             "(", ")", "{", "}", "[", "]", ",", ";", ":")
@@ -529,7 +532,7 @@ def _stmt_source(stmt: Stmt, indent: str) -> list[str]:
     if isinstance(stmt, Return):
         return [f"{indent}return {expr_source(stmt.expr)};"]
     if isinstance(stmt, Throw):
-        return [f'{indent}throw "{stmt.tag}";']
+        return [f"{indent}throw {string_source(stmt.tag)};"]
     if isinstance(stmt, If):
         lines = [f"{indent}if ({expr_source(stmt.cond)}) {{"]
         for inner in stmt.then_body:

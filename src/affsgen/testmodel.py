@@ -157,6 +157,9 @@ class GenConfig:
     test_change_prob: float = 0.5
 
     def __post_init__(self):
+        for name in ("max_calls_per_test", "max_suite_size", "int_min", "int_max", "str_max_len"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.max_calls_per_test < 1 or self.max_suite_size < 1:
             raise ValueError("max_calls_per_test and max_suite_size must be at least 1")
         if self.int_min > self.int_max:

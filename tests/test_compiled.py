@@ -13,8 +13,8 @@ import treewalk
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, parse
-from affsgen.minilang.codegen import program_source
 from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Schema, Sides, execute
+from affsgen.minilang.nodes import walk_expressions
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from affsgen.mutation import generate_mutants, schema_roots
 from affsgen.testmodel import GenConfig, random_test_case
@@ -35,13 +35,18 @@ def _run(run, *args):
 
 
 def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
-    """Base, schema and kill runs of one call agree with the tree walker."""
+    """Traced, schema and kill runs of one call agree with the tree walker."""
     compiled = _run(execute, program, entry, args, config)
     assert compiled == _run(treewalk.execute, program, entry, args, config)
     ours, theirs = Sides(roots), Sides(roots)
-    assert (_run(execute, program, entry, args, config, ours)
-            == _run(treewalk.execute, program, entry, args, config, theirs))
-    if compiled != "OverflowError":
+    schema = _run(execute, program, entry, args, config, ours)
+    walked = _run(treewalk.execute, program, entry, args, config, theirs)
+    if "OverflowError" in (schema, walked):
+        assert schema == walked
+    else:
+        # a schema run, like a kill run, fills only the outcome and the step count
+        assert (schema.outcome, schema.steps) == (walked.outcome, walked.steps)
+        assert not (schema.lines_hit or schema.branch_evals or schema.called_functions)
         assert (ours.evals, ours.infected, ours.drifted) == (
             theirs.evals, theirs.infected, theirs.drifted)
     for mutant in mutants:
@@ -258,41 +263,60 @@ def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
 # --- CPython's limits and the stack --------------------------------------------------
 
 
-def _deepest_program(block: str = "while") -> str:
-    """``block`` statements nested as deep as the parser admits (the
-    function body is the first block), and/or chains MAX_EXPR_DEPTH deep in
-    the outermost and the innermost condition, and a recursion at the
-    bottom. Nested whiles outline blocks; nested ifs, which CPython does not
-    count as loops, outline the innermost chain."""
+def _chain() -> str:
+    """A right-nested and/or chain MAX_EXPR_DEPTH high. Its leaves are
+    comparisons, a bool parameter and calls; the generated code knows the
+    kind of neither of the last two. With ``p`` true it holds for x >= 1."""
+    leaves = ("(x > 0)", "p", "h(x)")
     chain = "(x > 0)"
     for i in range(MAX_EXPR_DEPTH - 2):
-        chain = f"((x > {i % 3}) {'and' if i % 2 else 'or'} {chain})"
-    body = f"{block} ({chain}) {{ return g(x - 1) + 1; }}"
-    for _ in range(MAX_BLOCK_DEPTH - 3):
-        body = f"{block} (x > 0) {{ {body} }}"
-    return (f"fn g(x:int){{ {block} ({chain}) {{ {body} }} return 0; }}"
-            "fn f(x:int){ return g(x); }")
+        chain = f"({leaves[i % 3]} {'and' if i % 2 else 'or'} {chain})"
+    return chain
 
 
-@pytest.mark.parametrize("block, helpers", [("while", "O"), ("if", "X")])
-def test_deep_programs_are_outlined_into_helpers(block, helpers):
-    for instrumented in (True, False):
-        source, _ = program_source(parse(_deepest_program(block)), instrumented)
-        assert f"def {'I' if instrumented else 'K'}_{helpers}" in source
+_RECURSE = "return g(x - 1, p) + 1;"
+# statements whose root is the chain, the recursion after or inside them
+_BOTTOMS = {
+    "if": "if ({chain}) { " + _RECURSE + " }",
+    "while": "while ({chain}) { " + _RECURSE + " }",
+    "let": "let z = {chain}; " + _RECURSE,
+    "assign": "y = {chain}; " + _RECURSE,
+    "return": "return {chain};",
+}
 
 
-@pytest.mark.parametrize("block", ["while", "if"])
+def _deepest_program(block: str = "while", bottom: str = "if") -> str:
+    """A ``bottom`` statement (see ``_BOTTOMS``) as deep as the parser
+    admits, inside ``block`` statements: whiles, ifs, or a mix of both."""
+    body = _BOTTOMS[bottom].replace("{chain}", _chain())
+    # the function body is the first block; an if or while at the bottom holds one more
+    for i in range(MAX_BLOCK_DEPTH - (2 if bottom in ("if", "while") else 1)):
+        kind = ("while", "if")[i % 2] if block == "mix" else block
+        body = f"{kind} (x > 0) {{ {body} }}"
+    return ("fn h(x:int){ return x > 0; }"
+            f"fn g(x:int, p:bool){{ let y = false; {body} return 0; }}"
+            "fn f(x:int, p:bool){ return g(x, p); }")
+
+
+@pytest.mark.parametrize("block", ["while", "if", "mix"])
 def test_generated_code_compiles_and_runs_at_both_parser_caps(block):
-    program = parse(_deepest_program(block))
-    for args, steps in [((3,), 10_000), ((10,), 10_000), ((MAX_CALL_DEPTH,), 200)]:
-        config = InterpConfig(step_limit=steps)
-        assert execute(program, "f", args, config) == treewalk.execute(program, "f", args, config)
-    assert execute(program, "f", (10,)).outcome == Returned(9)  # recursed down to x == 1
-    # every alternative of a chain's root compiles the whole chain: take a sample
-    mutants = generate_mutants(program)[::20]
-    roots = schema_roots(mutants)
-    # the tree walker stacks hundreds of Python frames per activation here
-    _assert_same_runs(program, "f", (1,), InterpConfig(), mutants, roots)
+    for bottom in _BOTTOMS:
+        program = parse(_deepest_program(block, bottom))
+        for args, steps in [((3, True), 10_000), ((10, False), 10_000),
+                            ((MAX_CALL_DEPTH, True), 200)]:
+            config = InterpConfig(step_limit=steps)
+            assert (execute(program, "f", args, config)
+                    == treewalk.execute(program, "f", args, config)), bottom
+        # every alternative of the chain, each compiled as a function of its own
+        mutants = generate_mutants(program)
+        chain = max((m.root for m in mutants), key=lambda r: len(list(walk_expressions(r))))
+        mutants = [m for m in mutants if m.root.node_id == chain.node_id]
+        assert len(mutants) > 100
+        roots = schema_roots(mutants)
+        for args in [(1, True), (2, False)]:
+            _assert_same_runs(program, "f", args, InterpConfig(step_limit=2_000), mutants, roots)
+    # recursed down to x == 0
+    assert execute(parse(_deepest_program(block)), "f", (10, True)).outcome == Returned(10)
 
 
 @pytest.mark.parametrize("block", ["while", "if"])
@@ -308,12 +332,12 @@ def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_pytho
         return run() if frames == 0 else from_depth(frames - 1, run)
 
     expected = Raised(ExceptionRecord("StepLimitExceeded", "g"))
-    for run in (lambda: execute(program, "f", (10**6,), config),
-                lambda: execute(program, "f", (10**6,), config, Sides(roots)),
-                lambda: execute(mutants[-1].mutated_program, "f", (10**6,), config)):
+    for run in (lambda: execute(program, "f", (10**6, True), config),
+                lambda: execute(program, "f", (10**6, True), config, Sides(roots)),
+                lambda: execute(mutants[-1].mutated_program, "f", (10**6, True), config)):
         assert from_depth(300, run).outcome == expected
-    assert execute(program, "f", (MAX_CALL_DEPTH - 2,), config).outcome == Returned(
-        MAX_CALL_DEPTH - 3)
+    assert execute(program, "f", (MAX_CALL_DEPTH - 2, True), config).outcome == Returned(
+        MAX_CALL_DEPTH - 2)
 
 
 @pytest.mark.parametrize("interp", [

@@ -59,6 +59,10 @@ def test_budget_must_be_positive():
         Budget()
     with pytest.raises(ValueError):
         Budget(seconds=-1.0)
+    for generations in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError):
+            Budget(generations=generations)
+    assert Budget(generations=1).generations == 1
 
 
 def test_engine_config_validation():
@@ -68,6 +72,20 @@ def test_engine_config_validation():
         EngineConfig(skip_iter=0)
     with pytest.raises(ValueError):
         EngineConfig(crossover_rate=1.5)
+
+
+@pytest.mark.parametrize("settings", [
+    {"population_size": 4.5}, {"population_size": True}, {"elite_count": -1},
+    {"elite_count": 1.0}, {"fresh_random_per_gen": -3}, {"fresh_random_per_gen": "2"},
+    {"skip_iter": 1.5}, {"skip_iter": False},
+])
+def test_engine_config_counts_must_be_ints_in_range(settings):
+    with pytest.raises(ValueError):
+        EngineConfig(**settings)
+
+
+def test_engine_config_accepts_its_edge_counts():
+    EngineConfig(population_size=2, elite_count=0, fresh_random_per_gen=0, skip_iter=1)
 
 
 def test_pure_elitism_keeps_population():

@@ -552,8 +552,13 @@ def test_cli_generate_with_a_non_finite_budget_is_exit_1(tmp_path, capsys, monke
     ({"budget": {"generations": 2}}, {"step_limit": 0}),
     ({"budget": {"generations": 2}}, {"max_call_depth": 10**6}),
     ({"budget": {"generations": 2}}, {"frames": 3}),
+    ({"budget": {"generations": 2.5}}, {}),
+    ({"budget": {"generations": 2}, "population_size": 4.5}, {}),
+    ({"budget": {"generations": 2}, "fresh_random_per_gen": -3}, {}),
+    ({"budget": {"generations": 2}, "skip_iter": 1.5}, {}),
 ], ids=["nan-seconds", "inf-seconds", "step-limit-str", "step-limit-0", "call-depth-huge",
-        "unknown-key"])
+        "unknown-key", "generations-float", "population-float", "fresh-negative",
+        "skip-iter-float"])
 def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch, engine, interp):
     started = _no_search(monkeypatch)
     config_path = tmp_path / "exp.json"
@@ -576,7 +581,9 @@ def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch,
     {"str_alphabet": ""},
     {"alias_prob": 1.5},
     {"test_change_prob": float("nan")},
-], ids=["suite-size-0", "calls-0", "int-range", "str-len", "alphabet", "prob-high", "prob-nan"])
+    {"max_calls_per_test": 2.5},
+], ids=["suite-size-0", "calls-0", "int-range", "str-len", "alphabet", "prob-high", "prob-nan",
+        "calls-float"])
 def test_cli_experiment_with_bad_generation_settings_is_exit_1(tmp_path, capsys, monkeypatch,
                                                               generation):
     started = _no_search(monkeypatch)

@@ -21,6 +21,8 @@ from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import generate_mutants
 
 SIMPLE = "fn f(x:int){ if(x==5){return 1;} return 0; }"
+# one throw, whose tag reads like the end of one throw and the start of another
+QUOTED_THROW = r'fn f(x:int){ throw "a\";\n  throw \"b"; }'
 
 
 def test_parse_counts_functions_branches_lines():
@@ -119,10 +121,11 @@ def test_roundtrip_through_to_source():
     source = """
     fn pick(s:str, i:int) { if (i < len(s) and i >= 0) { return s[i]; } return "?"; }
     fn both(a:bool, b:bool) { return a or not b; }
-    """
+    """ + QUOTED_THROW
     program = parse(source)
     again = parse(to_source(program))
     assert to_source(again) == to_source(program)
+    assert again.functions[2].body[0].tag == 'a";\n  throw "b'
 
 
 # --- execution ---------------------------------------------------------------
@@ -241,6 +244,14 @@ def test_explicit_throw_carries_tag_and_function():
     program = parse('fn f(){ throw "boom"; }')
     result = execute(program, "f", ())
     assert result.outcome.record.identity == ("ExplicitThrow:boom", "f")
+
+
+def test_a_throw_tag_with_quotes_runs_its_own_code():
+    # compiled code is shared by programs with the same to_source text
+    plain = parse('fn f(x:int){ throw "a"; throw "b"; }')
+    quoted = parse(QUOTED_THROW)
+    assert execute(plain, "f", (1,)).outcome.record.tag == "a"
+    assert execute(quoted, "f", (1,)).outcome.record.tag == 'a";\n  throw "b'
 
 
 def test_indirect_call_flags():

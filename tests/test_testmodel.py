@@ -174,6 +174,11 @@ def test_mutation_sweep_preserves_invariants():
     {"add_test_prob": 2.0},
     {"remove_test_prob": -1.0},
     {"test_change_prob": float("nan")},
+    {"max_calls_per_test": 2.5},
+    {"max_suite_size": True},
+    {"int_min": -1.5},
+    {"int_max": "9"},
+    {"str_max_len": 4.0},
 ])
 def test_gen_config_rejects_settings_no_search_can_use(settings):
     with pytest.raises(ValueError):
