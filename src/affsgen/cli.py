@@ -21,7 +21,7 @@ from affsgen.harness import (
 )
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.parser import ParseError, parse
-from affsgen.mutation import generate_mutants
+from affsgen.mutation import mutants_of
 from affsgen.testmodel import GenConfig
 
 GOALS = {g.value: g for g in Goal}
@@ -77,7 +77,7 @@ def _cmd_generate(args) -> int:
     if not program.functions:
         print(f"error: {args.program} defines no functions to test", file=sys.stderr)
         return 2
-    if not generate_mutants(program):
+    if not mutants_of(program)[0]:
         # mutation scores, which the strong-mutation reward and the weak_mut
         # fitness need, are undefined without mutants
         print(f"error: {args.program} has no mutation sites", file=sys.stderr)
@@ -108,13 +108,13 @@ def _experiment_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         goal=GOALS[goal_name],
         strategies=list(raw.get("strategies", [])),
-        trials_per_fault=int(raw.get("trials_per_fault", 10)),
+        trials_per_fault=raw.get("trials_per_fault", 10),
         corpus_path=raw.get("corpus", "corpus"),
-        master_seed=int(raw.get("master_seed", 2024)),
+        master_seed=raw.get("master_seed", 2024),
         engine=engine,
         generation=GenConfig(**raw.get("generation", {})),
         interp=interp,
-        workers=int(raw.get("workers", 1)),
+        workers=raw.get("workers", 1),
     )
 
 

@@ -55,7 +55,8 @@ class Budget:
                                              or self.generations < 1):
             raise ValueError(f"generation budget must be an int of at least 1, "
                              f"not {self.generations!r}")
-        if self.seconds is not None and not (math.isfinite(self.seconds) and self.seconds > 0):
+        if self.seconds is not None and (type(self.seconds) is bool
+                                         or not (math.isfinite(self.seconds) and self.seconds > 0)):
             # a NaN limit would never be reached, nor an infinite one
             raise ValueError(f"wall-clock budget must be positive and finite, not {self.seconds!r}")
 

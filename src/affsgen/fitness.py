@@ -11,7 +11,7 @@ import enum
 import math
 from typing import Iterable, NamedTuple
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Schema, Sides
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides
 from affsgen.minilang.nodes import (
     Binary,
     BoolLit,
@@ -32,9 +32,8 @@ from affsgen.mutation import (
     MutantStatus,
     best_status,
     classify_against_mutant,
-    generate_mutants,
+    mutants_of,
     mutation_score,
-    schema_roots,
     schema_run,
 )
 from affsgen.testmodel import TestCase, TestSuite, render_test
@@ -250,6 +249,12 @@ def levenshtein(a: str, b: str) -> int:
 class FitnessContext:
     """Program-wide caches shared by every fitness evaluation in a run.
 
+    The program's mutants and the schema roots of their schema runs are
+    kept on the program (``mutation.mutants_of``), so every context on it
+    shares one mutant list and the compiled hooks its schema keeps; an
+    experiment builds them before its pool starts. Everything else below is
+    per context.
+
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
     so cached results stay valid. Below the traces, every distinct call of
@@ -280,8 +285,6 @@ class FitnessContext:
         self.function_names = tuple(program.function_names)
         self.buckets = output_buckets(program)
         self.discovered_exceptions: set[tuple[str, str]] = set()
-        self._mutants: list[Mutant] | None = None
-        self._schema_roots: Schema | None = None
         self._calls: dict[tuple, ExecutionResult] = {}
         self._schema_runs: dict[tuple, Sides] = {}
         self._traces: dict[TestCase, TestTrace] = {}
@@ -294,9 +297,7 @@ class FitnessContext:
 
     @property
     def mutants(self) -> list[Mutant]:
-        if self._mutants is None:
-            self._mutants = generate_mutants(self.program)
-        return self._mutants
+        return mutants_of(self.program)[0]
 
     def trace(self, test: TestCase) -> TestTrace:
         trace = self._traces.get(test)
@@ -328,10 +329,8 @@ class FitnessContext:
             if status is None:
                 schema = self._schema_runs.get(key)
                 if schema is None:
-                    if self._schema_roots is None:
-                        self._schema_roots = schema_roots(self.mutants)
                     schema = self._schema_runs[key] = schema_run(
-                        self.program, self._schema_roots, *call_of(key), self.interp)
+                        self.program, mutants_of(self.program)[1], *call_of(key), self.interp)
                 status = self._classifications[ckey] = classify_against_mutant(
                     mutant, *call_of(key), base, self.interp, schema).status
             if status > best:

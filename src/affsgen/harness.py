@@ -5,6 +5,14 @@ against the fixed version of each pair; a fault counts as detected when any
 generated test behaves differently on the faulty version. Every trial gets a
 seed derived from (master seed, fault, strategy, trial), so reruns reproduce
 the same rows byte for byte.
+
+Everything that depends only on a program is built once per experiment and
+shared by its trials: each fixed program keeps its mutants and their schema
+on itself (``mutation.mutants_of``), and each program its compiled code.
+Before a pool starts, the parent compiles every pair's programs, mutants and
+schema hooks (``interpreter.precompile``), so forked workers inherit them
+and compile nothing; a serial run compiles lazily. The pool's initializer
+hands each worker the parsed pairs once, and a job names its pair by index.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
 from affsgen.engine import EngineConfig, SearchResult, run_search
-from affsgen.minilang.interpreter import InterpConfig
+from affsgen.minilang.interpreter import InterpConfig, precompile
 from affsgen.minilang.nodes import Program
 from affsgen.minilang.parser import ParseError, parse
+from affsgen.mutation import mutants_of
 from affsgen.testmodel import GenConfig, TestSuite
 from affsgen.tracing import run_test
 
@@ -160,10 +169,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials_per_fault < 1:
-            raise ConfigError("trials_per_fault must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        for name, least in (("trials_per_fault", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an int of at least {least}, not {value!r}")
+        if type(self.master_seed) is not int:
+            raise ConfigError(f"master_seed must be an int, not {self.master_seed!r}")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         for spec in self.strategies:
@@ -211,16 +222,53 @@ def _goal_metric(goal: Goal, result: SearchResult) -> float:
     return float(result.metrics["strong_mutation_score"])
 
 
+# the pairs of the running experiment, which jobs name by index: set in
+# the parent for a serial run and by the pool's initializer in each worker
+_pairs: list[FaultPair] = []
+
+
+def _use_pairs(pairs: list[FaultPair]) -> None:
+    global _pairs
+    _pairs = pairs
+
+
+def _jobs(cfg: ExperimentConfig, pairs: list[FaultPair]) -> list[tuple]:
+    """One job per trial: (pair index, fault id, strategy, goal value, seed,
+    trial index, engine, generation and interpreter configs)."""
+    jobs = []
+    for index, pair in enumerate(pairs):
+        for strategy in cfg.strategies:
+            for trial in range(cfg.trials_per_fault):
+                seed = derive_seed(cfg.master_seed, pair.fault_id, strategy, trial)
+                jobs.append((index, pair.fault_id, strategy, cfg.goal.value, seed, trial,
+                             cfg.engine, cfg.generation, cfg.interp))
+    return jobs
+
+
 def _trial_job(args) -> dict:
-    (pair, fault_id, strategy_spec, goal_value, seed,
+    (index, fault_id, strategy_spec, goal_value, seed, trial,
      engine, gen_config, interp) = args
     goal = Goal(goal_value)
     try:
-        _, record = run_trial(pair, strategy_spec, goal, seed, engine, gen_config, interp)
+        _, record = run_trial(_pairs[index], strategy_spec, goal, seed, engine, gen_config,
+                              interp)
     except Exception as err:  # recorded per-trial, never aborts the sweep
         record = TrialRecord(fault_id=fault_id, strategy=strategy_spec, seed=seed,
                              error=f"{type(err).__name__}: {err}")
+    record.trial_index = trial
     return asdict(record)
+
+
+def _precompile(pairs: list[FaultPair], interp: InterpConfig) -> None:
+    """Compile everything the pairs' trials run under ``interp``: both
+    programs' traced code, and the fixed program's lean code, schema hooks
+    and mutants."""
+    for pair in pairs:
+        mutants, roots = mutants_of(pair.fixed_program)
+        precompile(pair.fixed_program, roots, interp)
+        precompile(pair.faulty_program)
+        for mutant in mutants:
+            precompile(mutant.mutated_program)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -231,27 +279,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     if not pairs:
         raise CorpusError(f"no fault pairs found under {cfg.corpus_path}")
 
-    # each job carries its parsed pair, so workers never re-read the corpus
-    job_args, trials = [], []
-    for pair in pairs:
-        for strategy in cfg.strategies:
-            for trial in range(cfg.trials_per_fault):
-                seed = derive_seed(cfg.master_seed, pair.fault_id, strategy, trial)
-                job_args.append((pair, pair.fault_id, strategy, cfg.goal.value, seed,
-                                 cfg.engine, cfg.generation, cfg.interp))
-                trials.append(trial)
+    jobs = _jobs(cfg, pairs)
     # a pool starts all its workers at once, so it gets no more than the CPUs
     workers = min(cfg.workers, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw_records = list(pool.map(_trial_job, job_args, chunksize=1))
-    else:
-        raw_records = [_trial_job(args) for args in job_args]
-
-    records: list[TrialRecord] = []
-    for trial, raw in zip(trials, raw_records):
-        raw["trial_index"] = trial
-        records.append(TrialRecord(**raw))
+    _use_pairs(pairs)
+    try:
+        if workers > 1:
+            _precompile(pairs, cfg.interp)
+            with ProcessPoolExecutor(max_workers=workers, initializer=_use_pairs,
+                                     initargs=(pairs,)) as pool:
+                raw_records = list(pool.map(_trial_job, jobs, chunksize=1))
+        else:
+            raw_records = [_trial_job(job) for job in jobs]
+    finally:
+        _use_pairs([])
+    records = [TrialRecord(**raw) for raw in raw_records]
 
     # normalization is per fault, across every strategy and trial
     by_fault: dict[str, list[TrialRecord]] = {}

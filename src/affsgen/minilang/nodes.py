@@ -159,11 +159,15 @@ class Program:
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
     # the interpreter's compiled module and hooks, set on the first run
     _compiled: tuple | None = field(default=None, repr=False, compare=False)
+    # the program's mutants and the schema roots of their schema runs, set
+    # on first use (``mutation.mutants_of``)
+    _mutants: tuple | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
-        # compiled code does not pickle; a copy compiles on its first run
+        # compiled code does not pickle; a copy compiles on its first run and
+        # generates its own mutants, whose schema keeps compiled hooks
         state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state["_compiled"] = None
+        state["_compiled"] = state["_mutants"] = None
         return (None, state)
 
     def fn_map(self) -> dict[str, FunctionDef]:

@@ -239,6 +239,17 @@ def schema_roots(mutants: Iterable[Mutant]) -> Schema:
     return Schema(roots)
 
 
+def mutants_of(program: Program) -> tuple[list[Mutant], Schema]:
+    """The program's mutants and their schema roots, generated on first use
+    and kept on the program, so every search on it shares them and the
+    hooks its schema keeps."""
+    kept = program._mutants
+    if kept is None:
+        mutants = generate_mutants(program)
+        kept = program._mutants = (mutants, schema_roots(mutants))
+    return kept
+
+
 def schema_run(program: Program, roots: Schema, function: str, args: tuple,
                config: InterpConfig = InterpConfig()) -> Sides:
     """Run ``program`` once on a call, redoing every listed mutant's root on the side."""

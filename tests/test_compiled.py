@@ -260,6 +260,17 @@ def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
     assert execute(copy, "f", (2,)) == first
 
 
+def test_a_copy_of_a_program_generates_its_own_mutants():
+    program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
+    mutants, roots = FitnessContext(program).mutants, program._mutants[1]
+    assert program._mutants[0] is mutants
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy._mutants is None
+    copied = FitnessContext(copy).mutants
+    assert copied is not mutants and copy._mutants[1] is not roots
+    assert [(m.operator, m.site) for m in copied] == [(m.operator, m.site) for m in mutants]
+
+
 # --- CPython's limits and the stack --------------------------------------------------
 
 

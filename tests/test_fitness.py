@@ -17,7 +17,7 @@ from affsgen.fitness import (
     suite_diversity,
 )
 from affsgen.minilang import parse
-from affsgen.mutation import MutantStatus
+from affsgen.mutation import MutantStatus, schema_roots
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
 from oracles import dp_levenshtein, full_reexecution_status, naive_levenshtein
 
@@ -144,11 +144,13 @@ def test_strong_mut_zero_iff_full_strong_score():
     assert (fitness == 0.0) == (score == 100.0)
 
 
-STAGED = parse("fn f(a:int){ let t = a + 1; if (t > 0) { return 1; } return 0; }", "staged")
+STAGED_SOURCE = "fn f(a:int){ let t = a + 1; if (t > 0) { return 1; } return 0; }"
+STAGED = parse(STAGED_SOURCE, "staged")
 
 
 def test_mutation_fitness_is_the_mean_of_stage_tables():
-    ctx = FitnessContext(STAGED)
+    program = parse(STAGED_SOURCE, "staged")  # its own copy: its mutant list is narrowed below
+    ctx = FitnessContext(program)
     mutants = ctx.mutants
     # f(5): t goes 6 -> 4 without changing the result; 6 >= 0 holds too;
     # 6 < 0 flips the branch; `return 0` is never reached
@@ -158,10 +160,11 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
         MutantStatus.KILLED: ("ror:>-><", 1),
         MutantStatus.NOT_REACHED: ("const:+1", 3),
     }
-    ctx._mutants = [next(m for m in mutants if (m.operator, m.site) == pick)
-                    for pick in picks.values()]
+    narrowed = [next(m for m in mutants if (m.operator, m.site) == pick)
+                for pick in picks.values()]
+    program._mutants = (narrowed, schema_roots(narrowed))
     suite = TestSuite([_case("f", 5)])
-    for status, mutant in zip(picks, ctx._mutants):
+    for status, mutant in zip(picks, ctx.mutants):
         assert ctx.classify(mutant, suite.tests[0]) == status
     assert eval_fitness(F.WEAK_MUT, suite, ctx) == (1.0 + 0.5 + 0.0 + 0.0) / 4
     assert eval_fitness(F.STRONG_MUT, suite, ctx) == (1.0 + 0.75 + 0.25 + 0.0) / 4

@@ -3,12 +3,13 @@
 import csv
 import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 
-from affsgen import harness
+from affsgen import harness, mutation
 from affsgen.affs import Goal
 from affsgen.cli import main as cli_main
 from affsgen.engine import Budget, EngineConfig
@@ -26,7 +27,7 @@ from affsgen.harness import (
     run_trial,
     vargha_delaney_a,
 )
-from affsgen.minilang import parse
+from affsgen.minilang import interpreter, parse
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite
 from oracles import brute_force_a_measure
@@ -356,14 +357,14 @@ def test_experiment_config_validation(tmp_path):
             _experiment_config(tmp_path, workers=workers)
 
 
-def test_experiment_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    started = []
-
+def _inline_pool(started: list):
     class InlinePool:
-        """Records its size and runs every job in this process."""
+        """Records its size, calls its initializer and runs every job in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -374,13 +375,87 @@ def test_experiment_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_experiment_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    started = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     corpus = _mini_corpus(tmp_path)
     for workers in (1, 2, 10_000):
         run_experiment(_experiment_config(corpus, workers=workers), tmp_path / str(workers))
     assert started == [2, 3]
     assert (tmp_path / "10000" / "trials.csv").read_text().count("\n") == 1 + 2 * 2 * 3
+
+
+def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, monkeypatch):
+    started = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    in_job = [False]
+    compiles = {False: 0, True: 0}  # by whether a job was running
+    generated = []
+    original_exec = interpreter._Compiled._exec
+    original_job = harness._trial_job
+    original_generate = mutation.generate_mutants
+
+    def counting_exec(self, source, name):
+        compiles[in_job[0]] += 1
+        return original_exec(self, source, name)
+
+    def marked_job(args):
+        in_job[0] = True
+        try:
+            return original_job(args)
+        finally:
+            in_job[0] = False
+
+    def counting_generate(program):
+        generated.append(program.source_id)
+        return original_generate(program)
+
+    monkeypatch.setattr(interpreter._Compiled, "_exec", counting_exec)
+    monkeypatch.setattr(harness, "_trial_job", marked_job)
+    monkeypatch.setattr(mutation, "generate_mutants", counting_generate)
+    corpus = _mini_corpus(tmp_path)
+    rows = {}
+    for workers in (1, 2):
+        # nothing compiled yet, so each run compiles every program it runs
+        monkeypatch.setattr(interpreter, "_MODULES", {})
+        compiles.update({False: 0, True: 0})
+        generated.clear()
+        out = tmp_path / str(workers)
+        run_experiment(_experiment_config(corpus, goal=Goal.STRONG_MUTATION, workers=workers),
+                       out)
+        with open(out / "trials.csv", newline="") as fh:
+            rows[workers] = [{k: v for k, v in row.items() if k != "mean_seconds_per_generation"}
+                             for row in csv.DictReader(fh)]
+        assert generated == ["p02_bigger_swap", "p04_guarded_divide"]
+        if workers == 1:
+            assert compiles[False] == 0 and compiles[True] > 0  # serial runs compile lazily
+        else:
+            assert compiles[False] > 0 and compiles[True] == 0
+    assert started == [2]
+    assert rows[1] == rows[2] and not any(row["error"] for row in rows[1])
+
+
+def test_jobs_on_pickled_pairs_give_the_same_records(tmp_path):
+    corpus = _mini_corpus(tmp_path)
+    cfg = _experiment_config(corpus, goal=Goal.STRONG_MUTATION, trials_per_fault=1)
+    pairs = load_corpus(corpus)
+    jobs = harness._jobs(cfg, pairs)
+    records = []
+    try:
+        for given in (pairs, pickle.loads(pickle.dumps(pairs))):
+            harness._use_pairs(given)
+            records.append([harness._trial_job(job) for job in jobs])
+    finally:
+        harness._use_pairs([])
+    for record in (r for side in records for r in side):
+        assert not record.pop("error") and record.pop("mean_seconds_per_generation") > 0
+    assert records[0] == records[1]
+    assert [r["trial_index"] for r in records[0]] == [0] * len(jobs)
 
 
 # --- CLI -------------------------------------------------------------------------------
@@ -517,7 +592,7 @@ def test_cli_experiment_missing_corpus_is_exit_2(tmp_path):
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0, True])
 def test_budget_rejects_a_wall_clock_limit_that_is_not_positive_and_finite(seconds):
     with pytest.raises(ValueError, match="positive and finite"):
         Budget(seconds=seconds)
@@ -548,6 +623,7 @@ def test_cli_generate_with_a_non_finite_budget_is_exit_1(tmp_path, capsys, monke
 @pytest.mark.parametrize("engine, interp", [
     ({"budget": {"seconds": float("nan")}}, {}),
     ({"budget": {"seconds": float("inf")}}, {}),
+    ({"budget": {"seconds": True}}, {}),
     ({"budget": {"generations": 2}}, {"step_limit": "x"}),
     ({"budget": {"generations": 2}}, {"step_limit": 0}),
     ({"budget": {"generations": 2}}, {"max_call_depth": 10**6}),
@@ -556,7 +632,7 @@ def test_cli_generate_with_a_non_finite_budget_is_exit_1(tmp_path, capsys, monke
     ({"budget": {"generations": 2}, "population_size": 4.5}, {}),
     ({"budget": {"generations": 2}, "fresh_random_per_gen": -3}, {}),
     ({"budget": {"generations": 2}, "skip_iter": 1.5}, {}),
-], ids=["nan-seconds", "inf-seconds", "step-limit-str", "step-limit-0", "call-depth-huge",
+], ids=["nan-seconds", "inf-seconds", "bool-seconds", "step-limit-str", "step-limit-0", "call-depth-huge",
         "unknown-key", "generations-float", "population-float", "fresh-negative",
         "skip-iter-float"])
 def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch, engine, interp):
@@ -570,6 +646,29 @@ def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch,
     out_dir = tmp_path / "o"
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert started == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"trials_per_fault": 2.5},
+    {"trials_per_fault": True},
+    {"workers": 1.9},
+    {"workers": "2"},
+    {"master_seed": True},
+    {"master_seed": 7.0},
+], ids=["trials-float", "trials-bool", "workers-float", "workers-str", "seed-bool", "seed-float"])
+def test_cli_experiment_with_non_int_counts_is_exit_1(tmp_path, capsys, monkeypatch, setting):
+    started = _no_search(monkeypatch)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "goal": "exceptions", "strategies": ["ucb"], "trials_per_fault": 1,
+        "corpus": str(_mini_corpus(tmp_path)), "engine": {"budget": {"generations": 2}},
+        **setting,
+    }))
+    out_dir = tmp_path / "o"
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    name = next(iter(setting))
+    assert capsys.readouterr().err.startswith(f"error: {name} must be an int")
     assert started == [] and not out_dir.exists()
 
 

@@ -172,6 +172,19 @@ def test_the_first_killing_call_ends_the_test(monkeypatch):
     assert [args for prog, args in runs if prog is mutant.mutated_program] == [(3,)]
 
 
+def test_contexts_on_one_program_share_its_mutants_but_not_their_memos(monkeypatch):
+    program = parse(DOUBLE)
+    first, second = FitnessContext(program), FitnessContext(program)
+    assert first.mutants is second.mutants
+    mutant = next(m for m in first.mutants if m.operator == "aor:*->+")
+    runs = _count_runs(monkeypatch)
+    test = TestCase(calls=(CallStmt("f", (3,)),))
+    for ctx in (first, second):
+        assert ctx.classify(mutant, test) == MutantStatus.KILLED
+    # each context runs its own schema run and kill run
+    assert runs == [(program, (3,)), (mutant.mutated_program, (3,))] * 2
+
+
 def test_every_argument_of_an_interpreter_call_is_hashable(monkeypatch):
     # the benchmark's tracer keys each interpreter call by the program's
     # identity and every other argument's value
