@@ -11,7 +11,7 @@ import enum
 import math
 from typing import Iterable, NamedTuple
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, merge_best
 from affsgen.minilang.nodes import (
     Binary,
     BoolLit,
@@ -399,11 +399,7 @@ def _branch_score(suite: TestSuite, ctx: FitnessContext, direct: bool) -> float:
         trace = ctx.trace(test)
         table = trace.branch_best_direct if direct else trace.branch_best
         for bid, (dt, df) in table.items():
-            slot = best.setdefault(bid, [INF, INF])
-            if dt < slot[0]:
-                slot[0] = dt
-            if df < slot[1]:
-                slot[1] = df
+            merge_best(best, bid, dt, df)
     total = 0.0
     for bid in range(ctx.total_branches):
         dt, df = best.get(bid, (INF, INF))

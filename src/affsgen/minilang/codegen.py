@@ -3,7 +3,7 @@
 ``program_source`` emits one Python function per MiniJ function, in one
 of two shapes. The instrumented variant (prefix ``I``) serves traced runs,
 runs of a base program without side evaluations: it records lines, branch
-evaluations and called functions, and evaluates every statement root
+distances and called functions, and evaluates every statement root
 inline. The lean variant (prefix ``K``) serves every other run: it keeps
 only the step count and the outcome, and guards each statement root with
 its hook, if the run has one. ``root_source`` emits one statement root as
@@ -11,17 +11,18 @@ a lean function of its own, for hooks and mutant alternatives. The
 emitted code runs in a namespace that ``interpreter`` supplies: ``E`` (the
 ``MiniJError`` class), ``X`` (records the lines of a group of ticks that
 crosses the step limit and returns its error), ``U`` (the value of a
-variable not yet bound), ``SD`` (the string-equality distance), ``BE``
-(``BranchEval``) and ``TN`` (``tuple.__new__``).
+variable not yet bound), ``SD`` (the string-equality distance) and ``MB``
+(``merge_best``).
 
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``.
-The context is ``(L, M, H)`` in lean code and ``(L, M, LA, BA, CA)`` in
-instrumented code: the step limit, the deepest call depth allowed, and
+The context is ``(L, M, H)`` in lean code and ``(L, M, LA, BB, BD, CA)``
+in instrumented code: the step limit, the deepest call depth allowed, and
 either the hooks (root node id to a function that evaluates that root, or
-None where a deleted assignment skips its statement) or the recorders of
-lines, branch evaluations and calls. An in-language failure raises ``E``
-carrying the step count.
+None where a deleted assignment skips its statement) or the line recorder,
+the best branch distances over all frames and over the entry frame (``D ==
+0``), and the call recorder. An in-language failure raises ``E`` carrying
+the step count.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -214,7 +215,7 @@ class _Code:
 
     def finish(self, name: str, params) -> str:
         args = "".join(f", {p}" for p in params)
-        head = "L, M, LA, BA, CA = C" if self.instrumented else "L, M, H = C"
+        head = "L, M, LA, BB, BD, CA = C" if self.instrumented else "L, M, H = C"
         return "\n".join([f"def {name}(C, S, D{args}):", " " + head] + self.lines)
 
     # -- expressions ----------------------------------------------------------------
@@ -498,14 +499,16 @@ class _Code:
         self.branch(f"{node} in H", hooked, inline)
 
     def condition(self, stmt: If | While) -> str:
-        """Evaluate a branch condition, recording it in instrumented code."""
+        """Evaluate a branch condition, and merge its distances in instrumented code."""
         if not self.instrumented:
             t = self.temp()
             self.root(stmt.cond, True, t)
             return t
         t, dt, df = self.temp(), self.temp(), self.temp()
         self.root(stmt.cond, True, f"({t}, {dt}, {df})")
-        self.emit(f"BA(TN(BE, ({stmt.branch_id}, {t}, {dt}, {df}, D == 0)))")
+        args = f"{stmt.branch_id}, {dt}, {df}"
+        self.emit(f"MB(BB, {args})")
+        self.emit(f"if D == 0: MB(BD, {args})")
         return t
 
     def block(self, body: list[Stmt]) -> bool:

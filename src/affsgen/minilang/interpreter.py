@@ -14,9 +14,10 @@ program, keyed by its source text, and the cache holds a bounded number of
 programs. ``precompile`` compiles ahead what a program's runs would compile
 on first use, so that forked worker processes inherit it.
 
-A traced run records the statements reached, every branch-predicate
-evaluation with distances toward both outcomes, the set of functions called
-(flagged direct for the entry frame), the step count and the final outcome.
+A traced run records the statements reached, each branch's least distances
+toward both outcomes (over all frames, and over the entry frame alone), the
+functions called (flagged direct for the entry frame), the step count and
+the final outcome.
 Every other run, a kill run of a mutated program or a run with side
 evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
@@ -43,16 +44,17 @@ Semantics worth knowing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 from affsgen.minilang.nodes import Expr, Program
 from affsgen.minilang.parser import expr_source, to_source
 
 __all__ = [
     "DIV_BY_ZERO", "EXPLICIT_THROW", "INDEX_OUT_OF_BOUNDS", "STEP_LIMIT_EXCEEDED",
-    "TYPE_ERROR", "MAX_CALL_DEPTH", "ArityError", "BranchEval", "ExceptionRecord",
-    "ExecutionResult", "InterpConfig", "MiniJError", "Raised", "Returned", "Schema", "Sides",
-    "UnknownFunctionError", "execute", "kind_of", "precompile", "string_eq_distance",
+    "TYPE_ERROR", "MAX_CALL_DEPTH", "ArityError", "ExceptionRecord", "ExecutionResult",
+    "InterpConfig", "MiniJError", "Raised", "Returned", "Schema", "Sides",
+    "UnknownFunctionError", "execute", "kind_of", "merge_best", "precompile",
+    "string_eq_distance",
 ]
 
 DIV_BY_ZERO = "DivByZero"
@@ -126,26 +128,22 @@ class Raised:
 Outcome = Union[Returned, Raised]
 
 
-class BranchEval(NamedTuple):
-    branch_id: int
-    taken: bool
-    distance_true: float
-    distance_false: float
-    direct: bool
-
-
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """What one entry call did.
 
     A traced run, one of a base program without side evaluations, fills
     every field. Every other run (a kill run, of a mutated program, or any
-    run with sides) fills only ``outcome`` and ``steps``: ``lines_hit``,
-    ``branch_evals`` and ``called_functions`` are empty.
+    run with sides) fills only ``outcome`` and ``steps``, and the rest is
+    empty. ``branch_best`` maps each branch evaluated to its least distances
+    toward true and false, ``[best_true, best_false]``, over all frames and
+    ``branch_best_direct`` over the entry frame; memos share them, so they
+    are never written.
     """
 
     lines_hit: frozenset[int]
-    branch_evals: tuple[BranchEval, ...]
+    branch_best: dict[int, list[float]]
+    branch_best_direct: dict[int, list[float]]
     called_functions: frozenset[tuple[str, bool]]
     outcome: Outcome
     steps: int
@@ -182,6 +180,19 @@ def string_eq_distance(a: str, b: str) -> float:
     return float(abs(len(a) - len(b)) + mismatches)
 
 
+def merge_best(table: dict, branch_id: int, distance_true: float, distance_false: float):
+    """Lower ``table[branch_id]``, a ``[best_true, best_false]`` list, to the given
+    distances where they are less; a branch not in the table gets a new list."""
+    best = table.get(branch_id)
+    if best is None:
+        table[branch_id] = [distance_true, distance_false]
+        return
+    if distance_true < best[0]:
+        best[0] = distance_true
+    if distance_false < best[1]:
+        best[1] = distance_false
+
+
 # --- compiled programs -------------------------------------------------------
 
 
@@ -204,7 +215,7 @@ def _crossed(record, limit: int, start: int, events: tuple, fname: str) -> MiniJ
 
 
 _RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_distance,
-            "BE": BranchEval, "TN": tuple.__new__}
+            "MB": merge_best}
 
 
 class _Compiled:
@@ -453,6 +464,7 @@ def precompile(program: Program, roots: Schema | None = None,
 
 
 _EMPTY: frozenset = frozenset()
+_NO_BRANCHES: dict = {}  # the branch tables of every run that is not traced; never written
 
 
 def execute(
@@ -493,12 +505,13 @@ def execute(
         previous, box[0] = box[0], sides
     limit, deepest = config.step_limit, config.max_call_depth - 1
     lines: set[int] = set()
-    branches: list[BranchEval] = []
+    best: dict[int, list[float]] = {}
+    best_direct: dict[int, list[float]] = {}
     called = {(entry, True)}
     outcome: Outcome
     try:
         if traced:
-            context = (limit, deepest, lines.add, branches.append, called.add)
+            context = (limit, deepest, lines.add, best, best_direct, called.add)
             value, steps = function(context, 0, 0, *args)
         else:
             value, steps = function((limit, deepest, hooks), 0, 0, *args)
@@ -509,11 +522,5 @@ def execute(
         if box is not None:
             box[0] = previous
     if not traced:
-        return ExecutionResult(_EMPTY, (), _EMPTY, outcome, steps)
-    return ExecutionResult(
-        lines_hit=frozenset(lines),
-        branch_evals=tuple(branches),
-        called_functions=frozenset(called),
-        outcome=outcome,
-        steps=steps,
-    )
+        return ExecutionResult(_EMPTY, _NO_BRANCHES, _NO_BRANCHES, _EMPTY, outcome, steps)
+    return ExecutionResult(frozenset(lines), best, best_direct, frozenset(called), outcome, steps)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from affsgen.minilang.interpreter import (
@@ -12,11 +11,10 @@ from affsgen.minilang.interpreter import (
     Returned,
     execute,
     kind_of,
+    merge_best,
 )
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import TestCase
-
-INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +25,7 @@ class TestTrace:
     call_keys: tuple[tuple, ...]
     call_results: tuple[ExecutionResult, ...]
     lines_hit: frozenset[int]
-    # branch_id -> best (distance_true, distance_false) across all evaluations
+    # branch_id -> [best distance_true, best distance_false], over all frames or the entry frame
     branch_best: dict
     branch_best_direct: dict
     functions_called: frozenset[tuple[str, bool]]
@@ -98,18 +96,11 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         results.append(result)
         lines |= result.lines_hit
         called |= result.called_functions
-        for branch_id, _, distance_true, distance_false, direct in result.branch_evals:
-            best = branch_best.setdefault(branch_id, [INF, INF])
-            if distance_true < best[0]:
-                best[0] = distance_true
-            if distance_false < best[1]:
-                best[1] = distance_false
-            if direct:
-                best = branch_best_direct.setdefault(branch_id, [INF, INF])
-                if distance_true < best[0]:
-                    best[0] = distance_true
-                if distance_false < best[1]:
-                    best[1] = distance_false
+        # merge_best copies the distances: the memoized result's lists stay as they are
+        for branch_id, (dt, df) in result.branch_best.items():
+            merge_best(branch_best, branch_id, dt, df)
+        for branch_id, (dt, df) in result.branch_best_direct.items():
+            merge_best(branch_best_direct, branch_id, dt, df)
         if isinstance(result.outcome, Raised):
             exceptions.add(result.outcome.record.identity)
         else:
@@ -120,8 +111,8 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         call_keys=tuple(keys),
         call_results=tuple(results),
         lines_hit=frozenset(lines),
-        branch_best={b: tuple(v) for b, v in branch_best.items()},
-        branch_best_direct={b: tuple(v) for b, v in branch_best_direct.items()},
+        branch_best=branch_best,
+        branch_best_direct=branch_best_direct,
         functions_called=frozenset(called),
         exceptions=frozenset(exceptions),
         clean_direct=frozenset(clean_direct),

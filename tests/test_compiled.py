@@ -46,7 +46,8 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
     else:
         # a schema run, like a kill run, fills only the outcome and the step count
         assert (schema.outcome, schema.steps) == (walked.outcome, walked.steps)
-        assert not (schema.lines_hit or schema.branch_evals or schema.called_functions)
+        assert not (schema.lines_hit or schema.branch_best or schema.branch_best_direct
+                    or schema.called_functions)
         assert (ours.evals, ours.infected, ours.drifted) == (
             theirs.evals, theirs.infected, theirs.drifted)
     for mutant in mutants:
@@ -59,7 +60,8 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
             assert killed == walked, mutant.operator
             continue
         assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps), mutant.operator
-        assert not (killed.lines_hit or killed.branch_evals or killed.called_functions)
+        assert not (killed.lines_hit or killed.branch_best or killed.branch_best_direct
+                    or killed.called_functions)
         assert ours.evals == theirs.evals, mutant.operator
     if mutants:
         # a kill run with every root's alternatives on the side
@@ -205,6 +207,16 @@ def test_generated_programs_run_as_the_tree_walker_does(seed):
                               max_call_depth=rng.choice([1, 2, 5, 50]))
         _assert_same_runs(program, f"f{i}", _arguments(rng, writer.signatures[i]), config,
                           rng.sample(mutants, min(8, len(mutants))), roots)
+
+
+def test_a_branch_evaluated_in_and_below_the_entry_frame_keeps_both_minima():
+    # no corpus call evaluates one branch at both depths
+    program = parse("fn f(n:int){ if (n > 0) { return f(n - 1); } return 0; }")
+    result = execute(program, "f", (3,))
+    # n = 3 in the entry frame; n = 2, 1 and 0 below it
+    assert result.branch_best == {0: [0.0, 0.0]}
+    assert result.branch_best_direct == {0: [0.0, 3.0]}
+    assert result == treewalk.execute(program, "f", (3,))
 
 
 # --- variables, hooks and the compiled-code cache -------------------------------------

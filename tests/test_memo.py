@@ -50,6 +50,22 @@ def test_context_trace_equals_run_test_on_cold_and_warm_memo(seed):
         assert len(warm._calls) <= sum(len(t.calls) for t in tests)
 
 
+def test_traces_leave_the_memoized_results_as_they_ran():
+    # a trace's branch tables start from its first call's: merging the
+    # later calls into them must not write the memoized results
+    program = parse("fn f(n:int){ if (n > 0) { return f(n - 1); } return 0; } "
+                    "fn g(n:int){ while (n > 5) { n = n - 2; } return f(n); }")
+    memo: dict = {}
+    # f(0) alone never takes f's branch, which the later calls do
+    calls = [CallStmt(*call) for call in
+             [("f", (0,)), ("g", (9,)), ("f", (3,)), ("g", (2,)), ("f", (0,))]]
+    for test in (TestCase(calls=tuple(calls[:3])), TestCase(calls=tuple(calls[2:]))):
+        run_test(program, test, memo=memo)
+    assert len(memo) == 4
+    for key, result in memo.items():
+        assert result == execute(program, *tracing.call_of(key))
+
+
 def _fresh_status(mutant, test: TestCase) -> MutantStatus:
     """A test's status from scratch: every call classified with no memo."""
     statuses = [MutantStatus.NOT_REACHED]

@@ -2,12 +2,16 @@
 
 It walks the syntax tree node by node, as ``execute`` in
 ``affsgen.minilang.interpreter`` is specified to behave: the same steps,
-lines, branch evaluations, called functions, outcomes and side evaluations
-(``Sides``). A mutated program runs as the whole tree it is, not on its base
-program's compiled code, and its result is as full as a base program's.
+lines, best branch distances, called functions, outcomes and side
+evaluations (``Sides``). A mutated program runs as the whole tree it is, not
+on its base program's compiled code, and its result is as full as a base
+program's. It logs every branch-predicate evaluation (see ``run``) and
+folds the log into the result's two tables of best distances itself.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from affsgen.minilang.interpreter import (
     DIV_BY_ZERO,
@@ -16,7 +20,6 @@ from affsgen.minilang.interpreter import (
     STEP_LIMIT_EXCEEDED,
     TYPE_ERROR,
     ArityError,
-    BranchEval,
     ExceptionRecord,
     ExecutionResult,
     InterpConfig,
@@ -81,6 +84,16 @@ def _nu(x: float) -> float:
     return x / (x + 1.0)
 
 
+class Evaluation(NamedTuple):
+    """One evaluation of a branch predicate."""
+
+    branch_id: int
+    taken: bool
+    distance_true: float
+    distance_false: float
+    direct: bool  # in the entry frame
+
+
 class MiniJError(Exception):
     """In-language exception; caught at the entry boundary."""
 
@@ -103,7 +116,7 @@ class _Interp:
         "config",
         "steps",
         "lines_hit",
-        "branch_evals",
+        "evaluations",
         "called",
         "sides",
         "roots",
@@ -115,7 +128,7 @@ class _Interp:
         self.config = config
         self.steps = 0
         self.lines_hit: set[int] = set()
-        self.branch_evals: list[BranchEval] = []
+        self.evaluations: list[Evaluation] = []
         self.called: set[tuple[str, bool]] = set()
         self.sides = sides
         self.roots = {} if sides is None else sides.roots
@@ -338,16 +351,16 @@ class _Interp:
             return
         if cls is If:
             taken, d_true, d_false = self.pred(stmt.cond, env, fname, depth)
-            self.branch_evals.append(
-                BranchEval(stmt.branch_id, taken, d_true, d_false, depth == 0)
+            self.evaluations.append(
+                Evaluation(stmt.branch_id, taken, d_true, d_false, depth == 0)
             )
             self._exec_body(stmt.then_body if taken else stmt.else_body, env, fname, depth)
             return
         if cls is While:
             while True:
                 taken, d_true, d_false = self.pred(stmt.cond, env, fname, depth)
-                self.branch_evals.append(
-                    BranchEval(stmt.branch_id, taken, d_true, d_false, depth == 0)
+                self.evaluations.append(
+                    Evaluation(stmt.branch_id, taken, d_true, d_false, depth == 0)
                 )
                 if not taken:
                     return
@@ -357,6 +370,16 @@ class _Interp:
         if cls is Throw:
             raise MiniJError(EXPLICIT_THROW, fname, tag=stmt.tag)
         raise TypeError(f"unknown statement node {stmt!r}")
+
+
+def _best(evaluations: list[Evaluation]) -> dict[int, list[float]]:
+    """branch_id -> [least distance_true, least distance_false] over ``evaluations``."""
+    best: dict[int, list[float]] = {}
+    for ev in evaluations:
+        best_true, best_false = best.get(ev.branch_id, (float("inf"), float("inf")))
+        best[ev.branch_id] = [min(best_true, ev.distance_true),
+                              min(best_false, ev.distance_false)]
+    return best
 
 
 def execute(
@@ -375,6 +398,18 @@ def execute(
     Raises UnknownFunctionError / ArityError for malformed entry calls; every
     in-language failure is captured as a Raised outcome instead.
     """
+    return run(program, entry, args, config, sides)[0]
+
+
+def run(
+    program: Program,
+    entry: str,
+    args: tuple[Value, ...] | list[Value],
+    config: InterpConfig = InterpConfig(),
+    sides: Sides | None = None,
+) -> tuple[ExecutionResult, list[Evaluation]]:
+    """``execute``'s result of one entry call, and every branch-predicate
+    evaluation of the call, in order."""
     fn = program.function(entry)
     if fn is None:
         raise UnknownFunctionError(f"no function named {entry!r}")
@@ -398,10 +433,12 @@ def execute(
             outcome = Returned(sig.value)
     except MiniJError as err:
         outcome = Raised(err.record)
-    return ExecutionResult(
+    result = ExecutionResult(
         lines_hit=frozenset(interp.lines_hit),
-        branch_evals=tuple(interp.branch_evals),
+        branch_best=_best(interp.evaluations),
+        branch_best_direct=_best([ev for ev in interp.evaluations if ev.direct]),
         called_functions=frozenset(interp.called),
         outcome=outcome,
         steps=interp.steps,
     )
+    return result, interp.evaluations
