@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from affsgen.fitness import FN_BY_NAME, FN_NAMES, FitnessFunctionId
+from affsgen.fitness import FN_BY_NAME, FN_NAMES, FitnessFunctionId, eval_fitness
 
 F = FitnessFunctionId
 
@@ -174,8 +174,6 @@ class RewardTracker:
         self.last_strong: float | None = None
 
     def prime(self, best_suite, ctx) -> None:
-        from affsgen.fitness import eval_fitness
-
         if self.goal is Goal.DIVERSITY:
             self.prev_diversity_fitness = eval_fitness(F.DIVERSITY, best_suite, ctx)
         elif self.goal is Goal.STRONG_MUTATION:
@@ -183,8 +181,6 @@ class RewardTracker:
             self.last_strong = ctx.mutation_score(best_suite, "strong")
 
     def measure(self, best_suite, ctx, tick: int) -> float:
-        from affsgen.fitness import eval_fitness
-
         if self.goal is Goal.EXCEPTIONS:
             best_unique = set()
             for test in best_suite.tests:

@@ -85,9 +85,8 @@ def _cmd_generate(args) -> int:
     config = EngineConfig(budget=budget, rng_seed=args.seed)
     result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
     Path(args.out).write_text(result.to_json(), encoding="utf-8")
-    metrics = {k: v for k, v in result.metrics.items() if k != "per_test_goals"}
-    print(f"wrote {args.out}: {len(result.final_suite.tests)} tests, "
-          f"{result.generations} generations, metrics {json.dumps(metrics, sort_keys=True)}")
+    print(f"wrote {args.out}: {len(result.final_suite.tests)} tests, {result.generations} "
+          f"generations, metrics {json.dumps(result.metrics, sort_keys=True)}")
     return 0
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
-from affsgen.fitness import FitnessContext, evaluate_suite
+from affsgen.fitness import FitnessContext, evaluate_suite, suite_diversity
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import (
@@ -116,6 +116,8 @@ class SearchResult:
     covered_goals: set[GoalId]
     log: list[GenerationRecord]
     metrics: dict
+    # index of each final test -> labels of the goals it covers
+    per_test_goals: dict[int, list[str]]
 
     @property
     def generations(self) -> int:
@@ -136,7 +138,6 @@ class SearchResult:
 
     def to_dict(self, omit_timing: bool = False) -> dict:
         """JSON-ready form; timing can be omitted for byte-stable comparison."""
-        coverage = self.metrics.get("per_test_goals", {})
         tests = []
         for idx, test in enumerate(self.final_suite.tests):
             tests.append({
@@ -144,7 +145,7 @@ class SearchResult:
                     {"function": c.function, "args": [test.resolve(a) for a in c.args]}
                     for c in test.calls
                 ],
-                "covered_goals": coverage.get(idx, []),
+                "covered_goals": self.per_test_goals.get(idx, []),
             })
         records = []
         for rec in self.log:
@@ -159,7 +160,6 @@ class SearchResult:
             if not omit_timing:
                 row["elapsed_ns"] = rec.elapsed_ns
             records.append(row)
-        metrics = {k: v for k, v in self.metrics.items() if k != "per_test_goals"}
         return {
             "program_id": self.program_id,
             "goal": self.goal.value,
@@ -168,7 +168,7 @@ class SearchResult:
             "goals": sorted(goal_label(g) for g in self.goals),
             "covered_goals": sorted(goal_label(g) for g in self.covered_goals),
             "tests": tests,
-            "metrics": metrics,
+            "metrics": self.metrics,
             "generations": [self.generations, self.strategy_updates],
             "per_generation": records,
         }
@@ -194,7 +194,7 @@ def make_coverage_fn(goal: Goal, ctx: FitnessContext):
             return {ExceptionGoal(kind, fn) for kind, fn in ctx.trace(test).exceptions}
     elif goal is Goal.DIVERSITY:
         def compute(test: TestCase) -> set[GoalId]:
-            return {MethodGoal(name) for name, _ in ctx.trace(test).functions_called}
+            return {MethodGoal(name) for name in ctx.trace(test).functions_called}
     else:
         def compute(test: TestCase) -> set[GoalId]:
             return set(_killed_goals(ctx, test, ctx.mutants))
@@ -383,9 +383,6 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         covered |= test_goals
         per_test_goals[idx] = sorted(goal_label(g) for g in test_goals)
 
-    metrics = _final_metrics(goal, final, ctx, covered, goals)
-    metrics["per_test_goals"] = per_test_goals
-
     return SearchResult(
         program_id=program.source_id,
         goal=goal,
@@ -395,7 +392,8 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         goals=goals,
         covered_goals=covered,
         log=state.log,
-        metrics=metrics,
+        metrics=_final_metrics(goal, final, ctx, covered, goals),
+        per_test_goals=per_test_goals,
     )
 
 
@@ -420,8 +418,6 @@ def _features_of(best: TestSuite, ctx: FitnessContext, goal: Goal, gen_config: G
 
 def _final_metrics(goal: Goal, final: TestSuite, ctx: FitnessContext,
                    covered: set[GoalId], goals: set[GoalId]) -> dict:
-    from affsgen.fitness import suite_diversity
-
     suite_exceptions: set[tuple[str, str]] = set()
     for test in final.tests:
         suite_exceptions |= ctx.trace(test).exceptions

@@ -430,7 +430,7 @@ def _fit_method(suite: TestSuite, ctx: FitnessContext) -> float:
         return 0.0
     called: set[str] = set()
     for test in suite.tests:
-        called |= {name for name, _ in ctx.trace(test).functions_called}
+        called |= ctx.trace(test).functions_called
     return (total - len(called)) / total
 
 

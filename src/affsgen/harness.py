@@ -9,9 +9,10 @@ the same rows byte for byte.
 Everything that depends only on a program is built once per experiment and
 shared by its trials: each fixed program keeps its mutants and their schema
 on itself (``mutation.mutants_of``), and each program its compiled code.
-Before a pool starts, the parent compiles every pair's programs, mutants and
-schema hooks (``interpreter.precompile``), so forked workers inherit them
-and compile nothing; a serial run compiles lazily. The pool's initializer
+Before a pool starts, the parent compiles every pair's programs and the
+fixed program's schema hooks (``interpreter.precompile``); building those
+hooks compiles every mutant, so forked workers inherit it all and compile
+nothing. A serial run compiles lazily. The pool's initializer
 hands each worker the parsed pairs once, and a job names its pair by index.
 """
 
@@ -259,16 +260,13 @@ def _trial_job(args) -> dict:
     return asdict(record)
 
 
-def _precompile(pairs: list[FaultPair], interp: InterpConfig) -> None:
-    """Compile everything the pairs' trials run under ``interp``: both
-    programs' traced code, and the fixed program's lean code, schema hooks
-    and mutants."""
+def _precompile(pairs: list[FaultPair]) -> None:
+    """Compile everything the pairs' trials run: both programs' traced code,
+    and the fixed program's lean code and schema hooks, whose building
+    compiles every mutant (a deleted assignment compiles nothing)."""
     for pair in pairs:
-        mutants, roots = mutants_of(pair.fixed_program)
-        precompile(pair.fixed_program, roots, interp)
+        precompile(pair.fixed_program, mutants_of(pair.fixed_program)[1])
         precompile(pair.faulty_program)
-        for mutant in mutants:
-            precompile(mutant.mutated_program)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -285,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     _use_pairs(pairs)
     try:
         if workers > 1:
-            _precompile(pairs, cfg.interp)
+            _precompile(pairs)
             with ProcessPoolExecutor(max_workers=workers, initializer=_use_pairs,
                                      initargs=(pairs,)) as pool:
                 raw_records = list(pool.map(_trial_job, jobs, chunksize=1))

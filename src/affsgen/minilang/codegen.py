@@ -6,8 +6,9 @@ runs of a base program without side evaluations: it records lines, branch
 distances and called functions, and evaluates every statement root
 inline. The lean variant (prefix ``K``) serves every other run: it keeps
 only the step count and the outcome, and guards each statement root with
-its hook, if the run has one. ``root_source`` emits one statement root as
-a lean function of its own, for hooks and mutant alternatives. The
+its hook, if the run has one. ``root_source`` emits one expression at a
+statement root as a lean function of its own, an alternative that a hook
+calls: a mutant's expression there, or the base program's own. The
 emitted code runs in a namespace that ``interpreter`` supplies: ``E`` (the
 ``MiniJError`` class), ``X`` (records the lines of a group of ticks that
 crosses the step limit and returns its error), ``U`` (the value of a
@@ -16,13 +17,14 @@ variable not yet bound), ``SD`` (the string-equality distance) and ``MB``
 
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``.
-The context is ``(L, M, H)`` in lean code and ``(L, M, LA, BB, BD, CA)``
-in instrumented code: the step limit, the deepest call depth allowed, and
-either the hooks (root node id to a function that evaluates that root, or
-None where a deleted assignment skips its statement) or the line recorder,
-the best branch distances over all frames and over the entry frame (``D ==
-0``), and the call recorder. An in-language failure raises ``E`` carrying
-the step count.
+The context is ``(L, M, H, W)`` in lean code and ``(L, M, LA, BB, BD,
+CA)`` in instrumented code: the step limit, the deepest call depth allowed,
+and either the hooks (root node id to a function that evaluates that root,
+or None where a deleted assignment skips its statement) and the run's
+``Sides`` (None in a run without them; only hooks read it), or the line
+recorder, the best branch distances over all frames and over the entry
+frame (``D == 0``), and the call recorder. An in-language failure raises
+``E`` carrying the step count.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -215,7 +217,7 @@ class _Code:
 
     def finish(self, name: str, params) -> str:
         args = "".join(f", {p}" for p in params)
-        head = "L, M, LA, BB, BD, CA = C" if self.instrumented else "L, M, H = C"
+        head = "L, M, LA, BB, BD, CA = C" if self.instrumented else "L, M, H, W = C"
         return "\n".join([f"def {name}(C, S, D{args}):", " " + head] + self.lines)
 
     # -- expressions ----------------------------------------------------------------
@@ -314,7 +316,7 @@ class _Code:
             return "U", None
         prefix = "I" if self.instrumented else "K"
         if self.instrumented:
-            self.emit(f"CA({(expr.name, False)!r})")
+            self.emit(f"CA({expr.name!r})")
         values = "".join(f", {o}" for o, _ in args)
         self.emit(f"{t}, S = {prefix}{self.module.index[expr.name]}(C, S, D + 1{values})")
         return t, None

@@ -9,15 +9,16 @@ statement root, in the form of mutant schemata (Untch, Offutt and Harrold,
 ISSTA 1993): a mutated program runs its base's lean code with a hook at its
 root, which evaluates a small, separately compiled alternative there, or
 skips the whole statement of a deleted assignment; a schema run hooks the
-roots it evaluates alternatives at. Compiled code is cached per base
-program, keyed by its source text, and the cache holds a bounded number of
-programs. ``precompile`` compiles ahead what a program's runs would compile
-on first use, so that forked worker processes inherit it.
+roots it evaluates alternatives at, and evaluates each root itself as the
+alternative that is the base program's own expression. Compiled code is
+cached per base program, keyed by its source text, and the cache holds a
+bounded number of programs. ``precompile`` compiles ahead what a program's
+runs would compile on first use, so that forked worker processes inherit
+it.
 
 A traced run records the statements reached, each branch's least distances
 toward both outcomes (over all frames, and over the entry frame alone), the
-functions called (flagged direct for the entry frame), the step count and
-the final outcome.
+names of the functions called, the step count and the final outcome.
 Every other run, a kill run of a mutated program or a run with side
 evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
@@ -66,11 +67,11 @@ TYPE_ERROR = "TypeError"
 Value = Union[int, bool, str]
 
 # Deepest call depth a config may allow. A MiniJ activation stacks one
-# Python frame, plus two per hooked root it is inside (the hook and the root
-# function or alternative it calls). At this cap the deepest recursion stays
-# below Python's default recursion limit of 1000 even when execute is called
-# from 300 frames deep. Everything a run calls is compiled before it starts,
-# so code generation never adds to that stack.
+# Python frame, plus two per hooked root it is inside (the hook and the
+# alternative it calls). At this cap the deepest recursion stays below
+# Python's default recursion limit of 1000 even when execute is called from
+# 300 frames deep. Everything a run calls is compiled before it starts, so
+# code generation never adds to that stack.
 MAX_CALL_DEPTH = 100
 
 # compiled base programs kept, the least recently first run evicted first. A
@@ -144,7 +145,7 @@ class ExecutionResult:
     lines_hit: frozenset[int]
     branch_best: dict[int, list[float]]
     branch_best_direct: dict[int, list[float]]
-    called_functions: frozenset[tuple[str, bool]]
+    called_functions: frozenset[str]
     outcome: Outcome
     steps: int
 
@@ -220,12 +221,11 @@ _RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_dis
 
 class _Compiled:
     """One base program's generated module: its functions, in the
-    instrumented and the lean variant, and the lean root functions and
-    alternatives compiled into it, each on first use. ``roots`` holds the
-    lean variant's hook information."""
+    instrumented and the lean variant, and the lean alternatives compiled
+    into it, each on first use; the base program's own root expressions are
+    alternatives too. ``roots`` holds the lean variant's hook information."""
 
-    __slots__ = ("program", "namespace", "roots", "index", "_functions",
-                 "_root_functions", "_alternatives")
+    __slots__ = ("program", "namespace", "roots", "index", "_functions", "_alternatives")
 
     def __init__(self, program: Program):
         self.program = program
@@ -233,7 +233,6 @@ class _Compiled:
         self.roots: dict = {}
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
         self._functions: list = [None, None]  # lean, instrumented
-        self._root_functions: dict[int, object] = {}
         self._alternatives: dict[tuple[int, str], object] = {}
 
     def _exec(self, source: str, name: str) -> None:
@@ -254,31 +253,17 @@ class _Compiled:
                 self.namespace[f"{prefix}{i}"] for i in range(len(self.program.functions))]
         return functions
 
-    def _define(self, name: str, node_id: int, expr: Expr | None):
-        """Compile ``expr``, or the base program's root when None, as a lean
-        function ``name`` evaluating root ``node_id``."""
-        from affsgen.minilang import codegen
-
-        self.functions(False)  # what the root's code may call, and its hook information
-        info = self.roots[node_id]
-        self._exec(codegen.root_source(name, info, info.expr if expr is None else expr,
-                                       self.program), name)
-        return self.namespace[name]
-
-    def root_function(self, node_id: int):
-        """The base program's root ``node_id`` as a function of its own."""
-        fn = self._root_functions.get(node_id)
-        if fn is None:
-            fn = self._root_functions[node_id] = self._define(f"b{node_id}", node_id, None)
-        return fn
-
     def alternative(self, node_id: int, expr: Expr):
-        """``expr`` evaluated in place of root ``node_id``."""
+        """``expr`` evaluated in place of root ``node_id``, as a lean function."""
         key = (node_id, expr_source(expr))
         fn = self._alternatives.get(key)
         if fn is None:
-            fn = self._alternatives[key] = self._define(
-                f"A{len(self._alternatives)}", node_id, expr)
+            from affsgen.minilang import codegen
+
+            self.functions(False)  # what the root's code may call, and its hook information
+            name = f"A{len(self._alternatives)}"
+            self._exec(codegen.root_source(name, self.roots[node_id], expr, self.program), name)
+            fn = self._alternatives[key] = self.namespace[name]
         return fn
 
 
@@ -344,24 +329,25 @@ class Sides:
 class Schema(dict):
     """``Sides`` roots for many schema runs: the hooks the first run of a
     program builds from them are kept here for the program's later runs,
-    so the roots must not change after it."""
+    under any config, so the roots must not change after it."""
 
     __slots__ = ("hooks",)
 
     def __init__(self, roots: dict):
         super().__init__(roots)
-        # (id of the program, config) -> (the program, kept alive so its
-        # id stays its own, and its box and hooks)
-        self.hooks: dict[tuple[int, InterpConfig], tuple[Program, list, dict]] = {}
+        # id of the program -> (the program, kept alive so its id stays its
+        # own, and its hooks)
+        self.hooks: dict[int, tuple[Program, dict]] = {}
 
 
-def _side_hook(box: list, node_id: int, redo: list[tuple], inner, target: int):
+def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
     """A hook that evaluates a root through ``inner``, counts it in the run's
-    ``Sides`` (``box[0]``), and redoes the alternatives ``redo`` lists as
-    ``(key, function, context)``, where a deleted assignment has no function."""
+    ``Sides`` (the last item of its context), and redoes the alternatives
+    ``redo`` lists as ``(key, function, hooks)``, where a deleted assignment
+    has no function, each under its mutated program's own hooks."""
 
     def hook(C, S, D, *env):
-        sides = box[0]
+        L, M, _, sides = C
         counts = sides.evals.get(node_id)
         if counts is None:
             counts = sides.evals[node_id] = [0, 0]
@@ -371,19 +357,19 @@ def _side_hook(box: list, node_id: int, redo: list[tuple], inner, target: int):
         except MiniJError as err:
             counts[1] += 1
             # only a redo that raises the same error is not infected
-            for key, alternative, context in redo:
+            for key, alternative, own in redo:
                 if key in infected:
                     continue
                 try:
                     if alternative is not None:
-                        alternative(context, S, D, *env)
+                        alternative((L, M, own, None), S, D, *env)
                 except MiniJError as other:
                     if other.record.identity == err.record.identity:
                         continue
                 infected.add(key)
             raise
         counts[0] += 1
-        for key, alternative, context in redo:
+        for key, alternative, own in redo:
             if key in infected:
                 continue
             if alternative is None:
@@ -392,7 +378,7 @@ def _side_hook(box: list, node_id: int, redo: list[tuple], inner, target: int):
                     infected.add(key)
                 continue
             try:
-                other, steps = alternative(context, S, D, *env)
+                other, steps = alternative((L, M, own, None), S, D, *env)
             except MiniJError:
                 infected.add(key)
                 continue
@@ -405,12 +391,9 @@ def _side_hook(box: list, node_id: int, redo: list[tuple], inner, target: int):
     return hook
 
 
-def _side_hooks(module: _Compiled, hooks: dict, roots: dict,
-                config: InterpConfig) -> tuple[list, dict]:
-    """``hooks`` plus one for each root ``roots`` lists, and the box they
-    read the run's ``Sides`` from. Every root function and alternative the
-    hooks call is compiled here, before the run starts."""
-    box: list = [None]
+def _side_hooks(module: _Compiled, hooks: dict, roots: dict) -> dict:
+    """``hooks`` plus one for each root ``roots`` lists. Every alternative
+    the hooks call is compiled here, before the run starts."""
     hooks = dict(hooks)
     for node_id, alternatives in roots.items():
         info = module.roots.get(node_id)
@@ -421,43 +404,40 @@ def _side_hooks(module: _Compiled, hooks: dict, roots: dict,
             if inner is None:
                 continue  # a deleted statement, which never runs
         else:
-            inner = module.root_function(node_id)
+            inner = module.alternative(node_id, info.expr)
         redo = []
         for key, program, _ in alternatives:
             if program is None:
                 redo.append((key, None, None))
             else:
                 own = _plan(program)[1]
-                redo.append((key, own[program.root_id],
-                             (config.step_limit, config.max_call_depth - 1, own)))
-        hooks[node_id] = _side_hook(box, node_id, redo, inner, info.target)
-    return box, hooks
+                redo.append((key, own[program.root_id], own))
+        hooks[node_id] = _side_hook(node_id, redo, inner, info.target)
+    return hooks
 
 
-def _schema_hooks(program: Program, roots: Schema, config: InterpConfig) -> tuple[list, dict]:
-    """The box and hooks of ``program``'s runs with sides over ``roots``
-    under ``config``, built on the first such run and kept in ``roots``."""
-    key = (id(program), config)
-    built = roots.hooks.get(key)
+def _schema_hooks(program: Program, roots: Schema) -> dict:
+    """The hooks of ``program``'s runs with sides over ``roots``, built on
+    the first such run and kept in ``roots``."""
+    built = roots.hooks.get(id(program))
     if built is None:
         module, hooks = _plan(program)
         module.functions(False)  # the lean variant, which fills module.roots
-        built = roots.hooks[key] = (program, *_side_hooks(module, hooks, roots, config))
-    return built[1], built[2]
+        built = roots.hooks[id(program)] = (program, _side_hooks(module, hooks, roots))
+    return built[1]
 
 
-def precompile(program: Program, roots: Schema | None = None,
-               config: InterpConfig = InterpConfig()) -> None:
+def precompile(program: Program, roots: Schema | None = None) -> None:
     """Compile now what later runs of ``program`` would compile on their
     first use: a base program's traced variant and, for a mutated program,
     its alternative; with ``roots``, also the lean variant and the hooks of
-    schema runs over ``roots`` under ``config``, with every root function
-    and alternative they call. Nothing runs."""
+    schema runs over ``roots``, with every alternative they call, which
+    includes each listed mutant's own. Nothing runs."""
     module, _ = _plan(program)
     if program.base is None:
         module.functions(True)
     if roots is not None:
-        _schema_hooks(program, roots, config)
+        _schema_hooks(program, roots)
 
 
 # --- execution -------------------------------------------------------------------
@@ -499,28 +479,23 @@ def execute(
     module, hooks = program._compiled or _plan(program)
     traced = program.base is None and sides is None
     function = module.functions(traced)[module.index[entry]]
-    box = previous = None
     if sides is not None:
-        box, hooks = _schema_hooks(program, sides.roots, config)
-        previous, box[0] = box[0], sides
+        hooks = _schema_hooks(program, sides.roots)
     limit, deepest = config.step_limit, config.max_call_depth - 1
     lines: set[int] = set()
     best: dict[int, list[float]] = {}
     best_direct: dict[int, list[float]] = {}
-    called = {(entry, True)}
+    called = {entry}
     outcome: Outcome
     try:
         if traced:
             context = (limit, deepest, lines.add, best, best_direct, called.add)
             value, steps = function(context, 0, 0, *args)
         else:
-            value, steps = function((limit, deepest, hooks), 0, 0, *args)
+            value, steps = function((limit, deepest, hooks, sides), 0, 0, *args)
         outcome = Returned(value)
     except MiniJError as err:
         outcome, steps = Raised(err.record), err.steps
-    finally:
-        if box is not None:
-            box[0] = previous
     if not traced:
         return ExecutionResult(_EMPTY, _NO_BRANCHES, _NO_BRANCHES, _EMPTY, outcome, steps)
     return ExecutionResult(frozenset(lines), best, best_direct, frozenset(called), outcome, steps)

@@ -356,9 +356,6 @@ class Archive:
         if held is None or len(test.calls) < len(held.calls):
             self.entries[goal] = test
 
-    def goals(self) -> set[GoalId]:
-        return set(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -28,7 +28,7 @@ class TestTrace:
     # branch_id -> [best distance_true, best distance_false], over all frames or the entry frame
     branch_best: dict
     branch_best_direct: dict
-    functions_called: frozenset[tuple[str, bool]]
+    functions_called: frozenset[str]
     exceptions: frozenset[tuple[str, str]]
     # functions completing a direct call without raising
     clean_direct: frozenset[str]
@@ -81,7 +81,7 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     lines: set[int] = set()
     branch_best: dict[int, list[float]] = {}
     branch_best_direct: dict[int, list[float]] = {}
-    called: set[tuple[str, bool]] = set()
+    called: set[str] = set()
     exceptions: set[tuple[str, str]] = set()
     clean_direct: set[str] = set()
     returns: dict[str, list] = {}

@@ -272,6 +272,21 @@ def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
     assert execute(copy, "f", (2,)) == first
 
 
+def test_schema_runs_under_different_step_limits_share_one_set_of_hooks():
+    program = next(p for p in PROGRAMS if p.function("walk") is not None)
+    mutants = generate_mutants(program)
+    roots = schema_roots(mutants)
+    for args in ((2, 5), (0, 40), (3, 3)):
+        for limit in (5, 10_000, 5):
+            config = InterpConfig(step_limit=limit)
+            ours, fresh = Sides(roots), Sides(schema_roots(mutants))
+            result = execute(program, "walk", args, config, ours)
+            assert result == execute(program, "walk", args, config, fresh)
+            assert (ours.evals, ours.infected, ours.drifted) == (
+                fresh.evals, fresh.infected, fresh.drifted)
+    assert len(roots.hooks) == 1
+
+
 def test_a_copy_of_a_program_generates_its_own_mutants():
     program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
     mutants, roots = FitnessContext(program).mutants, program._mutants[1]

@@ -332,4 +332,4 @@ def test_coverage_preservation_end_to_end():
         before = set().union(*(cov(t) & goals for t in tests)) if tests else set()
         after = set().union(*(cov(t) & goals for t in final.tests)) if final.tests else set()
         assert after >= before
-        assert after >= archive.goals() & goals
+        assert after >= archive.entries.keys() & goals

@@ -129,7 +129,7 @@ class _Interp:
         self.steps = 0
         self.lines_hit: set[int] = set()
         self.evaluations: list[Evaluation] = []
-        self.called: set[tuple[str, bool]] = set()
+        self.called: set[str] = set()
         self.sides = sides
         self.roots = {} if sides is None else sides.roots
 
@@ -220,7 +220,7 @@ class _Interp:
             if kind_of(value) != pkind:
                 raise MiniJError(TYPE_ERROR, caller)
             env[pname] = value
-        self.called.add((name, False))  # only the entry frame counts as direct
+        self.called.add(name)
         try:
             self._exec_body(fn.body, env, name, depth + 1)
         except _ReturnSignal as sig:
@@ -423,7 +423,7 @@ def run(
 
     interp = _Interp(program, config, sides)
     env = dict(zip((p for p, _ in fn.params), args))
-    interp.called.add((entry, True))
+    interp.called.add(entry)
     outcome: Outcome
     try:
         try:
