@@ -19,7 +19,7 @@ from affsgen.harness import (
     vargha_delaney_a,
 )
 from affsgen.minilang import execute, parse
-from affsgen.mutation import classify_against_mutant, generate_mutants, mutation_score
+from affsgen.mutation import classify_against_mutant, generate_mutants
 from affsgen.testmodel import (
     Archive,
     GenConfig,
@@ -63,7 +63,6 @@ __all__ = [
     "make_strategy",
     "minimize",
     "mutate_suite",
-    "mutation_score",
     "parse",
     "random_test_case",
     "render_test",

@@ -107,6 +107,10 @@ def load_pinned_space(goal: Goal, path) -> list[Action]:
         raise ValueError("pin file must contain a JSON list of name arrays")
     combos = []
     for entry in raw:
+        if not isinstance(entry, list) or not all(
+                isinstance(name, str) and name in FN_BY_NAME for name in entry):
+            raise ValueError(f"pin file entry {entry!r} is not a list of fitness-function "
+                             f"names ({', '.join(FN_BY_NAME)})")
         combos.append(tuple(FN_BY_NAME[name] for name in entry))
     return action_space(goal, pinned=combos)
 

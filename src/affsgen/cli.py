@@ -1,11 +1,23 @@
 """Command-line interface: generate one suite, run an experiment, print a report.
 
 Exit codes: 0 success, 1 configuration error, 2 corpus/input error.
+
+An experiment file (``affsgen experiment --config``) holds one JSON object.
+Its top-level keys are ``goal`` (required), ``strategies`` (a list of at
+least one), ``trials_per_fault``, ``corpus`` (the corpus directory),
+``master_seed``, ``workers`` and four sections, each an object of settings
+of one dataclass: ``engine`` (``EngineConfig``), its ``budget``
+(``Budget``), ``generation`` (``GenConfig``) and ``interp``
+(``InterpConfig``). A key left out keeps its dataclass default. An unknown
+key at any level, or a section that is not an object, exits 1. Seeds are
+not settings: each trial's seed derives from ``master_seed``, so
+``engine.rng_seed`` exits 1 too.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -90,31 +102,42 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _experiment_config(path: str) -> ExperimentConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+# the experiment file names ExperimentConfig.corpus_path "corpus"
+_FILE_KEYS = {"corpus_path": "corpus"}
+
+
+def _settings(where: str, raw, cls) -> dict:
+    """``raw``, a JSON object whose keys all name fields of ``cls``, as its
+    keyword arguments."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must hold a JSON object, not {type(raw).__name__}")
-    goal_name = raw.get("goal")
-    if goal_name not in GOALS:
+        raise ConfigError(f"{where} must be a JSON object, not {type(raw).__name__}")
+    fields = {_FILE_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; expected some of {sorted(fields)}")
+    return {fields[key]: value for key, value in raw.items()}
+
+
+def _experiment_config(path: str) -> ExperimentConfig:
+    settings = _settings(path, json.loads(Path(path).read_text(encoding="utf-8")),
+                         ExperimentConfig)
+    goal_name = settings.get("goal")
+    if not (isinstance(goal_name, str) and goal_name in GOALS):
         raise ConfigError(f"unknown goal {goal_name!r}; expected one of {sorted(GOALS)}")
-    engine_raw = dict(raw.get("engine", {}))
-    budget_raw = engine_raw.pop("budget", {"generations": 200})
-    engine = EngineConfig(budget=Budget(**budget_raw), **engine_raw)
-    try:
-        interp = InterpConfig(**raw.get("interp", {}))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad interp settings: {err}") from err
-    return ExperimentConfig(
-        goal=GOALS[goal_name],
-        strategies=list(raw.get("strategies", [])),
-        trials_per_fault=raw.get("trials_per_fault", 10),
-        corpus_path=raw.get("corpus", "corpus"),
-        master_seed=raw.get("master_seed", 2024),
-        engine=engine,
-        generation=GenConfig(**raw.get("generation", {})),
-        interp=interp,
-        workers=raw.get("workers", 1),
-    )
+    settings["goal"] = GOALS[goal_name]
+    settings.setdefault("strategies", [])
+    if "engine" in settings:
+        engine = _settings("engine", settings["engine"], EngineConfig)
+        if "rng_seed" in engine:
+            raise ConfigError("engine.rng_seed is not a setting: each trial's seed "
+                              "derives from master_seed")
+        if "budget" in engine:
+            engine["budget"] = Budget(**_settings("engine.budget", engine["budget"], Budget))
+        settings["engine"] = EngineConfig(**engine)
+    for name, cls in (("generation", GenConfig), ("interp", InterpConfig)):
+        if name in settings:
+            settings[name] = cls(**_settings(name, settings[name], cls))
+    return ExperimentConfig(**settings)
 
 
 def _cmd_experiment(args) -> int:

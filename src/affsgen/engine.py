@@ -32,6 +32,7 @@ from affsgen.testmodel import (
     TestCase,
     TestSuite,
     augment_from_archive,
+    check_probability,
     crossover,
     goal_label,
     literal_pool,
@@ -55,7 +56,7 @@ class Budget:
                                              or self.generations < 1):
             raise ValueError(f"generation budget must be an int of at least 1, "
                              f"not {self.generations!r}")
-        if self.seconds is not None and (type(self.seconds) is bool
+        if self.seconds is not None and (type(self.seconds) not in (int, float)
                                          or not (math.isfinite(self.seconds) and self.seconds > 0)):
             # a NaN limit would never be reached, nor an infinite one
             raise ValueError(f"wall-clock budget must be positive and finite, not {self.seconds!r}")
@@ -78,9 +79,8 @@ class EngineConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an int of at least {least}, not {value!r}")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must lie in [0, 1]")
+        for name in ("crossover_rate", "mutation_rate"):
+            check_probability(name, getattr(self, name))
 
 
 @dataclass(slots=True)
@@ -182,8 +182,9 @@ class SearchResult:
 
 def _killed_goals(ctx: FitnessContext, test: TestCase, mutants) -> list[MutantGoal]:
     """Mutant goals this test kills, from ``mutants``, in mutant order."""
+    tests = (test,)
     return [MutantGoal(m.mutant_id) for m in mutants
-            if ctx.classify(m, test) == MutantStatus.KILLED]
+            if ctx.classify(m, tests) == MutantStatus.KILLED]
 
 
 def make_coverage_fn(goal: Goal, ctx: FitnessContext):

@@ -27,15 +27,7 @@ from affsgen.minilang.nodes import (
     Var,
     walk_statements,
 )
-from affsgen.mutation import (
-    Mutant,
-    MutantStatus,
-    best_status,
-    classify_against_mutant,
-    mutants_of,
-    mutation_score,
-    schema_run,
-)
+from affsgen.mutation import Mutant, MutantStatus, classify_against_mutant, mutants_of, schema_run
 from affsgen.testmodel import TestCase, TestSuite, render_test
 from affsgen.tracing import TestTrace, call_of, run_test
 
@@ -263,10 +255,10 @@ class FitnessContext:
     ``_schema_runs`` maps it to its one schema run, which tells every
     mutant's infection on that call (see ``mutation.schema_run``).
     ``_classifications`` maps (mutant id, ``call_key``) to the status of one
-    call that reaches the mutant's site; a test's status is folded from its
-    calls'. All three belong to this context's one program and interpreter
-    config. A mutant program runs only on calls the schema run cannot
-    settle, and those runs are not kept.
+    call that reaches the mutant's site, and ``classify`` folds them over
+    a suite's tests. All three belong to this context's one program and
+    interpreter config. A mutant program runs only on calls the schema run
+    cannot settle, and those runs are not kept.
 
     Diversity is memoized on rendered lines at three levels:
     ``_pair_distance`` maps an ordered pair of two tests' lines to their
@@ -315,32 +307,54 @@ class FitnessContext:
             self._renders[test] = lines
         return lines
 
-    def classify(self, mutant: Mutant, test: TestCase) -> MutantStatus:
-        """Highest status of the test's calls on a mutant; stops at the first kill."""
-        trace = self.trace(test)
+    def classify(self, mutant: Mutant, tests: Iterable[TestCase],
+                 stop: MutantStatus = MutantStatus.KILLED) -> MutantStatus:
+        """Highest status the tests' calls reach on a mutant, in order, skipping
+        calls that miss its site. Returns at the first KILLED, and otherwise
+        after the first test that raises the status to ``stop``."""
+        site = mutant.site
         best = MutantStatus.NOT_REACHED
-        if mutant.site not in trace.lines_hit:
-            return best
-        for key, base in zip(trace.call_keys, trace.call_results):
-            if mutant.site not in base.lines_hit:
+        for test in tests:
+            trace = self.trace(test)
+            if site not in trace.lines_hit:
                 continue
-            ckey = (mutant.mutant_id, key)
-            status = self._classifications.get(ckey)
-            if status is None:
-                schema = self._schema_runs.get(key)
-                if schema is None:
-                    schema = self._schema_runs[key] = schema_run(
-                        self.program, mutants_of(self.program)[1], *call_of(key), self.interp)
-                status = self._classifications[ckey] = classify_against_mutant(
-                    mutant, *call_of(key), base, self.interp, schema).status
-            if status > best:
-                best = status
-                if best == MutantStatus.KILLED:
-                    break
+            for key, base in zip(trace.call_keys, trace.call_results):
+                if site not in base.lines_hit:
+                    continue
+                ckey = (mutant.mutant_id, key)
+                status = self._classifications.get(ckey)
+                if status is None:
+                    schema = self._schema_runs.get(key)
+                    if schema is None:
+                        schema = self._schema_runs[key] = schema_run(
+                            self.program, mutants_of(self.program)[1], *call_of(key), self.interp)
+                    status = self._classifications[ckey] = classify_against_mutant(
+                        mutant, *call_of(key), base, self.interp, schema).status
+                if status > best:
+                    best = status
+                    if best == MutantStatus.KILLED:
+                        return best
+            if best >= stop:
+                break
         return best
 
+    def stage_sum(self, suite: TestSuite, stages: dict, stop: MutantStatus) -> float:
+        """Sum of ``stages`` at each mutant's ``classify`` status, in mutant order."""
+        mutants = self.mutants
+        if not mutants:
+            raise ValueError("mutation score is undefined for an empty mutant list")
+        tests = suite.tests
+        total = 0
+        for mutant in mutants:
+            total += stages[self.classify(mutant, tests, stop)]
+        return total
+
     def mutation_score(self, suite: TestSuite, mode: str) -> float:
-        return mutation_score(suite, self.mutants, mode, self.classify)
+        """Percentage of mutants detected: infected-or-killed (weak) or killed (strong)."""
+        if mode not in _DETECTED:
+            raise ValueError(f"unknown mutation mode {mode!r}")
+        stop, detected = _DETECTED[mode]
+        return 100.0 * self.stage_sum(suite, detected, stop) / len(self.mutants)
 
     def test_pair_distance(self, a: TestCase, b: TestCase) -> int:
         lines_a = self.rendered_lines(a)
@@ -470,25 +484,17 @@ _WEAK_STAGES = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED
                 MutantStatus.INFECTED: 0.0, MutantStatus.KILLED: 0.0}
 _STRONG_STAGES = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.75,
                   MutantStatus.INFECTED: 0.25, MutantStatus.KILLED: 0.0}
-
-
-def _mean_stage(suite: TestSuite, ctx: FitnessContext, stages: dict,
-                stop: MutantStatus) -> float:
-    mutants = ctx.mutants
-    if not mutants:
-        raise ValueError("mutation score is undefined for an empty mutant list")
-    total = 0.0
-    for mutant in mutants:
-        total += stages[best_status(mutant, suite.tests, ctx.classify, stop)]
-    return total / len(mutants)
+# a mutation score counts the mutants a suite brings to its mode's status
+_DETECTED = {mode: (stop, {status: int(status >= stop) for status in MutantStatus})
+             for mode, stop in (("weak", MutantStatus.INFECTED), ("strong", MutantStatus.KILLED))}
 
 
 def _fit_weak_mut(suite: TestSuite, ctx: FitnessContext) -> float:
-    return _mean_stage(suite, ctx, _WEAK_STAGES, MutantStatus.INFECTED)
+    return ctx.stage_sum(suite, _WEAK_STAGES, MutantStatus.INFECTED) / len(ctx.mutants)
 
 
 def _fit_strong_mut(suite: TestSuite, ctx: FitnessContext) -> float:
-    return _mean_stage(suite, ctx, _STRONG_STAGES, MutantStatus.KILLED)
+    return ctx.stage_sum(suite, _STRONG_STAGES, MutantStatus.KILLED) / len(ctx.mutants)
 
 
 def _fit_diversity(suite: TestSuite, ctx: FitnessContext) -> float:

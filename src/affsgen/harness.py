@@ -74,6 +74,9 @@ def load_corpus(path) -> list[FaultPair]:
             meta = json.loads(manifest.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise CorpusError(f"{entry.name}: bad manifest: {err}") from err
+        if not isinstance(meta, dict):
+            raise CorpusError(f"{entry.name}: manifest must hold a JSON object, "
+                              f"not {type(meta).__name__}")
         fixed_text = fixed.read_text(encoding="utf-8")
         faulty_text = faulty.read_text(encoding="utf-8")
         if fixed_text == faulty_text:
@@ -176,6 +179,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an int of at least {least}, not {value!r}")
         if type(self.master_seed) is not int:
             raise ConfigError(f"master_seed must be an int, not {self.master_seed!r}")
+        if type(self.corpus_path) is not str:
+            raise ConfigError(f"corpus_path must be a str, not {self.corpus_path!r}")
+        if type(self.strategies) is not list or not all(type(s) is str for s in self.strategies):
+            raise ConfigError(f"strategies must be a list of str, not {self.strategies!r}")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         for spec in self.strategies:

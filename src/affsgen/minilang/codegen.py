@@ -10,7 +10,7 @@ its hook, if the run has one. ``root_source`` emits one expression at a
 statement root as a lean function of its own, an alternative that a hook
 calls: a mutant's expression there, or the base program's own. The
 emitted code runs in a namespace that ``interpreter`` supplies: ``E`` (the
-``MiniJError`` class), ``X`` (records the lines of a group of ticks that
+``MiniJError`` class), ``X`` (records the line of a group of ticks that
 crosses the step limit and returns its error), ``U`` (the value of a
 variable not yet bound), ``SD`` (the string-equality distance) and ``MB``
 (``merge_best``).
@@ -30,8 +30,9 @@ Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
 call, a hook) consecutive ticks are added at once: nothing observable lies
 between them, so a group that crosses the limit fails on its first tick
-past it, with the step count at the limit plus one. Lines are recorded with
-the tick of their statement, and only if that tick lies within the limit.
+past it, with the step count at the limit plus one. A statement's tick is
+the first of its group, so a group records at most one line, and only if
+that tick lies within the limit.
 
 CPython nests at most 20 loop blocks in one function and 100 indentation
 levels, and the parser's caps (``MAX_BLOCK_DEPTH``, ``MAX_EXPR_DEPTH``) keep
@@ -146,7 +147,7 @@ class _Code:
         self.lines: list[str] = []
         self.depth = 1
         self.ticks = 0  # pending ticks, not yet added to S
-        self.events: list[tuple[int, int]] = []  # (pending tick, line id) to record
+        self.line: int | None = None  # line id of the statement at the first pending tick
         self.temps = 0
 
     # -- emission ---------------------------------------------------------------
@@ -184,21 +185,21 @@ class _Code:
         if not k:
             return
         self.emit(f"S += {k}")
-        if self.events:
-            self.emit(f"if S > L: raise X(LA, L, S - {k}, {tuple(self.events)!r}, {self.fq})")
-            self.emit("; ".join(f"LA({line})" for _, line in self.events))
+        if self.line is not None:
+            self.emit(f"if S > L: raise X(LA, L, S - {k}, {self.line}, {self.fq})")
+            self.emit(f"LA({self.line})")
         else:
             self.emit(f"if S > L: {self.raise_(STEP_LIMIT_EXCEEDED, 'L + 1')}")
         self.ticks = 0
-        self.events = []
+        self.line = None
 
     def branch(self, test: str, then, other=None) -> None:
         """``if test: then() else: other()``, each arm starting from the
         pending ticks and ending with them flushed."""
-        ticks, events = self.ticks, list(self.events)
+        ticks, line = self.ticks, self.line
         self.emit(f"if {test}:")
         self.arm(then)
-        self.ticks, self.events = ticks, events
+        self.ticks, self.line = ticks, line
         mark = len(self.lines)
         self.emit("else:")
         self.arm(other)
@@ -439,9 +440,11 @@ class _Code:
     # -- statements -----------------------------------------------------------------
 
     def statement_tick(self, stmt: Stmt) -> None:
-        self.tick()
         if self.instrumented:
-            self.events.append((self.ticks, stmt.line_id))
+            # roots, arms, loops, throws and returns all end flushed
+            assert self.ticks == 0, stmt
+            self.line = stmt.line_id
+        self.tick()
 
     def root(self, expr: Expr, cond: bool, targets: str, assign: Assign | None = None) -> None:
         """Evaluate a statement root into ``targets``: inline in instrumented

@@ -206,12 +206,11 @@ class _Unbound:
         return "<unbound>"
 
 
-def _crossed(record, limit: int, start: int, events: tuple, fname: str) -> MiniJError:
+def _crossed(record, limit: int, start: int, line: int, fname: str) -> MiniJError:
     """The error of a group of ticks from ``start`` that crosses ``limit``,
-    after recording the lines whose statement tick lies within it."""
-    for tick, line in events:
-        if start + tick <= limit:
-            record(line)
+    after recording its statement's line if that first tick lies within it."""
+    if start < limit:
+        record(line)
     return MiniJError(STEP_LIMIT_EXCEEDED, fname, limit + 1)
 
 

@@ -33,8 +33,8 @@ infected when its right side raises or changes the variable, and always
 runs. This equals comparing the sequences of root values of the two whole
 runs, except when the root calls back into its own function: then each
 redo runs the mutant's whole recursion, while the base's nested
-evaluations are each compared on their own, so the statuses can differ. A
-test's status is the highest of its calls'.
+evaluations are each compared on their own, so the statuses can differ.
+``FitnessContext.classify`` folds the statuses of a suite's calls.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Schema, Sides, execute
 from affsgen.minilang.nodes import (
@@ -66,7 +66,6 @@ from affsgen.minilang.nodes import (
     walk_expressions,
     walk_statements,
 )
-from affsgen.testmodel import TestCase, TestSuite
 from affsgen.tracing import behavior_of
 
 
@@ -292,30 +291,3 @@ def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
     if infected or (counts is not None and counts.evals.get(root) != schema.evals.get(root)):
         return _OUTCOMES[MutantStatus.INFECTED]
     return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
-
-
-def best_status(mutant: Mutant, tests: Iterable[TestCase],
-                classify: Callable[[Mutant, TestCase], MutantStatus],
-                stop: MutantStatus) -> MutantStatus:
-    """Highest status the tests reach on a mutant, stopping once one reaches ``stop``."""
-    best = MutantStatus.NOT_REACHED
-    for test in tests:
-        status = classify(mutant, test)
-        if status > best:
-            best = status
-            if best >= stop:
-                break
-    return best
-
-
-def mutation_score(suite: TestSuite, mutants: list[Mutant], mode: str,
-                   classify: Callable[[Mutant, TestCase], MutantStatus]) -> float:
-    """Percentage of mutants detected: infected-or-killed (weak) or killed (strong)."""
-    if not mutants:
-        raise ValueError("mutation score is undefined for an empty mutant list")
-    if mode not in ("weak", "strong"):
-        raise ValueError(f"unknown mutation mode {mode!r}")
-    threshold = MutantStatus.INFECTED if mode == "weak" else MutantStatus.KILLED
-    detected = sum(best_status(mutant, suite.tests, classify, threshold) >= threshold
-                   for mutant in mutants)
-    return 100.0 * detected / len(mutants)

@@ -164,12 +164,20 @@ class GenConfig:
             raise ValueError("max_calls_per_test and max_suite_size must be at least 1")
         if self.int_min > self.int_max:
             raise ValueError(f"int_min {self.int_min} exceeds int_max {self.int_max}")
-        if self.str_max_len < 0 or not self.str_alphabet:
-            raise ValueError("str_max_len must be at least 0 and str_alphabet non-empty")
+        if self.str_max_len < 0:
+            raise ValueError(f"str_max_len must be at least 0, not {self.str_max_len}")
+        if type(self.str_alphabet) is not str or not self.str_alphabet:
+            raise ValueError(f"str_alphabet must be a non-empty str, not {self.str_alphabet!r}")
         for name in ("pool_prob", "alias_prob", "add_test_prob", "remove_test_prob",
                      "test_change_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            check_probability(name, getattr(self, name))
+
+
+def check_probability(name: str, value) -> None:
+    """Raise ``ValueError`` naming the setting unless ``value`` is an int or
+    float in [0, 1]; a bool is not one."""
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], not {value!r}")
 
 
 def literal_pool(program: Program) -> tuple[tuple[int, ...], tuple[str, ...]]:

@@ -165,7 +165,7 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
     program._mutants = (narrowed, schema_roots(narrowed))
     suite = TestSuite([_case("f", 5)])
     for status, mutant in zip(picks, ctx.mutants):
-        assert ctx.classify(mutant, suite.tests[0]) == status
+        assert ctx.classify(mutant, suite.tests) == status
     assert eval_fitness(F.WEAK_MUT, suite, ctx) == (1.0 + 0.5 + 0.0 + 0.0) / 4
     assert eval_fitness(F.STRONG_MUT, suite, ctx) == (1.0 + 0.75 + 0.25 + 0.0) / 4
 

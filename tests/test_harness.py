@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from affsgen import harness, mutation
+from affsgen import cli, harness, mutation
 from affsgen.affs import Goal
 from affsgen.cli import main as cli_main
 from affsgen.engine import Budget, EngineConfig
@@ -592,7 +592,82 @@ def test_cli_experiment_missing_corpus_is_exit_2(tmp_path):
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0, True])
+@pytest.mark.parametrize("setting", [
+    {"trails_per_fault": 3},
+    {"corpus": 5},
+    {"seed": 3},
+    {"generation": [["max_calls_per_test", 3]]},
+    {"strategies": [5]},
+    {"strategies": "ucb"},
+], ids=["misspelt-key", "corpus-int", "unknown-key", "section-pairs", "strategy-int",
+        "strategies-str"])
+def test_cli_experiment_with_bad_top_level_settings_is_exit_1(tmp_path, capsys, monkeypatch,
+                                                              setting):
+    started = _no_search(monkeypatch)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "goal": "exceptions", "strategies": ["ucb"], "trials_per_fault": 1,
+        "corpus": str(_mini_corpus(tmp_path)), "engine": {"budget": {"generations": 2}},
+        **setting,
+    }))
+    out_dir = tmp_path / "o"
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert started == [] and not out_dir.exists()
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (EngineConfig, "crossover_rate", True),
+    (EngineConfig, "mutation_rate", "0.5"),
+    (GenConfig, "alias_prob", False),
+    (GenConfig, "test_change_prob", None),
+    (GenConfig, "str_alphabet", 5),
+    (GenConfig, "str_alphabet", ["a"]),
+    (lambda **kw: ExperimentConfig(Goal.EXCEPTIONS, ["ucb"], **kw), "corpus_path", 5),
+    (lambda **kw: ExperimentConfig(Goal.EXCEPTIONS, **kw), "strategies", ("ucb",)),
+])
+def test_a_setting_of_the_wrong_kind_is_an_error_that_names_it(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make(**{name: value})
+
+
+def test_cli_experiment_file_passes_only_the_keys_it_holds(tmp_path):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "diversity", "strategies": ["ucb"],
+                                       "engine": {"skip_iter": 2}}))
+    cfg = cli._experiment_config(str(config_path))
+    assert cfg == ExperimentConfig(goal=Goal.DIVERSITY, strategies=["ucb"],
+                                   engine=EngineConfig(skip_iter=2))
+
+
+def test_a_manifest_that_is_not_an_object_is_a_corpus_error(tmp_path, capsys):
+    corpus = _mini_corpus(tmp_path)
+    (corpus / "p04_guarded_divide" / "manifest.json").write_text("[]")
+    with pytest.raises(CorpusError, match="p04_guarded_divide: manifest must hold a JSON object"):
+        load_corpus(corpus)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["ucb"],
+                                       "corpus": str(corpus)}))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: p04_guarded_divide: manifest")
+
+
+@pytest.mark.parametrize("entry", [["ex", "nope"], "ex", ["ex", 3]], ids=["unknown-name", "a-string", "an-int"])
+def test_cli_generate_with_a_bad_pin_file_entry_is_exit_1(tmp_path, capsys, monkeypatch, entry):
+    started = _no_search(monkeypatch)
+    pin = tmp_path / "pin.json"
+    pin.write_text(json.dumps([["ex"], entry]))
+    code = cli_main([
+        "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
+        "--goal", "exceptions", "--strategy", "ucb", "--action-space", str(pin),
+        "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: pin file entry {entry!r}")
+    assert started == []
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0, True, "3"])
 def test_budget_rejects_a_wall_clock_limit_that_is_not_positive_and_finite(seconds):
     with pytest.raises(ValueError, match="positive and finite"):
         Budget(seconds=seconds)
@@ -632,9 +707,18 @@ def test_cli_generate_with_a_non_finite_budget_is_exit_1(tmp_path, capsys, monke
     ({"budget": {"generations": 2}, "population_size": 4.5}, {}),
     ({"budget": {"generations": 2}, "fresh_random_per_gen": -3}, {}),
     ({"budget": {"generations": 2}, "skip_iter": 1.5}, {}),
+    ({"budget": {"generations": 2}, "crossover_rate": True}, {}),
+    ({"budget": {"generations": 2}, "mutation_rate": "0.5"}, {}),
+    ({"budget": {"generations": 2}, "rng_seed": 5}, {}),
+    ({"budget": {"generations": 2}, "populaton_size": 4}, {}),
+    ({"budget": {"generations": 2, "secs": 1}}, {}),
+    ([["population_size", 4], ["budget", {"generations": 2}]], {}),
+    ({"budget": [["generations", 2]]}, {}),
+    ({"budget": {"generations": 2}}, [["step_limit", 50]]),
 ], ids=["nan-seconds", "inf-seconds", "bool-seconds", "step-limit-str", "step-limit-0", "call-depth-huge",
         "unknown-key", "generations-float", "population-float", "fresh-negative",
-        "skip-iter-float"])
+        "skip-iter-float", "rate-bool", "rate-str", "engine-seed", "engine-unknown-key",
+        "budget-unknown-key", "engine-pairs", "budget-pairs", "interp-pairs"])
 def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch, engine, interp):
     started = _no_search(monkeypatch)
     config_path = tmp_path / "exp.json"
@@ -681,8 +765,13 @@ def test_cli_experiment_with_non_int_counts_is_exit_1(tmp_path, capsys, monkeypa
     {"alias_prob": 1.5},
     {"test_change_prob": float("nan")},
     {"max_calls_per_test": 2.5},
+    {"alias_prob": True},
+    {"pool_prob": "0.5"},
+    {"str_alphabet": 5},
+    {"str_alpabet": "ab"},
+    [["max_calls_per_test", 3]],
 ], ids=["suite-size-0", "calls-0", "int-range", "str-len", "alphabet", "prob-high", "prob-nan",
-        "calls-float"])
+        "calls-float", "prob-bool", "prob-str", "alphabet-int", "unknown-key", "pairs"])
 def test_cli_experiment_with_bad_generation_settings_is_exit_1(tmp_path, capsys, monkeypatch,
                                                               generation):
     started = _no_search(monkeypatch)

@@ -87,7 +87,7 @@ def test_classifications_with_warm_memo_equal_fresh_ones(fault_id):
     for test in tests:
         for mutant in ctx.mutants:
             fresh = _fresh_status(mutant, test)
-            assert ctx.classify(mutant, test) == fresh, (mutant.operator, mutant.site, test)
+            assert ctx.classify(mutant, (test,)) == fresh, (mutant.operator, mutant.site, test)
     assert ctx._schema_runs
 
 
@@ -111,7 +111,7 @@ def _pinned_classifications() -> str:
         for test_index, test in enumerate(tests):
             for mutant in ctx.mutants:
                 try:
-                    status = ctx.classify(mutant, test).name
+                    status = ctx.classify(mutant, (test,)).name
                 except OverflowError:
                     status = "OverflowError"
                 digest.update(f"{program.source_id}\t{mutant.mutant_id}\t"
@@ -148,7 +148,7 @@ def test_one_schema_run_per_distinct_call_serves_every_mutant(monkeypatch):
              TestCase(calls=(CallStmt("f", (-1,)), CallStmt("f", (2,)), CallStmt("f", (5,))))]
     for test in tests:
         for mutant in ctx.mutants:
-            ctx.classify(mutant, test)
+            ctx.classify(mutant, (test,))
     assert sorted(args for prog, args in runs if prog is program) == [(-1,), (2,), (5,)]
     # and no program, base or mutant, runs one call twice
     assert len({(id(prog), args) for prog, args in runs}) == len(runs)
@@ -161,7 +161,7 @@ def test_a_reached_not_infected_call_runs_no_mutant(monkeypatch):
     runs = _count_runs(monkeypatch)
     # 2 * 2 == 2 + 2 in the same number of steps: the schema run settles it
     test = TestCase(calls=(CallStmt("f", (2,)), CallStmt("f", (-5,))))
-    assert ctx.classify(mutant, test) == MutantStatus.REACHED_NOT_INFECTED
+    assert ctx.classify(mutant, (test,)) == MutantStatus.REACHED_NOT_INFECTED
     assert runs == [(program, (2,))]
 
 
@@ -172,8 +172,8 @@ def test_a_killing_call_runs_the_mutant_once(monkeypatch):
     runs = _count_runs(monkeypatch)
     first = TestCase(calls=(CallStmt("f", (3,)),))
     second = TestCase(calls=(CallStmt("f", (-1,)), CallStmt("f", (3,))))
-    assert ctx.classify(mutant, first) == MutantStatus.KILLED
-    assert ctx.classify(mutant, second) == MutantStatus.KILLED
+    assert ctx.classify(mutant, (first,)) == MutantStatus.KILLED
+    assert ctx.classify(mutant, (second,)) == MutantStatus.KILLED
     assert runs == [(program, (3,)), (mutant.mutated_program, (3,))]
 
 
@@ -184,7 +184,7 @@ def test_the_first_killing_call_ends_the_test(monkeypatch):
     runs = _count_runs(monkeypatch)
     test = TestCase(calls=(CallStmt("f", (-1,)), CallStmt("f", (3,)),
                            CallStmt("f", (2,)), CallStmt("f", (4,))))
-    assert ctx.classify(mutant, test) == MutantStatus.KILLED
+    assert ctx.classify(mutant, (test,)) == MutantStatus.KILLED
     assert [args for prog, args in runs if prog is mutant.mutated_program] == [(3,)]
 
 
@@ -196,7 +196,7 @@ def test_contexts_on_one_program_share_its_mutants_but_not_their_memos(monkeypat
     runs = _count_runs(monkeypatch)
     test = TestCase(calls=(CallStmt("f", (3,)),))
     for ctx in (first, second):
-        assert ctx.classify(mutant, test) == MutantStatus.KILLED
+        assert ctx.classify(mutant, (test,)) == MutantStatus.KILLED
     # each context runs its own schema run and kill run
     assert runs == [(program, (3,)), (mutant.mutated_program, (3,))] * 2
 
@@ -224,7 +224,7 @@ def test_every_argument_of_an_interpreter_call_is_hashable(monkeypatch):
                      for _ in range(3)]:
             for mutant in ctx.mutants:
                 try:
-                    ctx.classify(mutant, test)
+                    ctx.classify(mutant, (test,))
                 except OverflowError:  # p06, a known interpreter defect
                     pass
     assert len(sent) > 100

@@ -4,16 +4,12 @@ import random
 
 import pytest
 
+from affsgen import fitness
 from affsgen.fitness import FitnessContext
 from affsgen.minilang import parse
 from affsgen.minilang.interpreter import InterpConfig, execute
 from affsgen.minilang.parser import to_source
-from affsgen.mutation import (
-    MutantStatus,
-    classify_against_mutant,
-    generate_mutants,
-    mutation_score,
-)
+from affsgen.mutation import MutantStatus, classify_against_mutant, generate_mutants, schema_roots
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
 from oracles import full_reexecution_status, oracle_run
 
@@ -152,40 +148,33 @@ def test_recursion_through_the_site_is_compared_per_evaluation():
 # --- mutation score -----------------------------------------------------------
 
 
-def _classifier(program):
-    return FitnessContext(program).classify
-
-
 def test_score_formula():
-    mutants = list(range(12))
+    program = parse("fn f(a:int){ return a + 1; } fn g(b:int){ return b * 3 - 2; }", "formula")
+    ctx = FitnessContext(program)
+    f_test, g_test = _test(("f", (5,))), _test(("g", (4,)))
 
-    class FakeMutant:
-        def __init__(self, i):
-            self.mutant_id = i
+    def killed_by(test):
+        return [m for m in ctx.mutants if full_reexecution_status(m, test) == MutantStatus.KILLED]
 
-    fakes = [FakeMutant(i) for i in mutants]
-    suite = TestSuite([_test(("f", (0, 0)))])
-    killed = {0, 1, 2}
-
-    def classify(m, t):
-        return MutantStatus.KILLED if m.mutant_id in killed else MutantStatus.NOT_REACHED
-
-    assert mutation_score(suite, fakes, "strong", classify) == 25.0
-    assert mutation_score(suite, fakes, "weak", classify) == 25.0
-    all_killed = lambda m, t: MutantStatus.KILLED
-    assert mutation_score(suite, fakes, "strong", all_killed) == 100.0
+    # twelve mutants: three that f(5) kills, nine of g's that it never reaches
+    narrowed = killed_by(f_test)[:3] + killed_by(g_test)[:9]
+    assert len(narrowed) == 12
+    program._mutants = (narrowed, schema_roots(narrowed))
+    suite = TestSuite([f_test])
+    assert ctx.mutation_score(suite, "strong") == 25.0
+    assert ctx.mutation_score(suite, "weak") == 25.0
+    assert ctx.mutation_score(TestSuite([f_test, g_test]), "strong") == 100.0
 
 
 def test_score_empty_suite_is_zero():
-    mutants = generate_mutants(ADD)
-    classify = _classifier(ADD)
-    assert mutation_score(TestSuite(), mutants, "weak", classify) == 0.0
-    assert mutation_score(TestSuite(), mutants, "strong", classify) == 0.0
+    ctx = FitnessContext(ADD)
+    assert ctx.mutation_score(TestSuite(), "weak") == 0.0
+    assert ctx.mutation_score(TestSuite(), "strong") == 0.0
 
 
 def test_score_empty_mutants_is_error():
     with pytest.raises(ValueError):
-        mutation_score(TestSuite(), [], "weak", lambda m, t: None)
+        FitnessContext(parse("")).mutation_score(TestSuite(), "weak")
 
 
 def test_strong_never_exceeds_weak_on_random_suites():
@@ -193,33 +182,60 @@ def test_strong_never_exceeds_weak_on_random_suites():
     fn f(a:int, b:int){ if (a < 5) { return a + b; } return a * b; }
     fn g(s:str){ if (len(s) > 2) { return s[0]; } return "z"; }
     """)
-    mutants = generate_mutants(program)
     rng = random.Random(11)
     cfg = GenConfig(max_calls_per_test=4)
     for _ in range(25):
         tests = [random_test_case(program, rng, cfg) for _ in range(rng.randint(0, 4))]
         suite = TestSuite(tests)
-        classify = _classifier(program)
-        if not mutants:
-            continue
-        weak = mutation_score(suite, mutants, "weak", classify)
-        strong = mutation_score(suite, mutants, "strong", classify)
+        ctx = FitnessContext(program)
+        weak = ctx.mutation_score(suite, "weak")
+        strong = ctx.mutation_score(suite, "strong")
         assert strong <= weak
 
 
 def test_adding_a_test_never_lowers_scores():
     program = ADD
-    mutants = generate_mutants(program)
     rng = random.Random(3)
     cfg = GenConfig(max_calls_per_test=3)
     tests = [random_test_case(program, rng, cfg) for _ in range(6)]
-    classify = _classifier(program)
+    ctx = FitnessContext(program)
     for mode in ("weak", "strong"):
         previous = 0.0
         for size in range(0, len(tests) + 1):
-            score = mutation_score(TestSuite(tests[:size]), mutants, mode, classify)
+            score = ctx.mutation_score(TestSuite(tests[:size]), mode)
             assert score >= previous
             previous = score
+
+
+def test_the_fold_classifies_only_what_its_stop_needs(monkeypatch):
+    program = parse("fn f(a:int){ let y = a * 2; if (y > 3) { return 1; } return y; }")
+    mutant = next(m for m in generate_mutants(program) if m.operator == "aor:*->+")
+    classified = []
+    real_classify = fitness.classify_against_mutant
+
+    def counting_classify(m, function, args, *rest):
+        classified.append(args[0])
+        return real_classify(m, function, args, *rest)
+
+    monkeypatch.setattr(fitness, "classify_against_mutant", counting_classify)
+
+    def f(*calls):
+        return _test(*(("f", (a,)) for a in calls))
+
+    # y = a + 2 instead: f(2) reaches it without infecting, f(3), f(4),
+    # f(5) and f(7) infect it, f(0) and f(1) kill it
+    ctx = FitnessContext(program)
+    assert ctx.classify(mutant, (f(2, 3, 5), f(7), f(0)), MutantStatus.INFECTED) == (
+        MutantStatus.INFECTED)
+    # f(5) comes after the infection, in the same test; no later test runs
+    assert classified == [2, 3, 5]
+    assert f(7) not in ctx._traces and f(0) not in ctx._traces
+
+    classified.clear()
+    ctx = FitnessContext(program)
+    assert ctx.classify(mutant, (f(2, 3), f(7), f(0, 4), f(1))) == MutantStatus.KILLED
+    # the kill at f(0) ends the fold before f(4) and before the last test
+    assert classified == [2, 3, 7, 0]
 
 
 # --- agreement with the full re-execution oracle --------------------------------
@@ -252,7 +268,7 @@ def test_classifier_agrees_with_full_reexecution_oracle():
                         actual.name, expected.name,
                     )
                 expected = full_reexecution_status(mutant, test)
-                actual = ctx.classify(mutant, test)
+                actual = ctx.classify(mutant, (test,))
                 assert actual == expected, (
                     program.source_id, mutant.operator, mutant.site, test,
                     actual.name, expected.name,
