@@ -57,11 +57,18 @@ def action_space(goal: Goal, pinned: "list[tuple[FitnessFunctionId, ...]] | None
 
     Defaults: 64 for exceptions, 52 for diversity (overlap pairs excluded),
     41 for strong mutation. A pinned list replaces the enumeration wholesale,
-    after validation against the goal's membership constraints.
+    after validation against the goal's membership constraints; it may list
+    each combination once, in any order of its functions.
     """
     if pinned is not None:
+        seen = set()
         for combo in pinned:
             _validate_combo(goal, combo)
+            key = tuple(sorted(combo))
+            if key in seen:
+                raise ValueError(f"combination {[FN_NAMES[f] for f in key]} appears more "
+                                 f"than once in the pinned action space")
+            seen.add(key)
         if not pinned:
             raise ValueError("pinned action space must be nonempty")
         combos = list(pinned)

@@ -6,12 +6,15 @@ An experiment file (``affsgen experiment --config``) holds one JSON object.
 Its top-level keys are ``goal`` (required), ``strategies`` (a list of at
 least one), ``trials_per_fault``, ``corpus`` (the corpus directory),
 ``master_seed``, ``workers`` and four sections, each an object of settings
-of one dataclass: ``engine`` (``EngineConfig``), its ``budget``
-(``Budget``), ``generation`` (``GenConfig``) and ``interp``
-(``InterpConfig``). A key left out keeps its dataclass default. An unknown
+of one dataclass: ``engine`` (``EngineConfig``: ``population_size``,
+``skip_iter``, ``budget``), its ``budget`` (``Budget``: ``generations``,
+``seconds``), ``generation`` (``GenConfig``: ``max_calls_per_test``,
+``max_suite_size``) and ``interp`` (``InterpConfig``: ``step_limit``,
+``max_call_depth``). A key left out keeps its dataclass default. An unknown
 key at any level, or a section that is not an object, exits 1. Seeds are
 not settings: each trial's seed derives from ``master_seed``, so
-``engine.rng_seed`` exits 1 too.
+``engine.rng_seed`` exits 1 too. The genetic operators' rates are module
+constants in ``engine`` and ``testmodel``, not settings.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from affsgen.testmodel import (
     TestCase,
     TestSuite,
     augment_from_archive,
-    check_probability,
     crossover,
     goal_label,
     literal_pool,
@@ -42,6 +41,11 @@ from affsgen.testmodel import (
     render_test,
 )
 from affsgen.mutation import MutantStatus
+
+ELITE_COUNT = 2  # best-ranked suites cloned into the next generation
+CROSSOVER_RATE = 0.75  # probability that a parent pair is crossed over
+MUTATION_RATE = 0.9  # probability that a child is mutated
+FRESH_RANDOM_PER_GEN = 2  # random suites added to each generation
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,22 +69,15 @@ class Budget:
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     population_size: int = 50
-    elite_count: int = 2
-    crossover_rate: float = 0.75
-    mutation_rate: float = 0.9
-    fresh_random_per_gen: int = 2
     skip_iter: int = 3
     budget: Budget = Budget(generations=200)
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("population_size", 2), ("elite_count", 0),
-                            ("fresh_random_per_gen", 0), ("skip_iter", 1)):
+        for name, least in (("population_size", 2), ("skip_iter", 1)):
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an int of at least {least}, not {value!r}")
-        for name in ("crossover_rate", "mutation_rate"):
-            check_probability(name, getattr(self, name))
 
 
 @dataclass(slots=True)
@@ -215,9 +212,11 @@ def make_coverage_fn(goal: Goal, ctx: FitnessContext):
 def make_archive_updater(goal: Goal, ctx: FitnessContext, archive: Archive, coverage_fn):
     """Offer goal-covering tests to the archive, once per unique test.
 
-    Classifying every population test against every mutant would dominate
-    strong-mutation runs, so only goals missing from the archive are checked
-    there; the spec scopes archive updates to not-yet-archived goals.
+    Under strong mutation a fresh test is classified only against the mutants
+    missing from the archive, since classifying every population test against
+    every mutant would dominate those runs: an archived mutant keeps the first
+    test that killed it. For the other goals every goal a fresh test covers
+    is offered, so a test with fewer calls replaces an archived one.
     """
     seen: set[TestCase] = set()
 
@@ -287,21 +286,21 @@ def evolve_one_generation(state: SearchState, program: Program, ctx: FitnessCont
     state.best_suite = ranked[0]
     state.best_composite = scored[0][0]
 
-    n_elites = min(config.elite_count, config.population_size)
-    n_fresh = min(config.fresh_random_per_gen, config.population_size - n_elites)
+    n_elites = min(ELITE_COUNT, config.population_size)
+    n_fresh = min(FRESH_RANDOM_PER_GEN, config.population_size - n_elites)
     next_population: list[TestSuite] = [ranked[i].clone() for i in range(n_elites)]
 
     while len(next_population) < config.population_size - n_fresh:
         pa = ranked[_tournament(rng, len(ranked))]
         pb = ranked[_tournament(rng, len(ranked))]
-        if rng.random() < config.crossover_rate and pa.tests and pb.tests:
+        if rng.random() < CROSSOVER_RATE and pa.tests and pb.tests:
             child_a, child_b = crossover(pa, pb, rng, gen_config)
         else:
             child_a, child_b = pa.clone(), pb.clone()
         for child in (child_a, child_b):
             if len(next_population) >= config.population_size - n_fresh:
                 break
-            if rng.random() < config.mutation_rate:
+            if rng.random() < MUTATION_RATE:
                 child = mutate_suite(child, program, rng, gen_config, pool)
             next_population.append(child)
 

@@ -34,7 +34,7 @@ from affsgen.minilang.nodes import Program
 from affsgen.minilang.parser import ParseError, parse
 from affsgen.mutation import mutants_of
 from affsgen.testmodel import GenConfig, TestSuite
-from affsgen.tracing import run_test
+from affsgen.tracing import behavior_of, run_test
 
 
 class CorpusError(ValueError):
@@ -99,11 +99,11 @@ def load_corpus(path) -> list[FaultPair]:
 
 def fault_detected(suite: TestSuite, pair: FaultPair,
                    interp: InterpConfig = InterpConfig()) -> bool:
-    """True when any test behaves differently on the faulty version."""
+    """True when any call of any test behaves differently on the faulty version."""
     for test in suite.tests:
-        fixed = run_test(pair.fixed_program, test, interp).behavior
-        faulty = run_test(pair.faulty_program, test, interp).behavior
-        if fixed != faulty:
+        fixed = run_test(pair.fixed_program, test, interp).call_results
+        faulty = run_test(pair.faulty_program, test, interp).call_results
+        if any(behavior_of(a) != behavior_of(b) for a, b in zip(fixed, faulty)):
             return True
     return False
 

@@ -138,46 +138,32 @@ def goal_label(goal: GoalId) -> str:
 
 # --- generation configuration ----------------------------------------------
 
+INT_MIN = -1000  # range of ints drawn outside the literal pool
+INT_MAX = 1000
+POOL_PROB = 0.5  # probability that a literal comes from the program's literal pool
+ALIAS_PROB = 0.1  # probability that an argument is passed through a named binding
+STR_ALPHABET = "abc"  # characters of strings drawn outside the literal pool
+STR_MAX_LEN = 4
+MAX_INITIAL_TESTS = 10  # tests in a random suite, at most
+# suite-level mutation probabilities
+ADD_TEST_PROB = 0.3
+REMOVE_TEST_PROB = 0.2
+# per-test probability of receiving one change (insert/delete call,
+# or literal tweak); literal tweaks nudge ints by +-1/+-10 or redraw
+TEST_CHANGE_PROB = 0.5
+
 
 @dataclass(frozen=True, slots=True)
 class GenConfig:
     max_calls_per_test: int = 8
     max_suite_size: int = 30
-    int_min: int = -1000
-    int_max: int = 1000
-    pool_prob: float = 0.5
-    alias_prob: float = 0.1
-    str_alphabet: str = "abc"
-    str_max_len: int = 4
-    # suite-level mutation probabilities
-    add_test_prob: float = 0.3
-    remove_test_prob: float = 0.2
-    # per-test probability of receiving one change (insert/delete call,
-    # or literal tweak); literal tweaks nudge ints by +-1/+-10 or redraw
-    test_change_prob: float = 0.5
 
     def __post_init__(self):
-        for name in ("max_calls_per_test", "max_suite_size", "int_min", "int_max", "str_max_len"):
+        for name in ("max_calls_per_test", "max_suite_size"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.max_calls_per_test < 1 or self.max_suite_size < 1:
             raise ValueError("max_calls_per_test and max_suite_size must be at least 1")
-        if self.int_min > self.int_max:
-            raise ValueError(f"int_min {self.int_min} exceeds int_max {self.int_max}")
-        if self.str_max_len < 0:
-            raise ValueError(f"str_max_len must be at least 0, not {self.str_max_len}")
-        if type(self.str_alphabet) is not str or not self.str_alphabet:
-            raise ValueError(f"str_alphabet must be a non-empty str, not {self.str_alphabet!r}")
-        for name in ("pool_prob", "alias_prob", "add_test_prob", "remove_test_prob",
-                     "test_change_prob"):
-            check_probability(name, getattr(self, name))
-
-
-def check_probability(name: str, value) -> None:
-    """Raise ``ValueError`` naming the setting unless ``value`` is an int or
-    float in [0, 1]; a bool is not one."""
-    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a number in [0, 1], not {value!r}")
 
 
 def literal_pool(program: Program) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -195,27 +181,27 @@ def literal_pool(program: Program) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return tuple(sorted(ints)), tuple(sorted(strs))
 
 
-def _random_literal(kind: str, pool, rng: random.Random, cfg: GenConfig) -> Literal:
+def _random_literal(kind: str, pool, rng: random.Random) -> Literal:
     int_pool, str_pool = pool
     if kind == "int":
-        if rng.random() < cfg.pool_prob:
+        if rng.random() < POOL_PROB:
             return rng.choice(int_pool)
-        return rng.randint(cfg.int_min, cfg.int_max)
+        return rng.randint(INT_MIN, INT_MAX)
     if kind == "bool":
         return rng.random() < 0.5
-    if rng.random() < cfg.pool_prob and str_pool:
+    if rng.random() < POOL_PROB and str_pool:
         return rng.choice(str_pool)
-    length = rng.randint(0, cfg.str_max_len)
-    return "".join(rng.choice(cfg.str_alphabet) for _ in range(length))
+    length = rng.randint(0, STR_MAX_LEN)
+    return "".join(rng.choice(STR_ALPHABET) for _ in range(length))
 
 
-def _random_call(program: Program, pool, rng: random.Random, cfg: GenConfig,
+def _random_call(program: Program, pool, rng: random.Random,
                  bindings: list[tuple[str, Arg]]) -> CallStmt:
     fn = program.functions[rng.randrange(len(program.functions))]
     args: list[Arg] = []
     for _, kind in fn.params:
-        value = _random_literal(kind, pool, rng, cfg)
-        if rng.random() < cfg.alias_prob:
+        value = _random_literal(kind, pool, rng)
+        if rng.random() < ALIAS_PROB:
             name = f"v{len(bindings)}"
             bindings.append((name, value))
             if rng.random() < 0.5:
@@ -239,13 +225,13 @@ def random_test_case(program: Program, rng: random.Random, cfg: GenConfig = GenC
         pool = literal_pool(program)
     bindings: list[tuple[str, Arg]] = []
     n_calls = rng.randint(1, cfg.max_calls_per_test)
-    calls = tuple(_random_call(program, pool, rng, cfg, bindings) for _ in range(n_calls))
+    calls = tuple(_random_call(program, pool, rng, bindings) for _ in range(n_calls))
     return TestCase(calls=calls, bindings=tuple(bindings))
 
 
 def random_suite(program: Program, rng: random.Random, cfg: GenConfig = GenConfig(),
-                 pool=None, max_tests: int = 10) -> TestSuite:
-    size = rng.randint(1, min(max_tests, cfg.max_suite_size))
+                 pool=None) -> TestSuite:
+    size = rng.randint(1, min(MAX_INITIAL_TESTS, cfg.max_suite_size))
     return TestSuite(random_test_case(program, rng, cfg, pool) for _ in range(size))
 
 
@@ -270,7 +256,7 @@ def crossover(parent_a: TestSuite, parent_b: TestSuite, rng: random.Random,
     return crossover_at(parent_a, parent_b, cut, cfg.max_suite_size)
 
 
-def _tweak_literal(value: Literal, pool, rng: random.Random, cfg: GenConfig) -> Literal:
+def _tweak_literal(value: Literal, pool, rng: random.Random) -> Literal:
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -279,8 +265,8 @@ def _tweak_literal(value: Literal, pool, rng: random.Random, cfg: GenConfig) -> 
             return value + rng.choice((-1, 1))
         if roll < 0.8:
             return value + rng.choice((-10, 10))
-        return _random_literal("int", pool, rng, cfg)
-    return _random_literal("str", pool, rng, cfg)
+        return _random_literal("int", pool, rng)
+    return _random_literal("str", pool, rng)
 
 
 def _mutate_test(test: TestCase, program: Program, pool, rng: random.Random,
@@ -290,7 +276,7 @@ def _mutate_test(test: TestCase, program: Program, pool, rng: random.Random,
     choice = rng.random()
     if choice < 0.25 and len(calls) < cfg.max_calls_per_test:
         idx = rng.randint(0, len(calls))
-        calls.insert(idx, _random_call(program, pool, rng, cfg, bindings))
+        calls.insert(idx, _random_call(program, pool, rng, bindings))
     elif choice < 0.45 and len(calls) > 1:
         del calls[rng.randrange(len(calls))]
     else:
@@ -304,26 +290,26 @@ def _mutate_test(test: TestCase, program: Program, pool, rng: random.Random,
         if slots:
             ci, ai = slots[rng.randrange(len(slots))]
             args = list(calls[ci].args)
-            args[ai] = _tweak_literal(args[ai], pool, rng, cfg)  # type: ignore[arg-type]
+            args[ai] = _tweak_literal(args[ai], pool, rng)  # type: ignore[arg-type]
             calls[ci] = replace(calls[ci], args=tuple(args))
     return TestCase(calls=tuple(calls), bindings=tuple(bindings))
 
 
 def mutate_suite(suite: TestSuite, program: Program, rng: random.Random,
                  cfg: GenConfig = GenConfig(), pool=None) -> TestSuite:
-    """Apply add/remove-test and per-test changes with configured probabilities."""
+    """Apply add/remove-test and per-test changes with fixed probabilities."""
     if pool is None:
         pool = literal_pool(program)
     tests = list(suite.tests)
-    if tests and rng.random() < cfg.remove_test_prob:
+    if tests and rng.random() < REMOVE_TEST_PROB:
         del tests[rng.randrange(len(tests))]
     mutated = [
         _mutate_test(t, program, pool, rng, cfg)
-        if rng.random() < cfg.test_change_prob
+        if rng.random() < TEST_CHANGE_PROB
         else t
         for t in tests
     ]
-    if len(mutated) < cfg.max_suite_size and rng.random() < cfg.add_test_prob:
+    if len(mutated) < cfg.max_suite_size and rng.random() < ADD_TEST_PROB:
         mutated.append(random_test_case(program, rng, cfg, pool))
     return TestSuite(mutated)
 

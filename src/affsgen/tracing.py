@@ -34,7 +34,6 @@ class TestTrace:
     clean_direct: frozenset[str]
     # function -> tuple of observed return values from direct calls
     returns: dict
-    behavior: tuple
 
 
 def behavior_of(result: ExecutionResult) -> tuple:
@@ -85,7 +84,6 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     exceptions: set[tuple[str, str]] = set()
     clean_direct: set[str] = set()
     returns: dict[str, list] = {}
-    behavior = []
     for call in test.calls:
         args = tuple(test.resolve(a) for a in call.args)
         key = call_key(call.function, args)
@@ -106,7 +104,6 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         else:
             clean_direct.add(call.function)
             returns.setdefault(call.function, []).append(result.outcome.value)
-        behavior.append(behavior_of(result))
     return TestTrace(
         call_keys=tuple(keys),
         call_results=tuple(results),
@@ -117,5 +114,4 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         exceptions=frozenset(exceptions),
         clean_direct=frozenset(clean_direct),
         returns={f: tuple(v) for f, v in returns.items()},
-        behavior=tuple(behavior),
     )

@@ -85,6 +85,13 @@ def test_pinned_space_validates_membership(tmp_path):
         load_pinned_space(Goal.EXCEPTIONS, path)
 
 
+def test_pinned_space_lists_each_combination_once():
+    with pytest.raises(ValueError, match=r"combination \['ex', 'branch'\] appears more than once"):
+        action_space(Goal.EXCEPTIONS, pinned=[(F.EX,), (F.BRANCH, F.EX), (F.EX, F.BRANCH)])
+    space = action_space(Goal.EXCEPTIONS, pinned=[(F.EX,), (F.BRANCH, F.EX)])
+    assert [a.functions for a in space] == [(F.EX,), (F.EX, F.BRANCH)]
+
+
 # --- UCB ---------------------------------------------------------------------
 
 

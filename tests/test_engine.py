@@ -11,12 +11,13 @@ from affsgen.affs import Goal, RewardTracker, action_space, make_strategy
 from affsgen.engine import (
     Budget,
     EngineConfig,
+    SearchState,
     evolve_one_generation,
     make_archive_updater,
     make_coverage_fn,
     run_search,
 )
-from affsgen.fitness import FitnessContext
+from affsgen.fitness import FitnessContext, evaluate_suite
 from affsgen.fitness import FitnessFunctionId as F
 from affsgen.minilang import parse
 from affsgen.mutation import MutantStatus
@@ -29,6 +30,7 @@ from affsgen.testmodel import (
     TestSuite,
     literal_pool,
     random_suite,
+    render_test,
 )
 from oracles import full_reexecution_status
 
@@ -70,13 +72,11 @@ def test_engine_config_validation():
         EngineConfig(population_size=1)
     with pytest.raises(ValueError):
         EngineConfig(skip_iter=0)
-    with pytest.raises(ValueError):
-        EngineConfig(crossover_rate=1.5)
 
 
 @pytest.mark.parametrize("settings", [
-    {"population_size": 4.5}, {"population_size": True}, {"elite_count": -1},
-    {"elite_count": 1.0}, {"fresh_random_per_gen": -3}, {"fresh_random_per_gen": "2"},
+    {"population_size": 4.5}, {"population_size": True}, {"population_size": -2},
+    {"population_size": 2.0}, {"skip_iter": -3}, {"skip_iter": "2"},
     {"skip_iter": 1.5}, {"skip_iter": False},
 ])
 def test_engine_config_counts_must_be_ints_in_range(settings):
@@ -85,33 +85,49 @@ def test_engine_config_counts_must_be_ints_in_range(settings):
 
 
 def test_engine_config_accepts_its_edge_counts():
-    EngineConfig(population_size=2, elite_count=0, fresh_random_per_gen=0, skip_iter=1)
+    EngineConfig(population_size=2, skip_iter=1)
 
 
-def test_pure_elitism_keeps_population():
+def _one_generation(population_size):
+    """A random population, ranked best first, and its state after one generation."""
     ctx = FitnessContext(PROGRAM)
     rng = random.Random(3)
     gen_cfg = GenConfig()
     pool = literal_pool(PROGRAM)
-    config = _config(population_size=6, elite_count=6, fresh_random_per_gen=0)
-    population = [random_suite(PROGRAM, rng, gen_cfg, pool) for _ in range(6)]
+    population = [random_suite(PROGRAM, rng, gen_cfg, pool) for _ in range(population_size)]
     coverage = make_coverage_fn(Goal.EXCEPTIONS, ctx)
     archive = Archive()
     updater = make_archive_updater(Goal.EXCEPTIONS, ctx, archive, coverage)
-    strategy = make_strategy("static:ex", Goal.EXCEPTIONS)
-
-    from affsgen.engine import SearchState
-    state = SearchState(generation=0, population=list(population),
-                        active_action=strategy.initial_action({}, rng),
+    action = make_strategy("static:ex", Goal.EXCEPTIONS).initial_action({}, rng)
+    ranked = [suite for _, _, suite in sorted(
+        (evaluate_suite(suite, action.functions, ctx), idx, suite)
+        for idx, suite in enumerate(population))]
+    state = SearchState(generation=0, population=list(population), active_action=action,
                         best_suite=population[0], archive=archive)
-    evolve_one_generation(state, PROGRAM, ctx, config, gen_cfg, rng, updater, pool)
+    evolve_one_generation(state, PROGRAM, ctx, _config(population_size=population_size),
+                          gen_cfg, rng, updater, pool)
+    return ranked, state
+
+
+def test_pure_elitism_keeps_population(monkeypatch):
+    monkeypatch.setattr(engine, "ELITE_COUNT", 6)
+    monkeypatch.setattr(engine, "FRESH_RANDOM_PER_GEN", 0)
+    population, state = _one_generation(6)
 
     def rendering(suites):
-        from affsgen.testmodel import render_test
         return sorted(tuple(render_test(t) for t in s.tests) for s in suites)
 
     assert rendering(state.population) == rendering(population)
     assert state.generation == 1
+
+
+@pytest.mark.parametrize("population_size", [2, 3, 4, 5])
+def test_a_generation_keeps_its_size_and_clones_its_elites(population_size):
+    ranked, state = _one_generation(population_size)
+    assert len(state.population) == population_size
+    elites = min(engine.ELITE_COUNT, population_size)
+    for elite, best in zip(state.population[:elites], ranked[:elites]):
+        assert elite == best and elite is not best
 
 
 def test_update_cadence_is_floor_of_generations_over_skip_iter():

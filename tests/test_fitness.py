@@ -1,10 +1,12 @@
 """Fitness functions: frozen examples, oracle checks, and range invariants."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affsgen import testmodel
 from affsgen.fitness import (
     FitnessContext,
     FitnessFunctionId as F,
@@ -301,8 +303,9 @@ def test_packed_sum_of_empty_sides():
 
 def _random_tests(seed, count):
     rng = random.Random(seed)
-    cfg = GenConfig(max_calls_per_test=5, str_alphabet="ab中")
-    return [random_test_case(PROGRAM, rng, cfg) for _ in range(count)]
+    cfg = GenConfig(max_calls_per_test=5)
+    with patch.object(testmodel, "STR_ALPHABET", "ab中"):
+        return [random_test_case(PROGRAM, rng, cfg) for _ in range(count)]
 
 
 def test_pair_distance_is_symmetric_and_matches_the_line_sum():

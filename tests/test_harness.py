@@ -295,9 +295,8 @@ def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
 
 
 def test_run_trial_copies_every_engine_field(monkeypatch):
-    engine = EngineConfig(population_size=5, elite_count=1, crossover_rate=0.5,
-                          mutation_rate=0.5, fresh_random_per_gen=1, skip_iter=2,
-                          budget=Budget(generations=2), rng_seed=99)
+    engine = EngineConfig(population_size=5, skip_iter=2, budget=Budget(generations=2),
+                          rng_seed=99)
     for f in dataclasses.fields(EngineConfig):
         assert getattr(engine, f.name) != f.default, f.name
     seen = []
@@ -617,12 +616,8 @@ def test_cli_experiment_with_bad_top_level_settings_is_exit_1(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("make, name, value", [
-    (EngineConfig, "crossover_rate", True),
-    (EngineConfig, "mutation_rate", "0.5"),
-    (GenConfig, "alias_prob", False),
-    (GenConfig, "test_change_prob", None),
-    (GenConfig, "str_alphabet", 5),
-    (GenConfig, "str_alphabet", ["a"]),
+    (EngineConfig, "skip_iter", True),
+    (GenConfig, "max_suite_size", None),
     (lambda **kw: ExperimentConfig(Goal.EXCEPTIONS, ["ucb"], **kw), "corpus_path", 5),
     (lambda **kw: ExperimentConfig(Goal.EXCEPTIONS, **kw), "strategies", ("ucb",)),
 ])
@@ -652,18 +647,25 @@ def test_a_manifest_that_is_not_an_object_is_a_corpus_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: p04_guarded_divide: manifest")
 
 
-@pytest.mark.parametrize("entry", [["ex", "nope"], "ex", ["ex", 3]], ids=["unknown-name", "a-string", "an-int"])
-def test_cli_generate_with_a_bad_pin_file_entry_is_exit_1(tmp_path, capsys, monkeypatch, entry):
+@pytest.mark.parametrize("pinned, error", [
+    ([["ex"], ["ex", "nope"]], "pin file entry ['ex', 'nope']"),
+    ([["ex"], "ex"], "pin file entry 'ex'"),
+    ([["ex"], ["ex", 3]], "pin file entry ['ex', 3]"),
+    ([["ex"], ["ex"]], "combination ['ex'] appears more than once"),
+    ([["ex", "branch"], ["branch", "ex"]], "combination ['ex', 'branch'] appears more than once"),
+], ids=["unknown-name", "a-string", "an-int", "repeated", "repeated-reordered"])
+def test_cli_generate_with_a_bad_pin_file_entry_is_exit_1(tmp_path, capsys, monkeypatch, pinned,
+                                                          error):
     started = _no_search(monkeypatch)
     pin = tmp_path / "pin.json"
-    pin.write_text(json.dumps([["ex"], entry]))
+    pin.write_text(json.dumps(pinned))
     code = cli_main([
         "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
         "--goal", "exceptions", "--strategy", "ucb", "--action-space", str(pin),
         "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: pin file entry {entry!r}")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
     assert started == []
 
 
@@ -695,6 +697,8 @@ def test_cli_generate_with_a_non_finite_budget_is_exit_1(tmp_path, capsys, monke
     assert started == [] and not (tmp_path / "s.json").exists()
 
 
+# fresh-negative, rate-bool and rate-str set keys that are module constants now: they
+# exit 1 as unknown keys, as test_cli_experiment_with_a_constant_as_a_key_is_exit_1 checks
 @pytest.mark.parametrize("engine, interp", [
     ({"budget": {"seconds": float("nan")}}, {}),
     ({"budget": {"seconds": float("inf")}}, {}),
@@ -756,6 +760,9 @@ def test_cli_experiment_with_non_int_counts_is_exit_1(tmp_path, capsys, monkeypa
     assert started == [] and not out_dir.exists()
 
 
+# all but suite-size-0, calls-0, calls-float and pairs set keys that are module constants
+# now: they exit 1 as unknown keys, as test_cli_experiment_with_a_constant_as_a_key_is_exit_1
+# checks
 @pytest.mark.parametrize("generation", [
     {"max_suite_size": 0},
     {"max_calls_per_test": 0},
@@ -784,4 +791,40 @@ def test_cli_experiment_with_bad_generation_settings_is_exit_1(tmp_path, capsys,
     out_dir = tmp_path / "o"
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert started == [] and not out_dir.exists()
+
+
+# each setting that is a module constant now, at the value it takes
+_CONSTANTS = [
+    ("engine", "elite_count", 2),
+    ("engine", "crossover_rate", 0.75),
+    ("engine", "mutation_rate", 0.9),
+    ("engine", "fresh_random_per_gen", 2),
+    ("generation", "int_min", -1000),
+    ("generation", "int_max", 1000),
+    ("generation", "pool_prob", 0.5),
+    ("generation", "alias_prob", 0.1),
+    ("generation", "str_alphabet", "abc"),
+    ("generation", "str_max_len", 4),
+    ("generation", "add_test_prob", 0.3),
+    ("generation", "remove_test_prob", 0.2),
+    ("generation", "test_change_prob", 0.5),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _CONSTANTS,
+                         ids=[f"{section}.{key}" for section, key, _ in _CONSTANTS])
+def test_cli_experiment_with_a_constant_as_a_key_is_exit_1(tmp_path, capsys, monkeypatch,
+                                                          section, key, value):
+    started = _no_search(monkeypatch)
+    sections = {"engine": {"budget": {"generations": 2}}, "generation": {}}
+    sections[section][key] = value
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "goal": "exceptions", "strategies": ["ucb"], "trials_per_fault": 1,
+        "corpus": str(_mini_corpus(tmp_path)), **sections,
+    }))
+    out_dir = tmp_path / "o"
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}: unknown key(s) [{key!r}]")
     assert started == [] and not out_dir.exists()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from affsgen import testmodel
 from affsgen.minilang import parse
 from affsgen.minilang.parser import expr_source
 from affsgen.testmodel import (
@@ -60,9 +61,10 @@ def test_random_test_case_requires_functions():
         random_test_case(parse(""), random.Random(0))
 
 
-def test_function_choice_is_uniform():
+def test_function_choice_is_uniform(monkeypatch):
+    monkeypatch.setattr(testmodel, "ALIAS_PROB", 0.0)
     rng = random.Random(7)
-    cfg = GenConfig(max_calls_per_test=1, alias_prob=0.0)
+    cfg = GenConfig(max_calls_per_test=1)
     counts = {"one": 0, "two": 0}
     total = 10_000
     for _ in range(total):
@@ -133,17 +135,23 @@ def test_crossover_rejects_empty_parent():
 # --- suite mutation ----------------------------------------------------------------
 
 
-def test_mutation_probability_zero_is_identity():
-    cfg = GenConfig(add_test_prob=0.0, remove_test_prob=0.0, test_change_prob=0.0)
+def _mutation_probabilities(monkeypatch, add, remove, change):
+    monkeypatch.setattr(testmodel, "ADD_TEST_PROB", add)
+    monkeypatch.setattr(testmodel, "REMOVE_TEST_PROB", remove)
+    monkeypatch.setattr(testmodel, "TEST_CHANGE_PROB", change)
+
+
+def test_mutation_probability_zero_is_identity(monkeypatch):
+    _mutation_probabilities(monkeypatch, add=0.0, remove=0.0, change=0.0)
     rng = random.Random(1)
     suite = random_suite(TWO_FNS, rng)
-    mutated = mutate_suite(suite, TWO_FNS, random.Random(2), cfg)
+    mutated = mutate_suite(suite, TWO_FNS, random.Random(2))
     assert mutated.tests == suite.tests
 
 
-def test_mutation_forced_add_on_empty_suite():
-    cfg = GenConfig(add_test_prob=1.0, remove_test_prob=0.0, test_change_prob=0.0)
-    mutated = mutate_suite(_suite(), TWO_FNS, random.Random(3), cfg)
+def test_mutation_forced_add_on_empty_suite(monkeypatch):
+    _mutation_probabilities(monkeypatch, add=1.0, remove=0.0, change=0.0)
+    mutated = mutate_suite(_suite(), TWO_FNS, random.Random(3))
     assert len(mutated.tests) == 1
 
 
@@ -166,19 +174,19 @@ def test_mutation_sweep_preserves_invariants():
 @pytest.mark.parametrize("settings", [
     {"max_calls_per_test": 0},
     {"max_suite_size": 0},
-    {"int_min": 5, "int_max": 1},
-    {"str_max_len": -1},
-    {"str_alphabet": ""},
-    {"pool_prob": -0.1},
-    {"alias_prob": 1.01},
-    {"add_test_prob": 2.0},
-    {"remove_test_prob": -1.0},
-    {"test_change_prob": float("nan")},
+    {"max_calls_per_test": -1},
+    {"max_suite_size": -1},
+    {"max_calls_per_test": ""},
+    {"max_suite_size": None},
+    {"max_calls_per_test": False},
+    {"max_suite_size": 2.0},
+    {"max_calls_per_test": 3, "max_suite_size": -3},
+    {"max_suite_size": float("nan")},
     {"max_calls_per_test": 2.5},
     {"max_suite_size": True},
-    {"int_min": -1.5},
-    {"int_max": "9"},
-    {"str_max_len": 4.0},
+    {"max_calls_per_test": -1.5},
+    {"max_suite_size": "9"},
+    {"max_calls_per_test": 4.0},
 ])
 def test_gen_config_rejects_settings_no_search_can_use(settings):
     with pytest.raises(ValueError):
@@ -186,9 +194,7 @@ def test_gen_config_rejects_settings_no_search_can_use(settings):
 
 
 def test_gen_config_accepts_its_edge_values():
-    GenConfig(max_calls_per_test=1, max_suite_size=1, int_min=3, int_max=3, str_max_len=0,
-              str_alphabet="a", pool_prob=0.0, alias_prob=1.0, add_test_prob=0.0,
-              remove_test_prob=1.0, test_change_prob=0.0)
+    GenConfig(max_calls_per_test=1, max_suite_size=1)
 
 
 # --- rendering ----------------------------------------------------------------------
