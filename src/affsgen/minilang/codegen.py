@@ -34,6 +34,33 @@ past it, with the step count at the limit plus one. A statement's tick is
 the first of its group, so a group records at most one line, and only if
 that tick lies within the limit.
 
+Loops that provably never end are cut short, exactly, in lean code run
+without sides (``W is None``): kill runs, and the redos inside a schema
+run's hooks. Past ``CYCLE_CHECK_AFTER`` steps of such a run, every loop
+head compares the loop's control state with a saved one, by Brent's cycle
+detection (BIT 1980) on loop-head snapshots as in Jolt (Carbin et al.,
+ECOOP 2011). Runs with sides are never cut, since their hooks count every
+evaluation of a root, and neither are traced runs: none of the traced runs
+that reach the step limit on the benchmark repeats a state.
+  * The control state is the values and kinds of the loop's control slice,
+    and the kinds of the other variables the loop assigns. Variables it
+    does not assign keep their values while it runs.
+  * The slice (``_control_slice``) is the assigned variables that appear in
+    a condition, a comparison or ``and``/``or`` operand, an index or call
+    argument, or on the right of an arithmetic operator (a divisor, or one
+    under a mutant's operator), closed over the loop's assignments. Mutants
+    only change operators and constants or delete an assignment, so one
+    slice per loop holds for every mutated program on the lean code.
+  * The cut is exact because nothing outside the state can change the
+    loop's control flow, step count or raises: on the kinds the state
+    fixes, what a variable outside the slice can meet (int ``+``, ``-``
+    and ``*``, a dividend, str ``+``, ``len``) never raises. Once the state
+    repeats after P steps, the run repeats those P steps until the limit,
+    and a run without sides records only its step count and outcome. So
+    the check adds whole periods to S up to the limit and lets the run go
+    on, to cross the limit at the same point, in the same function, as it
+    would have.
+
 CPython nests at most 20 loop blocks in one function and 100 indentation
 levels, and the parser's caps (``MAX_BLOCK_DEPTH``, ``MAX_EXPR_DEPTH``) keep
 generated code under both without helper functions. Each MiniJ ``while`` is
@@ -54,6 +81,7 @@ from affsgen.minilang.interpreter import (
     TYPE_ERROR,
 )
 from affsgen.minilang.nodes import (
+    ARITHMETIC_OPS,
     Assign,
     Binary,
     BoolLit,
@@ -74,12 +102,16 @@ from affsgen.minilang.nodes import (
     Unary,
     Var,
     While,
+    statement_expressions,
     walk_expressions,
     walk_statements,
 )
 
 
 K = 1.0  # distance offset for strict inequalities and != when the predicate just fails
+
+# steps a run takes before its loop heads start looking for a repeated control state
+CYCLE_CHECK_AFTER = 1_000
 
 # distance >= 0 from ``{a} op {b}`` on floats to the predicate holding: zero
 # exactly when it holds, else growing with how far the operands are from it
@@ -119,6 +151,35 @@ def _is_boolean(expr: Expr) -> bool:
 
 def _variables(expr: Expr) -> set[str]:
     return {e.name for e in walk_expressions(expr) if type(e) is Var}
+
+
+def _control_slice(loop: While) -> tuple[list[str], set[str]]:
+    """The variables ``loop`` assigns, sorted, and those of them in its
+    control slice, whose values can change the loop's control flow, step
+    count or raises (see the module docstring)."""
+    slice_: set[str] = set()
+    assignments = []
+    for stmt in walk_statements([loop]):
+        if type(stmt) in (Let, Assign):
+            assignments.append((stmt.name, _variables(stmt.expr)))
+        elif type(stmt) in (If, While):
+            slice_ |= _variables(stmt.cond)
+        for root in statement_expressions(stmt):
+            for expr in walk_expressions(root):
+                cls = type(expr)
+                if cls is Binary and expr.op in ARITHMETIC_OPS:
+                    slice_ |= _variables(expr.rhs)
+                elif cls is Binary or cls is Index or cls is Call:
+                    slice_ |= _variables(expr)
+    grown = True
+    while grown:
+        grown = False
+        for name, needs in assignments:
+            if name in slice_ and not needs <= slice_:
+                slice_ |= needs
+                grown = True
+    assigned = sorted({name for name, _ in assignments})
+    return assigned, slice_ & set(assigned)
 
 
 def _literal(value) -> str:
@@ -563,8 +624,13 @@ class _Code:
         if cls is While:
             self.flush()  # the loop head is a join point
             before = set(self.defined)
+            if not self.instrumented:
+                checks = self.temp()
+                self.emit(f"{checks} = 0")
             self.emit("while True:")
             self.depth += 1
+            if not self.instrumented:
+                self.cycle_check(stmt, checks)
             t = self.condition(stmt)
             self.emit(f"if not {t}: break")
             self.block(stmt.body)
@@ -573,6 +639,30 @@ class _Code:
             self.defined = before
             return False
         raise TypeError(f"unknown statement node {stmt!r}")
+
+    def cycle_check(self, loop: While, checks: str) -> None:
+        """At a lean loop head past ``CYCLE_CHECK_AFTER`` steps of a run
+        without sides, Brent's cycle detection on the loop's control state:
+        the values and kinds of the variables of its control slice, and the
+        kinds of the other variables it assigns. The state is saved at the
+        1st, 2nd, 4th, ... check (``checks`` counts them) and every later
+        check compares against it, values first, so that a state that moves
+        on fails at its first item. Once it repeats after P steps, every
+        later period repeats it too, so whole periods are added to S up to
+        the limit and the run goes on to cross it as it would have."""
+        assigned, slice_ = _control_slice(loop)
+        # (expression, saved copy) pairs; kinds compare by identity
+        state = [(self.names[n], self.temp()) for n in assigned if n in slice_]
+        kinds = [(f"type({self.names[n]})", self.temp()) for n in assigned]
+        at = self.temp()
+        same = [f"{v} == {t}" for v, t in state] + [f"{k} is {t}" for k, t in kinds]
+        save = "".join(f"{t} = {v}; " for v, t in state + kinds)
+        self.emit(f"if S > {CYCLE_CHECK_AFTER} and W is None:")
+        self.depth += 1
+        self.emit(f"if {' and '.join([checks] + same)}: S += (L - S) // (S - {at}) * (S - {at})")
+        self.emit(f"{checks} += 1")
+        self.emit(f"if not {checks} & ({checks} - 1): {save}{at} = S")
+        self.depth -= 1
 
 
 def _locals(fn: FunctionDef) -> dict[str, str]:

@@ -23,6 +23,13 @@ Every other run, a kill run of a mutated program or a run with side
 evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
 
+Kill runs without sides are cut short, exactly, where a loop provably runs
+step limit: past ``codegen.CYCLE_CHECK_AFTER`` steps, a loop whose control
+slice repeats its state jumps by whole periods to just below the limit,
+and the run ends as it would have (see ``codegen``). Runs with sides are
+never cut, since their hooks count each evaluation of a root; the redos
+inside them count nothing and may be. Traced runs are not cut either.
+
 Semantics worth knowing:
   * Every expression node and every statement takes one step.
   * Arithmetic is integer-only; division truncates toward zero and raises

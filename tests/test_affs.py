@@ -92,6 +92,14 @@ def test_pinned_space_lists_each_combination_once():
     assert [a.functions for a in space] == [(F.EX,), (F.EX, F.BRANCH)]
 
 
+def test_pinned_ids_do_not_depend_on_the_order_of_functions_in_a_combination():
+    ids = []
+    for ex_branch in ((F.BRANCH, F.EX), (F.EX, F.BRANCH)):
+        space = action_space(Goal.EXCEPTIONS, pinned=[(F.EX, F.OUTPUT), ex_branch])
+        ids.append({a.functions: a.action_id for a in space})
+    assert ids[0] == ids[1] == {(F.EX, F.BRANCH): 0, (F.EX, F.OUTPUT): 1}
+
+
 # --- UCB ---------------------------------------------------------------------
 
 

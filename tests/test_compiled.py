@@ -1,10 +1,12 @@
 """Compiled execution against the reference tree walker, and the semantics
 that are easy to get wrong."""
 
+import contextlib
 import pickle
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +14,23 @@ from hypothesis import given, settings, strategies as st
 import treewalk
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
-from affsgen.minilang import ExceptionRecord, Raised, Returned, parse
+from affsgen.minilang import ExceptionRecord, Raised, Returned, codegen, interpreter, parse
 from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Schema, Sides, execute
-from affsgen.minilang.nodes import walk_expressions
+from affsgen.minilang.nodes import Let, While, walk_expressions, walk_statements
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
-from affsgen.mutation import generate_mutants, schema_roots
+from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, schema_roots
 from affsgen.testmodel import GenConfig, random_test_case
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-PROGRAMS = [program for pair in load_corpus(CORPUS)
+
+
+def _corpus_programs() -> list:
+    """Every corpus program, freshly loaded, so none has compiled code yet."""
+    return [program for pair in load_corpus(CORPUS)
             for program in (pair.fixed_program, pair.faulty_program)]
+
+
+PROGRAMS = _corpus_programs()
 STEP_LIMITS = [1, 2, 3, 5, 8, 13, 21, 40, 90, 300, 10_000]
 
 
@@ -35,7 +44,8 @@ def _run(run, *args):
 
 
 def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
-    """Traced, schema and kill runs of one call agree with the tree walker."""
+    """Traced, schema and kill runs of one call agree with the tree walker;
+    kill runs both with sides that count root evaluations and without."""
     compiled = _run(execute, program, entry, args, config)
     assert compiled == _run(treewalk.execute, program, entry, args, config)
     ours, theirs = Sides(roots), Sides(roots)
@@ -63,6 +73,9 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
         assert not (killed.lines_hit or killed.branch_best or killed.branch_best_direct
                     or killed.called_functions)
         assert ours.evals == theirs.evals, mutant.operator
+        # without sides, which only a kill run without them may cut short
+        plain = execute(mutant.mutated_program, entry, args, config)
+        assert (plain.outcome, plain.steps) == (walked.outcome, walked.steps), mutant.operator
     if mutants:
         # a kill run with every root's alternatives on the side
         ours, theirs = Sides(roots), Sides(roots)
@@ -76,11 +89,19 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
             theirs.evals, theirs.infected, theirs.drifted)
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_every_corpus_function_runs_as_the_tree_walker_does(seed):
+@contextlib.contextmanager
+def _every_loop_checked():
+    """Programs compiled meanwhile look for a repeated control state at
+    every loop head from the run's first step on; programs compiled before
+    keep their code."""
+    with mock.patch.object(codegen, "CYCLE_CHECK_AFTER", 0), \
+            mock.patch.object(interpreter, "_MODULES", {}):
+        yield
+
+
+def _corpus_runs_as_the_tree_walker_does(seed: int, programs) -> None:
     rng = random.Random(seed)
-    for program in PROGRAMS:
+    for program in programs:
         mutants = generate_mutants(program)
         roots = schema_roots(mutants)
         calls: dict[str, tuple] = {}  # one call of each function, drawn from random tests
@@ -92,6 +113,19 @@ def test_every_corpus_function_runs_as_the_tree_walker_does(seed):
             config = InterpConfig(step_limit=rng.choice(STEP_LIMITS))
             _assert_same_runs(program, function, args, config,
                               rng.sample(mutants, min(6, len(mutants))), roots)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_corpus_function_runs_as_the_tree_walker_does(seed):
+    _corpus_runs_as_the_tree_walker_does(seed, PROGRAMS)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_corpus_function_runs_as_the_tree_walker_does_with_every_loop_checked(seed):
+    with _every_loop_checked():
+        _corpus_runs_as_the_tree_walker_does(seed, _corpus_programs())
 
 
 # --- generated programs ------------------------------------------------------------
@@ -191,9 +225,7 @@ def _arguments(rng: random.Random, kinds) -> tuple:
     return tuple(rng.choice(pools[kind]) for kind in kinds)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_generated_programs_run_as_the_tree_walker_does(seed):
+def _generated_program_runs_as_the_tree_walker_does(seed: int) -> None:
     rng = random.Random(seed)
     writer = _ProgramWriter(rng)
     program = parse(writer.program())
@@ -207,6 +239,19 @@ def test_generated_programs_run_as_the_tree_walker_does(seed):
                               max_call_depth=rng.choice([1, 2, 5, 50]))
         _assert_same_runs(program, f"f{i}", _arguments(rng, writer.signatures[i]), config,
                           rng.sample(mutants, min(8, len(mutants))), roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_programs_run_as_the_tree_walker_does(seed):
+    _generated_program_runs_as_the_tree_walker_does(seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_programs_run_as_the_tree_walker_does_with_every_loop_checked(seed):
+    with _every_loop_checked():
+        _generated_program_runs_as_the_tree_walker_does(seed)
 
 
 def test_a_branch_evaluated_in_and_below_the_entry_frame_keeps_both_minima():
@@ -385,3 +430,123 @@ def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_pytho
 def test_interp_config_rejects_bad_values(interp):
     with pytest.raises(ValueError):
         InterpConfig(**interp)
+
+
+# --- loops cut short --------------------------------------------------------------
+
+# how a loop's control variable i moves: stuck four ways (the last has no
+# step at all), diverging, or counting up to the loop's end
+_CONTROL_STEPS = ["i = i * 1;", "i = i / 1;", "i = i + 0;", "", "i = i - 1;", "i = i + 1;"]
+# statements around the control step: accumulators outside the control slice;
+# an int that becomes a bool (``x * 2`` raises then, though ``x == 1`` still
+# holds); k, which the base only adds but a mutant divides by; p, which
+# only a bare condition reads; w, in the slice, which takes q into it; a
+# branch and a call on the control variable
+_LOOP_STATEMENTS = [
+    "n = n + 1;",
+    's = s + "a";',
+    "m = x * 2; x = true;",
+    "acc = acc + k; k = k - 1;",
+    "if (p) { n = n + g(i, t); } p = not p;",
+    "w = q / 400; q = q + 7; if (w > 0) { n = g(w, t); }",
+    "if (i > 5) { n = n - 1; }",
+    "n = n + g(i, t);",
+]
+
+
+def _loop_program(warm_up: int, cond: str, body: str) -> str:
+    """A function ``f`` whose loop ``while (cond) { body }`` comes after a
+    warm-up loop of ``warm_up`` passes, about 7 steps each."""
+    return ("fn g(a:int, t:str) { if (a > 3) { return len(t); } return a; }\n"
+            "fn f(i:int, k:int, t:str) {\n"
+            '  let n = 0; let acc = 0; let x = 1; let m = 0; let s = ""; let p = true;\n'
+            "  let q = 0; let w = 0; let j = 0;\n"
+            f"  while (j < {warm_up}) {{ j = j + 1; }}\n"
+            f"  while ({cond}) {{ {body} }}\n"
+            "  return n;\n"
+            "}")
+
+
+def _loop_mutants(program, mutants) -> list:
+    """The mutants at the condition or in the body of ``f``'s last loop."""
+    loop = [stmt for stmt in program.function("f").body if type(stmt) is While][-1]
+    sites = {stmt.line_id for stmt in walk_statements([loop])}
+    return [m for m in mutants if m.site in sites]
+
+
+def _endless_loop(rng: random.Random) -> str:
+    """A loop that runs until the step limit, ends, or raises, after a
+    warm-up past ``CYCLE_CHECK_AFTER`` steps or none."""
+    body = rng.sample(_LOOP_STATEMENTS, rng.randint(1, 4))
+    body.insert(rng.randint(0, len(body)), rng.choice(_CONTROL_STEPS))
+    cond = rng.choice(["i < 10", "i != 10", "(i < 10 and x == 1)", "(x == 1 or i < 10)"])
+    return _loop_program(rng.choice([0, 300]), cond, " ".join(body))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_endless_loops_run_as_the_tree_walker_does(seed):
+    rng = random.Random(seed)
+    program = parse(_endless_loop(rng))
+    mutants = generate_mutants(program)
+    # every deletion (of the control step among them) and division (acc / k
+    # among them) in the loop, and a sample of its other mutants
+    looped = _loop_mutants(program, mutants)
+    chosen = [m for m in looped if m.operator == DELETE_ASSIGNMENT or m.operator.endswith("/")]
+    rest = [m for m in looped if m not in chosen]
+    chosen += rng.sample(rest, min(6, len(rest)))
+    args = (rng.choice([0, 3, 9]), rng.choice([0, 200]), rng.choice(["", "abcde"]))
+    config = InterpConfig(step_limit=rng.choice([1_500, 4_000, 10_000]))
+    _assert_same_runs(program, "f", args, config, chosen, schema_roots(mutants))
+
+
+# one loop body for each part of the control state a cut relies on, after
+# the warm-up loop, with the control variable stuck
+_CUT_CASES = {
+    # x == 1 holds for both 1 and true, which only x * 2 tells apart
+    "bool-int-in-slice": ("(i < 10 and x == 1)", "i = i * 1; m = x * 2; x = true;"),
+    "bool-int-outside": ("i < 10", "i = i * 1; m = x * 2; x = true;"),
+    # acc / k, a mutant's, raises once k reaches 0
+    "mutant-divisor": ("i < 10", "i = i + 0; acc = acc + k; k = k - 1;"),
+    # p alternates, so one period is two passes, with a call in one of them
+    "bare-condition": ("i < 10", "if (p) { n = n + g(i, t); } p = not p;"),
+    # k falls until t[k / 100] raises, and until g(k, t) returns by another line
+    "index": ("i < 10", "i = i * 1; m = t[k / 100]; k = k - 1;"),
+    "call-argument": ("i < 10", "i = i * 1; n = g(k, t); k = k - 1;"),
+    # w stays 0 until q reaches 400; only the closure puts q in the slice
+    "closure": ("i != 10", "i = i / 1; w = q / 400; q = q + 7; if (w > 0) { n = g(w, t); }"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CUT_CASES))
+def test_loops_cut_short_run_as_the_tree_walker_does(case):
+    program = parse(_loop_program(300, *_CUT_CASES[case]))
+    mutants = generate_mutants(program)
+    args = (0, 200, "abcde")
+    _assert_same_runs(program, "f", args, InterpConfig(step_limit=10_000),
+                      _loop_mutants(program, mutants), schema_roots(mutants))
+    # m only takes values, so this mutant's kill runs go through the loop as
+    # the base program's do; its loop may be cut at every place within two
+    # passes of the loop where a run can cross the limit
+    m = next(s for s in program.function("f").body if type(s) is Let and s.name == "m")
+    mutated = next(mutant.mutated_program for mutant in mutants
+                   if mutant.site == m.line_id and mutant.operator == "const:+1")
+    for limit in range(5_000, 5_060):
+        config = InterpConfig(step_limit=limit)
+        killed = execute(mutated, "f", args, config)
+        walked = treewalk.execute(mutated, "f", args, config)
+        assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps)
+
+
+def test_a_loop_whose_control_state_repeats_is_cut_at_any_step_limit():
+    source = ('fn f(i:int) { let n = 0; let s = ""; '
+              'while (i < 10) { n = n + 1; s = s + "a"; i = i + 1; } return n; }')
+    program = parse(source)
+    deletion = next(m for m in generate_mutants(program) if m.operator == DELETE_ASSIGNMENT
+                    and m.site == 5)
+    limit = 10**12  # far more steps than a run could take one at a time
+    config = InterpConfig(step_limit=limit)
+    expected = Raised(ExceptionRecord("StepLimitExceeded", "f"))
+    killed = execute(deletion.mutated_program, "f", (0,), config)
+    assert (killed.outcome, killed.steps) == (expected, limit + 1)
+    assert execute(program, "f", (0,), config).outcome == Returned(10)
