@@ -193,10 +193,7 @@ class RewardTracker:
 
     def measure(self, best_suite, ctx, tick: int) -> float:
         if self.goal is Goal.EXCEPTIONS:
-            best_unique = set()
-            for test in best_suite.tests:
-                best_unique |= ctx.trace(test).exceptions
-            return float(len(ctx.discovered_exceptions) + len(best_unique))
+            return float(len(ctx.discovered_exceptions) + len(ctx.suite_exceptions(best_suite)))
         if self.goal is Goal.DIVERSITY:
             current = eval_fitness(F.DIVERSITY, best_suite, ctx)
             previous = self.prev_diversity_fitness

@@ -89,6 +89,9 @@ def _cmd_generate(args) -> int:
     except (OSError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as err:
+        print(f"error: {args.program} is not UTF-8 text: {err}", file=sys.stderr)
+        return 2
     if not program.functions:
         print(f"error: {args.program} defines no functions to test", file=sys.stderr)
         return 2
@@ -100,7 +103,7 @@ def _cmd_generate(args) -> int:
     config = EngineConfig(budget=budget, rng_seed=args.seed)
     result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
     Path(args.out).write_text(result.to_json(), encoding="utf-8")
-    print(f"wrote {args.out}: {len(result.final_suite.tests)} tests, {result.generations} "
+    print(f"wrote {args.out}: {len(result.final_suite)} tests, {result.generations} "
           f"generations, metrics {json.dumps(result.metrics, sort_keys=True)}")
     return 0
 

@@ -7,6 +7,10 @@ the strategy observes a reward and installs the next action. An archive keeps
 the first (shortest) test covering each goal so coverage survives the churn;
 the final suite is minimized against the goal set and then topped back up
 from the archive.
+
+Suites are immutable tuples of tests, so elites and parents that are not
+crossed over pass into the next generation as they are, shared rather than
+copied.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
-from affsgen.fitness import FitnessContext, evaluate_suite, suite_diversity
+from affsgen.fitness import FitnessContext, FitnessFunctionId, evaluate_suite, suite_diversity
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import (
@@ -42,7 +46,7 @@ from affsgen.testmodel import (
 )
 from affsgen.mutation import MutantStatus
 
-ELITE_COUNT = 2  # best-ranked suites cloned into the next generation
+ELITE_COUNT = 2  # best-ranked suites carried into the next generation
 CROSSOVER_RATE = 0.75  # probability that a parent pair is crossed over
 MUTATION_RATE = 0.9  # probability that a child is mutated
 FRESH_RANDOM_PER_GEN = 2  # random suites added to each generation
@@ -92,17 +96,6 @@ class GenerationRecord:
 
 
 @dataclass(slots=True)
-class SearchState:
-    generation: int
-    population: list[TestSuite]
-    active_action: Action
-    best_suite: TestSuite
-    archive: Archive
-    log: list[GenerationRecord] = field(default_factory=list)
-    best_composite: float = 0.0
-
-
-@dataclass(slots=True)
 class SearchResult:
     program_id: str
     goal: Goal
@@ -136,7 +129,7 @@ class SearchResult:
     def to_dict(self, omit_timing: bool = False) -> dict:
         """JSON-ready form; timing can be omitted for byte-stable comparison."""
         tests = []
-        for idx, test in enumerate(self.final_suite.tests):
+        for idx, test in enumerate(self.final_suite):
             tests.append({
                 "calls": [
                     {"function": c.function, "args": [test.resolve(a) for a in c.args]}
@@ -258,7 +251,7 @@ def _subgoal_coverage(goal: Goal, suite: TestSuite, ctx: FitnessContext,
     if not universe:
         return 0.0
     covered: set[GoalId] = set()
-    for test in suite.tests:
+    for test in suite:
         covered |= coverage_fn(test)
     return len(covered & universe) / len(universe)
 
@@ -272,31 +265,31 @@ def _tournament(rng: random.Random, size: int) -> int:
     return min(a, b)  # population is sorted by fitness, lower index wins
 
 
-def evolve_one_generation(state: SearchState, program: Program, ctx: FitnessContext,
-                          config: EngineConfig, gen_config: GenConfig,
-                          rng: random.Random, archive_update, pool) -> SearchState:
-    """Score, select, and rebuild the population; update archive and counters."""
-    action = state.active_action
+def evolve_one_generation(population: list[TestSuite],
+                          functions: tuple[FitnessFunctionId, ...], program: Program,
+                          ctx: FitnessContext, config: EngineConfig, gen_config: GenConfig,
+                          rng: random.Random, archive_update,
+                          pool) -> tuple[TestSuite, float, list[TestSuite]]:
+    """Score ``population`` under ``functions``, archive its tests, and breed
+    the next one. Returns (best suite, its composite, next population)."""
     scored = sorted(
-        ((evaluate_suite(suite, action.functions, ctx), idx, suite)
-         for idx, suite in enumerate(state.population)),
+        ((evaluate_suite(suite, functions, ctx), idx, suite)
+         for idx, suite in enumerate(population)),
         key=lambda triple: (triple[0], triple[1]),
     )
     ranked = [suite for _, _, suite in scored]
-    state.best_suite = ranked[0]
-    state.best_composite = scored[0][0]
 
     n_elites = min(ELITE_COUNT, config.population_size)
     n_fresh = min(FRESH_RANDOM_PER_GEN, config.population_size - n_elites)
-    next_population: list[TestSuite] = [ranked[i].clone() for i in range(n_elites)]
+    next_population = ranked[:n_elites]
 
     while len(next_population) < config.population_size - n_fresh:
         pa = ranked[_tournament(rng, len(ranked))]
         pb = ranked[_tournament(rng, len(ranked))]
-        if rng.random() < CROSSOVER_RATE and pa.tests and pb.tests:
+        if rng.random() < CROSSOVER_RATE and pa and pb:
             child_a, child_b = crossover(pa, pb, rng, gen_config)
         else:
-            child_a, child_b = pa.clone(), pb.clone()
+            child_a, child_b = pa, pb
         for child in (child_a, child_b):
             if len(next_population) >= config.population_size - n_fresh:
                 break
@@ -308,11 +301,8 @@ def evolve_one_generation(state: SearchState, program: Program, ctx: FitnessCont
         next_population.append(random_suite(program, rng, gen_config, pool))
 
     # archive every goal-covering test seen in the scored population
-    archive_update(test for suite in ranked for test in suite.tests)
-
-    state.population = next_population
-    state.generation += 1
-    return state
+    archive_update(test for suite in ranked for test in suite)
+    return ranked[0], scored[0][0], next_population
 
 
 def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineConfig,
@@ -331,54 +321,48 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
 
     tracker = RewardTracker(goal, seeding_length=strategy.seeding_length)
 
-    provisional_best = population[0]
+    best_suite = population[0]  # provisional, until the first generation is scored
     action = strategy.initial_action(
-        _features_of(provisional_best, ctx, goal, gen_config, coverage_fn), rng)
+        _features_of(best_suite, ctx, goal, gen_config, coverage_fn), rng)
+    tracker.prime(best_suite, ctx)
 
-    state = SearchState(
-        generation=0,
-        population=population,
-        active_action=action,
-        best_suite=provisional_best,
-        archive=archive,
-    )
-    tracker.prime(provisional_best, ctx)
-
+    log: list[GenerationRecord] = []
     started = time.monotonic()
-    tick = 0
+    generation = tick = 0
 
     while True:
-        if config.budget.generations is not None and state.generation >= config.budget.generations:
+        if config.budget.generations is not None and generation >= config.budget.generations:
             break
         if config.budget.seconds is not None and time.monotonic() - started >= config.budget.seconds:
             break
         gen_started = time.perf_counter_ns()
-        evolve_one_generation(state, program, ctx, config, gen_config, rng,
-                              archive_update, pool)
+        best_suite, best_composite, population = evolve_one_generation(
+            population, action.functions, program, ctx, config, gen_config, rng,
+            archive_update, pool)
+        generation += 1
         reward: float | None = None
-        if state.generation % config.skip_iter == 0:
-            reward = tracker.measure(state.best_suite, ctx, tick)
-            features = _features_of(state.best_suite, ctx, goal, gen_config, coverage_fn)
-            state.active_action = strategy.update_and_select(
-                reward, features, state.generation, rng)
+        if generation % config.skip_iter == 0:
+            reward = tracker.measure(best_suite, ctx, tick)
+            features = _features_of(best_suite, ctx, goal, gen_config, coverage_fn)
+            action = strategy.update_and_select(reward, features, generation, rng)
             tick += 1
-        state.log.append(GenerationRecord(
-            generation=state.generation,
-            action_id=state.active_action.action_id,
-            action=state.active_action.label(),
+        log.append(GenerationRecord(
+            generation=generation,
+            action_id=action.action_id,
+            action=action.label(),
             reward=reward,
-            best_composite=state.best_composite,
-            archive_size=len(state.archive),
+            best_composite=best_composite,
+            archive_size=len(archive),
             elapsed_ns=time.perf_counter_ns() - gen_started,
         ))
 
     goals = goal_universe(goal, ctx)
-    minimized = minimize(state.best_suite, goals, coverage_fn)
-    final = augment_from_archive(minimized, state.archive, goals, coverage_fn)
+    minimized = minimize(best_suite, goals, coverage_fn)
+    final = augment_from_archive(minimized, archive, goals, coverage_fn)
 
     covered: set[GoalId] = set()
     per_test_goals: dict[int, list[str]] = {}
-    for idx, test in enumerate(final.tests):
+    for idx, test in enumerate(final):
         test_goals = coverage_fn(test) & goals
         covered |= test_goals
         per_test_goals[idx] = sorted(goal_label(g) for g in test_goals)
@@ -391,7 +375,7 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         final_suite=final,
         goals=goals,
         covered_goals=covered,
-        log=state.log,
+        log=log,
         metrics=_final_metrics(goal, final, ctx, covered, goals),
         per_test_goals=per_test_goals,
     )
@@ -410,7 +394,7 @@ def _features_of(best: TestSuite, ctx: FitnessContext, goal: Goal, gen_config: G
         if subgoals is None:
             subgoals = _subgoal_coverage(goal, best, ctx, coverage_fn)
         mean = evaluate_suite(best, action.functions, ctx) / len(action.functions)
-        return feature_vector(action, mean, len(best.tests), gen_config.max_suite_size,
+        return feature_vector(action, mean, len(best), gen_config.max_suite_size,
                               subgoals)
 
     return features
@@ -418,12 +402,10 @@ def _features_of(best: TestSuite, ctx: FitnessContext, goal: Goal, gen_config: G
 
 def _final_metrics(goal: Goal, final: TestSuite, ctx: FitnessContext,
                    covered: set[GoalId], goals: set[GoalId]) -> dict:
-    suite_exceptions: set[tuple[str, str]] = set()
-    for test in final.tests:
-        suite_exceptions |= ctx.trace(test).exceptions
-    rendered = [render_test(t) for t in final.tests]
+    suite_exceptions = ctx.suite_exceptions(final)
+    rendered = [render_test(t) for t in final]
     metrics: dict = {
-        "suite_size": len(final.tests),
+        "suite_size": len(final),
         "rendered_chars": sum(len(r) for r in rendered),
         "exceptions_discovered": len(ctx.discovered_exceptions),
         "suite_exceptions": len(suite_exceptions),

@@ -285,7 +285,7 @@ class FitnessContext:
         self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
         self._packed: dict[tuple[str, ...], PackedLines] = {}
         self._line_distance: dict[tuple[tuple[str, ...], str], int] = {}
-        self._suite_scores: dict[tuple[FitnessFunctionId, tuple[TestCase, ...]], float] = {}
+        self._suite_scores: dict[tuple[FitnessFunctionId, TestSuite], float] = {}
 
     @property
     def mutants(self) -> list[Mutant]:
@@ -298,6 +298,13 @@ class FitnessContext:
             self._traces[test] = trace
             self.discovered_exceptions |= trace.exceptions
         return trace
+
+    def suite_exceptions(self, suite: TestSuite) -> set[tuple[str, str]]:
+        """The distinct (kind, function) exceptions the suite's tests raise."""
+        raised: set[tuple[str, str]] = set()
+        for test in suite:
+            raised |= self.trace(test).exceptions
+        return raised
 
     def rendered_lines(self, test: TestCase) -> tuple[str, ...]:
         lines = self._renders.get(test)
@@ -343,10 +350,9 @@ class FitnessContext:
         mutants = self.mutants
         if not mutants:
             raise ValueError("mutation score is undefined for an empty mutant list")
-        tests = suite.tests
         total = 0
         for mutant in mutants:
-            total += stages[self.classify(mutant, tests, stop)]
+            total += stages[self.classify(mutant, suite, stop)]
         return total
 
     def mutation_score(self, suite: TestSuite, mode: str) -> float:
@@ -387,11 +393,10 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
     Returns (diversity, fitness) with fitness = 1 / (1 + diversity); a suite
     with at most one test has no pairs and scores fitness 1.0.
     """
-    tests = suite.tests
     div = 0
-    for i in range(len(tests)):
-        for j in range(i + 1, len(tests)):
-            div += ctx.test_pair_distance(tests[i], tests[j])
+    for i in range(len(suite)):
+        for j in range(i + 1, len(suite)):
+            div += ctx.test_pair_distance(suite[i], suite[j])
     return div, 1.0 / (1.0 + div)
 
 
@@ -399,17 +404,14 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
 
 
 def _fit_ex(suite: TestSuite, ctx: FitnessContext) -> float:
-    unique: set[tuple[str, str]] = set()
-    for test in suite.tests:
-        unique |= ctx.trace(test).exceptions
-    return 1.0 / (1.0 + len(unique))
+    return 1.0 / (1.0 + len(ctx.suite_exceptions(suite)))
 
 
 def _branch_score(suite: TestSuite, ctx: FitnessContext, direct: bool) -> float:
     if ctx.total_branches == 0:
         return 0.0
     best: dict[int, list[float]] = {}
-    for test in suite.tests:
+    for test in suite:
         trace = ctx.trace(test)
         table = trace.branch_best_direct if direct else trace.branch_best
         for bid, (dt, df) in table.items():
@@ -433,7 +435,7 @@ def _fit_line(suite: TestSuite, ctx: FitnessContext) -> float:
     if ctx.total_lines == 0:
         return 0.0
     covered: set[int] = set()
-    for test in suite.tests:
+    for test in suite:
         covered |= ctx.trace(test).lines_hit
     return (ctx.total_lines - len(covered)) / ctx.total_lines
 
@@ -443,7 +445,7 @@ def _fit_method(suite: TestSuite, ctx: FitnessContext) -> float:
     if total == 0:
         return 0.0
     called: set[str] = set()
-    for test in suite.tests:
+    for test in suite:
         called |= ctx.trace(test).functions_called
     return (total - len(called)) / total
 
@@ -453,7 +455,7 @@ def _fit_mnec(suite: TestSuite, ctx: FitnessContext) -> float:
     if total == 0:
         return 0.0
     clean: set[str] = set()
-    for test in suite.tests:
+    for test in suite:
         clean |= ctx.trace(test).clean_direct
     return (total - len(clean)) / total
 
@@ -462,7 +464,7 @@ def _fit_output(suite: TestSuite, ctx: FitnessContext) -> float:
     if not ctx.buckets:
         return 0.0
     observed: dict[str, list] = {}
-    for test in suite.tests:
+    for test in suite:
         for fname, values in ctx.trace(test).returns.items():
             observed.setdefault(fname, []).extend(values)
     total = 0.0
@@ -517,7 +519,7 @@ _EVALUATORS = {
 
 def eval_fitness(fn: FitnessFunctionId, suite: TestSuite, ctx: FitnessContext) -> float:
     """Evaluate one fitness function on a suite; results are memoized per suite."""
-    key = (fn, suite.key())
+    key = (fn, suite)
     score = ctx._suite_scores.get(key)
     if score is None:
         score = _EVALUATORS[fn](suite, ctx)

@@ -72,13 +72,18 @@ def load_corpus(path) -> list[FaultPair]:
                 raise CorpusError(f"{entry.name}: missing {required.name}")
         try:
             meta = json.loads(manifest.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON, or not UTF-8
             raise CorpusError(f"{entry.name}: bad manifest: {err}") from err
         if not isinstance(meta, dict):
             raise CorpusError(f"{entry.name}: manifest must hold a JSON object, "
                               f"not {type(meta).__name__}")
-        fixed_text = fixed.read_text(encoding="utf-8")
-        faulty_text = faulty.read_text(encoding="utf-8")
+        texts = []
+        for source in (fixed, faulty):
+            try:
+                texts.append(source.read_text(encoding="utf-8"))
+            except UnicodeDecodeError as err:
+                raise CorpusError(f"{entry.name}: {source.name} is not UTF-8 text: {err}") from err
+        fixed_text, faulty_text = texts
         if fixed_text == faulty_text:
             raise CorpusError(f"{entry.name}: fixed and faulty versions are identical")
         try:
@@ -100,7 +105,7 @@ def load_corpus(path) -> list[FaultPair]:
 def fault_detected(suite: TestSuite, pair: FaultPair,
                    interp: InterpConfig = InterpConfig()) -> bool:
     """True when any call of any test behaves differently on the faulty version."""
-    for test in suite.tests:
+    for test in suite:
         fixed = run_test(pair.fixed_program, test, interp).call_results
         faulty = run_test(pair.faulty_program, test, interp).call_results
         if any(behavior_of(a) != behavior_of(b) for a, b in zip(fixed, faulty)):
@@ -185,7 +190,10 @@ class ExperimentConfig:
             raise ConfigError(f"strategies must be a list of str, not {self.strategies!r}")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
-        for spec in self.strategies:
+        for i, spec in enumerate(self.strategies):
+            if spec in self.strategies[:i]:
+                # its trials would repeat the same seeds and count twice
+                raise ConfigError(f"strategy {spec!r} appears more than once")
             try:
                 make_strategy(spec, self.goal)
             except ValueError as err:

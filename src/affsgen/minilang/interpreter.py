@@ -170,6 +170,11 @@ class InterpConfig:
                              f"not {self.max_call_depth!r}")
 
 
+# the MiniJ kind of each Python type an entry call may pass; a value of any
+# other type, a subclass of these included, is rejected
+_ENTRY_KINDS = {int: "int", bool: "bool", str: "str"}
+
+
 def kind_of(value: Value) -> str:
     if isinstance(value, bool):
         return "bool"
@@ -477,10 +482,10 @@ def execute(
     if len(args) != len(fn.params):
         raise ArityError(f"{entry} expects {len(fn.params)} args, got {len(args)}")
     for (pname, pkind), value in zip(fn.params, args):
-        if kind_of(value) != pkind:
-            raise ArityError(
-                f"{entry} parameter {pname!r} expects {pkind}, got {kind_of(value)}"
-            )
+        kind = _ENTRY_KINDS.get(type(value))
+        if kind != pkind:
+            got = kind or f"Python {type(value).__name__}"
+            raise ArityError(f"{entry} parameter {pname!r} expects {pkind}, got {got}")
 
     module, hooks = program._compiled or _plan(program)
     traced = program.base is None and sides is None

@@ -4,13 +4,17 @@ A test case is a sequence of calls with literal arguments. An argument may
 also be a reference to a named binding, possibly chained through further
 references; rendering resolves every reference back to its origin literal so
 that alias-only differences disappear from the canonical text.
+
+A suite is a plain tuple of test cases. Both are immutable values, hashed and
+compared by content, so a suite can be shared between generations and used
+as a cache key as it is; every operator builds a new tuple.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 from affsgen.minilang.nodes import IntLit, Program, StrLit, statement_expressions, walk_expressions, walk_statements
 from affsgen.minilang.parser import string_source
@@ -73,29 +77,8 @@ class TestCase:
         return arg
 
 
-class TestSuite:
-    """Ordered collection of test cases; `FitnessContext` caches scores by content."""
-
-    __test__ = False  # stop pytest from collecting this domain type
-    __slots__ = ("tests",)
-
-    def __init__(self, tests: Iterable[TestCase] = ()):
-        self.tests: list[TestCase] = list(tests)
-
-    def clone(self) -> "TestSuite":
-        return TestSuite(self.tests)
-
-    def key(self) -> tuple[TestCase, ...]:
-        return tuple(self.tests)
-
-    def __len__(self) -> int:
-        return len(self.tests)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TestSuite) and self.tests == other.tests
-
-    def __repr__(self) -> str:
-        return f"TestSuite({len(self.tests)} tests)"
+# a suite: an ordered tuple of tests (an alias for annotations, never called)
+TestSuite = tuple[TestCase, ...]
 
 
 # --- goals ----------------------------------------------------------------
@@ -232,7 +215,7 @@ def random_test_case(program: Program, rng: random.Random, cfg: GenConfig = GenC
 def random_suite(program: Program, rng: random.Random, cfg: GenConfig = GenConfig(),
                  pool=None) -> TestSuite:
     size = rng.randint(1, min(MAX_INITIAL_TESTS, cfg.max_suite_size))
-    return TestSuite(random_test_case(program, rng, cfg, pool) for _ in range(size))
+    return tuple(random_test_case(program, rng, cfg, pool) for _ in range(size))
 
 
 # --- genetic operators ------------------------------------------------------
@@ -240,19 +223,17 @@ def random_suite(program: Program, rng: random.Random, cfg: GenConfig = GenConfi
 
 def crossover_at(parent_a: TestSuite, parent_b: TestSuite, cut: int,
                  max_suite_size: int) -> tuple[TestSuite, TestSuite]:
-    child_a = TestSuite(parent_a.tests[:cut] + parent_b.tests[cut:])
-    child_b = TestSuite(parent_b.tests[:cut] + parent_a.tests[cut:])
-    del child_a.tests[max_suite_size:]
-    del child_b.tests[max_suite_size:]
-    return child_a, child_b
+    child_a = parent_a[:cut] + parent_b[cut:]
+    child_b = parent_b[:cut] + parent_a[cut:]
+    return child_a[:max_suite_size], child_b[:max_suite_size]
 
 
 def crossover(parent_a: TestSuite, parent_b: TestSuite, rng: random.Random,
               cfg: GenConfig = GenConfig()) -> tuple[TestSuite, TestSuite]:
     """Single-point crossover at test granularity."""
-    if not parent_a.tests or not parent_b.tests:
+    if not parent_a or not parent_b:
         raise ValueError("crossover requires nonempty parents")
-    cut = rng.randint(0, min(len(parent_a.tests), len(parent_b.tests)))
+    cut = rng.randint(0, min(len(parent_a), len(parent_b)))
     return crossover_at(parent_a, parent_b, cut, cfg.max_suite_size)
 
 
@@ -300,7 +281,7 @@ def mutate_suite(suite: TestSuite, program: Program, rng: random.Random,
     """Apply add/remove-test and per-test changes with fixed probabilities."""
     if pool is None:
         pool = literal_pool(program)
-    tests = list(suite.tests)
+    tests = list(suite)
     if tests and rng.random() < REMOVE_TEST_PROB:
         del tests[rng.randrange(len(tests))]
     mutated = [
@@ -311,7 +292,7 @@ def mutate_suite(suite: TestSuite, program: Program, rng: random.Random,
     ]
     if len(mutated) < cfg.max_suite_size and rng.random() < ADD_TEST_PROB:
         mutated.append(random_test_case(program, rng, cfg, pool))
-    return TestSuite(mutated)
+    return tuple(mutated)
 
 
 # --- canonical rendering ----------------------------------------------------
@@ -357,30 +338,30 @@ class Archive:
 def minimize(suite: TestSuite, goals: set[GoalId],
              coverage_of: Callable[[TestCase], set[GoalId]]) -> TestSuite:
     """Greedy backward pass dropping tests whose goals the rest already cover."""
-    relevant = [set(coverage_of(t)) & goals for t in suite.tests]
-    retained = list(range(len(suite.tests)))
-    for i in reversed(range(len(suite.tests))):
+    relevant = [set(coverage_of(t)) & goals for t in suite]
+    retained = list(range(len(suite)))
+    for i in reversed(range(len(suite))):
         rest: set[GoalId] = set()
         for j in retained:
             if j != i:
                 rest |= relevant[j]
         if relevant[i] <= rest:
             retained.remove(i)
-    return TestSuite(suite.tests[i] for i in retained)
+    return tuple(suite[i] for i in retained)
 
 
 def augment_from_archive(suite: TestSuite, archive: Archive, goals: set[GoalId],
                          coverage_of: Callable[[TestCase], set[GoalId]]) -> TestSuite:
     """Append archived tests for goals the suite misses; never duplicates."""
     covered: set[GoalId] = set()
-    for t in suite.tests:
+    for t in suite:
         covered |= coverage_of(t) & goals
-    result = TestSuite(suite.tests)
-    present = set(suite.tests)
+    result = list(suite)
+    present = set(suite)
     for goal in sorted(goals - covered, key=goal_sort_key):
         test = archive.entries.get(goal)
         if test is not None and test not in present:
-            result.tests.append(test)
+            result.append(test)
             present.add(test)
             covered |= coverage_of(test) & goals
-    return result
+    return tuple(result)

@@ -11,7 +11,6 @@ from affsgen.affs import Goal, RewardTracker, action_space, make_strategy
 from affsgen.engine import (
     Budget,
     EngineConfig,
-    SearchState,
     evolve_one_generation,
     make_archive_updater,
     make_coverage_fn,
@@ -27,7 +26,6 @@ from affsgen.testmodel import (
     GenConfig,
     MutantGoal,
     TestCase,
-    TestSuite,
     literal_pool,
     random_suite,
     render_test,
@@ -89,7 +87,8 @@ def test_engine_config_accepts_its_edge_counts():
 
 
 def _one_generation(population_size):
-    """A random population, ranked best first, and its state after one generation."""
+    """A random population, ranked best first, and the next population after one
+    generation."""
     ctx = FitnessContext(PROGRAM)
     rng = random.Random(3)
     gen_cfg = GenConfig()
@@ -102,32 +101,31 @@ def _one_generation(population_size):
     ranked = [suite for _, _, suite in sorted(
         (evaluate_suite(suite, action.functions, ctx), idx, suite)
         for idx, suite in enumerate(population))]
-    state = SearchState(generation=0, population=list(population), active_action=action,
-                        best_suite=population[0], archive=archive)
-    evolve_one_generation(state, PROGRAM, ctx, _config(population_size=population_size),
-                          gen_cfg, rng, updater, pool)
-    return ranked, state
+    best, _, next_population = evolve_one_generation(
+        population, action.functions, PROGRAM, ctx, _config(population_size=population_size),
+        gen_cfg, rng, updater, pool)
+    assert best is ranked[0]
+    return ranked, next_population
 
 
 def test_pure_elitism_keeps_population(monkeypatch):
     monkeypatch.setattr(engine, "ELITE_COUNT", 6)
     monkeypatch.setattr(engine, "FRESH_RANDOM_PER_GEN", 0)
-    population, state = _one_generation(6)
+    population, next_population = _one_generation(6)
 
     def rendering(suites):
-        return sorted(tuple(render_test(t) for t in s.tests) for s in suites)
+        return sorted(tuple(render_test(t) for t in s) for s in suites)
 
-    assert rendering(state.population) == rendering(population)
-    assert state.generation == 1
+    assert rendering(next_population) == rendering(population)
 
 
 @pytest.mark.parametrize("population_size", [2, 3, 4, 5])
-def test_a_generation_keeps_its_size_and_clones_its_elites(population_size):
-    ranked, state = _one_generation(population_size)
-    assert len(state.population) == population_size
+def test_a_generation_keeps_its_size_and_shares_its_elites(population_size):
+    ranked, next_population = _one_generation(population_size)
+    assert len(next_population) == population_size
     elites = min(engine.ELITE_COUNT, population_size)
-    for elite, best in zip(state.population[:elites], ranked[:elites]):
-        assert elite == best and elite is not best
+    for elite, best in zip(next_population[:elites], ranked[:elites]):
+        assert elite is best
 
 
 def test_update_cadence_is_floor_of_generations_over_skip_iter():
@@ -187,7 +185,7 @@ def test_finalized_suite_covers_archive_goals():
     ctx = FitnessContext(PROGRAM)
     coverage = make_coverage_fn(Goal.EXCEPTIONS, ctx)
     covered = set()
-    for test in result.final_suite.tests:
+    for test in result.final_suite:
         covered |= coverage(test)
     assert covered >= result.goals  # re-executed from scratch
 
@@ -278,9 +276,9 @@ def test_exception_reward_definition():
         ctx.trace(t)
     assert len(ctx.discovered_exceptions) == 2
     tracker = RewardTracker(Goal.EXCEPTIONS, seeding_length=0)
-    best = TestSuite([t_zero])
+    best = (t_zero,)
     assert tracker.measure(best, ctx, tick=0) == 3.0  # 2 discovered + 1 in best
-    best_both = TestSuite([t_big])
+    best_both = (t_big,)
     assert tracker.measure(best_both, ctx, tick=1) == 4.0
 
 
@@ -288,9 +286,9 @@ def test_diversity_reward_is_fitness_drop():
     program = parse("fn f(x:int){ return x; }")
     ctx = FitnessContext(program)
     from affsgen.testmodel import CallStmt, TestCase
-    single = TestSuite([TestCase(calls=(CallStmt("f", (1,)),))])
-    varied = TestSuite([TestCase(calls=(CallStmt("f", (1,)),)),
-                        TestCase(calls=(CallStmt("f", (31337,)),))])
+    single = (TestCase(calls=(CallStmt("f", (1,)),)),)
+    varied = (TestCase(calls=(CallStmt("f", (1,)),)),
+              TestCase(calls=(CallStmt("f", (31337,)),)))
     tracker = RewardTracker(Goal.DIVERSITY, seeding_length=0)
     tracker.prime(single, ctx)
     reward = tracker.measure(varied, ctx, tick=0)
@@ -302,10 +300,10 @@ def test_diversity_reward_is_fitness_drop():
 def test_strong_mutation_reward_alternates_modes():
     ctx = FitnessContext(PROGRAM)
     from affsgen.testmodel import CallStmt, TestCase
-    base = TestSuite([TestCase(calls=(CallStmt("brittle", (2,)),))])
-    richer = TestSuite([TestCase(calls=(CallStmt("brittle", (2,)),)),
-                        TestCase(calls=(CallStmt("brittle", (0,)),)),
-                        TestCase(calls=(CallStmt("guarded", (0, 700)),))])
+    base = (TestCase(calls=(CallStmt("brittle", (2,)),)),)
+    richer = (TestCase(calls=(CallStmt("brittle", (2,)),)),
+              TestCase(calls=(CallStmt("brittle", (0,)),)),
+              TestCase(calls=(CallStmt("guarded", (0, 700)),)))
     tracker = RewardTracker(Goal.STRONG_MUTATION, seeding_length=0)
     tracker.prime(base, ctx)
     weak_base = ctx.mutation_score(base, "weak")

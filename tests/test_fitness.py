@@ -20,7 +20,7 @@ from affsgen.fitness import (
 )
 from affsgen.minilang import parse
 from affsgen.mutation import MutantStatus, schema_roots
-from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
+from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from oracles import dp_levenshtein, full_reexecution_status, naive_levenshtein
 
 PROGRAM = parse("""
@@ -49,19 +49,19 @@ def _ctx():
 
 def test_exception_fitness_counts_unique_identities():
     ctx = _ctx()
-    suite = TestSuite([_case("crash", 1), _case("crash", 2), _case("crash", 2)])
+    suite = (_case("crash", 1), _case("crash", 2), _case("crash", 2))
     # two unique (kind, function) pairs -> 1 / (1 + 2)
     assert eval_fitness(F.EX, suite, ctx) == pytest.approx(1 / 3)
 
 
 def test_exception_fitness_empty_suite():
-    assert eval_fitness(F.EX, TestSuite(), _ctx()) == 1.0
+    assert eval_fitness(F.EX, (), _ctx()) == 1.0
 
 
 def test_line_fitness_zero_at_full_coverage():
     ctx = _ctx()
-    suite = TestSuite([_case("classify", 5), _case("classify", 0),
-                       _case("crash", 1), _case("crash", 2), _case("crash", 3)])
+    suite = (_case("classify", 5), _case("classify", 0),
+             _case("crash", 1), _case("crash", 2), _case("crash", 3))
     assert eval_fitness(F.LINE, suite, ctx) == 0.0
 
 
@@ -69,24 +69,24 @@ def test_branch_fitness_single_branch_example():
     # one branch, best distances (2, 0): (nu(2) + 0) / 2 == 1/3
     program = parse("fn f(x:int){ if (x == 5) { return 1; } return 0; }")
     ctx = FitnessContext(program)
-    suite = TestSuite([_case("f", 3)])
+    suite = (_case("f", 3),)
     assert eval_fitness(F.BRANCH, suite, ctx) == pytest.approx(1 / 3)
 
 
 def test_branch_fitness_unexecuted_branch_counts_full():
     program = parse("fn f(x:int){ if (x == 5) { return 1; } return 0; } fn g(y:int){ if (y < 0) { return 1; } return 0; }")
     ctx = FitnessContext(program)
-    suite = TestSuite([_case("f", 5)])  # g's branch never evaluated
+    suite = (_case("f", 5),)  # g's branch never evaluated
     # f's branch: taken true with (0, 1) -> nu(0) + nu(1) = 0.5; g's: 2 * nu(inf) = 2
     assert eval_fitness(F.BRANCH, suite, ctx) == pytest.approx((0.5 + 2.0) / 4.0)
 
 
 def test_method_and_mnec_fitness():
     ctx = _ctx()
-    suite = TestSuite([_case("crash", 1)])  # raises: called but not clean
+    suite = (_case("crash", 1),)  # raises: called but not clean
     assert eval_fitness(F.METHOD, suite, ctx) == pytest.approx(1 / 2)
     assert eval_fitness(F.MNEC, suite, ctx) == pytest.approx(1.0)
-    clean = TestSuite([_case("crash", 0)])
+    clean = (_case("crash", 0),)
     assert eval_fitness(F.MNEC, clean, ctx) == pytest.approx(1 / 2)
 
 
@@ -96,8 +96,8 @@ def test_direct_branch_ignores_indirect_evaluations():
         " fn inner(x:int){ if (x > 0) { return 1; } return 0; }"
     )
     ctx = FitnessContext(program)
-    indirect_only = TestSuite([_case("outer", 5)])
-    direct = TestSuite([_case("inner", 5)])
+    indirect_only = (_case("outer", 5),)
+    direct = (_case("inner", 5),)
     assert eval_fitness(F.BRANCH, indirect_only, ctx) < 1.0 * eval_fitness(
         F.DIRECT_BRANCH, indirect_only, ctx)
     assert eval_fitness(F.DIRECT_BRANCH, direct, ctx) < eval_fitness(
@@ -107,19 +107,19 @@ def test_direct_branch_ignores_indirect_evaluations():
 def test_output_fitness_rewards_bucket_coverage():
     program = parse("fn f(x:int){ return x; }")
     ctx = FitnessContext(program)
-    none = TestSuite()
-    some = TestSuite([_case("f", 5)])
-    all_buckets = TestSuite([_case("f", 5), _case("f", 0), _case("f", -5)])
+    none = ()
+    some = (_case("f", 5),)
+    all_buckets = (_case("f", 5), _case("f", 0), _case("f", -5))
     assert eval_fitness(F.OUTPUT, all_buckets, ctx) == 0.0
     assert eval_fitness(F.OUTPUT, some, ctx) < eval_fitness(F.OUTPUT, none, ctx)
 
 
 def test_weak_and_strong_mutation_fitness_bounds():
     ctx = _ctx()
-    empty = TestSuite()
-    killing = TestSuite([_case("classify", 5), _case("classify", 3),
-                         _case("classify", 6), _case("crash", 1),
-                         _case("crash", 2), _case("crash", 0), _case("crash", 3)])
+    empty = ()
+    killing = (_case("classify", 5), _case("classify", 3),
+               _case("classify", 6), _case("crash", 1),
+               _case("crash", 2), _case("crash", 0), _case("crash", 3))
     for fn in (F.WEAK_MUT, F.STRONG_MUT):
         hi = eval_fitness(fn, empty, ctx)
         lo = eval_fitness(fn, killing, ctx)
@@ -130,7 +130,7 @@ def test_weak_and_strong_mutation_fitness_bounds():
 def test_mutation_fitness_errors_without_mutants():
     ctx = FitnessContext(parse(""))
     with pytest.raises(ValueError):
-        eval_fitness(F.WEAK_MUT, TestSuite(), ctx)
+        eval_fitness(F.WEAK_MUT, (), ctx)
 
 
 def test_strong_mut_zero_iff_full_strong_score():
@@ -139,8 +139,8 @@ def test_strong_mut_zero_iff_full_strong_score():
     rng = random.Random(4)
     for _ in range(40):
         tests.append(random_test_case(PROGRAM, rng, GenConfig(max_calls_per_test=3)))
-    suite = TestSuite(tests + [_case("classify", 5), _case("classify", 4),
-                               _case("crash", 1), _case("crash", 2), _case("crash", 0)])
+    suite = tuple(tests + [_case("classify", 5), _case("classify", 4),
+                           _case("crash", 1), _case("crash", 2), _case("crash", 0)])
     score = ctx.mutation_score(suite, "strong")
     fitness = eval_fitness(F.STRONG_MUT, suite, ctx)
     assert (fitness == 0.0) == (score == 100.0)
@@ -165,9 +165,9 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
     narrowed = [next(m for m in mutants if (m.operator, m.site) == pick)
                 for pick in picks.values()]
     program._mutants = (narrowed, schema_roots(narrowed))
-    suite = TestSuite([_case("f", 5)])
+    suite = (_case("f", 5),)
     for status, mutant in zip(picks, ctx.mutants):
-        assert ctx.classify(mutant, suite.tests) == status
+        assert ctx.classify(mutant, suite) == status
     assert eval_fitness(F.WEAK_MUT, suite, ctx) == (1.0 + 0.5 + 0.0 + 0.0) / 4
     assert eval_fitness(F.STRONG_MUT, suite, ctx) == (1.0 + 0.75 + 0.25 + 0.0) / 4
 
@@ -177,8 +177,8 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
     strong = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.75,
               MutantStatus.INFECTED: 0.25, MutantStatus.KILLED: 0.0}
     ctx = FitnessContext(STAGED)
-    suite = TestSuite([_case("f", 5), _case("f", 0)])
-    best = [max(full_reexecution_status(m, t) for t in suite.tests) for m in ctx.mutants]
+    suite = (_case("f", 5), _case("f", 0))
+    best = [max(full_reexecution_status(m, t) for t in suite) for m in ctx.mutants]
     assert set(best) == set(MutantStatus)
     assert eval_fitness(F.WEAK_MUT, suite, ctx) == sum(weak[s] for s in best) / len(best)
     assert eval_fitness(F.STRONG_MUT, suite, ctx) == sum(strong[s] for s in best) / len(best)
@@ -335,13 +335,13 @@ def test_pair_distance_of_a_warm_context_equals_a_fresh_one():
 
 def test_diversity_of_tiny_suites_is_one():
     ctx = _ctx()
-    assert suite_diversity(TestSuite(), ctx) == (0, 1.0)
-    assert suite_diversity(TestSuite([_case("classify", 1)]), ctx) == (0, 1.0)
+    assert suite_diversity((), ctx) == (0, 1.0)
+    assert suite_diversity((_case("classify", 1),), ctx) == (0, 1.0)
 
 
 def test_diversity_of_identical_tests_is_zero():
     ctx = _ctx()
-    suite = TestSuite([_case("classify", 1), _case("classify", 1)])
+    suite = (_case("classify", 1), _case("classify", 1))
     assert suite_diversity(suite, ctx) == (0, 1.0)
 
 
@@ -351,7 +351,7 @@ def test_diversity_two_one_line_tests():
     b = _case("crash", 21)
     # distance recomputed by hand from the rendered lines
     expected = levenshtein("classify(1)", "crash(21)")
-    div, fitness = suite_diversity(TestSuite([a, b]), ctx)
+    div, fitness = suite_diversity((a, b), ctx)
     assert div == expected
     assert fitness == pytest.approx(1 / (1 + expected))
 
@@ -359,8 +359,8 @@ def test_diversity_two_one_line_tests():
 def test_diversity_fitness_drops_when_distinct_test_added():
     ctx = _ctx()
     base = [_case("classify", 1), _case("classify", 1)]
-    _, before = suite_diversity(TestSuite(base), ctx)
-    _, after = suite_diversity(TestSuite(base + [_case("crash", 999)]), ctx)
+    _, before = suite_diversity(tuple(base), ctx)
+    _, after = suite_diversity(tuple(base + [_case("crash", 999)]), ctx)
     assert after < before
 
 
@@ -371,7 +371,7 @@ def test_diversity_counts_unordered_pairs_of_statements():
     lines_a = ["classify(1)", "crash(2)"]
     lines_b = ["classify(3)"]
     expected = sum(levenshtein(x, y) for x in lines_a for y in lines_b)
-    div, _ = suite_diversity(TestSuite([a, b]), ctx)
+    div, _ = suite_diversity((a, b), ctx)
     assert div == expected
 
 
@@ -405,7 +405,7 @@ def test_all_scores_in_unit_interval_and_monotone_under_addition():
     tests = [random_test_case(PROGRAM, rng, cfg) for _ in range(10)]
     previous = {fn: None for fn in F}
     for size in range(len(tests) + 1):
-        suite = TestSuite(tests[:size])
+        suite = tuple(tests[:size])
         for fn in F:
             score = eval_fitness(fn, suite, ctx)
             assert 0.0 <= score <= 1.0, (fn, score)

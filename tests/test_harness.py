@@ -29,7 +29,7 @@ from affsgen.harness import (
 )
 from affsgen.minilang import interpreter, parse
 from affsgen.minilang.interpreter import InterpConfig
-from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite
+from affsgen.testmodel import CallStmt, GenConfig, TestCase
 from oracles import brute_force_a_measure
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -81,6 +81,23 @@ def test_signature_mismatch_rejected(tmp_path):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["fixed.minij", "faulty.minij"])
+def test_a_source_that_is_not_utf8_is_a_corpus_error_naming_it(tmp_path, capsys, name):
+    pair = tmp_path / "corpus" / "x05_bytes"
+    pair.mkdir(parents=True)
+    (pair / "manifest.json").write_text("{}")
+    (pair / "fixed.minij").write_text("fn f(){ return 1; }")
+    (pair / "faulty.minij").write_text("fn f(){ return 2; }")
+    (pair / name).write_bytes(b"fn f(){ return 1; }\xff")
+    with pytest.raises(CorpusError, match=f"^x05_bytes: {name} is not UTF-8 text"):
+        load_corpus(tmp_path / "corpus")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["ucb"],
+                                       "corpus": str(tmp_path / "corpus")}))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: x05_bytes: {name} is not UTF-8 text")
+
+
 def test_parse_failure_is_corpus_error(tmp_path):
     pair = tmp_path / "x04_syntax"
     pair.mkdir()
@@ -100,12 +117,12 @@ def _pair(fault_id):
 
 def test_boundary_fault_detected_by_boundary_test():
     pair = _pair("p08_account_rules")
-    suite = TestSuite([_case("withdraw", 50, 50)])
+    suite = (_case("withdraw", 50, 50),)
     assert fault_detected(suite, pair) is True
 
 
 def test_empty_suite_detects_nothing():
-    assert fault_detected(TestSuite(), _pair("p01_sign_boundary")) is False
+    assert fault_detected((), _pair("p01_sign_boundary")) is False
 
 
 def test_equivalent_refactor_is_never_detected():
@@ -113,12 +130,12 @@ def test_equivalent_refactor_is_never_detected():
     rng = random.Random(5)
     tests = [_case("double_sum", rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9))
              for _ in range(300)]
-    assert fault_detected(TestSuite(tests), pair) is False
+    assert fault_detected(tuple(tests), pair) is False
 
 
 def test_off_boundary_test_misses_boundary_fault():
     pair = _pair("p08_account_rules")
-    suite = TestSuite([_case("withdraw", 50, 10)])
+    suite = (_case("withdraw", 50, 10),)
     assert fault_detected(suite, pair) is False
 
 
@@ -130,8 +147,8 @@ def test_a_fault_returning_one_for_true_is_detected():
         faulty_program=parse("fn f(b:bool){ let r = 1; return r; }"),
         description="",
     )
-    assert fault_detected(TestSuite([_case("f", True)]), pair) is True
-    assert fault_detected(TestSuite([_case("f", False)]), pair) is False
+    assert fault_detected((_case("f", True),), pair) is True
+    assert fault_detected((_case("f", False),), pair) is False
 
 
 # --- normalization -----------------------------------------------------------------
@@ -351,6 +368,8 @@ def test_experiment_config_validation(tmp_path):
         _experiment_config(tmp_path, trials_per_fault=0)
     with pytest.raises(ValueError):
         _experiment_config(tmp_path, strategies=[])
+    with pytest.raises(ConfigError, match="strategy 'default' appears more than once"):
+        _experiment_config(tmp_path, strategies=["default", "ucb", "default"])
     for workers in (0, -2):
         with pytest.raises(ConfigError):
             _experiment_config(tmp_path, workers=workers)
@@ -494,6 +513,18 @@ def test_cli_generate_bad_program_is_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_generate_program_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    program = tmp_path / "p.minij"
+    program.write_bytes(b"fn f(x:int){ return x; }\xff")
+    code = cli_main([
+        "generate", "--program", str(program), "--goal", "exceptions",
+        "--strategy", "ucb", "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {program} is not UTF-8 text")
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("source", [
     "// nothing to test\n",
     "fn f(x:int){ return x" + " + x" * 3000 + "; }",
@@ -598,8 +629,9 @@ def test_cli_experiment_missing_corpus_is_exit_2(tmp_path):
     {"generation": [["max_calls_per_test", 3]]},
     {"strategies": [5]},
     {"strategies": "ucb"},
+    {"strategies": ["default", "default"]},
 ], ids=["misspelt-key", "corpus-int", "unknown-key", "section-pairs", "strategy-int",
-        "strategies-str"])
+        "strategies-str", "strategy-twice"])
 def test_cli_experiment_with_bad_top_level_settings_is_exit_1(tmp_path, capsys, monkeypatch,
                                                               setting):
     started = _no_search(monkeypatch)

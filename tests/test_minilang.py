@@ -175,6 +175,14 @@ def test_execute_arity_and_kind_mismatch():
         execute(program, "f", (True,))  # bool is not int
 
 
+@pytest.mark.parametrize("entry, value", [("g", 2.5), ("f", 1.5), ("f", None), ("f", b"ab")])
+def test_execute_rejects_python_values_that_are_no_minij_values(entry, value):
+    program = parse('fn f(s:str){ return s; } fn g(x:int){ return x; }')
+    kind = {"f": "str", "g": "int"}[entry]
+    with pytest.raises(ArityError, match=f"expects {kind}, got Python {type(value).__name__}$"):
+        execute(program, entry, (value,))
+
+
 def test_step_limit_terminates_infinite_loop():
     program = parse("fn h(x:int){ while (x != 0) { x = x - 3; } return x; }")
     result = execute(program, "h", (7,), InterpConfig(step_limit=500))

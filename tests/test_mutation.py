@@ -10,7 +10,7 @@ from affsgen.minilang import parse
 from affsgen.minilang.interpreter import InterpConfig, execute
 from affsgen.minilang.parser import to_source
 from affsgen.mutation import MutantStatus, classify_against_mutant, generate_mutants, schema_roots
-from affsgen.testmodel import CallStmt, GenConfig, TestCase, TestSuite, random_test_case
+from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from oracles import full_reexecution_status, oracle_run
 
 ADD = parse("fn f(a:int, b:int){ if (a < 5) { return a + b; } return 0; }")
@@ -160,21 +160,21 @@ def test_score_formula():
     narrowed = killed_by(f_test)[:3] + killed_by(g_test)[:9]
     assert len(narrowed) == 12
     program._mutants = (narrowed, schema_roots(narrowed))
-    suite = TestSuite([f_test])
+    suite = (f_test,)
     assert ctx.mutation_score(suite, "strong") == 25.0
     assert ctx.mutation_score(suite, "weak") == 25.0
-    assert ctx.mutation_score(TestSuite([f_test, g_test]), "strong") == 100.0
+    assert ctx.mutation_score((f_test, g_test), "strong") == 100.0
 
 
 def test_score_empty_suite_is_zero():
     ctx = FitnessContext(ADD)
-    assert ctx.mutation_score(TestSuite(), "weak") == 0.0
-    assert ctx.mutation_score(TestSuite(), "strong") == 0.0
+    assert ctx.mutation_score((), "weak") == 0.0
+    assert ctx.mutation_score((), "strong") == 0.0
 
 
 def test_score_empty_mutants_is_error():
     with pytest.raises(ValueError):
-        FitnessContext(parse("")).mutation_score(TestSuite(), "weak")
+        FitnessContext(parse("")).mutation_score((), "weak")
 
 
 def test_strong_never_exceeds_weak_on_random_suites():
@@ -186,7 +186,7 @@ def test_strong_never_exceeds_weak_on_random_suites():
     cfg = GenConfig(max_calls_per_test=4)
     for _ in range(25):
         tests = [random_test_case(program, rng, cfg) for _ in range(rng.randint(0, 4))]
-        suite = TestSuite(tests)
+        suite = tuple(tests)
         ctx = FitnessContext(program)
         weak = ctx.mutation_score(suite, "weak")
         strong = ctx.mutation_score(suite, "strong")
@@ -202,7 +202,7 @@ def test_adding_a_test_never_lowers_scores():
     for mode in ("weak", "strong"):
         previous = 0.0
         for size in range(0, len(tests) + 1):
-            score = ctx.mutation_score(TestSuite(tests[:size]), mode)
+            score = ctx.mutation_score(tuple(tests[:size]), mode)
             assert score >= previous
             previous = score
 

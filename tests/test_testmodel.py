@@ -17,7 +17,6 @@ from affsgen.testmodel import (
     MutantGoal,
     Ref,
     TestCase,
-    TestSuite,
     augment_from_archive,
     crossover,
     crossover_at,
@@ -34,10 +33,6 @@ TWO_FNS = parse("fn one(x:int){ return x; } fn two(s:str){ return s; }")
 
 def _case(name, *args):
     return TestCase(calls=(CallStmt(name, tuple(args)),))
-
-
-def _suite(*tests):
-    return TestSuite(tests)
 
 
 # --- random generation ---------------------------------------------------------
@@ -98,23 +93,23 @@ def test_generated_tests_satisfy_invariants():
 
 def test_crossover_cut_one():
     t1, t2, t3, t4 = (_case("one", i) for i in range(4))
-    child_a, child_b = crossover_at(_suite(t1, t2), _suite(t3, t4), 1, 30)
-    assert child_a.tests == [t1, t4]
-    assert child_b.tests == [t3, t2]
+    child_a, child_b = crossover_at((t1, t2), (t3, t4), 1, 30)
+    assert child_a == (t1, t4)
+    assert child_b == (t3, t2)
 
 
 def test_crossover_identical_parents():
     t1, t2 = _case("one", 1), _case("one", 2)
-    child_a, child_b = crossover_at(_suite(t1, t2), _suite(t1, t2), 1, 30)
-    assert child_a.tests == [t1, t2]
-    assert child_b.tests == [t1, t2]
+    child_a, child_b = crossover_at((t1, t2), (t1, t2), 1, 30)
+    assert child_a == (t1, t2)
+    assert child_b == (t1, t2)
 
 
 def test_crossover_cut_zero_swaps_parents():
     t1, t2, t3, t4 = (_case("one", i) for i in range(4))
-    child_a, child_b = crossover_at(_suite(t1, t2), _suite(t3, t4), 0, 30)
-    assert child_a.tests == [t3, t4]
-    assert child_b.tests == [t1, t2]
+    child_a, child_b = crossover_at((t1, t2), (t3, t4), 0, 30)
+    assert child_a == (t3, t4)
+    assert child_b == (t1, t2)
 
 
 def test_crossover_children_only_contain_parent_tests():
@@ -122,14 +117,14 @@ def test_crossover_children_only_contain_parent_tests():
     parent_a = random_suite(TWO_FNS, rng)
     parent_b = random_suite(TWO_FNS, rng)
     child_a, child_b = crossover(parent_a, parent_b, rng)
-    allowed = set(parent_a.tests) | set(parent_b.tests)
-    assert set(child_a.tests) <= allowed
-    assert set(child_b.tests) <= allowed
+    allowed = set(parent_a) | set(parent_b)
+    assert set(child_a) <= allowed
+    assert set(child_b) <= allowed
 
 
 def test_crossover_rejects_empty_parent():
     with pytest.raises(ValueError):
-        crossover(_suite(), _suite(_case("one", 1)), random.Random(0))
+        crossover((), (_case("one", 1),), random.Random(0))
 
 
 # --- suite mutation ----------------------------------------------------------------
@@ -146,13 +141,13 @@ def test_mutation_probability_zero_is_identity(monkeypatch):
     rng = random.Random(1)
     suite = random_suite(TWO_FNS, rng)
     mutated = mutate_suite(suite, TWO_FNS, random.Random(2))
-    assert mutated.tests == suite.tests
+    assert mutated == suite
 
 
 def test_mutation_forced_add_on_empty_suite(monkeypatch):
     _mutation_probabilities(monkeypatch, add=1.0, remove=0.0, change=0.0)
-    mutated = mutate_suite(_suite(), TWO_FNS, random.Random(3))
-    assert len(mutated.tests) == 1
+    mutated = mutate_suite((), TWO_FNS, random.Random(3))
+    assert len(mutated) == 1
 
 
 def test_mutation_sweep_preserves_invariants():
@@ -162,8 +157,8 @@ def test_mutation_sweep_preserves_invariants():
     suite = random_suite(TWO_FNS, rng)
     for i in range(1_000):
         suite = mutate_suite(suite, TWO_FNS, random.Random(i), cfg)
-        assert len(suite.tests) <= cfg.max_suite_size
-        for test in suite.tests:
+        assert len(suite) <= cfg.max_suite_size
+        for test in suite:
             assert 1 <= len(test.calls) <= cfg.max_calls_per_test
             for call in test.calls:
                 assert len(call.args) == arity[call.function]
@@ -252,21 +247,21 @@ G1, G2, G3 = MethodGoal("one"), MethodGoal("two"), ExceptionGoal("DivByZero", "o
 def test_minimize_drops_redundant_test():
     t1, t2 = _case("one", 1), _case("one", 2)
     coverage = {t1: {G1, G2}, t2: {G1}}.get
-    result = minimize(_suite(t1, t2), {G1, G2}, lambda t: coverage(t, set()))
-    assert result.tests == [t1]
+    result = minimize((t1, t2), {G1, G2}, lambda t: coverage(t, set()))
+    assert result == (t1,)
 
 
 def test_minimize_keeps_disjoint_tests():
     t1, t2 = _case("one", 1), _case("one", 2)
     coverage = {t1: {G1}, t2: {G2}}
-    result = minimize(_suite(t1, t2), {G1, G2}, lambda t: coverage[t])
-    assert result.tests == [t1, t2]
+    result = minimize((t1, t2), {G1, G2}, lambda t: coverage[t])
+    assert result == (t1, t2)
 
 
 def test_minimize_empty_goals_empties_suite():
     t1 = _case("one", 1)
-    result = minimize(_suite(t1), set(), lambda t: {G1})
-    assert result.tests == []
+    result = minimize((t1,), set(), lambda t: {G1})
+    assert result == ()
 
 
 def test_minimize_preserves_coverage_brute_force():
@@ -277,10 +272,10 @@ def test_minimize_preserves_coverage_brute_force():
         tests = [_case("one", 100 * trial + i) for i in range(n_tests)]
         coverage = {t: {g for g in goals if rng.random() < 0.4} for t in tests}
         relevant = set(g for g in goals if rng.random() < 0.7)
-        suite = _suite(*tests)
+        suite = tuple(tests)
         result = minimize(suite, relevant, lambda t: coverage[t])
         covered_before = set().union(*(coverage[t] & relevant for t in tests)) if tests else set()
-        covered_after = set().union(*(coverage[t] & relevant for t in result.tests)) if result.tests else set()
+        covered_after = set().union(*(coverage[t] & relevant for t in result)) if result else set()
         assert covered_after == covered_before
 
 
@@ -289,22 +284,22 @@ def test_augment_appends_missing_goal():
     archive = Archive()
     archive.offer(G2, t2)
     coverage = {t1: {G1}, t2: {G2}}
-    result = augment_from_archive(_suite(t1), archive, {G1, G2}, lambda t: coverage[t])
-    assert result.tests == [t1, t2]
+    result = augment_from_archive((t1,), archive, {G1, G2}, lambda t: coverage[t])
+    assert result == (t1, t2)
 
 
 def test_augment_empty_archive_is_identity():
     t1 = _case("one", 1)
-    result = augment_from_archive(_suite(t1), Archive(), {G1, G2}, lambda t: {G1})
-    assert result.tests == [t1]
+    result = augment_from_archive((t1,), Archive(), {G1, G2}, lambda t: {G1})
+    assert result == (t1,)
 
 
 def test_augment_no_duplicates_when_covered():
     t1 = _case("one", 1)
     archive = Archive()
     archive.offer(G1, t1)
-    result = augment_from_archive(_suite(t1), archive, {G1}, lambda t: {G1})
-    assert result.tests == [t1]
+    result = augment_from_archive((t1,), archive, {G1}, lambda t: {G1})
+    assert result == (t1,)
 
 
 def test_archive_keeps_shorter_test_on_tie():
@@ -332,10 +327,10 @@ def test_coverage_preservation_end_to_end():
         for t in extra:
             for g in coverage[t]:
                 archive.offer(g, t)
-        suite = _suite(*tests)
+        suite = tuple(tests)
         cov = lambda t: coverage[t]
         final = augment_from_archive(minimize(suite, goals, cov), archive, goals, cov)
         before = set().union(*(cov(t) & goals for t in tests)) if tests else set()
-        after = set().union(*(cov(t) & goals for t in final.tests)) if final.tests else set()
+        after = set().union(*(cov(t) & goals for t in final)) if final else set()
         assert after >= before
         assert after >= archive.entries.keys() & goals
