@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -51,75 +50,24 @@ _OVERLAP_PAIRS = ((F.BRANCH, F.DIRECT_BRANCH), (F.METHOD, F.MNEC))
 _MAX_SIZE = {Goal.EXCEPTIONS: 4, Goal.DIVERSITY: 4, Goal.STRONG_MUTATION: 3}
 
 
-def action_space(goal: Goal, pinned: "list[tuple[FitnessFunctionId, ...]] | None" = None
-                 ) -> list[Action]:
-    """All selectable fitness-function combinations for a goal.
-
-    Defaults: 64 for exceptions, 52 for diversity (overlap pairs excluded),
-    41 for strong mutation. A pinned list replaces the enumeration wholesale,
-    after validation against the goal's membership constraints; it may list
-    each combination once, in any order of its functions, and the order of
-    its functions does not change the ids.
-    """
-    if pinned is not None:
-        combos = []
-        for combo in pinned:
-            _validate_combo(goal, combo)
-            key = tuple(sorted(combo))
-            if key in combos:
-                raise ValueError(f"combination {[FN_NAMES[f] for f in key]} appears more "
-                                 f"than once in the pinned action space")
-            combos.append(key)
-        if not combos:
-            raise ValueError("pinned action space must be nonempty")
-    else:
-        pool = _POOLS[goal]
-        required = _REQUIRED.get(goal)
-        combos = []
-        for size in range(1, _MAX_SIZE[goal] + 1):
-            for subset in itertools.combinations(pool, size):
-                if required is not None and required not in subset:
-                    continue
-                if goal is Goal.DIVERSITY and any(
-                    a in subset and b in subset for a, b in _OVERLAP_PAIRS
-                ):
-                    continue
-                combos.append(subset)
+def action_space(goal: Goal) -> list[Action]:
+    """All selectable fitness-function combinations for a goal: 64 for
+    exceptions, 52 for diversity (overlap pairs excluded), 41 for strong
+    mutation."""
+    pool = _POOLS[goal]
+    required = _REQUIRED.get(goal)
+    combos = []
+    for size in range(1, _MAX_SIZE[goal] + 1):
+        for subset in itertools.combinations(pool, size):
+            if required is not None and required not in subset:
+                continue
+            if goal is Goal.DIVERSITY and any(
+                a in subset and b in subset for a, b in _OVERLAP_PAIRS
+            ):
+                continue
+            combos.append(subset)
     combos.sort(key=lambda c: (len(c), tuple(int(f) for f in c)))
     return [Action(functions=tuple(sorted(c)), action_id=i) for i, c in enumerate(combos)]
-
-
-def _validate_combo(goal: Goal, combo: tuple[FitnessFunctionId, ...]) -> None:
-    pool = set(_POOLS[goal])
-    if not combo:
-        raise ValueError("an action must contain at least one fitness function")
-    if len(combo) > _MAX_SIZE[goal]:
-        raise ValueError(f"an action for {goal.value} may contain at most "
-                         f"{_MAX_SIZE[goal]} functions: {combo}")
-    if len(set(combo)) != len(combo):
-        raise ValueError(f"duplicate fitness function in action: {combo}")
-    outside = [f for f in combo if f not in pool]
-    if outside:
-        raise ValueError(f"functions {outside} are not selectable for goal {goal.value}")
-    required = _REQUIRED.get(goal)
-    if required is not None and required not in combo:
-        raise ValueError(f"every {goal.value} action must include {FN_NAMES[required]}")
-
-
-def load_pinned_space(goal: Goal, path) -> list[Action]:
-    """Read a pin file (JSON list of fitness-function-name arrays)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValueError("pin file must contain a JSON list of name arrays")
-    combos = []
-    for entry in raw:
-        if not isinstance(entry, list) or not all(
-                isinstance(name, str) and name in FN_BY_NAME for name in entry):
-            raise ValueError(f"pin file entry {entry!r} is not a list of fitness-function "
-                             f"names ({', '.join(FN_BY_NAME)})")
-        combos.append(tuple(FN_BY_NAME[name] for name in entry))
-    return action_space(goal, pinned=combos)
 
 
 def default_combination(goal: Goal) -> Action:
@@ -374,16 +322,16 @@ class SarsaStrategy(Strategy):
         return sum(w * x for w, x in zip(self.weights, features, strict=True))
 
 
-def make_strategy(spec: str, goal: Goal, space: list[Action] | None = None) -> Strategy:
+def make_strategy(spec: str, goal: Goal) -> Strategy:
     """Build a strategy from its CLI name: ucb, sarsa, static:<fn>, default, random."""
     if spec == "ucb":
-        return UcbStrategy(goal, space=space)
+        return UcbStrategy(goal)
     if spec == "sarsa":
-        return SarsaStrategy(goal, space=space)
+        return SarsaStrategy(goal)
     if spec == "default":
         return StaticStrategy(default_combination(goal), name="default")
     if spec == "random":
-        return RandomPerRunStrategy(goal, space=space)
+        return RandomPerRunStrategy(goal)
     if spec.startswith("static:"):
         name = spec.split(":", 1)[1]
         if name not in FN_BY_NAME:

@@ -9,12 +9,13 @@ least one), ``trials_per_fault``, ``corpus`` (the corpus directory),
 of one dataclass: ``engine`` (``EngineConfig``: ``population_size``,
 ``skip_iter``, ``budget``), its ``budget`` (``Budget``: ``generations``,
 ``seconds``), ``generation`` (``GenConfig``: ``max_calls_per_test``,
-``max_suite_size``) and ``interp`` (``InterpConfig``: ``step_limit``,
-``max_call_depth``). A key left out keeps its dataclass default. An unknown
-key at any level, or a section that is not an object, exits 1. Seeds are
-not settings: each trial's seed derives from ``master_seed``, so
-``engine.rng_seed`` exits 1 too. The genetic operators' rates are module
-constants in ``engine`` and ``testmodel``, not settings.
+``max_suite_size``) and ``interp`` (``InterpConfig``: ``step_limit``). A
+key left out keeps its dataclass default. An unknown key at any level, or a
+section that is not an object, exits 1. Seeds are not settings: each
+trial's seed derives from ``master_seed``, so ``engine.rng_seed`` exits 1
+too. The genetic operators' rates and the call-depth cap are module
+constants in ``engine``, ``testmodel`` and ``interpreter``, not settings.
+An ``--out`` that cannot be written exits 1 before any search runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from affsgen.affs import Goal, load_pinned_space, make_strategy
+from affsgen.affs import Goal, make_strategy
 from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.harness import (
     ConfigError,
@@ -59,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--budget-seconds", type=float, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output suite JSON path")
-    gen.add_argument("--action-space", default=None,
-                     help="optional pin file for the action space")
 
     exp = sub.add_parser("experiment", help="run a strategies x faults x trials sweep")
     exp.add_argument("--config", required=True, help="experiment config JSON")
@@ -78,9 +77,8 @@ def _cmd_generate(args) -> int:
         return 1
     try:
         budget = Budget(generations=args.budget_gens, seconds=args.budget_seconds)
-        space = load_pinned_space(goal, args.action_space) if args.action_space else None
-        strategy = make_strategy(args.strategy, goal, space=space)
-    except (ValueError, OSError) as err:
+        strategy = make_strategy(args.strategy, goal)
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
@@ -100,9 +98,15 @@ def _cmd_generate(args) -> int:
         # fitness need, are undefined without mutants
         print(f"error: {args.program} has no mutation sites", file=sys.stderr)
         return 2
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write --out: {err}", file=sys.stderr)
+        return 1
     config = EngineConfig(budget=budget, rng_seed=args.seed)
-    result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
-    Path(args.out).write_text(result.to_json(), encoding="utf-8")
+    with out:
+        result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
+        out.write(result.to_json())
     print(f"wrote {args.out}: {len(result.final_suite)} tests, {result.generations} "
           f"generations, metrics {json.dumps(result.metrics, sort_keys=True)}")
     return 0
@@ -151,6 +155,11 @@ def _cmd_experiment(args) -> int:
         cfg = _experiment_config(args.config)
     except (ConfigError, ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot write --out: {err}", file=sys.stderr)
         return 1
     try:
         summary = run_experiment(cfg, args.out)

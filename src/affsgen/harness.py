@@ -291,6 +291,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     pairs = load_corpus(cfg.corpus_path)
     if not pairs:
         raise CorpusError(f"no fault pairs found under {cfg.corpus_path}")
+    for pair in pairs:
+        # mutation scores, which the strong-mutation reward and the weak_mut
+        # fitness need, are undefined without mutants
+        if not mutants_of(pair.fixed_program)[0]:
+            raise CorpusError(f"{pair.fault_id}: fixed.minij has no mutation sites")
 
     jobs = _jobs(cfg, pairs)
     # a pool starts all its workers at once, so it gets no more than the CPUs
@@ -373,8 +378,9 @@ def _summarize(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
     samples: dict[str, list[float]] = {}
     for strategy in strategies:
         rows = [r for r in records if r.strategy == strategy and not r.error]
+        errors = sum(1 for r in records if r.strategy == strategy and r.error)
         if not rows:
-            per_strategy[strategy] = {"trials": 0}
+            per_strategy[strategy] = {"trials": 0, "errors": errors}
             samples[strategy] = []
             continue
         normalized = [r.normalized_goal_metric for r in rows]
@@ -387,7 +393,7 @@ def _summarize(cfg: ExperimentConfig, records: list[TrialRecord]) -> dict:
                 r.mean_seconds_per_generation for r in rows),
             "mean_suite_size": statistics.fmean(r.suite_size for r in rows),
             "mean_rendered_chars": statistics.fmean(r.rendered_chars for r in rows),
-            "errors": sum(1 for r in records if r.strategy == strategy and r.error),
+            "errors": errors,
         }
         samples[strategy] = normalized
     matrix: dict[str, dict[str, float]] = {}

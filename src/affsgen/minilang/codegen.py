@@ -16,15 +16,15 @@ variable not yet bound), ``SD`` (the string-equality distance) and ``MB``
 (``merge_best``).
 
 Every generated function takes ``(C, S, D, *values)``: the run's context
-tuple, the step count and the MiniJ call depth, and returns ``(result, S)``.
-The context is ``(L, M, H, W)`` in lean code and ``(L, M, LA, BB, BD,
-CA)`` in instrumented code: the step limit, the deepest call depth allowed,
-and either the hooks (root node id to a function that evaluates that root,
-or None where a deleted assignment skips its statement) and the run's
-``Sides`` (None in a run without them; only hooks read it), or the line
-recorder, the best branch distances over all frames and over the entry
-frame (``D == 0``), and the call recorder. An in-language failure raises
-``E`` carrying the step count.
+tuple, the step count and the MiniJ call depth, and returns ``(result, S)``;
+a call made at depth ``MAX_CALL_DEPTH - 1`` raises ``StepLimitExceeded``.
+The context is ``(L, H, W)`` in lean code and ``(L, LA, BB, BD, CA)`` in
+instrumented code: the step limit and either the hooks (root node id to a
+function that evaluates that root, or None where a deleted assignment
+skips its statement) and the run's ``Sides`` (None in a run without them;
+only hooks read it), or the line recorder, the best branch distances over
+all frames and over the entry frame (``D == 0``), and the call recorder.
+An in-language failure raises ``E`` carrying the step count.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -77,6 +77,7 @@ from affsgen.minilang.interpreter import (
     DIV_BY_ZERO,
     EXPLICIT_THROW,
     INDEX_OUT_OF_BOUNDS,
+    MAX_CALL_DEPTH,
     STEP_LIMIT_EXCEEDED,
     TYPE_ERROR,
 )
@@ -279,7 +280,7 @@ class _Code:
 
     def finish(self, name: str, params) -> str:
         args = "".join(f", {p}" for p in params)
-        head = "L, M, LA, BB, BD, CA = C" if self.instrumented else "L, M, H, W = C"
+        head = "L, LA, BB, BD, CA = C" if self.instrumented else "L, H, W = C"
         return "\n".join([f"def {name}(C, S, D{args}):", " " + head] + self.lines)
 
     # -- expressions ----------------------------------------------------------------
@@ -371,7 +372,8 @@ class _Code:
     def call(self, expr: Call) -> tuple[str, None]:
         args = [self.value(a) for a in expr.args]
         self.flush()
-        self.emit(f"if D >= M: {self.raise_(STEP_LIMIT_EXCEEDED, fname=repr(expr.name))}")
+        self.emit(f"if D >= {MAX_CALL_DEPTH - 1}: "
+                  f"{self.raise_(STEP_LIMIT_EXCEEDED, fname=repr(expr.name))}")
         params = self.module.params[expr.name]
         t = self.kinds([(o, kind, want) for (o, kind), (_, want) in zip(args, params)])
         if t is None:

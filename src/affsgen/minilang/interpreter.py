@@ -24,11 +24,12 @@ evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
 
 Kill runs without sides are cut short, exactly, where a loop provably runs
-step limit: past ``codegen.CYCLE_CHECK_AFTER`` steps, a loop whose control
-slice repeats its state jumps by whole periods to just below the limit,
-and the run ends as it would have (see ``codegen``). Runs with sides are
-never cut, since their hooks count each evaluation of a root; the redos
-inside them count nothing and may be. Traced runs are not cut either.
+to the step limit: past ``codegen.CYCLE_CHECK_AFTER`` steps, a loop whose
+control slice repeats its state jumps by whole periods to just below the
+limit, and the run ends as it would have (see ``codegen``). Runs with
+sides are never cut, since their hooks count each evaluation of a root;
+the redos inside them count nothing and may be. Traced runs are not cut
+either.
 
 Semantics worth knowing:
   * Every expression node and every statement takes one step.
@@ -43,10 +44,10 @@ Semantics worth knowing:
     int beyond float range raises Python's ``OverflowError``.
   * ``s[i]`` raises ``IndexOutOfBounds`` outside ``0 <= i < len(s)``.
   * A function body that ends without ``return`` yields the int 0.
-  * Exceeding the step limit or ``max_call_depth`` raises
+  * Exceeding the step limit or ``MAX_CALL_DEPTH`` nested calls raises
     ``StepLimitExceeded``. One MiniJ activation takes at most a few Python
-    frames, and ``MAX_CALL_DEPTH`` caps ``max_call_depth`` so that the
-    deepest recursion ends that way well before Python's recursion limit.
+    frames, so the deepest recursion ends that way well before Python's
+    recursion limit.
 """
 
 from __future__ import annotations
@@ -73,13 +74,14 @@ TYPE_ERROR = "TypeError"
 
 Value = Union[int, bool, str]
 
-# Deepest call depth a config may allow. A MiniJ activation stacks one
-# Python frame, plus two per hooked root it is inside (the hook and the
-# alternative it calls). At this cap the deepest recursion stays below
-# Python's default recursion limit of 1000 even when execute is called from
-# 300 frames deep. Everything a run calls is compiled before it starts, so
-# code generation never adds to that stack.
-MAX_CALL_DEPTH = 100
+# Deepest MiniJ call depth: a call made at depth MAX_CALL_DEPTH - 1 raises
+# StepLimitExceeded. A MiniJ activation stacks one Python frame, plus two per
+# hooked root it is inside (the hook and the alternative it calls), so the
+# deepest recursion stacks about 150 frames and stays below Python's default
+# recursion limit of 1000 even when execute is called from 700 frames deep.
+# Everything a run calls is compiled before it starts, so code generation
+# never adds to that stack.
+MAX_CALL_DEPTH = 50
 
 # compiled base programs kept, the least recently first run evicted first. A
 # program keeps its own module once it has run, so the bound only decides
@@ -160,14 +162,10 @@ class ExecutionResult:
 @dataclass(frozen=True, slots=True)
 class InterpConfig:
     step_limit: int = 10_000
-    max_call_depth: int = 50
 
     def __post_init__(self):
         if type(self.step_limit) is not int or self.step_limit < 1:
             raise ValueError(f"step_limit must be an int of at least 1, not {self.step_limit!r}")
-        if type(self.max_call_depth) is not int or not 1 <= self.max_call_depth <= MAX_CALL_DEPTH:
-            raise ValueError(f"max_call_depth must be an int from 1 to {MAX_CALL_DEPTH}, "
-                             f"not {self.max_call_depth!r}")
 
 
 # the MiniJ kind of each Python type an entry call may pass; a value of any
@@ -358,7 +356,7 @@ def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
     has no function, each under its mutated program's own hooks."""
 
     def hook(C, S, D, *env):
-        L, M, _, sides = C
+        L, _, sides = C
         counts = sides.evals.get(node_id)
         if counts is None:
             counts = sides.evals[node_id] = [0, 0]
@@ -373,7 +371,7 @@ def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
                     continue
                 try:
                     if alternative is not None:
-                        alternative((L, M, own, None), S, D, *env)
+                        alternative((L, own, None), S, D, *env)
                 except MiniJError as other:
                     if other.record.identity == err.record.identity:
                         continue
@@ -389,7 +387,7 @@ def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
                     infected.add(key)
                 continue
             try:
-                other, steps = alternative((L, M, own, None), S, D, *env)
+                other, steps = alternative((L, own, None), S, D, *env)
             except MiniJError:
                 infected.add(key)
                 continue
@@ -492,7 +490,7 @@ def execute(
     function = module.functions(traced)[module.index[entry]]
     if sides is not None:
         hooks = _schema_hooks(program, sides.roots)
-    limit, deepest = config.step_limit, config.max_call_depth - 1
+    limit = config.step_limit
     lines: set[int] = set()
     best: dict[int, list[float]] = {}
     best_direct: dict[int, list[float]] = {}
@@ -500,10 +498,10 @@ def execute(
     outcome: Outcome
     try:
         if traced:
-            context = (limit, deepest, lines.add, best, best_direct, called.add)
+            context = (limit, lines.add, best, best_direct, called.add)
             value, steps = function(context, 0, 0, *args)
         else:
-            value, steps = function((limit, deepest, hooks, sides), 0, 0, *args)
+            value, steps = function((limit, hooks, sides), 0, 0, *args)
         outcome = Returned(value)
     except MiniJError as err:
         outcome, steps = Raised(err.record), err.steps

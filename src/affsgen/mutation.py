@@ -258,15 +258,15 @@ def schema_run(program: Program, roots: Schema, function: str, args: tuple,
 
 
 def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
-                            base: ExecutionResult, config: InterpConfig = InterpConfig(),
-                            schema: Sides | None = None) -> MutantOutcome:
+                            base: ExecutionResult, config: InterpConfig,
+                            schema: Sides) -> MutantOutcome:
     """Classify one call against one mutant, given the base program's result for it.
 
     A call that does not reach the mutated line is NOT_REACHED. Otherwise
     ``schema``, the ``schema_run`` of the call over a set of mutants that
-    includes this one (one over just this mutant when None), tells whether
-    the mutant is infected or drifted. When it is neither, the mutant would
-    run exactly as the base does: REACHED_NOT_INFECTED, without a run.
+    includes this one, tells whether the mutant is infected or drifted.
+    When it is neither, the mutant would run exactly as the base does:
+    REACHED_NOT_INFECTED, without a run.
     Otherwise the mutant runs once: KILLED when its behaviour differs from
     ``base``; else INFECTED when it is infected or, drifted and not a
     deletion, evaluated its root a different number of times, or raised
@@ -277,8 +277,6 @@ def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
     """
     if mutant.site not in base.lines_hit:
         return _OUTCOMES[MutantStatus.NOT_REACHED]
-    if schema is None:
-        schema = schema_run(mutant.base_program, schema_roots([mutant]), function, args, config)
     infected = mutant.mutant_id in schema.infected
     deletion = mutant.operator == DELETE_ASSIGNMENT
     if not (infected or deletion or mutant.mutant_id in schema.drifted):

@@ -1,6 +1,5 @@
 """Action spaces, UCB, DSG-Sarsa, rewards, and baseline strategies."""
 
-import json
 import math
 import random
 
@@ -17,7 +16,6 @@ from affsgen.affs import (
     action_space,
     default_combination,
     feature_vector,
-    load_pinned_space,
     make_strategy,
     single_function_action,
 )
@@ -62,42 +60,6 @@ def test_action_ids_are_dense_and_ordered():
         assert [a.action_id for a in space] == list(range(len(space)))
         sizes = [len(a.functions) for a in space]
         assert sizes == sorted(sizes)
-
-
-def test_pinned_space_roundtrip(tmp_path):
-    path = tmp_path / "pin.json"
-    path.write_text(json.dumps([["ex"], ["ex", "branch"], ["ex", "output", "line"]]))
-    space = load_pinned_space(Goal.EXCEPTIONS, path)
-    assert len(space) == 3
-    assert space[0].functions == (F.EX,)
-
-
-def test_pinned_space_validates_membership(tmp_path):
-    path = tmp_path / "pin.json"
-    path.write_text(json.dumps([["branch"]]))  # missing the required ex
-    with pytest.raises(ValueError):
-        load_pinned_space(Goal.EXCEPTIONS, path)
-    path.write_text(json.dumps([["diversity", "ex"]]))  # diversity not in pool
-    with pytest.raises(ValueError):
-        load_pinned_space(Goal.EXCEPTIONS, path)
-    path.write_text(json.dumps([]))
-    with pytest.raises(ValueError):
-        load_pinned_space(Goal.EXCEPTIONS, path)
-
-
-def test_pinned_space_lists_each_combination_once():
-    with pytest.raises(ValueError, match=r"combination \['ex', 'branch'\] appears more than once"):
-        action_space(Goal.EXCEPTIONS, pinned=[(F.EX,), (F.BRANCH, F.EX), (F.EX, F.BRANCH)])
-    space = action_space(Goal.EXCEPTIONS, pinned=[(F.EX,), (F.BRANCH, F.EX)])
-    assert [a.functions for a in space] == [(F.EX,), (F.EX, F.BRANCH)]
-
-
-def test_pinned_ids_do_not_depend_on_the_order_of_functions_in_a_combination():
-    ids = []
-    for ex_branch in ((F.BRANCH, F.EX), (F.EX, F.BRANCH)):
-        space = action_space(Goal.EXCEPTIONS, pinned=[(F.EX, F.OUTPUT), ex_branch])
-        ids.append({a.functions: a.action_id for a in space})
-    assert ids[0] == ids[1] == {(F.EX, F.BRANCH): 0, (F.EX, F.OUTPUT): 1}
 
 
 # --- UCB ---------------------------------------------------------------------

@@ -235,8 +235,7 @@ def _generated_program_runs_as_the_tree_walker_does(seed: int) -> None:
         i = rng.randrange(len(writer.signatures))
         # a root that recurses redoes each alternative, a run as long as the
         # limit allows, at each of its evaluations: keep the limits small
-        config = InterpConfig(step_limit=rng.choice(STEP_LIMITS[:-2]),
-                              max_call_depth=rng.choice([1, 2, 5, 50]))
+        config = InterpConfig(step_limit=rng.choice(STEP_LIMITS[:-2]))
         _assert_same_runs(program, f"f{i}", _arguments(rng, writer.signatures[i]), config,
                           rng.sample(mutants, min(8, len(mutants))), roots)
 
@@ -405,7 +404,7 @@ def test_generated_code_compiles_and_runs_at_both_parser_caps(block):
 @pytest.mark.parametrize("block", ["while", "if"])
 def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_python_frames(block):
     assert sys.getrecursionlimit() >= 1000
-    config = InterpConfig(max_call_depth=MAX_CALL_DEPTH, step_limit=10**7)
+    config = InterpConfig(step_limit=10**7)
     program = parse(_deepest_program(block))
     # the recursion's root (its only arithmetic), hooked at every level
     mutants = [m for m in generate_mutants(program) if m.operator.startswith("aor")]
@@ -418,14 +417,14 @@ def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_pytho
     for run in (lambda: execute(program, "f", (10**6, True), config),
                 lambda: execute(program, "f", (10**6, True), config, Sides(roots)),
                 lambda: execute(mutants[-1].mutated_program, "f", (10**6, True), config)):
-        assert from_depth(300, run).outcome == expected
+        assert from_depth(700, run).outcome == expected
     assert execute(program, "f", (MAX_CALL_DEPTH - 2, True), config).outcome == Returned(
         MAX_CALL_DEPTH - 2)
 
 
 @pytest.mark.parametrize("interp", [
     {"step_limit": "x"}, {"step_limit": 0}, {"step_limit": True}, {"step_limit": 2.5},
-    {"max_call_depth": 0}, {"max_call_depth": MAX_CALL_DEPTH + 1}, {"max_call_depth": None},
+    {"step_limit": None}, {"step_limit": -1}, {"step_limit": 10.0},
 ])
 def test_interp_config_rejects_bad_values(interp):
     with pytest.raises(ValueError):

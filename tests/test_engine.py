@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from affsgen import affs, engine
-from affsgen.affs import Goal, RewardTracker, action_space, make_strategy
+from affsgen.affs import Action, Goal, RewardTracker, SarsaStrategy, make_strategy
 from affsgen.engine import (
     Budget,
     EngineConfig,
@@ -258,8 +258,8 @@ def test_subgoal_coverage_is_computed_once_per_tick(monkeypatch):
 
     monkeypatch.setattr(engine, "_subgoal_coverage", counting)
     monkeypatch.setattr(affs, "EPSILON", 0.0)  # every tick after seeding is greedy
-    space = action_space(Goal.EXCEPTIONS, pinned=[(F.EX,), (F.EX, F.BRANCH), (F.EX, F.LINE)])
-    strategy = make_strategy("sarsa", Goal.EXCEPTIONS, space=space)
+    space = [Action((F.EX,), 0), Action((F.EX, F.BRANCH), 1), Action((F.EX, F.LINE), 2)]
+    strategy = SarsaStrategy(Goal.EXCEPTIONS, space=space)
     run_search(PROGRAM, Goal.EXCEPTIONS, strategy,
                _config(budget=Budget(generations=12), skip_iter=1))
     assert len(computed) == 1 + 12  # the initial action and each tick

@@ -363,6 +363,41 @@ def test_experiment_empty_corpus_is_error(tmp_path):
         run_experiment(_experiment_config(empty), tmp_path / "out")
 
 
+def test_a_pair_without_mutation_sites_is_exit_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    # mutation scores are undefined without mutants, so every default trial would fail
+    pair = tmp_path / "corpus" / "p00_echo"
+    pair.mkdir(parents=True)
+    (pair / "fixed.minij").write_text("fn f(s:str){ return s; }")
+    (pair / "faulty.minij").write_text('fn f(s:str){ return "a"; }')
+    (pair / "manifest.json").write_text("{}")
+    started = _no_search(monkeypatch)
+    cfg = _experiment_config(pair.parent, strategies=["default", "ucb"], trials_per_fault=1)
+    with pytest.raises(CorpusError, match="p00_echo: fixed.minij has no mutation sites"):
+        run_experiment(cfg, tmp_path / "out")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["default", "ucb"],
+                                       "corpus": str(pair.parent), "trials_per_fault": 1}))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: p00_echo: fixed.minij has no mutation sites")
+    assert started == []
+
+
+def test_a_strategy_whose_every_trial_failed_reports_its_errors(tmp_path, monkeypatch):
+    real_search = harness.run_search
+
+    def failing_static(program, goal, strategy, *rest):
+        if strategy.name == "static:ex":
+            raise RuntimeError("boom")
+        return real_search(program, goal, strategy, *rest)
+
+    monkeypatch.setattr(harness, "run_search", failing_static)
+    cfg = _experiment_config(_mini_corpus(tmp_path), trials_per_fault=1,
+                             engine=EngineConfig(population_size=6, budget=Budget(generations=2)))
+    summary = run_experiment(cfg, tmp_path / "out")
+    assert summary["strategies"]["static:ex"] == {"trials": 0, "errors": 2}
+    assert summary["strategies"]["ucb"]["errors"] == 0
+
+
 def test_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         _experiment_config(tmp_path, trials_per_fault=0)
@@ -555,6 +590,32 @@ def test_cli_report_malformed_summary_is_exit_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_generate_with_an_out_in_a_missing_directory_is_exit_1(tmp_path, capsys,
+                                                                   monkeypatch):
+    started = _no_search(monkeypatch)
+    code = cli_main([
+        "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
+        "--goal", "exceptions", "--strategy", "ucb", "--budget-gens", "3",
+        "--out", str(tmp_path / "missing" / "s.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot write --out: ")
+    assert started == []
+
+
+def test_cli_experiment_with_an_out_that_is_a_file_is_exit_1(tmp_path, capsys, monkeypatch):
+    started = _no_search(monkeypatch)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["ucb"],
+                                       "corpus": str(_mini_corpus(tmp_path)),
+                                       "trials_per_fault": 1}))
+    out = tmp_path / "results"
+    out.write_text("not a directory")
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write --out: ")
+    assert started == [] and out.read_text() == "not a directory"
+
+
 def test_cli_generate_unknown_strategy_is_exit_1(tmp_path):
     code = cli_main([
         "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
@@ -679,28 +740,6 @@ def test_a_manifest_that_is_not_an_object_is_a_corpus_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: p04_guarded_divide: manifest")
 
 
-@pytest.mark.parametrize("pinned, error", [
-    ([["ex"], ["ex", "nope"]], "pin file entry ['ex', 'nope']"),
-    ([["ex"], "ex"], "pin file entry 'ex'"),
-    ([["ex"], ["ex", 3]], "pin file entry ['ex', 3]"),
-    ([["ex"], ["ex"]], "combination ['ex'] appears more than once"),
-    ([["ex", "branch"], ["branch", "ex"]], "combination ['ex', 'branch'] appears more than once"),
-], ids=["unknown-name", "a-string", "an-int", "repeated", "repeated-reordered"])
-def test_cli_generate_with_a_bad_pin_file_entry_is_exit_1(tmp_path, capsys, monkeypatch, pinned,
-                                                          error):
-    started = _no_search(monkeypatch)
-    pin = tmp_path / "pin.json"
-    pin.write_text(json.dumps(pinned))
-    code = cli_main([
-        "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
-        "--goal", "exceptions", "--strategy", "ucb", "--action-space", str(pin),
-        "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
-    ])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {error}")
-    assert started == []
-
-
 @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0, True, "3"])
 def test_budget_rejects_a_wall_clock_limit_that_is_not_positive_and_finite(seconds):
     with pytest.raises(ValueError, match="positive and finite"):
@@ -765,7 +804,11 @@ def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch,
     }))
     out_dir = tmp_path / "o"
     assert cli_main(["experiment", "--config", str(config_path), "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "max_call_depth" in interp:
+        # the call-depth cap is the constant interpreter.MAX_CALL_DEPTH, not a setting
+        assert err.startswith("error: interp: unknown key(s) ['max_call_depth']")
     assert started == [] and not out_dir.exists()
 
 

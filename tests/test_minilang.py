@@ -17,7 +17,7 @@ from affsgen.minilang import (
     execute,
     parse,
 )
-from affsgen.minilang.interpreter import InterpConfig
+from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import generate_mutants
 
@@ -179,8 +179,9 @@ def test_execute_arity_and_kind_mismatch():
 def test_execute_rejects_python_values_that_are_no_minij_values(entry, value):
     program = parse('fn f(s:str){ return s; } fn g(x:int){ return x; }')
     kind = {"f": "str", "g": "int"}[entry]
-    with pytest.raises(ArityError, match=f"expects {kind}, got Python {type(value).__name__}$"):
-        execute(program, entry, (value,))
+    for run in (execute, treewalk.execute):
+        with pytest.raises(ArityError, match=f"expects {kind}, got Python {type(value).__name__}$"):
+            run(program, entry, (value,))
 
 
 def test_step_limit_terminates_infinite_loop():
@@ -236,7 +237,7 @@ def test_result_does_not_depend_on_the_callers_stack_depth():
 
 def test_plain_recursion_stops_at_the_call_depth_cap():
     # deep expressions and blocks around the call do not cut it short
-    assert InterpConfig().max_call_depth == 50
+    assert MAX_CALL_DEPTH == 50
     for source in ("fn f(n:int){ if (n <= 0) { return 0; } return f(n - 1); }",
                    "fn f(n:int){ if (n > 0) { return 1 + f(n - 1); } return 0; }",
                    "fn f(n:int){ if (n > 0) { let r = f(n - 1); return r + 1; } return 0; }",

@@ -9,7 +9,13 @@ from affsgen.fitness import FitnessContext
 from affsgen.minilang import parse
 from affsgen.minilang.interpreter import InterpConfig, execute
 from affsgen.minilang.parser import to_source
-from affsgen.mutation import MutantStatus, classify_against_mutant, generate_mutants, schema_roots
+from affsgen.mutation import (
+    MutantStatus,
+    classify_against_mutant,
+    generate_mutants,
+    schema_roots,
+    schema_run,
+)
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from oracles import full_reexecution_status, oracle_run
 
@@ -55,9 +61,11 @@ def test_mutants_parse_successfully():
         parse(to_source(m.mutated_program))
 
 
-def _classify_call(mutant, function, args):
-    base = execute(mutant.base_program, function, args)
-    return classify_against_mutant(mutant, function, args, base).status
+def _classify_call(mutant, function, args, config=InterpConfig()):
+    """One call's status, from a schema run over this mutant alone."""
+    base = execute(mutant.base_program, function, args, config)
+    schema = schema_run(mutant.base_program, schema_roots([mutant]), function, args, config)
+    return classify_against_mutant(mutant, function, args, base, config, schema).status
 
 
 def test_classification_examples():
@@ -126,9 +134,7 @@ def test_schema_rule_matches_whole_run_comparison(source, mutant_id, operator, a
                                                   step_limit, expected):
     mutant = generate_mutants(parse(source))[mutant_id]
     assert mutant.operator == operator
-    base = execute(mutant.base_program, "f", args, InterpConfig(step_limit=step_limit))
-    status = classify_against_mutant(mutant, "f", args, base, InterpConfig(step_limit=step_limit))
-    assert status.status == expected
+    assert _classify_call(mutant, "f", args, InterpConfig(step_limit=step_limit)) == expected
 
 
 def test_recursion_through_the_site_is_compared_per_evaluation():
@@ -139,9 +145,7 @@ def test_recursion_through_the_site_is_compared_per_evaluation():
     program = parse("fn f(x:int){ if (x <= 0) { return 0; } return f(x - 1) + 1; }")
     mutant = generate_mutants(program)[16]
     assert to_source(mutant.mutated_program).count("x - 2") == 1
-    config = InterpConfig(step_limit=300)
-    base = execute(program, "f", (56,), config)
-    assert classify_against_mutant(mutant, "f", (56,), base, config).status == (
+    assert _classify_call(mutant, "f", (56,), InterpConfig(step_limit=300)) == (
         MutantStatus.REACHED_NOT_INFECTED)
 
 

@@ -17,6 +17,7 @@ from affsgen.minilang.interpreter import (
     DIV_BY_ZERO,
     EXPLICIT_THROW,
     INDEX_OUT_OF_BOUNDS,
+    MAX_CALL_DEPTH,
     STEP_LIMIT_EXCEEDED,
     TYPE_ERROR,
     ArityError,
@@ -212,7 +213,7 @@ class _Interp:
         return q if (l >= 0) == (r >= 0) else -q
 
     def _call(self, name: str, args: list[Value], caller: str, depth: int, site: int) -> Value:
-        if depth + 1 >= self.config.max_call_depth:
+        if depth + 1 >= MAX_CALL_DEPTH:
             raise MiniJError(STEP_LIMIT_EXCEEDED, name)
         fn = self.functions[name]
         env: dict = {}
@@ -416,10 +417,11 @@ def run(
     if len(args) != len(fn.params):
         raise ArityError(f"{entry} expects {len(fn.params)} args, got {len(args)}")
     for (pname, pkind), value in zip(fn.params, args):
-        if kind_of(value) != pkind:
-            raise ArityError(
-                f"{entry} parameter {pname!r} expects {pkind}, got {kind_of(value)}"
-            )
+        # only exact ints, bools and strs are MiniJ values
+        kind = kind_of(value) if type(value) in (int, bool, str) else None
+        if kind != pkind:
+            got = kind or f"Python {type(value).__name__}"
+            raise ArityError(f"{entry} parameter {pname!r} expects {pkind}, got {got}")
 
     interp = _Interp(program, config, sides)
     env = dict(zip((p for p, _ in fn.params), args))
