@@ -11,10 +11,11 @@ of one dataclass: ``engine`` (``EngineConfig``: ``population_size``,
 ``seconds``), ``generation`` (``GenConfig``: ``max_calls_per_test``,
 ``max_suite_size``) and ``interp`` (``InterpConfig``: ``step_limit``). A
 key left out keeps its dataclass default. An unknown key at any level, or a
-section that is not an object, exits 1. Seeds are not settings: each
-trial's seed derives from ``master_seed``, so ``engine.rng_seed`` exits 1
-too. The genetic operators' rates and the call-depth cap are module
-constants in ``engine``, ``testmodel`` and ``interpreter``, not settings.
+section that is not an object, exits 1. A seed is not a setting but an
+argument of ``engine.run_search``: each trial's seed derives from
+``master_seed``, and ``generate`` takes ``--seed``. The genetic operators'
+rates and the call-depth cap are module constants in ``engine``,
+``testmodel`` and ``interpreter``, not settings.
 An ``--out`` that cannot be written exits 1 before any search runs.
 """
 
@@ -72,9 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     goal = GOALS[args.goal]
-    if args.budget_gens is None and args.budget_seconds is None:
-        print("error: provide --budget-gens and/or --budget-seconds", file=sys.stderr)
-        return 1
     try:
         budget = Budget(generations=args.budget_gens, seconds=args.budget_seconds)
         strategy = make_strategy(args.strategy, goal)
@@ -93,7 +91,7 @@ def _cmd_generate(args) -> int:
     if not program.functions:
         print(f"error: {args.program} defines no functions to test", file=sys.stderr)
         return 2
-    if not mutants_of(program)[0]:
+    if not mutants_of(program):
         # mutation scores, which the strong-mutation reward and the weak_mut
         # fitness need, are undefined without mutants
         print(f"error: {args.program} has no mutation sites", file=sys.stderr)
@@ -103,9 +101,8 @@ def _cmd_generate(args) -> int:
     except OSError as err:
         print(f"error: cannot write --out: {err}", file=sys.stderr)
         return 1
-    config = EngineConfig(budget=budget, rng_seed=args.seed)
     with out:
-        result = run_search(program, goal, strategy, config, GenConfig(), InterpConfig())
+        result = run_search(program, goal, strategy, EngineConfig(budget=budget), args.seed)
         out.write(result.to_json())
     print(f"wrote {args.out}: {len(result.final_suite)} tests, {result.generations} "
           f"generations, metrics {json.dumps(result.metrics, sort_keys=True)}")
@@ -138,9 +135,6 @@ def _experiment_config(path: str) -> ExperimentConfig:
     settings.setdefault("strategies", [])
     if "engine" in settings:
         engine = _settings("engine", settings["engine"], EngineConfig)
-        if "rng_seed" in engine:
-            raise ConfigError("engine.rng_seed is not a setting: each trial's seed "
-                              "derives from master_seed")
         if "budget" in engine:
             engine["budget"] = Budget(**_settings("engine.budget", engine["budget"], Budget))
         settings["engine"] = EngineConfig(**engine)

@@ -75,7 +75,6 @@ class EngineConfig:
     population_size: int = 50
     skip_iter: int = 3
     budget: Budget = Budget(generations=200)
-    rng_seed: int = 0
 
     def __post_init__(self):
         for name, least in (("population_size", 2), ("skip_iter", 1)):
@@ -306,10 +305,11 @@ def evolve_one_generation(population: list[TestSuite],
 
 
 def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineConfig,
-               gen_config: GenConfig = GenConfig(),
+               seed: int, gen_config: GenConfig = GenConfig(),
                interp: InterpConfig = InterpConfig()) -> SearchResult:
-    """Run one full search and return the finalized suite plus the run log."""
-    rng = random.Random(config.rng_seed)
+    """Run one full search, with every random draw from ``seed``, and return
+    the finalized suite plus the run log."""
+    rng = random.Random(seed)
     ctx = FitnessContext(program, interp)
     pool = literal_pool(program)
     coverage_fn = make_coverage_fn(goal, ctx)
@@ -371,7 +371,7 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         program_id=program.source_id,
         goal=goal,
         strategy_name=strategy.name,
-        seed=config.rng_seed,
+        seed=seed,
         final_suite=final,
         goals=goals,
         covered_goals=covered,

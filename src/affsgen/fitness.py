@@ -54,10 +54,11 @@ FN_BY_NAME = {name: f for f, name in FN_NAMES.items()}
 
 
 def nu(x: float) -> float:
-    """Normalization x / (x + 1), with nu(inf) == 1."""
+    """Normalization x / (x + 1), with nu(inf) == 1. An int ``x`` of any size
+    divides exactly, correctly rounded, without overflow."""
     if x == INF:
         return 1.0
-    return x / (x + 1.0)
+    return x / (x + 1)
 
 
 # --- output-coverage buckets -------------------------------------------------
@@ -140,15 +141,17 @@ def _bucket_of(value) -> str:
     return "empty" if value == "" else "nonempty"
 
 
-def _int_bucket_distance(bucket: str, values: Iterable[int]) -> float:
+def _int_bucket_distance(bucket: str, values: Iterable[int]) -> int:
+    """The least distance of the values to the bucket, an int however large
+    they are (``nu`` takes it exactly)."""
     best = INF
     for v in values:
         if bucket == "negative":
-            d = float(v + 1) if v >= 0 else 0.0
+            d = v + 1 if v >= 0 else 0
         elif bucket == "zero":
-            d = float(abs(v))
+            d = abs(v)
         else:
-            d = float(1 - v) if v <= 0 else 0.0
+            d = 1 - v if v <= 0 else 0
         best = min(best, d)
     return best
 
@@ -241,11 +244,10 @@ def levenshtein(a: str, b: str) -> int:
 class FitnessContext:
     """Program-wide caches shared by every fitness evaluation in a run.
 
-    The program's mutants and the schema roots of their schema runs are
-    kept on the program (``mutation.mutants_of``), so every context on it
-    shares one mutant list and the compiled hooks its schema keeps; an
-    experiment builds them before its pool starts. Everything else below is
-    per context.
+    The program's mutants and its schema are kept on the program
+    (``mutation.mutants_of``), and the compiled hooks of its schema runs in
+    its plan, so every context on it shares them; an experiment builds them
+    before its pool starts. Everything else below is per context.
 
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
@@ -289,7 +291,7 @@ class FitnessContext:
 
     @property
     def mutants(self) -> list[Mutant]:
-        return mutants_of(self.program)[0]
+        return mutants_of(self.program)
 
     def trace(self, test: TestCase) -> TestTrace:
         trace = self._traces.get(test)
@@ -334,7 +336,7 @@ class FitnessContext:
                     schema = self._schema_runs.get(key)
                     if schema is None:
                         schema = self._schema_runs[key] = schema_run(
-                            self.program, mutants_of(self.program)[1], *call_of(key), self.interp)
+                            self.program, *call_of(key), self.interp)
                     status = self._classifications[ckey] = classify_against_mutant(
                         mutant, *call_of(key), base, self.interp, schema).status
                 if status > best:

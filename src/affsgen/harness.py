@@ -7,13 +7,14 @@ seed derived from (master seed, fault, strategy, trial), so reruns reproduce
 the same rows byte for byte.
 
 Everything that depends only on a program is built once per experiment and
-shared by its trials: each fixed program keeps its mutants and their schema
-on itself (``mutation.mutants_of``), and each program its compiled code.
-Before a pool starts, the parent compiles every pair's programs and the
-fixed program's schema hooks (``interpreter.precompile``); building those
-hooks compiles every mutant, so forked workers inherit it all and compile
-nothing. A serial run compiles lazily. The pool's initializer
-hands each worker the parsed pairs once, and a job names its pair by index.
+shared by its trials: each fixed program keeps its mutants and its schema
+on itself (``mutation.mutants_of``), and each program its compiled code,
+the hooks of its runs with sides included. Before a pool starts, the
+parent compiles every pair's programs and the fixed program's schema hooks
+(``interpreter.precompile``); building those hooks compiles every mutant,
+so forked workers inherit it all and compile nothing. A serial run
+compiles lazily. The pool's initializer hands each worker the parsed pairs
+once, and a job names its pair by index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
@@ -210,8 +211,7 @@ def run_trial(pair: FaultPair, strategy_spec: str, goal: Goal, seed: int,
               engine: EngineConfig, gen_config: GenConfig,
               interp: InterpConfig) -> tuple[SearchResult, TrialRecord]:
     strategy = make_strategy(strategy_spec, goal)
-    config = replace(engine, rng_seed=seed)
-    result = run_search(pair.fixed_program, goal, strategy, config, gen_config, interp)
+    result = run_search(pair.fixed_program, goal, strategy, engine, seed, gen_config, interp)
     detected = fault_detected(result.final_suite, pair, interp)
     elapsed = sum(rec.elapsed_ns for rec in result.log)
     mean_seconds = (elapsed / result.generations / 1e9) if result.generations else 0.0
@@ -278,9 +278,10 @@ def _trial_job(args) -> dict:
 def _precompile(pairs: list[FaultPair]) -> None:
     """Compile everything the pairs' trials run: both programs' traced code,
     and the fixed program's lean code and schema hooks, whose building
-    compiles every mutant (a deleted assignment compiles nothing)."""
+    compiles every mutant (a deleted assignment compiles nothing). Each
+    fixed program's mutants, and so its schema, are generated already."""
     for pair in pairs:
-        precompile(pair.fixed_program, mutants_of(pair.fixed_program)[1])
+        precompile(pair.fixed_program)
         precompile(pair.faulty_program)
 
 
@@ -294,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for pair in pairs:
         # mutation scores, which the strong-mutation reward and the weak_mut
         # fitness need, are undefined without mutants
-        if not mutants_of(pair.fixed_program)[0]:
+        if not mutants_of(pair.fixed_program):
             raise CorpusError(f"{pair.fault_id}: fixed.minij has no mutation sites")
 
     jobs = _jobs(cfg, pairs)

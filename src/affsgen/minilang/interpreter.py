@@ -8,9 +8,11 @@ as it goes. Every other run takes the lean variant, with a guard at every
 statement root, in the form of mutant schemata (Untch, Offutt and Harrold,
 ISSTA 1993): a mutated program runs its base's lean code with a hook at its
 root, which evaluates a small, separately compiled alternative there, or
-skips the whole statement of a deleted assignment; a schema run hooks the
-roots it evaluates alternatives at, and evaluates each root itself as the
-alternative that is the base program's own expression. Compiled code is
+skips the whole statement of a deleted assignment. A run with sides
+redoes its program's own schema (see ``Sides``): a base program's run
+hooks its mutants' roots and evaluates each root itself as the
+alternative that is the base program's own expression, and a mutated
+program's run counts the evaluations of its own root. Compiled code is
 cached per base program, keyed by its source text, and the cache holds a
 bounded number of programs. ``precompile`` compiles ahead what a program's
 runs would compile on first use, so that forked worker processes inherit
@@ -61,7 +63,7 @@ from affsgen.minilang.parser import expr_source, to_source
 __all__ = [
     "DIV_BY_ZERO", "EXPLICIT_THROW", "INDEX_OUT_OF_BOUNDS", "STEP_LIMIT_EXCEEDED",
     "TYPE_ERROR", "MAX_CALL_DEPTH", "ArityError", "ExceptionRecord", "ExecutionResult",
-    "InterpConfig", "MiniJError", "Raised", "Returned", "Schema", "Sides",
+    "InterpConfig", "MiniJError", "Raised", "Returned", "Sides",
     "UnknownFunctionError", "execute", "kind_of", "merge_best", "precompile",
     "string_eq_distance",
 ]
@@ -280,18 +282,19 @@ _MODULES: dict[str, _Compiled] = {}
 _NO_HOOKS: dict = {}  # shared by every base program's plan; never written
 
 
-def _plan(program: Program) -> tuple[_Compiled, dict]:
-    """The compiled module a program runs on and its hooks, found once per
+def _plan(program: Program) -> list:
+    """The compiled module a program runs on, its hooks, and the hooks of
+    its runs with sides (None until the first such run), found once per
     program and kept on it."""
     plan = program._compiled
     if plan is not None:
         return plan
     if program.base is not None:
         # the base may itself be mutated: keep its hooks under this one
-        module, hooks = _plan(program.base)
+        module, hooks, _ = _plan(program.base)
         alternative = (None if program.alt_root is None
                        else module.alternative(program.root_id, program.alt_root))
-        plan = program._compiled = (module, {**hooks, program.root_id: alternative})
+        plan = program._compiled = [module, {**hooks, program.root_id: alternative}, None]
         return plan
     key = to_source(program)
     module = _MODULES.pop(key, None)
@@ -300,7 +303,7 @@ def _plan(program: Program) -> tuple[_Compiled, dict]:
         while len(_MODULES) >= _MODULE_CACHE:
             del _MODULES[next(iter(_MODULES))]
     _MODULES[key] = module
-    plan = program._compiled = (module, _NO_HOOKS)
+    plan = program._compiled = [module, _NO_HOOKS, None]
     return plan
 
 
@@ -308,45 +311,32 @@ def _plan(program: Program) -> tuple[_Compiled, dict]:
 
 
 class Sides:
-    """What one run evaluates on the side of some statement roots, and what it finds.
+    """What one run with sides finds at the roots of its program's own schema.
 
-    ``roots``, a ``Schema``, maps the node id of a statement's root
-    expression to its alternatives, ``(key, program, expr)`` triples: ``program`` is a mutated
-    program whose root there is ``expr``. At every evaluation of that root
-    the run counts the evaluation in ``evals`` (root id to ``[values,
-    raises]``) and then, for each alternative whose key is not yet
-    ``infected``, redoes the root as ``program`` would, in the same
-    environment and from the root's step count, so the run's outcome and
-    step count are untouched; like a kill run, the run fills only those two.
-    The key becomes ``infected`` when the redo's kinded value or raise
-    identity differs from the root's, and ``drifted`` when only the step
-    count after it does. An alternative without a program is a deleted
-    assignment: its value is the old value of the variable ``expr`` names,
-    taken without a step. Instances hash by identity, so a call's arguments
-    stay hashable.
+    A base program's schema is the roots of its mutants, which
+    ``mutation.mutants_of`` stores on it: it maps the node id of a
+    statement's root expression to its alternatives, ``(key, program,
+    expr)`` triples, where ``program`` is a mutated program whose root
+    there is ``expr``. A mutated program's schema is its own root, with no
+    alternative. At every evaluation of a listed root the run counts the
+    evaluation in ``evals`` (root id to ``[values, raises]``) and then, for
+    each alternative whose key is not yet ``infected``, redoes the root as
+    ``program`` would, in the same environment and from the root's step
+    count, so the run's outcome and step count are untouched; like a kill
+    run, the run fills only those two. The key becomes ``infected`` when
+    the redo's kinded value or raise identity differs from the root's, and
+    ``drifted`` when only the step count after it does. An alternative
+    without a program is a deleted assignment: its value is the old value
+    of the variable ``expr`` names, taken without a step. Instances hash by
+    identity, so a call's arguments stay hashable.
     """
 
-    __slots__ = ("roots", "evals", "infected", "drifted")
+    __slots__ = ("evals", "infected", "drifted")
 
-    def __init__(self, roots: Schema):
-        self.roots = roots
+    def __init__(self):
         self.evals: dict[int, list[int]] = {}
         self.infected: set = set()
         self.drifted: set = set()
-
-
-class Schema(dict):
-    """``Sides`` roots for many schema runs: the hooks the first run of a
-    program builds from them are kept here for the program's later runs,
-    under any config, so the roots must not change after it."""
-
-    __slots__ = ("hooks",)
-
-    def __init__(self, roots: dict):
-        super().__init__(roots)
-        # id of the program -> (the program, kept alive so its id stays its
-        # own, and its hooks)
-        self.hooks: dict[int, tuple[Program, dict]] = {}
 
 
 def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
@@ -400,53 +390,53 @@ def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
     return hook
 
 
-def _side_hooks(module: _Compiled, hooks: dict, roots: dict) -> dict:
-    """``hooks`` plus one for each root ``roots`` lists. Every alternative
-    the hooks call is compiled here, before the run starts."""
-    hooks = dict(hooks)
-    for node_id, alternatives in roots.items():
-        info = module.roots.get(node_id)
-        if info is None:
-            continue  # not a root of this program
-        if node_id in hooks:  # a mutated program's own root
-            inner = hooks[node_id]
-            if inner is None:
-                continue  # a deleted statement, which never runs
-        else:
-            inner = module.alternative(node_id, info.expr)
-        redo = []
-        for key, program, _ in alternatives:
-            if program is None:
-                redo.append((key, None, None))
-            else:
-                own = _plan(program)[1]
-                redo.append((key, own[program.root_id], own))
-        hooks[node_id] = _side_hook(node_id, redo, inner, info.target)
-    return hooks
-
-
-def _schema_hooks(program: Program, roots: Schema) -> dict:
-    """The hooks of ``program``'s runs with sides over ``roots``, built on
-    the first such run and kept in ``roots``."""
-    built = roots.hooks.get(id(program))
-    if built is None:
-        module, hooks = _plan(program)
+def _side_hooks(program: Program) -> dict:
+    """The hooks of ``program``'s runs with sides: its plan's hooks plus one
+    at each root of its own schema (see ``Sides``). They are built on the
+    first such run, or by ``precompile``, and kept in the program's plan;
+    every alternative they call is compiled then, before any run starts."""
+    plan = program._compiled or _plan(program)
+    built = plan[2]
+    if built is not None:
+        return built
+    module, hooks, _ = plan
+    built = dict(hooks)
+    if program.base is not None:
+        # its own root, counted and never redone; a deleted statement never runs
+        inner = hooks[program.root_id]
+        if inner is not None:
+            built[program.root_id] = _side_hook(program.root_id, [], inner, -1)
+    elif program._schema is None:
+        raise ValueError(f"{program.source_id}: a run with sides redoes the program's mutants, "
+                         "which mutation.mutants_of generates")
+    else:
         module.functions(False)  # the lean variant, which fills module.roots
-        built = roots.hooks[id(program)] = (program, _side_hooks(module, hooks, roots))
-    return built[1]
+        for node_id, alternatives in program._schema.items():
+            info = module.roots[node_id]
+            redo = []
+            for key, mutated, _ in alternatives:
+                if mutated is None:
+                    redo.append((key, None, None))
+                else:
+                    own = _plan(mutated)[1]
+                    redo.append((key, own[mutated.root_id], own))
+            built[node_id] = _side_hook(node_id, redo, module.alternative(node_id, info.expr),
+                                        info.target)
+    plan[2] = built
+    return built
 
 
-def precompile(program: Program, roots: Schema | None = None) -> None:
+def precompile(program: Program) -> None:
     """Compile now what later runs of ``program`` would compile on their
-    first use: a base program's traced variant and, for a mutated program,
-    its alternative; with ``roots``, also the lean variant and the hooks of
-    schema runs over ``roots``, with every alternative they call, which
-    includes each listed mutant's own. Nothing runs."""
-    module, _ = _plan(program)
+    first use: a mutated program's alternative, or a base program's traced
+    variant and, once ``mutation.mutants_of`` has stored its schema, the
+    hooks of its runs with sides, with every alternative they call, which
+    includes each mutant's own. Nothing runs."""
+    module, _, _ = _plan(program)
     if program.base is None:
         module.functions(True)
-    if roots is not None:
-        _schema_hooks(program, roots)
+        if program._schema is not None:
+            _side_hooks(program)
 
 
 # --- execution -------------------------------------------------------------------
@@ -467,12 +457,13 @@ def execute(
 
     A base program's run without ``sides`` is traced; every other run fills
     only ``outcome`` and ``steps`` (see ``ExecutionResult``). With
-    ``sides``, the run also evaluates the alternatives it lists at their
-    roots and records what it finds there in ``sides`` (see ``Sides``); its
+    ``sides``, the run also evaluates its program's own schema at its roots
+    and records what it finds there in ``sides`` (see ``Sides``); its
     outcome and step count are the same as without.
 
-    Raises UnknownFunctionError / ArityError for malformed entry calls; every
-    in-language failure is captured as a Raised outcome instead.
+    Raises UnknownFunctionError / ArityError for malformed entry calls, and
+    ValueError for a run with sides of a base program that has no schema
+    yet; every in-language failure is captured as a Raised outcome instead.
     """
     fn = program.function(entry)
     if fn is None:
@@ -485,11 +476,11 @@ def execute(
             got = kind or f"Python {type(value).__name__}"
             raise ArityError(f"{entry} parameter {pname!r} expects {pkind}, got {got}")
 
-    module, hooks = program._compiled or _plan(program)
+    module, hooks, side_hooks = program._compiled or _plan(program)
     traced = program.base is None and sides is None
     function = module.functions(traced)[module.index[entry]]
     if sides is not None:
-        hooks = _schema_hooks(program, sides.roots)
+        hooks = side_hooks or _side_hooks(program)
     limit = config.step_limit
     lines: set[int] = set()
     best: dict[int, list[float]] = {}

@@ -157,17 +157,20 @@ class Program:
     root_id: int = field(default=-1, repr=False, compare=False)
     alt_root: "Expr | None" = field(default=None, repr=False, compare=False)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
-    # the interpreter's compiled module and hooks, set on the first run
-    _compiled: tuple | None = field(default=None, repr=False, compare=False)
-    # the program's mutants and the schema roots of their schema runs, set
-    # on first use (``mutation.mutants_of``)
-    _mutants: tuple | None = field(default=None, repr=False, compare=False)
+    # the interpreter's plan, set on the first run: the compiled module, the
+    # hooks, and the hooks of runs with sides, set on the first such run
+    _compiled: list | None = field(default=None, repr=False, compare=False)
+    # the program's mutants and its schema, the roots that its runs with
+    # sides redo (see ``interpreter.Sides``), set on first use
+    # (``mutation.mutants_of``)
+    _mutants: list | None = field(default=None, repr=False, compare=False)
+    _schema: dict | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
-        # compiled code does not pickle; a copy compiles on its first run and
-        # generates its own mutants, whose schema keeps compiled hooks
+        # compiled code does not pickle; a copy compiles on its first run,
+        # side hooks included, and generates its own mutants and schema
         state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state["_compiled"] = state["_mutants"] = None
+        state["_compiled"] = state["_mutants"] = state["_schema"] = None
         return (None, state)
 
     def fn_map(self) -> dict[str, FunctionDef]:

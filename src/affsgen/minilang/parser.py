@@ -137,12 +137,17 @@ def _tokenize(source: str) -> list[_Token]:
                 advance(1)
             continue
         start_line, start_col = line, col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             text = source[i:j]
-            tokens.append(_Token("int", text, int(text), start_line, start_col))
+            try:
+                value = int(text)
+            except ValueError:  # more digits than Python converts
+                raise ParseError(f"integer literal of {len(text)} digits is too long",
+                                 start_line, start_col) from None
+            tokens.append(_Token("int", text, value, start_line, start_col))
             advance(j - i)
             continue
         if ch.isalpha() or ch == "_":

@@ -22,13 +22,15 @@ Classification takes one call at a time (calls share no state). One schema
 run of the base program per call (Untch, Offutt and Harrold, ISSTA 1993)
 decides infection for every mutant at once: at each evaluation of a
 mutation site's statement root it redoes the root as each mutant would, in
-the same state (see ``Sides``). A mutant is infected once a redo gives a
-different value or raise, and drifted when one agrees but takes a different
-number of steps. A reached mutant that is neither runs exactly as the base
-program does, so it is not run. Any other mutant runs once on the call: it
-is killed when an observable outcome (return value, exception identity)
-differs, and infected when a redo was, or when it drifted and its run
-evaluated the root a different number of times. A deleted assignment is
+the same state. Its schema, one alternative per mutant, is kept on the
+base program with the mutants (``mutants_of``; see ``Sides``). A mutant is
+infected once a redo gives a different value or raise, and drifted when
+one agrees but takes a different number of steps. A reached mutant that is
+neither runs exactly as the base program does, so it is not run. Any other
+mutant runs once on the call: it is killed when an observable outcome
+(return value, exception identity) differs, and infected when a redo was,
+or when it drifted and its run, which counts the evaluations of its own
+root, evaluated the root a different number of times. A deleted assignment is
 infected when its right side raises or changes the variable, and always
 runs. This equals comparing the sequences of root values of the two whole
 runs, except when the root calls back into its own function: then each
@@ -42,9 +44,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Schema, Sides, execute
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, execute
 from affsgen.minilang.nodes import (
     ARITHMETIC_OPS,
     Assign,
@@ -228,31 +229,28 @@ def generate_mutants(program: Program) -> list[Mutant]:
 # --- classification ---------------------------------------------------------
 
 
-def schema_roots(mutants: Iterable[Mutant]) -> Schema:
-    """The ``Sides`` roots of schema runs: one alternative per mutant, keyed by its id."""
-    roots: dict[int, list[tuple]] = {}
-    for mutant in mutants:
-        program = None if mutant.operator == DELETE_ASSIGNMENT else mutant.mutated_program
-        roots.setdefault(mutant.root.node_id, []).append(
-            (mutant.mutant_id, program, mutant.root))
-    return Schema(roots)
-
-
-def mutants_of(program: Program) -> tuple[list[Mutant], Schema]:
-    """The program's mutants and their schema roots, generated on first use
-    and kept on the program, so every search on it shares them and the
-    hooks its schema keeps."""
-    kept = program._mutants
-    if kept is None:
+def mutants_of(program: Program) -> list[Mutant]:
+    """The program's mutants, generated on first use and kept on the
+    program, so every search on it shares them. Its schema is kept with
+    them: the roots its runs with sides redo, one alternative per mutant,
+    keyed by the mutant's id (see ``Sides``). Nothing compiles here; the
+    first schema run, or ``interpreter.precompile``, builds the hooks."""
+    if program._mutants is None:
         mutants = generate_mutants(program)
-        kept = program._mutants = (mutants, schema_roots(mutants))
-    return kept
+        schema: dict[int, list[tuple]] = {}
+        for mutant in mutants:
+            mutated = None if mutant.operator == DELETE_ASSIGNMENT else mutant.mutated_program
+            schema.setdefault(mutant.root.node_id, []).append(
+                (mutant.mutant_id, mutated, mutant.root))
+        program._mutants, program._schema = mutants, schema
+    return program._mutants
 
 
-def schema_run(program: Program, roots: Schema, function: str, args: tuple,
+def schema_run(program: Program, function: str, args: tuple,
                config: InterpConfig = InterpConfig()) -> Sides:
-    """Run ``program`` once on a call, redoing every listed mutant's root on the side."""
-    sides = Sides(roots)
+    """Run a base program once on a call, redoing each of its mutants' roots on the side."""
+    mutants_of(program)  # stores the schema the run redoes
+    sides = Sides()
     execute(program, function, args, config, sides)
     return sides
 
@@ -263,8 +261,8 @@ def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
     """Classify one call against one mutant, given the base program's result for it.
 
     A call that does not reach the mutated line is NOT_REACHED. Otherwise
-    ``schema``, the ``schema_run`` of the call over a set of mutants that
-    includes this one, tells whether the mutant is infected or drifted.
+    ``schema``, the ``schema_run`` of the call on the mutant's base
+    program, tells whether the mutant is infected or drifted.
     When it is neither, the mutant would run exactly as the base does:
     REACHED_NOT_INFECTED, without a run.
     Otherwise the mutant runs once: KILLED when its behaviour differs from
@@ -282,7 +280,7 @@ def classify_against_mutant(mutant: Mutant, function: str, args: tuple,
     if not (infected or deletion or mutant.mutant_id in schema.drifted):
         return _OUTCOMES[MutantStatus.REACHED_NOT_INFECTED]
     root = mutant.root.node_id
-    counts = None if infected or deletion else Sides(Schema({root: []}))
+    counts = None if infected or deletion else Sides()
     result = execute(mutant.mutated_program, function, args, config, counts)
     if behavior_of(result) != behavior_of(base):
         return _OUTCOMES[MutantStatus.KILLED]

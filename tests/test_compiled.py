@@ -15,10 +15,10 @@ import treewalk
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, codegen, interpreter, parse
-from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Schema, Sides, execute
+from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Sides, execute
 from affsgen.minilang.nodes import Let, While, walk_expressions, walk_statements
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
-from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, schema_roots
+from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, mutants_of
 from affsgen.testmodel import GenConfig, random_test_case
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -43,12 +43,14 @@ def _run(run, *args):
         return "OverflowError"
 
 
-def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
+def _assert_same_runs(program, entry, args, config, mutants) -> None:
     """Traced, schema and kill runs of one call agree with the tree walker;
-    kill runs both with sides that count root evaluations and without."""
+    kill runs both with sides that count root evaluations and without.
+    ``mutants`` are some of ``program``'s, whose schema its runs with sides
+    redo."""
     compiled = _run(execute, program, entry, args, config)
     assert compiled == _run(treewalk.execute, program, entry, args, config)
-    ours, theirs = Sides(roots), Sides(roots)
+    ours, theirs = Sides(), Sides()
     schema = _run(execute, program, entry, args, config, ours)
     walked = _run(treewalk.execute, program, entry, args, config, theirs)
     if "OverflowError" in (schema, walked):
@@ -62,8 +64,7 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
             theirs.evals, theirs.infected, theirs.drifted)
     for mutant in mutants:
         # a kill run fills only the outcome and the step count
-        ours = Sides(Schema({mutant.root.node_id: []}))
-        theirs = Sides(Schema({mutant.root.node_id: []}))
+        ours, theirs = Sides(), Sides()
         killed = _run(execute, mutant.mutated_program, entry, args, config, ours)
         walked = _run(treewalk.execute, mutant.mutated_program, entry, args, config, theirs)
         if "OverflowError" in (killed, walked):
@@ -76,17 +77,6 @@ def _assert_same_runs(program, entry, args, config, mutants, roots) -> None:
         # without sides, which only a kill run without them may cut short
         plain = execute(mutant.mutated_program, entry, args, config)
         assert (plain.outcome, plain.steps) == (walked.outcome, walked.steps), mutant.operator
-    if mutants:
-        # a kill run with every root's alternatives on the side
-        ours, theirs = Sides(roots), Sides(roots)
-        killed = _run(execute, mutants[0].mutated_program, entry, args, config, ours)
-        walked = _run(treewalk.execute, mutants[0].mutated_program, entry, args, config, theirs)
-        if "OverflowError" in (killed, walked):
-            assert killed == walked
-            return
-        assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps)
-        assert (ours.evals, ours.infected, ours.drifted) == (
-            theirs.evals, theirs.infected, theirs.drifted)
 
 
 @contextlib.contextmanager
@@ -102,8 +92,7 @@ def _every_loop_checked():
 def _corpus_runs_as_the_tree_walker_does(seed: int, programs) -> None:
     rng = random.Random(seed)
     for program in programs:
-        mutants = generate_mutants(program)
-        roots = schema_roots(mutants)
+        mutants = mutants_of(program)
         calls: dict[str, tuple] = {}  # one call of each function, drawn from random tests
         while len(calls) < len(program.functions):
             test = random_test_case(program, rng, GenConfig(max_calls_per_test=4))
@@ -112,7 +101,7 @@ def _corpus_runs_as_the_tree_walker_does(seed: int, programs) -> None:
         for function, args in calls.items():
             config = InterpConfig(step_limit=rng.choice(STEP_LIMITS))
             _assert_same_runs(program, function, args, config,
-                              rng.sample(mutants, min(6, len(mutants))), roots)
+                              rng.sample(mutants, min(6, len(mutants))))
 
 
 @settings(max_examples=12, deadline=None)
@@ -229,15 +218,14 @@ def _generated_program_runs_as_the_tree_walker_does(seed: int) -> None:
     rng = random.Random(seed)
     writer = _ProgramWriter(rng)
     program = parse(writer.program())
-    mutants = generate_mutants(program)
-    roots = schema_roots(mutants)
+    mutants = mutants_of(program)
     for _ in range(3):
         i = rng.randrange(len(writer.signatures))
         # a root that recurses redoes each alternative, a run as long as the
         # limit allows, at each of its evaluations: keep the limits small
         config = InterpConfig(step_limit=rng.choice(STEP_LIMITS[:-2]))
         _assert_same_runs(program, f"f{i}", _arguments(rng, writer.signatures[i]), config,
-                          rng.sample(mutants, min(8, len(mutants))), roots)
+                          rng.sample(mutants, min(8, len(mutants))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,29 +305,40 @@ def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
 
 
 def test_schema_runs_under_different_step_limits_share_one_set_of_hooks():
+    # a program's first run with sides builds the side hooks that its later
+    # ones use: a base program's schema runs under any step limit, and a
+    # mutant's counting runs on any call
     program = next(p for p in PROGRAMS if p.function("walk") is not None)
-    mutants = generate_mutants(program)
-    roots = schema_roots(mutants)
+    mutated = [m.mutated_program for m in mutants_of(program) if m.operator != DELETE_ASSIGNMENT]
+    built = {}
     for args in ((2, 5), (0, 40), (3, 3)):
         for limit in (5, 10_000, 5):
             config = InterpConfig(step_limit=limit)
-            ours, fresh = Sides(roots), Sides(schema_roots(mutants))
-            result = execute(program, "walk", args, config, ours)
-            assert result == execute(program, "walk", args, config, fresh)
-            assert (ours.evals, ours.infected, ours.drifted) == (
-                fresh.evals, fresh.infected, fresh.drifted)
-    assert len(roots.hooks) == 1
+            for run in [program] + mutated:
+                execute(run, "walk", args, config, Sides())
+                hooks = run._compiled[2]
+                assert hooks is not None and built.setdefault(id(run), hooks) is hooks
+    assert len(built) == 1 + len(mutated)
 
 
 def test_a_copy_of_a_program_generates_its_own_mutants():
     program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
-    mutants, roots = FitnessContext(program).mutants, program._mutants[1]
-    assert program._mutants[0] is mutants
+    mutants = FitnessContext(program).mutants
+    assert program._mutants is mutants
+    ours = Sides()
+    result = execute(program, "f", (2,), InterpConfig(), ours)
     copy = pickle.loads(pickle.dumps(program))
-    assert copy._mutants is None
+    assert copy._mutants is copy._schema is copy._compiled is None
     copied = FitnessContext(copy).mutants
-    assert copied is not mutants and copy._mutants[1] is not roots
+    assert copied is not mutants and copy._schema is not program._schema
     assert [(m.operator, m.site) for m in copied] == [(m.operator, m.site) for m in mutants]
+    # it builds its own side hooks, which find what the program's find
+    theirs = Sides()
+    assert execute(copy, "f", (2,), InterpConfig(), theirs) == result
+    assert copy._compiled[2] is not program._compiled[2]
+    assert (ours.evals, ours.infected, ours.drifted) == (
+        theirs.evals, theirs.infected, theirs.drifted)
+    assert ours.evals and ours.infected
 
 
 # --- CPython's limits and the stack --------------------------------------------------
@@ -390,13 +389,15 @@ def test_generated_code_compiles_and_runs_at_both_parser_caps(block):
             assert (execute(program, "f", args, config)
                     == treewalk.execute(program, "f", args, config)), bottom
         # every alternative of the chain, each compiled as a function of its own
-        mutants = generate_mutants(program)
+        mutants = mutants_of(program)
         chain = max((m.root for m in mutants), key=lambda r: len(list(walk_expressions(r))))
         mutants = [m for m in mutants if m.root.node_id == chain.node_id]
         assert len(mutants) > 100
-        roots = schema_roots(mutants)
+        # the tree walker stacks too many Python frames at these caps to redo
+        # the recursion's mutants too: its schema runs redo the chain alone
+        program._schema = {chain.node_id: program._schema[chain.node_id]}
         for args in [(1, True), (2, False)]:
-            _assert_same_runs(program, "f", args, InterpConfig(step_limit=2_000), mutants, roots)
+            _assert_same_runs(program, "f", args, InterpConfig(step_limit=2_000), mutants)
     # recursed down to x == 0
     assert execute(parse(_deepest_program(block)), "f", (10, True)).outcome == Returned(10)
 
@@ -407,15 +408,14 @@ def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_pytho
     config = InterpConfig(step_limit=10**7)
     program = parse(_deepest_program(block))
     # the recursion's root (its only arithmetic), hooked at every level
-    mutants = [m for m in generate_mutants(program) if m.operator.startswith("aor")]
-    roots = schema_roots(mutants)
+    mutants = [m for m in mutants_of(program) if m.operator.startswith("aor")]
 
     def from_depth(frames, run):
         return run() if frames == 0 else from_depth(frames - 1, run)
 
     expected = Raised(ExceptionRecord("StepLimitExceeded", "g"))
     for run in (lambda: execute(program, "f", (10**6, True), config),
-                lambda: execute(program, "f", (10**6, True), config, Sides(roots)),
+                lambda: execute(program, "f", (10**6, True), config, Sides()),
                 lambda: execute(mutants[-1].mutated_program, "f", (10**6, True), config)):
         assert from_depth(700, run).outcome == expected
     assert execute(program, "f", (MAX_CALL_DEPTH - 2, True), config).outcome == Returned(
@@ -487,7 +487,7 @@ def _endless_loop(rng: random.Random) -> str:
 def test_endless_loops_run_as_the_tree_walker_does(seed):
     rng = random.Random(seed)
     program = parse(_endless_loop(rng))
-    mutants = generate_mutants(program)
+    mutants = mutants_of(program)
     # every deletion (of the control step among them) and division (acc / k
     # among them) in the loop, and a sample of its other mutants
     looped = _loop_mutants(program, mutants)
@@ -496,7 +496,7 @@ def test_endless_loops_run_as_the_tree_walker_does(seed):
     chosen += rng.sample(rest, min(6, len(rest)))
     args = (rng.choice([0, 3, 9]), rng.choice([0, 200]), rng.choice(["", "abcde"]))
     config = InterpConfig(step_limit=rng.choice([1_500, 4_000, 10_000]))
-    _assert_same_runs(program, "f", args, config, chosen, schema_roots(mutants))
+    _assert_same_runs(program, "f", args, config, chosen)
 
 
 # one loop body for each part of the control state a cut relies on, after
@@ -520,10 +520,10 @@ _CUT_CASES = {
 @pytest.mark.parametrize("case", sorted(_CUT_CASES))
 def test_loops_cut_short_run_as_the_tree_walker_does(case):
     program = parse(_loop_program(300, *_CUT_CASES[case]))
-    mutants = generate_mutants(program)
+    mutants = mutants_of(program)
     args = (0, 200, "abcde")
     _assert_same_runs(program, "f", args, InterpConfig(step_limit=10_000),
-                      _loop_mutants(program, mutants), schema_roots(mutants))
+                      _loop_mutants(program, mutants))
     # m only takes values, so this mutant's kill runs go through the loop as
     # the base program's do; its loop may be cut at every place within two
     # passes of the loop where a run can cross the limit

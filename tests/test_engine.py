@@ -47,7 +47,7 @@ fn brittle(d:int) {
 
 
 def _config(**overrides):
-    defaults = dict(population_size=12, budget=Budget(generations=12), rng_seed=5)
+    defaults = dict(population_size=12, budget=Budget(generations=12))
     defaults.update(overrides)
     return EngineConfig(**defaults)
 
@@ -132,7 +132,7 @@ def test_update_cadence_is_floor_of_generations_over_skip_iter():
     for budget, skip, expected in [(9, 3, 3), (10, 3, 3), (12, 4, 3), (7, 1, 7)]:
         result = run_search(
             PROGRAM, Goal.EXCEPTIONS, make_strategy("ucb", Goal.EXCEPTIONS),
-            _config(budget=Budget(generations=budget), skip_iter=skip),
+            _config(budget=Budget(generations=budget), skip_iter=skip), 5,
         )
         assert result.strategy_updates == expected
         assert result.generations == budget
@@ -140,14 +140,14 @@ def test_update_cadence_is_floor_of_generations_over_skip_iter():
 
 def test_static_strategy_logs_single_action():
     result = run_search(PROGRAM, Goal.EXCEPTIONS,
-                        make_strategy("static:ex", Goal.EXCEPTIONS), _config())
+                        make_strategy("static:ex", Goal.EXCEPTIONS), _config(), 5)
     assert len({rec.action_id for rec in result.log}) == 1
 
 
 def test_seeded_runs_are_identical():
     results = [
         run_search(PROGRAM, Goal.EXCEPTIONS, make_strategy("sarsa", Goal.EXCEPTIONS),
-                   _config())
+                   _config(), 5)
         for _ in range(2)
     ]
     assert results[0].to_json(omit_timing=True) == results[1].to_json(omit_timing=True)
@@ -155,16 +155,16 @@ def test_seeded_runs_are_identical():
 
 def test_different_seeds_usually_differ():
     a = run_search(PROGRAM, Goal.EXCEPTIONS, make_strategy("ucb", Goal.EXCEPTIONS),
-                   _config(rng_seed=1, budget=Budget(generations=6)))
+                   _config(budget=Budget(generations=6)), 1)
     b = run_search(PROGRAM, Goal.EXCEPTIONS, make_strategy("ucb", Goal.EXCEPTIONS),
-                   _config(rng_seed=2, budget=Budget(generations=6)))
+                   _config(budget=Budget(generations=6)), 2)
     assert a.to_json(omit_timing=True) != b.to_json(omit_timing=True)
 
 
 def test_elitism_keeps_best_composite_non_increasing_with_static_single():
     result = run_search(PROGRAM, Goal.EXCEPTIONS,
                         make_strategy("static:ex", Goal.EXCEPTIONS),
-                        _config(budget=Budget(generations=25)))
+                        _config(budget=Budget(generations=25)), 5)
     composites = [rec.best_composite for rec in result.log]
     assert all(b <= a + 1e-12 for a, b in zip(composites, composites[1:]))
 
@@ -172,7 +172,7 @@ def test_elitism_keeps_best_composite_non_increasing_with_static_single():
 def test_archive_goal_count_is_monotone():
     result = run_search(PROGRAM, Goal.EXCEPTIONS,
                         make_strategy("ucb", Goal.EXCEPTIONS),
-                        _config(budget=Budget(generations=100)))
+                        _config(budget=Budget(generations=100)), 5)
     sizes = [rec.archive_size for rec in result.log]
     assert sizes == sorted(sizes)
     assert result.generations == 100
@@ -181,7 +181,7 @@ def test_archive_goal_count_is_monotone():
 def test_finalized_suite_covers_archive_goals():
     result = run_search(PROGRAM, Goal.EXCEPTIONS,
                         make_strategy("ucb", Goal.EXCEPTIONS),
-                        _config(budget=Budget(generations=40)))
+                        _config(budget=Budget(generations=40)), 5)
     ctx = FitnessContext(PROGRAM)
     coverage = make_coverage_fn(Goal.EXCEPTIONS, ctx)
     covered = set()
@@ -191,16 +191,16 @@ def test_finalized_suite_covers_archive_goals():
 
 
 def test_wall_clock_budget_stops():
-    config = EngineConfig(population_size=8, budget=Budget(seconds=0.5), rng_seed=1)
+    config = EngineConfig(population_size=8, budget=Budget(seconds=0.5))
     result = run_search(PROGRAM, Goal.EXCEPTIONS,
-                        make_strategy("static:ex", Goal.EXCEPTIONS), config)
+                        make_strategy("static:ex", Goal.EXCEPTIONS), config, 1)
     assert result.generations >= 1
 
 
 def test_reward_log_matches_update_count():
     result = run_search(PROGRAM, Goal.EXCEPTIONS,
                         make_strategy("ucb", Goal.EXCEPTIONS),
-                        _config(budget=Budget(generations=20), skip_iter=3))
+                        _config(budget=Budget(generations=20), skip_iter=3), 5)
     assert len(result.rewards_logged) == result.strategy_updates == 20 // 3
     ticks = [rec for rec in result.log if rec.reward is not None]
     assert len(ticks) == result.strategy_updates
@@ -208,7 +208,7 @@ def test_reward_log_matches_update_count():
 
 def test_run_counters_are_read_from_the_log():
     result = run_search(PROGRAM, Goal.EXCEPTIONS, make_strategy("sarsa", Goal.EXCEPTIONS),
-                        _config(budget=Budget(generations=7), skip_iter=2))
+                        _config(budget=Budget(generations=7), skip_iter=2), 5)
     assert result.generations == len(result.log) == 7
     assert result.rewards_logged == [rec.reward for rec in result.log
                                      if rec.generation % 2 == 0]
@@ -225,7 +225,7 @@ def test_ucb_never_builds_feature_vectors(monkeypatch):
     monkeypatch.setattr(engine, "feature_vector", unread)
     result = run_search(PROGRAM, Goal.STRONG_MUTATION,
                         make_strategy("ucb", Goal.STRONG_MUTATION),
-                        _config(budget=Budget(generations=4), skip_iter=1))
+                        _config(budget=Budget(generations=4), skip_iter=1), 5)
     assert result.strategy_updates == 4
 
 
@@ -242,7 +242,7 @@ def test_sarsa_builds_one_feature_vector_per_tick_while_seeding(monkeypatch):
     generations = 5
     assert generations < len(strategy.space)
     run_search(PROGRAM, Goal.EXCEPTIONS, strategy,
-               _config(budget=Budget(generations=generations), skip_iter=1))
+               _config(budget=Budget(generations=generations), skip_iter=1), 5)
     # the initial action plus one per tick, each the action seeded then
     assert len(built) == generations + 1
     assert built == [a.action_id for a in strategy.seeding_order[:generations + 1]]
@@ -261,7 +261,7 @@ def test_subgoal_coverage_is_computed_once_per_tick(monkeypatch):
     space = [Action((F.EX,), 0), Action((F.EX, F.BRANCH), 1), Action((F.EX, F.LINE), 2)]
     strategy = SarsaStrategy(Goal.EXCEPTIONS, space=space)
     run_search(PROGRAM, Goal.EXCEPTIONS, strategy,
-               _config(budget=Budget(generations=12), skip_iter=1))
+               _config(budget=Budget(generations=12), skip_iter=1), 5)
     assert len(computed) == 1 + 12  # the initial action and each tick
 
 
@@ -319,7 +319,7 @@ def test_strong_mutation_reward_alternates_modes():
 def test_goal_metrics_reported():
     result = run_search(PROGRAM, Goal.STRONG_MUTATION,
                         make_strategy("static:strong_mut", Goal.STRONG_MUTATION),
-                        _config(budget=Budget(generations=8)))
+                        _config(budget=Budget(generations=8)), 5)
     metrics = result.metrics
     assert metrics["mutants"] > 0
     assert 0.0 <= metrics["strong_mutation_score"] <= metrics["weak_mutation_score"] <= 100.0
@@ -385,9 +385,8 @@ DIVERSITY_DIGESTS = {
 def test_seeded_diversity_output_is_byte_identical(fault_id):
     source = Path(__file__).resolve().parent.parent / "corpus" / fault_id / "fixed.minij"
     program = parse(source.read_text(), fault_id)
-    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3),
-                          rng_seed=11)
-    result = run_search(program, Goal.DIVERSITY, make_strategy("ucb", Goal.DIVERSITY), config)
+    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3))
+    result = run_search(program, Goal.DIVERSITY, make_strategy("ucb", Goal.DIVERSITY), config, 11)
     digest = hashlib.sha256(result.to_json(omit_timing=True).encode()).hexdigest()
     assert digest == DIVERSITY_DIGESTS[fault_id]
 
@@ -396,8 +395,7 @@ def test_seeded_diversity_output_is_byte_identical(fault_id):
 def test_seeded_output_is_byte_identical(goal, strategy):
     source = Path(__file__).resolve().parent.parent / "corpus" / "p05_terrain_gates" / "fixed.minij"
     program = parse(source.read_text(), "p05_terrain_gates")
-    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3),
-                          rng_seed=11)
-    result = run_search(program, goal, make_strategy(strategy, goal), config)
+    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3))
+    result = run_search(program, goal, make_strategy(strategy, goal), config, 11)
     digest = hashlib.sha256(result.to_json(omit_timing=True).encode()).hexdigest()
     assert digest == P05_DIGESTS[goal, strategy]

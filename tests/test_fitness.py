@@ -19,7 +19,7 @@ from affsgen.fitness import (
     suite_diversity,
 )
 from affsgen.minilang import parse
-from affsgen.mutation import MutantStatus, schema_roots
+from affsgen.mutation import MutantStatus
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from oracles import dp_levenshtein, full_reexecution_status, naive_levenshtein
 
@@ -114,6 +114,17 @@ def test_output_fitness_rewards_bucket_coverage():
     assert eval_fitness(F.OUTPUT, some, ctx) < eval_fitness(F.OUTPUT, none, ctx)
 
 
+def test_output_fitness_takes_returned_ints_past_float_range():
+    # f(700) returns -3**700, past float range: its distances to the zero and
+    # positive buckets stay exact ints, and nu of each is 1.0
+    program = parse("fn f(n:int){ let k = 1; let i = 0;"
+                    " while (i < n) { k = k * 3; i = i + 1; } return 0 - k; }")
+    ctx = FitnessContext(program)
+    suite = (_case("f", 700),)
+    assert ctx.trace(suite[0]).returns == {"f": (-3**700,)}
+    assert eval_fitness(F.OUTPUT, suite, ctx) == (0.0 + 1.0 + 1.0) / 3
+
+
 def test_weak_and_strong_mutation_fitness_bounds():
     ctx = _ctx()
     empty = ()
@@ -164,7 +175,7 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
     }
     narrowed = [next(m for m in mutants if (m.operator, m.site) == pick)
                 for pick in picks.values()]
-    program._mutants = (narrowed, schema_roots(narrowed))
+    program._mutants = narrowed  # the schema still lists every mutant
     suite = (_case("f", 5),)
     for status, mutant in zip(picks, ctx.mutants):
         assert ctx.classify(mutant, suite) == status
@@ -418,3 +429,4 @@ def test_nu_normalization():
     assert nu(0.0) == 0.0
     assert nu(2.0) == pytest.approx(2 / 3)
     assert nu(float("inf")) == 1.0
+    assert nu(2) == nu(2.0) and nu(10**400) == 1.0

@@ -98,6 +98,22 @@ def test_a_source_that_is_not_utf8_is_a_corpus_error_naming_it(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: x05_bytes: {name} is not UTF-8 text")
 
 
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000], ids=["superscript-two", "digits-5000"])
+def test_an_int_literal_python_cannot_read_is_a_corpus_error(tmp_path, capsys, literal):
+    pair = tmp_path / "corpus" / "x06_literal"
+    pair.mkdir(parents=True)
+    (pair / "manifest.json").write_text("{}")
+    (pair / "fixed.minij").write_text("fn f(x:int){ return x + 1; }")
+    (pair / "faulty.minij").write_text("fn f(x:int){ return x + " + literal + "; }")
+    with pytest.raises(CorpusError, match="^x06_literal: "):
+        load_corpus(tmp_path / "corpus")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["ucb"],
+                                       "corpus": str(tmp_path / "corpus")}))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: x06_literal: ")
+
+
 def test_parse_failure_is_corpus_error(tmp_path):
     pair = tmp_path / "x04_syntax"
     pair.mkdir()
@@ -312,21 +328,20 @@ def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
 
 
 def test_run_trial_copies_every_engine_field(monkeypatch):
-    engine = EngineConfig(population_size=5, skip_iter=2, budget=Budget(generations=2),
-                          rng_seed=99)
+    engine = EngineConfig(population_size=5, skip_iter=2, budget=Budget(generations=2))
     for f in dataclasses.fields(EngineConfig):
         assert getattr(engine, f.name) != f.default, f.name
     seen = []
     real_search = harness.run_search
 
-    def recording_search(program, goal, strategy, config, *rest):
-        seen.append(config)
-        return real_search(program, goal, strategy, config, *rest)
+    def recording_search(program, goal, strategy, config, seed, *rest):
+        seen.append((config, seed))
+        return real_search(program, goal, strategy, config, seed, *rest)
 
     monkeypatch.setattr(harness, "run_search", recording_search)
     run_trial(_pair("p04_guarded_divide"), "static:ex", Goal.EXCEPTIONS, 1234,
               engine, GenConfig(max_calls_per_test=2, max_suite_size=4), InterpConfig())
-    assert seen == [dataclasses.replace(engine, rng_seed=1234)]
+    assert seen == [(engine, 1234)]
 
 
 def test_a_failing_trial_is_a_row_of_every_column(tmp_path, monkeypatch):
@@ -536,6 +551,7 @@ def test_cli_generate_requires_budget(tmp_path, capsys):
         "--goal", "exceptions", "--strategy", "ucb", "--out", str(tmp_path / "s.json"),
     ])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: budget needs a generation count")
 
 
 def test_cli_generate_bad_program_is_exit_2(tmp_path):
@@ -566,7 +582,10 @@ def test_cli_generate_program_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     "fn f(x:int){ return " + "(" * 2000 + "x" + ")" * 2000 + "; }",
     "fn f(x:int){ " + "if (x > 0) { " * 2000 + "return x; " + "} " * 2000 + "return 0; }",
     "fn f(x:int){ return x; }",
-], ids=["no-functions", "sum-3000", "parens-2000", "if-blocks-2000", "no-mutants"])
+    "fn f(x:int){ return \u00b2; }",
+    "fn f(x:int){ return " + "9" * 5000 + "; }",
+], ids=["no-functions", "sum-3000", "parens-2000", "if-blocks-2000", "no-mutants",
+        "superscript-two", "digits-5000"])
 def test_cli_generate_unusable_program_is_exit_2(tmp_path, capsys, source):
     program = tmp_path / "p.minij"
     program.write_text(source)
@@ -809,6 +828,9 @@ def test_cli_experiment_with_bad_limits_is_exit_1(tmp_path, capsys, monkeypatch,
     if "max_call_depth" in interp:
         # the call-depth cap is the constant interpreter.MAX_CALL_DEPTH, not a setting
         assert err.startswith("error: interp: unknown key(s) ['max_call_depth']")
+    if "rng_seed" in engine:
+        # a seed is an argument of run_search, which each trial derives from master_seed
+        assert err.startswith("error: engine: unknown key(s) ['rng_seed']")
     assert started == [] and not out_dir.exists()
 
 

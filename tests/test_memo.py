@@ -13,7 +13,7 @@ from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ArityError, parse
 from affsgen.minilang.interpreter import InterpConfig, execute
-from affsgen.mutation import MutantStatus, classify_against_mutant, schema_roots, schema_run
+from affsgen.mutation import MutantStatus, classify_against_mutant, schema_run
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from affsgen.tracing import call_key, run_test
 
@@ -68,14 +68,13 @@ def test_traces_leave_the_memoized_results_as_they_ran():
 
 def _fresh_status(mutant, test: TestCase) -> MutantStatus:
     """A test's status from scratch: every call classified with no memo,
-    from a schema run over this mutant alone."""
+    from a fresh schema run of the mutant's base program."""
     statuses = [MutantStatus.NOT_REACHED]
     config = InterpConfig()
     for call in test.calls:
         args = tuple(test.resolve(a) for a in call.args)
         base = execute(mutant.base_program, call.function, args, config)
-        schema = schema_run(mutant.base_program, schema_roots([mutant]), call.function, args,
-                            config)
+        schema = schema_run(mutant.base_program, call.function, args, config)
         statuses.append(classify_against_mutant(mutant, call.function, args, base, config,
                                                 schema).status)
     return max(statuses)

@@ -43,6 +43,18 @@ def test_parse_unbalanced_brace_reports_position():
     assert "end-of-input" in str(err.value)
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("\u00b2", "unexpected character '\u00b2'"),
+    ("9" * 5000, "integer literal of 5000 digits is too long"),
+], ids=["superscript-two", "digits-5000"])
+def test_parse_rejects_int_literals_python_cannot_read_at_the_literal(literal, message):
+    # str.isdigit holds for a superscript two, which int() rejects, and int()
+    # reads at most 4300 digits
+    with pytest.raises(ParseError) as err:
+        parse("fn f(x:int){\n  return " + literal + "; }")
+    assert str(err.value) == f"{message} (line 2, column 10)"
+
+
 def test_parse_duplicate_function_name():
     with pytest.raises(ParseError, match="duplicate function"):
         parse("fn f(){ return 1; } fn f(){ return 2; }")

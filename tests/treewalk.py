@@ -110,6 +110,17 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+def _schema(program: Program) -> dict:
+    """The roots that a run of ``program`` with sides evaluates: a mutated
+    program's own root, which it counts and never redoes, or the schema
+    that ``mutation.mutants_of`` stores on a base program."""
+    if program.base is not None:
+        return {program.root_id: ()}
+    if program._schema is None:
+        raise ValueError(f"{program.source_id} has no schema; mutation.mutants_of makes it")
+    return program._schema
+
+
 class _Interp:
     __slots__ = (
         "program",
@@ -132,7 +143,7 @@ class _Interp:
         self.evaluations: list[Evaluation] = []
         self.called: set[str] = set()
         self.sides = sides
-        self.roots = {} if sides is None else sides.roots
+        self.roots = {} if sides is None else _schema(program)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -263,7 +274,7 @@ class _Interp:
         """Redo a root's alternatives that are not yet infected, given what the
         root gave (``seen``) and the step count after it (``steps``)."""
         sides = self.sides
-        for key, program, expr in sides.roots[node.node_id]:
+        for key, program, expr in self.roots[node.node_id]:
             if key in sides.infected:
                 continue
             if program is None:
@@ -392,8 +403,8 @@ def execute(
 ) -> ExecutionResult:
     """Run one entry call and return the full instrumented result.
 
-    With ``sides``, the run also evaluates the alternatives it lists at
-    their roots and records what it finds there in ``sides`` (see
+    With ``sides``, the run also evaluates its program's own schema at
+    its roots and records what it finds there in ``sides`` (see
     ``Sides``); the result is the same as without.
 
     Raises UnknownFunctionError / ArityError for malformed entry calls; every
