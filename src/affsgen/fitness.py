@@ -244,10 +244,11 @@ def levenshtein(a: str, b: str) -> int:
 class FitnessContext:
     """Program-wide caches shared by every fitness evaluation in a run.
 
-    The program's mutants and its schema are kept on the program
-    (``mutation.mutants_of``), and the compiled hooks of its schema runs in
-    its plan, so every context on it shares them; an experiment builds them
-    before its pool starts. Everything else below is per context.
+    The program's mutants, which are also its schema, are kept on the
+    program (``mutation.mutants_of``), and the compiled hooks of its schema
+    runs in its plan, so every context on it shares them; an experiment
+    builds them before its pool starts. Everything else below is per
+    context.
 
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
@@ -301,12 +302,16 @@ class FitnessContext:
             self.discovered_exceptions |= trace.exceptions
         return trace
 
+    def covered(self, suite: TestSuite, field: str) -> set:
+        """The union of one set-valued ``TestTrace`` field over the suite's tests."""
+        found: set = set()
+        for test in suite:
+            found |= getattr(self.trace(test), field)
+        return found
+
     def suite_exceptions(self, suite: TestSuite) -> set[tuple[str, str]]:
         """The distinct (kind, function) exceptions the suite's tests raise."""
-        raised: set[tuple[str, str]] = set()
-        for test in suite:
-            raised |= self.trace(test).exceptions
-        return raised
+        return self.covered(suite, "exceptions")
 
     def rendered_lines(self, test: TestCase) -> tuple[str, ...]:
         lines = self._renders.get(test)
@@ -433,33 +438,23 @@ def _fit_direct_branch(suite: TestSuite, ctx: FitnessContext) -> float:
     return _branch_score(suite, ctx, direct=True)
 
 
-def _fit_line(suite: TestSuite, ctx: FitnessContext) -> float:
-    if ctx.total_lines == 0:
+def _uncovered(suite: TestSuite, ctx: FitnessContext, field: str, total: int) -> float:
+    """Share of ``total`` goals that no test's trace lists in ``field``."""
+    if total == 0:
         return 0.0
-    covered: set[int] = set()
-    for test in suite:
-        covered |= ctx.trace(test).lines_hit
-    return (ctx.total_lines - len(covered)) / ctx.total_lines
+    return (total - len(ctx.covered(suite, field))) / total
+
+
+def _fit_line(suite: TestSuite, ctx: FitnessContext) -> float:
+    return _uncovered(suite, ctx, "lines_hit", ctx.total_lines)
 
 
 def _fit_method(suite: TestSuite, ctx: FitnessContext) -> float:
-    total = len(ctx.function_names)
-    if total == 0:
-        return 0.0
-    called: set[str] = set()
-    for test in suite:
-        called |= ctx.trace(test).functions_called
-    return (total - len(called)) / total
+    return _uncovered(suite, ctx, "functions_called", len(ctx.function_names))
 
 
 def _fit_mnec(suite: TestSuite, ctx: FitnessContext) -> float:
-    total = len(ctx.function_names)
-    if total == 0:
-        return 0.0
-    clean: set[str] = set()
-    for test in suite:
-        clean |= ctx.trace(test).clean_direct
-    return (total - len(clean)) / total
+    return _uncovered(suite, ctx, "clean_direct", len(ctx.function_names))
 
 
 def _fit_output(suite: TestSuite, ctx: FitnessContext) -> float:

@@ -7,14 +7,14 @@ seed derived from (master seed, fault, strategy, trial), so reruns reproduce
 the same rows byte for byte.
 
 Everything that depends only on a program is built once per experiment and
-shared by its trials: each fixed program keeps its mutants and its schema
-on itself (``mutation.mutants_of``), and each program its compiled code,
-the hooks of its runs with sides included. Before a pool starts, the
-parent compiles every pair's programs and the fixed program's schema hooks
-(``interpreter.precompile``); building those hooks compiles every mutant,
-so forked workers inherit it all and compile nothing. A serial run
-compiles lazily. The pool's initializer hands each worker the parsed pairs
-once, and a job names its pair by index.
+shared by its trials: each fixed program keeps its mutants, which are
+also its schema, on itself (``mutation.mutants_of``), and each program its
+compiled code, the hooks of its runs with sides included. Before a pool
+starts, the parent compiles every pair's programs and the fixed program's
+schema hooks (``interpreter.precompile``); building those hooks compiles
+every mutant, so forked workers inherit it all and compile nothing. A
+serial run compiles lazily. The pool's initializer hands each worker the
+parsed pairs once, and a job names its pair by index.
 """
 
 from __future__ import annotations
@@ -71,20 +71,23 @@ def load_corpus(path) -> list[FaultPair]:
         for required in (fixed, faulty):
             if not required.exists():
                 raise CorpusError(f"{entry.name}: missing {required.name}")
-        try:
-            meta = json.loads(manifest.read_text(encoding="utf-8"))
-        except ValueError as err:  # not JSON, or not UTF-8
-            raise CorpusError(f"{entry.name}: bad manifest: {err}") from err
-        if not isinstance(meta, dict):
-            raise CorpusError(f"{entry.name}: manifest must hold a JSON object, "
-                              f"not {type(meta).__name__}")
         texts = []
-        for source in (fixed, faulty):
+        for source in (manifest, fixed, faulty):
             try:
                 texts.append(source.read_text(encoding="utf-8"))
             except UnicodeDecodeError as err:
                 raise CorpusError(f"{entry.name}: {source.name} is not UTF-8 text: {err}") from err
-        fixed_text, faulty_text = texts
+            except OSError as err:  # a directory, say, or not readable
+                raise CorpusError(f"{entry.name}: cannot read {source.name}: "
+                                  f"{err.strerror or err}") from err
+        manifest_text, fixed_text, faulty_text = texts
+        try:
+            meta = json.loads(manifest_text)
+        except ValueError as err:
+            raise CorpusError(f"{entry.name}: bad manifest: {err}") from err
+        if not isinstance(meta, dict):
+            raise CorpusError(f"{entry.name}: manifest must hold a JSON object, "
+                              f"not {type(meta).__name__}")
         if fixed_text == faulty_text:
             raise CorpusError(f"{entry.name}: fixed and faulty versions are identical")
         try:

@@ -313,22 +313,21 @@ def _plan(program: Program) -> list:
 class Sides:
     """What one run with sides finds at the roots of its program's own schema.
 
-    A base program's schema is the roots of its mutants, which
-    ``mutation.mutants_of`` stores on it: it maps the node id of a
-    statement's root expression to its alternatives, ``(key, program,
-    expr)`` triples, where ``program`` is a mutated program whose root
-    there is ``expr``. A mutated program's schema is its own root, with no
-    alternative. At every evaluation of a listed root the run counts the
-    evaluation in ``evals`` (root id to ``[values, raises]``) and then, for
-    each alternative whose key is not yet ``infected``, redoes the root as
-    ``program`` would, in the same environment and from the root's step
-    count, so the run's outcome and step count are untouched; like a kill
-    run, the run fills only those two. The key becomes ``infected`` when
-    the redo's kinded value or raise identity differs from the root's, and
-    ``drifted`` when only the step count after it does. An alternative
-    without a program is a deleted assignment: its value is the old value
-    of the variable ``expr`` names, taken without a step. Instances hash by
-    identity, so a call's arguments stay hashable.
+    A base program's schema is its mutant list, which
+    ``mutation.mutants_of`` stores on it: each mutant is one alternative,
+    keyed by its ``mutant_id``, at the statement root its
+    ``mutated_program`` replaces, in mutant order. A mutated program's
+    schema is its own root, with no alternative. At every evaluation of a
+    listed root the run counts the evaluation in ``evals`` (root id to
+    ``[values, raises]``) and then, for each alternative whose key is not
+    yet ``infected``, redoes the root as the mutated program would, in the
+    same environment and from the root's step count, so the run's outcome
+    and step count are untouched; like a kill run, the run fills only those
+    two. The key becomes ``infected`` when the redo's kinded value or raise
+    identity differs from the root's, and ``drifted`` when only the step
+    count after it does. A deleted assignment's redo takes the old value of
+    its variable, without a step. Instances hash by identity, so a call's
+    arguments stay hashable.
     """
 
     __slots__ = ("evals", "infected", "drifted")
@@ -392,9 +391,10 @@ def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
 
 def _side_hooks(program: Program) -> dict:
     """The hooks of ``program``'s runs with sides: its plan's hooks plus one
-    at each root of its own schema (see ``Sides``). They are built on the
-    first such run, or by ``precompile``, and kept in the program's plan;
-    every alternative they call is compiled then, before any run starts."""
+    at each root of its own schema, grouping a base program's mutants by
+    the root they replace (see ``Sides``). They are built on the first such
+    run, or by ``precompile``, and kept in the program's plan; every
+    alternative they call is compiled then, before any run starts."""
     plan = program._compiled or _plan(program)
     built = plan[2]
     if built is not None:
@@ -406,20 +406,19 @@ def _side_hooks(program: Program) -> dict:
         inner = hooks[program.root_id]
         if inner is not None:
             built[program.root_id] = _side_hook(program.root_id, [], inner, -1)
-    elif program._schema is None:
+    elif program._mutants is None:
         raise ValueError(f"{program.source_id}: a run with sides redoes the program's mutants, "
                          "which mutation.mutants_of generates")
     else:
         module.functions(False)  # the lean variant, which fills module.roots
-        for node_id, alternatives in program._schema.items():
+        redos: dict[int, list[tuple]] = {}
+        for mutant in program._mutants:
+            mutated = mutant.mutated_program
+            own = _plan(mutated)[1]  # a deleted assignment's alternative is None
+            redos.setdefault(mutated.root_id, []).append(
+                (mutant.mutant_id, own[mutated.root_id], own))
+        for node_id, redo in redos.items():
             info = module.roots[node_id]
-            redo = []
-            for key, mutated, _ in alternatives:
-                if mutated is None:
-                    redo.append((key, None, None))
-                else:
-                    own = _plan(mutated)[1]
-                    redo.append((key, own[mutated.root_id], own))
             built[node_id] = _side_hook(node_id, redo, module.alternative(node_id, info.expr),
                                         info.target)
     plan[2] = built
@@ -429,13 +428,13 @@ def _side_hooks(program: Program) -> dict:
 def precompile(program: Program) -> None:
     """Compile now what later runs of ``program`` would compile on their
     first use: a mutated program's alternative, or a base program's traced
-    variant and, once ``mutation.mutants_of`` has stored its schema, the
+    variant and, once ``mutation.mutants_of`` has stored its mutants, the
     hooks of its runs with sides, with every alternative they call, which
     includes each mutant's own. Nothing runs."""
     module, _, _ = _plan(program)
     if program.base is None:
         module.functions(True)
-        if program._schema is not None:
+        if program._mutants is not None:
             _side_hooks(program)
 
 
@@ -462,8 +461,9 @@ def execute(
     outcome and step count are the same as without.
 
     Raises UnknownFunctionError / ArityError for malformed entry calls, and
-    ValueError for a run with sides of a base program that has no schema
-    yet; every in-language failure is captured as a Raised outcome instead.
+    ValueError for a run with sides of a base program whose mutants are
+    not generated yet; every in-language failure is captured as a Raised
+    outcome instead.
     """
     fn = program.function(entry)
     if fn is None:

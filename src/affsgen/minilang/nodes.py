@@ -160,17 +160,16 @@ class Program:
     # the interpreter's plan, set on the first run: the compiled module, the
     # hooks, and the hooks of runs with sides, set on the first such run
     _compiled: list | None = field(default=None, repr=False, compare=False)
-    # the program's mutants and its schema, the roots that its runs with
-    # sides redo (see ``interpreter.Sides``), set on first use
-    # (``mutation.mutants_of``)
+    # the program's mutants, set on first use (``mutation.mutants_of``); they
+    # are also its schema, the roots that its runs with sides redo (see
+    # ``interpreter.Sides``)
     _mutants: list | None = field(default=None, repr=False, compare=False)
-    _schema: dict | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
         # compiled code does not pickle; a copy compiles on its first run,
-        # side hooks included, and generates its own mutants and schema
+        # side hooks included, and generates its own mutants
         state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state["_compiled"] = state["_mutants"] = state["_schema"] = None
+        state["_compiled"] = state["_mutants"] = None
         return (None, state)
 
     def fn_map(self) -> dict[str, FunctionDef]:

@@ -25,12 +25,15 @@ Grammar (file extension ``.minij``)::
                 | NAME "(" [expr ("," expr)*] ")" | "len" "(" expr ")"
                 | "(" expr ")"
 
-Line comments start with ``//``. Comments and whitespace carry no ids; line
-ids count statements, not source lines.
+The rules from ``or_expr`` to ``unary`` are one table of precedence levels,
+``_LEVELS``, which one method reads. Line comments start with ``//``.
+Comments and whitespace carry no ids; line ids count statements, not source
+lines.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from affsgen.minilang import nodes
@@ -88,6 +91,21 @@ MAX_EXPR_DEPTH = 64
 # condition MAX_EXPR_DEPTH deep stay under its 100 indentation levels.
 MAX_BLOCK_DEPTH = 16
 
+# Precedence levels, loosest first: binary operators that chain left to
+# right, a comparison, which takes one right operand and does not chain, or
+# a prefix operator, which may repeat, mapped to its ``Unary`` op. An
+# operator's text is never that of another kind of token, so the parser
+# matches on text alone.
+_LEVELS = (
+    ("chain", ("or",)),
+    ("chain", ("and",)),
+    ("prefix", {"not": "not"}),
+    ("compare", nodes.COMPARISON_OPS),
+    ("chain", ("+", "-")),
+    ("chain", ("*", "/")),
+    ("prefix", {"-": "neg"}),
+)
+
 _SYMBOLS = ("==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "=",
             "(", ")", "{", "}", "[", "]", ",", ";", ":")
 
@@ -142,12 +160,12 @@ def _tokenize(source: str) -> list[_Token]:
             while j < n and source[j].isdecimal():
                 j += 1
             text = source[i:j]
-            try:
-                value = int(text)
-            except ValueError:  # more digits than Python converts
+            # fewer digits than Python converts, so that the literal's
+            # neighbours, which a mutant or a test may hold, still convert
+            if 0 < sys.get_int_max_str_digits() <= len(text):
                 raise ParseError(f"integer literal of {len(text)} digits is too long",
-                                 start_line, start_col) from None
-            tokens.append(_Token("int", text, value, start_line, start_col))
+                                 start_line, start_col)
+            tokens.append(_Token("int", text, int(text), start_line, start_col))
             advance(j - i)
             continue
         if ch.isalpha() or ch == "_":
@@ -359,71 +377,32 @@ class _Parser:
         self.nesting += 1
         if self.nesting > MAX_EXPR_DEPTH:
             raise self.error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-        expr = self.parse_or()
+        expr = self.parse_level(0)
         self.nesting -= 1
         return expr
 
-    def parse_or(self) -> Expr:
-        expr = self.parse_and()
-        while self.accept("name", "or"):
-            rhs = self.parse_and()
-            expr = Binary(op="or", lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
-        return expr
-
-    def parse_and(self) -> Expr:
-        expr = self.parse_not()
-        while self.accept("name", "and"):
-            rhs = self.parse_not()
-            expr = Binary(op="and", lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
-        return expr
-
-    def parse_not(self) -> Expr:
-        count = 0
-        while self.accept("name", "not"):
-            count += 1
-        expr = self.parse_comparison()
-        for _ in range(count):
-            expr = Unary(op="not", operand=expr, node_id=self.node_id(expr))
-        return expr
-
-    def parse_comparison(self) -> Expr:
-        expr = self.parse_additive()
-        tok = self.current
-        if tok.kind == "symbol" and tok.text in nodes.COMPARISON_OPS:
+    def parse_level(self, level: int) -> Expr:
+        """An expression at precedence ``level`` of ``_LEVELS`` or tighter."""
+        if level == len(_LEVELS):
+            return self.parse_postfix()
+        shape, ops = _LEVELS[level]
+        if shape == "prefix":
+            prefixes = []
+            while self.current.text in ops:
+                prefixes.append(ops[self.current.text])
+                self.pos += 1
+            expr = self.parse_level(level + 1)
+            for op in prefixes:
+                expr = Unary(op=op, operand=expr, node_id=self.node_id(expr))
+            return expr
+        expr = self.parse_level(level + 1)
+        while self.current.text in ops:
+            op = self.current.text
             self.pos += 1
-            rhs = self.parse_additive()
-            return Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
-        return expr
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_term()
-        while True:
-            tok = self.current
-            if tok.kind == "symbol" and tok.text in ("+", "-"):
-                self.pos += 1
-                rhs = self.parse_term()
-                expr = Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
-            else:
-                return expr
-
-    def parse_term(self) -> Expr:
-        expr = self.parse_unary()
-        while True:
-            tok = self.current
-            if tok.kind == "symbol" and tok.text in ("*", "/"):
-                self.pos += 1
-                rhs = self.parse_unary()
-                expr = Binary(op=tok.text, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
-            else:
-                return expr
-
-    def parse_unary(self) -> Expr:
-        count = 0
-        while self.accept("symbol", "-"):
-            count += 1
-        expr = self.parse_postfix()
-        for _ in range(count):
-            expr = Unary(op="neg", operand=expr, node_id=self.node_id(expr))
+            rhs = self.parse_level(level + 1)
+            expr = Binary(op=op, lhs=expr, rhs=rhs, node_id=self.node_id(expr, rhs))
+            if shape == "compare":
+                break
         return expr
 
     def parse_postfix(self) -> Expr:

@@ -22,8 +22,8 @@ Classification takes one call at a time (calls share no state). One schema
 run of the base program per call (Untch, Offutt and Harrold, ISSTA 1993)
 decides infection for every mutant at once: at each evaluation of a
 mutation site's statement root it redoes the root as each mutant would, in
-the same state. Its schema, one alternative per mutant, is kept on the
-base program with the mutants (``mutants_of``; see ``Sides``). A mutant is
+the same state. Its schema is the mutant list kept on the base program
+(``mutants_of``), one alternative per mutant (see ``Sides``). A mutant is
 infected once a redo gives a different value or raise, and drifted when
 one agrees but takes a different number of steps. A reached mutant that is
 neither runs exactly as the base program does, so it is not run. Any other
@@ -231,25 +231,19 @@ def generate_mutants(program: Program) -> list[Mutant]:
 
 def mutants_of(program: Program) -> list[Mutant]:
     """The program's mutants, generated on first use and kept on the
-    program, so every search on it shares them. Its schema is kept with
-    them: the roots its runs with sides redo, one alternative per mutant,
-    keyed by the mutant's id (see ``Sides``). Nothing compiles here; the
-    first schema run, or ``interpreter.precompile``, builds the hooks."""
+    program, so every search on it shares them. The list is also the
+    program's schema: its runs with sides redo each mutant's root, keyed by
+    the mutant's id (see ``Sides``). Nothing compiles here; the first
+    schema run, or ``interpreter.precompile``, builds the hooks."""
     if program._mutants is None:
-        mutants = generate_mutants(program)
-        schema: dict[int, list[tuple]] = {}
-        for mutant in mutants:
-            mutated = None if mutant.operator == DELETE_ASSIGNMENT else mutant.mutated_program
-            schema.setdefault(mutant.root.node_id, []).append(
-                (mutant.mutant_id, mutated, mutant.root))
-        program._mutants, program._schema = mutants, schema
+        program._mutants = generate_mutants(program)
     return program._mutants
 
 
 def schema_run(program: Program, function: str, args: tuple,
                config: InterpConfig = InterpConfig()) -> Sides:
     """Run a base program once on a call, redoing each of its mutants' roots on the side."""
-    mutants_of(program)  # stores the schema the run redoes
+    mutants_of(program)  # the schema the run redoes
     sides = Sides()
     execute(program, function, args, config, sides)
     return sides

@@ -12,6 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treewalk
+from affsgen import mutation, tracing
+from affsgen.affs import Goal, make_strategy
+from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, codegen, interpreter, parse
@@ -328,9 +331,9 @@ def test_a_copy_of_a_program_generates_its_own_mutants():
     ours = Sides()
     result = execute(program, "f", (2,), InterpConfig(), ours)
     copy = pickle.loads(pickle.dumps(program))
-    assert copy._mutants is copy._schema is copy._compiled is None
+    assert copy._mutants is copy._compiled is None
     copied = FitnessContext(copy).mutants
-    assert copied is not mutants and copy._schema is not program._schema
+    assert copied is not mutants
     assert [(m.operator, m.site) for m in copied] == [(m.operator, m.site) for m in mutants]
     # it builds its own side hooks, which find what the program's find
     theirs = Sides()
@@ -395,7 +398,7 @@ def test_generated_code_compiles_and_runs_at_both_parser_caps(block):
         assert len(mutants) > 100
         # the tree walker stacks too many Python frames at these caps to redo
         # the recursion's mutants too: its schema runs redo the chain alone
-        program._schema = {chain.node_id: program._schema[chain.node_id]}
+        program._mutants = mutants
         for args in [(1, True), (2, False)]:
             _assert_same_runs(program, "f", args, InterpConfig(step_limit=2_000), mutants)
     # recursed down to x == 0
@@ -549,3 +552,39 @@ def test_a_loop_whose_control_state_repeats_is_cut_at_any_step_limit():
     killed = execute(deletion.mutated_program, "f", (0,), config)
     assert (killed.outcome, killed.steps) == (expected, limit + 1)
     assert execute(program, "f", (0,), config).outcome == Returned(10)
+
+
+# --- whole searches --------------------------------------------------------------------
+
+
+def _searches() -> dict:
+    """Small seeded searches on every corpus pair, under every goal: each
+    one's ``to_json(omit_timing=True)``, or the Python error it ended in."""
+    config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3))
+    gen_config = GenConfig(max_calls_per_test=3, max_suite_size=5)
+    outputs = {}
+    for pair in load_corpus(CORPUS):
+        for goal in Goal:
+            for strategy in ("ucb", "sarsa"):
+                try:
+                    result = run_search(pair.fixed_program, goal, make_strategy(strategy, goal),
+                                        config, 7, gen_config)
+                    outputs[pair.fault_id, goal, strategy] = result.to_json(omit_timing=True)
+                except Exception as err:  # compared with the tree walker's below
+                    outputs[pair.fault_id, goal, strategy] = f"{type(err).__name__}: {err}"
+    return outputs
+
+
+def test_whole_searches_run_as_they_do_on_the_tree_walker(monkeypatch):
+    # every run a search makes, traced, schema and kill runs, goes through
+    # these two names; the folds above them, memos, archive and finalization,
+    # then see the walker's results
+    compiled = _searches()
+    monkeypatch.setattr(mutation, "execute", treewalk.execute)
+    monkeypatch.setattr(tracing, "execute", treewalk.execute)
+    walked = _searches()
+    assert compiled == walked
+    # only p06's known OverflowError (see the interpreter's docstring) ends a search
+    failed = {key for key, out in compiled.items() if not out.startswith("{")}
+    assert {key[0] for key in failed} <= {"p06_loop_boundary"}
+    assert all(compiled[key].startswith("OverflowError: ") for key in failed)

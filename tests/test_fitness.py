@@ -175,7 +175,7 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
     }
     narrowed = [next(m for m in mutants if (m.operator, m.site) == pick)
                 for pick in picks.values()]
-    program._mutants = narrowed  # the schema still lists every mutant
+    program._mutants = narrowed  # its schema runs redo these alone
     suite = (_case("f", 5),)
     for status, mutant in zip(picks, ctx.mutants):
         assert ctx.classify(mutant, suite) == status

@@ -98,7 +98,27 @@ def test_a_source_that_is_not_utf8_is_a_corpus_error_naming_it(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: x05_bytes: {name} is not UTF-8 text")
 
 
-@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000], ids=["superscript-two", "digits-5000"])
+@pytest.mark.parametrize("name", ["fixed.minij", "manifest.json"])
+def test_a_file_that_cannot_be_read_is_a_corpus_error_naming_it(tmp_path, capsys, name):
+    pair = tmp_path / "corpus" / "x07_unreadable"
+    pair.mkdir(parents=True)
+    (pair / "manifest.json").write_text("{}")
+    (pair / "fixed.minij").write_text("fn f(){ return 1; }")
+    (pair / "faulty.minij").write_text("fn f(){ return 2; }")
+    (pair / name).unlink()
+    (pair / name).mkdir()
+    message = f"x07_unreadable: cannot read {name}: Is a directory"
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        load_corpus(tmp_path / "corpus")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"goal": "exceptions", "strategies": ["ucb"],
+                                       "corpus": str(tmp_path / "corpus")}))
+    assert cli_main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 4300, "9" * 5000],
+                         ids=["superscript-two", "digits-4300", "digits-5000"])
 def test_an_int_literal_python_cannot_read_is_a_corpus_error(tmp_path, capsys, literal):
     pair = tmp_path / "corpus" / "x06_literal"
     pair.mkdir(parents=True)
@@ -595,6 +615,20 @@ def test_cli_generate_unusable_program_is_exit_2(tmp_path, capsys, source):
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("goal", ["strong-mutation", "diversity"])
+def test_cli_generate_an_int_literal_whose_neighbour_python_cannot_read_is_exit_2(
+        tmp_path, capsys, goal):
+    # a mutant, or a test's literal, one more than 4300 nines has 4301 digits
+    program = tmp_path / "p.minij"
+    program.write_text("fn f(x:int){ return x + " + "9" * 4300 + "; }")
+    code = cli_main([
+        "generate", "--program", str(program), "--goal", goal,
+        "--strategy", "ucb", "--budget-gens", "3", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 2
+    assert "integer literal of 4300 digits is too long" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

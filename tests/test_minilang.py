@@ -1,6 +1,8 @@
 """Parser and interpreter behavior, branch distances, and their invariants."""
 
+import hashlib
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import generate_mutants
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SIMPLE = "fn f(x:int){ if(x==5){return 1;} return 0; }"
 # one throw, whose tag reads like the end of one throw and the start of another
 QUOTED_THROW = r'fn f(x:int){ throw "a\";\n  throw \"b"; }'
@@ -45,14 +48,23 @@ def test_parse_unbalanced_brace_reports_position():
 
 @pytest.mark.parametrize("literal, message", [
     ("\u00b2", "unexpected character '\u00b2'"),
+    ("9" * 4300, "integer literal of 4300 digits is too long"),
     ("9" * 5000, "integer literal of 5000 digits is too long"),
-], ids=["superscript-two", "digits-5000"])
+], ids=["superscript-two", "digits-4300", "digits-5000"])
 def test_parse_rejects_int_literals_python_cannot_read_at_the_literal(literal, message):
-    # str.isdigit holds for a superscript two, which int() rejects, and int()
-    # reads at most 4300 digits
+    # str.isdigit holds for a superscript two, which int() rejects; int() and
+    # str() take at most 4300 digits, and a literal of 4300 has a neighbour
+    # of 4301 (its +1 mutant, or a test's literal)
     with pytest.raises(ParseError) as err:
         parse("fn f(x:int){\n  return " + literal + "; }")
     assert str(err.value) == f"{message} (line 2, column 10)"
+
+
+def test_parse_admits_int_literals_whose_neighbours_python_can_read():
+    program = parse("fn f(x:int){ return x + " + "9" * 4299 + "; }")
+    assert execute(program, "f", (1,)).outcome == Returned(10**4299)
+    plus_one = next(m for m in generate_mutants(program) if m.operator == "const:+1")
+    assert execute(plus_one.mutated_program, "f", (1,)).outcome == Returned(10**4299 + 1)
 
 
 def test_parse_duplicate_function_name():
@@ -128,6 +140,80 @@ def test_parse_ids_are_stable():
     assert to_source(a) == to_source(b)
     assert a.line_count == b.line_count
     assert a.branch_count == b.branch_count
+
+
+_ATOMS = ("x", "y", "b", "s", "0", "7", "123", "true", "false", '"ab"')
+_BINARY = ("or", "and", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/")
+_STRAY = ("(", ")", "[", "]", ",", "not", "-", "+", "<", "or", "x", "1", ";", "len")
+
+
+def _expr_tokens(rng: random.Random, depth: int) -> list[str]:
+    """A random expression's tokens, operators mixed with no regard to precedence."""
+    r = rng.random()
+    if depth > 5 or r < 0.25:
+        return [rng.choice(_ATOMS)]
+    if r < 0.35:
+        return [rng.choice(("not", "-"))] * rng.randint(1, 3) + _expr_tokens(rng, depth + 1)
+    if r < 0.45:
+        return ["("] + _expr_tokens(rng, depth + 1) + [")"]
+    if r < 0.5:
+        return _expr_tokens(rng, depth + 1) + ["["] + _expr_tokens(rng, depth + 1) + ["]"]
+    if r < 0.55:
+        args = [_expr_tokens(rng, depth + 1) for _ in range(rng.choice((0, 1, 2, 2, 2)))]
+        tokens = ["g", "("]
+        for i, arg in enumerate(args):
+            tokens += ([","] if i else []) + arg
+        return tokens + [")"]
+    if r < 0.6:
+        return ["len", "("] + _expr_tokens(rng, depth + 1) + [")"]
+    return _expr_tokens(rng, depth + 1) + [rng.choice(_BINARY)] + _expr_tokens(rng, depth + 1)
+
+
+def _deep_expr(rng: random.Random) -> str:
+    n = rng.randint(60, 70)
+    return ("not " * n + "b", "-" * n + "x", "(" * n + "x" + ")" * n,
+            "x" + f" {rng.choice(_BINARY)} y" * n)[rng.randrange(4)]
+
+
+def _generated_sources(count: int = 3000, seed: int = 20) -> list[str]:
+    """Seeded programs around random expressions: every 50th nests about as
+    deep as the cap, and one in five of the others lost a token or gained a
+    stray one. About half of them fail to parse."""
+    rng = random.Random(seed)
+    sources = []
+    for i in range(count):
+        if i % 50 == 0:
+            expr = _deep_expr(rng)
+        else:
+            tokens = _expr_tokens(rng, 0)
+            if rng.random() < 0.2:
+                at = rng.randrange(len(tokens) + 1)
+                if rng.random() < 0.5 and at < len(tokens):
+                    del tokens[at]
+                else:
+                    tokens.insert(at, rng.choice(_STRAY))
+            expr = " ".join(tokens)
+        sources.append("fn g(a:int, c:int){ return a; }\n"
+                       f"fn f(x:int, y:int, b:bool, s:str){{ let z = {expr}; return z; }}")
+    return sources
+
+
+def test_parse_trees_and_errors_are_pinned():
+    # every node, id and error message, as the parser gave them when its
+    # precedence levels were still one method each
+    trees, errors = hashlib.sha256(), hashlib.sha256()
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*/*.minij"))]
+    assert len(texts) == 24
+    failed = 0
+    for text in texts + _generated_sources():
+        try:
+            trees.update(repr(parse(text)).encode() + b"\n")
+        except ParseError as err:
+            failed += 1
+            errors.update(str(err).encode() + b"\n")
+    assert failed == 1708
+    assert trees.hexdigest() == "51271c5b17943840fbafb51ec52358e63f3a100fa447aabfa3bad40423888aa5"
+    assert errors.hexdigest() == "7e94d8f4810ea4ee33026bed4cf11f83cbf1863a05804f4d50102df5193a5ae4"
 
 
 def test_roundtrip_through_to_source():

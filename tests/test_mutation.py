@@ -162,7 +162,7 @@ def test_score_formula():
     # twelve mutants: three that f(5) kills, nine of g's that it never reaches
     narrowed = killed_by(f_test)[:3] + killed_by(g_test)[:9]
     assert len(narrowed) == 12
-    program._mutants = narrowed  # the schema still lists every mutant
+    program._mutants = narrowed  # its schema runs redo these alone
     suite = (f_test,)
     assert ctx.mutation_score(suite, "strong") == 25.0
     assert ctx.mutation_score(suite, "weak") == 25.0

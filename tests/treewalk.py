@@ -111,14 +111,21 @@ class _ReturnSignal(Exception):
 
 
 def _schema(program: Program) -> dict:
-    """The roots that a run of ``program`` with sides evaluates: a mutated
-    program's own root, which it counts and never redoes, or the schema
-    that ``mutation.mutants_of`` stores on a base program."""
+    """The roots that a run of ``program`` with sides evaluates, each with
+    its ``(key, mutated program, root)`` alternatives: a mutated program's
+    own root, which it counts and never redoes, or the root of each mutant
+    that ``mutation.mutants_of`` stores on a base program, in mutant order.
+    A deleted assignment has no mutated program to redo."""
     if program.base is not None:
         return {program.root_id: ()}
-    if program._schema is None:
-        raise ValueError(f"{program.source_id} has no schema; mutation.mutants_of makes it")
-    return program._schema
+    if program._mutants is None:
+        raise ValueError(f"{program.source_id} has no mutants; mutation.mutants_of makes them")
+    roots: dict[int, list[tuple]] = {}
+    for mutant in program._mutants:
+        mutated = mutant.mutated_program
+        roots.setdefault(mutated.root_id, []).append(
+            (mutant.mutant_id, None if mutated.alt_root is None else mutated, mutant.root))
+    return roots
 
 
 class _Interp:
