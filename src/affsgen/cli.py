@@ -17,6 +17,11 @@ argument of ``engine.run_search``: each trial's seed derives from
 rates and the call-depth cap are module constants in ``engine``,
 ``testmodel`` and ``interpreter``, not settings.
 An ``--out`` that cannot be written exits 1 before any search runs.
+
+``generate`` also exits 2 on a program the interpreter cannot run yet: one
+whose search compares an int beyond float range, which raises Python's
+``OverflowError`` (see ``interpreter``), with one ``error:`` line. The search stops there and
+``--out`` stays empty.
 """
 
 from __future__ import annotations
@@ -102,7 +107,12 @@ def _cmd_generate(args) -> int:
         print(f"error: cannot write --out: {err}", file=sys.stderr)
         return 1
     with out:
-        result = run_search(program, goal, strategy, EngineConfig(budget=budget), args.seed)
+        try:
+            result = run_search(program, goal, strategy, EngineConfig(budget=budget), args.seed)
+        except OverflowError as err:
+            print(f"error: {args.program}: the interpreter cannot run it yet: an int "
+                  f"outgrew float range ({err})", file=sys.stderr)
+            return 2
         out.write(result.to_json())
     print(f"wrote {args.out}: {len(result.final_suite)} tests, {result.generations} "
           f"generations, metrics {json.dumps(result.metrics, sort_keys=True)}")

@@ -245,8 +245,8 @@ class FitnessContext:
     """Program-wide caches shared by every fitness evaluation in a run.
 
     The program's mutants, which are also its schema, are kept on the
-    program (``mutation.mutants_of``), and the compiled hooks of its schema
-    runs in its plan, so every context on it shares them; an experiment
+    program (``mutation.mutants_of``), and the compiled schema shape of its
+    schema runs in its plan, so every context on it shares them; an experiment
     builds them before its pool starts. Everything else below is per
     context.
 

@@ -1,30 +1,38 @@
 """Python source for MiniJ programs, in mutant-schema form.
 
 ``program_source`` emits one Python function per MiniJ function, in one
-of two shapes. The instrumented variant (prefix ``I``) serves traced runs,
-runs of a base program without side evaluations: it records lines, branch
-distances and called functions, and evaluates every statement root
-inline. The lean variant (prefix ``K``) serves every other run: it keeps
-only the step count and the outcome, and guards each statement root with
-its hook, if the run has one. ``root_source`` emits one expression at a
+of three shapes. The instrumented variant (prefix ``I``) serves traced
+runs, runs of a base program without side evaluations: it records lines,
+branch distances and called functions, and evaluates every statement root
+inline. The lean variant (prefix ``K``) serves every run of a mutated
+program: it keeps only the step count and the outcome, and guards each
+statement root with its hook, if the run has one. The schema shape
+(prefix ``Q``) serves a base program's runs with sides: lean, it evaluates
+every root inline, and at each mutation site of the program's mutant list
+it also counts the evaluation and redoes the alternatives still pending
+there (``_Code.site``), as Major compiles conditional mutants into the
+program (Just, ISSTA 2014). ``root_source`` emits one expression at a
 statement root as a lean function of its own, an alternative that a hook
-calls: a mutant's expression there, or the base program's own. The
-emitted code runs in a namespace that ``interpreter`` supplies: ``E`` (the
-``MiniJError`` class), ``X`` (records the line of a group of ticks that
-crosses the step limit and returns its error), ``U`` (the value of a
-variable not yet bound), ``SD`` (the string-equality distance) and ``MB``
-(``merge_best``).
+or a redo calls: a mutant's expression there. The emitted code runs in a
+namespace that ``interpreter`` supplies: ``E`` (the ``MiniJError``
+class), ``X`` (records the line of a group of ticks that crosses the step
+limit and returns its error), ``U`` (the value of a variable not yet
+bound), ``SD`` (the string-equality distance), ``MB`` (``merge_best``) and
+``RE`` (counts a raise at a mutation site and redoes the alternatives
+pending there).
 
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``;
 a call made at depth ``MAX_CALL_DEPTH - 1`` raises ``StepLimitExceeded``.
-The context is ``(L, H, W)`` in lean code and ``(L, LA, BB, BD, CA)`` in
-instrumented code: the step limit and either the hooks (root node id to a
-function that evaluates that root, or None where a deleted assignment
-skips its statement) and the run's ``Sides`` (None in a run without them;
-only hooks read it), or the line recorder, the best branch distances over
-all frames and over the entry frame (``D == 0``), and the call recorder.
-An in-language failure raises ``E`` carrying the step count.
+The context is ``(L, H, W)`` in lean code, ``(L, P, V, Z)`` in the schema
+shape and ``(L, LA, BB, BD, CA)`` in instrumented code: the step limit and
+either the hooks (root node id to a function that evaluates that root, or
+None where a deleted assignment skips its statement) and the run's
+``Sides`` (None in a run without them; only hooks read it), or the run's
+pending alternatives at each mutation site, its evaluation counts and its
+``Sides``, or the line recorder, the best branch distances over all frames
+and over the entry frame (``D == 0``), and the call recorder. An
+in-language failure raises ``E`` carrying the step count.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -35,13 +43,13 @@ the first of its group, so a group records at most one line, and only if
 that tick lies within the limit.
 
 Loops that provably never end are cut short, exactly, in lean code run
-without sides (``W is None``): kill runs, and the redos inside a schema
-run's hooks. Past ``CYCLE_CHECK_AFTER`` steps of such a run, every loop
-head compares the loop's control state with a saved one, by Brent's cycle
-detection (BIT 1980) on loop-head snapshots as in Jolt (Carbin et al.,
-ECOOP 2011). Runs with sides are never cut, since their hooks count every
-evaluation of a root, and neither are traced runs: none of the traced runs
-that reach the step limit on the benchmark repeats a state.
+without sides (``W is None``): kill runs, and the redos of a schema run.
+Past ``CYCLE_CHECK_AFTER`` steps of such a run, every loop head compares
+the loop's control state with a saved one, by Brent's cycle detection (BIT
+1980) on loop-head snapshots as in Jolt (Carbin et al., ECOOP 2011). Runs
+with sides are never cut, since they count every evaluation of a root, so
+the schema shape has no such check; neither are traced runs: none of the
+traced runs that reach the step limit on the benchmark repeats a state.
   * The control state is the values and kinds of the loop's control slice,
     and the kinds of the other variables the loop assigns. Variables it
     does not assign keep their values while it runs.
@@ -61,12 +69,15 @@ that reach the step limit on the benchmark repeats a state.
     on, to cross the limit at the same point, in the same function, as it
     would have.
 
-CPython nests at most 20 loop blocks in one function and 100 indentation
-levels, and the parser's caps (``MAX_BLOCK_DEPTH``, ``MAX_EXPR_DEPTH``) keep
-generated code under both without helper functions. Each MiniJ ``while`` is
-one ``while True:``, so at most 15 loops nest; a nested block, an
-``and``/``or`` operand and a hooked root each indent one level, so the
-deepest code at both caps indents fewer than 80 levels.
+CPython nests at most 20 blocks (loops and ``try`` statements) in one
+function and 100 indentation levels, and the parser's caps
+(``MAX_BLOCK_DEPTH``, ``MAX_EXPR_DEPTH``) keep generated code under both
+without helper functions. Each MiniJ ``while`` is one ``while True:``, so
+at most 15 loops nest; a mutation site in the schema shape adds a ``try``,
+or a ``for`` with a ``try`` in it, so at most 17 blocks nest there. A
+nested block, an ``and``/``or`` operand and a hooked root or a mutation
+site each indent one level, and the schema shape's functions one more
+inside ``Q``, so the deepest code at both caps indents 80 levels.
 """
 
 from __future__ import annotations
@@ -139,8 +150,6 @@ class RootInfo(NamedTuple):
     names: dict  # that function's MiniJ variable names -> Python locals
     params: tuple  # the Python locals passed to the hook, in order
     defined: frozenset  # the locals surely bound when the root is evaluated
-    target: int  # index in params of an assignment's variable, else -1
-    expr: Expr  # the base program's root
 
 
 def _is_boolean(expr: Expr) -> bool:
@@ -188,22 +197,25 @@ def _literal(value) -> str:
 
 
 class _Module:
-    """Shared state of one program's generation: function indices and roots."""
+    """Shared state of one program's generation: function indices, roots, and
+    the schema shape's mutation sites (root node id to its index)."""
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, sites: dict[int, int] | None = None):
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
         self.params = {fn.name: fn.params for fn in program.functions}
         self.roots: dict[int, RootInfo] = {}
+        self.sites = sites or {}
 
 
 class _Code:
     """One generated function, emitted line by line."""
 
-    def __init__(self, module: _Module, fname: str, instrumented: bool, names: dict, defined):
+    def __init__(self, module: _Module, fname: str, shape: str, names: dict, defined):
         self.module = module
         self.fname = fname
         self.fq = repr(fname)
-        self.instrumented = instrumented
+        self.shape = shape
+        self.instrumented = shape == "I"
         self.names = names
         self.defined = set(defined)
         self.lines: list[str] = []
@@ -257,30 +269,31 @@ class _Code:
 
     def branch(self, test: str, then, other=None) -> None:
         """``if test: then() else: other()``, each arm starting from the
-        pending ticks and ending with them flushed."""
+        pending ticks and ending with them flushed. The arms are emitted
+        here, not by a helper, since nested and/or operands and blocks
+        recurse through this method: one frame fewer per level keeps code
+        generation shallow enough to run from deep Python stacks."""
         ticks, line = self.ticks, self.line
         self.emit(f"if {test}:")
-        self.arm(then)
-        self.ticks, self.line = ticks, line
-        mark = len(self.lines)
-        self.emit("else:")
-        self.arm(other)
+        for i, body in enumerate((then, other)):
+            mark = len(self.lines)
+            if i:
+                self.ticks, self.line = ticks, line
+                self.emit("else:")
+            self.depth += 1
+            start = len(self.lines)
+            if body is not None:
+                body()
+            self.flush()
+            if len(self.lines) == start:
+                self.emit("pass")
+            self.depth -= 1
         if len(self.lines) == mark + 2 and self.lines[-1].strip() == "pass":
             del self.lines[mark:]
 
-    def arm(self, body) -> None:
-        self.depth += 1
-        mark = len(self.lines)
-        if body is not None:
-            body()
-        self.flush()
-        if len(self.lines) == mark:
-            self.emit("pass")
-        self.depth -= 1
-
     def finish(self, name: str, params) -> str:
         args = "".join(f", {p}" for p in params)
-        head = "L, LA, BB, BD, CA = C" if self.instrumented else "L, H, W = C"
+        head = _CONTEXTS[self.shape]
         return "\n".join([f"def {name}(C, S, D{args}):", " " + head] + self.lines)
 
     # -- expressions ----------------------------------------------------------------
@@ -378,11 +391,10 @@ class _Code:
         t = self.kinds([(o, kind, want) for (o, kind), (_, want) in zip(args, params)])
         if t is None:
             return "U", None
-        prefix = "I" if self.instrumented else "K"
         if self.instrumented:
             self.emit(f"CA({expr.name!r})")
         values = "".join(f", {o}" for o, _ in args)
-        self.emit(f"{t}, S = {prefix}{self.module.index[expr.name]}(C, S, D + 1{values})")
+        self.emit(f"{t}, S = {self.shape}{self.module.index[expr.name]}(C, S, D + 1{values})")
         return t, None
 
     def cond(self, expr: Expr) -> str:
@@ -511,27 +523,31 @@ class _Code:
 
     def root(self, expr: Expr, cond: bool, targets: str, assign: Assign | None = None) -> None:
         """Evaluate a statement root into ``targets``: inline in instrumented
-        code, and in lean code through its hook if the run has one. An
-        assignment's statement tick is taken here, since a deleted assignment
-        (a hook of None) skips its whole statement. The root ends with its
-        ticks flushed, which a ``return`` after it relies on."""
+        code, in lean code through its hook if the run has one, and in the
+        schema shape inline, with the side evaluations of a mutation site
+        (``site``). An assignment's statement tick is taken here, since a
+        deleted assignment (a hook of None) skips its whole statement. The
+        root ends with its ticks flushed, which a ``return`` after it relies
+        on."""
 
-        def check_assignable():
-            local = self.names[assign.name]
-            if local not in self.defined:
-                self.flush()
-                self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
-
-        def inline():
+        def start():
             if assign is not None:
                 self.statement_tick(assign)
-                check_assignable()
+                local = self.names[assign.name]
+                if local not in self.defined:
+                    self.flush()
+                    self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
+
+        def evaluate() -> str:
             if not cond:
-                self.emit(f"{targets} = {self.value(expr)[0]}")
-            elif self.instrumented:
-                self.emit(f"{targets} = {', '.join(self.pred(expr))}")
-            else:
-                self.emit(f"{targets} = {self.cond(expr)}")
+                return self.value(expr)[0]
+            if self.instrumented:
+                return ", ".join(self.pred(expr))
+            return self.cond(expr)
+
+        def inline():
+            start()
+            self.emit(f"{targets} = {evaluate()}")
 
         if self.instrumented:
             inline()
@@ -546,25 +562,69 @@ class _Code:
                 params.append(local)
             target = params.index(local)
         self.module.roots[node] = RootInfo(self.fname, cond, self.names, tuple(params),
-                                           frozenset(self.defined), target, expr)
+                                           frozenset(self.defined))
+        if self.shape == "Q":
+            site = self.module.sites.get(node)
+            if site is None:
+                inline()
+            else:
+                start()
+                self.site(site, evaluate, targets, params, target)
+            self.flush()
+            return
         call = f"(C, S, D{''.join(', ' + p for p in params)})"
 
         def hooked():
+            self.flush()
             if assign is None:
-                self.flush()
                 self.emit(f"{targets}, S = H[{node}]{call}")
                 return
-            self.flush()
             self.emit(f"h = H[{node}]")
             self.emit("if h is not None:")
             self.depth += 1
-            self.statement_tick(assign)
-            check_assignable()
+            start()
             self.flush()
             self.emit(f"{targets}, S = h{call}")
             self.depth -= 1
 
         self.branch(f"{node} in H", hooked, inline)
+
+    def site(self, site: int, evaluate, targets: str, params: list[str], target: int) -> None:
+        """A mutation site's root in the schema shape. It evaluates the root
+        inline from step ``B``, counts the evaluation in ``V`` (values at
+        ``2 * site``, raises at ``2 * site + 1``) and redoes each alternative
+        still pending there in this run: ``(m, a, o)`` in ``P[site]``, the
+        mutant's id, its lean function (None for a deleted assignment, whose
+        redo reads its variable's old value, at index ``target`` of
+        ``params``) and its own hooks. A value's redos are inline, and ``RE``
+        counts a raise and redoes after it. An infected mutant leaves
+        ``P[site]``. ``targets`` take the value last, so every redo sees the
+        root's variables ``params`` as they were before it."""
+        args = "".join(", " + p for p in params)
+        self.emit(f"B = S + {self.ticks}" if self.ticks else "B = S")
+        self.emit("try:")
+        self.depth += 1
+        result = evaluate()
+        self.flush()
+        self.depth -= 1
+        self.emit("except E as e:")
+        self.emit(f" RE(e, {site}, B, C, D{args})")
+        self.emit(" raise")
+        self.emit(f"V[{2 * site}] += 1")
+        self.emit(f"if P[{site}]:")
+        self.depth += 1
+        self.emit("y = 0")
+        self.emit(f"for m, a, o in P[{site}]:")
+        redo = [f"try: w, s = a((L, o, None), B, D{args})", "except E: w = None"]
+        if target >= 0:
+            redo = [f"if a is None: w = {params[target]}; s = S", "else:"] + [" " + r for r in redo]
+        for line in redo + [
+                f"if w != {result} or type(w) is not type({result}): Z.infected.add(m); y = 1",
+                "elif s != S: Z.drifted.add(m)"]:
+            self.emit(" " + line)
+        self.emit(f"if y: P[{site}] = [q for q in P[{site}] if q[0] not in Z.infected]")
+        self.depth -= 1
+        self.emit(f"{targets} = {result}")
 
     def condition(self, stmt: If | While) -> str:
         """Evaluate a branch condition, and merge its distances in instrumented code."""
@@ -626,12 +686,12 @@ class _Code:
         if cls is While:
             self.flush()  # the loop head is a join point
             before = set(self.defined)
-            if not self.instrumented:
+            if self.shape == "K":
                 checks = self.temp()
                 self.emit(f"{checks} = 0")
             self.emit("while True:")
             self.depth += 1
-            if not self.instrumented:
+            if self.shape == "K":
                 self.cycle_check(stmt, checks)
             t = self.condition(stmt)
             self.emit(f"if not {t}: break")
@@ -677,32 +737,44 @@ def _locals(fn: FunctionDef) -> dict[str, str]:
     return names
 
 
-def program_source(program: Program, instrumented: bool) -> tuple[str, dict[int, RootInfo]]:
-    """The Python source of one variant of a program's functions, and what
-    each statement root's hook sees (lean code only: instrumented code has
+# how each shape's functions unpack their run's context
+_CONTEXTS = {"I": "L, LA, BB, BD, CA = C", "K": "L, H, W = C", "Q": "L, P, V, Z = C"}
+
+
+def program_source(program: Program, shape: str,
+                   sites: tuple[int, ...] = ()) -> tuple[str, dict[int, RootInfo]]:
+    """The Python source of one shape of a program's functions, and what
+    each statement root's hook sees (lean code only: the other shapes have
     no hooks). MiniJ function ``i`` (in program order) becomes ``I{i}``,
-    instrumented, or ``K{i}``, lean."""
-    prefix = "I" if instrumented else "K"
-    module = _Module(program)
+    instrumented, ``K{i}``, lean, or ``Q{i}``, the schema shape, whose
+    mutation sites are the roots ``sites`` lists, by index. A module may
+    hold schema shapes for several lists of sites, so their functions are
+    closures, made by a function ``Q`` that returns them in order."""
+    module = _Module(program, {node: i for i, node in enumerate(sites)})
     sources = []
     for i, fn in enumerate(program.functions):
         names = _locals(fn)
         params = tuple(names[p] for p, _ in fn.params)
         unbound = [v for v in names.values() if v not in params]
-        code = _Code(module, fn.name, instrumented, names, params)
+        code = _Code(module, fn.name, shape, names, params)
         if unbound:
             code.emit(" = ".join(unbound) + " = U")
         code.block(fn.body)
         code.flush()
         code.emit("return (0, S)")  # falling off the end yields int 0
-        sources.append(code.finish(f"{prefix}{i}", params))
-    return "\n".join(sources) + "\n", module.roots
+        sources.append(code.finish(f"{shape}{i}", params))
+    source = "\n".join(sources)
+    if shape == "Q":
+        functions = ", ".join(f"Q{i}" for i in range(len(program.functions)))
+        source = "def Q():\n" + "\n".join(" " + line for line in source.split("\n"))
+        source += f"\n return [{functions}]"
+    return source + "\n", module.roots
 
 
 def root_source(name: str, info: RootInfo, expr: Expr, program: Program) -> str:
     """A lean function ``name`` evaluating ``expr`` at the root ``info``
     describes, with that root's statement already ticked."""
-    code = _Code(_Module(program), info.function, False, info.names, info.defined)
+    code = _Code(_Module(program), info.function, "K", info.names, info.defined)
     result = code.cond(expr) if info.cond else code.value(expr)[0]
     code.flush()
     code.emit(f"return ({result}, S)")

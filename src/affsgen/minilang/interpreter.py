@@ -9,14 +9,19 @@ statement root, in the form of mutant schemata (Untch, Offutt and Harrold,
 ISSTA 1993): a mutated program runs its base's lean code with a hook at its
 root, which evaluates a small, separately compiled alternative there, or
 skips the whole statement of a deleted assignment. A run with sides
-redoes its program's own schema (see ``Sides``): a base program's run
-hooks its mutants' roots and evaluates each root itself as the
-alternative that is the base program's own expression, and a mutated
-program's run counts the evaluations of its own root. Compiled code is
-cached per base program, keyed by its source text, and the cache holds a
-bounded number of programs. ``precompile`` compiles ahead what a program's
-runs would compile on first use, so that forked worker processes inherit
-it.
+redoes its program's own schema (see ``Sides``). A base program's run
+takes the program's schema shape, generated from the lean variant and the
+program's mutant list: it evaluates every root inline, and at each root a
+mutant replaces it counts the evaluation and calls the alternatives of the
+mutants still pending there in the run. A mutated program's run takes the
+lean variant with a hook that counts the evaluations of its own root.
+Compiled modules are cached per base program, keyed by its source text,
+and the cache holds a bounded number of programs. A module keeps one
+schema shape per list of mutation sites, since the shape depends on the
+program's mutant list, which a caller may narrow, and each program keeps
+the alternatives its own list redoes. ``precompile`` compiles ahead what a
+program's runs would compile on first use, so that forked worker processes
+inherit it.
 
 A traced run records the statements reached, each branch's least distances
 toward both outcomes (over all frames, and over the entry frame alone), the
@@ -29,8 +34,8 @@ Kill runs without sides are cut short, exactly, where a loop provably runs
 to the step limit: past ``codegen.CYCLE_CHECK_AFTER`` steps, a loop whose
 control slice repeats its state jumps by whole periods to just below the
 limit, and the run ends as it would have (see ``codegen``). Runs with
-sides are never cut, since their hooks count each evaluation of a root;
-the redos inside them count nothing and may be. Traced runs are not cut
+sides are never cut, since they count each evaluation of a root; the
+redos inside them count nothing and may be. Traced runs are not cut
 either.
 
 Semantics worth knowing:
@@ -226,17 +231,15 @@ def _crossed(record, limit: int, start: int, line: int, fname: str) -> MiniJErro
     return MiniJError(STEP_LIMIT_EXCEEDED, fname, limit + 1)
 
 
-_RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_distance,
-            "MB": merge_best}
-
-
 class _Compiled:
     """One base program's generated module: its functions, in the
     instrumented and the lean variant, and the lean alternatives compiled
-    into it, each on first use; the base program's own root expressions are
-    alternatives too. ``roots`` holds the lean variant's hook information."""
+    into it, each on first use. ``roots`` holds the lean variant's hook
+    information. Its schema shapes are compiled on first use too, one per
+    list of mutation sites."""
 
-    __slots__ = ("program", "namespace", "roots", "index", "_functions", "_alternatives")
+    __slots__ = ("program", "namespace", "roots", "index", "_functions", "_alternatives",
+                 "_shapes")
 
     def __init__(self, program: Program):
         self.program = program
@@ -245,6 +248,7 @@ class _Compiled:
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
         self._functions: list = [None, None]  # lean, instrumented
         self._alternatives: dict[tuple[int, str], object] = {}
+        self._shapes: dict[tuple[int, ...], list] = {}
 
     def _exec(self, source: str, name: str) -> None:
         exec(compile(source, f"<minij {self.program.source_id} {name}>", "exec"), self.namespace)
@@ -255,13 +259,25 @@ class _Compiled:
         if functions is None:
             from affsgen.minilang import codegen  # imported on the first run, not with the package
 
-            source, roots = codegen.program_source(self.program, instrumented)
+            prefix = "I" if instrumented else "K"
+            source, roots = codegen.program_source(self.program, prefix)
             if not instrumented:
                 self.roots = roots
-            prefix = "I" if instrumented else "K"
             self._exec(source, prefix)
             functions = self._functions[instrumented] = [
                 self.namespace[f"{prefix}{i}"] for i in range(len(self.program.functions))]
+        return functions
+
+    def schema_shape(self, sites: tuple[int, ...]) -> list:
+        """The program's functions in the schema shape whose mutation sites
+        are the roots ``sites`` lists, in program order."""
+        functions = self._shapes.get(sites)
+        if functions is None:
+            from affsgen.minilang import codegen
+
+            source, _ = codegen.program_source(self.program, "Q", sites)
+            self._exec(source, "Q")
+            functions = self._shapes[sites] = self.namespace["Q"]()
         return functions
 
     def alternative(self, node_id: int, expr: Expr):
@@ -283,9 +299,9 @@ _NO_HOOKS: dict = {}  # shared by every base program's plan; never written
 
 
 def _plan(program: Program) -> list:
-    """The compiled module a program runs on, its hooks, and the hooks of
-    its runs with sides (None until the first such run), found once per
-    program and kept on it."""
+    """The compiled module a program runs on, its hooks, and what its runs
+    with sides run on (``_side_plan``, None until the first such run), found
+    once per program and kept on it; a copy of the program drops it."""
     plan = program._compiled
     if plan is not None:
         return plan
@@ -326,8 +342,9 @@ class Sides:
     two. The key becomes ``infected`` when the redo's kinded value or raise
     identity differs from the root's, and ``drifted`` when only the step
     count after it does. A deleted assignment's redo takes the old value of
-    its variable, without a step. Instances hash by identity, so a call's
-    arguments stay hashable.
+    its variable, without a step. A base program's run fills ``evals`` as
+    it ends. Instances hash by identity, so a call's arguments stay
+    hashable.
     """
 
     __slots__ = ("evals", "infected", "drifted")
@@ -338,89 +355,94 @@ class Sides:
         self.drifted: set = set()
 
 
-def _side_hook(node_id: int, redo: list[tuple], inner, target: int):
-    """A hook that evaluates a root through ``inner``, counts it in the run's
-    ``Sides`` (the last item of its context), and redoes the alternatives
-    ``redo`` lists as ``(key, function, hooks)``, where a deleted assignment
-    has no function, each under its mutated program's own hooks."""
+def _redo_raise(err: MiniJError, site: int, start: int, C, D: int, *env) -> None:
+    """Count a raise at mutation site ``site`` of a schema run with context
+    ``C``, whose root's evaluation from step ``start`` raised ``err``, and
+    redo the alternatives pending there on the root's variables ``env``, as
+    the schema shape does after a value (see ``codegen``): only one that
+    raises the same error stays pending. An ``err`` of the step limit with
+    ``start`` past it came from the statement's own tick before the root,
+    which then was not evaluated."""
+    limit, pending, counts, sides = C
+    if start > limit:
+        return
+    counts[2 * site + 1] += 1
+    identity = err.record.identity
+    kept = []
+    for item in pending[site]:
+        key, alternative, own = item
+        if alternative is not None:
+            try:
+                alternative((limit, own, None), start, D, *env)
+            except MiniJError as other:
+                if other.record.identity == identity:
+                    kept.append(item)
+                    continue
+        sides.infected.add(key)
+    pending[site] = kept
+
+
+# the names generated code reads besides its own functions (see ``codegen``)
+_RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_distance,
+            "MB": merge_best, "RE": _redo_raise}
+
+
+def _counting_hook(node_id: int, inner):
+    """A mutated program's own root, evaluated through ``inner`` and
+    counted in the run's ``Sides``, the last item of its context."""
 
     def hook(C, S, D, *env):
-        L, _, sides = C
-        counts = sides.evals.get(node_id)
+        evals = C[2].evals
+        counts = evals.get(node_id)
         if counts is None:
-            counts = sides.evals[node_id] = [0, 0]
-        infected = sides.infected
+            counts = evals[node_id] = [0, 0]
         try:
-            result, after = inner(C, S, D, *env)
-        except MiniJError as err:
+            result = inner(C, S, D, *env)
+        except MiniJError:
             counts[1] += 1
-            # only a redo that raises the same error is not infected
-            for key, alternative, own in redo:
-                if key in infected:
-                    continue
-                try:
-                    if alternative is not None:
-                        alternative((L, own, None), S, D, *env)
-                except MiniJError as other:
-                    if other.record.identity == err.record.identity:
-                        continue
-                infected.add(key)
             raise
         counts[0] += 1
-        for key, alternative, own in redo:
-            if key in infected:
-                continue
-            if alternative is None:
-                other = env[target]
-                if other != result or type(other) is not type(result):
-                    infected.add(key)
-                continue
-            try:
-                other, steps = alternative((L, own, None), S, D, *env)
-            except MiniJError:
-                infected.add(key)
-                continue
-            if other != result or type(other) is not type(result):
-                infected.add(key)
-            elif steps != after:
-                sides.drifted.add(key)
-        return result, after
+        return result
 
     return hook
 
 
-def _side_hooks(program: Program) -> dict:
-    """The hooks of ``program``'s runs with sides: its plan's hooks plus one
-    at each root of its own schema, grouping a base program's mutants by
-    the root they replace (see ``Sides``). They are built on the first such
-    run, or by ``precompile``, and kept in the program's plan; every
-    alternative they call is compiled then, before any run starts."""
+def _side_plan(program: Program):
+    """How ``program``'s runs with sides run, built on the first such run,
+    or by ``precompile``, and kept in the program's plan; every alternative
+    they call is compiled then, before any run starts.
+
+    A base program's runs take its schema shape (see ``codegen``):
+    ``(functions, roots, redos)``, its functions in that shape, the node id
+    of each of its mutation sites, by index, and for each site the
+    ``(mutant id, alternative, hooks)`` of the mutants there, in mutant
+    order; a deleted assignment's alternative is None, and each mutant's
+    own hooks are its plan's. A mutated program's runs take its plan's
+    hooks with its own root counted (see ``Sides``)."""
     plan = program._compiled or _plan(program)
     built = plan[2]
     if built is not None:
         return built
     module, hooks, _ = plan
-    built = dict(hooks)
     if program.base is not None:
         # its own root, counted and never redone; a deleted statement never runs
+        built = dict(hooks)
         inner = hooks[program.root_id]
         if inner is not None:
-            built[program.root_id] = _side_hook(program.root_id, [], inner, -1)
+            built[program.root_id] = _counting_hook(program.root_id, inner)
     elif program._mutants is None:
         raise ValueError(f"{program.source_id}: a run with sides redoes the program's mutants, "
                          "which mutation.mutants_of generates")
     else:
-        module.functions(False)  # the lean variant, which fills module.roots
         redos: dict[int, list[tuple]] = {}
         for mutant in program._mutants:
             mutated = mutant.mutated_program
             own = _plan(mutated)[1]  # a deleted assignment's alternative is None
             redos.setdefault(mutated.root_id, []).append(
                 (mutant.mutant_id, own[mutated.root_id], own))
-        for node_id, redo in redos.items():
-            info = module.roots[node_id]
-            built[node_id] = _side_hook(node_id, redo, module.alternative(node_id, info.expr),
-                                        info.target)
+        roots = tuple(redos)
+        built = (module.schema_shape(roots), roots,
+                 tuple(tuple(redo) for redo in redos.values()))
     plan[2] = built
     return built
 
@@ -428,14 +450,14 @@ def _side_hooks(program: Program) -> dict:
 def precompile(program: Program) -> None:
     """Compile now what later runs of ``program`` would compile on their
     first use: a mutated program's alternative, or a base program's traced
-    variant and, once ``mutation.mutants_of`` has stored its mutants, the
-    hooks of its runs with sides, with every alternative they call, which
-    includes each mutant's own. Nothing runs."""
+    variant and, once ``mutation.mutants_of`` has stored its mutants, its
+    schema shape and every alternative its runs with sides call, which is
+    each mutant's own. Nothing runs."""
     module, _, _ = _plan(program)
     if program.base is None:
         module.functions(True)
         if program._mutants is not None:
-            _side_hooks(program)
+            _side_plan(program)
 
 
 # --- execution -------------------------------------------------------------------
@@ -458,7 +480,9 @@ def execute(
     only ``outcome`` and ``steps`` (see ``ExecutionResult``). With
     ``sides``, the run also evaluates its program's own schema at its roots
     and records what it finds there in ``sides`` (see ``Sides``); its
-    outcome and step count are the same as without.
+    outcome and step count are the same as without. A base program's run
+    with sides takes its schema shape, a mutated program's the lean variant
+    with its own root counted (see ``_side_plan``).
 
     Raises UnknownFunctionError / ArityError for malformed entry calls, and
     ValueError for a run with sides of a base program whose mutants are
@@ -476,26 +500,47 @@ def execute(
             got = kind or f"Python {type(value).__name__}"
             raise ArityError(f"{entry} parameter {pname!r} expects {pkind}, got {got}")
 
-    module, hooks, side_hooks = program._compiled or _plan(program)
-    traced = program.base is None and sides is None
-    function = module.functions(traced)[module.index[entry]]
-    if sides is not None:
-        hooks = side_hooks or _side_hooks(program)
+    module, hooks, side = program._compiled or _plan(program)
     limit = config.step_limit
-    lines: set[int] = set()
-    best: dict[int, list[float]] = {}
-    best_direct: dict[int, list[float]] = {}
-    called = {entry}
+    index = module.index[entry]
+    traced = program.base is None and sides is None
+    counts = None
+    if traced:
+        function = module.functions(True)[index]
+        lines: set[int] = set()
+        best: dict[int, list[float]] = {}
+        best_direct: dict[int, list[float]] = {}
+        called = {entry}
+        context = (limit, lines.add, best, best_direct, called.add)
+    elif sides is None:
+        function = module.functions(False)[index]
+        context = (limit, hooks, None)
+    elif program.base is not None:
+        function = module.functions(False)[index]
+        context = (limit, side or _side_plan(program), sides)
+    else:
+        functions, roots, redos = side or _side_plan(program)
+        function = functions[index]
+        infected = sides.infected
+        # every run shares the sites' tuples; it replaces one by a list of
+        # the mutants still pending there once one of them is infected
+        pending = list(redos) if not infected else [
+            [item for item in redo if item[0] not in infected] for redo in redos]
+        counts = [0] * (2 * len(roots))
+        context = (limit, pending, counts, sides)
     outcome: Outcome
     try:
-        if traced:
-            context = (limit, lines.add, best, best_direct, called.add)
-            value, steps = function(context, 0, 0, *args)
-        else:
-            value, steps = function((limit, hooks, sides), 0, 0, *args)
+        value, steps = function(context, 0, 0, *args)
         outcome = Returned(value)
     except MiniJError as err:
         outcome, steps = Raised(err.record), err.steps
+    finally:
+        if counts is not None:
+            for node, values, raises in zip(roots, counts[::2], counts[1::2]):
+                if values or raises:
+                    total = sides.evals.setdefault(node, [0, 0])
+                    total[0] += values
+                    total[1] += raises
     if not traced:
         return ExecutionResult(_EMPTY, _NO_BRANCHES, _NO_BRANCHES, _EMPTY, outcome, steps)
     return ExecutionResult(frozenset(lines), best, best_direct, frozenset(called), outcome, steps)

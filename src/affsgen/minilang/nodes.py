@@ -158,7 +158,7 @@ class Program:
     alt_root: "Expr | None" = field(default=None, repr=False, compare=False)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
     # the interpreter's plan, set on the first run: the compiled module, the
-    # hooks, and the hooks of runs with sides, set on the first such run
+    # hooks, and what runs with sides run on, set on the first such run
     _compiled: list | None = field(default=None, repr=False, compare=False)
     # the program's mutants, set on first use (``mutation.mutants_of``); they
     # are also its schema, the roots that its runs with sides redo (see
@@ -167,7 +167,7 @@ class Program:
 
     def __getstate__(self):
         # compiled code does not pickle; a copy compiles on its first run,
-        # side hooks included, and generates its own mutants
+        # schema shape included, and generates its own mutants
         state = {f.name: getattr(self, f.name) for f in fields(self)}
         state["_compiled"] = state["_mutants"] = None
         return (None, state)

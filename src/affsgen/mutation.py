@@ -22,8 +22,11 @@ Classification takes one call at a time (calls share no state). One schema
 run of the base program per call (Untch, Offutt and Harrold, ISSTA 1993)
 decides infection for every mutant at once: at each evaluation of a
 mutation site's statement root it redoes the root as each mutant would, in
-the same state. Its schema is the mutant list kept on the base program
-(``mutants_of``), one alternative per mutant (see ``Sides``). A mutant is
+the same state, until the mutant is infected. Its schema is the mutant list
+kept on the base program (``mutants_of``), one alternative per mutant (see
+``Sides``), and the run takes the program's schema shape, compiled from
+that list, which evaluates each root inline and calls the mutants'
+alternatives beside it (see ``interpreter``). A mutant is
 infected once a redo gives a different value or raise, and drifted when
 one agrees but takes a different number of steps. A reached mutant that is
 neither runs exactly as the base program does, so it is not run. Any other
@@ -234,7 +237,8 @@ def mutants_of(program: Program) -> list[Mutant]:
     program, so every search on it shares them. The list is also the
     program's schema: its runs with sides redo each mutant's root, keyed by
     the mutant's id (see ``Sides``). Nothing compiles here; the first
-    schema run, or ``interpreter.precompile``, builds the hooks."""
+    schema run, or ``interpreter.precompile``, compiles the program's
+    schema shape from it."""
     if program._mutants is None:
         program._mutants = generate_mutants(program)
     return program._mutants

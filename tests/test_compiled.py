@@ -1,6 +1,7 @@
 """Compiled execution against the reference tree walker, and the semantics
 that are easy to get wrong."""
 
+import collections
 import contextlib
 import pickle
 import random
@@ -18,8 +19,14 @@ from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, codegen, interpreter, parse
-from affsgen.minilang.interpreter import MAX_CALL_DEPTH, InterpConfig, Sides, execute
-from affsgen.minilang.nodes import Let, While, walk_expressions, walk_statements
+from affsgen.minilang.interpreter import (
+    MAX_CALL_DEPTH,
+    InterpConfig,
+    Sides,
+    execute,
+    precompile,
+)
+from affsgen.minilang.nodes import Assign, Let, While, walk_expressions, walk_statements
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, mutants_of
 from affsgen.testmodel import GenConfig, random_test_case
@@ -552,6 +559,142 @@ def test_a_loop_whose_control_state_repeats_is_cut_at_any_step_limit():
     killed = execute(deletion.mutated_program, "f", (0,), config)
     assert (killed.outcome, killed.steps) == (expected, limit + 1)
     assert execute(program, "f", (0,), config).outcome == Returned(10)
+
+
+# --- schema runs ---------------------------------------------------------------------
+
+
+def _schema_run(program, entry, args, config):
+    """A schema run of ``program`` and what it found, after checking both
+    against the tree walker's."""
+    ours, theirs = Sides(), Sides()
+    result = execute(program, entry, args, config, ours)
+    walked = treewalk.execute(program, entry, args, config, theirs)
+    assert (result.outcome, result.steps) == (walked.outcome, walked.steps), config
+    assert (ours.evals, ours.infected, ours.drifted) == (
+        theirs.evals, theirs.infected, theirs.drifted), config
+    return result, ours
+
+
+# calls whose loop keeps alternatives pending at every pass until the step
+# limit: i != steps in walk, k != -1 in countdown, i < n and i != n in sum_up
+_LONG_SCHEMA_RUNS = {"walk": (5, 900), "countdown": (100,), "sum_up": (800,)}
+
+
+@pytest.mark.parametrize("entry", sorted(_LONG_SCHEMA_RUNS))
+def test_schema_runs_keep_alternatives_pending_for_hundreds_of_passes(entry):
+    program = next(p for p in PROGRAMS if p.function(entry) is not None)
+    mutants = mutants_of(program)
+    # consecutive limits stop a pass before, inside and after each of its
+    # roots; walk and sum_up return within the default one
+    for limit in [*range(3_000, 3_014), 10_000]:
+        result, sides = _schema_run(program, entry, _LONG_SCHEMA_RUNS[entry],
+                                    InterpConfig(step_limit=limit))
+        if limit < 10_000:
+            assert result.outcome == Raised(ExceptionRecord("StepLimitExceeded", entry))
+        assert max(values for values, _ in sides.evals.values()) > 250
+        assert {m.mutant_id for m in mutants} - sides.infected
+
+
+# a mutation site's root that raises: some mutants there raise the same
+# error, some another one or none
+_RAISING_ROOTS = {
+    # i * 1, i / 1 and i + 0 divide by zero too; i - 1 and i + 2 index out of range
+    "div-by-zero": ("fn f(s:str, i:int, y:int){ let z = len(s[i + 1]) / y; return z; }",
+                    ("ab", 0, 0), "DivByZero"),
+    # i / 2 and 2 - 1 are in range
+    "index": ("fn f(s:str, i:int){ let c = s[i * 2]; return c; }", ("ab", 1), "IndexOutOfBounds"),
+    # y - 2 divides by zero before the bool is added
+    "type-error": ("fn f(x:int, y:int, b:bool){ let z = x / (y - 1) + b; return z; }",
+                   (7, 2, True), "TypeError"),
+    # g reaches the limit within the root's call; k - 2 divides by zero
+    "limit": ("fn g(n:int){ while (n > 0) { n = n - 1; } return n; }"
+              "fn f(n:int, k:int){ let z = g(n / (k - 1)); return z; }",
+              (10**6, 2), "StepLimitExceeded"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RAISING_ROOTS))
+def test_a_schema_run_redoes_the_alternatives_of_a_root_that_raises(case):
+    source, args, kind = _RAISING_ROOTS[case]
+    program = parse(source)
+    root = program.function("f").body[0].expr.node_id
+    at_root = {m.mutant_id for m in mutants_of(program) if m.root.node_id == root}
+    # small limits strike inside the root's own steps; in the limit case, the
+    # larger ones strike inside its call
+    for limit in [*range(1, 9), 200, 10_000]:
+        result, sides = _schema_run(program, "f", args, InterpConfig(step_limit=limit))
+        if limit >= 200:
+            assert result.outcome.record.kind == kind
+            assert sides.evals[root] == [0, 1]
+            assert 0 < len(at_root - sides.infected) < len(at_root)
+
+
+def test_a_schema_run_redoes_a_pending_call_and_a_pending_deletion():
+    # at i = 0, s - g(i) and the deletion of its statement agree with
+    # s + g(i); at i = 1 both are infected
+    program = parse("fn g(a:int){ return a * 2; }"
+                    "fn f(n:int){ let s = 0; let i = 0;"
+                    " while (i < n) { s = s + g(i); i = i + 1; } return s; }")
+    root = next(stmt.expr.node_id for stmt in walk_statements(program.function("f").body)
+                if type(stmt) is Assign and stmt.name == "s")
+    pending = {m.mutant_id for m in mutants_of(program)
+               if m.root.node_id == root and m.operator in ("aor:+->-", DELETE_ASSIGNMENT)}
+    assert len(pending) == 2
+    after_first = 0
+    # limits that stop the run anywhere in its first two passes, and none
+    for limit in [*range(1, 60), 10_000]:
+        _, sides = _schema_run(program, "f", (5,), InterpConfig(step_limit=limit))
+        if sides.evals.get(root) == [1, 0]:
+            assert not pending & sides.infected
+            after_first += 1
+    assert after_first and pending <= sides.infected
+
+
+def test_a_schema_run_redoes_an_alternative_only_until_it_is_infected(monkeypatch):
+    program = parse(next(CORPUS.glob("p11_*/fixed.minij")).read_text())
+    mutants = mutants_of(program)
+    precompile(program)
+    # count each mutant's redos: ours through its alternative in the
+    # program's plan, and the tree walker's through each mutated run it starts
+    ours, theirs = collections.Counter(), collections.Counter()
+
+    def counted(key, alternative):
+        def redo(*args):
+            ours[key] += 1
+            return alternative(*args)
+        return redo
+
+    functions, roots, redos = program._compiled[2]
+    program._compiled[2] = (functions, roots, tuple(
+        [(key, alternative and counted(key, alternative), own) for key, alternative, own in redo]
+        for redo in redos))
+    keys = {id(m.mutated_program): m.mutant_id for m in mutants}
+
+    class Walker(treewalk._Interp):
+        def __init__(self, program, config, sides=None):
+            super().__init__(program, config, sides)
+            if program.base is not None:
+                theirs[keys[id(program)]] += 1
+
+    monkeypatch.setattr(treewalk, "_Interp", Walker)
+    _, sides = _schema_run(program, "walk", (5, 10), InterpConfig())
+    assert ours == theirs
+    # the loop's condition is evaluated 11 times, and i != steps is never infected
+    condition = next(stmt.cond for stmt in program.function("walk").body if type(stmt) is While)
+    assert sides.evals[condition.node_id] == [11, 0]
+    assert [ours[m.mutant_id] for m in mutants
+            if m.root.node_id == condition.node_id and m.operator == "ror:<->!="] == [11]
+    # pos = pos + i and i = i + 1 are evaluated 10 times each; once their
+    # alternatives are all infected, their later evaluations redo nothing
+    at = collections.defaultdict(set)
+    for m in mutants:
+        at[m.root.node_id].add(m.mutant_id)
+    settled = [node for node, (values, _) in sides.evals.items()
+               if values == 10 and at[node] <= sides.infected]
+    assert len(settled) == 2
+    for node in settled:
+        assert max(ours[key] for key in at[node]) <= 2, node
 
 
 # --- whole searches --------------------------------------------------------------------

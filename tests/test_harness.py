@@ -631,6 +631,20 @@ def test_cli_generate_an_int_literal_whose_neighbour_python_cannot_read_is_exit_
     assert "integer literal of 4300 digits is too long" in capsys.readouterr().err
 
 
+def test_cli_generate_an_int_beyond_float_range_is_one_error_line_and_exit_2(tmp_path, capsys):
+    # k grows threefold until k != 0 compares it as a float (ROADMAP item 2)
+    program = tmp_path / "grows.minij"
+    program.write_text("fn f(k:int){ while (k != 0) { k = k * 3; } return k; }")
+    code = cli_main([
+        "generate", "--program", str(program), "--goal", "exceptions",
+        "--strategy", "ucb", "--budget-gens", "2", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {program}: ") and "float range" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", [
     "{not json",
     "{}",
