@@ -20,8 +20,10 @@ An ``--out`` that cannot be written exits 1 before any search runs.
 
 ``generate`` also exits 2 on a program the interpreter cannot run yet: one
 whose search compares an int beyond float range, which raises Python's
-``OverflowError`` (see ``interpreter``), with one ``error:`` line. The search stops there and
-``--out`` stays empty.
+``OverflowError`` (see ``interpreter``), with one ``error:`` line. The
+search stops there and ``--out`` is left as it was: ``generate`` writes the
+suite to a temporary file beside it and moves that into place only after a
+search that succeeds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
@@ -102,18 +106,30 @@ def _cmd_generate(args) -> int:
         print(f"error: {args.program} has no mutation sites", file=sys.stderr)
         return 2
     try:
-        out = open(args.out, "w", encoding="utf-8")
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(f"{args.out} is a directory")
+        fd, temporary = tempfile.mkstemp(dir=os.path.dirname(args.out) or ".",
+                                         prefix=f".{os.path.basename(args.out)}.", suffix=".tmp")
     except OSError as err:
         print(f"error: cannot write --out: {err}", file=sys.stderr)
         return 1
-    with out:
-        try:
-            result = run_search(program, goal, strategy, EngineConfig(budget=budget), args.seed)
-        except OverflowError as err:
-            print(f"error: {args.program}: the interpreter cannot run it yet: an int "
-                  f"outgrew float range ({err})", file=sys.stderr)
-            return 2
-        out.write(result.to_json())
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            try:
+                result = run_search(program, goal, strategy, EngineConfig(budget=budget),
+                                    args.seed)
+            except OverflowError as err:
+                print(f"error: {args.program}: the interpreter cannot run it yet: an int "
+                      f"outgrew float range ({err})", file=sys.stderr)
+                return 2
+            out.write(result.to_json())
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temporary, 0o666 & ~umask)  # as open() would have made it
+        os.replace(temporary, args.out)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
     print(f"wrote {args.out}: {len(result.final_suite)} tests, {result.generations} "
           f"generations, metrics {json.dumps(result.metrics, sort_keys=True)}")
     return 0

@@ -17,22 +17,31 @@ or a redo calls: a mutant's expression there. The emitted code runs in a
 namespace that ``interpreter`` supplies: ``E`` (the ``MiniJError``
 class), ``X`` (records the line of a group of ticks that crosses the step
 limit and returns its error), ``U`` (the value of a variable not yet
-bound), ``SD`` (the string-equality distance), ``MB`` (``merge_best``) and
+bound), ``SD`` (the string-equality distance), ``MB`` (``merge_best``),
 ``RE`` (counts a raise at a mutation site and redoes the alternatives
-pending there).
+pending there) and ``NJ`` (the jumps of a redo: none).
 
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``;
 a call made at depth ``MAX_CALL_DEPTH - 1`` raises ``StepLimitExceeded``.
-The context is ``(L, H, W)`` in lean code, ``(L, P, V, Z)`` in the schema
-shape and ``(L, LA, BB, BD, CA)`` in instrumented code: the step limit and
-either the hooks (root node id to a function that evaluates that root, or
-None where a deleted assignment skips its statement) and the run's
-``Sides`` (None in a run without them; only hooks read it), or the run's
-pending alternatives at each mutation site, its evaluation counts and its
-``Sides``, or the line recorder, the best branch distances over all frames
-and over the entry frame (``D == 0``), and the call recorder. An
-in-language failure raises ``E`` carrying the step count.
+The context is ``(L, H, W, J)`` in lean code, ``(L, P, V, Z)`` in the
+schema shape and ``(L, LA, BB, BD, CA)`` in instrumented code: the step
+limit and either the hooks (root node id to a function that evaluates that
+root, or None where a deleted assignment skips its statement), the run's
+``Sides`` (None in a run without them; only hooks read it) and the running
+program's loop jumps (see below), or the run's pending alternatives at each
+mutation site, its evaluation counts and its ``Sides``, or the line
+recorder, the best branch distances over all frames and over the entry
+frame (``D == 0``), and the call recorder. An in-language failure raises
+``E`` carrying the step count.
+
+Kinds are checked at run time only where the program's ``Analysis`` does
+not prove them. A variable, or a call's return, whose kind it proves for
+the program and every mutant of it is read as that kind, in every shape
+and in every alternative, so the code of a well-kinded program calls no
+``type()`` at all. A read that may find its variable unbound keeps its
+``is U`` guard, and a comparison of two numbers still converts both to
+floats, folding an int literal's conversion into the code.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -42,23 +51,34 @@ past it, with the step count at the limit plus one. A statement's tick is
 the first of its group, so a group records at most one line, and only if
 that tick lies within the limit.
 
-Loops that provably never end are cut short, exactly, in lean code run
-without sides (``W is None``): kill runs, and the redos of a schema run.
+Loops that provably run until the step limit are cut short, exactly, in
+lean code run without sides (``W is None``): kill runs, and the redos of a
+schema run. Runs with sides are never cut, since they count every
+evaluation of a root, so the schema shape has no such check; neither are
+traced runs. A loop is cut in one of two ways.
+
+As it starts, a loop the analysis lists (``Analysis.loops``) calls the
+running program's jump for it, if ``J`` holds one: the loop's body then
+moves each variable of its condition, a comparison of affine ints, by a
+fixed amount per pass, and the jump raises the run's ``StepLimitExceeded``
+at once when the condition provably holds on every pass up to the limit
+(``analysis.Jump``). A redo's ``J`` is empty.
+
 Past ``CYCLE_CHECK_AFTER`` steps of such a run, every loop head compares
 the loop's control state with a saved one, by Brent's cycle detection (BIT
-1980) on loop-head snapshots as in Jolt (Carbin et al., ECOOP 2011). Runs
-with sides are never cut, since they count every evaluation of a root, so
-the schema shape has no such check; neither are traced runs: none of the
-traced runs that reach the step limit on the benchmark repeats a state.
-  * The control state is the values and kinds of the loop's control slice,
-    and the kinds of the other variables the loop assigns. Variables it
-    does not assign keep their values while it runs.
-  * The slice (``_control_slice``) is the assigned variables that appear in
-    a condition, a comparison or ``and``/``or`` operand, an index or call
-    argument, or on the right of an arithmetic operator (a divisor, or one
-    under a mutant's operator), closed over the loop's assignments. Mutants
-    only change operators and constants or delete an assignment, so one
-    slice per loop holds for every mutated program on the lean code.
+1980) on loop-head snapshots as in Jolt (Carbin et al., ECOOP 2011).
+  * The control state is the values of the loop's control slice, and the
+    kinds of the variables the loop assigns whose kinds the analysis does
+    not prove. A variable of a proven kind holds that kind whenever it is
+    bound, and whether it is bound yet cannot matter: a period that read
+    it unbound would have raised. Variables the loop does not assign keep
+    their values while it runs.
+  * The slice (``analysis.control_slice``) is the assigned variables that
+    appear in a condition, a comparison or ``and``/``or`` operand, an index
+    or call argument, or on the right of an arithmetic operator (a divisor,
+    or one under a mutant's operator), closed over the loop's assignments.
+    Mutants only change operators and constants or delete an assignment,
+    so one slice per loop holds for every mutated program on the lean code.
   * The cut is exact because nothing outside the state can change the
     loop's control flow, step count or raises: on the kinds the state
     fixes, what a variable outside the slice can meet (int ``+``, ``-``
@@ -84,6 +104,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from affsgen.minilang.analysis import Analysis, control_slice, variables
 from affsgen.minilang.interpreter import (
     DIV_BY_ZERO,
     EXPLICIT_THROW,
@@ -93,7 +114,6 @@ from affsgen.minilang.interpreter import (
     TYPE_ERROR,
 )
 from affsgen.minilang.nodes import (
-    ARITHMETIC_OPS,
     Assign,
     Binary,
     BoolLit,
@@ -114,8 +134,6 @@ from affsgen.minilang.nodes import (
     Unary,
     Var,
     While,
-    statement_expressions,
-    walk_expressions,
     walk_statements,
 )
 
@@ -159,50 +177,20 @@ def _is_boolean(expr: Expr) -> bool:
             or (cls is Unary and expr.op == "not"))
 
 
-def _variables(expr: Expr) -> set[str]:
-    return {e.name for e in walk_expressions(expr) if type(e) is Var}
-
-
-def _control_slice(loop: While) -> tuple[list[str], set[str]]:
-    """The variables ``loop`` assigns, sorted, and those of them in its
-    control slice, whose values can change the loop's control flow, step
-    count or raises (see the module docstring)."""
-    slice_: set[str] = set()
-    assignments = []
-    for stmt in walk_statements([loop]):
-        if type(stmt) in (Let, Assign):
-            assignments.append((stmt.name, _variables(stmt.expr)))
-        elif type(stmt) in (If, While):
-            slice_ |= _variables(stmt.cond)
-        for root in statement_expressions(stmt):
-            for expr in walk_expressions(root):
-                cls = type(expr)
-                if cls is Binary and expr.op in ARITHMETIC_OPS:
-                    slice_ |= _variables(expr.rhs)
-                elif cls is Binary or cls is Index or cls is Call:
-                    slice_ |= _variables(expr)
-    grown = True
-    while grown:
-        grown = False
-        for name, needs in assignments:
-            if name in slice_ and not needs <= slice_:
-                slice_ |= needs
-                grown = True
-    assigned = sorted({name for name, _ in assignments})
-    return assigned, slice_ & set(assigned)
-
-
 def _literal(value) -> str:
     return f"({value!r})" if type(value) is int and value < 0 else repr(value)
 
 
 class _Module:
-    """Shared state of one program's generation: function indices, roots, and
-    the schema shape's mutation sites (root node id to its index)."""
+    """Shared state of one program's generation: function indices, the
+    program's ``Analysis``, roots, and the schema shape's mutation sites
+    (root node id to its index)."""
 
-    def __init__(self, program: Program, sites: dict[int, int] | None = None):
+    def __init__(self, program: Program, analysis: Analysis,
+                 sites: dict[int, int] | None = None):
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
         self.params = {fn.name: fn.params for fn in program.functions}
+        self.analysis = analysis
         self.roots: dict[int, RootInfo] = {}
         self.sites = sites or {}
 
@@ -217,6 +205,7 @@ class _Code:
         self.shape = shape
         self.instrumented = shape == "I"
         self.names = names
+        self.known = module.analysis.known[fname]  # MiniJ variable -> its proven kind, or None
         self.defined = set(defined)
         self.lines: list[str] = []
         self.depth = 1
@@ -319,7 +308,7 @@ class _Code:
             if local not in self.defined:
                 self.flush()
                 self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
-            return local, None
+            return local, self.known.get(expr.name)
         if cls is Unary:  # neg
             o, kind = self.value(expr.operand)
             self.flush()
@@ -382,20 +371,21 @@ class _Code:
         self.emit(f"if ({l} >= 0) != ({r} >= 0): {t} = -{t}")
         return t, "int"
 
-    def call(self, expr: Call) -> tuple[str, None]:
+    def call(self, expr: Call) -> tuple[str, str | None]:
         args = [self.value(a) for a in expr.args]
         self.flush()
         self.emit(f"if D >= {MAX_CALL_DEPTH - 1}: "
                   f"{self.raise_(STEP_LIMIT_EXCEEDED, fname=repr(expr.name))}")
         params = self.module.params[expr.name]
+        returns = self.module.analysis.known_returns[expr.name]
         t = self.kinds([(o, kind, want) for (o, kind), (_, want) in zip(args, params)])
         if t is None:
-            return "U", None
+            return "U", returns
         if self.instrumented:
             self.emit(f"CA({expr.name!r})")
         values = "".join(f", {o}" for o, _ in args)
         self.emit(f"{t}, S = {self.shape}{self.module.index[expr.name]}(C, S, D + 1{values})")
-        return t, None
+        return t, returns
 
     def cond(self, expr: Expr) -> str:
         """Evaluate ``expr`` as a predicate's value, which must be a bool."""
@@ -484,7 +474,7 @@ class _Code:
         def numbers():
             # ints and bools compare as floats: exact up to 2**53
             a, b = self.temp(), self.temp()
-            self.emit(f"{a} = float({l}); {b} = float({r})")
+            self.emit(f"{a} = {_float(expr.lhs, l)}; {b} = {_float(expr.rhs, r)}")
             if dist is None:
                 self.emit(f"{t} = {a} {op} {b}")
                 return
@@ -554,7 +544,7 @@ class _Code:
             self.flush()
             return
         node = expr.node_id
-        params = sorted(self.names[n] for n in _variables(expr) if n in self.names)
+        params = sorted(self.names[n] for n in variables(expr) if n in self.names)
         target = -1
         if assign is not None:
             local = self.names[assign.name]
@@ -615,7 +605,7 @@ class _Code:
         self.depth += 1
         self.emit("y = 0")
         self.emit(f"for m, a, o in P[{site}]:")
-        redo = [f"try: w, s = a((L, o, None), B, D{args})", "except E: w = None"]
+        redo = [f"try: w, s = a((L, o, None, NJ), B, D{args})", "except E: w = None"]
         if target >= 0:
             redo = [f"if a is None: w = {params[target]}; s = S", "else:"] + [" " + r for r in redo]
         for line in redo + [
@@ -687,6 +677,7 @@ class _Code:
             self.flush()  # the loop head is a join point
             before = set(self.defined)
             if self.shape == "K":
+                self.jump(stmt)
                 checks = self.temp()
                 self.emit(f"{checks} = 0")
             self.emit("while True:")
@@ -702,20 +693,35 @@ class _Code:
             return False
         raise TypeError(f"unknown statement node {stmt!r}")
 
+    def jump(self, loop: While) -> None:
+        """As a lean loop starts in a run without sides, the jump of the
+        running program's version of it, if it has one: ``J`` maps the loop's
+        branch id to a function of the step count, the limit and the loop's
+        variables that raises the run's ``StepLimitExceeded`` when the loop
+        provably passes its condition on every pass up to the limit (see
+        ``analysis.Jump``). Only loops the analysis lists may jump."""
+        found = self.module.analysis.loops.get(loop.branch_id)
+        if found is not None:
+            b = loop.branch_id
+            values = "".join(f", {self.names[n]}" for n in found[1])
+            self.emit(f"if W is None and {b} in J: J[{b}](S, L{values})")
+
     def cycle_check(self, loop: While, checks: str) -> None:
         """At a lean loop head past ``CYCLE_CHECK_AFTER`` steps of a run
         without sides, Brent's cycle detection on the loop's control state:
-        the values and kinds of the variables of its control slice, and the
-        kinds of the other variables it assigns. The state is saved at the
-        1st, 2nd, 4th, ... check (``checks`` counts them) and every later
-        check compares against it, values first, so that a state that moves
-        on fails at its first item. Once it repeats after P steps, every
-        later period repeats it too, so whole periods are added to S up to
-        the limit and the run goes on to cross it as it would have."""
-        assigned, slice_ = _control_slice(loop)
+        the values of the variables of its control slice, and the kinds of
+        the variables it assigns whose kinds are not proven. The state is
+        saved at the 1st, 2nd, 4th, ... check (``checks`` counts them) and
+        every later check compares against it, values first, so that a
+        state that moves on fails at its first item. Once it repeats after P
+        steps, every later period repeats it too, so whole periods are added
+        to S up to the limit and the run goes on to cross it as it would
+        have."""
+        assigned, slice_ = control_slice(loop)
         # (expression, saved copy) pairs; kinds compare by identity
         state = [(self.names[n], self.temp()) for n in assigned if n in slice_]
-        kinds = [(f"type({self.names[n]})", self.temp()) for n in assigned]
+        kinds = [(f"type({self.names[n]})", self.temp()) for n in assigned
+                 if self.known.get(n) is None]
         at = self.temp()
         same = [f"{v} == {t}" for v, t in state] + [f"{k} is {t}" for k, t in kinds]
         save = "".join(f"{t} = {v}; " for v, t in state + kinds)
@@ -725,6 +731,17 @@ class _Code:
         self.emit(f"{checks} += 1")
         self.emit(f"if not {checks} & ({checks} - 1): {save}{at} = S")
         self.depth -= 1
+
+
+def _float(expr: Expr, operand: str) -> str:
+    """``operand``, the value of ``expr``, as a float: an int literal's is
+    folded in, unless ``float()`` would overflow, as it must at run time."""
+    if type(expr) is IntLit:
+        try:
+            return repr(float(expr.value))
+        except OverflowError:
+            pass
+    return f"float({operand})"
 
 
 def _locals(fn: FunctionDef) -> dict[str, str]:
@@ -738,10 +755,10 @@ def _locals(fn: FunctionDef) -> dict[str, str]:
 
 
 # how each shape's functions unpack their run's context
-_CONTEXTS = {"I": "L, LA, BB, BD, CA = C", "K": "L, H, W = C", "Q": "L, P, V, Z = C"}
+_CONTEXTS = {"I": "L, LA, BB, BD, CA = C", "K": "L, H, W, J = C", "Q": "L, P, V, Z = C"}
 
 
-def program_source(program: Program, shape: str,
+def program_source(program: Program, shape: str, analysis: Analysis,
                    sites: tuple[int, ...] = ()) -> tuple[str, dict[int, RootInfo]]:
     """The Python source of one shape of a program's functions, and what
     each statement root's hook sees (lean code only: the other shapes have
@@ -750,7 +767,7 @@ def program_source(program: Program, shape: str,
     mutation sites are the roots ``sites`` lists, by index. A module may
     hold schema shapes for several lists of sites, so their functions are
     closures, made by a function ``Q`` that returns them in order."""
-    module = _Module(program, {node: i for i, node in enumerate(sites)})
+    module = _Module(program, analysis, {node: i for i, node in enumerate(sites)})
     sources = []
     for i, fn in enumerate(program.functions):
         names = _locals(fn)
@@ -771,10 +788,11 @@ def program_source(program: Program, shape: str,
     return source + "\n", module.roots
 
 
-def root_source(name: str, info: RootInfo, expr: Expr, program: Program) -> str:
+def root_source(name: str, info: RootInfo, expr: Expr, program: Program,
+                analysis: Analysis) -> str:
     """A lean function ``name`` evaluating ``expr`` at the root ``info``
     describes, with that root's statement already ticked."""
-    code = _Code(_Module(program), info.function, "K", info.names, info.defined)
+    code = _Code(_Module(program, analysis), info.function, "K", info.names, info.defined)
     result = code.cond(expr) if info.cond else code.value(expr)[0]
     code.flush()
     code.emit(f"return ({result}, S)")

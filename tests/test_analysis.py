@@ -1,0 +1,133 @@
+"""The static analysis of base programs on its own: kinds, and which loops
+may jump."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import treewalk
+from affsgen.minilang import parse
+from affsgen.minilang.analysis import Analysis
+from affsgen.minilang.interpreter import InterpConfig, kind_of
+from affsgen.minilang.nodes import Assign, Let
+from affsgen.mutation import generate_mutants
+from test_compiled import _ProgramWriter, _arguments
+
+INT, STR = frozenset(["int"]), frozenset(["str"])
+
+
+def test_a_difference_of_strs_may_be_a_str_under_the_arithmetic_operator_mutant():
+    analysis = Analysis(parse("fn f(s:str, t:str){ let u = s - t; return u; }"))
+    # the base always raises at s - t, but s + t is a str
+    assert analysis.variables["f"]["u"] == STR
+    assert analysis.returns["f"] == STR
+    assert analysis.known["f"] == {"s": "str", "t": "str", "u": "str"}
+
+
+def test_arithmetic_on_mixed_kinds_gives_no_value():
+    analysis = Analysis(parse("fn f(s:str, x:int, b:bool){ let u = s + x; let v = b * b;"
+                              " let w = x / x; return w; }"))
+    assert "u" not in analysis.variables["f"] and "v" not in analysis.variables["f"]
+    assert analysis.known["f"]["w"] == "int"
+
+
+def test_a_parameter_reassigned_to_another_kind_becomes_unknown():
+    analysis = Analysis(parse('fn f(x:int, y:int){ if (x > 0) { x = "a"; } y = y + 1;'
+                              " return x; }"))
+    assert analysis.variables["f"]["x"] == INT | STR
+    assert analysis.known["f"] == {"x": None, "y": "int"}
+    assert analysis.known_returns["f"] is None
+
+
+def test_comparisons_and_not_are_bools_and_constants_ints():
+    analysis = Analysis(parse('fn f(s:str, x:int){ let a = s == "q"; let b = not a;'
+                              " let c = x < 3 and b; let d = -x; let e = len(s); let g = s[0];"
+                              " return c; }"))
+    assert analysis.known["f"] == {"s": "str", "x": "int", "a": "bool", "b": "bool",
+                                   "c": "bool", "d": "int", "e": "int", "g": "str"}
+
+
+def test_recursion_reaches_a_fixpoint():
+    analysis = Analysis(parse(
+        "fn f(n:int){ if (n > 0) { return f(n - 1) + 1; } return 0; }"
+        'fn g(n:int){ if (n > 0) { return h(n - 1); } return "done"; }'
+        "fn h(n:int){ let r = g(n); return r; }"))
+    assert analysis.returns == {"f": INT, "g": STR, "h": STR}
+    assert analysis.known["h"]["r"] == "str"
+
+
+def test_a_body_that_may_fall_off_its_end_returns_int():
+    analysis = Analysis(parse(
+        'fn f(s:str){ if (len(s) > 0) { return s; } }'
+        'fn g(s:str){ if (len(s) > 0) { return s; } else { throw "e"; } }'
+        'fn h(b:bool){ while (b) { return "x"; } }'
+        "fn k(b:bool){ }"))
+    assert analysis.returns == {"f": INT | STR, "g": STR, "h": INT | STR, "k": INT}
+
+
+def _within(mutated: Analysis, analysis: Analysis) -> bool:
+    """Whether every kind ``mutated`` finds, ``analysis`` allows."""
+    return all(kinds <= analysis.variables[f].get(v, frozenset())
+               for f, bound in mutated.variables.items() for v, kinds in bound.items()) and all(
+        kinds <= analysis.returns[f] for f, kinds in mutated.returns.items())
+
+
+def test_no_mutant_has_a_kind_its_base_program_does_not_allow():
+    # a deleted assignment keeps y's old value, an int, and s - t may be s + t
+    program = parse('fn f(x:int, s:str){ let y = x; y = y + 1; let t = s - "a";'
+                    " if (y > 2) { return t; } return y * 2; }")
+    analysis = Analysis(program)
+    assert analysis.known["f"] == {"x": "int", "s": "str", "y": "int", "t": "str"}
+    assert analysis.returns["f"] == INT | STR
+    for mutant in generate_mutants(program):
+        assert _within(Analysis(mutant.mutated_program), analysis), mutant.operator
+
+
+def test_only_loops_a_mutant_may_jump_are_listed():
+    analysis = Analysis(parse(
+        "fn f(i:int, n:int, b:bool){"
+        "  let s = 0; let t = true;"
+        "  while (not (i * 2 < n)) { s = s + i; i = i / 1; }"  # / may become +
+        "  while (i < n) { if (b) { i = i + 1; } }"  # a statement that is not an assignment
+        "  while (i < n) { s = s + len(\"ab\"[0]); i = i + 1; }"  # an index
+        "  while (i < n and b) { i = i + 1; }"  # not one comparison
+        "  while (i < n) { let z = 1; i = i + z; }"  # z is not bound at the head
+        "  while (t != b) { i = i + 1; }"  # compares bools
+        "  while (i < n) { t = t == b; }"  # a comparison in the body
+        "  return s; }"))
+    assert analysis.loops == {0: ("f", ("i", "n", "s"))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_value_a_mutant_binds_or_returns_has_a_kind_the_analysis_allows(seed):
+    rng = random.Random(seed)
+    writer = _ProgramWriter(rng)
+    program = parse(writer.program())
+    analysis = Analysis(program)
+
+    class Checked(treewalk._Interp):
+        """Checks each value a let, an assignment or a call gives."""
+
+        def _exec_stmt(self, stmt, env, fname, depth):
+            super()._exec_stmt(stmt, env, fname, depth)
+            if type(stmt) in (Let, Assign):
+                assert kind_of(env[stmt.name]) in analysis.variables[fname][stmt.name], stmt
+
+        def _call(self, name, args, caller, depth, site):
+            value = super()._call(name, args, caller, depth, site)
+            assert kind_of(value) in analysis.returns[name], name
+            return value
+
+    for run in [program] + [m.mutated_program for m in generate_mutants(program)]:
+        if run is not program:
+            assert _within(Analysis(run), analysis)
+        for i, kinds in enumerate(writer.signatures):
+            fn = run.function(f"f{i}")
+            args = _arguments(rng, kinds)
+            interp = Checked(run, InterpConfig(step_limit=rng.choice([20, 200])))
+            try:
+                # the entry call, whose return is checked as a call's is
+                interp._call(fn.name, list(args), fn.name, -1, -1)
+            except (treewalk.MiniJError, OverflowError):
+                pass

@@ -19,6 +19,7 @@ from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, codegen, interpreter, parse
+from affsgen.minilang.analysis import Analysis
 from affsgen.minilang.interpreter import (
     MAX_CALL_DEPTH,
     InterpConfig,
@@ -351,13 +352,46 @@ def test_a_copy_of_a_program_generates_its_own_mutants():
     assert ours.evals and ours.infected
 
 
+def test_no_corpus_program_or_alternative_checks_a_kind_at_run_time():
+    # every variable and return of the corpus has one proven kind, so its
+    # code calls no type(): a check left in means the analysis fell back to
+    # an unknown kind, and costs time on every pass of a loop
+    for program in PROGRAMS:
+        analysis = Analysis(program)
+        assert "type(" not in codegen.program_source(program, "I", analysis)[0]
+        sites = tuple({m.mutated_program.root_id: 0 for m in mutants_of(program)})
+        schema = codegen.program_source(program, "Q", analysis, sites)[0]
+        # a redo compares its value's type with the root's, which is no kind check
+        assert "type(" not in schema.replace("type(w) is not type(", "")
+        source, roots = codegen.program_source(program, "K", analysis)
+        assert "type(" not in source, program.source_id
+        for mutant in mutants_of(program):
+            mutated = mutant.mutated_program
+            if mutated.alt_root is not None:
+                source = codegen.root_source("A", roots[mutated.root_id], mutated.alt_root,
+                                             program, analysis)
+                assert "type(" not in source, (program.source_id, mutant.operator)
+
+
+def test_a_comparison_folds_an_int_literal_into_a_float_unless_it_overflows():
+    # float() of a 400-digit literal overflows, and must still do so at run time
+    program = parse("fn f(x:int){ if (x < 3) { return 1; }"
+                    " if (x > " + "1" * 400 + ") { return 2; } return 0; }")
+    lean = codegen.program_source(program, "K", Analysis(program))[0]
+    assert "float(3)" not in lean and "= 3.0" in lean
+    assert f"float({'1' * 400})" in lean
+    assert execute(program, "f", (1,)).outcome == Returned(1)
+    assert _run(execute, program, "f", (5,)) == "OverflowError"
+
+
 # --- CPython's limits and the stack --------------------------------------------------
 
 
 def _chain() -> str:
     """A right-nested and/or chain MAX_EXPR_DEPTH high. Its leaves are
-    comparisons, a bool parameter and calls; the generated code knows the
-    kind of neither of the last two. With ``p`` true it holds for x >= 1."""
+    comparisons, a bool parameter and calls, whose kind the generated code
+    does not know: as far as the analysis can tell, ``h`` may return an int.
+    With ``p`` true it holds for x >= 1."""
     leaves = ("(x > 0)", "p", "h(x)")
     chain = "(x > 0)"
     for i in range(MAX_EXPR_DEPTH - 2):
@@ -384,7 +418,7 @@ def _deepest_program(block: str = "while", bottom: str = "if") -> str:
     for i in range(MAX_BLOCK_DEPTH - (2 if bottom in ("if", "while") else 1)):
         kind = ("while", "if")[i % 2] if block == "mix" else block
         body = f"{kind} (x > 0) {{ {body} }}"
-    return ("fn h(x:int){ return x > 0; }"
+    return ("fn h(x:int){ let r = 0; r = x > 0; return r; }"
             f"fn g(x:int, p:bool){{ let y = false; {body} return 0; }}"
             "fn f(x:int, p:bool){ return g(x, p); }")
 
@@ -444,8 +478,10 @@ def test_interp_config_rejects_bad_values(interp):
 # --- loops cut short --------------------------------------------------------------
 
 # how a loop's control variable i moves: stuck four ways (the last has no
-# step at all), diverging, or counting up to the loop's end
-_CONTROL_STEPS = ["i = i * 1;", "i = i / 1;", "i = i + 0;", "", "i = i - 1;", "i = i + 1;"]
+# step at all), diverging, counting up to the loop's end, or counting up
+# past an end that != never meets
+_CONTROL_STEPS = ["i = i * 1;", "i = i / 1;", "i = i + 0;", "", "i = i - 1;", "i = i + 1;",
+                  "i = i + 3;"]
 # statements around the control step: accumulators outside the control slice;
 # an int that becomes a bool (``x * 2`` raises then, though ``x == 1`` still
 # holds); k, which the base only adds but a mutant divides by; p, which
@@ -488,7 +524,8 @@ def _endless_loop(rng: random.Random) -> str:
     warm-up past ``CYCLE_CHECK_AFTER`` steps or none."""
     body = rng.sample(_LOOP_STATEMENTS, rng.randint(1, 4))
     body.insert(rng.randint(0, len(body)), rng.choice(_CONTROL_STEPS))
-    cond = rng.choice(["i < 10", "i != 10", "(i < 10 and x == 1)", "(x == 1 or i < 10)"])
+    cond = rng.choice(["i < 10", "i != 10", "(i < 10 and x == 1)", "(x == 1 or i < 10)",
+                       "not (i >= 10)", "i - k < 10"])
     return _loop_program(rng.choice([0, 300]), cond, " ".join(body))
 
 
@@ -524,6 +561,10 @@ _CUT_CASES = {
     "call-argument": ("i < 10", "i = i * 1; n = g(k, t); k = k - 1;"),
     # w stays 0 until q reaches 400; only the closure puts q in the slice
     "closure": ("i != 10", "i = i / 1; w = q / 400; q = q + 7; if (w > 0) { n = g(w, t); }"),
+    # loops that never repeat a state, and jump instead (see analysis.Jump):
+    # i falls forever, and i + 3 never meets 10
+    "jump-diverging": ("i < 10", "n = n + 1; i = i - 1;"),
+    "jump-not-divisible": ("i != 10", 's = s + "a"; acc = acc + k; i = i + 3;'),
 }
 
 
@@ -558,6 +599,72 @@ def test_a_loop_whose_control_state_repeats_is_cut_at_any_step_limit():
     expected = Raised(ExceptionRecord("StepLimitExceeded", "f"))
     killed = execute(deletion.mutated_program, "f", (0,), config)
     assert (killed.outcome, killed.steps) == (expected, limit + 1)
+    assert execute(program, "f", (0,), config).outcome == Returned(10)
+
+
+# --- loops that jump to the step limit -----------------------------------------------
+
+# loops whose kill runs may jump (see analysis.Jump), with calls that leave
+# the loop and calls that run until the step limit. The first statement of
+# each program's f has mutants that run the loop as it is
+_JUMPS = {
+    # i != n holds until i meets n when 3 divides n - i, and forever
+    # otherwise; i == n, a mutant's, holds for one pass at most
+    "not-equal": ("fn f(i:int, n:int){ let s = 0; while (i != n) { s = s + i; i = i + 3; }"
+                  " return s; }", [(0, 30), (1, 30), (40, 31), (30, 30)]),
+    # an ordered comparison under a not, with a loop-invariant step d that
+    # is not a constant, and none when d is 0; the loop ends g, which
+    # returns to f without a step of its own
+    "ordered": ('fn g(i:int, n:int, d:int){ let s = ""; while (not (2 * i >= n + 1))'
+                ' { s = s + "a"; i = i + d; } }'
+                "fn f(i:int, n:int, d:int){ let m = 0; let r = g(i, n, d); return r + m; }",
+                [(0, 40, 1), (0, 40, 0), (5, 40, -2)]),
+    # floats compare ints beyond 2**53 inexactly: as ints, i passes n = 2**53
+    # from 2**53 - 99, but as floats it meets n at i = 2**53 + 1
+    "near-2**53": ("fn f(i:int, n:int){ let m = 0; while (i != n) { i = i + 2; }"
+                   " return i + m; }",
+                   [(2**53 - 99, 2**53), (2**53 - 100, 2**53), (-2**53 + 1, -2**53 + 41)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JUMPS))
+def test_loops_that_jump_run_as_the_tree_walker_does_at_consecutive_limits(case):
+    source, calls = _JUMPS[case]
+    program = parse(source)
+    # the loop's mutants, among them some that make the step zero or flip
+    # its sign, and those of f's first statement
+    loop = next(stmt for fn in program.functions for stmt in fn.body if type(stmt) is While)
+    sites = {stmt.line_id for stmt in walk_statements([loop])}
+    sites.add(program.function("f").body[0].line_id)
+    mutants = [m for m in mutants_of(program) if m.site in sites]
+    for args in calls:
+        _assert_same_runs(program, "f", args, InterpConfig(step_limit=600), mutants)
+        for mutant in mutants:
+            # every limit within two passes of where the run leaves the
+            # loop, or of the limit of 600 where it does not
+            walked = treewalk.execute(mutant.mutated_program, "f", args,
+                                      InterpConfig(step_limit=600))
+            end = walked.steps if type(walked.outcome) is Returned else 600
+            for limit in range(max(1, end - 24), end + 3):
+                config = InterpConfig(step_limit=limit)
+                killed = execute(mutant.mutated_program, "f", args, config)
+                walked = treewalk.execute(mutant.mutated_program, "f", args, config)
+                assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps), (
+                    mutant.operator, args, limit)
+
+
+def test_a_loop_that_never_repeats_a_state_jumps_to_any_step_limit():
+    program = parse("fn f(i:int) { let n = 0; while (i < 10) { n = n + 1; i = i + 1; }"
+                    " return n; }")
+    step = program.function("f").body[1].body[1]
+    # i falls on every pass, so no cycle check can cut the loop
+    falling = next(m for m in generate_mutants(program)
+                   if m.site == step.line_id and m.operator == "aor:+->-")
+    limit = 10**12  # far more steps than a run could take one at a time
+    config = InterpConfig(step_limit=limit)
+    killed = execute(falling.mutated_program, "f", (0,), config)
+    assert (killed.outcome, killed.steps) == (Raised(ExceptionRecord("StepLimitExceeded", "f")),
+                                              limit + 1)
     assert execute(program, "f", (0,), config).outcome == Returned(10)
 
 

@@ -631,18 +631,42 @@ def test_cli_generate_an_int_literal_whose_neighbour_python_cannot_read_is_exit_
     assert "integer literal of 4300 digits is too long" in capsys.readouterr().err
 
 
-def test_cli_generate_an_int_beyond_float_range_is_one_error_line_and_exit_2(tmp_path, capsys):
-    # k grows threefold until k != 0 compares it as a float (ROADMAP item 2)
+def _grows(tmp_path) -> list:
+    """``generate`` arguments for a program whose search overflows; k grows
+    threefold until k != 0 compares it as a float (ROADMAP item 2)."""
     program = tmp_path / "grows.minij"
     program.write_text("fn f(k:int){ while (k != 0) { k = k * 3; } return k; }")
-    code = cli_main([
-        "generate", "--program", str(program), "--goal", "exceptions",
-        "--strategy", "ucb", "--budget-gens", "2", "--out", str(tmp_path / "s.json"),
-    ])
-    assert code == 2
+    return ["generate", "--program", str(program), "--goal", "exceptions",
+            "--strategy", "ucb", "--budget-gens", "2", "--out", str(tmp_path / "s.json")]
+
+
+def test_cli_generate_an_int_beyond_float_range_is_one_error_line_and_exit_2(tmp_path, capsys):
+    assert cli_main(_grows(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {program}: ") and "float range" in err
+    assert err.startswith(f"error: {tmp_path / 'grows.minij'}: ") and "float range" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # no --out, and no temporary file, is left behind
+    assert [path.name for path in tmp_path.iterdir()] == ["grows.minij"]
+
+
+def test_cli_generate_leaves_an_existing_out_as_it_was_when_the_search_fails(tmp_path):
+    out = tmp_path / "s.json"
+    out.write_text("an earlier suite")
+    assert cli_main(_grows(tmp_path)) == 2
+    assert out.read_text() == "an earlier suite"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["grows.minij", "s.json"]
+
+
+def test_cli_generate_replaces_an_existing_out_after_a_search(tmp_path):
+    out = tmp_path / "suite.json"
+    out.write_text("an earlier suite")
+    code = cli_main([
+        "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
+        "--goal", "exceptions", "--strategy", "ucb", "--budget-gens", "2", "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(out.read_text())["goal"] == "exceptions"
+    assert [path.name for path in tmp_path.iterdir()] == ["suite.json"]
 
 
 @pytest.mark.parametrize("text", [
@@ -668,6 +692,18 @@ def test_cli_generate_with_an_out_in_a_missing_directory_is_exit_1(tmp_path, cap
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot write --out: ")
     assert started == []
+
+
+def test_cli_generate_with_an_out_that_is_a_directory_is_exit_1(tmp_path, capsys, monkeypatch):
+    started = _no_search(monkeypatch)
+    code = cli_main([
+        "generate", "--program", str(CORPUS / "p04_guarded_divide" / "fixed.minij"),
+        "--goal", "exceptions", "--strategy", "ucb", "--budget-gens", "3",
+        "--out", str(tmp_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot write --out: ")
+    assert started == [] and list(tmp_path.iterdir()) == []
 
 
 def test_cli_experiment_with_an_out_that_is_a_file_is_exit_1(tmp_path, capsys, monkeypatch):
