@@ -10,9 +10,9 @@ Everything that depends only on a program is built once per experiment and
 shared by its trials: each fixed program keeps its mutants, which are
 also its schema, on itself (``mutation.mutants_of``), and each program its
 compiled code, the schema shape of its runs with sides included. Before a
-pool starts, the parent compiles every pair's programs and the fixed
-program's schema shape (``interpreter.precompile``); building it compiles
-every mutant, so forked workers inherit it all and compile nothing. A
+pool starts, the parent compiles every pair's programs, and the fixed
+program's lean code, schema shape and mutants (``interpreter.precompile``),
+so forked workers inherit it all and compile nothing. A
 serial run compiles lazily. The pool's initializer hands each worker the
 parsed pairs once, and a job names its pair by index.
 """
@@ -280,9 +280,9 @@ def _trial_job(args) -> dict:
 
 def _precompile(pairs: list[FaultPair]) -> None:
     """Compile everything the pairs' trials run: both programs' traced code,
-    and the fixed program's lean code and schema shape, whose building
-    compiles every mutant (a deleted assignment compiles nothing). Each
-    fixed program's mutants, and so its schema, are generated already."""
+    and the fixed program's lean code, schema shape and every mutant's
+    alternative (a deleted assignment has none). Each fixed program's
+    mutants, and so its schema, are generated already."""
     for pair in pairs:
         precompile(pair.fixed_program)
         precompile(pair.faulty_program)

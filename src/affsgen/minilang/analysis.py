@@ -1,8 +1,9 @@
 """Static facts about a base program, found once per compiled module.
 
-``Analysis`` holds three kinds of fact, each sound for the base program and
+``Analysis`` holds four kinds of fact, each sound for the base program and
 for every mutant of it, so that the lean code all mutants share may rely on
-them without knowing the mutant list.
+them without knowing the mutant list. It is the one place each is decided;
+``codegen`` only reads them.
 
 Kinds. For each function, the kinds (``int``, ``bool``, ``str``) that each
 variable may hold once bound and that the function may return, found
@@ -16,8 +17,14 @@ deleted assignment adds no kind. A parameter's declared kind, which every
 call checks, is joined with its assignments, and a function whose body may
 fall off its end also returns int 0. A variable or return with exactly one
 kind is proven to hold it, and ``codegen`` emits no kind check there.
-Whether a read may find its variable unbound is a separate, flow-sensitive
-question, which ``codegen`` answers as it emits code.
+
+Definite assignment (as in Java's, JLS ch. 16). Before each statement, the
+variables surely bound there (``bound``): the parameters, and each ``let``
+on every path to the statement, where a branch that always returns or
+throws is no path. Only a ``let`` counts: an assignment never binds a
+variable that was not bound, since it raises then. No mutant deletes a
+``let``, so the sets hold for every mutant, and ``codegen`` drops the
+unbound check of a read of a variable bound there.
 
 Control slices (``control_slice``), which the lean loops' cycle checks
 compare (see ``codegen``).
@@ -25,21 +32,21 @@ compare (see ``codegen``).
 Jumps. A lean kill run loop that provably passes its condition on every
 pass up to the step limit raises ``StepLimitExceeded`` at its head, rather
 than stepping through the passes (loop acceleration in closed form, as in
-Frohn, "A calculus for modular loop acceleration", TACAS 2020). The base
-program decides which loops can ever jump (``loops``): those whose body
-holds only ``let`` and assignment statements, without an index, a call, a
-comparison or ``and``/``or``, whose condition is one comparison under any
-number of ``not``s, and all of whose variables have one proven kind and are
-bound at the loop head. A ``Jump`` is built, from the AST of the program
-that runs, for each such loop that also meets the rest: no ``/`` in the
-body, a condition comparing affine int expressions, and each variable of
-the condition updated exactly once per pass as ``v = v ± δ``, with δ
+Frohn, "A calculus for modular loop acceleration", TACAS 2020). The lean
+code checks for a jump at every loop whose body holds only ``let`` and
+assignment statements (``loops``), a shape no mutant changes, and a
+``Jump`` is built, from the AST of the program that runs, for each version
+of such a loop that meets the rest: its condition is one comparison of
+affine int expressions under any number of ``not``s; its body holds no
+index, call, comparison, ``and``/``or`` or ``/``; every variable of the
+loop is bound at its head and of one proven kind; and each variable of the
+condition is updated exactly once per pass as ``v = v ± δ``, with δ
 loop-invariant, or not at all. A mutated program builds one only for the
 loop its root is in, and shares its base's for the loops it leaves as they
-are (``jumps``). Then the loop's body cannot raise,
-each operand of the condition moves by a fixed amount per pass, and
-whether the condition holds on every pass up to the limit is a question
-about a line (see ``Jump``).
+are (``jumps``), so a deletion may make a loop jump that its base version
+cannot. Then the loop's body cannot raise, each operand of the condition
+moves by a fixed amount per pass, and whether the condition holds on every
+pass up to the limit is a question about a line (see ``Jump``).
 """
 
 from __future__ import annotations
@@ -79,7 +86,8 @@ _LITERALS = {IntLit: _INT, BoolLit: _BOOL, StrLit: _STR}
 # floats hold every int of at most this magnitude exactly
 EXACT_FLOAT_INT = 2**53
 
-_NEGATION = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+# the comparison that holds exactly where ``op`` fails
+NEGATION = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 
 def variables(expr: Expr) -> set[str]:
@@ -118,7 +126,7 @@ def control_slice(loop: While) -> tuple[list[str], set[str]]:
 # --- kinds --------------------------------------------------------------------------
 
 
-def _kinds(expr: Expr, bound: dict, returns: dict) -> frozenset:
+def _kinds(expr: Expr, holds: dict, returns: dict) -> frozenset:
     """The kinds ``expr`` may take in any mutant, given the kinds its
     function's variables may hold and each function may return."""
     cls = type(expr)
@@ -126,9 +134,9 @@ def _kinds(expr: Expr, bound: dict, returns: dict) -> frozenset:
     if literal is not None:
         return literal
     if cls is Var:
-        return bound.get(expr.name, _NO_KINDS)
+        return holds.get(expr.name, _NO_KINDS)
     if cls is Binary and expr.op in ARITHMETIC_OPS:
-        lhs, rhs = _kinds(expr.lhs, bound, returns), _kinds(expr.rhs, bound, returns)
+        lhs, rhs = _kinds(expr.lhs, holds, returns), _kinds(expr.rhs, holds, returns)
         return (lhs & rhs) - _BOOL  # int op int, or str + str
     if cls is Binary or cls is Unary and expr.op == "not":
         return _BOOL
@@ -139,13 +147,17 @@ def _kinds(expr: Expr, bound: dict, returns: dict) -> frozenset:
     return returns[expr.name]  # a call
 
 
-def _scan(body: list, bound: set, heads: dict) -> bool:
-    """Add to ``bound`` the variables surely bound after ``body``, entered
-    with ``bound``, and record in ``heads`` those surely bound at the head of
-    each loop in it, as ``codegen`` tracks them; True when the body always
-    returns or throws."""
+def _scan(body: list, bound: set, table: dict) -> bool:
+    """Record in ``table`` the variables surely bound before each statement
+    of ``body``, entered with ``bound``, by line id, and add to ``bound``
+    those surely bound after it; True when the body always returns or
+    throws."""
     leaves = False
+    frozen = frozenset(bound)
     for stmt in body:
+        if len(frozen) != len(bound):  # bound only grows
+            frozen = frozenset(bound)
+        table[stmt.line_id] = frozen
         cls = type(stmt)
         if cls is Let:
             bound.add(stmt.name)
@@ -155,15 +167,14 @@ def _scan(body: list, bound: set, heads: dict) -> bool:
             outs = []
             for arm in (stmt.then_body, stmt.else_body):
                 inner = set(bound)
-                if not _scan(arm, inner, heads):
+                if not _scan(arm, inner, table):
                     outs.append(inner)
             if outs:
                 bound |= set.intersection(*outs)
             else:
                 leaves = True
         elif cls is While:
-            heads[stmt.branch_id] = frozenset(bound)
-            _scan(stmt.body, set(bound), heads)
+            _scan(stmt.body, set(bound), table)
     return leaves
 
 
@@ -177,62 +188,65 @@ class Analysis:
     ``variables[f][v]`` and ``returns[f]`` are the kinds variable ``v`` of
     function ``f`` may hold and ``f`` may return; ``known`` and
     ``known_returns`` name the one kind where exactly one is possible, and
-    hold None elsewhere. ``loops`` maps the branch id of each loop that a
-    mutant may jump to its function and the variables that its lean code
-    passes to the jump, in order; ``owners`` maps the node id of each
-    statement root in such a loop, its condition's included, to the loop's
-    branch id; and ``own_jumps`` holds the analysed program's own jumps,
-    which its mutants share where they leave a loop as it is."""
+    hold None elsewhere. ``bound`` maps the line id of each statement to the
+    variables surely bound before it runs. ``loops`` maps the branch id of
+    each loop whose body holds only ``let`` and assignment statements to
+    its function and the variables that its lean code passes to a jump, in
+    order: those of its condition and body bound at its head. ``owners``
+    maps the node id of each statement root in such a loop, its condition's
+    included, to the loop's branch id; and ``own_jumps`` holds the analysed
+    program's own jumps, which its mutants share where they leave a loop as
+    it is."""
 
-    __slots__ = ("variables", "returns", "known", "known_returns", "loops", "owners",
-                 "own_jumps")
+    __slots__ = ("variables", "returns", "known", "known_returns", "bound", "loops",
+                 "owners", "own_jumps")
 
     def __init__(self, program: Program):
         self.variables = {fn.name: {p: frozenset([kind]) for p, kind in fn.params}
                           for fn in program.functions}
         self.returns = {fn.name: _NO_KINDS for fn in program.functions}
+        self.bound: dict[int, frozenset] = {}
         falls_off = {}
-        heads: dict[int, frozenset] = {}
         for fn in program.functions:
-            falls_off[fn.name] = not _scan(fn.body, {p for p, _ in fn.params}, heads)
+            falls_off[fn.name] = not _scan(fn.body, {p for p, _ in fn.params}, self.bound)
         changed = True
         while changed:  # kinds only grow, so this ends
             changed = False
             for fn in program.functions:
-                bound = self.variables[fn.name]
+                holds = self.variables[fn.name]
                 returned = _INT if falls_off[fn.name] else _NO_KINDS
                 for stmt in walk_statements(fn.body):
                     cls = type(stmt)
                     if cls is Return:
-                        returned |= _kinds(stmt.expr, bound, self.returns)
+                        returned |= _kinds(stmt.expr, holds, self.returns)
                     elif cls is Let or cls is Assign:
-                        kinds = _kinds(stmt.expr, bound, self.returns)
-                        held = bound.get(stmt.name, _NO_KINDS)
+                        kinds = _kinds(stmt.expr, holds, self.returns)
+                        held = holds.get(stmt.name, _NO_KINDS)
                         if not kinds <= held:
-                            bound[stmt.name] = held | kinds
+                            holds[stmt.name] = held | kinds
                             changed = True
                 if returned != self.returns[fn.name]:
                     self.returns[fn.name] = returned
                     changed = True
-        self.known = {name: {v: _proven(kinds) for v, kinds in bound.items()}
-                      for name, bound in self.variables.items()}
+        self.known = {name: {v: _proven(kinds) for v, kinds in holds.items()}
+                      for name, holds in self.variables.items()}
         self.known_returns = {name: _proven(kinds) for name, kinds in self.returns.items()}
         self.loops, self.owners, self.own_jumps = {}, {}, {}
         for fn in program.functions:
             for stmt in walk_statements(fn.body):
-                if type(stmt) is While:
-                    names = _jumpable(stmt, self.known[fn.name], heads[stmt.branch_id])
-                    if names is not None:
-                        self.loops[stmt.branch_id] = (fn.name, names)
-                        self._build(stmt, self.own_jumps)
-                        for root in [stmt.cond] + [inner.expr for inner in stmt.body]:
-                            self.owners[root.node_id] = stmt.branch_id
+                if type(stmt) is While and all(type(inner) in (Let, Assign)
+                                               for inner in stmt.body):
+                    names = _names(stmt) & self.bound[stmt.line_id]
+                    self.loops[stmt.branch_id] = (fn.name, tuple(sorted(names)))
+                    self._build(stmt, self.own_jumps)
+                    for root in [stmt.cond] + [inner.expr for inner in stmt.body]:
+                        self.owners[root.node_id] = stmt.branch_id
 
     def _build(self, loop: While, jumps: dict) -> None:
         """Put the ``Jump`` of this version of a listed loop into ``jumps``,
         or take the loop's out when this version cannot jump."""
         function, names = self.loops[loop.branch_id]
-        jump = _jump(loop, function, names, self.known[function])
+        jump = _jump(loop, function, names, self.known[function], self.bound[loop.line_id])
         if jump is None:
             jumps.pop(loop.branch_id, None)
         else:
@@ -259,6 +273,14 @@ class Analysis:
 # --- jumps ----------------------------------------------------------------------------
 
 
+def _names(loop: While) -> set[str]:
+    """The variables a loop of ``let``s and assignments reads or binds."""
+    names = variables(loop.cond)
+    for stmt in loop.body:
+        names |= {stmt.name} | variables(stmt.expr)
+    return names
+
+
 def _comparison(cond: Expr) -> tuple[Binary | None, bool]:
     """The comparison under a condition's ``not``s, if that is what it is,
     and whether an odd number of them negates it."""
@@ -270,41 +292,11 @@ def _comparison(cond: Expr) -> tuple[Binary | None, bool]:
     return None, negated
 
 
-def _jumpable(loop: While, known: dict, bound: frozenset) -> tuple[str, ...] | None:
-    """The variables of a loop that a mutant may jump, sorted, or None when
-    no mutant's version of it can jump: the operators change no statement,
-    add no index, call, comparison or ``and``/``or``, and keep a comparison
-    under ``not``s one."""
-    if any(type(stmt) not in (Let, Assign) for stmt in loop.body):
-        return None
-    for stmt in loop.body:
-        for expr in walk_expressions(stmt.expr):
-            cls = type(expr)
-            if cls is Index or cls is Call or cls is Binary and expr.op not in ARITHMETIC_OPS:
-                return None
-    comparison, _ = _comparison(loop.cond)
-    if comparison is None:
-        return None
-    for side in (comparison.lhs, comparison.rhs):
-        for expr in walk_expressions(side):
-            cls = type(expr)
-            if not (cls is IntLit or cls is Var or cls is Unary and expr.op == "neg"
-                    or cls is Binary and expr.op in ARITHMETIC_OPS):
-                return None
-    names = variables(loop.cond)
-    for stmt in loop.body:
-        names |= {stmt.name} | variables(stmt.expr)
-    if not names <= bound or any(known.get(name) is None for name in names):
-        return None
-    if any(known[name] != "int" for name in variables(comparison)):
-        return None
-    return tuple(sorted(names))
-
-
 def _kind(expr: Expr, known: dict) -> str | None:
-    """The kind of an expression of a jumpable loop's body, or None unless
-    it surely evaluates without raising: every variable there is bound and
-    of one proven kind, and there is no index, call or comparison."""
+    """The kind of an expression of a listed loop, or None unless it
+    surely evaluates without raising once its variables are bound: each of
+    them has one proven kind, and there is no index, call, comparison,
+    ``and``/``or`` or ``/``."""
     cls = type(expr)
     literal = _LITERALS.get(cls)
     if literal is not None:
@@ -371,17 +363,20 @@ def _size(expr: Expr) -> int:
     return sum(1 for _ in walk_expressions(expr))
 
 
-def _jump(loop: While, function: str, names: tuple, known: dict) -> Jump | None:
-    """The ``Jump`` of one version of a loop ``loops`` lists, or None when
-    that version does not meet the rest of the conditions."""
+def _jump(loop: While, function: str, names: tuple, known: dict,
+          bound: frozenset) -> Jump | None:
+    """The ``Jump`` of one version of a loop ``loops`` lists, whose head has
+    the variables ``bound`` surely bound, or None when that version does not
+    meet the conditions (see the module docstring)."""
     comparison, negated = _comparison(loop.cond)
-    if comparison is None:
+    if comparison is None or not _names(loop) <= bound:
         return None
     moving = {stmt.name for stmt in loop.body}
     head = _size(loop.cond)
     steps = head
     for stmt in loop.body:
-        if _kind(stmt.expr, known) != known[stmt.name]:
+        kind = _kind(stmt.expr, known)
+        if kind is None or kind != known.get(stmt.name):
             return None
         steps += 1 + _size(stmt.expr)
     if any(_kind(side, known) != "int" or not _affine(side, moving)
@@ -397,7 +392,7 @@ def _jump(loop: While, function: str, names: tuple, known: dict) -> Jump | None:
         delta, minus = found
         step = _evaluator(delta, index)
         moves.append((index[name], (lambda env, f=step: -f(env)) if minus else step))
-    op = _NEGATION[comparison.op] if negated else comparison.op
+    op = NEGATION[comparison.op] if negated else comparison.op
     return Jump(function, steps, head, op, _evaluator(comparison.lhs, index),
                 _evaluator(comparison.rhs, index), tuple(moves))
 

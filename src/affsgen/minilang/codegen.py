@@ -24,23 +24,23 @@ pending there) and ``NJ`` (the jumps of a redo: none).
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``;
 a call made at depth ``MAX_CALL_DEPTH - 1`` raises ``StepLimitExceeded``.
-The context is ``(L, H, W, J)`` in lean code, ``(L, P, V, Z)`` in the
-schema shape and ``(L, LA, BB, BD, CA)`` in instrumented code: the step
-limit and either the hooks (root node id to a function that evaluates that
-root, or None where a deleted assignment skips its statement), the run's
-``Sides`` (None in a run without them; only hooks read it) and the running
-program's loop jumps (see below), or the run's pending alternatives at each
-mutation site, its evaluation counts and its ``Sides``, or the line
-recorder, the best branch distances over all frames and over the entry
-frame (``D == 0``), and the call recorder. An in-language failure raises
-``E`` carrying the step count.
+The context is ``(L, H, J)`` in lean code, ``(L, P, V, Z)`` in the schema
+shape and ``(L, LA, BB, BD, CA)`` in instrumented code: the step limit and
+either the hooks (root node id to a function that evaluates that root, or
+None where a deleted assignment skips its statement) and the running
+program's loop jumps (see below; None in a run that must never be cut), or
+the run's pending alternatives at each mutation site, its evaluation counts
+and its ``Sides``, or the line recorder, the best branch distances over all
+frames and over the entry frame (``D == 0``), and the call recorder. An
+in-language failure raises ``E`` carrying the step count.
 
 Kinds are checked at run time only where the program's ``Analysis`` does
 not prove them. A variable, or a call's return, whose kind it proves for
 the program and every mutant of it is read as that kind, in every shape
 and in every alternative, so the code of a well-kinded program calls no
-``type()`` at all. A read that may find its variable unbound keeps its
-``is U`` guard, and a comparison of two numbers still converts both to
+``type()`` at all. A read of a variable that the analysis does not find
+surely bound before its statement (``Analysis.bound``) keeps its ``is U``
+guard, and a comparison of two numbers still converts both to
 floats, folding an int literal's conversion into the code.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
@@ -52,16 +52,18 @@ the first of its group, so a group records at most one line, and only if
 that tick lies within the limit.
 
 Loops that provably run until the step limit are cut short, exactly, in
-lean code run without sides (``W is None``): kill runs, and the redos of a
-schema run. Runs with sides are never cut, since they count every
-evaluation of a root, so the schema shape has no such check; neither are
-traced runs. A loop is cut in one of two ways.
+lean code whose context holds jumps (``J`` not None): kill runs, and the
+redos of a schema run. Runs with sides are never cut, since they count
+every evaluation of a root: the schema shape has no such check, and a
+mutated program's counting run passes None. Neither are traced runs. A
+loop is cut in one of two ways.
 
-As it starts, a loop the analysis lists (``Analysis.loops``) calls the
-running program's jump for it, if ``J`` holds one: the loop's body then
-moves each variable of its condition, a comparison of affine ints, by a
-fixed amount per pass, and the jump raises the run's ``StepLimitExceeded``
-at once when the condition provably holds on every pass up to the limit
+As it starts, a loop whose body holds only ``let``s and assignments
+(``Analysis.loops``) calls the running program's jump for it, if ``J``
+holds one, which it does only for a version of the loop whose body moves
+each variable of its condition, a comparison of affine ints, by a fixed
+amount per pass: the jump raises the run's ``StepLimitExceeded`` at once
+when the condition provably holds on every pass up to the limit
 (``analysis.Jump``). A redo's ``J`` is empty.
 
 Past ``CYCLE_CHECK_AFTER`` steps of such a run, every loop head compares
@@ -104,7 +106,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from affsgen.minilang.analysis import Analysis, control_slice, variables
+from affsgen.minilang.analysis import NEGATION, Analysis, control_slice, variables
 from affsgen.minilang.interpreter import (
     DIV_BY_ZERO,
     EXPLICIT_THROW,
@@ -153,7 +155,6 @@ _DISTANCE = {
     ">": "{b} - {a} + {K} if {b} >= {a} else 0.0",
     ">=": "{b} - {a} if {b} > {a} else 0.0",
 }
-_NEGATION = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 
 def _distance(op: str, a: str, b: str) -> str:
@@ -167,7 +168,7 @@ class RootInfo(NamedTuple):
     cond: bool  # an if/while condition, whose value must be a bool
     names: dict  # that function's MiniJ variable names -> Python locals
     params: tuple  # the Python locals passed to the hook, in order
-    defined: frozenset  # the locals surely bound when the root is evaluated
+    bound: frozenset  # the MiniJ variables surely bound there (``Analysis.bound``)
 
 
 def _is_boolean(expr: Expr) -> bool:
@@ -198,7 +199,7 @@ class _Module:
 class _Code:
     """One generated function, emitted line by line."""
 
-    def __init__(self, module: _Module, fname: str, shape: str, names: dict, defined):
+    def __init__(self, module: _Module, fname: str, shape: str, names: dict, bound: frozenset):
         self.module = module
         self.fname = fname
         self.fq = repr(fname)
@@ -206,7 +207,7 @@ class _Code:
         self.instrumented = shape == "I"
         self.names = names
         self.known = module.analysis.known[fname]  # MiniJ variable -> its proven kind, or None
-        self.defined = set(defined)
+        self.bound = bound  # the MiniJ variables surely bound before the current statement
         self.lines: list[str] = []
         self.depth = 1
         self.ticks = 0  # pending ticks, not yet added to S
@@ -305,7 +306,7 @@ class _Code:
                 self.flush()
                 self.emit(self.raise_(TYPE_ERROR))
                 return "U", None
-            if local not in self.defined:
+            if expr.name not in self.bound:
                 self.flush()
                 self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
             return local, self.known.get(expr.name)
@@ -479,7 +480,7 @@ class _Code:
                 self.emit(f"{t} = {a} {op} {b}")
                 return
             self.emit(f"{dist[0]} = {_distance(op, a, b)}; "
-                      f"{dist[1]} = {_distance(_NEGATION[op], a, b)}; {t} = {dist[0]} == 0.0")
+                      f"{dist[1]} = {_distance(NEGATION[op], a, b)}; {t} = {dist[0]} == 0.0")
 
         numeric = ("int", "bool")
         if lk == rk == "str":
@@ -523,10 +524,9 @@ class _Code:
         def start():
             if assign is not None:
                 self.statement_tick(assign)
-                local = self.names[assign.name]
-                if local not in self.defined:
+                if assign.name not in self.bound:
                     self.flush()
-                    self.emit(f"if {local} is U: {self.raise_(TYPE_ERROR)}")
+                    self.emit(f"if {self.names[assign.name]} is U: {self.raise_(TYPE_ERROR)}")
 
         def evaluate() -> str:
             if not cond:
@@ -552,7 +552,7 @@ class _Code:
                 params.append(local)
             target = params.index(local)
         self.module.roots[node] = RootInfo(self.fname, cond, self.names, tuple(params),
-                                           frozenset(self.defined))
+                                           self.bound)
         if self.shape == "Q":
             site = self.module.sites.get(node)
             if site is None:
@@ -605,7 +605,7 @@ class _Code:
         self.depth += 1
         self.emit("y = 0")
         self.emit(f"for m, a, o in P[{site}]:")
-        redo = [f"try: w, s = a((L, o, None, NJ), B, D{args})", "except E: w = None"]
+        redo = [f"try: w, s = a((L, o, NJ), B, D{args})", "except E: w = None"]
         if target >= 0:
             redo = [f"if a is None: w = {params[target]}; s = S", "else:"] + [" " + r for r in redo]
         for line in redo + [
@@ -629,53 +629,34 @@ class _Code:
         self.emit(f"if D == 0: MB(BD, {args})")
         return t
 
-    def block(self, body: list[Stmt]) -> bool:
-        """Emit a statement list; True when it always returns or throws.
-        Statements after that are emitted too, unreachable, so that every
-        root has its hook information."""
-        done = False
+    def block(self, body: list[Stmt]) -> None:
+        """Emit a statement list. Statements after one that always returns
+        or throws are emitted too, unreachable, so that every root has its
+        hook information."""
         for stmt in body:
-            done = self.statement(stmt) or done
-        return done
+            self.statement(stmt)
 
-    def statement(self, stmt: Stmt) -> bool:
+    def statement(self, stmt: Stmt) -> None:
+        self.bound = self.module.analysis.bound[stmt.line_id]
         cls = type(stmt)
         if cls is Assign:
             self.root(stmt.expr, False, self.names[stmt.name], stmt)
-            return False
+            return
         self.statement_tick(stmt)
         if cls is Let:
-            local = self.names[stmt.name]
-            self.root(stmt.expr, False, local)
-            self.defined.add(local)
-            return False
-        if cls is Return:
+            self.root(stmt.expr, False, self.names[stmt.name])
+        elif cls is Return:
             t = self.temp()
             self.root(stmt.expr, False, t)
             self.emit(f"return ({t}, S)")
-            return True
-        if cls is Throw:
+        elif cls is Throw:
             self.flush()
             self.emit(f"raise E({EXPLICIT_THROW!r}, {self.fq}, S, {stmt.tag!r})")
-            return True
-        if cls is If:
+        elif cls is If:
             t = self.condition(stmt)
-            before = set(self.defined)
-            outs = []
-
-            def arm(body):
-                def emit_arm():
-                    self.defined = set(before)
-                    if not self.block(body):
-                        outs.append(self.defined)
-                return emit_arm
-
-            self.branch(t, arm(stmt.then_body), arm(stmt.else_body))
-            self.defined = set.intersection(*outs) if outs else before
-            return not outs
-        if cls is While:
+            self.branch(t, lambda: self.block(stmt.then_body), lambda: self.block(stmt.else_body))
+        elif cls is While:
             self.flush()  # the loop head is a join point
-            before = set(self.defined)
             if self.shape == "K":
                 self.jump(stmt)
                 checks = self.temp()
@@ -689,12 +670,11 @@ class _Code:
             self.block(stmt.body)
             self.flush()
             self.depth -= 1
-            self.defined = before
-            return False
-        raise TypeError(f"unknown statement node {stmt!r}")
+        else:
+            raise TypeError(f"unknown statement node {stmt!r}")
 
     def jump(self, loop: While) -> None:
-        """As a lean loop starts in a run without sides, the jump of the
+        """As a lean loop starts in a run that may be cut, the jump of the
         running program's version of it, if it has one: ``J`` maps the loop's
         branch id to a function of the step count, the limit and the loop's
         variables that raises the run's ``StepLimitExceeded`` when the loop
@@ -704,11 +684,11 @@ class _Code:
         if found is not None:
             b = loop.branch_id
             values = "".join(f", {self.names[n]}" for n in found[1])
-            self.emit(f"if W is None and {b} in J: J[{b}](S, L{values})")
+            self.emit(f"if J is not None and {b} in J: J[{b}](S, L{values})")
 
     def cycle_check(self, loop: While, checks: str) -> None:
         """At a lean loop head past ``CYCLE_CHECK_AFTER`` steps of a run
-        without sides, Brent's cycle detection on the loop's control state:
+        that may be cut, Brent's cycle detection on the loop's control state:
         the values of the variables of its control slice, and the kinds of
         the variables it assigns whose kinds are not proven. The state is
         saved at the 1st, 2nd, 4th, ... check (``checks`` counts them) and
@@ -725,7 +705,7 @@ class _Code:
         at = self.temp()
         same = [f"{v} == {t}" for v, t in state] + [f"{k} is {t}" for k, t in kinds]
         save = "".join(f"{t} = {v}; " for v, t in state + kinds)
-        self.emit(f"if S > {CYCLE_CHECK_AFTER} and W is None:")
+        self.emit(f"if S > {CYCLE_CHECK_AFTER} and J is not None:")
         self.depth += 1
         self.emit(f"if {' and '.join([checks] + same)}: S += (L - S) // (S - {at}) * (S - {at})")
         self.emit(f"{checks} += 1")
@@ -755,7 +735,7 @@ def _locals(fn: FunctionDef) -> dict[str, str]:
 
 
 # how each shape's functions unpack their run's context
-_CONTEXTS = {"I": "L, LA, BB, BD, CA = C", "K": "L, H, W, J = C", "Q": "L, P, V, Z = C"}
+_CONTEXTS = {"I": "L, LA, BB, BD, CA = C", "K": "L, H, J = C", "Q": "L, P, V, Z = C"}
 
 
 def program_source(program: Program, shape: str, analysis: Analysis,
@@ -773,7 +753,7 @@ def program_source(program: Program, shape: str, analysis: Analysis,
         names = _locals(fn)
         params = tuple(names[p] for p, _ in fn.params)
         unbound = [v for v in names.values() if v not in params]
-        code = _Code(module, fn.name, shape, names, params)
+        code = _Code(module, fn.name, shape, names, frozenset())  # each statement sets it
         if unbound:
             code.emit(" = ".join(unbound) + " = U")
         code.block(fn.body)
@@ -792,7 +772,7 @@ def root_source(name: str, info: RootInfo, expr: Expr, program: Program,
                 analysis: Analysis) -> str:
     """A lean function ``name`` evaluating ``expr`` at the root ``info``
     describes, with that root's statement already ticked."""
-    code = _Code(_Module(program, analysis), info.function, "K", info.names, info.defined)
+    code = _Code(_Module(program, analysis), info.function, "K", info.names, info.bound)
     result = code.cond(expr) if info.cond else code.value(expr)[0]
     code.flush()
     code.emit(f"return ({result}, S)")

@@ -17,13 +17,15 @@ schema shape, generated from the lean variant and the program's mutant
 list: it evaluates every root inline, and at each root a mutant replaces
 it counts the evaluation and calls the alternatives of the mutants still
 pending there in the run. A mutated program's run takes the lean variant
-with a hook that counts the evaluations of its own root. Compiled modules
+with a hook, built for the run, that counts the evaluations of its own
+root, and its loops are never cut. Compiled modules
 are cached per base program, keyed by its source text, and the cache holds
 a bounded number of programs. A module keeps one schema shape per list of
 mutation sites, since the shape depends on the program's mutant list,
 which a caller may narrow, and each program keeps the alternatives its own
-list redoes. ``precompile`` compiles ahead what a program's runs would
-compile on first use, so that forked worker processes inherit it.
+list redoes. ``precompile`` compiles ahead what a program's runs, and its
+mutants' runs, would compile on first use, so that forked worker processes
+inherit it.
 
 A traced run records the statements reached, each branch's least distances
 toward both outcomes (over all frames, and over the entry frame alone), the
@@ -32,12 +34,12 @@ Every other run, a kill run of a mutated program or a run with side
 evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
 
-Kill runs without sides are cut short, exactly, where a loop provably runs
-to the step limit, in two ways (see ``codegen``). As a loop starts, one
-that moves each variable of its condition, a comparison of affine ints, by
-a fixed amount per pass raises the run's ``StepLimitExceeded`` at once when
-the condition provably holds on every pass up to the limit: a jump, which
-each mutated program builds for its own loops (``analysis.Jump``). And past
+Kill runs are cut short, exactly, where a loop provably runs to the step
+limit, in two ways (see ``codegen``). As a loop starts, one that moves each
+variable of its condition, a comparison of affine ints, by a fixed amount
+per pass raises the run's ``StepLimitExceeded`` at once when the condition
+provably holds on every pass up to the limit: a jump, which each mutated
+program builds for its own versions of its loops (``analysis.Jump``). And past
 ``codegen.CYCLE_CHECK_AFTER`` steps, a loop whose control slice repeats
 its state jumps by whole periods to just below the limit. Either way the
 run ends as it would have. Runs with sides are never cut, since they count
@@ -321,12 +323,13 @@ _NO_JUMPS: dict = {}  # the jumps of a redo; never written
 
 
 def _plan(program: Program) -> list:
-    """The compiled module a program runs on, its hooks, what its runs with
-    sides run on (``_side_plan``, None until the first such run) and its
-    loops' jumps (branch id to ``analysis.Jump``; a mutated program shares
-    its base's, but for the loop its root is in, which it builds from its
-    own AST), found once per program and kept on it. A copy of the program
-    drops it."""
+    """The compiled module a program runs on, its hooks, what a base
+    program's runs with sides run on (``_side_plan``; None until the first
+    such run, and always for a mutated program, whose counting runs build
+    their hook per run) and its loops' jumps (branch id to
+    ``analysis.Jump``; a mutated program shares its base's, but for the
+    loop its root is in, which it builds from its own AST), found once per
+    program and kept on it. A copy of the program drops it."""
     plan = program._compiled
     if plan is not None:
         return plan
@@ -369,8 +372,9 @@ class Sides:
     identity differs from the root's, and ``drifted`` when only the step
     count after it does. A deleted assignment's redo takes the old value of
     its variable, without a step. A base program's run fills ``evals`` as
-    it ends. Instances hash by identity, so a call's arguments stay
-    hashable.
+    it ends, and a mutated program's as it goes, through a hook that the
+    run builds around its own root's. Instances hash by identity, so a
+    call's arguments stay hashable.
     """
 
     __slots__ = ("evals", "infected", "drifted")
@@ -399,7 +403,7 @@ def _redo_raise(err: MiniJError, site: int, start: int, C, D: int, *env) -> None
         key, alternative, own = item
         if alternative is not None:
             try:
-                alternative((limit, own, None, _NO_JUMPS), start, D, *env)
+                alternative((limit, own, _NO_JUMPS), start, D, *env)
             except MiniJError as other:
                 if other.record.identity == identity:
                     kept.append(item)
@@ -413,12 +417,11 @@ _RUNTIME = {"E": MiniJError, "X": _crossed, "U": _Unbound(), "SD": string_eq_dis
             "MB": merge_best, "RE": _redo_raise, "NJ": _NO_JUMPS}
 
 
-def _counting_hook(node_id: int, inner):
+def _counting_hook(node_id: int, inner, evals: dict):
     """A mutated program's own root, evaluated through ``inner`` and
-    counted in the run's ``Sides``, the last item of its context."""
+    counted in ``evals``, its run's ``Sides.evals``."""
 
     def hook(C, S, D, *env):
-        evals = C[2].evals
         counts = evals.get(node_id)
         if counts is None:
             counts = evals[node_id] = [0, 0]
@@ -434,55 +437,48 @@ def _counting_hook(node_id: int, inner):
 
 
 def _side_plan(program: Program):
-    """How ``program``'s runs with sides run, built on the first such run,
-    or by ``precompile``, and kept in the program's plan; every alternative
-    they call is compiled then, before any run starts.
+    """How a base program's runs with sides run, built on the first such
+    run, or by ``precompile``, and kept in the program's plan; every
+    alternative they call is compiled then, before any run starts.
 
-    A base program's runs take its schema shape (see ``codegen``):
-    ``(functions, roots, redos)``, its functions in that shape, the node id
-    of each of its mutation sites, by index, and for each site the
-    ``(mutant id, alternative, hooks)`` of the mutants there, in mutant
-    order; a deleted assignment's alternative is None, and each mutant's
-    own hooks are its plan's. A mutated program's runs take its plan's
-    hooks with its own root counted (see ``Sides``)."""
+    They take its schema shape (see ``codegen``): ``(functions, roots,
+    redos)``, its functions in that shape, the node id of each of its
+    mutation sites, by index, and for each site the ``(mutant id,
+    alternative, hooks)`` of the mutants there, in mutant order; a deleted
+    assignment's alternative is None, and each mutant's own hooks are its
+    plan's."""
     plan = program._compiled or _plan(program)
     built = plan[2]
     if built is not None:
         return built
-    module, hooks, _, _ = plan
-    if program.base is not None:
-        # its own root, counted and never redone; a deleted statement never runs
-        built = dict(hooks)
-        inner = hooks[program.root_id]
-        if inner is not None:
-            built[program.root_id] = _counting_hook(program.root_id, inner)
-    elif program._mutants is None:
+    if program._mutants is None:
         raise ValueError(f"{program.source_id}: a run with sides redoes the program's mutants, "
                          "which mutation.mutants_of generates")
-    else:
-        redos: dict[int, list[tuple]] = {}
-        for mutant in program._mutants:
-            mutated = mutant.mutated_program
-            own = _plan(mutated)[1]  # a deleted assignment's alternative is None
-            redos.setdefault(mutated.root_id, []).append(
-                (mutant.mutant_id, own[mutated.root_id], own))
-        roots = tuple(redos)
-        built = (module.schema_shape(roots), roots,
-                 tuple(tuple(redo) for redo in redos.values()))
-    plan[2] = built
+    redos: dict[int, list[tuple]] = {}
+    for mutant in program._mutants:
+        mutated = mutant.mutated_program
+        own = _plan(mutated)[1]  # a deleted assignment's alternative is None
+        redos.setdefault(mutated.root_id, []).append(
+            (mutant.mutant_id, own[mutated.root_id], own))
+    roots = tuple(redos)
+    built = plan[2] = (plan[0].schema_shape(roots), roots,
+                       tuple(tuple(redo) for redo in redos.values()))
     return built
 
 
 def precompile(program: Program) -> None:
     """Compile now what later runs of ``program`` would compile on their
     first use: a mutated program's alternative, or a base program's traced
-    variant and, once ``mutation.mutants_of`` has stored its mutants, its
-    schema shape and every alternative its runs with sides call, which is
-    each mutant's own. Nothing runs."""
+    variant and, once ``mutation.mutants_of`` has stored its mutants, the
+    lean variant their kill runs run, even when every one is a deleted
+    assignment, which compiles no alternative, and its schema shape with
+    every alternative its runs with sides call, which is each mutant's own.
+    Nothing runs."""
     module, _, _, _ = _plan(program)
     if program.base is None:
         module.functions(True)
         if program._mutants is not None:
+            module.functions(False)  # what its mutants' kill runs run
             _side_plan(program)
 
 
@@ -507,8 +503,8 @@ def execute(
     ``sides``, the run also evaluates its program's own schema at its roots
     and records what it finds there in ``sides`` (see ``Sides``); its
     outcome and step count are the same as without. A base program's run
-    with sides takes its schema shape, a mutated program's the lean variant
-    with its own root counted (see ``_side_plan``).
+    with sides takes its schema shape (see ``_side_plan``), a mutated
+    program's the lean variant with its own root counted and no loop cut.
 
     Raises UnknownFunctionError / ArityError for malformed entry calls, and
     ValueError for a run with sides of a base program whose mutants are
@@ -538,12 +534,18 @@ def execute(
         best_direct: dict[int, list[float]] = {}
         called = {entry}
         context = (limit, lines.add, best, best_direct, called.add)
-    elif sides is None:
-        function = module.functions(False)[index]
-        context = (limit, hooks, None, jumps)
     elif program.base is not None:
         function = module.functions(False)[index]
-        context = (limit, side or _side_plan(program), sides, jumps)
+        if sides is None:
+            context = (limit, hooks, jumps)
+        else:
+            # its own root counted, and the loops never cut (see ``codegen``); a
+            # deleted statement never runs
+            inner = hooks[program.root_id]
+            if inner is not None:
+                hooks = {**hooks, program.root_id: _counting_hook(program.root_id, inner,
+                                                                  sides.evals)}
+            context = (limit, hooks, None)
     else:
         functions, roots, redos = side or _side_plan(program)
         function = functions[index]

@@ -158,8 +158,9 @@ class Program:
     alt_root: "Expr | None" = field(default=None, repr=False, compare=False)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
     # the interpreter's plan, set on the first run: the compiled module, the
-    # hooks, what runs with sides run on, set on the first such run, and the
-    # loops' jumps
+    # hooks, what a base program's runs with sides run on, set on the first
+    # such run (a mutated program's build their hook per run), and the loops'
+    # jumps
     _compiled: list | None = field(default=None, repr=False, compare=False)
     # the program's mutants, set on first use (``mutation.mutants_of``); they
     # are also its schema, the roots that its runs with sides redo (see

@@ -1,5 +1,5 @@
-"""The static analysis of base programs on its own: kinds, and which loops
-may jump."""
+"""The static analysis of base programs on its own: kinds, definite
+assignment, and which loops may jump."""
 
 import random
 
@@ -10,7 +10,7 @@ from affsgen.minilang import parse
 from affsgen.minilang.analysis import Analysis
 from affsgen.minilang.interpreter import InterpConfig, kind_of
 from affsgen.minilang.nodes import Assign, Let
-from affsgen.mutation import generate_mutants
+from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants
 from test_compiled import _ProgramWriter, _arguments
 
 INT, STR = frozenset(["int"]), frozenset(["str"])
@@ -65,6 +65,21 @@ def test_a_body_that_may_fall_off_its_end_returns_int():
     assert analysis.returns == {"f": INT | STR, "g": STR, "h": INT | STR, "k": INT}
 
 
+def test_a_variable_is_surely_bound_where_every_path_there_binds_it():
+    program = parse("fn f(x:int, b:bool){"
+                    "  if (b) { let y = 1; } else { let y = 2; let z = 3; }"
+                    "  while (b) { let w = 1; b = false; }"
+                    "  if (b) { return 0; } else { let v = 1; }"
+                    "  return y + v; }")
+    bound = Analysis(program).bound
+    body = program.function("f").body
+    assert bound[body[0].line_id] == {"x", "b"}
+    assert bound[body[1].line_id] == {"x", "b", "y"}  # z is bound on one path only
+    assert bound[body[1].body[1].line_id] == {"x", "b", "y", "w"}
+    # w is bound only inside the loop, and the path through return 0 ends there
+    assert bound[body[3].line_id] == {"x", "b", "y", "v"}
+
+
 def _within(mutated: Analysis, analysis: Analysis) -> bool:
     """Whether every kind ``mutated`` finds, ``analysis`` allows."""
     return all(kinds <= analysis.variables[f].get(v, frozenset())
@@ -83,19 +98,32 @@ def test_no_mutant_has_a_kind_its_base_program_does_not_allow():
         assert _within(Analysis(mutant.mutated_program), analysis), mutant.operator
 
 
-def test_only_loops_a_mutant_may_jump_are_listed():
-    analysis = Analysis(parse(
+def test_every_loop_of_assignments_is_listed_and_each_version_decides_its_jump():
+    program = parse(
         "fn f(i:int, n:int, b:bool){"
         "  let s = 0; let t = true;"
-        "  while (not (i * 2 < n)) { s = s + i; i = i / 1; }"  # / may become +
+        "  while (not (i * 2 < n)) { s = s + i; i = i / 1; }"  # / may become + or -
         "  while (i < n) { if (b) { i = i + 1; } }"  # a statement that is not an assignment
         "  while (i < n) { s = s + len(\"ab\"[0]); i = i + 1; }"  # an index
         "  while (i < n and b) { i = i + 1; }"  # not one comparison
         "  while (i < n) { let z = 1; i = i + z; }"  # z is not bound at the head
         "  while (t != b) { i = i + 1; }"  # compares bools
         "  while (i < n) { t = t == b; }"  # a comparison in the body
-        "  return s; }"))
-    assert analysis.loops == {0: ("f", ("i", "n", "s"))}
+        "  return s; }")
+    analysis = Analysis(program)
+    # every loop of lets and assignments, with its variables bound at its head
+    assert analysis.loops == {0: ("f", ("i", "n", "s")), 3: ("f", ("i", "n", "s")),
+                              4: ("f", ("b", "i", "n")), 5: ("f", ("i", "n")),
+                              6: ("f", ("b", "i", "t")), 7: ("f", ("b", "i", "n", "t"))}
+    assert analysis.own_jumps == {}
+    jumping = {(m.site, m.operator): sorted(analysis.jumps(m.mutated_program, {}))
+               for m in generate_mutants(program)}
+    # the first loop jumps once / becomes + or -, or once i stops moving; the
+    # third and the last once the assignment holding the index or comparison is
+    # deleted
+    assert {key: loops for key, loops in jumping.items() if loops} == {
+        (4, "aor:/->+"): [0], (4, "aor:/->-"): [0], (4, DELETE_ASSIGNMENT): [0],
+        (9, DELETE_ASSIGNMENT): [3], (19, DELETE_ASSIGNMENT): [7]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,9 +135,11 @@ def test_every_value_a_mutant_binds_or_returns_has_a_kind_the_analysis_allows(se
     analysis = Analysis(program)
 
     class Checked(treewalk._Interp):
-        """Checks each value a let, an assignment or a call gives."""
+        """Checks that each variable surely bound before a statement is, and
+        each value a let, an assignment or a call gives."""
 
         def _exec_stmt(self, stmt, env, fname, depth):
+            assert analysis.bound[stmt.line_id] <= env.keys(), stmt
             super()._exec_stmt(stmt, env, fname, depth)
             if type(stmt) in (Let, Assign):
                 assert kind_of(env[stmt.name]) in analysis.variables[fname][stmt.name], stmt

@@ -19,7 +19,7 @@ from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ExceptionRecord, Raised, Returned, codegen, interpreter, parse
-from affsgen.minilang.analysis import Analysis
+from affsgen.minilang.analysis import Analysis, Jump
 from affsgen.minilang.interpreter import (
     MAX_CALL_DEPTH,
     InterpConfig,
@@ -316,20 +316,16 @@ def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
 
 
 def test_schema_runs_under_different_step_limits_share_one_set_of_hooks():
-    # a program's first run with sides builds the side hooks that its later
-    # ones use: a base program's schema runs under any step limit, and a
-    # mutant's counting runs on any call
+    # a base program's first run with sides builds what its later ones run
+    # on, under any step limit and on any call
     program = next(p for p in PROGRAMS if p.function("walk") is not None)
-    mutated = [m.mutated_program for m in mutants_of(program) if m.operator != DELETE_ASSIGNMENT]
-    built = {}
+    mutants_of(program)
+    built = []
     for args in ((2, 5), (0, 40), (3, 3)):
         for limit in (5, 10_000, 5):
-            config = InterpConfig(step_limit=limit)
-            for run in [program] + mutated:
-                execute(run, "walk", args, config, Sides())
-                hooks = run._compiled[2]
-                assert hooks is not None and built.setdefault(id(run), hooks) is hooks
-    assert len(built) == 1 + len(mutated)
+            execute(program, "walk", args, InterpConfig(step_limit=limit), Sides())
+            built.append(program._compiled[2])
+    assert built[0] is not None and all(plan is built[0] for plan in built)
 
 
 def test_a_copy_of_a_program_generates_its_own_mutants():
@@ -666,6 +662,31 @@ def test_a_loop_that_never_repeats_a_state_jumps_to_any_step_limit():
     assert (killed.outcome, killed.steps) == (Raised(ExceptionRecord("StepLimitExceeded", "f")),
                                               limit + 1)
     assert execute(program, "f", (0,), config).outcome == Returned(10)
+
+
+def test_a_deletion_jumps_a_loop_whose_base_version_cannot():
+    # the call keeps the base loop from jumping; deleting its assignment
+    # leaves i = i - 1, which passes i < n on every pass
+    program = parse("fn g(x:int){ return x; }"
+                    "fn f(i:int, n:int){ let s = 0; while (i < n) { s = g(i); i = i - 1; }"
+                    " return s; }")
+    loop = program.function("f").body[1]
+    deletion = next(m.mutated_program for m in mutants_of(program)
+                    if m.site == loop.body[0].line_id and m.operator == DELETE_ASSIGNMENT)
+    for run in (program, deletion):
+        execute(run, "f", (0, 5))
+    assert loop.branch_id not in program._compiled[3]
+    assert type(deletion._compiled[3][loop.branch_id]) is Jump
+    for args in ((0, 5), (5, 0)):
+        for limit in range(1, 40):
+            config = InterpConfig(step_limit=limit)
+            killed = execute(deletion, "f", args, config)
+            walked = treewalk.execute(deletion, "f", args, config)
+            assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps), (args, limit)
+    limit = 10**12  # far more steps than a run could take one at a time
+    killed = execute(deletion, "f", (0, 5), InterpConfig(step_limit=limit))
+    assert (killed.outcome, killed.steps) == (Raised(ExceptionRecord("StepLimitExceeded", "f")),
+                                              limit + 1)
 
 
 # --- schema runs ---------------------------------------------------------------------

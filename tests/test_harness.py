@@ -477,16 +477,12 @@ def test_experiment_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
     assert (tmp_path / "10000" / "trials.csv").read_text().count("\n") == 1 + 2 * 2 * 3
 
 
-def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, monkeypatch):
-    started = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started))
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+def _count_compiles(monkeypatch) -> dict:
+    """Count every compile from now on by whether a trial job was running."""
     in_job = [False]
-    compiles = {False: 0, True: 0}  # by whether a job was running
-    generated = []
+    compiles = {False: 0, True: 0}
     original_exec = interpreter._Compiled._exec
     original_job = harness._trial_job
-    original_generate = mutation.generate_mutants
 
     def counting_exec(self, source, name):
         compiles[in_job[0]] += 1
@@ -499,12 +495,23 @@ def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, mo
         finally:
             in_job[0] = False
 
+    monkeypatch.setattr(interpreter._Compiled, "_exec", counting_exec)
+    monkeypatch.setattr(harness, "_trial_job", marked_job)
+    return compiles
+
+
+def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, monkeypatch):
+    started = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    compiles = _count_compiles(monkeypatch)
+    generated = []
+    original_generate = mutation.generate_mutants
+
     def counting_generate(program):
         generated.append(program.source_id)
         return original_generate(program)
 
-    monkeypatch.setattr(interpreter._Compiled, "_exec", counting_exec)
-    monkeypatch.setattr(harness, "_trial_job", marked_job)
     monkeypatch.setattr(mutation, "generate_mutants", counting_generate)
     corpus = _mini_corpus(tmp_path)
     rows = {}
@@ -526,6 +533,26 @@ def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, mo
             assert compiles[False] > 0 and compiles[True] == 0
     assert started == [2]
     assert rows[1] == rows[2] and not any(row["error"] for row in rows[1])
+
+
+def test_a_pool_compiles_the_lean_code_of_a_program_whose_mutants_are_all_deletions(
+        tmp_path, monkeypatch):
+    # a deleted assignment compiles no alternative, so nothing but the
+    # precompiling before the pool compiles the lean code its kill runs run
+    pair = tmp_path / "corpus" / "p00_deletions"
+    pair.mkdir(parents=True)
+    (pair / "fixed.minij").write_text("fn f(x:int){ let y = x; y = x; return y; }\n")
+    (pair / "faulty.minij").write_text("fn f(x:int){ let y = x; return 0; }\n")
+    (pair / "manifest.json").write_text("{}")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool([]))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(interpreter, "_MODULES", {})
+    compiles = _count_compiles(monkeypatch)
+    run_experiment(_experiment_config(pair.parent, goal=Goal.STRONG_MUTATION, workers=2),
+                   tmp_path / "out")
+    fixed = harness.load_corpus(pair.parent)[0].fixed_program
+    assert {m.operator for m in mutation.mutants_of(fixed)} == {mutation.DELETE_ASSIGNMENT}
+    assert compiles[False] > 0 and compiles[True] == 0
 
 
 def test_jobs_on_pickled_pairs_give_the_same_records(tmp_path):
