@@ -241,6 +241,11 @@ def levenshtein(a: str, b: str) -> int:
 # --- evaluation context --------------------------------------------------------
 
 
+# a ``_classifications`` entry for a call whose schema run shows the mutant
+# infected, before any fold asks whether the call kills it
+_INFECTED_NOT_RUN = object()
+
+
 class FitnessContext:
     """Program-wide caches shared by every fitness evaluation in a run.
 
@@ -260,8 +265,12 @@ class FitnessContext:
     ``_classifications`` maps (mutant id, ``call_key``) to the status of one
     call that reaches the mutant's site, and ``classify`` folds them over
     a suite's tests. All three belong to this context's one program and
-    interpreter config. A mutant program runs only on calls the schema run
-    cannot settle, and those runs are not kept.
+    interpreter config. A mutant program runs on a call only when the
+    schema run cannot settle the status its fold needs: a drifted mutant or
+    a deleted assignment on the first fold that reaches the call, and an
+    infected one on the first fold that asks whether the call kills it
+    (until then its entry is a private "infected, not run yet" marker).
+    Those runs are not kept.
 
     Diversity is memoized on rendered lines at three levels:
     ``_pair_distance`` maps an ordered pair of two tests' lines to their
@@ -284,7 +293,7 @@ class FitnessContext:
         self._schema_runs: dict[tuple, Sides] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
-        self._classifications: dict[tuple[int, tuple], MutantStatus] = {}
+        self._classifications: dict[tuple[int, tuple], MutantStatus | object] = {}
         self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
         self._packed: dict[tuple[str, ...], PackedLines] = {}
         self._line_distance: dict[tuple[tuple[str, ...], str], int] = {}
@@ -324,9 +333,14 @@ class FitnessContext:
     def classify(self, mutant: Mutant, tests: Iterable[TestCase],
                  stop: MutantStatus = MutantStatus.KILLED) -> MutantStatus:
         """Highest status the tests' calls reach on a mutant, in order, skipping
-        calls that miss its site. Returns at the first KILLED, and otherwise
-        after the first test that raises the status to ``stop``."""
+        calls that miss its site, returned as soon as it reaches ``stop``.
+        A fold with ``stop`` below KILLED may so return INFECTED for a
+        mutant that a later call kills, and it runs no mutant on a call
+        whose schema run shows it infected: that kill run waits for the
+        first fold with ``stop`` KILLED that reaches the call."""
         site = mutant.site
+        mutant_id = mutant.mutant_id
+        lazy = stop < MutantStatus.KILLED
         best = MutantStatus.NOT_REACHED
         for test in tests:
             trace = self.trace(test)
@@ -335,21 +349,25 @@ class FitnessContext:
             for key, base in zip(trace.call_keys, trace.call_results):
                 if site not in base.lines_hit:
                     continue
-                ckey = (mutant.mutant_id, key)
+                ckey = (mutant_id, key)
                 status = self._classifications.get(ckey)
-                if status is None:
+                if status is None or status is _INFECTED_NOT_RUN and not lazy:
                     schema = self._schema_runs.get(key)
                     if schema is None:
                         schema = self._schema_runs[key] = schema_run(
                             self.program, *call_of(key), self.interp)
-                    status = self._classifications[ckey] = classify_against_mutant(
-                        mutant, *call_of(key), base, self.interp, schema).status
+                    if lazy and mutant_id in schema.infected:
+                        status = _INFECTED_NOT_RUN
+                    else:
+                        status = classify_against_mutant(
+                            mutant, *call_of(key), base, self.interp, schema).status
+                    self._classifications[ckey] = status
+                if status is _INFECTED_NOT_RUN:
+                    status = MutantStatus.INFECTED
                 if status > best:
                     best = status
-                    if best == MutantStatus.KILLED:
+                    if best >= stop:
                         return best
-            if best >= stop:
-                break
         return best
 
     def stage_sum(self, suite: TestSuite, stages: dict, stop: MutantStatus) -> float:

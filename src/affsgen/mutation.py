@@ -30,16 +30,21 @@ alternatives beside it (see ``interpreter``). A mutant is
 infected once a redo gives a different value or raise, and drifted when
 one agrees but takes a different number of steps. A reached mutant that is
 neither runs exactly as the base program does, so it is not run. Any other
-mutant runs once on the call: it is killed when an observable outcome
-(return value, exception identity) differs, and infected when a redo was,
-or when it drifted and its run, which counts the evaluations of its own
-root, evaluated the root a different number of times. A deleted assignment is
-infected when its right side raises or changes the variable, and always
-runs. This equals comparing the sequences of root values of the two whole
-runs, except when the root calls back into its own function: then each
-redo runs the mutant's whole recursion, while the base's nested
-evaluations are each compared on their own, so the statuses can differ.
-``FitnessContext.classify`` folds the statuses of a suite's calls.
+mutant runs on the call at most once, when a fold needs it (see below): it
+is killed when an observable outcome (return value, exception identity)
+differs, and infected when a redo was, or when it drifted and its run,
+which counts the evaluations of its own root, evaluated the root a
+different number of times. A deleted assignment is infected when its right
+side raises or changes the variable, and runs even when it is neither.
+This equals comparing the sequences of root values of the two whole runs,
+except when the root calls back into its own function: then each redo
+runs the mutant's whole recursion, while the base's nested evaluations are
+each compared on their own, so the statuses can differ.
+``FitnessContext.classify`` folds the statuses of a suite's calls. A fold
+that stops at INFECTED, as weak-mutation scoring does (Howden, TSE 1982),
+needs no run of a mutant the schema run shows infected, so that run waits
+for the first fold that asks whether the call kills it; a drifted mutant
+or a deleted assignment runs on the first fold that reaches the call.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affsgen import mutation, tracing
-from affsgen.fitness import FitnessContext
+from affsgen.fitness import _DETECTED, _STRONG_STAGES, _WEAK_STAGES, FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ArityError, parse
 from affsgen.minilang.interpreter import InterpConfig, execute
@@ -88,9 +88,14 @@ def test_classifications_with_warm_memo_equal_fresh_ones(fault_id):
     tests = [random_test_case(program, rng, cfg) for _ in range(8)]
     tests.append(TestCase(calls=_literal_calls(tests[0]) + _literal_calls(tests[1])))
     ctx = FitnessContext(program)
+    # weak folds first leave the calls they find infected unrun
+    for mutant in ctx.mutants:
+        ctx.classify(mutant, tests, MutantStatus.INFECTED)
     for test in tests:
         for mutant in ctx.mutants:
             fresh = _fresh_status(mutant, test)
+            weak = ctx.classify(mutant, (test,), MutantStatus.INFECTED)
+            assert _WEAK_STAGES[weak] == _WEAK_STAGES[fresh], (mutant.operator, mutant.site, test)
             assert ctx.classify(mutant, (test,)) == fresh, (mutant.operator, mutant.site, test)
     assert ctx._schema_runs
 
@@ -126,6 +131,69 @@ def _pinned_classifications() -> str:
 def test_corpus_classifications_are_pinned():
     assert _pinned_classifications() == (
         "2e3a63472c90fbe695ebcb384681370c377a159f56165b82ab913d8214650fd6")
+
+
+def _outcome(fold, *args):
+    """A fold's result, or ``"OverflowError"`` (p06, a known interpreter defect)."""
+    try:
+        return fold(*args)
+    except OverflowError:
+        return "OverflowError"
+
+
+_MODES = {"weak": (_WEAK_STAGES, MutantStatus.INFECTED),
+          "strong": (_STRONG_STAGES, MutantStatus.KILLED)}
+
+
+def _scores(ctx: FitnessContext, suite: tuple, mode: str) -> tuple:
+    """One mode's fitness stage sum and mutation score of ``suite`` on ``ctx``."""
+    stages, stop = _MODES[mode]
+    return (_outcome(ctx.stage_sum, suite, stages, stop),
+            _outcome(ctx.mutation_score, suite, mode))
+
+
+def _fresh_scores(program, suite: tuple, mode: str) -> tuple:
+    """``_scores`` from the statuses of a fresh context's strong folds, mapped
+    through the mode's stage tables and summed in mutant order.
+
+    A mutant whose strong fold overflows takes the weak status of a weak
+    fold in another fresh context: it needs no run of a mutant that a
+    schema run shows infected, so it may end where the strong fold raised,
+    and then only at INFECTED.
+    """
+    ctx = FitnessContext(program)
+    stages, stop = _MODES[mode]
+    detected = _DETECTED[mode][1]
+    stage_total = detected_total = 0
+    for mutant in ctx.mutants:
+        status = _outcome(ctx.classify, mutant, suite)
+        if status == "OverflowError" and mode == "weak":
+            status = _outcome(FitnessContext(program).classify, mutant, suite, stop)
+            assert status in ("OverflowError", MutantStatus.INFECTED), status
+        if status == "OverflowError":
+            return status, status
+        stage_total += stages[status]
+        detected_total += detected[status]
+    return stage_total, 100.0 * detected_total / len(ctx.mutants)
+
+
+@pytest.mark.parametrize("first", ["weak", "strong"])
+def test_weak_and_strong_scores_interleaved_equal_fresh_ones(first):
+    # one context scores seeded random suites in both modes, one after the
+    # other: a weak fold leaves infected calls unrun, and a later strong
+    # fold, on this suite or a later one, runs them
+    modes = (first, "strong" if first == "weak" else "weak")
+    for index, program in enumerate(PROGRAMS):
+        rng = random.Random(index)
+        tests = [random_test_case(program, rng, GenConfig(max_calls_per_test=4))
+                 for _ in range(6)]
+        suites = [tuple(tests[:2]), tuple(tests[1:4]), tuple(tests), tuple(tests[3:])]
+        ctx = FitnessContext(program)
+        for suite in suites:
+            for mode in modes:
+                got, want = _scores(ctx, suite, mode), _fresh_scores(program, suite, mode)
+                # bit-identical floats: repr tells 0.1 + 0.2 from 0.3
+                assert repr(got) == repr(want), (program.source_id, mode, suite)
 
 
 def _count_runs(monkeypatch) -> list:

@@ -515,14 +515,14 @@ def test_every_execution_terminates_within_step_limit():
 
 @pytest.mark.xfail(raises=OverflowError, strict=True, reason=(
     "p06 defect: comparisons convert int operands with float(), which "
-    "overflows once a value passes float range and fails 34 p06 trials of the "
-    "benchmark's sweep workload. Compiled code without the float() finished every "
-    "trial, but a serial raw replay of the sweep trials went from 5.7 s to 8.7-9.3 s "
-    "(2-vCPU Xeon), so the fix waits for a change that also pays for that work. Since "
-    "endless loops are cut short, five interleaved replays took 6.3-7.9 s (median "
-    "6.8 s) without the float(), against 3.9-5.0 s (median 4.7 s) with it and "
-    "4.7-5.6 s (median 5.2 s) before the cut: the growing k never repeats a state, so "
-    "the cut cannot shorten it."))
+    "overflows once a value passes float range and fails 12 p06 strong-mutation "
+    "trials of the benchmark's sweep workload. Compiled code without the float() "
+    "finished every trial, but a serial raw replay of the sweep trials went from "
+    "5.7 s to 8.7-9.3 s (2-vCPU Xeon), so the fix waits for a change that also "
+    "pays for that work. Since endless loops are cut short, five interleaved "
+    "replays took 6.3-7.9 s (median 6.8 s) without the float(), against 3.9-5.0 s "
+    "(median 4.7 s) with it and 4.7-5.6 s (median 5.2 s) before the cut: the "
+    "growing k never repeats a state, so the cut cannot shorten it."))
 def test_p06_mutant_growing_past_float_range_hits_step_limit():
     source = Path(__file__).resolve().parent.parent / "corpus" / "p06_loop_boundary" / "fixed.minij"
     program = parse(source.read_text(), "p06_loop_boundary")

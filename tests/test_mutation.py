@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from affsgen import fitness
+from affsgen import fitness, mutation
 from affsgen.fitness import FitnessContext
 from affsgen.minilang import parse
 from affsgen.minilang.interpreter import InterpConfig, execute
@@ -190,10 +190,13 @@ def test_strong_never_exceeds_weak_on_random_suites():
     for _ in range(25):
         tests = [random_test_case(program, rng, cfg) for _ in range(rng.randint(0, 4))]
         suite = tuple(tests)
-        ctx = FitnessContext(program)
-        weak = ctx.mutation_score(suite, "weak")
-        strong = ctx.mutation_score(suite, "strong")
-        assert strong <= weak
+        scores = []
+        # a weak score first leaves infected calls unrun for the strong one
+        for modes in (("weak", "strong"), ("strong", "weak")):
+            ctx = FitnessContext(program)
+            scores.append({mode: ctx.mutation_score(suite, mode) for mode in modes})
+        assert scores[0] == scores[1]
+        assert scores[0]["strong"] <= scores[0]["weak"]
 
 
 def test_adding_a_test_never_lowers_scores():
@@ -213,14 +216,20 @@ def test_adding_a_test_never_lowers_scores():
 def test_the_fold_classifies_only_what_its_stop_needs(monkeypatch):
     program = parse("fn f(a:int){ let y = a * 2; if (y > 3) { return 1; } return y; }")
     mutant = next(m for m in generate_mutants(program) if m.operator == "aor:*->+")
-    classified = []
-    real_classify = fitness.classify_against_mutant
+    classified, mutant_runs = [], []
+    real_classify, real_execute = fitness.classify_against_mutant, mutation.execute
 
     def counting_classify(m, function, args, *rest):
         classified.append(args[0])
         return real_classify(m, function, args, *rest)
 
+    def counting_execute(prog, function, args, *rest, **kwargs):
+        if prog is mutant.mutated_program:
+            mutant_runs.append(args[0])
+        return real_execute(prog, function, args, *rest, **kwargs)
+
     monkeypatch.setattr(fitness, "classify_against_mutant", counting_classify)
+    monkeypatch.setattr(mutation, "execute", counting_execute)
 
     def f(*calls):
         return _test(*(("f", (a,)) for a in calls))
@@ -228,11 +237,26 @@ def test_the_fold_classifies_only_what_its_stop_needs(monkeypatch):
     # y = a + 2 instead: f(2) reaches it without infecting, f(3), f(4),
     # f(5) and f(7) infect it, f(0) and f(1) kill it
     ctx = FitnessContext(program)
-    assert ctx.classify(mutant, (f(2, 3, 5), f(7), f(0)), MutantStatus.INFECTED) == (
-        MutantStatus.INFECTED)
-    # f(5) comes after the infection, in the same test; no later test runs
-    assert classified == [2, 3, 5]
+    tests = (f(2, 3, 5), f(7), f(0))
+    assert ctx.classify(mutant, tests, MutantStatus.INFECTED) == MutantStatus.INFECTED
+    # the schema run of f(3) shows the infection: the weak fold ends there,
+    # before f(5), without running the mutant
+    assert classified == [2] and mutant_runs == []
     assert f(7) not in ctx._traces and f(0) not in ctx._traces
+    # and a repeated weak fold runs nothing
+    assert ctx.classify(mutant, tests, MutantStatus.INFECTED) == MutantStatus.INFECTED
+    assert classified == [2] and mutant_runs == []
+
+    # a strong fold runs the mutant on f(3), which the weak fold left unrun,
+    # exactly once, and goes on to the kill at f(0)
+    assert ctx.classify(mutant, tests) == MutantStatus.KILLED
+    assert classified == [2, 3, 5, 7, 0] and mutant_runs == [3, 5, 7, 0]
+
+    # and a weak fold after it still runs nothing
+    classified.clear()
+    mutant_runs.clear()
+    assert ctx.classify(mutant, tests, MutantStatus.INFECTED) == MutantStatus.INFECTED
+    assert classified == [] and mutant_runs == []
 
     classified.clear()
     ctx = FitnessContext(program)
