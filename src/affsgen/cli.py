@@ -18,12 +18,9 @@ rates and the call-depth cap are module constants in ``engine``,
 ``testmodel`` and ``interpreter``, not settings.
 An ``--out`` that cannot be written exits 1 before any search runs.
 
-``generate`` also exits 2 on a program the interpreter cannot run yet: one
-whose search compares an int beyond float range, which raises Python's
-``OverflowError`` (see ``interpreter``), with one ``error:`` line. The
-search stops there and ``--out`` is left as it was: ``generate`` writes the
-suite to a temporary file beside it and moves that into place only after a
-search that succeeds.
+``generate`` writes the suite to a temporary file beside ``--out`` and
+moves that into place only after a search that succeeds, so a search that
+fails leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -115,13 +112,7 @@ def _cmd_generate(args) -> int:
         return 1
     try:
         with open(fd, "w", encoding="utf-8") as out:
-            try:
-                result = run_search(program, goal, strategy, EngineConfig(budget=budget),
-                                    args.seed)
-            except OverflowError as err:
-                print(f"error: {args.program}: the interpreter cannot run it yet: an int "
-                      f"outgrew float range ({err})", file=sys.stderr)
-                return 2
+            result = run_search(program, goal, strategy, EngineConfig(budget=budget), args.seed)
             out.write(result.to_json())
         umask = os.umask(0)
         os.umask(umask)

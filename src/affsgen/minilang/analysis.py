@@ -83,9 +83,6 @@ _NO_KINDS: frozenset = frozenset()
 _INT, _BOOL, _STR = frozenset(["int"]), frozenset(["bool"]), frozenset(["str"])
 _LITERALS = {IntLit: _INT, BoolLit: _BOOL, StrLit: _STR}
 
-# floats hold every int of at most this magnitude exactly
-EXACT_FLOAT_INT = 2**53
-
 # the comparison that holds exactly where ``op`` fails
 NEGATION = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
@@ -425,11 +422,10 @@ class Jump:
     Pass ``t`` compares its operands only if its ``head`` ticks stay within
     the limit, so passes ``0..last`` with ``last = (L - S - head) // steps``
     do. Each operand is linear in ``t``, so it is enough to check its values
-    at both ends: when both operands stay within ±2**53 there, ``float()``
-    compares them exactly, as ints, and when the comparison then holds on
-    every one of those passes, the run surely crosses the limit inside the
-    loop. The loop's body cannot raise and calls nothing, so that happens in
-    the loop's function, and the jump raises what the run would have."""
+    at both ends: when the comparison holds on every one of those passes,
+    the run surely crosses the limit inside the loop. The loop's body cannot
+    raise and calls nothing, so that happens in the loop's function, and the
+    jump raises what the run would have."""
 
     __slots__ = ("function", "steps", "head", "op", "lhs", "rhs", "moves")
 
@@ -445,9 +441,6 @@ class Jump:
                 moved[i] += delta(env)
             lhs, rhs = self.lhs(env), self.rhs(env)
             lhs_slope, rhs_slope = self.lhs(moved) - lhs, self.rhs(moved) - rhs
-            ends = (lhs, rhs, lhs + lhs_slope * last, rhs + rhs_slope * last)
-            if max(ends) > EXACT_FLOAT_INT or min(ends) < -EXACT_FLOAT_INT:
-                return
             if not _holds(self.op, lhs - rhs, lhs_slope - rhs_slope, last):
                 return
         raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)

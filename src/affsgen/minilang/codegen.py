@@ -40,8 +40,7 @@ the program and every mutant of it is read as that kind, in every shape
 and in every alternative, so the code of a well-kinded program calls no
 ``type()`` at all. A read of a variable that the analysis does not find
 surely bound before its statement (``Analysis.bound``) keeps its ``is U``
-guard, and a comparison of two numbers still converts both to
-floats, folding an int literal's conversion into the code.
+guard.
 
 Ticks are exact but batched. A node ticks once as its evaluation starts,
 and between two points where something can happen (a raise, a branch, a
@@ -140,12 +139,12 @@ from affsgen.minilang.nodes import (
 )
 
 
-K = 1.0  # distance offset for strict inequalities and != when the predicate just fails
+K = 1  # distance offset for strict inequalities and != when the predicate just fails
 
 # steps a run takes before its loop heads start looking for a repeated control state
 CYCLE_CHECK_AFTER = 1_000
 
-# distance >= 0 from ``{a} op {b}`` on floats to the predicate holding: zero
+# distance >= 0 from ``{a} op {b}`` on numbers to the predicate holding: zero
 # exactly when it holds, else growing with how far the operands are from it
 _DISTANCE = {
     "==": "abs({a} - {b})",
@@ -436,18 +435,18 @@ class _Code:
         def rhs():
             vb, tb, fb = self.pred(expr.rhs)
             if op == "and":
-                self.emit(f"{t} = {vb}; {dt} = {ta} / ({ta} + 1.0) + {tb} / ({tb} + 1.0); "
+                self.emit(f"{t} = {vb}; {dt} = {ta} / ({ta} + 1) + {tb} / ({tb} + 1); "
                           f"{df} = {fb} if {fb} < {fa} else {fa}")
             else:
                 self.emit(f"{t} = {vb}; {dt} = {tb} if {tb} < {ta} else {ta}; "
-                          f"{df} = {fa} / ({fa} + 1.0) + {fb} / ({fb} + 1.0)")
+                          f"{df} = {fa} / ({fa} + 1) + {fb} / ({fb} + 1)")
 
         def short():
             # the right side is not evaluated: it counts as fully unmet
             if op == "and":
-                self.emit(f"{t} = False; {dt} = {ta} / ({ta} + 1.0) + 1.0; {df} = 0.0")
+                self.emit(f"{t} = False; {dt} = {ta} / ({ta} + 1) + 1.0; {df} = 0.0")
             else:
-                self.emit(f"{t} = True; {dt} = 0.0; {df} = {fa} / ({fa} + 1.0) + 1.0")
+                self.emit(f"{t} = True; {dt} = 0.0; {df} = {fa} / ({fa} + 1) + 1.0")
 
         self.branch(va if op == "and" else f"not {va}", rhs, short)
         return t, dt, df
@@ -473,14 +472,11 @@ class _Code:
                 self.emit(f"{dist[0]} = {dt}; {dist[1]} = {df}")
 
         def numbers():
-            # ints and bools compare as floats: exact up to 2**53
-            a, b = self.temp(), self.temp()
-            self.emit(f"{a} = {_float(expr.lhs, l)}; {b} = {_float(expr.rhs, r)}")
             if dist is None:
-                self.emit(f"{t} = {a} {op} {b}")
+                self.emit(f"{t} = {l} {op} {r}")
                 return
-            self.emit(f"{dist[0]} = {_distance(op, a, b)}; "
-                      f"{dist[1]} = {_distance(NEGATION[op], a, b)}; {t} = {dist[0]} == 0.0")
+            self.emit(f"{dist[0]} = {_distance(op, l, r)}; "
+                      f"{dist[1]} = {_distance(NEGATION[op], l, r)}; {t} = {dist[0]} == 0")
 
         numeric = ("int", "bool")
         if lk == rk == "str":
@@ -711,17 +707,6 @@ class _Code:
         self.emit(f"{checks} += 1")
         self.emit(f"if not {checks} & ({checks} - 1): {save}{at} = S")
         self.depth -= 1
-
-
-def _float(expr: Expr, operand: str) -> str:
-    """``operand``, the value of ``expr``, as a float: an int literal's is
-    folded in, unless ``float()`` would overflow, as it must at run time."""
-    if type(expr) is IntLit:
-        try:
-            return repr(float(expr.value))
-        except OverflowError:
-            pass
-    return f"float({operand})"
 
 
 def _locals(fn: FunctionDef) -> dict[str, str]:

@@ -54,9 +54,8 @@ Semantics worth knowing:
     ``TypeError`` (the in-language kind, not Python's). A bool is not an
     int.
   * Ordering comparisons require numeric operands (bools count as 0/1);
-    ``==``/``!=`` additionally accept two strings. Numbers compare as
-    floats, so ints beyond 2**53 may compare equal when they differ, and an
-    int beyond float range raises Python's ``OverflowError``.
+    ``==``/``!=`` additionally accept two strings. Numbers compare
+    exactly, at any size.
   * ``s[i]`` raises ``IndexOutOfBounds`` outside ``0 <= i < len(s)``.
   * A function body that ends without ``return`` yields the int 0.
   * Exceeding the step limit or ``MAX_CALL_DEPTH`` nested calls raises

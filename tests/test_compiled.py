@@ -28,7 +28,7 @@ from affsgen.minilang.interpreter import (
     precompile,
 )
 from affsgen.minilang.nodes import Assign, Let, While, walk_expressions, walk_statements
-from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
+from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, mutants_of
 from affsgen.testmodel import GenConfig, random_test_case
 
@@ -45,42 +45,27 @@ PROGRAMS = _corpus_programs()
 STEP_LIMITS = [1, 2, 3, 5, 8, 13, 21, 40, 90, 300, 10_000]
 
 
-def _run(run, *args):
-    """A run's result, or the name of the Python error it ended in (p06's
-    OverflowError, a known defect, must end both runs alike)."""
-    try:
-        return run(*args)
-    except OverflowError:
-        return "OverflowError"
-
-
 def _assert_same_runs(program, entry, args, config, mutants) -> None:
     """Traced, schema and kill runs of one call agree with the tree walker;
     kill runs both with sides that count root evaluations and without.
     ``mutants`` are some of ``program``'s, whose schema its runs with sides
     redo."""
-    compiled = _run(execute, program, entry, args, config)
-    assert compiled == _run(treewalk.execute, program, entry, args, config)
+    compiled = execute(program, entry, args, config)
+    assert compiled == treewalk.execute(program, entry, args, config)
     ours, theirs = Sides(), Sides()
-    schema = _run(execute, program, entry, args, config, ours)
-    walked = _run(treewalk.execute, program, entry, args, config, theirs)
-    if "OverflowError" in (schema, walked):
-        assert schema == walked
-    else:
-        # a schema run, like a kill run, fills only the outcome and the step count
-        assert (schema.outcome, schema.steps) == (walked.outcome, walked.steps)
-        assert not (schema.lines_hit or schema.branch_best or schema.branch_best_direct
-                    or schema.called_functions)
-        assert (ours.evals, ours.infected, ours.drifted) == (
-            theirs.evals, theirs.infected, theirs.drifted)
+    schema = execute(program, entry, args, config, ours)
+    walked = treewalk.execute(program, entry, args, config, theirs)
+    # a schema run, like a kill run, fills only the outcome and the step count
+    assert (schema.outcome, schema.steps) == (walked.outcome, walked.steps)
+    assert not (schema.lines_hit or schema.branch_best or schema.branch_best_direct
+                or schema.called_functions)
+    assert (ours.evals, ours.infected, ours.drifted) == (
+        theirs.evals, theirs.infected, theirs.drifted)
     for mutant in mutants:
         # a kill run fills only the outcome and the step count
         ours, theirs = Sides(), Sides()
-        killed = _run(execute, mutant.mutated_program, entry, args, config, ours)
-        walked = _run(treewalk.execute, mutant.mutated_program, entry, args, config, theirs)
-        if "OverflowError" in (killed, walked):
-            assert killed == walked, mutant.operator
-            continue
+        killed = execute(mutant.mutated_program, entry, args, config, ours)
+        walked = treewalk.execute(mutant.mutated_program, entry, args, config, theirs)
         assert (killed.outcome, killed.steps) == (walked.outcome, walked.steps), mutant.operator
         assert not (killed.lines_hit or killed.branch_best or killed.branch_best_direct
                     or killed.called_functions)
@@ -369,15 +354,33 @@ def test_no_corpus_program_or_alternative_checks_a_kind_at_run_time():
                 assert "type(" not in source, (program.source_id, mutant.operator)
 
 
-def test_a_comparison_folds_an_int_literal_into_a_float_unless_it_overflows():
-    # float() of a 400-digit literal overflows, and must still do so at run time
+def test_a_400_digit_literal_compares_exactly():
+    literal = int("1" * 400)
     program = parse("fn f(x:int){ if (x < 3) { return 1; }"
-                    " if (x > " + "1" * 400 + ") { return 2; } return 0; }")
-    lean = codegen.program_source(program, "K", Analysis(program))[0]
-    assert "float(3)" not in lean and "= 3.0" in lean
-    assert f"float({'1' * 400})" in lean
-    assert execute(program, "f", (1,)).outcome == Returned(1)
-    assert _run(execute, program, "f", (5,)) == "OverflowError"
+                    f" if (x > {literal}) {{ return 2; }} return 0; }}")
+    analysis, mutants = Analysis(program), mutants_of(program)
+    sites = tuple({m.mutated_program.root_id: 0 for m in mutants})
+    lean, roots = codegen.program_source(program, "K", analysis)
+    shapes = [lean, codegen.program_source(program, "I", analysis)[0],
+              codegen.program_source(program, "Q", analysis, sites)[0]]
+    shapes += [codegen.root_source("A", roots[m.mutated_program.root_id],
+                                   m.mutated_program.alt_root, program, analysis)
+               for m in mutants]
+    assert not any("float(" in source for source in shapes)
+    for x, returned in ((10**400, 2), (literal + 1, 2), (literal, 0)):
+        assert execute(program, "f", (x,)).outcome == Returned(returned)
+        assert execute(program, "f", (x,), InterpConfig(), Sides()).outcome == Returned(returned)
+    # kill runs, among them those of x > literal + 1 and x > literal - 1
+    for mutant in mutants:
+        for x in (10**400, literal + 1, literal, literal - 1):
+            killed = execute(mutant.mutated_program, "f", (x,))
+            assert killed.outcome == treewalk.execute(mutant.mutated_program, "f", (x,)).outcome
+    # the literal's own mutants: x > literal + 1 and x > literal - 1
+    moved = [m.mutated_program for m in mutants
+             if str(literal) not in to_source(m.mutated_program)]
+    returns = sorted(tuple(execute(mutated, "f", (x,)).outcome.value
+                           for x in (10**400, literal, literal + 1)) for mutated in moved)
+    assert returns == [(2, 0, 0), (2, 2, 2)]
 
 
 # --- CPython's limits and the stack --------------------------------------------------
@@ -615,11 +618,15 @@ _JUMPS = {
                 ' { s = s + "a"; i = i + d; } }'
                 "fn f(i:int, n:int, d:int){ let m = 0; let r = g(i, n, d); return r + m; }",
                 [(0, 40, 1), (0, 40, 0), (5, 40, -2)]),
-    # floats compare ints beyond 2**53 inexactly: as ints, i passes n = 2**53
-    # from 2**53 - 99, but as floats it meets n at i = 2**53 + 1
+    # ints compare exactly where floats cannot tell them apart: i passes
+    # n = 2**53 from 2**53 - 99 and meets it from 2**53 - 100
     "near-2**53": ("fn f(i:int, n:int){ let m = 0; while (i != n) { i = i + 2; }"
                    " return i + m; }",
                    [(2**53 - 99, 2**53), (2**53 - 100, 2**53), (-2**53 + 1, -2**53 + 41)]),
+    # operands that start beyond 2**53, where no float holds them exactly
+    "beyond-2**53": ("fn f(i:int, n:int){ let m = 0; while (i != n) { i = i + 3; }"
+                     " return i + m; }",
+                     [(2**70, 2**70 + 30), (2**70 + 1, 2**70 + 30), (-2**70 - 30, -2**70)]),
 }
 
 
@@ -830,19 +837,16 @@ def test_a_schema_run_redoes_an_alternative_only_until_it_is_infected(monkeypatc
 
 def _searches() -> dict:
     """Small seeded searches on every corpus pair, under every goal: each
-    one's ``to_json(omit_timing=True)``, or the Python error it ended in."""
+    one's ``to_json(omit_timing=True)``; none may end in an error."""
     config = EngineConfig(population_size=6, skip_iter=1, budget=Budget(generations=3))
     gen_config = GenConfig(max_calls_per_test=3, max_suite_size=5)
     outputs = {}
     for pair in load_corpus(CORPUS):
         for goal in Goal:
             for strategy in ("ucb", "sarsa"):
-                try:
-                    result = run_search(pair.fixed_program, goal, make_strategy(strategy, goal),
-                                        config, 7, gen_config)
-                    outputs[pair.fault_id, goal, strategy] = result.to_json(omit_timing=True)
-                except Exception as err:  # compared with the tree walker's below
-                    outputs[pair.fault_id, goal, strategy] = f"{type(err).__name__}: {err}"
+                result = run_search(pair.fixed_program, goal, make_strategy(strategy, goal),
+                                    config, 7, gen_config)
+                outputs[pair.fault_id, goal, strategy] = result.to_json(omit_timing=True)
     return outputs
 
 
@@ -855,7 +859,3 @@ def test_whole_searches_run_as_they_do_on_the_tree_walker(monkeypatch):
     monkeypatch.setattr(tracing, "execute", treewalk.execute)
     walked = _searches()
     assert compiled == walked
-    # only p06's known OverflowError (see the interpreter's docstring) ends a search
-    failed = {key for key, out in compiled.items() if not out.startswith("{")}
-    assert {key[0] for key in failed} <= {"p06_loop_boundary"}
-    assert all(compiled[key].startswith("OverflowError: ") for key in failed)

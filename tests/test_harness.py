@@ -659,27 +659,33 @@ def test_cli_generate_an_int_literal_whose_neighbour_python_cannot_read_is_exit_
 
 
 def _grows(tmp_path) -> list:
-    """``generate`` arguments for a program whose search overflows; k grows
-    threefold until k != 0 compares it as a float (ROADMAP item 2)."""
+    """``generate`` arguments for a program whose ints outgrow float range:
+    k grows threefold until the step limit, and k != 0 compares it each pass."""
     program = tmp_path / "grows.minij"
     program.write_text("fn f(k:int){ while (k != 0) { k = k * 3; } return k; }")
     return ["generate", "--program", str(program), "--goal", "exceptions",
             "--strategy", "ucb", "--budget-gens", "2", "--out", str(tmp_path / "s.json")]
 
 
-def test_cli_generate_an_int_beyond_float_range_is_one_error_line_and_exit_2(tmp_path, capsys):
-    assert cli_main(_grows(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'grows.minij'}: ") and "float range" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    # no --out, and no temporary file, is left behind
-    assert [path.name for path in tmp_path.iterdir()] == ["grows.minij"]
+def test_cli_generate_compares_ints_beyond_float_range_and_writes_its_suite(tmp_path, capsys):
+    assert cli_main(_grows(tmp_path)) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"wrote {tmp_path / 's.json'}: ") and err == ""
+    assert json.loads((tmp_path / "s.json").read_text())["goal"] == "exceptions"
+    # no temporary file is left behind
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["grows.minij", "s.json"]
 
 
-def test_cli_generate_leaves_an_existing_out_as_it_was_when_the_search_fails(tmp_path):
+def test_cli_generate_leaves_an_existing_out_as_it_was_when_the_search_fails(tmp_path,
+                                                                             monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("the search failed")
+
+    monkeypatch.setattr("affsgen.cli.run_search", fail)
     out = tmp_path / "s.json"
     out.write_text("an earlier suite")
-    assert cli_main(_grows(tmp_path)) == 2
+    with pytest.raises(RuntimeError, match="the search failed"):
+        cli_main(_grows(tmp_path))
     assert out.read_text() == "an earlier suite"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["grows.minij", "s.json"]
 

@@ -104,8 +104,7 @@ def _pinned_classifications() -> str:
     """sha256 over (program, mutant id, test index, status) on the whole corpus.
 
     Seeded random tests, then tests joined from them, so that calls repeat
-    within a test and across tests. An ``OverflowError`` (p06, a known
-    interpreter defect) is recorded as a status.
+    within a test and across tests.
     """
     digest = hashlib.sha256()
     for index, program in enumerate(PROGRAMS):
@@ -119,10 +118,7 @@ def _pinned_classifications() -> str:
         ctx = FitnessContext(program)
         for test_index, test in enumerate(tests):
             for mutant in ctx.mutants:
-                try:
-                    status = ctx.classify(mutant, (test,)).name
-                except OverflowError:
-                    status = "OverflowError"
+                status = ctx.classify(mutant, (test,)).name
                 digest.update(f"{program.source_id}\t{mutant.mutant_id}\t"
                               f"{test_index}\t{status}\n".encode())
     return digest.hexdigest()
@@ -130,15 +126,7 @@ def _pinned_classifications() -> str:
 
 def test_corpus_classifications_are_pinned():
     assert _pinned_classifications() == (
-        "2e3a63472c90fbe695ebcb384681370c377a159f56165b82ab913d8214650fd6")
-
-
-def _outcome(fold, *args):
-    """A fold's result, or ``"OverflowError"`` (p06, a known interpreter defect)."""
-    try:
-        return fold(*args)
-    except OverflowError:
-        return "OverflowError"
+        "d246a19c972a8930be4153c3acc1c64bc6e72964137c18435575a73cf4bfd686")
 
 
 _MODES = {"weak": (_WEAK_STAGES, MutantStatus.INFECTED),
@@ -148,30 +136,18 @@ _MODES = {"weak": (_WEAK_STAGES, MutantStatus.INFECTED),
 def _scores(ctx: FitnessContext, suite: tuple, mode: str) -> tuple:
     """One mode's fitness stage sum and mutation score of ``suite`` on ``ctx``."""
     stages, stop = _MODES[mode]
-    return (_outcome(ctx.stage_sum, suite, stages, stop),
-            _outcome(ctx.mutation_score, suite, mode))
+    return ctx.stage_sum(suite, stages, stop), ctx.mutation_score(suite, mode)
 
 
 def _fresh_scores(program, suite: tuple, mode: str) -> tuple:
     """``_scores`` from the statuses of a fresh context's strong folds, mapped
-    through the mode's stage tables and summed in mutant order.
-
-    A mutant whose strong fold overflows takes the weak status of a weak
-    fold in another fresh context: it needs no run of a mutant that a
-    schema run shows infected, so it may end where the strong fold raised,
-    and then only at INFECTED.
-    """
+    through the mode's stage tables and summed in mutant order."""
     ctx = FitnessContext(program)
-    stages, stop = _MODES[mode]
+    stages = _MODES[mode][0]
     detected = _DETECTED[mode][1]
     stage_total = detected_total = 0
     for mutant in ctx.mutants:
-        status = _outcome(ctx.classify, mutant, suite)
-        if status == "OverflowError" and mode == "weak":
-            status = _outcome(FitnessContext(program).classify, mutant, suite, stop)
-            assert status in ("OverflowError", MutantStatus.INFECTED), status
-        if status == "OverflowError":
-            return status, status
+        status = ctx.classify(mutant, suite)
         stage_total += stages[status]
         detected_total += detected[status]
     return stage_total, 100.0 * detected_total / len(ctx.mutants)
@@ -295,10 +271,7 @@ def test_every_argument_of_an_interpreter_call_is_hashable(monkeypatch):
         for test in [random_test_case(program, rng, GenConfig(max_calls_per_test=3))
                      for _ in range(3)]:
             for mutant in ctx.mutants:
-                try:
-                    ctx.classify(mutant, (test,))
-                except OverflowError:  # p06, a known interpreter defect
-                    pass
+                ctx.classify(mutant, (test,))
     assert len(sent) > 100
 
 

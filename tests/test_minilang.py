@@ -421,12 +421,20 @@ def test_string_equality_distance_counts_mismatches_and_length():
         assert branch == [distance, 1.0 if distance == 0.0 else 0.0]
 
 
-def test_numbers_compare_as_floats():
-    # 2**53 + 1 has no float of its own, so it equals 2**53
-    source = "fn f(a:int, b:int){ return a == b; }"
-    assert _outcome(source, "f", 9007199254740993, 9007199254740992) == Returned(True)
-    assert _outcome(source, "f", 9007199254740993, 9007199254740993) == Returned(True)
-    assert _outcome(source, "f", 3, 4) == Returned(False)
+def test_ints_compare_exactly():
+    # 2**53 + 1 and 2**53 share one float, but compare as the ints they are
+    big, below = 2**53 + 1, 2**53
+    for op, holds in (("==", False), ("!=", True)):
+        program = parse(f"fn f(a:int, b:int){{ return a {op} b; }}")
+        for run in (execute, treewalk.execute):
+            assert run(program, "f", (big, below)).outcome == Returned(holds)
+            assert run(program, "f", (big, big)).outcome == Returned(not holds)
+    # a traced run's distance for the == is the int 1, on both interpreters
+    program = parse("fn f(a:int, b:int){ if (a == b) { return 1; } return 0; }")
+    for run in (execute, treewalk.execute):
+        (distance_true, distance_false), = run(program, "f", (big, below)).branch_best.values()
+        assert type(distance_true) is int and distance_true == 1
+        assert distance_false == 0
 
 
 def test_fall_off_end_returns_zero():
@@ -513,16 +521,6 @@ def test_every_execution_terminates_within_step_limit():
         assert result.steps <= config.step_limit + 1
 
 
-@pytest.mark.xfail(raises=OverflowError, strict=True, reason=(
-    "p06 defect: comparisons convert int operands with float(), which "
-    "overflows once a value passes float range and fails 12 p06 strong-mutation "
-    "trials of the benchmark's sweep workload. Compiled code without the float() "
-    "finished every trial, but a serial raw replay of the sweep trials went from "
-    "5.7 s to 8.7-9.3 s (2-vCPU Xeon), so the fix waits for a change that also "
-    "pays for that work. Since endless loops are cut short, five interleaved "
-    "replays took 6.3-7.9 s (median 6.8 s) without the float(), against 3.9-5.0 s "
-    "(median 4.7 s) with it and 4.7-5.6 s (median 5.2 s) before the cut: the "
-    "growing k never repeats a state, so the cut cannot shorten it."))
 def test_p06_mutant_growing_past_float_range_hits_step_limit():
     source = Path(__file__).resolve().parent.parent / "corpus" / "p06_loop_boundary" / "fixed.minij"
     program = parse(source.read_text(), "p06_loop_boundary")

@@ -58,14 +58,12 @@ from affsgen.minilang.nodes import (
 _NEGATION = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-def branch_distance(op: str, lhs: float, rhs: float) -> float:
-    """Distance ``>= 0`` from ``lhs op rhs`` to the predicate holding.
+def branch_distance(op: str, l: int, r: int) -> float:
+    """Distance ``>= 0`` from ``l op r`` to the predicate holding.
 
     Zero exactly when the predicate holds; otherwise grows with how far the
     operands are from satisfying it. Booleans should be passed as 0/1.
     """
-    l = float(lhs)
-    r = float(rhs)
     if op == "==":
         return abs(l - r)
     if op == "!=":
@@ -82,7 +80,7 @@ def branch_distance(op: str, lhs: float, rhs: float) -> float:
 
 
 def _nu(x: float) -> float:
-    return x / (x + 1.0)
+    return x / (x + 1)
 
 
 class Evaluation(NamedTuple):
@@ -344,11 +342,10 @@ class _Interp:
             if op == "==":
                 return (l == r, d_eq, d_ne)
             return (l != r, d_ne, d_eq)
-        ln = float(int(l))
-        rn = float(int(r))
+        ln, rn = int(l), int(r)
         d_true = branch_distance(op, ln, rn)
         d_false = branch_distance(_NEGATION[op], ln, rn)
-        return (d_true == 0.0, d_true, d_false)
+        return (d_true == 0, d_true, d_false)
 
     # -- statements -----------------------------------------------------------
 
