@@ -228,6 +228,12 @@ class UcbStrategy(Strategy):
     The bound is mean reward plus UCB_C * sqrt(ln t / times selected). Ties
     break toward the earliest action of the space, which is the lowest id for
     every space ``action_space`` builds.
+
+    ``t`` is the generation number that ``engine.run_search`` passes to
+    ``update_and_select``, not the count of plays: the agent plays once
+    every ``skip_iter`` generations, so above a ``skip_iter`` of 1 its
+    ``ln t`` is larger than UCB1's (Auer, Cesa-Bianchi and Fischer, 2002),
+    which counts plays, and it explores more.
     """
 
     def __init__(self, goal: Goal, space: list[Action] | None = None):

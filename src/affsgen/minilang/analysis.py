@@ -29,31 +29,37 @@ unbound check of a read of a variable bound there.
 Control slices (``control_slice``), which the lean loops' cycle checks
 compare (see ``codegen``).
 
-Jumps. A lean kill run loop that provably passes its condition on every
-pass up to the step limit raises ``StepLimitExceeded`` at its head, rather
-than stepping through the passes (loop acceleration in closed form, as in
-Frohn, "A calculus for modular loop acceleration", TACAS 2020). The lean
-code checks for a jump at every loop whose body holds only ``let`` and
-assignment statements (``loops``), a shape no mutant changes, and a
-``Jump`` is built, from the AST of the program that runs, for each version
-of such a loop that meets the rest: its condition is one comparison of
-affine int expressions under any number of ``not``s; its body holds no
-index, call, comparison, ``and``/``or`` or ``/``; every variable of the
-loop is bound at its head and of one proven kind; and each variable of the
-condition is updated exactly once per pass as ``v = v ± δ``, with δ
-loop-invariant, or not at all. A mutated program builds one only for the
-loop its root is in, and shares its base's for the loops it leaves as they
-are (``jumps``), so a deletion may make a loop jump that its base version
-cannot. Then the loop's body cannot raise, each operand of the condition
-moves by a fixed amount per pass, and whether the condition holds on every
-pass up to the limit is a question about a line (see ``Jump``).
+Jumps. A loop that provably passes its condition on every pass up to the
+step limit raises ``StepLimitExceeded`` rather than stepping through the
+passes (loop acceleration in closed form, as in Frohn, "A calculus for
+modular loop acceleration", TACAS 2020): a lean kill run as the loop
+starts, and a traced or a schema run of the base program at the head of
+its second pass, once they have recorded what the skipped passes would
+have (see ``Jump``). Generated code checks for a jump at every loop whose
+body holds only ``let`` and assignment statements (``loops``), a shape no
+mutant changes, and a ``Jump`` is built, from the AST of the program that
+runs, for each version of such a loop that meets the rest: its condition
+is one comparison of affine int expressions under any number of ``not``s;
+its body holds no index, call, comparison, ``and``/``or`` or ``/``; every
+variable of the loop is bound at its head and of one proven kind; and each
+variable of the condition is updated exactly once per pass as ``v = v ±
+δ``, with δ a loop-invariant affine int, or not at all. A mutated program
+builds one only for the loop its root is in, and shares its base's for the
+loops it leaves as they are (``jumps``), so a deletion may make a loop jump
+that its base version cannot. Then the loop's body cannot raise, each
+operand of the condition moves by a fixed amount per pass, and whether the
+condition holds on every pass up to the limit is a question about a line
+(see ``Jump``). A schema run asks one more such question of each
+alternative pending at the loop's roots (infection decided on states, as
+in Just, Ernst and Fraser, ISSTA 2014): where its value first differs from
+the root's (``Jump.form``).
 """
 
 from __future__ import annotations
 
 import operator
 
-from affsgen.minilang.interpreter import STEP_LIMIT_EXCEEDED, MiniJError
+from affsgen.minilang.interpreter import STEP_LIMIT_EXCEEDED, MiniJError, merge_best
 from affsgen.minilang.nodes import (
     ARITHMETIC_OPS,
     COMPARISON_OPS,
@@ -78,6 +84,8 @@ from affsgen.minilang.nodes import (
     walk_expressions,
     walk_statements,
 )
+
+K = 1  # distance offset for strict inequalities and != when the predicate just fails
 
 _NO_KINDS: frozenset = frozenset()
 _INT, _BOOL, _STR = frozenset(["int"]), frozenset(["bool"]), frozenset(["str"])
@@ -192,8 +200,8 @@ class Analysis:
     order: those of its condition and body bound at its head. ``owners``
     maps the node id of each statement root in such a loop, its condition's
     included, to the loop's branch id; and ``own_jumps`` holds the analysed
-    program's own jumps, which its mutants share where they leave a loop as
-    it is."""
+    program's own jumps, which its traced and schema runs take, and its
+    mutants share where they leave a loop as it is."""
 
     __slots__ = ("variables", "returns", "known", "known_returns", "bound", "loops",
                  "owners", "own_jumps")
@@ -369,29 +377,35 @@ def _jump(loop: While, function: str, names: tuple, known: dict,
     if comparison is None or not _names(loop) <= bound:
         return None
     moving = {stmt.name for stmt in loop.body}
-    head = _size(loop.cond)
-    steps = head
+    ends = [_size(loop.cond)]  # ticks from a pass's start to the end of each of its roots
     for stmt in loop.body:
         kind = _kind(stmt.expr, known)
         if kind is None or kind != known.get(stmt.name):
             return None
-        steps += 1 + _size(stmt.expr)
+        ends.append(ends[-1] + 1 + _size(stmt.expr))
     if any(_kind(side, known) != "int" or not _affine(side, moving)
            for side in (comparison.lhs, comparison.rhs)):
         return None
     index = {name: i for i, name in enumerate(names)}
-    moves = []
-    for name in sorted(variables(comparison) & moving):
-        updates = [stmt.expr for stmt in loop.body if stmt.name == name]
-        found = _update(updates[0], name, moving) if len(updates) == 1 else None
-        if found is None:
-            return None
-        delta, minus = found
-        step = _evaluator(delta, index)
-        moves.append((index[name], (lambda env, f=step: -f(env)) if minus else step))
+    # the int variables the loop moves by a loop-invariant affine δ once per
+    # pass: their index, the root that moves them and δ
+    shifts = {}
+    for name in sorted(moving):
+        at = [i for i, stmt in enumerate(loop.body) if stmt.name == name]
+        found = _update(loop.body[at[0]].expr, name, moving) if len(at) == 1 else None
+        if found is not None and known.get(name) == "int" and _affine(found[0], moving):
+            delta, minus = found
+            step = _evaluator(delta, index)
+            shifts[name] = (index[name], at[0] + 1,
+                            (lambda env, f=step: -f(env)) if minus else step)
+    if not variables(comparison) & moving <= shifts.keys():
+        return None
+    moves = tuple((i, delta) for name, (i, _, delta) in shifts.items()
+                  if name in variables(comparison))
     op = NEGATION[comparison.op] if negated else comparison.op
-    return Jump(function, steps, head, op, _evaluator(comparison.lhs, index),
-                _evaluator(comparison.rhs, index), tuple(moves))
+    return Jump(loop, function, tuple(ends), op, _evaluator(comparison.lhs, index),
+                _evaluator(comparison.rhs, index), moves, tuple(shifts.values()),
+                (index, known, moving - shifts.keys()))
 
 
 # d(t) compared with 0 on both ends of a range of t, where it is linear
@@ -411,8 +425,31 @@ def _holds(op: str, start: int, slope: int, last: int) -> bool:
     return compare(start, 0) and compare(start + slope * last, 0)
 
 
+def _least(op: str, start: int, slope: int, last: int) -> int:
+    """The least distance toward false of ``d op 0`` (``codegen``'s distance
+    of the negated comparison on ``d`` and 0) over ``d = start + slope * t``
+    for ``t`` in ``0..last``, where ``d op 0`` holds at every one of them, so
+    that each distance is a positive int. Each is linear in ``d``, or
+    ``|d|``, which is least at an end of the range or at a whole ``t``
+    next to the zero crossing."""
+    if op == "==":
+        return K
+    end = start + slope * last
+    if op == "!=":
+        least = min(abs(start), abs(end))
+        if slope:
+            below = -start // slope  # the whole t at or below the crossing
+            for t in (below, below + 1):
+                if 0 <= t <= last:
+                    least = min(least, abs(start + slope * t))
+        return least
+    if op in ("<", "<="):  # the distance is -d, and -d + K for <=
+        return -max(start, end) + (K if op == "<=" else 0)
+    return min(start, end) + (K if op == ">=" else 0)
+
+
 class Jump:
-    """One loop's jump in a lean kill run, called at the loop head with the
+    """One loop's jump to the step limit, called at the loop head with the
     step count ``S``, the limit ``L`` and the values of the loop's variables
     (``Analysis.loops``). A pass takes ``steps`` steps, the first ``head`` of
     them evaluating the condition, whose comparison ``op`` (its ``not``s
@@ -425,22 +462,147 @@ class Jump:
     at both ends: when the comparison holds on every one of those passes,
     the run surely crosses the limit inside the loop. The loop's body cannot
     raise and calls nothing, so that happens in the loop's function, and the
-    jump raises what the run would have."""
+    jump raises what the run would have.
 
-    __slots__ = ("function", "steps", "head", "op", "lhs", "rhs", "moves")
+    A kill run calls the jump as the loop starts (``__call__``). A traced
+    run (``traced``) and a schema run (``schema``) call it at the head of
+    the loop's second pass, once the first has recorded every line the loop
+    reaches, and first record what the passes they skip would have: see
+    those methods."""
 
-    def __init__(self, function, steps, head, op, lhs, rhs, moves):
-        self.function, self.steps, self.head, self.op = function, steps, head, op
-        self.lhs, self.rhs, self.moves = lhs, rhs, moves
+    __slots__ = ("function", "branch", "steps", "head", "ends", "op", "lhs", "rhs", "moves",
+                 "shifts", "roots", "scope", "forms")
+
+    def __init__(self, loop: While, function, ends, op, lhs, rhs, moves, shifts, scope):
+        self.function, self.branch, self.ends = function, loop.branch_id, ends
+        self.steps, self.head = ends[-1], ends[0]
+        self.op, self.lhs, self.rhs, self.moves = op, lhs, rhs, moves
+        # (index, moving root, δ) of each variable moved by a fixed δ per pass
+        self.shifts = shifts
+        # (node id, expression, assigned variable) of each root, in pass order
+        self.roots = ((loop.cond.node_id, loop.cond, None),) + tuple(
+            (stmt.expr.node_id, stmt.expr, stmt.name) for stmt in loop.body)
+        self.scope = scope  # the variables' indices and kinds, and the irregular movers
+        self.forms: dict = {}  # (root node id, alternative) -> its closed form, or None
+
+    def _line(self, env) -> tuple[int, int]:
+        """``d = lhs - rhs`` on this pass, and its change per pass."""
+        moved = list(env)
+        for i, delta in self.moves:
+            moved[i] += delta(env)
+        start = self.lhs(env) - self.rhs(env)
+        return start, self.lhs(moved) - self.rhs(moved) - start
 
     def __call__(self, S: int, L: int, *env) -> None:
         last = (L - S - self.head) // self.steps
-        if last >= 0:
-            moved = list(env)
-            for i, delta in self.moves:
-                moved[i] += delta(env)
-            lhs, rhs = self.lhs(env), self.rhs(env)
-            lhs_slope, rhs_slope = self.lhs(moved) - lhs, self.rhs(moved) - rhs
-            if not _holds(self.op, lhs - rhs, lhs_slope - rhs_slope, last):
-                return
+        if last < 0 or _holds(self.op, *self._line(env), last):
+            raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+
+    def traced(self, S: int, L: int, best: dict, direct: dict | None, *env) -> None:
+        """The jump of a traced run, whose branch tables are ``best`` and,
+        in the entry frame, ``direct`` (else None). The passes it skips
+        reach only lines the first pass recorded, and the condition holds on
+        each, so its distance toward true is 0, which the first pass merged;
+        the only record they can lower is the least distance toward false,
+        which they merge as each pass would (``_least``)."""
+        last = (L - S - self.head) // self.steps
+        if last < 0:
+            return
+        start, slope = self._line(env)
+        if not _holds(self.op, start, slope, last):
+            return
+        least = _least(self.op, start, slope, last)
+        zero = 0 if self.op == "==" else 0.0  # the distance toward true, typed as codegen's
+        merge_best(best, self.branch, zero, least)
+        if direct is not None:
+            merge_best(direct, self.branch, zero, least)
         raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+
+    def schema(self, S: int, L: int, C: tuple, sites: tuple, *env) -> None:
+        """The jump of a schema run with context ``C``, whose mutation site
+        at each root of the loop ``sites`` gives, by index (-1 where the
+        root is none). It jumps only when every alternative still pending at
+        those sites has a closed form (``form``); then it adds to each
+        site's count the evaluations that complete within the limit, and a
+        raise where the run crosses the limit, if that root's evaluation
+        starts within it (as the schema shape's ``RE`` counts one), and
+        marks infected each pending alternative that disagrees with the
+        root on one of those evaluations. An alternative of equal size
+        crosses the limit with its root, and so stays pending there, but a
+        deleted assignment does not raise, and is infected there."""
+        last = (L - S - self.head) // self.steps
+        if last < 0 or not _holds(self.op, *self._line(env), last):
+            return
+        _, pending, counts, sides, _ = C
+        forms = self.forms
+        for (node, _, _), site in zip(self.roots, sites):
+            if site >= 0 and any(forms.get((node, alternative)) is None
+                                 for _, alternative, _ in pending[site]):
+                return
+        ends, steps, rest = self.ends, self.steps, L - S
+        within = rest % steps  # the ticks of the pass it crosses in that stay within the limit
+        crossing = next(i for i, end in enumerate(ends) if end > within)
+        if crossing and ends[crossing - 1] == within:
+            crossing = -1  # its statement's own tick crosses, before its root starts
+        deltas = [(i, at, delta(env)) for i, at, delta in self.shifts]
+        infected = sides.infected
+        for root, ((node, _, _), site) in enumerate(zip(self.roots, sites)):
+            if site < 0:
+                continue
+            values = (rest - ends[root]) // steps + 1
+            counts[2 * site] += values
+            raised = root == crossing
+            if raised:
+                counts[2 * site + 1] += 1
+            if not pending[site]:
+                continue
+            here = list(env)  # the variables as the root reads them on this pass
+            for i, at, delta in deltas:
+                if at < root:
+                    here[i] += delta
+            moved = list(here)  # and on the next
+            for i, _, delta in deltas:
+                moved[i] += delta
+            for key, alternative, _ in pending[site]:
+                op, lhs, rhs = forms[node, alternative]
+                start = lhs(here) - rhs(here)
+                if (raised and alternative is None or values and not _holds(
+                        op, start, lhs(moved) - rhs(moved) - start, values - 1)):
+                    infected.add(key)
+        raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+
+    def learn(self, node: int, expr: Expr | None, alternative) -> None:
+        """Keep the closed form of ``alternative``, the lean function of
+        ``expr`` at root ``node`` of the loop (None for a deleted
+        assignment, whose variable keeps its value), for ``schema``."""
+        self.forms[node, alternative] = self.form(node, expr)
+
+    def form(self, node: int, expr: Expr | None):
+        """``(op, lhs, rhs)``: the alternative ``expr`` at root ``node``
+        agrees with the root on a pass exactly where ``lhs op rhs`` holds,
+        both functions of the variables as the root reads them and linear
+        in the pass. At the condition, which holds on every pass a jump
+        skips, that is the alternative's own comparison; at an assignment,
+        the alternative's value equals the root's. None unless both sides
+        are affine ints in variables that are loop-invariant or move by a
+        fixed δ per pass, and an alternative that ticks (not a deletion) is
+        as large as its root, so that it takes the same steps and never
+        drifts."""
+        index, known, irregular = self.scope
+        root = next(i for i, found in enumerate(self.roots) if found[0] == node)
+        _, base, target = self.roots[root]
+        if expr is not None and _size(expr) != _size(base):
+            return None
+        if root == 0:
+            comparison, negated = _comparison(expr)
+            if comparison is None:
+                return None
+            sides = (comparison.lhs, comparison.rhs)
+            op = NEGATION[comparison.op] if negated else comparison.op
+        else:
+            sides, op = (Var(target) if expr is None else expr, base), "=="
+        moving = {name for _, _, name in self.roots[1:]}
+        if any(_kind(side, known) != "int" or not _affine(side, moving)
+               or variables(side) & irregular for side in sides):
+            return None
+        return op, _evaluator(sides[0], index), _evaluator(sides[1], index)

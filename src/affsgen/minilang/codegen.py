@@ -24,15 +24,15 @@ pending there) and ``NJ`` (the jumps of a redo: none).
 Every generated function takes ``(C, S, D, *values)``: the run's context
 tuple, the step count and the MiniJ call depth, and returns ``(result, S)``;
 a call made at depth ``MAX_CALL_DEPTH - 1`` raises ``StepLimitExceeded``.
-The context is ``(L, H, J)`` in lean code, ``(L, P, V, Z)`` in the schema
-shape and ``(L, LA, BB, BD, CA)`` in instrumented code: the step limit and
-either the hooks (root node id to a function that evaluates that root, or
-None where a deleted assignment skips its statement) and the running
-program's loop jumps (see below; None in a run that must never be cut), or
-the run's pending alternatives at each mutation site, its evaluation counts
-and its ``Sides``, or the line recorder, the best branch distances over all
-frames and over the entry frame (``D == 0``), and the call recorder. An
-in-language failure raises ``E`` carrying the step count.
+The context is ``(L, H, J)`` in lean code, ``(L, P, V, Z, J)`` in the
+schema shape and ``(L, LA, BB, BD, CA, J)`` in instrumented code: the step
+limit; either the hooks (root node id to a function that evaluates that
+root, or None where a deleted assignment skips its statement), or the run's
+pending alternatives at each mutation site, its evaluation counts and its
+``Sides``, or the line recorder, the best branch distances over all frames
+and over the entry frame (``D == 0``), and the call recorder; and the
+running program's loop jumps (see below; None in a lean run that must never
+be cut). An in-language failure raises ``E`` carrying the step count.
 
 Kinds are checked at run time only where the program's ``Analysis`` does
 not prove them. A variable, or a call's return, whose kind it proves for
@@ -50,21 +50,27 @@ past it, with the step count at the limit plus one. A statement's tick is
 the first of its group, so a group records at most one line, and only if
 that tick lies within the limit.
 
-Loops that provably run until the step limit are cut short, exactly, in
-lean code whose context holds jumps (``J`` not None): kill runs, and the
-redos of a schema run. Runs with sides are never cut, since they count
-every evaluation of a root: the schema shape has no such check, and a
-mutated program's counting run passes None. Neither are traced runs. A
-loop is cut in one of two ways.
+Loops that provably run until the step limit are cut short, exactly. A
+loop whose body holds only ``let``s and assignments (``Analysis.loops``)
+calls its jump (``analysis.Jump``), which raises the run's
+``StepLimitExceeded`` at once when the loop's condition provably holds on
+every pass up to the limit; a loop has one only in a version whose body
+moves each variable of its condition, a comparison of affine ints, by a
+fixed amount per pass.
+  * Lean code calls the running program's jump, if ``J`` holds one, as the
+    loop starts: kill runs, and the redos of a schema run, whose ``J`` is
+    empty. A mutated program's counting run passes None and is never cut,
+    since it counts every evaluation of its root.
+  * The instrumented and schema shapes, which run only the base program,
+    call its own jump at the head of the loop's second pass. Traced runs
+    jump there once the first pass has recorded every line the loop
+    reaches, merging the least branch distance the skipped passes would
+    have. Schema runs jump when every alternative still pending at the
+    loop's mutation sites has a closed form, adding each site's evaluations
+    and infecting each alternative as the skipped passes would have; an
+    infection at one of those sites lets the loop try again after its pass.
 
-As it starts, a loop whose body holds only ``let``s and assignments
-(``Analysis.loops``) calls the running program's jump for it, if ``J``
-holds one, which it does only for a version of the loop whose body moves
-each variable of its condition, a comparison of affine ints, by a fixed
-amount per pass: the jump raises the run's ``StepLimitExceeded`` at once
-when the condition provably holds on every pass up to the limit
-(``analysis.Jump``). A redo's ``J`` is empty.
-
+Lean code cuts loops a second way too, in runs whose ``J`` is not None.
 Past ``CYCLE_CHECK_AFTER`` steps of such a run, every loop head compares
 the loop's control state with a saved one, by Brent's cycle detection (BIT
 1980) on loop-head snapshots as in Jolt (Carbin et al., ECOOP 2011).
@@ -105,7 +111,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from affsgen.minilang.analysis import NEGATION, Analysis, control_slice, variables
+from affsgen.minilang.analysis import K, NEGATION, Analysis, control_slice, variables
 from affsgen.minilang.interpreter import (
     DIV_BY_ZERO,
     EXPLICIT_THROW,
@@ -138,8 +144,6 @@ from affsgen.minilang.nodes import (
     walk_statements,
 )
 
-
-K = 1  # distance offset for strict inequalities and != when the predicate just fails
 
 # steps a run takes before its loop heads start looking for a repeated control state
 CYCLE_CHECK_AFTER = 1_000
@@ -212,6 +216,7 @@ class _Code:
         self.ticks = 0  # pending ticks, not yet added to S
         self.line: int | None = None  # line id of the statement at the first pending tick
         self.temps = 0
+        self.rearm: str | None = None  # the schema jump's flag, inside a loop that has one
 
     # -- emission ---------------------------------------------------------------
 
@@ -608,7 +613,8 @@ class _Code:
                 f"if w != {result} or type(w) is not type({result}): Z.infected.add(m); y = 1",
                 "elif s != S: Z.drifted.add(m)"]:
             self.emit(" " + line)
-        self.emit(f"if y: P[{site}] = [q for q in P[{site}] if q[0] not in Z.infected]")
+        rearm = f"; {self.rearm} = 1" if self.rearm else ""
+        self.emit(f"if y: P[{site}] = [q for q in P[{site}] if q[0] not in Z.infected]{rearm}")
         self.depth -= 1
         self.emit(f"{targets} = {result}")
 
@@ -653,8 +659,8 @@ class _Code:
             self.branch(t, lambda: self.block(stmt.then_body), lambda: self.block(stmt.else_body))
         elif cls is While:
             self.flush()  # the loop head is a join point
+            after = self.jump(stmt)
             if self.shape == "K":
-                self.jump(stmt)
                 checks = self.temp()
                 self.emit(f"{checks} = 0")
             self.emit("while True:")
@@ -665,22 +671,45 @@ class _Code:
             self.emit(f"if not {t}: break")
             self.block(stmt.body)
             self.flush()
+            if after is not None:
+                self.emit(after)
+            self.rearm = None
             self.depth -= 1
         else:
             raise TypeError(f"unknown statement node {stmt!r}")
 
-    def jump(self, loop: While) -> None:
-        """As a lean loop starts in a run that may be cut, the jump of the
-        running program's version of it, if it has one: ``J`` maps the loop's
-        branch id to a function of the step count, the limit and the loop's
-        variables that raises the run's ``StepLimitExceeded`` when the loop
-        provably passes its condition on every pass up to the limit (see
-        ``analysis.Jump``). Only loops the analysis lists may jump."""
+    def jump(self, loop: While) -> str | None:
+        """The jump of a loop the analysis lists (see ``analysis.Jump``), a
+        function of the step count, the limit and the loop's variables that
+        raises the run's ``StepLimitExceeded`` when the loop provably passes
+        its condition on every pass up to the limit. In lean code it is the
+        running program's, if ``J`` holds one (a run that may be cut), and
+        is called as the loop starts. The instrumented and schema shapes run
+        only the base program, so a loop jumps there only if the analysed
+        program's own version of it does (``Analysis.own_jumps``): it is
+        called at the head of the second pass, through the statement this
+        returns, which the loop's body ends with, guarded by a flag set as
+        the loop starts. A schema shape's flag is set again at each
+        infection at one of the loop's sites, since an alternative without
+        a closed form, which keeps the loop from jumping, may be gone."""
         found = self.module.analysis.loops.get(loop.branch_id)
-        if found is not None:
-            b = loop.branch_id
-            values = "".join(f", {self.names[n]}" for n in found[1])
+        if found is None:
+            return None
+        b = loop.branch_id
+        values = "".join(f", {self.names[n]}" for n in found[1])
+        if self.shape == "K":
             self.emit(f"if J is not None and {b} in J: J[{b}](S, L{values})")
+            return None
+        if b not in self.module.analysis.own_jumps:
+            return None
+        flag = self.temp()
+        self.emit(f"{flag} = 1")
+        if self.instrumented:
+            return f"if {flag}: {flag} = 0; J[{b}].traced(S, L, BB, None if D else BD{values})"
+        self.rearm = flag
+        roots = [loop.cond] + [stmt.expr for stmt in loop.body]
+        sites = tuple(self.module.sites.get(root.node_id, -1) for root in roots)
+        return f"if {flag}: {flag} = 0; J[{b}].schema(S, L, C, {sites!r}{values})"
 
     def cycle_check(self, loop: While, checks: str) -> None:
         """At a lean loop head past ``CYCLE_CHECK_AFTER`` steps of a run
@@ -720,7 +749,7 @@ def _locals(fn: FunctionDef) -> dict[str, str]:
 
 
 # how each shape's functions unpack their run's context
-_CONTEXTS = {"I": "L, LA, BB, BD, CA = C", "K": "L, H, J = C", "Q": "L, P, V, Z = C"}
+_CONTEXTS = {"I": "L, LA, BB, BD, CA, J = C", "K": "L, H, J = C", "Q": "L, P, V, Z, J = C"}
 
 
 def program_source(program: Program, shape: str, analysis: Analysis,

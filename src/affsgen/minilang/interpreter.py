@@ -34,17 +34,22 @@ Every other run, a kill run of a mutated program or a run with side
 evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
 
-Kill runs are cut short, exactly, where a loop provably runs to the step
-limit, in two ways (see ``codegen``). As a loop starts, one that moves each
-variable of its condition, a comparison of affine ints, by a fixed amount
-per pass raises the run's ``StepLimitExceeded`` at once when the condition
-provably holds on every pass up to the limit: a jump, which each mutated
-program builds for its own versions of its loops (``analysis.Jump``). And past
-``codegen.CYCLE_CHECK_AFTER`` steps, a loop whose control slice repeats
+Runs are cut short, exactly, where a loop provably runs to the step limit
+(see ``codegen``). A loop that moves each variable of its condition, a
+comparison of affine ints, by a fixed amount per pass raises the run's
+``StepLimitExceeded`` at once when the condition provably holds on every
+pass up to the limit: a jump (``analysis.Jump``). A kill run jumps as the
+loop starts, by the jump each mutated program builds for its own version
+of the loop. Traced and schema runs take the base program's own jumps,
+which ``execute`` passes in their contexts, and jump at the head of the
+loop's second pass, recording what the skipped passes would have: a traced
+run their least branch distance, and a schema run their evaluations and
+infections at its mutation sites, when every alternative pending there has
+a closed form. And past ``codegen.CYCLE_CHECK_AFTER`` steps of a kill run,
+or of a redo inside a run with sides, a loop whose control slice repeats
 its state jumps by whole periods to just below the limit. Either way the
-run ends as it would have. Runs with sides are never cut, since they count
-each evaluation of a root; the redos inside them count nothing and may be,
-by the second way. Traced runs are not cut either.
+run ends as it would have. A mutated program's run with sides counts each
+evaluation of its root and is never cut.
 
 Semantics worth knowing:
   * Every expression node and every statement takes one step.
@@ -392,7 +397,7 @@ def _redo_raise(err: MiniJError, site: int, start: int, C, D: int, *env) -> None
     raises the same error stays pending. An ``err`` of the step limit with
     ``start`` past it came from the statement's own tick before the root,
     which then was not evaluated."""
-    limit, pending, counts, sides = C
+    limit, pending, counts, sides, _ = C
     if start > limit:
         return
     counts[2 * site + 1] += 1
@@ -445,7 +450,8 @@ def _side_plan(program: Program):
     mutation sites, by index, and for each site the ``(mutant id,
     alternative, hooks)`` of the mutants there, in mutant order; a deleted
     assignment's alternative is None, and each mutant's own hooks are its
-    plan's."""
+    plan's. Each alternative at a root of a loop that may jump leaves its
+    closed form with that loop's jump (``analysis.Jump.learn``)."""
     plan = program._compiled or _plan(program)
     built = plan[2]
     if built is not None:
@@ -453,12 +459,16 @@ def _side_plan(program: Program):
     if program._mutants is None:
         raise ValueError(f"{program.source_id}: a run with sides redoes the program's mutants, "
                          "which mutation.mutants_of generates")
+    owners, jumps = plan[0].analysis().owners, plan[3]
     redos: dict[int, list[tuple]] = {}
     for mutant in program._mutants:
         mutated = mutant.mutated_program
         own = _plan(mutated)[1]  # a deleted assignment's alternative is None
-        redos.setdefault(mutated.root_id, []).append(
-            (mutant.mutant_id, own[mutated.root_id], own))
+        alternative = own[mutated.root_id]
+        redos.setdefault(mutated.root_id, []).append((mutant.mutant_id, alternative, own))
+        jump = jumps.get(owners.get(mutated.root_id))
+        if jump is not None:  # in a loop that may jump: the alternative's closed form
+            jump.learn(mutated.root_id, mutated.alt_root, alternative)
     roots = tuple(redos)
     built = plan[2] = (plan[0].schema_shape(roots), roots,
                        tuple(tuple(redo) for redo in redos.values()))
@@ -532,7 +542,7 @@ def execute(
         best: dict[int, list[float]] = {}
         best_direct: dict[int, list[float]] = {}
         called = {entry}
-        context = (limit, lines.add, best, best_direct, called.add)
+        context = (limit, lines.add, best, best_direct, called.add, jumps)
     elif program.base is not None:
         function = module.functions(False)[index]
         if sides is None:
@@ -554,7 +564,7 @@ def execute(
         pending = list(redos) if not infected else [
             [item for item in redo if item[0] not in infected] for redo in redos]
         counts = [0] * (2 * len(roots))
-        context = (limit, pending, counts, sides)
+        context = (limit, pending, counts, sides, jumps)
     outcome: Outcome
     try:
         value, steps = function(context, 0, 0, *args)

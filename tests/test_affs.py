@@ -19,7 +19,10 @@ from affsgen.affs import (
     make_strategy,
     single_function_action,
 )
+from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import FitnessFunctionId as F
+from affsgen.minilang import parse
+from affsgen.testmodel import GenConfig
 
 
 # --- action spaces -----------------------------------------------------------
@@ -135,6 +138,23 @@ def test_ucb_argmax_invariant_under_reward_scaling(monkeypatch):
     for scale in (1.0, 7.5, 1000.0):
         strategy = _bandit([(0, 0.4 * scale), (1, 0.9 * scale)])
         assert strategy._select(2).action_id == 1
+
+
+def test_ucb_t_is_the_generation_number_not_the_count_of_plays(monkeypatch):
+    seen = []
+    select = UcbStrategy._select
+    monkeypatch.setattr(UcbStrategy, "_select", lambda self, t: seen.append(t) or select(self, t))
+    program = parse('fn f(x:int){ if (x > 0) { throw "big"; } return 0; }')
+    config = EngineConfig(population_size=4, skip_iter=3, budget=Budget(generations=9))
+    run_search(program, Goal.EXCEPTIONS, UcbStrategy(Goal.EXCEPTIONS), config, 1, GenConfig())
+    # run_search asks as the search starts and then every 3 generations,
+    # after 1, 2 and 3 plays, passing the generation number as t
+    assert seen == [0, 3, 6, 9]
+    # after 3 plays, 2 of arm 0 (mean 1.0) and 1 of arm 1 (mean 0.5), the
+    # bound at generation 9 picks arm 1, where UCB1's ln 3 would pick arm 0
+    strategy = _bandit([(0, 1.0), (0, 1.0), (1, 0.5)])
+    assert strategy._select(9).action_id == 1
+    assert strategy._select(3).action_id == 0
 
 
 # --- DSG-Sarsa ------------------------------------------------------------------

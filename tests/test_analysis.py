@@ -1,15 +1,16 @@
 """The static analysis of base programs on its own: kinds, definite
 assignment, and which loops may jump."""
 
+import operator
 import random
 
 from hypothesis import given, settings, strategies as st
 
 import treewalk
-from affsgen.minilang import parse
-from affsgen.minilang.analysis import Analysis
+from affsgen.minilang import codegen, parse
+from affsgen.minilang.analysis import NEGATION, Analysis, _holds, _least
 from affsgen.minilang.interpreter import InterpConfig, kind_of
-from affsgen.minilang.nodes import Assign, Let
+from affsgen.minilang.nodes import Assign, Binary, IntLit, Let, Unary, Var
 from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants
 from test_compiled import _ProgramWriter, _arguments
 
@@ -161,3 +162,43 @@ def test_every_value_a_mutant_binds_or_returns_has_a_kind_the_analysis_allows(se
                 interp._call(fn.name, list(args), fn.name, -1, -1)
             except treewalk.MiniJError:
                 pass
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_COMPARE)), st.integers(-12, 12), st.integers(-4, 4),
+       st.integers(0, 9))
+def test_a_comparison_on_a_line_holds_and_is_nearest_false_as_on_every_pass(
+        op, start, slope, last):
+    """``_holds`` and ``_least`` against each pass ``t`` in ``0..last`` of
+    ``d = start + slope * t``, with the distance toward false that the
+    generated code computes for ``d op 0``."""
+    line = [start + slope * t for t in range(last + 1)]
+    holds = all(_COMPARE[op](d, 0) for d in line)
+    assert _holds(op, start, slope, last) == holds
+    if holds:
+        toward_false = codegen._distance(NEGATION[op], "d", "0")
+        distances = [eval(toward_false, {}, {"d": d}) for d in line]
+        least = _least(op, start, slope, last)
+        assert (type(least), least) == (type(min(distances)), min(distances))
+
+
+def test_an_alternative_has_a_closed_form_only_on_a_line_of_the_pass():
+    program = parse("fn f(p:int, n:int, d:int){ let i = 0;"
+                    " while (i < n) { p = p + i; i = i + d; } return p; }")
+    loop = program.function("f").body[1]
+    jump = Analysis(program).own_jumps[loop.branch_id]
+    cond, accumulate, step = loop.cond, loop.body[0].expr, loop.body[1].expr
+    # i and n move by fixed amounts, p by i: every alternative reading p has none
+    assert jump.form(cond.node_id, Binary("!=", Var("i"), Var("n"))) is not None
+    assert jump.form(step.node_id, Binary("-", Var("i"), Var("d"))) is not None
+    assert jump.form(step.node_id, None) is not None
+    assert jump.form(accumulate.node_id, Binary("-", Var("p"), Var("i"))) is None
+    assert jump.form(accumulate.node_id, None) is None
+    # nor does one that divides, or that takes another number of steps
+    assert jump.form(step.node_id, Binary("/", Var("i"), Var("d"))) is None
+    assert jump.form(cond.node_id, Unary("not", cond)) is None
+    assert jump.form(step.node_id, Binary("+", Var("i"), Binary("+", Var("d"), IntLit(1)))) is None

@@ -45,13 +45,25 @@ PROGRAMS = _corpus_programs()
 STEP_LIMITS = [1, 2, 3, 5, 8, 13, 21, 40, 90, 300, 10_000]
 
 
+def _typed(table: dict) -> dict:
+    return {branch: [(type(d), d) for d in best] for branch, best in table.items()}
+
+
+def _assert_same_traced(compiled, walked) -> None:
+    """Two traced runs' results agree, and so do the Python types of their
+    branch distances, which ``==`` alone would not tell apart (0 == 0.0)."""
+    assert compiled == walked
+    assert _typed(compiled.branch_best) == _typed(walked.branch_best)
+    assert _typed(compiled.branch_best_direct) == _typed(walked.branch_best_direct)
+
+
 def _assert_same_runs(program, entry, args, config, mutants) -> None:
     """Traced, schema and kill runs of one call agree with the tree walker;
     kill runs both with sides that count root evaluations and without.
     ``mutants`` are some of ``program``'s, whose schema its runs with sides
     redo."""
     compiled = execute(program, entry, args, config)
-    assert compiled == treewalk.execute(program, entry, args, config)
+    _assert_same_traced(compiled, treewalk.execute(program, entry, args, config))
     ours, theirs = Sides(), Sides()
     schema = execute(program, entry, args, config, ours)
     walked = treewalk.execute(program, entry, args, config, theirs)
@@ -627,6 +639,30 @@ _JUMPS = {
     "beyond-2**53": ("fn f(i:int, n:int){ let m = 0; while (i != n) { i = i + 3; }"
                      " return i + m; }",
                      [(2**70, 2**70 + 30), (2**70 + 1, 2**70 + 30), (-2**70 - 30, -2**70)]),
+    # p06's countdown: every call but 99 runs to the limit, some with
+    # k != 1, k != -1, k < 0 or k <= 0 pending to the end of their schema
+    # runs; from 4, k / 3 agrees with k - 3 on the first pass
+    "countdown": ("fn f(k:int){ let m = 0; while (k != 0) { k = k - 3; } return k + m; }",
+                  [(1,), (2,), (4,), (5,), (-7,), (100,), (99,)]),
+    # p11's walk: p is moved by i, not by a fixed amount, so the alternatives
+    # at p = p + i have no closed form, and keep a schema run from jumping
+    # while they are pending: to the limit when d is 0, past the second
+    # pass from (3, 10**6, 1)
+    "accumulator": ("fn f(p:int, n:int, d:int){ let m = 0; let i = 0;"
+                    " while (i < n) { p = p + i; i = i + d; } return p + m; }",
+                    [(0, 40, 1), (0, 40, 0), (3, 10**6, 1)]),
+    # q is moved by i and r by q, so neither by a fixed amount: from i = 0, q
+    # is 0 on the first two passes and moves on the third, where r - q and
+    # the other alternatives at r = r + q are infected
+    "second-order": ("fn f(n:int, d:int){ let m = 0; let q = 0; let r = 0; let i = 0;"
+                     " while (i < n) { r = r + q; q = q + i; i = i + d; } return r + m; }",
+                     [(10**6, 1), (10**6, 0), (30, 1)]),
+    # k = k + d with d 0 keeps k - d, k * d and the deletion pending to the
+    # limit, and a raise at that root infects only the deletion, which does
+    # not tick
+    "pending-deletion": ("fn f(i:int, d:int){ let m = 0; let k = 0;"
+                         " while (i != 1) { k = k + d; i = i + 2; } return i + k + m; }",
+                         [(0, 0), (0, 1), (1, 0)]),
 }
 
 
@@ -642,6 +678,16 @@ def test_loops_that_jump_run_as_the_tree_walker_does_at_consecutive_limits(case)
     mutants = [m for m in mutants_of(program) if m.site in sites]
     for args in calls:
         _assert_same_runs(program, "f", args, InterpConfig(step_limit=600), mutants)
+        # traced and schema runs, which jump from the loop's second pass on,
+        # at every limit of the first passes, and within two passes of where
+        # the run leaves the loop, or of the limit of 600 where it does not
+        walked = treewalk.execute(program, "f", args, InterpConfig(step_limit=600))
+        end = walked.steps if type(walked.outcome) is Returned else 600
+        for limit in [*range(1, 40), *range(max(40, end - 24), end + 3)]:
+            config = InterpConfig(step_limit=limit)
+            _assert_same_traced(execute(program, "f", args, config),
+                                treewalk.execute(program, "f", args, config))
+            _schema_run(program, "f", args, config)
         for mutant in mutants:
             # every limit within two passes of where the run leaves the
             # loop, or of the limit of 600 where it does not
@@ -669,6 +715,59 @@ def test_a_loop_that_never_repeats_a_state_jumps_to_any_step_limit():
     assert (killed.outcome, killed.steps) == (Raised(ExceptionRecord("StepLimitExceeded", "f")),
                                               limit + 1)
     assert execute(program, "f", (0,), config).outcome == Returned(10)
+
+
+def test_a_loop_stepped_by_a_length_runs_as_the_tree_walker_does():
+    # i moves by len(s), loop-invariant but not an affine int expression, so
+    # the loop has no jump; the empty s never moves it
+    program = parse("fn f(i:int, s:str){ let m = 0; while (i < 10) { i = i + len(s); }"
+                    " return i + m; }")
+    for args in ((0, "ab"), (0, "")):
+        _assert_same_runs(program, "f", args, InterpConfig(step_limit=600), mutants_of(program))
+
+
+def _countdown():
+    """A fresh copy of p06's fixed program, with its mutants, and its
+    countdown loop: ``while (k != 0) { k = k - 3; }``."""
+    program = parse(next(CORPUS.glob("p06_*/fixed.minij")).read_text())
+    return program, mutants_of(program), program.function("countdown").body[0]
+
+
+def test_a_traced_run_jumps_to_any_step_limit():
+    program, _, loop = _countdown()
+    limit = 10**12  # far more steps than a run could take one at a time
+    config = InterpConfig(step_limit=limit)
+    # k != 0 holds on every pass, so its distance toward true is 0.0; toward
+    # false it is |k|: 1 on the first pass from 1, and at k = -1, on the 35th
+    # pass from 101
+    for k in (1, 101):
+        result = execute(program, "countdown", (k,), config)
+        assert (result.outcome, result.steps) == (
+            Raised(ExceptionRecord("StepLimitExceeded", "countdown")), limit + 1)
+        assert result.lines_hit == {loop.line_id, loop.body[0].line_id}
+        assert result.called_functions == {"countdown"}
+        for table in (result.branch_best, result.branch_best_direct):
+            assert _typed(table) == {loop.branch_id: [(float, 0.0), (int, 1)]}
+
+
+def test_a_schema_run_jumps_to_any_step_limit():
+    program, mutants, loop = _countdown()
+    limit = 10**12  # far more steps than a run could take one at a time
+    sides = Sides()
+    result = execute(program, "countdown", (1,), InterpConfig(step_limit=limit), sides)
+    assert (result.outcome, result.steps) == (
+        Raised(ExceptionRecord("StepLimitExceeded", "countdown")), limit + 1)
+    # the while statement takes the first step and each pass 7 more, so
+    # 142 857 142 857 passes complete, and the next one's condition crosses
+    # the limit: a raise there, which every pending alternative shares
+    cond, step = loop.cond.node_id, loop.body[0].expr.node_id
+    passes = 142_857_142_857
+    assert sides.evals == {cond: [passes, 1], step: [passes, 0]}
+    # k = 1, -2, -5, ... never meets -1, and every other alternative at the
+    # loop disagrees with its root on the first or second pass
+    at_loop = {m.mutant_id: m.operator for m in mutants if m.root.node_id in (cond, step)}
+    assert [at_loop[key] for key in set(at_loop) - sides.infected] == ["const:-1"]
+    assert sides.infected <= set(at_loop) and not sides.drifted
 
 
 def test_a_deletion_jumps_a_loop_whose_base_version_cannot():
