@@ -169,11 +169,13 @@ class SearchResult:
 # --- goal coverage -----------------------------------------------------------
 
 
-def _killed_goals(ctx: FitnessContext, test: TestCase, mutants) -> list[MutantGoal]:
-    """Mutant goals this test kills, from ``mutants``, in mutant order."""
-    tests = (test,)
-    return [MutantGoal(m.mutant_id) for m in mutants
-            if ctx.classify(m, tests) == MutantStatus.KILLED]
+def _killed_goals(ctx: FitnessContext, test: TestCase, wanted: int | None) -> list[MutantGoal]:
+    """Goals of the mutants this test kills, among the ``wanted`` mask's
+    (all when None), in mutant order."""
+    killed = ctx.fold((test,), MutantStatus.KILLED, wanted)[2]
+    mutants = ctx.mutants
+    return [MutantGoal(mutants[position].mutant_id) for position in range(killed.bit_length())
+            if killed >> position & 1]
 
 
 def make_coverage_fn(goal: Goal, ctx: FitnessContext):
@@ -187,7 +189,7 @@ def make_coverage_fn(goal: Goal, ctx: FitnessContext):
             return {MethodGoal(name) for name in ctx.trace(test).functions_called}
     else:
         def compute(test: TestCase) -> set[GoalId]:
-            return set(_killed_goals(ctx, test, ctx.mutants))
+            return set(_killed_goals(ctx, test, None))
 
     cache: dict[TestCase, set[GoalId]] = {}
 
@@ -218,10 +220,10 @@ def make_archive_updater(goal: Goal, ctx: FitnessContext, archive: Archive, cove
             if not fresh:
                 return
             seen.update(fresh)
-            open_mutants = [m for m in ctx.mutants
-                            if MutantGoal(m.mutant_id) not in archive.entries]
+            unarchived = sum(1 << position for position, mutant in enumerate(ctx.mutants)
+                             if MutantGoal(mutant.mutant_id) not in archive.entries)
             for test in fresh:
-                for covered in _killed_goals(ctx, test, open_mutants):
+                for covered in _killed_goals(ctx, test, unarchived):
                     archive.offer(covered, test)
     else:
         def update(tests) -> None:

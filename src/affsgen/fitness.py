@@ -27,7 +27,14 @@ from affsgen.minilang.nodes import (
     Var,
     walk_statements,
 )
-from affsgen.mutation import Mutant, MutantStatus, classify_against_mutant, mutants_of, schema_run
+from affsgen.mutation import (
+    DELETE_ASSIGNMENT,
+    Mutant,
+    MutantStatus,
+    classify_against_mutant,
+    mutants_of,
+    schema_run,
+)
 from affsgen.testmodel import TestCase, TestSuite, render_test
 from affsgen.tracing import TestTrace, call_of, run_test
 
@@ -241,9 +248,30 @@ def levenshtein(a: str, b: str) -> int:
 # --- evaluation context --------------------------------------------------------
 
 
-# a ``_classifications`` entry for a call whose schema run shows the mutant
-# infected, before any fold asks whether the call kills it
-_INFECTED_NOT_RUN = object()
+class _CallRecord:
+    """What one call of the base program tells about the mutants, as bit
+    masks over positions in the context's mutant list. ``reach`` has the
+    mutants whose site the call hits. Once the call's schema run is in,
+    ``infected`` has the reached mutants that it, or their own run on the
+    call, shows infected or killed, ``killed`` those their run killed, and
+    ``unrun`` those still owed a run: the schema run's infected and drifted
+    mutants and every deleted assignment, until they run. ``infected`` is
+    None before the schema run."""
+
+    __slots__ = ("reach", "infected", "killed", "unrun")
+
+    def __init__(self, reach: int):
+        self.reach = reach
+        self.infected: int | None = None
+        self.killed = self.unrun = 0
+
+
+def _positions(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FitnessContext:
@@ -261,16 +289,19 @@ class FitnessContext:
     the base program runs once: ``_calls`` maps each ``call_key`` to its
     plain run, from which each test's trace is aggregated, and
     ``_schema_runs`` maps it to its one schema run, which tells every
-    mutant's infection on that call (see ``mutation.schema_run``).
-    ``_classifications`` maps (mutant id, ``call_key``) to the status of one
-    call that reaches the mutant's site, and ``classify`` folds them over
-    a suite's tests. All three belong to this context's one program and
-    interpreter config. A mutant program runs on a call only when the
-    schema run cannot settle the status its fold needs: a drifted mutant or
-    a deleted assignment on the first fold that reaches the call, and an
-    infected one on the first fold that asks whether the call kills it
-    (until then its entry is a private "infected, not run yet" marker).
-    Those runs are not kept.
+    mutant's infection on that call (see ``mutation.schema_run``). All of
+    them belong to this context's one program and interpreter config.
+
+    Mutant statuses are bit masks over positions in ``mutants``, not over
+    mutant ids, since a program's mutant list may be narrowed.
+    ``_classifications`` maps each ``call_key`` to a ``_CallRecord`` of
+    what the call tells about every mutant, and ``fold`` folds the records
+    of a suite's calls test by test, for all the mutants it wants at once.
+    A mutant program runs on a call only when the schema run cannot settle
+    the status a fold needs: a drifted mutant or a deleted assignment on
+    the first fold that reaches the call while it still wants the mutant,
+    and an infected one on the first fold that asks whether the call kills
+    it. Those runs are not kept.
 
     Diversity is memoized on rendered lines at three levels:
     ``_pair_distance`` maps an ordered pair of two tests' lines to their
@@ -293,7 +324,10 @@ class FitnessContext:
         self._schema_runs: dict[tuple, Sides] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
-        self._classifications: dict[tuple[int, tuple], MutantStatus | object] = {}
+        self._classifications: dict[tuple, _CallRecord] = {}
+        # (site -> mask of its mutants, mutant id -> bit, deleted assignments'
+        # mask), built on the first fold
+        self._sites: tuple[dict[int, int], dict[int, int], int] | None = None
         self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
         self._packed: dict[tuple[str, ...], PackedLines] = {}
         self._line_distance: dict[tuple[tuple[str, ...], str], int] = {}
@@ -330,55 +364,118 @@ class FitnessContext:
             self._renders[test] = lines
         return lines
 
+    def _site_tables(self) -> tuple[dict[int, int], dict[int, int], int]:
+        sites: dict[int, int] = {}
+        bits: dict[int, int] = {}
+        deletions = 0
+        for position, mutant in enumerate(self.mutants):
+            bit = 1 << position
+            sites[mutant.site] = sites.get(mutant.site, 0) | bit
+            bits[mutant.mutant_id] = bit
+            if mutant.operator == DELETE_ASSIGNMENT:
+                deletions |= bit
+        self._sites = sites, bits, deletions
+        return self._sites
+
+    def fold(self, tests: Iterable[TestCase], stop: MutantStatus = MutantStatus.KILLED,
+             wanted: int | None = None) -> tuple[int, int, int]:
+        """The masks of the ``wanted`` mutants (all when None) that the tests'
+        calls, in order, reach, infect and kill, each mutant's fold ending
+        at the first call that brings it to ``stop``.
+
+        The fold walks the tests and their calls once. At each call it takes
+        the wanted mutants still below ``stop`` whose site the call hits,
+        runs the call's schema run if none of them has needed it yet, and
+        runs each of them that the call still owes a run, except, when
+        ``stop`` is below KILLED, one the schema run shows infected: that
+        kill run waits for the first fold with ``stop`` KILLED that reaches
+        the call. It traces no test once no wanted mutant is open."""
+        sites, bits, deletions = self._sites or self._site_tables()
+        if wanted is None:
+            wanted = (1 << len(self.mutants)) - 1
+        lazy = stop < MutantStatus.KILLED
+        records = self._classifications
+        reached = infected = killed = 0
+        open_ = wanted
+        for test in tests:
+            if not open_:
+                break
+            trace = self.trace(test)
+            for key, base in zip(trace.call_keys, trace.call_results):
+                record = records.get(key)
+                if record is None:
+                    reach = 0
+                    for line in base.lines_hit:
+                        reach |= sites.get(line, 0)
+                    record = records[key] = _CallRecord(reach)
+                candidates = record.reach & open_
+                if not candidates:
+                    continue
+                if record.infected is None:
+                    schema = self._schema_runs[key] = schema_run(
+                        self.program, *call_of(key), self.interp)
+                    reach = record.reach
+                    shown = sum(bits[m] for m in schema.infected) & reach
+                    drifted = sum(bits[m] for m in schema.drifted)
+                    record.infected = shown
+                    record.unrun = (shown | drifted | deletions) & reach
+                runs = candidates & record.unrun
+                if lazy:
+                    runs &= ~record.infected
+                if runs:
+                    self._run_mutants(key, base, record, runs)
+                reached |= candidates
+                infected |= candidates & record.infected
+                killed |= candidates & record.killed
+                if not lazy:
+                    open_ &= ~killed
+                elif stop == MutantStatus.INFECTED:
+                    open_ &= ~infected
+                else:
+                    open_ &= ~reached
+        return reached, infected, killed
+
+    def _run_mutants(self, key: tuple, base: ExecutionResult, record: _CallRecord,
+                     runs: int) -> None:
+        """Run the mutants at the positions in ``runs`` on one call and
+        record their outcomes."""
+        mutants = self.mutants
+        function, args = call_of(key)
+        schema = self._schema_runs[key]
+        for position in _positions(runs):
+            status = classify_against_mutant(mutants[position], function, args, base,
+                                             self.interp, schema).status
+            if status >= MutantStatus.INFECTED:
+                record.infected |= 1 << position
+                if status is MutantStatus.KILLED:
+                    record.killed |= 1 << position
+        record.unrun &= ~runs
+
     def classify(self, mutant: Mutant, tests: Iterable[TestCase],
                  stop: MutantStatus = MutantStatus.KILLED) -> MutantStatus:
-        """Highest status the tests' calls reach on a mutant, in order, skipping
-        calls that miss its site, returned as soon as it reaches ``stop``.
-        A fold with ``stop`` below KILLED may so return INFECTED for a
-        mutant that a later call kills, and it runs no mutant on a call
-        whose schema run shows it infected: that kill run waits for the
-        first fold with ``stop`` KILLED that reaches the call."""
-        site = mutant.site
-        mutant_id = mutant.mutant_id
-        lazy = stop < MutantStatus.KILLED
-        best = MutantStatus.NOT_REACHED
-        for test in tests:
-            trace = self.trace(test)
-            if site not in trace.lines_hit:
-                continue
-            for key, base in zip(trace.call_keys, trace.call_results):
-                if site not in base.lines_hit:
-                    continue
-                ckey = (mutant_id, key)
-                status = self._classifications.get(ckey)
-                if status is None or status is _INFECTED_NOT_RUN and not lazy:
-                    schema = self._schema_runs.get(key)
-                    if schema is None:
-                        schema = self._schema_runs[key] = schema_run(
-                            self.program, *call_of(key), self.interp)
-                    if lazy and mutant_id in schema.infected:
-                        status = _INFECTED_NOT_RUN
-                    else:
-                        status = classify_against_mutant(
-                            mutant, *call_of(key), base, self.interp, schema).status
-                    self._classifications[ckey] = status
-                if status is _INFECTED_NOT_RUN:
-                    status = MutantStatus.INFECTED
-                if status > best:
-                    best = status
-                    if best >= stop:
-                        return best
-        return best
+        """Highest status the tests' calls reach on one mutant of this
+        context's list, as ``fold`` finds it: a fold with ``stop`` below
+        KILLED may so return INFECTED for a mutant that a later call kills."""
+        bit = (self._sites or self._site_tables())[1][mutant.mutant_id]
+        reached, infected, killed = self.fold(tests, stop, bit)
+        if killed:
+            return MutantStatus.KILLED
+        if infected:
+            return MutantStatus.INFECTED
+        return MutantStatus.REACHED_NOT_INFECTED if reached else MutantStatus.NOT_REACHED
 
     def stage_sum(self, suite: TestSuite, stages: dict, stop: MutantStatus) -> float:
-        """Sum of ``stages`` at each mutant's ``classify`` status, in mutant order."""
+        """Sum of ``stages`` at each mutant's ``fold`` status: one weight
+        times a count per status, exact because every weight is a multiple
+        of 0.25."""
         mutants = self.mutants
         if not mutants:
             raise ValueError("mutation score is undefined for an empty mutant list")
-        total = 0
-        for mutant in mutants:
-            total += stages[self.classify(mutant, suite, stop)]
-        return total
+        reached, infected, killed = (mask.bit_count() for mask in self.fold(suite, stop))
+        return (stages[MutantStatus.NOT_REACHED] * (len(mutants) - reached)
+                + stages[MutantStatus.REACHED_NOT_INFECTED] * (reached - infected)
+                + stages[MutantStatus.INFECTED] * (infected - killed)
+                + stages[MutantStatus.KILLED] * killed)
 
     def mutation_score(self, suite: TestSuite, mode: str) -> float:
         """Percentage of mutants detected: infected-or-killed (weak) or killed (strong)."""

@@ -67,6 +67,8 @@ class TestCase:
 
     def resolve(self, arg: Arg) -> Literal:
         """Trace references through the binding chain to the origin literal."""
+        if not isinstance(arg, Ref):
+            return arg
         seen = 0
         mapping = self.binding_map()
         while isinstance(arg, Ref):

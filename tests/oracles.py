@@ -3,8 +3,10 @@
 These deliberately re-implement behavior through separate, simpler code
 paths: a plain recursive Levenshtein and a full-matrix one, naive pair
 counting for the effect
-size, and a bare tree-walking evaluator that re-executes base and mutant
-programs while snapshotting the whole variable store after every statement.
+size, a bare tree-walking evaluator that re-executes base and mutant
+programs while snapshotting the whole variable store after every statement,
+and the mutant-by-mutant fold of statuses over a suite that
+``FitnessContext.fold`` replaced.
 """
 
 from __future__ import annotations
@@ -27,8 +29,17 @@ from affsgen.minilang.nodes import (
     Var,
     While,
 )
-from affsgen.mutation import DELETE_ASSIGNMENT, Mutant, MutantStatus
-from affsgen.testmodel import TestCase
+from affsgen.minilang.interpreter import InterpConfig
+from affsgen.mutation import (
+    DELETE_ASSIGNMENT,
+    Mutant,
+    MutantStatus,
+    classify_against_mutant,
+    mutants_of,
+    schema_run,
+)
+from affsgen.testmodel import MutantGoal, TestCase
+from affsgen.tracing import call_of, run_test
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -266,3 +277,94 @@ def full_reexecution_status(mutant: Mutant, test: TestCase) -> MutantStatus:
     if base_events != mutant_events:
         return MutantStatus.INFECTED
     return MutantStatus.REACHED_NOT_INFECTED
+
+
+# a ``_classifications`` entry for a call whose schema run shows the mutant
+# infected, before any fold asks whether the call kills it
+_INFECTED_NOT_RUN = object()
+
+
+class MutantMajorFold:
+    """The reference fold: each mutant's status folded on its own over a
+    suite's tests and calls, with one memo entry per (mutant id, call key).
+
+    ``classify``, ``stage_sum``, ``mutation_score`` and ``killed_goals`` are
+    the ``FitnessContext`` methods and ``engine._killed_goals`` as they were
+    before the test-major mask fold, on memos of their own. Its runs go
+    through ``mutation``'s ``execute`` as the context's do, so a test can
+    count both sides' schema runs and mutant runs.
+    """
+
+    def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
+        self.program = program
+        self.interp = interp
+        self._calls: dict = {}
+        self._traces: dict = {}
+        self._schema_runs: dict = {}
+        self._classifications: dict = {}
+
+    @property
+    def mutants(self) -> list[Mutant]:
+        return mutants_of(self.program)
+
+    def trace(self, test: TestCase):
+        trace = self._traces.get(test)
+        if trace is None:
+            trace = self._traces[test] = run_test(self.program, test, self.interp, self._calls)
+        return trace
+
+    def classify(self, mutant: Mutant, tests, stop: MutantStatus = MutantStatus.KILLED) -> MutantStatus:
+        site = mutant.site
+        mutant_id = mutant.mutant_id
+        lazy = stop < MutantStatus.KILLED
+        best = MutantStatus.NOT_REACHED
+        for test in tests:
+            trace = self.trace(test)
+            if site not in trace.lines_hit:
+                continue
+            for key, base in zip(trace.call_keys, trace.call_results):
+                if site not in base.lines_hit:
+                    continue
+                ckey = (mutant_id, key)
+                status = self._classifications.get(ckey)
+                if status is None or status is _INFECTED_NOT_RUN and not lazy:
+                    schema = self._schema_runs.get(key)
+                    if schema is None:
+                        schema = self._schema_runs[key] = schema_run(
+                            self.program, *call_of(key), self.interp)
+                    if lazy and mutant_id in schema.infected:
+                        status = _INFECTED_NOT_RUN
+                    else:
+                        status = classify_against_mutant(
+                            mutant, *call_of(key), base, self.interp, schema).status
+                    self._classifications[ckey] = status
+                if status is _INFECTED_NOT_RUN:
+                    status = MutantStatus.INFECTED
+                if status > best:
+                    best = status
+                    if best >= stop:
+                        return best
+        return best
+
+    def stage_sum(self, suite, stages: dict, stop: MutantStatus) -> float:
+        mutants = self.mutants
+        if not mutants:
+            raise ValueError("mutation score is undefined for an empty mutant list")
+        total = 0
+        for mutant in mutants:
+            total += stages[self.classify(mutant, suite, stop)]
+        return total
+
+    def mutation_score(self, suite, mode: str) -> float:
+        stop, detected = {"weak": (MutantStatus.INFECTED, _WEAK_DETECTED),
+                          "strong": (MutantStatus.KILLED, _STRONG_DETECTED)}[mode]
+        return 100.0 * self.stage_sum(suite, detected, stop) / len(self.mutants)
+
+    def killed_goals(self, test: TestCase, mutants) -> list[MutantGoal]:
+        tests = (test,)
+        return [MutantGoal(m.mutant_id) for m in mutants
+                if self.classify(m, tests) == MutantStatus.KILLED]
+
+
+_WEAK_DETECTED = {status: int(status >= MutantStatus.INFECTED) for status in MutantStatus}
+_STRONG_DETECTED = {status: int(status >= MutantStatus.KILLED) for status in MutantStatus}
