@@ -174,6 +174,12 @@ class PackedLines(NamedTuple):
     is set where lane position i holds character c; ``lows`` has the lowest
     bit of every lane set; ``mask`` has every lane bit set and every guard
     bit clear. ``count`` is the number of lines, empty ones included.
+
+    ``side_by_side_distances`` lays several tests' tables side by side as
+    the blocks of one such pattern: each block is one test's lanes, shifted
+    to start just above the guard bit of the block below, so a block is a
+    run of whole lanes and a pass over the pattern is a pass over every
+    block.
     """
 
     peq: dict[str, int]
@@ -200,7 +206,8 @@ def pack_lines(lines: tuple[str, ...]) -> PackedLines:
     return PackedLines(peq, lows, mask, len(lines))
 
 
-def packed_distance(packed: PackedLines, text: str) -> int:
+def packed_distance(packed: PackedLines, text: str,
+                    blocks: list[tuple[int, int]] | None = None) -> int | list[int]:
     """Edit distance from ``text`` to every packed line, summed over the lines.
 
     Myers' bit-vector algorithm in Hyyrö's global-distance form (JACM 1999;
@@ -224,6 +231,12 @@ def packed_distance(packed: PackedLines, text: str) -> int:
     ``D[0][n] = n``; summed over the lanes that is
     ``count·n + popcount(pv) − popcount(mv)``, with ``n = len(text)``. An
     empty line has no lane and adds its ``n`` through ``count``.
+
+    With ``blocks``, a list of (lane bits, line count) pairs that split the
+    pattern's lanes, the same pass returns the list of each block's sum
+    instead, read with two popcounts masked to the block's bits. The cost
+    of a CPython int operation barely grows with its width, so one pass
+    over many blocks costs little more than a pass over one.
     """
     peq, lows, mask, count = packed
     pv = mask  # vertical deltas of column 0 are all +1
@@ -237,7 +250,39 @@ def packed_distance(packed: PackedLines, text: str) -> int:
         ph = (ph << 1) | lows
         pv = ((mh << 1) | (xv | ph) ^ mask) & mask
         mv = ph & xv
-    return count * len(text) + pv.bit_count() - mv.bit_count()
+    n = len(text)
+    if blocks is None:
+        return count * n + pv.bit_count() - mv.bit_count()
+    return [lines * n + (pv & bits).bit_count() - (mv & bits).bit_count()
+            for bits, lines in blocks]
+
+
+def side_by_side_distances(lines: tuple[str, ...], tables: list[PackedLines]) -> list[int]:
+    """The edit distance from ``lines`` to each table's lines, summed over
+    every pair of lines: one ``packed_distance`` pass per line of ``lines``.
+
+    The tables are laid side by side as blocks of one pattern (see
+    ``PackedLines``). Only the characters of ``lines`` are combined, since
+    a pass looks up no other.
+    """
+    peq = dict.fromkeys("".join(lines), 0)
+    lows = mask = count = offset = 0
+    blocks = []
+    for table in tables:
+        for c, bits in table.peq.items():
+            if c in peq:
+                peq[c] |= bits << offset
+        bits = table.mask << offset
+        lows |= table.lows << offset
+        mask |= bits
+        count += table.count
+        blocks.append((bits, table.count))
+        offset += table.mask.bit_length() + 1  # the top guard bit
+    packed = PackedLines(peq, lows, mask, count)
+    totals = [0] * len(tables)
+    for line in lines:
+        totals = [t + d for t, d in zip(totals, packed_distance(packed, line, blocks))]
+    return totals
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -303,13 +348,13 @@ class FitnessContext:
     and an infected one on the first fold that asks whether the call kills
     it. Those runs are not kept.
 
-    Diversity is memoized on rendered lines at three levels:
-    ``_pair_distance`` maps an ordered pair of two tests' lines to their
-    summed line-pair distance; ``_packed`` maps one test's lines to their
-    ``pack_lines`` table; and ``_line_distance`` maps (packed lines, line)
-    to that line's distance summed over all the packed lines, one
-    ``packed_distance`` pass. A pair packs the side with more characters
-    and steps through the other side's lines.
+    Diversity is memoized on rendered lines at two levels:
+    ``_pair_distance`` maps an unordered pair of two tests' lines, as an
+    ordered key, to their summed line-pair distance, and ``_packed`` maps
+    one test's lines to their ``pack_lines`` table. ``diversity`` scores
+    the pairs the memo lacks by stepping the test in the most of them, line
+    by line, through all its missing partners' tables side by side, and
+    repeats until none is missing.
     """
 
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
@@ -330,7 +375,7 @@ class FitnessContext:
         self._sites: tuple[dict[int, int], dict[int, int], int] | None = None
         self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
         self._packed: dict[tuple[str, ...], PackedLines] = {}
-        self._line_distance: dict[tuple[tuple[str, ...], str], int] = {}
+        self._line_distance: dict = {}  # unused; the perfbench tracer reads its size
         self._suite_scores: dict[tuple[FitnessFunctionId, TestSuite], float] = {}
 
     @property
@@ -485,28 +530,40 @@ class FitnessContext:
         return 100.0 * self.stage_sum(suite, detected, stop) / len(self.mutants)
 
     def test_pair_distance(self, a: TestCase, b: TestCase) -> int:
-        lines_a = self.rendered_lines(a)
-        lines_b = self.rendered_lines(b)
-        key = (lines_a, lines_b) if lines_a <= lines_b else (lines_b, lines_a)
-        cached = self._pair_distance.get(key)
-        if cached is not None:
-            return cached
-        # pack the side with more characters, so fewer characters are stepped
-        packed_lines, other = key
-        if sum(map(len, packed_lines)) < sum(map(len, other)):
-            packed_lines, other = other, packed_lines
-        packed = self._packed.get(packed_lines)
-        if packed is None:
-            packed = self._packed[packed_lines] = pack_lines(packed_lines)
-        total = 0
-        for line in other:
-            lkey = (packed_lines, line)
-            d = self._line_distance.get(lkey)
-            if d is None:
-                d = self._line_distance[lkey] = packed_distance(packed, line)
-            total += d
-        self._pair_distance[key] = total
-        return total
+        return self.diversity((a, b))
+
+    def diversity(self, suite: TestSuite) -> int:
+        """The summed distance of every unordered pair of the suite's tests."""
+        lines = [self.rendered_lines(test) for test in suite]
+        keys = [_pair_key(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]]
+        memo = self._pair_distance
+        # each test's partners in the pairs the memo lacks, in first-seen order
+        partners: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
+        for a, b in keys:
+            if (a, b) not in memo:
+                partners.setdefault(a, {})[b] = None
+                partners.setdefault(b, {})[a] = None
+        while partners:
+            stepped = max(partners, key=lambda test: len(partners[test]))
+            missing = partners.pop(stepped)
+            tables = []
+            for other in missing:
+                rest = partners.get(other)  # None for ``stepped`` itself
+                if rest is not None:
+                    del rest[stepped]
+                    if not rest:
+                        del partners[other]
+                table = self._packed.get(other)
+                if table is None:
+                    table = self._packed[other] = pack_lines(other)
+                tables.append(table)
+            for other, total in zip(missing, side_by_side_distances(stepped, tables)):
+                memo[_pair_key(stepped, other)] = total
+        return sum(map(memo.__getitem__, keys))
+
+
+def _pair_key(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return (a, b) if a <= b else (b, a)
 
 
 def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
@@ -514,11 +571,14 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
 
     Returns (diversity, fitness) with fitness = 1 / (1 + diversity); a suite
     with at most one test has no pairs and scores fitness 1.0.
+
+    Each unordered pair of rendered tests is scored once per context. The
+    pairs the context lacks are scored in batches: the test in the most of
+    them is stepped, one ``packed_distance`` pass per line, through the
+    tables of all its missing partners laid side by side as blocks, until
+    no pair is missing.
     """
-    div = 0
-    for i in range(len(suite)):
-        for j in range(i + 1, len(suite)):
-            div += ctx.test_pair_distance(suite[i], suite[j])
+    div = ctx.diversity(suite)
     return div, 1.0 / (1.0 + div)
 
 

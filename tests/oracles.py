@@ -5,8 +5,9 @@ paths: a plain recursive Levenshtein and a full-matrix one, naive pair
 counting for the effect
 size, a bare tree-walking evaluator that re-executes base and mutant
 programs while snapshotting the whole variable store after every statement,
-and the mutant-by-mutant fold of statuses over a suite that
-``FitnessContext.fold`` replaced.
+the mutant-by-mutant fold of statuses over a suite that
+``FitnessContext.fold`` replaced, and the pair-by-pair suite diversity
+that the batched ``suite_diversity`` replaced.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from affsgen.minilang.nodes import (
     Var,
     While,
 )
+from affsgen.fitness import pack_lines, packed_distance
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.mutation import (
     DELETE_ASSIGNMENT,
@@ -38,7 +40,7 @@ from affsgen.mutation import (
     mutants_of,
     schema_run,
 )
-from affsgen.testmodel import MutantGoal, TestCase
+from affsgen.testmodel import MutantGoal, TestCase, render_test
 from affsgen.tracing import call_of, run_test
 
 
@@ -368,3 +370,58 @@ class MutantMajorFold:
 
 _WEAK_DETECTED = {status: int(status >= MutantStatus.INFECTED) for status in MutantStatus}
 _STRONG_DETECTED = {status: int(status >= MutantStatus.KILLED) for status in MutantStatus}
+
+
+class PairwiseDiversity:
+    """The reference suite diversity: every pair of a suite's tests scored
+    on its own, through three memos.
+
+    ``rendered_lines`` and ``test_pair_distance`` are the ``FitnessContext``
+    methods, and ``suite_diversity`` the function, as they were before pairs
+    were scored in batches, one stepped test against all its partners.
+    """
+
+    def __init__(self):
+        self._renders: dict = {}
+        self._pair_distance: dict = {}
+        self._packed: dict = {}
+        self._line_distance: dict = {}
+
+    def rendered_lines(self, test: TestCase) -> tuple[str, ...]:
+        lines = self._renders.get(test)
+        if lines is None:
+            text = render_test(test)
+            lines = tuple(text.split("\n")) if text else ()
+            self._renders[test] = lines
+        return lines
+
+    def test_pair_distance(self, a: TestCase, b: TestCase) -> int:
+        lines_a = self.rendered_lines(a)
+        lines_b = self.rendered_lines(b)
+        key = (lines_a, lines_b) if lines_a <= lines_b else (lines_b, lines_a)
+        cached = self._pair_distance.get(key)
+        if cached is not None:
+            return cached
+        # pack the side with more characters, so fewer characters are stepped
+        packed_lines, other = key
+        if sum(map(len, packed_lines)) < sum(map(len, other)):
+            packed_lines, other = other, packed_lines
+        packed = self._packed.get(packed_lines)
+        if packed is None:
+            packed = self._packed[packed_lines] = pack_lines(packed_lines)
+        total = 0
+        for line in other:
+            lkey = (packed_lines, line)
+            d = self._line_distance.get(lkey)
+            if d is None:
+                d = self._line_distance[lkey] = packed_distance(packed, line)
+            total += d
+        self._pair_distance[key] = total
+        return total
+
+    def suite_diversity(self, suite) -> tuple[int, float]:
+        div = 0
+        for i in range(len(suite)):
+            for j in range(i + 1, len(suite)):
+                div += self.test_pair_distance(suite[i], suite[j])
+        return div, 1.0 / (1.0 + div)
