@@ -9,6 +9,7 @@ their regular selection rule takes over.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
@@ -53,7 +54,13 @@ _MAX_SIZE = {Goal.EXCEPTIONS: 4, Goal.DIVERSITY: 4, Goal.STRONG_MUTATION: 3}
 def action_space(goal: Goal) -> list[Action]:
     """All selectable fitness-function combinations for a goal: 64 for
     exceptions, 52 for diversity (overlap pairs excluded), 41 for strong
-    mutation."""
+    mutation. Built once per goal; each call returns a new list of the same
+    ``Action`` objects."""
+    return list(_actions(goal))
+
+
+@functools.cache
+def _actions(goal: Goal) -> tuple[Action, ...]:
     pool = _POOLS[goal]
     required = _REQUIRED.get(goal)
     combos = []
@@ -67,7 +74,8 @@ def action_space(goal: Goal) -> list[Action]:
                 continue
             combos.append(subset)
     combos.sort(key=lambda c: (len(c), tuple(int(f) for f in c)))
-    return [Action(functions=tuple(sorted(c)), action_id=i) for i, c in enumerate(combos)]
+    return tuple(Action(functions=tuple(sorted(c)), action_id=i)
+                 for i, c in enumerate(combos))
 
 
 def default_combination(goal: Goal) -> Action:

@@ -9,12 +9,15 @@ the same rows byte for byte.
 Everything that depends only on a program is built once per experiment and
 shared by its trials: each fixed program keeps its mutants, which are
 also its schema, on itself (``mutation.mutants_of``), and each program its
-compiled code, the schema shape of its runs with sides included. Before a
-pool starts, the parent compiles every pair's programs, and the fixed
-program's lean code, schema shape and mutants (``interpreter.precompile``),
-so forked workers inherit it all and compile nothing. A
-serial run compiles lazily. The pool's initializer hands each worker the
-parsed pairs once, and a job names its pair by index.
+compiled code, the schema shape of its runs with sides included. A serial
+run compiles lazily. A pool's workers are forked, whatever the platform's
+default, so they inherit what the parent set up before the pool started:
+every pair's programs compiled, with the fixed program's lean code, schema
+shape and mutants (``interpreter.precompile``); the pairs, the job list, a
+lock and a shared job counter, from the pool's initializer; and any hook
+patched onto ``_trial_job`` or ``run_trial``. Each worker runs one
+``_drain`` task, which takes jobs by index until none is left and sends its
+records back once, so no message passes per job.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import mmap
+import multiprocessing
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
@@ -244,11 +249,13 @@ def _goal_metric(goal: Goal, result: SearchResult) -> float:
 # the pairs of the running experiment, which jobs name by index: set in
 # the parent for a serial run and by the pool's initializer in each worker
 _pairs: list[FaultPair] = []
+# a pool's (job list, lock, next-job counter): set by its initializer
+_queue: tuple = ()
 
 
-def _use_pairs(pairs: list[FaultPair]) -> None:
-    global _pairs
-    _pairs = pairs
+def _use_pairs(pairs: list[FaultPair], queue: tuple = ()) -> None:
+    global _pairs, _queue
+    _pairs, _queue = pairs, queue
 
 
 def _jobs(cfg: ExperimentConfig, pairs: list[FaultPair]) -> list[tuple]:
@@ -264,7 +271,7 @@ def _jobs(cfg: ExperimentConfig, pairs: list[FaultPair]) -> list[tuple]:
     return jobs
 
 
-def _trial_job(args) -> dict:
+def _trial_job(args) -> TrialRecord:
     (index, fault_id, strategy_spec, goal_value, seed, trial,
      engine, gen_config, interp) = args
     goal = Goal(goal_value)
@@ -275,7 +282,7 @@ def _trial_job(args) -> dict:
         record = TrialRecord(fault_id=fault_id, strategy=strategy_spec, seed=seed,
                              error=f"{type(err).__name__}: {err}")
     record.trial_index = trial
-    return asdict(record)
+    return record
 
 
 def _precompile(pairs: list[FaultPair]) -> None:
@@ -288,8 +295,28 @@ def _precompile(pairs: list[FaultPair]) -> None:
         precompile(pair.faulty_program)
 
 
+def _drain() -> list[tuple[int, TrialRecord]]:
+    """Run the pool's next job until none is left: the (job index, record)
+    of each. ``_trial_job`` is looked up by name, so a hook patched onto it
+    before the fork runs."""
+    jobs, lock, counter = _queue
+    done = []
+    while True:
+        with lock:
+            index = int.from_bytes(counter, "little")
+            counter[:] = (index + 1).to_bytes(len(counter), "little")
+        if index >= len(jobs):
+            return done
+        done.append((index, _trial_job(jobs[index])))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Run the full sweep and write trials.csv, summary.json, and actions.csv."""
+    """Run the full sweep and write trials.csv, summary.json, and actions.csv.
+
+    With ``cfg.workers`` above 1 the trials run on a pool of forked workers,
+    no more than the CPUs or the jobs. A trial that raises is an error row;
+    a worker that dies breaks the pool, and this raises ``BrokenProcessPool``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pairs = load_corpus(cfg.corpus_path)
@@ -302,20 +329,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             raise CorpusError(f"{pair.fault_id}: fixed.minij has no mutation sites")
 
     jobs = _jobs(cfg, pairs)
-    # a pool starts all its workers at once, so it gets no more than the CPUs
-    workers = min(cfg.workers, os.cpu_count() or 1)
+    # a pool starts all its workers at once, so no more than the CPUs or jobs
+    workers = min(cfg.workers, os.cpu_count() or 1, len(jobs))
     _use_pairs(pairs)
     try:
         if workers > 1:
             _precompile(pairs)
-            with ProcessPoolExecutor(max_workers=workers, initializer=_use_pairs,
-                                     initargs=(pairs,)) as pool:
-                raw_records = list(pool.map(_trial_job, jobs, chunksize=1))
+            records = [None] * len(jobs)
+            context = multiprocessing.get_context("fork")
+            # 8 shared bytes: a multiprocessing.Value would import ctypes
+            with mmap.mmap(-1, 8) as counter, ProcessPoolExecutor(
+                    max_workers=workers, mp_context=context, initializer=_use_pairs,
+                    initargs=(pairs, (jobs, context.Lock(), counter))) as pool:
+                for future in [pool.submit(_drain) for _ in range(workers)]:
+                    for index, record in future.result():
+                        records[index] = record
         else:
-            raw_records = [_trial_job(job) for job in jobs]
+            records = [_trial_job(job) for job in jobs]
     finally:
         _use_pairs([])
-    records = [TrialRecord(**raw) for raw in raw_records]
 
     # normalization is per fault, across every strategy and trial
     by_fault: dict[str, list[TrialRecord]] = {}

@@ -65,6 +65,18 @@ def test_action_ids_are_dense_and_ordered():
         assert sizes == sorted(sizes)
 
 
+def test_action_space_is_built_once_per_goal_and_returned_as_a_new_list():
+    for goal in Goal:
+        first, second = action_space(goal), action_space(goal)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        first.clear()  # changing a returned list leaves the next call as it was
+        assert action_space(goal) == second
+        one, other = make_strategy("ucb", goal), make_strategy("ucb", goal)
+        assert one.space is not other.space
+        assert all(a is b for a, b in zip(one.space, other.space, strict=True))
+
+
 # --- UCB ---------------------------------------------------------------------
 
 

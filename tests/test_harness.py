@@ -2,9 +2,15 @@
 
 import csv
 import dataclasses
+import functools
 import json
+import mmap
+import multiprocessing
+import os
 import pickle
 import random
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -319,19 +325,81 @@ def test_experiment_summary_consistent_with_trials(tmp_path):
     assert matrix["ucb"]["static:ex"] + matrix["static:ex"]["ucb"] == pytest.approx(1.0)
 
 
-def test_experiment_with_worker_pool_matches_serial(tmp_path):
+def _trial_rows(out: Path) -> list[dict]:
+    """trials.csv under out, without its timing column."""
+    with open(out / "trials.csv", newline="") as fh:
+        return [{k: v for k, v in row.items() if k != "mean_seconds_per_generation"}
+                for row in csv.DictReader(fh)]
+
+
+def test_experiment_with_worker_pool_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    real_drain = harness._drain
+
+    @functools.wraps(real_drain)  # so the pool pickles it by name
+    def recording_drain():
+        rows = real_drain()
+        with open(tmp_path / f"drained-{os.getpid()}.jsonl", "a") as fh:
+            fh.write(json.dumps([index for index, _ in rows]) + "\n")
+        return rows
+
+    monkeypatch.setattr(harness, "_drain", recording_drain)
     corpus = _mini_corpus(tmp_path)
-    serial_dir = tmp_path / "serial"
-    pooled_dir = tmp_path / "pooled"
-    run_experiment(_experiment_config(corpus), serial_dir)
-    run_experiment(_experiment_config(corpus, workers=2), pooled_dir)
-    keep_columns = lambda text: [
-        ",".join(part for i, part in enumerate(line.split(","))
-                 if i != 8)  # drop mean_seconds_per_generation
-        for line in text.splitlines()
-    ]
-    assert keep_columns((serial_dir / "trials.csv").read_text()) == \
-        keep_columns((pooled_dir / "trials.csv").read_text())
+    for goal in Goal:
+        for path in tmp_path.glob("drained-*.jsonl"):
+            path.unlink()
+        rows = {}
+        for workers in (1, 2):
+            cfg = _experiment_config(corpus, goal=goal, strategies=["ucb", "sarsa", "default"],
+                                     workers=workers)
+            run_experiment(cfg, tmp_path / f"{goal.value}-{workers}")
+            rows[workers] = _trial_rows(tmp_path / f"{goal.value}-{workers}")
+        assert len(rows[1]) == 2 * 3 * 3 and not any(row["error"] for row in rows[1])
+        assert rows[1] == rows[2]
+        drained = [json.loads(line) for path in tmp_path.glob("drained-*.jsonl")
+                   for line in path.read_text().splitlines()]
+        assert len(drained) == 2  # one task per worker, not one per job
+        assert sorted(index for indices in drained for index in indices) == list(range(18))
+
+
+def test_a_trial_that_raises_in_a_worker_is_an_error_row(tmp_path, monkeypatch):
+    real_trial = harness.run_trial
+
+    def failing_on_p02(pair, *rest):
+        if pair.fault_id == "p02_bigger_swap":
+            raise RuntimeError("boom")
+        return real_trial(pair, *rest)
+
+    monkeypatch.setattr(harness, "run_trial", failing_on_p02)  # before the fork
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    corpus = _mini_corpus(tmp_path)
+    rows = {}
+    for workers in (1, 2):
+        run_experiment(_experiment_config(corpus, workers=workers), tmp_path / str(workers))
+        rows[workers] = _trial_rows(tmp_path / str(workers))
+    assert [(r["fault_id"], r["error"]) for r in rows[2]] == \
+        [("p02_bigger_swap", "RuntimeError: boom")] * 6 + [("p04_guarded_divide", "")] * 6
+    assert rows[1] == rows[2]
+
+
+def test_a_worker_that_dies_breaks_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "run_trial", lambda *args: os._exit(1))  # before the fork
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(_experiment_config(_mini_corpus(tmp_path), workers=2), tmp_path / "out")
+
+
+def test_more_drains_than_cores_take_every_job_exactly_once(monkeypatch):
+    # a lost update of the shared counter would run a job twice or skip one
+    monkeypatch.setattr(harness, "_trial_job", lambda job: -job)  # before the fork
+    jobs = list(range(3000))
+    context = multiprocessing.get_context("fork")
+    with mmap.mmap(-1, 8) as counter, ProcessPoolExecutor(
+            max_workers=6, mp_context=context, initializer=harness._use_pairs,
+            initargs=([], (jobs, context.Lock(), counter))) as pool:
+        futures = [pool.submit(harness._drain) for _ in range(6)]
+        done = [pair for future in futures for pair in future.result(timeout=120)]
+    assert sorted(done) == [(index, -index) for index in jobs]
 
 
 def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
@@ -445,12 +513,15 @@ def test_experiment_config_validation(tmp_path):
             _experiment_config(tmp_path, workers=workers)
 
 
-def _inline_pool(started: list):
+def _inline_pool(started: list, submitted: list):
     class InlinePool:
-        """Records its size, calls its initializer and runs every job in this process."""
+        """Records its size and how many tasks it got, calls its initializer
+        and runs every task in this process."""
 
-        def __init__(self, max_workers, initializer=None, initargs=()):
+        def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
+            assert mp_context.get_start_method() == "fork"
             started.append(max_workers)
+            submitted.append(0)
             if initializer is not None:
                 initializer(*initargs)
 
@@ -460,21 +531,34 @@ def _inline_pool(started: list):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            submitted[-1] += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     return InlinePool
 
 
 def test_experiment_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    started = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started))
+    started, submitted = [], []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started, submitted))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     corpus = _mini_corpus(tmp_path)
     for workers in (1, 2, 10_000):
         run_experiment(_experiment_config(corpus, workers=workers), tmp_path / str(workers))
     assert started == [2, 3]
     assert (tmp_path / "10000" / "trials.csv").read_text().count("\n") == 1 + 2 * 2 * 3
+    # and at the job count: two jobs get two workers, and one job forks nothing
+    run_experiment(_experiment_config(corpus, strategies=["ucb"], trials_per_fault=1,
+                                      workers=10_000), tmp_path / "two-jobs")
+    (tmp_path / "one-pair").mkdir()
+    (corpus / "p04_guarded_divide").rename(tmp_path / "one-pair" / "p04_guarded_divide")
+    run_experiment(_experiment_config(tmp_path / "one-pair", strategies=["ucb"],
+                                      trials_per_fault=1, workers=10_000),
+                   tmp_path / "one-job")
+    assert started == [2, 3, 2] and submitted == started
+    assert (tmp_path / "one-job" / "trials.csv").read_text().count("\n") == 1 + 1
 
 
 def _count_compiles(monkeypatch) -> dict:
@@ -501,8 +585,8 @@ def _count_compiles(monkeypatch) -> dict:
 
 
 def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, monkeypatch):
-    started = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started))
+    started, submitted = [], []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started, submitted))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     compiles = _count_compiles(monkeypatch)
     generated = []
@@ -523,15 +607,13 @@ def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, mo
         out = tmp_path / str(workers)
         run_experiment(_experiment_config(corpus, goal=Goal.STRONG_MUTATION, workers=workers),
                        out)
-        with open(out / "trials.csv", newline="") as fh:
-            rows[workers] = [{k: v for k, v in row.items() if k != "mean_seconds_per_generation"}
-                             for row in csv.DictReader(fh)]
+        rows[workers] = _trial_rows(out)
         assert generated == ["p02_bigger_swap", "p04_guarded_divide"]
         if workers == 1:
             assert compiles[False] == 0 and compiles[True] > 0  # serial runs compile lazily
         else:
             assert compiles[False] > 0 and compiles[True] == 0
-    assert started == [2]
+    assert started == [2] and submitted == [2]
     assert rows[1] == rows[2] and not any(row["error"] for row in rows[1])
 
 
@@ -544,7 +626,8 @@ def test_a_pool_compiles_the_lean_code_of_a_program_whose_mutants_are_all_deleti
     (pair / "fixed.minij").write_text("fn f(x:int){ let y = x; y = x; return y; }\n")
     (pair / "faulty.minij").write_text("fn f(x:int){ let y = x; return 0; }\n")
     (pair / "manifest.json").write_text("{}")
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool([]))
+    started, submitted = [], []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _inline_pool(started, submitted))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(interpreter, "_MODULES", {})
     compiles = _count_compiles(monkeypatch)
@@ -553,6 +636,7 @@ def test_a_pool_compiles_the_lean_code_of_a_program_whose_mutants_are_all_deleti
     fixed = harness.load_corpus(pair.parent)[0].fixed_program
     assert {m.operator for m in mutation.mutants_of(fixed)} == {mutation.DELETE_ASSIGNMENT}
     assert compiles[False] > 0 and compiles[True] == 0
+    assert started == [2] and submitted == [2]
 
 
 def test_jobs_on_pickled_pairs_give_the_same_records(tmp_path):
@@ -564,7 +648,7 @@ def test_jobs_on_pickled_pairs_give_the_same_records(tmp_path):
     try:
         for given in (pairs, pickle.loads(pickle.dumps(pairs))):
             harness._use_pairs(given)
-            records.append([harness._trial_job(job) for job in jobs])
+            records.append([dataclasses.asdict(harness._trial_job(job)) for job in jobs])
     finally:
         harness._use_pairs([])
     for record in (r for side in records for r in side):
