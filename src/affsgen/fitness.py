@@ -9,24 +9,17 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, merge_best
-from affsgen.minilang.nodes import (
-    Binary,
-    BoolLit,
-    Call,
-    FunctionDef,
-    Index,
-    IntLit,
-    Len,
-    Program,
-    Return,
-    StrLit,
-    Unary,
-    Var,
-    walk_statements,
+from affsgen.minilang.interpreter import (
+    ExecutionResult,
+    InterpConfig,
+    Sides,
+    analysis_of,
+    merge_best,
 )
+from affsgen.minilang.nodes import Program
 from affsgen.mutation import (
     DELETE_ASSIGNMENT,
     Mutant,
@@ -70,74 +63,20 @@ def nu(x: float) -> float:
 
 # --- output-coverage buckets -------------------------------------------------
 
-_INT_BUCKETS = ("negative", "zero", "positive")
-_BOOL_BUCKETS = ("true", "false")
-_STR_BUCKETS = ("empty", "nonempty")
-
-
-def _infer_return_kinds(program: Program) -> dict[str, set[str]]:
-    """Fixpoint inference of the kinds each function's returns can produce.
-
-    A function with no return statement (or one that can fall off the end)
-    yields int 0, so int is included for those.
-    """
-
-    kinds: dict[str, set[str]] = {fn.name: set() for fn in program.functions}
-
-    def expr_kind(expr, fn: FunctionDef) -> set[str]:
-        if isinstance(expr, IntLit):
-            return {"int"}
-        if isinstance(expr, BoolLit):
-            return {"bool"}
-        if isinstance(expr, StrLit):
-            return {"str"}
-        if isinstance(expr, Var):
-            for pname, pkind in fn.params:
-                if pname == expr.name:
-                    return {pkind}
-            return {"int", "bool", "str"}  # local; not tracked statically
-        if isinstance(expr, Len):
-            return {"int"}
-        if isinstance(expr, Index):
-            return {"str"}
-        if isinstance(expr, Unary):
-            return {"int"} if expr.op == "neg" else {"bool"}
-        if isinstance(expr, Binary):
-            if expr.op in ("and", "or") or expr.op in ("==", "!=", "<", "<=", ">", ">="):
-                return {"bool"}
-            if expr.op == "+":
-                sub = expr_kind(expr.lhs, fn) | expr_kind(expr.rhs, fn)
-                return sub & {"int", "str"} or {"int"}
-            return {"int"}
-        if isinstance(expr, Call):
-            return set(kinds.get(expr.name, set()))
-        return {"int"}
-
-    changed = True
-    while changed:
-        changed = False
-        for fn in program.functions:
-            inferred: set[str] = set()
-            for stmt in walk_statements(fn.body):
-                if isinstance(stmt, Return):
-                    inferred |= expr_kind(stmt.expr, fn)
-            ends_with_return = bool(fn.body) and isinstance(fn.body[-1], Return)
-            if not ends_with_return:
-                inferred.add("int")  # may fall off the end, which yields 0
-            if inferred - kinds[fn.name]:
-                kinds[fn.name] |= inferred
-                changed = True
-    return kinds
+_BUCKETS = {"int": ("negative", "zero", "positive"), "bool": ("true", "false"),
+            "str": ("empty", "nonempty")}
 
 
 def output_buckets(program: Program) -> list[tuple[str, str]]:
-    """(function, abstract value) pairs the suite should cover."""
-    buckets: list[tuple[str, str]] = []
-    for fname, kinds in sorted(_infer_return_kinds(program).items()):
-        for kind in sorted(kinds):
-            names = {"int": _INT_BUCKETS, "bool": _BOOL_BUCKETS, "str": _STR_BUCKETS}[kind]
-            buckets.extend((fname, b) for b in names)
-    return buckets
+    """(function, abstract value) pairs the suite should cover: every
+    abstract value of each kind a function may return, by function name and
+    then kind. The kinds are ``Analysis.returns`` of the program's compiled
+    module (``interpreter.analysis_of``), the analysis its runs already
+    use, so a function whose every path ends in a ``throw`` has none."""
+    return [(fname, bucket)
+            for fname, kinds in sorted(analysis_of(program).returns.items())
+            for kind in sorted(kinds)
+            for bucket in _BUCKETS[kind]]
 
 
 def _bucket_of(value) -> str:
@@ -355,6 +294,10 @@ class FitnessContext:
     the pairs the memo lacks by stepping the test in the most of them, line
     by line, through all its missing partners' tables side by side, and
     repeats until none is missing.
+
+    The output buckets (``buckets``) are found on first use, from the kinds
+    the program's ``Analysis`` proves its functions may return, so a
+    context that never scores output coverage never asks for them.
     """
 
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
@@ -363,7 +306,6 @@ class FitnessContext:
         self.total_lines = program.line_count
         self.total_branches = program.branch_count
         self.function_names = tuple(program.function_names)
-        self.buckets = output_buckets(program)
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._calls: dict[tuple, ExecutionResult] = {}
         self._schema_runs: dict[tuple, Sides] = {}
@@ -377,6 +319,11 @@ class FitnessContext:
         self._packed: dict[tuple[str, ...], PackedLines] = {}
         self._line_distance: dict = {}  # unused; the perfbench tracer reads its size
         self._suite_scores: dict[tuple[FitnessFunctionId, TestSuite], float] = {}
+
+    @cached_property
+    def buckets(self) -> list[tuple[str, str]]:
+        """The program's ``output_buckets``, found on first use."""
+        return output_buckets(self.program)
 
     @property
     def mutants(self) -> list[Mutant]:
@@ -645,7 +592,7 @@ def _fit_output(suite: TestSuite, ctx: FitnessContext) -> float:
         hit = any(_bucket_of(v) == bucket for v in values)
         if hit:
             continue
-        if bucket in _INT_BUCKETS:
+        if bucket in _BUCKETS["int"]:
             ints = [v for v in values if not isinstance(v, bool) and isinstance(v, int)]
             total += nu(_int_bucket_distance(bucket, ints)) if ints else 1.0
         else:

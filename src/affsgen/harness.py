@@ -285,16 +285,6 @@ def _trial_job(args) -> TrialRecord:
     return record
 
 
-def _precompile(pairs: list[FaultPair]) -> None:
-    """Compile everything the pairs' trials run: both programs' traced code,
-    and the fixed program's lean code, schema shape and every mutant's
-    alternative (a deleted assignment has none). Each fixed program's
-    mutants, and so its schema, are generated already."""
-    for pair in pairs:
-        precompile(pair.fixed_program)
-        precompile(pair.faulty_program)
-
-
 def _drain() -> list[tuple[int, TrialRecord]]:
     """Run the pool's next job until none is left: the (job index, record)
     of each. ``_trial_job`` is looked up by name, so a hook patched onto it
@@ -334,7 +324,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     _use_pairs(pairs)
     try:
         if workers > 1:
-            _precompile(pairs)
+            # compile everything the trials run, so the forked workers inherit
+            # it: both programs' traced code, and the fixed program's lean code,
+            # schema shape and every mutant's alternative (a deleted assignment
+            # has none); each fixed program's mutants, its schema, exist already
+            for pair in pairs:
+                precompile(pair.fixed_program)
+                precompile(pair.faulty_program)
             records = [None] * len(jobs)
             context = multiprocessing.get_context("fork")
             # 8 shared bytes: a multiprocessing.Value would import ctypes

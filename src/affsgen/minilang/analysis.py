@@ -3,7 +3,11 @@
 ``Analysis`` holds four kinds of fact, each sound for the base program and
 for every mutant of it, so that the lean code all mutants share may rely on
 them without knowing the mutant list. It is the one place each is decided;
-``codegen`` only reads them.
+``codegen`` only reads them, and so does ``fitness``, whose output buckets
+are the kinds each function may return. Closing the kinds under the
+mutation operators adds none the base program could not return, but at a
+``-``, ``*`` or ``/`` whose operands may both be strs, which raises in the
+base and may concatenate in a mutant.
 
 Kinds. For each function, the kinds (``int``, ``bool``, ``str``) that each
 variable may hold once bound and that the function may return, found

@@ -81,7 +81,7 @@ __all__ = [
     "DIV_BY_ZERO", "EXPLICIT_THROW", "INDEX_OUT_OF_BOUNDS", "STEP_LIMIT_EXCEEDED",
     "TYPE_ERROR", "MAX_CALL_DEPTH", "ArityError", "ExceptionRecord", "ExecutionResult",
     "InterpConfig", "MiniJError", "Raised", "Returned", "Sides",
-    "UnknownFunctionError", "execute", "kind_of", "merge_best", "precompile",
+    "UnknownFunctionError", "analysis_of", "execute", "kind_of", "merge_best", "precompile",
     "string_eq_distance",
 ]
 
@@ -354,6 +354,12 @@ def _plan(program: Program) -> list:
     _MODULES[key] = module
     plan = program._compiled = [module, _NO_HOOKS, None, module.analysis().own_jumps]
     return plan
+
+
+def analysis_of(program: Program):
+    """The ``analysis.Analysis`` of ``program``'s base: the one its compiled
+    module found and its runs use, found now if none has run yet."""
+    return (program._compiled or _plan(program))[0].analysis()
 
 
 # --- side evaluations --------------------------------------------------------

@@ -1,12 +1,15 @@
 """Fitness functions: frozen examples, oracle checks, and range invariants."""
 
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affsgen import testmodel
+from affsgen.affs import Goal, make_strategy
+from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import (
     FitnessContext,
     FitnessFunctionId as F,
@@ -18,7 +21,8 @@ from affsgen.fitness import (
     packed_distance,
     suite_diversity,
 )
-from affsgen.minilang import parse
+from affsgen.harness import load_corpus
+from affsgen.minilang import analysis, parse
 from affsgen.mutation import MutantStatus
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from oracles import dp_levenshtein, full_reexecution_status, naive_levenshtein
@@ -123,6 +127,62 @@ def test_output_fitness_takes_returned_ints_past_float_range():
     suite = (_case("f", 700),)
     assert ctx.trace(suite[0]).returns == {"f": (-3**700,)}
     assert eval_fitness(F.OUTPUT, suite, ctx) == (0.0 + 1.0 + 1.0) / 3
+
+
+def _bucket_kinds(program) -> dict[str, set[str]]:
+    """The kinds whose buckets a fresh context on ``program`` has, by function."""
+    kinds = {"negative": "int", "zero": "int", "positive": "int", "true": "bool",
+             "false": "bool", "empty": "str", "nonempty": "str"}
+    found: dict[str, set[str]] = {}
+    for fname, bucket in FitnessContext(program).buckets:
+        found.setdefault(fname, set()).add(kinds[bucket])
+    return found
+
+
+def test_a_local_of_one_proven_kind_gets_only_its_buckets():
+    program = parse("fn f(x:int){ let n = x + 1; return n; }")
+    assert FitnessContext(program).buckets == [("f", "negative"), ("f", "zero"),
+                                               ("f", "positive")]
+
+
+def test_a_local_assigned_an_int_and_a_str_gets_both_kinds_buckets():
+    program = parse('fn f(x:int){ let v = 0; if (x > 0) { v = "a"; } return v; }')
+    assert _bucket_kinds(program) == {"f": {"int", "str"}}
+
+
+def test_an_if_else_returning_bools_on_both_arms_gets_only_true_and_false():
+    program = parse("fn f(x:int){ if (x > 0) { return true; } else { return false; } }")
+    assert FitnessContext(program).buckets == [("f", "true"), ("f", "false")]
+
+
+def test_a_function_that_always_throws_gets_no_buckets():
+    program = parse('fn f(x:int){ if (x > 0) { throw "up"; } throw "down"; }')
+    ctx = FitnessContext(program)
+    assert ctx.buckets == []
+    assert eval_fitness(F.OUTPUT, (_case("f", 1), _case("f", -1)), ctx) == 0.0
+    # the default action of the exceptions goal holds every function of its pool
+    result = run_search(program, Goal.EXCEPTIONS, make_strategy("default", Goal.EXCEPTIONS),
+                        EngineConfig(population_size=4, budget=Budget(generations=3)), 1)
+    assert result.generations == 3
+    assert all("output" in record.action.split("+") for record in result.log)
+
+
+def test_buckets_are_found_on_first_use_from_the_programs_own_analysis():
+    program = parse("fn f(x:int){ return x > 0; } fn g(s:str){ return s; }")
+    with patch("affsgen.fitness.output_buckets", side_effect=AssertionError("found eagerly")):
+        ctx = FitnessContext(program)
+    ctx.trace(_case("f", 1))  # the run finds the program's analysis
+    with patch.object(analysis, "Analysis", side_effect=AssertionError("a second Analysis")):
+        assert ctx.buckets == [("f", "true"), ("f", "false"), ("g", "empty"), ("g", "nonempty")]
+        assert FitnessContext(program).buckets == ctx.buckets
+
+
+def test_every_corpus_context_has_exactly_the_buckets_of_its_return_kinds():
+    for pair in load_corpus(Path(__file__).resolve().parent.parent / "corpus"):
+        for program in (pair.fixed_program, pair.faulty_program):
+            returns = analysis.Analysis(program).returns
+            assert _bucket_kinds(program) == {f: set(k) for f, k in returns.items() if k}, \
+                program.source_id
 
 
 def test_weak_and_strong_mutation_fitness_bounds():
