@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
 from affsgen.fitness import FitnessContext, FitnessFunctionId, evaluate_suite, suite_diversity
-from affsgen.minilang.interpreter import InterpConfig
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import (
     Archive,
@@ -107,6 +107,9 @@ class SearchResult:
     metrics: dict
     # index of each final test -> labels of the goals it covers
     per_test_goals: dict[int, list[str]]
+    # per final test, in suite order: each call's result on the searched
+    # program, from the search's own runs (``tracing.TestTrace.call_results``)
+    final_results: tuple[tuple[ExecutionResult, ...], ...]
 
     @property
     def generations(self) -> int:
@@ -380,6 +383,8 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         log=log,
         metrics=_final_metrics(goal, final, ctx, covered, goals),
         per_test_goals=per_test_goals,
+        # the metrics traced every final test: this only reads their traces
+        final_results=tuple(ctx.trace(test).call_results for test in final),
     )
 
 

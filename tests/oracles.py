@@ -6,8 +6,11 @@ counting for the effect
 size, a bare tree-walking evaluator that re-executes base and mutant
 programs while snapshotting the whole variable store after every statement,
 the mutant-by-mutant fold of statuses over a suite that
-``FitnessContext.fold`` replaced, and the pair-by-pair suite diversity
-that the batched ``suite_diversity`` replaced.
+``FitnessContext.fold`` replaced, the pair-by-pair suite diversity
+that the batched ``suite_diversity`` replaced, and fault detection that
+runs both versions of a pair again on every test, which
+``harness.fault_detected`` replaced by taking the fixed version's results
+from the search.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from affsgen.mutation import (
     schema_run,
 )
 from affsgen.testmodel import MutantGoal, TestCase, render_test
-from affsgen.tracing import call_of, run_test
+from affsgen.tracing import behavior_of, call_of, run_test
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -425,3 +428,14 @@ class PairwiseDiversity:
             for j in range(i + 1, len(suite)):
                 div += self.test_pair_distance(suite[i], suite[j])
         return div, 1.0 / (1.0 + div)
+
+
+def rerun_fault_detected(suite, pair, interp: InterpConfig = InterpConfig()) -> bool:
+    """True when any call of any test behaves differently on the faulty
+    version, with both versions run again on each test, each with a fresh memo."""
+    for test in suite:
+        fixed = run_test(pair.fixed_program, test, interp).call_results
+        faulty = run_test(pair.faulty_program, test, interp).call_results
+        if any(behavior_of(a) != behavior_of(b) for a, b in zip(fixed, faulty)):
+            return True
+    return False

@@ -9,13 +9,18 @@ import multiprocessing
 import os
 import pickle
 import random
+import shutil
+import subprocess
+import sys
+import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from affsgen import cli, harness, mutation
+from affsgen import cli, harness, mutation, tracing
+from affsgen import engine as engine_module
 from affsgen.affs import Goal
 from affsgen.cli import main as cli_main
 from affsgen.engine import Budget, EngineConfig
@@ -36,7 +41,8 @@ from affsgen.harness import (
 from affsgen.minilang import interpreter, parse
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.testmodel import CallStmt, GenConfig, TestCase
-from oracles import brute_force_a_measure
+from affsgen.tracing import run_test
+from oracles import brute_force_a_measure, rerun_fault_detected
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -181,16 +187,86 @@ def test_off_boundary_test_misses_boundary_fault():
     assert fault_detected(suite, pair) is False
 
 
-def test_a_fault_returning_one_for_true_is_detected():
-    # True == 1 in Python; behaviours must still tell them apart
-    pair = FaultPair(
+def _bool_int_pair() -> FaultPair:
+    return FaultPair(
         fault_id="bool_int",
         fixed_program=parse("fn f(b:bool){ let r = 1; if (b) { r = true; } return r; }"),
         faulty_program=parse("fn f(b:bool){ let r = 1; return r; }"),
         description="",
     )
+
+
+def test_a_fault_returning_one_for_true_is_detected():
+    # True == 1 in Python; behaviours must still tell them apart
+    pair = _bool_int_pair()
     assert fault_detected((_case("f", True),), pair) is True
     assert fault_detected((_case("f", False),), pair) is False
+
+
+def _detections(suite, pair, interp=InterpConfig()) -> tuple[bool, bool, bool]:
+    """Fault detection on the fixed version's kept results, on its own runs,
+    and by the oracle that runs both versions again on every test."""
+    fixed = [run_test(pair.fixed_program, test, interp).call_results for test in suite]
+    return (fault_detected(suite, pair, interp, fixed), fault_detected(suite, pair, interp),
+            rerun_fault_detected(suite, pair, interp))
+
+
+@pytest.mark.parametrize("goal", list(Goal))
+def test_fault_detection_from_the_search_matches_running_both_versions_again(goal):
+    engine = EngineConfig(population_size=4, skip_iter=1, budget=Budget(generations=2))
+    gen = GenConfig(max_suite_size=4, max_calls_per_test=3)
+    interp = InterpConfig()
+    detected = []
+    for pair in load_corpus(CORPUS):
+        for strategy in ("ucb", "default"):
+            seed = derive_seed(31, pair.fault_id, strategy, 0)
+            result, record = run_trial(pair, strategy, goal, seed, engine, gen, interp)
+            want = rerun_fault_detected(result.final_suite, pair, interp)
+            assert record.fault_detected is want, (pair.fault_id, strategy)
+            assert _detections(result.final_suite, pair, interp) == (want,) * 3
+            detected.append(want)
+    assert any(detected) and not all(detected)  # both outcomes are compared
+
+
+def test_fault_detection_of_an_empty_suite_and_of_true_against_one_matches_the_oracle():
+    assert _detections((), _pair("p01_sign_boundary")) == (False,) * 3
+    pair = _bool_int_pair()
+    assert _detections((_case("f", True),), pair) == (True,) * 3
+    assert _detections((_case("f", False),), pair) == (False,) * 3
+
+
+def test_fault_detection_on_kept_results_runs_each_distinct_call_once_on_the_faulty_version(
+        monkeypatch):
+    pair = _pair("p08_account_rules")
+    twice = TestCase(calls=(CallStmt("withdraw", (50, 10)), CallStmt("withdraw", (50, 10))))
+    suite = (_case("withdraw", 50, 10), twice, _case("withdraw", 50, 50))
+    fixed = [run_test(pair.fixed_program, test).call_results for test in suite]
+    runs = []
+    real_execute = tracing.execute
+
+    def counting_execute(program, function, args, *rest):
+        runs.append((program.source_id, args))
+        return real_execute(program, function, args, *rest)
+
+    monkeypatch.setattr(tracing, "execute", counting_execute)
+    assert fault_detected(suite, pair, InterpConfig(), fixed) is True
+    assert runs == [("p08_account_rules:faulty", (50, 10)), ("p08_account_rules:faulty", (50, 50))]
+
+
+def test_no_fitness_context_outlives_its_search(monkeypatch):
+    contexts = []
+
+    class Recorded(engine_module.FitnessContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine_module, "FitnessContext", Recorded)
+    result, _ = run_trial(_pair("p04_guarded_divide"), "ucb", Goal.STRONG_MUTATION, 3,
+                          EngineConfig(population_size=4, budget=Budget(generations=2)),
+                          GenConfig(), InterpConfig())
+    assert len(contexts) == 1 and contexts[0]() is None
+    assert len(result.final_results) == len(result.final_suite)
 
 
 # --- normalization -----------------------------------------------------------------
@@ -415,6 +491,146 @@ def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
     assert len(parsed) == 2 * 2  # fixed and faulty version of each pair, once
 
 
+def _counted_parses(monkeypatch) -> list:
+    parsed = []
+    real_parse = harness.parse
+
+    def counting_parse(source, source_id="<anonymous>"):
+        parsed.append(source_id)
+        return real_parse(source, source_id)
+
+    monkeypatch.setattr(harness, "parse", counting_parse)
+    return parsed
+
+
+def _quick_config(corpus, **overrides):
+    quick = dict(strategies=["default"], trials_per_fault=1,
+                 engine=EngineConfig(population_size=4, budget=Budget(generations=1)))
+    return _experiment_config(corpus, **{**quick, **overrides})
+
+
+def test_a_second_experiment_on_an_unchanged_corpus_parses_nothing_and_shares_its_programs(
+        tmp_path, monkeypatch):
+    parsed = _counted_parses(monkeypatch)
+    handed = []
+    real_use = harness._use_pairs
+
+    def recording_use(pairs, *rest):
+        if pairs:
+            handed.append([(p.fixed_program, p.faulty_program) for p in pairs])
+        real_use(pairs, *rest)
+
+    monkeypatch.setattr(harness, "_use_pairs", recording_use)
+    corpus = _mini_corpus(tmp_path)
+    run_experiment(_quick_config(corpus), tmp_path / "a")
+    assert len(parsed) == 4
+    parsed.clear()
+    run_experiment(_quick_config(corpus, goal=Goal.STRONG_MUTATION), tmp_path / "b")
+    assert parsed == []
+    first, second = handed
+    assert len(first) == 2 and all(a is b for one, other in zip(first, second)
+                                   for a, b in zip(one, other))
+
+
+_CORPUS_FILES = [f"{pair}/{name}" for pair in ("p02_bigger_swap", "p04_guarded_divide")
+                 for name in ("fixed.minij", "faulty.minij", "manifest.json")]
+
+
+@pytest.mark.parametrize("change", _CORPUS_FILES + ["add a pair", "remove a pair"])
+def test_a_changed_corpus_is_read_again_whole(tmp_path, monkeypatch, change):
+    parsed = _counted_parses(monkeypatch)
+    corpus = _mini_corpus(tmp_path)
+    cfg = _quick_config(corpus)
+    for out in ("a", "b"):
+        run_experiment(cfg, tmp_path / out)
+    assert len(parsed) == 4
+    if change == "add a pair":
+        shutil.copytree(CORPUS / "p08_account_rules", corpus / "p08_account_rules")
+        pairs = 3
+    elif change == "remove a pair":
+        shutil.rmtree(corpus / "p04_guarded_divide")
+        pairs = 1
+    else:
+        path = corpus / change
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        path.write_bytes(data[:-1] + b" ")  # one byte changed: the last newline
+        pairs = 2
+    parsed.clear()
+    run_experiment(cfg, tmp_path / "c")
+    assert len(parsed) == 2 * pairs
+    parsed.clear()
+    run_experiment(cfg, tmp_path / "d")
+    assert parsed == []
+
+
+def _break_corpus(corpus: Path, how: str) -> str:
+    """Make the corpus fail its checks; the error it then raises."""
+    if how == "unreadable":
+        fixed = corpus / "p04_guarded_divide" / "fixed.minij"
+        fixed.unlink()
+        fixed.mkdir()
+        return "p04_guarded_divide: cannot read fixed.minij"
+    echo = corpus / "p00_echo"
+    echo.mkdir()
+    (echo / "fixed.minij").write_text("fn f(s:str){ return s; }")
+    (echo / "faulty.minij").write_text('fn f(s:str){ return "a"; }')
+    (echo / "manifest.json").write_text("{}")
+    return "p00_echo: fixed.minij has no mutation sites"
+
+
+@pytest.mark.parametrize("how", ["unreadable", "no mutation sites"])
+def test_a_corpus_that_fails_its_checks_fails_on_every_call_and_is_never_kept(
+        tmp_path, monkeypatch, how):
+    parsed = _counted_parses(monkeypatch)
+    good, bad = _mini_corpus(tmp_path / "good"), _mini_corpus(tmp_path / "bad")
+    error = _break_corpus(bad, how)
+    for attempt in range(2):  # before any good corpus ran, then after one did
+        for _ in range(2):
+            with pytest.raises(CorpusError, match=error):
+                run_experiment(_quick_config(bad), tmp_path / "out")
+            assert harness._corpus[0] != bad.resolve()
+        parsed.clear()
+        run_experiment(_quick_config(good), tmp_path / "out")
+        assert len(parsed) == (4 if attempt == 0 else 0)  # the good corpus is still kept
+    # the kept corpus itself breaking: it fails as the other did, until it is mended
+    assert _break_corpus(good, how) == error
+    for _ in range(2):
+        with pytest.raises(CorpusError, match=error):
+            run_experiment(_quick_config(good), tmp_path / "out")
+    shutil.rmtree(good)
+    _mini_corpus(good.parent)
+    run_experiment(_quick_config(good), tmp_path / "out")
+
+
+def test_experiments_in_one_process_write_the_rows_of_fresh_processes(tmp_path):
+    corpus = _mini_corpus(tmp_path)
+    shutil.copytree(CORPUS / "p06_loop_boundary", corpus / "p06_loop_boundary")
+    configs = []
+    for workers in (1, 2):
+        for goal, step_limit in (("strong-mutation", 10_000), ("exceptions", 40),
+                                 ("diversity", 200)):
+            path = tmp_path / f"{goal}-{step_limit}-{workers}.json"
+            path.write_text(json.dumps({
+                "goal": goal, "strategies": ["ucb", "default"], "trials_per_fault": 1,
+                "corpus": str(corpus), "workers": workers, "interp": {"step_limit": step_limit},
+                "engine": {"population_size": 4, "budget": {"generations": 2}},
+                "generation": {"max_suite_size": 4, "max_calls_per_test": 3}}))
+            configs.append(path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    for path in configs:
+        assert cli_main(["experiment", "--config", str(path),
+                         "--out", str(tmp_path / "one" / path.stem)]) == 0
+        subprocess.run([sys.executable, "-m", "affsgen.cli", "experiment", "--config", str(path),
+                        "--out", str(tmp_path / "fresh" / path.stem)],
+                       env=env, check=True, capture_output=True, timeout=300)
+    for path in configs:
+        one = _trial_rows(tmp_path / "one" / path.stem)
+        assert one and not any(row["error"] for row in one)
+        assert one == _trial_rows(tmp_path / "fresh" / path.stem), path.stem
+
+
 def test_run_trial_copies_every_engine_field(monkeypatch):
     engine = EngineConfig(population_size=5, skip_iter=2, budget=Budget(generations=2))
     for f in dataclasses.fields(EngineConfig):
@@ -597,10 +813,11 @@ def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, mo
         return original_generate(program)
 
     monkeypatch.setattr(mutation, "generate_mutants", counting_generate)
-    corpus = _mini_corpus(tmp_path)
     rows = {}
     for workers in (1, 2):
-        # nothing compiled yet, so each run compiles every program it runs
+        # a corpus of its own and nothing compiled yet, so each run generates
+        # the mutants and compiles every program it runs
+        corpus = _mini_corpus(tmp_path / f"corpus-{workers}")
         monkeypatch.setattr(interpreter, "_MODULES", {})
         compiles.update({False: 0, True: 0})
         generated.clear()
