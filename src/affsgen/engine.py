@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
 from affsgen.fitness import FitnessContext, FitnessFunctionId, evaluate_suite, suite_diversity
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig
+from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import (
     Archive,
@@ -45,6 +45,7 @@ from affsgen.testmodel import (
     render_test,
 )
 from affsgen.mutation import MutantStatus
+from affsgen.tracing import behavior_of
 
 ELITE_COUNT = 2  # best-ranked suites carried into the next generation
 CROSSOVER_RATE = 0.75  # probability that a parent pair is crossed over
@@ -107,9 +108,9 @@ class SearchResult:
     metrics: dict
     # index of each final test -> labels of the goals it covers
     per_test_goals: dict[int, list[str]]
-    # per final test, in suite order: each call's result on the searched
-    # program, from the search's own runs (``tracing.TestTrace.call_results``)
-    final_results: tuple[tuple[ExecutionResult, ...], ...]
+    # per final test, in suite order: each call's behaviour on the searched
+    # program (``tracing.behavior_of``), from the search's own runs
+    final_behaviors: tuple[tuple[tuple, ...], ...]
 
     @property
     def generations(self) -> int:
@@ -384,7 +385,8 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         metrics=_final_metrics(goal, final, ctx, covered, goals),
         per_test_goals=per_test_goals,
         # the metrics traced every final test: this only reads their traces
-        final_results=tuple(ctx.trace(test).call_results for test in final),
+        final_behaviors=tuple(tuple(map(behavior_of, ctx.trace(test).call_results))
+                              for test in final),
     )
 
 

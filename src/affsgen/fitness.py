@@ -263,10 +263,9 @@ class FitnessContext:
 
     The program's mutants, which are also its schema, are kept on the
     program (``mutation.mutants_of``), and the compiled schema shape of its
-    schema runs in its plan, so every context on it shares them; experiments
-    on an unchanged corpus share its programs, so a process builds them
-    once, before the first pool that needs them starts. Everything else
-    below is per context and freed with it when its search returns.
+    schema runs in its plan, so every context on it shares them; an experiment
+    builds them before its pool starts. Everything else below is per
+    context and freed with it when its search returns.
 
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,

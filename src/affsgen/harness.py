@@ -3,25 +3,27 @@
 An experiment sweeps strategies x fault pairs x trials. Suites are generated
 against the fixed version of each pair; a fault counts as detected when any
 generated test behaves differently on the faulty version. The fixed
-version's results come from the search that made the suite, so only the
+version's behaviours come from the search that made the suite, so only the
 faulty version runs for it. Every trial gets a seed derived from (master
 seed, fault, strategy, trial), so reruns reproduce the same rows byte for
 byte.
 
-Everything that depends only on a program is built once per process and
-shared by the trials of every experiment on its corpus: ``run_experiment``
-keeps the pairs of the last corpus it ran and hands them out again while
-the corpus's path and texts stay the same. Each fixed program keeps its
-mutants, which are also its schema, on itself (``mutation.mutants_of``),
-and each program its compiled code, the schema shape of its runs with sides
-included. A serial run compiles lazily. A pool's workers are forked,
-whatever the platform's default, so they inherit what the parent set up
-before the pool started: every pair's programs compiled, with the fixed
-program's lean code, schema shape and mutants (``interpreter.precompile``);
-the pairs, the job list, a lock and a shared job counter, from the pool's
-initializer; and any hook patched onto ``_trial_job`` or ``run_trial``.
-Each worker runs one ``_drain`` task, which takes jobs by index until none
-is left and sends its records back once, so no message passes per job.
+Everything that depends only on a program is built once per experiment and
+shared by its trials: each fixed program keeps its mutants, which are also
+its schema, on itself (``mutation.mutants_of``), and each program its
+compiled code, the schema shape of its runs with sides included. When the
+experiment returns it lets the mutants go, so its corpus is freed at once.
+The compiled code stays in the interpreter's module cache, shared with any
+later program of the same text: a later experiment on the same corpus
+parses it and generates its mutants again, but compiles nothing again.
+A serial run compiles lazily. A pool's workers are forked, whatever the
+platform's default, so they inherit what the parent set up before the pool
+started: every pair's programs compiled, with the fixed program's lean
+code, schema shape and mutants (``interpreter.precompile``); the pairs, the
+job list, a lock and a shared job counter, from the pool's initializer; and
+any hook patched onto ``_trial_job`` or ``run_trial``. Each worker runs one
+``_drain`` task, which takes jobs by index until none is left and sends its
+records back once, so no message passes per job.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 
 from affsgen.affs import Goal, make_strategy
 from affsgen.engine import EngineConfig, SearchResult, run_search
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, precompile
+from affsgen.minilang.interpreter import InterpConfig, precompile
 from affsgen.minilang.nodes import Program
 from affsgen.minilang.parser import ParseError, parse
 from affsgen.mutation import mutants_of
@@ -66,15 +68,10 @@ class FaultPair:
 
 def load_corpus(path) -> list[FaultPair]:
     """Load every fault pair under a corpus directory, sorted by id."""
-    return _pairs_of(_read_corpus(Path(path)))
-
-
-def _read_corpus(root: Path) -> list[tuple[str, str, str, str]]:
-    """The (id, manifest, fixed, faulty) texts of every fault-pair directory
-    under ``root``, sorted by id: all that a corpus's pairs are built from."""
+    root = Path(path)
     if not root.is_dir():
         raise CorpusError(f"corpus directory {root} does not exist")
-    corpus = []
+    pairs = []
     for entry in sorted(root.iterdir()):
         if not entry.is_dir():
             continue
@@ -86,7 +83,7 @@ def _read_corpus(root: Path) -> list[tuple[str, str, str, str]]:
         for required in (fixed, faulty):
             if not required.exists():
                 raise CorpusError(f"{entry.name}: missing {required.name}")
-        texts = [entry.name]
+        texts = []
         for source in (manifest, fixed, faulty):
             try:
                 texts.append(source.read_text(encoding="utf-8"))
@@ -95,32 +92,25 @@ def _read_corpus(root: Path) -> list[tuple[str, str, str, str]]:
             except OSError as err:  # a directory, say, or not readable
                 raise CorpusError(f"{entry.name}: cannot read {source.name}: "
                                   f"{err.strerror or err}") from err
-        corpus.append(tuple(texts))
-    return corpus
-
-
-def _pairs_of(corpus: list[tuple[str, str, str, str]]) -> list[FaultPair]:
-    """Parse and check each pair's texts, as ``_read_corpus`` gives them."""
-    pairs = []
-    for name, manifest_text, fixed_text, faulty_text in corpus:
+        manifest_text, fixed_text, faulty_text = texts
         try:
             meta = json.loads(manifest_text)
         except ValueError as err:
-            raise CorpusError(f"{name}: bad manifest: {err}") from err
+            raise CorpusError(f"{entry.name}: bad manifest: {err}") from err
         if not isinstance(meta, dict):
-            raise CorpusError(f"{name}: manifest must hold a JSON object, "
+            raise CorpusError(f"{entry.name}: manifest must hold a JSON object, "
                               f"not {type(meta).__name__}")
         if fixed_text == faulty_text:
-            raise CorpusError(f"{name}: fixed and faulty versions are identical")
+            raise CorpusError(f"{entry.name}: fixed and faulty versions are identical")
         try:
-            fixed_program = parse(fixed_text, source_id=name)
-            faulty_program = parse(faulty_text, source_id=f"{name}:faulty")
+            fixed_program = parse(fixed_text, source_id=entry.name)
+            faulty_program = parse(faulty_text, source_id=f"{entry.name}:faulty")
         except ParseError as err:
-            raise CorpusError(f"{name}: {err}") from err
+            raise CorpusError(f"{entry.name}: {err}") from err
         if fixed_program.signature() != faulty_program.signature():
-            raise CorpusError(f"{name}: fixed and faulty signatures differ")
+            raise CorpusError(f"{entry.name}: fixed and faulty signatures differ")
         pairs.append(FaultPair(
-            fault_id=name,
+            fault_id=entry.name,
             fixed_program=fixed_program,
             faulty_program=faulty_program,
             description=str(meta.get("description", "")),
@@ -128,23 +118,19 @@ def _pairs_of(corpus: list[tuple[str, str, str, str]]) -> list[FaultPair]:
     return pairs
 
 
-def fault_detected(suite: TestSuite, pair: FaultPair, interp: InterpConfig = InterpConfig(),
-                   fixed: Iterable[tuple[ExecutionResult, ...]] | None = None) -> bool:
+def fault_detected(suite: TestSuite, pair: FaultPair, fixed: Iterable[tuple[tuple, ...]],
+                   interp: InterpConfig = InterpConfig()) -> bool:
     """True when any call of any test behaves differently on the faulty version.
 
-    ``fixed`` gives the fixed version's call results, test by test, when
-    they are known already: a search on it ran them all, and its
-    ``SearchResult.final_results`` holds them. Otherwise the fixed version
-    runs here too. Each version runs each distinct call of the suite once.
+    ``fixed`` gives the fixed version's behaviour of each call
+    (``tracing.behavior_of``), test by test: the search that made the suite
+    ran them all, and its ``SearchResult.final_behaviors`` holds them. The
+    faulty version runs each distinct call of the suite once.
     """
-    if fixed is None:
-        fixed_memo: dict = {}
-        fixed = (run_test(pair.fixed_program, test, interp, fixed_memo).call_results
-                 for test in suite)
-    faulty_memo: dict = {}
+    memo: dict = {}
     for test, expected in zip(suite, fixed):
-        faulty = run_test(pair.faulty_program, test, interp, faulty_memo).call_results
-        if any(behavior_of(a) != behavior_of(b) for a, b in zip(expected, faulty)):
+        faulty = run_test(pair.faulty_program, test, interp, memo).call_results
+        if any(a != behavior_of(b) for a, b in zip(expected, faulty)):
             return True
     return False
 
@@ -247,10 +233,10 @@ def run_trial(pair: FaultPair, strategy_spec: str, goal: Goal, seed: int,
               interp: InterpConfig) -> tuple[SearchResult, TrialRecord]:
     """One seeded search on the pair's fixed program, and its row. The
     fault counts as detected when the faulty program, run on the final
-    suite, differs from the fixed program's results the search kept."""
+    suite, differs from the fixed program's behaviours the search kept."""
     strategy = make_strategy(strategy_spec, goal)
     result = run_search(pair.fixed_program, goal, strategy, engine, seed, gen_config, interp)
-    detected = fault_detected(result.final_suite, pair, interp, result.final_results)
+    detected = fault_detected(result.final_suite, pair, result.final_behaviors, interp)
     elapsed = sum(rec.elapsed_ns for rec in result.log)
     mean_seconds = (elapsed / result.generations / 1e9) if result.generations else 0.0
     record = TrialRecord(
@@ -330,34 +316,6 @@ def _drain() -> list[tuple[int, TrialRecord]]:
         done.append((index, _trial_job(jobs[index])))
 
 
-# the last corpus an experiment ran: its resolved path, its texts
-# (``_read_corpus``) and its checked pairs, whose programs keep their mutants
-# and compiled code
-_corpus: tuple = (None, None, [])
-
-
-def _experiment_pairs(path: str) -> list[FaultPair]:
-    """The checked pairs of the corpus at ``path``: the last experiment's,
-    when the corpus is where it was and its texts are the same, else built
-    from them anew and kept in their place. A corpus that fails a check is
-    never kept."""
-    global _corpus
-    corpus = _read_corpus(Path(path))
-    key = (Path(path).resolve(), corpus)
-    if key == _corpus[:2]:
-        return _corpus[2]
-    pairs = _pairs_of(corpus)
-    if not pairs:
-        raise CorpusError(f"no fault pairs found under {path}")
-    for pair in pairs:
-        # mutation scores, which the strong-mutation reward and the weak_mut
-        # fitness need, are undefined without mutants
-        if not mutants_of(pair.fixed_program):
-            raise CorpusError(f"{pair.fault_id}: fixed.minij has no mutation sites")
-    _corpus = (*key, pairs)
-    return pairs
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Run the full sweep and write trials.csv, summary.json, and actions.csv.
 
@@ -367,7 +325,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = _experiment_pairs(cfg.corpus_path)
+    pairs = load_corpus(cfg.corpus_path)
+    if not pairs:
+        raise CorpusError(f"no fault pairs found under {cfg.corpus_path}")
+    for pair in pairs:
+        # mutation scores, which the strong-mutation reward and the weak_mut
+        # fitness need, are undefined without mutants
+        if not mutants_of(pair.fixed_program):
+            raise CorpusError(f"{pair.fault_id}: fixed.minij has no mutation sites")
+
     jobs = _jobs(cfg, pairs)
     # a pool starts all its workers at once, so no more than the CPUs or jobs
     workers = min(cfg.workers, os.cpu_count() or 1, len(jobs))
@@ -394,6 +360,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             records = [_trial_job(job) for job in jobs]
     finally:
         _use_pairs([])
+        for pair in pairs:
+            # each mutant's program keeps the fixed program as its base, a
+            # cycle that would keep the corpus alive until a full collection,
+            # beside whatever this process parses next
+            pair.fixed_program._mutants = None
 
     # normalization is per fault, across every strategy and trial
     by_fault: dict[str, list[TrialRecord]] = {}

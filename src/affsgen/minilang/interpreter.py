@@ -71,7 +71,7 @@ Semantics worth knowing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from affsgen.minilang.nodes import Expr, Program
@@ -258,7 +258,10 @@ class _Compiled:
                  "_shapes", "_analysis")
 
     def __init__(self, program: Program):
-        self.program = program
+        # without its plan and mutants: the module outlives the program
+        # while ``_MODULES`` holds it for later programs of the same text,
+        # and must not keep this one's mutants alive meanwhile
+        self.program = replace(program, _compiled=None, _mutants=None)
         self.namespace = dict(_RUNTIME)
         self.roots: dict = {}
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}

@@ -9,7 +9,7 @@ the mutant-by-mutant fold of statuses over a suite that
 ``FitnessContext.fold`` replaced, the pair-by-pair suite diversity
 that the batched ``suite_diversity`` replaced, and fault detection that
 runs both versions of a pair again on every test, which
-``harness.fault_detected`` replaced by taking the fixed version's results
+``harness.fault_detected`` replaced by taking the fixed version's behaviours
 from the search.
 """
 

@@ -3,6 +3,7 @@ that are easy to get wrong."""
 
 import collections
 import contextlib
+import gc
 import pickle
 import random
 import sys
@@ -27,7 +28,14 @@ from affsgen.minilang.interpreter import (
     execute,
     precompile,
 )
-from affsgen.minilang.nodes import Assign, Let, While, walk_expressions, walk_statements
+from affsgen.minilang.nodes import (
+    Assign,
+    Let,
+    Program,
+    While,
+    walk_expressions,
+    walk_statements,
+)
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, mutants_of
 from affsgen.testmodel import GenConfig, random_test_case
@@ -343,6 +351,31 @@ def test_a_copy_of_a_program_generates_its_own_mutants():
     assert (ours.evals, ours.infected, ours.drifted) == (
         theirs.evals, theirs.infected, theirs.drifted)
     assert ours.evals and ours.infected
+
+
+def test_a_cached_module_keeps_no_mutant_of_the_program_it_was_compiled_from():
+    # a program parsed again from the same text runs on the first one's
+    # module while ``_MODULES`` holds it, so that module must not keep the
+    # first program's mutants alive for as long
+    source = "fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }"
+
+    def mutated_programs_alive() -> int:
+        gc.collect()
+        return sum(type(o) is Program and o.base is not None for o in gc.get_objects())
+
+    with mock.patch.object(interpreter, "_MODULES", {}):
+        before = mutated_programs_alive()
+        first = parse(source)
+        mutants_of(first)
+        precompile(first)
+        result = execute(first, "f", (2,))
+        assert mutated_programs_alive() > before
+        module = first._compiled[0]
+        del first
+        assert mutated_programs_alive() == before
+        second = parse(source)
+        assert execute(second, "f", (2,)) == result
+        assert second._compiled[0] is module
 
 
 def test_no_corpus_program_or_alternative_checks_a_kind_at_run_time():

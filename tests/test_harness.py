@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import gc
 import json
 import mmap
 import multiprocessing
@@ -40,6 +41,7 @@ from affsgen.harness import (
 )
 from affsgen.minilang import interpreter, parse
 from affsgen.minilang.interpreter import InterpConfig
+from affsgen.minilang.nodes import Program
 from affsgen.testmodel import CallStmt, GenConfig, TestCase
 from affsgen.tracing import run_test
 from oracles import brute_force_a_measure, rerun_fault_detected
@@ -163,14 +165,21 @@ def _pair(fault_id):
     return {p.fault_id: p for p in load_corpus(CORPUS)}[fault_id]
 
 
+def _on_fixed(suite, pair, interp=InterpConfig()) -> list[tuple]:
+    """The fixed version's behaviour of each call, test by test."""
+    return [tuple(map(tracing.behavior_of,
+                      run_test(pair.fixed_program, test, interp).call_results))
+            for test in suite]
+
+
 def test_boundary_fault_detected_by_boundary_test():
     pair = _pair("p08_account_rules")
     suite = (_case("withdraw", 50, 50),)
-    assert fault_detected(suite, pair) is True
+    assert fault_detected(suite, pair, _on_fixed(suite, pair)) is True
 
 
 def test_empty_suite_detects_nothing():
-    assert fault_detected((), _pair("p01_sign_boundary")) is False
+    assert fault_detected((), _pair("p01_sign_boundary"), ()) is False
 
 
 def test_equivalent_refactor_is_never_detected():
@@ -178,13 +187,13 @@ def test_equivalent_refactor_is_never_detected():
     rng = random.Random(5)
     tests = [_case("double_sum", rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9))
              for _ in range(300)]
-    assert fault_detected(tuple(tests), pair) is False
+    assert fault_detected(tuple(tests), pair, _on_fixed(tests, pair)) is False
 
 
 def test_off_boundary_test_misses_boundary_fault():
     pair = _pair("p08_account_rules")
     suite = (_case("withdraw", 50, 10),)
-    assert fault_detected(suite, pair) is False
+    assert fault_detected(suite, pair, _on_fixed(suite, pair)) is False
 
 
 def _bool_int_pair() -> FaultPair:
@@ -199,15 +208,15 @@ def _bool_int_pair() -> FaultPair:
 def test_a_fault_returning_one_for_true_is_detected():
     # True == 1 in Python; behaviours must still tell them apart
     pair = _bool_int_pair()
-    assert fault_detected((_case("f", True),), pair) is True
-    assert fault_detected((_case("f", False),), pair) is False
+    true, false = (_case("f", True),), (_case("f", False),)
+    assert fault_detected(true, pair, _on_fixed(true, pair)) is True
+    assert fault_detected(false, pair, _on_fixed(false, pair)) is False
 
 
-def _detections(suite, pair, interp=InterpConfig()) -> tuple[bool, bool, bool]:
-    """Fault detection on the fixed version's kept results, on its own runs,
-    and by the oracle that runs both versions again on every test."""
-    fixed = [run_test(pair.fixed_program, test, interp).call_results for test in suite]
-    return (fault_detected(suite, pair, interp, fixed), fault_detected(suite, pair, interp),
+def _detections(suite, pair, interp=InterpConfig()) -> tuple[bool, bool]:
+    """Fault detection on the fixed version's behaviours, and by the oracle
+    that runs both versions again on every test."""
+    return (fault_detected(suite, pair, _on_fixed(suite, pair, interp), interp),
             rerun_fault_detected(suite, pair, interp))
 
 
@@ -223,16 +232,16 @@ def test_fault_detection_from_the_search_matches_running_both_versions_again(goa
             result, record = run_trial(pair, strategy, goal, seed, engine, gen, interp)
             want = rerun_fault_detected(result.final_suite, pair, interp)
             assert record.fault_detected is want, (pair.fault_id, strategy)
-            assert _detections(result.final_suite, pair, interp) == (want,) * 3
+            assert _detections(result.final_suite, pair, interp) == (want,) * 2
             detected.append(want)
     assert any(detected) and not all(detected)  # both outcomes are compared
 
 
 def test_fault_detection_of_an_empty_suite_and_of_true_against_one_matches_the_oracle():
-    assert _detections((), _pair("p01_sign_boundary")) == (False,) * 3
+    assert _detections((), _pair("p01_sign_boundary")) == (False,) * 2
     pair = _bool_int_pair()
-    assert _detections((_case("f", True),), pair) == (True,) * 3
-    assert _detections((_case("f", False),), pair) == (False,) * 3
+    assert _detections((_case("f", True),), pair) == (True,) * 2
+    assert _detections((_case("f", False),), pair) == (False,) * 2
 
 
 def test_fault_detection_on_kept_results_runs_each_distinct_call_once_on_the_faulty_version(
@@ -240,7 +249,7 @@ def test_fault_detection_on_kept_results_runs_each_distinct_call_once_on_the_fau
     pair = _pair("p08_account_rules")
     twice = TestCase(calls=(CallStmt("withdraw", (50, 10)), CallStmt("withdraw", (50, 10))))
     suite = (_case("withdraw", 50, 10), twice, _case("withdraw", 50, 50))
-    fixed = [run_test(pair.fixed_program, test).call_results for test in suite]
+    fixed = _on_fixed(suite, pair)
     runs = []
     real_execute = tracing.execute
 
@@ -249,7 +258,7 @@ def test_fault_detection_on_kept_results_runs_each_distinct_call_once_on_the_fau
         return real_execute(program, function, args, *rest)
 
     monkeypatch.setattr(tracing, "execute", counting_execute)
-    assert fault_detected(suite, pair, InterpConfig(), fixed) is True
+    assert fault_detected(suite, pair, fixed) is True
     assert runs == [("p08_account_rules:faulty", (50, 10)), ("p08_account_rules:faulty", (50, 50))]
 
 
@@ -266,7 +275,7 @@ def test_no_fitness_context_outlives_its_search(monkeypatch):
                           EngineConfig(population_size=4, budget=Budget(generations=2)),
                           GenConfig(), InterpConfig())
     assert len(contexts) == 1 and contexts[0]() is None
-    assert len(result.final_results) == len(result.final_suite)
+    assert len(result.final_behaviors) == len(result.final_suite)
 
 
 # --- normalization -----------------------------------------------------------------
@@ -491,119 +500,30 @@ def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
     assert len(parsed) == 2 * 2  # fixed and faulty version of each pair, once
 
 
-def _counted_parses(monkeypatch) -> list:
-    parsed = []
-    real_parse = harness.parse
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_experiment_frees_its_corpus_when_it_returns(tmp_path, monkeypatch, workers):
+    # a mutant's program keeps its base program, which keeps its mutants: a
+    # cycle that, left to the collector, outlives the experiment
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
 
-    def counting_parse(source, source_id="<anonymous>"):
-        parsed.append(source_id)
-        return real_parse(source, source_id)
+    def mutated_programs_alive() -> int:
+        return sum(type(o) is Program and o.base is not None for o in gc.get_objects())
 
-    monkeypatch.setattr(harness, "parse", counting_parse)
-    return parsed
-
-
-def _quick_config(corpus, **overrides):
-    quick = dict(strategies=["default"], trials_per_fault=1,
-                 engine=EngineConfig(population_size=4, budget=Budget(generations=1)))
-    return _experiment_config(corpus, **{**quick, **overrides})
-
-
-def test_a_second_experiment_on_an_unchanged_corpus_parses_nothing_and_shares_its_programs(
-        tmp_path, monkeypatch):
-    parsed = _counted_parses(monkeypatch)
-    handed = []
-    real_use = harness._use_pairs
-
-    def recording_use(pairs, *rest):
-        if pairs:
-            handed.append([(p.fixed_program, p.faulty_program) for p in pairs])
-        real_use(pairs, *rest)
-
-    monkeypatch.setattr(harness, "_use_pairs", recording_use)
-    corpus = _mini_corpus(tmp_path)
-    run_experiment(_quick_config(corpus), tmp_path / "a")
-    assert len(parsed) == 4
-    parsed.clear()
-    run_experiment(_quick_config(corpus, goal=Goal.STRONG_MUTATION), tmp_path / "b")
-    assert parsed == []
-    first, second = handed
-    assert len(first) == 2 and all(a is b for one, other in zip(first, second)
-                                   for a, b in zip(one, other))
-
-
-_CORPUS_FILES = [f"{pair}/{name}" for pair in ("p02_bigger_swap", "p04_guarded_divide")
-                 for name in ("fixed.minij", "faulty.minij", "manifest.json")]
-
-
-@pytest.mark.parametrize("change", _CORPUS_FILES + ["add a pair", "remove a pair"])
-def test_a_changed_corpus_is_read_again_whole(tmp_path, monkeypatch, change):
-    parsed = _counted_parses(monkeypatch)
-    corpus = _mini_corpus(tmp_path)
-    cfg = _quick_config(corpus)
-    for out in ("a", "b"):
-        run_experiment(cfg, tmp_path / out)
-    assert len(parsed) == 4
-    if change == "add a pair":
-        shutil.copytree(CORPUS / "p08_account_rules", corpus / "p08_account_rules")
-        pairs = 3
-    elif change == "remove a pair":
-        shutil.rmtree(corpus / "p04_guarded_divide")
-        pairs = 1
-    else:
-        path = corpus / change
-        data = path.read_bytes()
-        assert data.endswith(b"\n")
-        path.write_bytes(data[:-1] + b" ")  # one byte changed: the last newline
-        pairs = 2
-    parsed.clear()
-    run_experiment(cfg, tmp_path / "c")
-    assert len(parsed) == 2 * pairs
-    parsed.clear()
-    run_experiment(cfg, tmp_path / "d")
-    assert parsed == []
-
-
-def _break_corpus(corpus: Path, how: str) -> str:
-    """Make the corpus fail its checks; the error it then raises."""
-    if how == "unreadable":
-        fixed = corpus / "p04_guarded_divide" / "fixed.minij"
-        fixed.unlink()
-        fixed.mkdir()
-        return "p04_guarded_divide: cannot read fixed.minij"
-    echo = corpus / "p00_echo"
-    echo.mkdir()
-    (echo / "fixed.minij").write_text("fn f(s:str){ return s; }")
-    (echo / "faulty.minij").write_text('fn f(s:str){ return "a"; }')
-    (echo / "manifest.json").write_text("{}")
-    return "p00_echo: fixed.minij has no mutation sites"
-
-
-@pytest.mark.parametrize("how", ["unreadable", "no mutation sites"])
-def test_a_corpus_that_fails_its_checks_fails_on_every_call_and_is_never_kept(
-        tmp_path, monkeypatch, how):
-    parsed = _counted_parses(monkeypatch)
-    good, bad = _mini_corpus(tmp_path / "good"), _mini_corpus(tmp_path / "bad")
-    error = _break_corpus(bad, how)
-    for attempt in range(2):  # before any good corpus ran, then after one did
-        for _ in range(2):
-            with pytest.raises(CorpusError, match=error):
-                run_experiment(_quick_config(bad), tmp_path / "out")
-            assert harness._corpus[0] != bad.resolve()
-        parsed.clear()
-        run_experiment(_quick_config(good), tmp_path / "out")
-        assert len(parsed) == (4 if attempt == 0 else 0)  # the good corpus is still kept
-    # the kept corpus itself breaking: it fails as the other did, until it is mended
-    assert _break_corpus(good, how) == error
-    for _ in range(2):
-        with pytest.raises(CorpusError, match=error):
-            run_experiment(_quick_config(good), tmp_path / "out")
-    shutil.rmtree(good)
-    _mini_corpus(good.parent)
-    run_experiment(_quick_config(good), tmp_path / "out")
+    cfg = _experiment_config(_mini_corpus(tmp_path), goal=Goal.STRONG_MUTATION,
+                             trials_per_fault=1, workers=workers)
+    gc.collect()
+    before = mutated_programs_alive()
+    gc.disable()
+    try:
+        run_experiment(cfg, tmp_path / "out")
+        assert mutated_programs_alive() == before
+    finally:
+        gc.enable()
 
 
 def test_experiments_in_one_process_write_the_rows_of_fresh_processes(tmp_path):
+    # experiments in one process share the compiled modules of programs of
+    # the same text (``interpreter._MODULES``), each its analysis included
     corpus = _mini_corpus(tmp_path)
     shutil.copytree(CORPUS / "p06_loop_boundary", corpus / "p06_loop_boundary")
     configs = []
@@ -813,11 +733,10 @@ def test_a_pool_compiles_and_generates_mutants_once_before_its_jobs(tmp_path, mo
         return original_generate(program)
 
     monkeypatch.setattr(mutation, "generate_mutants", counting_generate)
+    corpus = _mini_corpus(tmp_path)
     rows = {}
     for workers in (1, 2):
-        # a corpus of its own and nothing compiled yet, so each run generates
-        # the mutants and compiles every program it runs
-        corpus = _mini_corpus(tmp_path / f"corpus-{workers}")
+        # nothing compiled yet, so each run compiles every program it runs
         monkeypatch.setattr(interpreter, "_MODULES", {})
         compiles.update({False: 0, True: 0})
         generated.clear()
