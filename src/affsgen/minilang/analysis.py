@@ -33,30 +33,37 @@ unbound check of a read of a variable bound there.
 Control slices (``control_slice``), which the lean loops' cycle checks
 compare (see ``codegen``).
 
-Jumps. A loop that provably passes its condition on every pass up to the
-step limit raises ``StepLimitExceeded`` rather than stepping through the
-passes (loop acceleration in closed form, as in Frohn, "A calculus for
-modular loop acceleration", TACAS 2020): a lean kill run as the loop
-starts, and a traced or a schema run of the base program at the head of
-its second pass, once they have recorded what the skipped passes would
-have (see ``Jump``). Generated code checks for a jump at every loop whose
-body holds only ``let`` and assignment statements (``loops``), a shape no
-mutant changes, and a ``Jump`` is built, from the AST of the program that
-runs, for each version of such a loop that meets the rest: its condition
-is one comparison of affine int expressions under any number of ``not``s;
-its body holds no index, call, comparison, ``and``/``or`` or ``/``; every
-variable of the loop is bound at its head and of one proven kind; and each
-variable of the condition is updated exactly once per pass as ``v = v ±
-δ``, with δ a loop-invariant affine int, or not at all. A mutated program
-builds one only for the loop its root is in, and shares its base's for the
-loops it leaves as they are (``jumps``), so a deletion may make a loop jump
-that its base version cannot. Then the loop's body cannot raise, each
-operand of the condition moves by a fixed amount per pass, and whether the
-condition holds on every pass up to the limit is a question about a line
-(see ``Jump``). A schema run asks one more such question of each
-alternative pending at the loop's roots (infection decided on states, as
-in Just, Ernst and Fraser, ISSTA 2014): where its value first differs from
-the root's (``Jump.form``).
+Jumps. A loop may skip the passes it would step through, in closed form
+(loop acceleration, as in Frohn, "A calculus for modular loop
+acceleration", TACAS 2020): where it provably passes its
+condition on every pass up to the step limit, it raises
+``StepLimitExceeded`` rather than stepping through the passes; where the
+condition first fails on a pass whose evaluation ends within the limit, it
+goes to the head of that pass, with the step count and every variable the
+loop moves set to their values there, and the loop's own code leaves. A
+lean kill run jumps as the loop starts, and a traced or a schema run of the
+base program at the head of its second pass, once they have recorded what
+the skipped passes would have (see ``Jump``). Generated code checks for a
+jump at every loop whose body holds only ``let`` and assignment statements
+(``loops``), a shape no mutant changes, and a ``Jump`` is built, from the
+AST of the program that runs, for each version of such a loop that meets
+the rest: its condition is one comparison of affine int expressions under
+any number of ``not``s; its body holds no index, call, comparison,
+``and``/``or`` or ``/``; every variable of the loop is bound at its head
+and of one proven kind; and each variable of the condition is updated
+exactly once per pass as ``v = v ± δ``, with δ a loop-invariant affine
+int, or not at all. It jumps to an exit only when its body holds only
+assignments, each to such a mover or to a first-order int sum ``v = v ±
+e``, with ``e`` affine in the invariants and those movers; any other loop
+steps to its exit. A mutated program builds one only for
+the loop its root is in, and shares its base's for the loops it leaves as
+they are (``jumps``), so a deletion may make a loop jump that its base
+version cannot. Then the loop's body cannot raise, each operand of the
+condition moves by a fixed amount per pass, and the pass on which the
+condition first fails is a question about a line (see ``Jump``). A schema
+run asks one more such question of each alternative pending at the loop's
+roots (infection decided on states, as in Just, Ernst and Fraser, ISSTA
+2014): where its value first differs from the root's (``Jump.form``).
 """
 
 from __future__ import annotations
@@ -355,13 +362,13 @@ def _evaluator(expr: Expr, index: dict):
     return lambda env: op(lhs(env), rhs(env))
 
 
-def _update(expr: Expr, name: str, moving: set):
+def _update(expr: Expr, name: str):
     """``δ`` and its sign when ``expr`` is ``name + δ``, ``δ + name`` or
-    ``name - δ``, with no variable of ``moving`` in ``δ``; else None."""
+    ``name - δ``, with ``name`` not in ``δ``; else None."""
     if type(expr) is not Binary or expr.op not in ("+", "-"):
         return None
     for var, delta in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
-        if type(var) is Var and var.name == name and not variables(delta) & moving:
+        if type(var) is Var and var.name == name and name not in variables(delta):
             return delta, expr.op == "-"
         if expr.op == "-":
             return None
@@ -391,42 +398,57 @@ def _jump(loop: While, function: str, names: tuple, known: dict,
            for side in (comparison.lhs, comparison.rhs)):
         return None
     index = {name: i for i, name in enumerate(names)}
-    # the int variables the loop moves by a loop-invariant affine δ once per
-    # pass: their index, the root that moves them and δ
-    shifts = {}
+    # each int variable the loop moves once per pass as v = v ± e, e affine
+    # in the variables: the root that moves it, e and its sign
+    updates = {}
     for name in sorted(moving):
         at = [i for i, stmt in enumerate(loop.body) if stmt.name == name]
-        found = _update(loop.body[at[0]].expr, name, moving) if len(at) == 1 else None
+        found = _update(loop.body[at[0]].expr, name) if len(at) == 1 else None
         if found is not None and known.get(name) == "int" and _affine(found[0], moving):
-            delta, minus = found
-            step = _evaluator(delta, index)
-            shifts[name] = (index[name], at[0] + 1,
-                            (lambda env, f=step: -f(env)) if minus else step)
-    if not variables(comparison) & moving <= shifts.keys():
+            updates[name] = (at[0] + 1, *found)
+    fixed = {name for name, (_, e, _) in updates.items() if not variables(e) & moving}
+    if not variables(comparison) & moving <= fixed:
         return None
+
+    def mover(name: str) -> tuple:  # its index, the root that moves it, and ±e
+        at, e, minus = updates[name]
+        step = _evaluator(e, index)
+        return index[name], at, (lambda env, f=step: -f(env)) if minus else step
+
+    # the movers by a loop-invariant δ, and the first-order sums, whose e
+    # moves only by them: all the loop's movers, or None
+    shifts = {name: mover(name) for name in sorted(fixed)}
+    sums = None
+    if all(type(stmt) is Assign for stmt in loop.body) and all(
+            name in updates and variables(updates[name][1]) & moving <= fixed
+            for name in moving - fixed):
+        sums = tuple(mover(name) for name in sorted(moving - fixed))
     moves = tuple((i, delta) for name, (i, _, delta) in shifts.items()
                   if name in variables(comparison))
     op = NEGATION[comparison.op] if negated else comparison.op
     return Jump(loop, function, tuple(ends), op, _evaluator(comparison.lhs, index),
-                _evaluator(comparison.rhs, index), moves, tuple(shifts.values()),
-                (index, known, moving - shifts.keys()))
+                _evaluator(comparison.rhs, index), moves, tuple(shifts.values()), sums,
+                (index, known, moving - fixed))
 
 
-# d(t) compared with 0 on both ends of a range of t, where it is linear
-_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _holds(op: str, start: int, slope: int, last: int) -> bool:
-    """Whether ``d op 0`` holds for ``d = start + slope * t`` at every
-    ``t`` in ``0..last``."""
+def _exit(op: str, start: int, slope: int) -> int | None:
+    """The first whole ``t >= 0`` where ``d op 0`` fails for ``d = start +
+    slope * t``, or None where it holds for every one."""
     if op == "==":
-        return start == 0 and (slope == 0 or last == 0)
-    if op == "!=":
-        # no whole t in 0..last solves start + slope * t == 0
-        return start != 0 if slope == 0 else (
-            -start % slope != 0 or not 0 <= -start // slope <= last)
-    compare = _ORDERED[op]
-    return compare(start, 0) and compare(start + slope * last, 0)
+        return 0 if start else 1 if slope else None
+    if op == "!=":  # fails where d is 0
+        if not slope:
+            return None if start else 0
+        t, off = divmod(-start, slope)
+        return t if not off and t >= 0 else None
+    if op in (">", ">="):  # d > 0 is -d < 0, and d >= 0 is -d <= 0
+        op, start, slope = ("<" if op == ">" else "<="), -start, -slope
+    if start > 0 or start == 0 and op == "<":
+        return 0
+    if slope <= 0:
+        return None
+    # d < 0 fails from the first t with d >= 0, d <= 0 from the first with d > 0
+    return -(start // slope) if op == "<" else -start // slope + 1
 
 
 def _least(op: str, start: int, slope: int, last: int) -> int:
@@ -452,21 +474,49 @@ def _least(op: str, start: int, slope: int, last: int) -> int:
     return min(start, end) + (K if op == ">=" else 0)
 
 
+def _reads(env: tuple, deltas: list, root: int) -> tuple[list, list]:
+    """The variables as root ``root`` reads them on a pass that starts with
+    ``env``, where each shift ``(index, moving root, δ)`` of ``deltas``
+    moves, and as it reads them on the next pass."""
+    here = list(env)
+    for i, at, delta in deltas:
+        if at < root:
+            here[i] += delta
+    moved = list(here)
+    for i, _, delta in deltas:
+        moved[i] += delta
+    return here, moved
+
+
 class Jump:
-    """One loop's jump to the step limit, called at the loop head with the
-    step count ``S``, the limit ``L`` and the values of the loop's variables
-    (``Analysis.loops``). A pass takes ``steps`` steps, the first ``head`` of
+    """One loop's jump, called at the loop head with the step count ``S``,
+    the limit ``L`` and the values of the loop's variables
+    (``Analysis.loops``); it returns the step count and the variables to go
+    on with, or raises. A pass takes ``steps`` steps, the first ``head`` of
     them evaluating the condition, whose comparison ``op`` (its ``not``s
     folded in) compares the affine ``lhs`` and ``rhs``; each variable of the
     condition that the loop moves changes by its δ (``moves``) per pass.
 
-    Pass ``t`` compares its operands only if its ``head`` ticks stay within
-    the limit, so passes ``0..last`` with ``last = (L - S - head) // steps``
-    do. Each operand is linear in ``t``, so it is enough to check its values
-    at both ends: when the comparison holds on every one of those passes,
-    the run surely crosses the limit inside the loop. The loop's body cannot
-    raise and calls nothing, so that happens in the loop's function, and the
-    jump raises what the run would have.
+    Pass ``t`` from the call evaluates its condition within the limit only
+    if its ``head`` ticks stay within it, so passes ``0..last`` with ``last
+    = (L - S - head) // steps`` do. ``d = lhs - rhs`` is linear in ``t``, so
+    the first pass ``t*`` on which the condition fails is found in O(1)
+    (``_exit``). Where ``t* > last``, the condition holds on every pass up to
+    the limit, and the run surely crosses the limit inside the loop. The
+    loop's body cannot raise and calls nothing, so that happens in the
+    loop's function, and the jump raises what the run would have.
+
+    Otherwise the run leaves the loop on pass ``t*``, and the jump returns
+    the step count and the variables at that pass's head, so that the
+    loop's own code evaluates the condition there and leaves as on any pass,
+    with its branch distance and the redos of its alternatives. A variable
+    moved by a fixed δ (``shifts``) holds ``v + δ·t*`` there, and a
+    first-order sum ``v = v ± e``, with ``e`` affine in loop invariants and
+    fixed movers, so ``e₀ + e₁·t`` on pass ``t``, holds ``v ± (t*·e₀ +
+    e₁·t*(t* − 1)/2)`` (loop summarization in closed form, as in Kroening
+    et al., ATVA 2008). A loop that moves some variable otherwise, or binds
+    one by a ``let``, has no ``sums``: it returns what it was given, as
+    where ``t*`` is 0, and the loop steps.
 
     A kill run calls the jump as the loop starts (``__call__``). A traced
     run (``traced``) and a schema run (``schema``) call it at the head of
@@ -475,14 +525,15 @@ class Jump:
     those methods."""
 
     __slots__ = ("function", "branch", "steps", "head", "ends", "op", "lhs", "rhs", "moves",
-                 "shifts", "roots", "scope", "forms")
+                 "shifts", "sums", "roots", "scope", "forms")
 
-    def __init__(self, loop: While, function, ends, op, lhs, rhs, moves, shifts, scope):
+    def __init__(self, loop: While, function, ends, op, lhs, rhs, moves, shifts, sums, scope):
         self.function, self.branch, self.ends = function, loop.branch_id, ends
         self.steps, self.head = ends[-1], ends[0]
         self.op, self.lhs, self.rhs, self.moves = op, lhs, rhs, moves
-        # (index, moving root, δ) of each variable moved by a fixed δ per pass
-        self.shifts = shifts
+        # (index, moving root, δ) of each variable moved by a fixed δ per pass,
+        # and (index, moving root, ±e) of each first-order sum, or None
+        self.shifts, self.sums = shifts, sums
         # (node id, expression, assigned variable) of each root, in pass order
         self.roots = ((loop.cond.node_id, loop.cond, None),) + tuple(
             (stmt.expr.node_id, stmt.expr, stmt.name) for stmt in loop.body)
@@ -497,83 +548,110 @@ class Jump:
         start = self.lhs(env) - self.rhs(env)
         return start, self.lhs(moved) - self.rhs(moved) - start
 
-    def __call__(self, S: int, L: int, *env) -> None:
+    def _target(self, S: int, L: int, env) -> tuple | None:
+        """``(t, exits, start, slope)``: the pass the jump skips to, ``t*``
+        where the loop leaves on it (``exits``), else ``last + 1``, and
+        ``d`` as ``_line`` gives it; None where the jump returns what it was
+        given."""
         last = (L - S - self.head) // self.steps
-        if last < 0 or _holds(self.op, *self._line(env), last):
-            raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+        start, slope = self._line(env)
+        t = _exit(self.op, start, slope)
+        if t is None or t > last:
+            return last + 1, False, start, slope
+        if not t or self.sums is None:
+            return None
+        return t, True, start, slope
 
-    def traced(self, S: int, L: int, best: dict, direct: dict | None, *env) -> None:
+    def _go(self, t: int, exits: bool, S: int, L: int, env) -> tuple:
+        """Raise the run's ``StepLimitExceeded`` unless the loop ``exits``
+        on pass ``t``, and else the step count and the variables at the
+        head of that pass."""
+        if not exits:
+            raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+        deltas = [(i, at, delta(env)) for i, at, delta in self.shifts]
+        values = list(env)
+        for i, at, e in self.sums:
+            here, moved = _reads(env, deltas, at)
+            first = e(here)
+            values[i] += t * first + (e(moved) - first) * (t * (t - 1) // 2)
+        for i, _, delta in deltas:
+            values[i] += delta * t
+        return (S + t * self.steps, *values)
+
+    def __call__(self, S: int, L: int, *env) -> tuple:
+        target = self._target(S, L, env)
+        if target is None:
+            return (S, *env)
+        return self._go(*target[:2], S, L, env)
+
+    def traced(self, S: int, L: int, best: dict, direct: dict | None, *env) -> tuple:
         """The jump of a traced run, whose branch tables are ``best`` and,
         in the entry frame, ``direct`` (else None). The passes it skips
         reach only lines the first pass recorded, and the condition holds on
         each, so its distance toward true is 0, which the first pass merged;
         the only record they can lower is the least distance toward false,
         which they merge as each pass would (``_least``)."""
-        last = (L - S - self.head) // self.steps
-        if last < 0:
-            return
-        start, slope = self._line(env)
-        if not _holds(self.op, start, slope, last):
-            return
-        least = _least(self.op, start, slope, last)
-        zero = 0 if self.op == "==" else 0.0  # the distance toward true, typed as codegen's
-        merge_best(best, self.branch, zero, least)
-        if direct is not None:
-            merge_best(direct, self.branch, zero, least)
-        raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+        target = self._target(S, L, env)
+        if target is None:
+            return (S, *env)
+        t, exits, start, slope = target
+        if t:
+            least = _least(self.op, start, slope, t - 1)
+            zero = 0 if self.op == "==" else 0.0  # the distance toward true, typed as codegen's
+            merge_best(best, self.branch, zero, least)
+            if direct is not None:
+                merge_best(direct, self.branch, zero, least)
+        return self._go(t, exits, S, L, env)
 
-    def schema(self, S: int, L: int, C: tuple, sites: tuple, *env) -> None:
+    def schema(self, S: int, L: int, C: tuple, sites: tuple, *env) -> tuple:
         """The jump of a schema run with context ``C``, whose mutation site
         at each root of the loop ``sites`` gives, by index (-1 where the
         root is none). It jumps only when every alternative still pending at
         those sites has a closed form (``form``); then it adds to each
-        site's count the evaluations that complete within the limit, and a
+        site's count the evaluations the skipped passes complete, and a
         raise where the run crosses the limit, if that root's evaluation
         starts within it (as the schema shape's ``RE`` counts one), and
         marks infected each pending alternative that disagrees with the
         root on one of those evaluations. An alternative of equal size
         crosses the limit with its root, and so stays pending there, but a
         deleted assignment does not raise, and is infected there."""
-        last = (L - S - self.head) // self.steps
-        if last < 0 or not _holds(self.op, *self._line(env), last):
-            return
+        target = self._target(S, L, env)
+        if target is None:
+            return (S, *env)
+        t, exits, _, _ = target
         _, pending, counts, sides, _ = C
         forms = self.forms
         for (node, _, _), site in zip(self.roots, sites):
             if site >= 0 and any(forms.get((node, alternative)) is None
                                  for _, alternative, _ in pending[site]):
-                return
+                return (S, *env)
         ends, steps, rest = self.ends, self.steps, L - S
-        within = rest % steps  # the ticks of the pass it crosses in that stay within the limit
-        crossing = next(i for i, end in enumerate(ends) if end > within)
-        if crossing and ends[crossing - 1] == within:
-            crossing = -1  # its statement's own tick crosses, before its root starts
+        crossing = -1  # the root whose evaluation crosses the limit
+        if not exits:
+            within = rest % steps  # the ticks of the pass it crosses in that stay within the limit
+            crossing = next(i for i, end in enumerate(ends) if end > within)
+            if crossing and ends[crossing - 1] == within:
+                crossing = -1  # its statement's own tick crosses, before its root starts
         deltas = [(i, at, delta(env)) for i, at, delta in self.shifts]
         infected = sides.infected
         for root, ((node, _, _), site) in enumerate(zip(self.roots, sites)):
             if site < 0:
                 continue
-            values = (rest - ends[root]) // steps + 1
+            values = min(t, (rest - ends[root]) // steps + 1)
             counts[2 * site] += values
             raised = root == crossing
             if raised:
                 counts[2 * site + 1] += 1
             if not pending[site]:
                 continue
-            here = list(env)  # the variables as the root reads them on this pass
-            for i, at, delta in deltas:
-                if at < root:
-                    here[i] += delta
-            moved = list(here)  # and on the next
-            for i, _, delta in deltas:
-                moved[i] += delta
+            here, moved = _reads(env, deltas, root)
             for key, alternative, _ in pending[site]:
                 op, lhs, rhs = forms[node, alternative]
                 start = lhs(here) - rhs(here)
-                if (raised and alternative is None or values and not _holds(
-                        op, start, lhs(moved) - rhs(moved) - start, values - 1)):
+                differs = _exit(op, start, lhs(moved) - rhs(moved) - start)
+                if raised and alternative is None or differs is not None and differs < values:
                     infected.add(key)
-        raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+        return self._go(t, exits, S, L, env)
 
     def learn(self, node: int, expr: Expr | None, alternative) -> None:
         """Keep the closed form of ``alternative``, the lean function of
@@ -586,12 +664,15 @@ class Jump:
         agrees with the root on a pass exactly where ``lhs op rhs`` holds,
         both functions of the variables as the root reads them and linear
         in the pass. At the condition, which holds on every pass a jump
-        skips, that is the alternative's own comparison; at an assignment,
-        the alternative's value equals the root's. None unless both sides
-        are affine ints in variables that are loop-invariant or move by a
-        fixed δ per pass, and an alternative that ticks (not a deletion) is
-        as large as its root, so that it takes the same steps and never
-        drifts."""
+        skips, whether it goes to the limit or to the pass the loop leaves
+        on (whose evaluation the loop's own code redoes), that is the
+        alternative's own comparison; at an assignment, the alternative's
+        value equals the root's. None unless both sides are affine ints in
+        variables that are loop-invariant or move by a fixed δ per pass (a
+        first-order sum does not, so an alternative that reads one keeps a
+        schema run from jumping while it is pending), and an alternative
+        that ticks (not a deletion) is as large as its root, so that it
+        takes the same steps and never drifts."""
         index, known, irregular = self.scope
         root = next(i for i, found in enumerate(self.roots) if found[0] == node)
         _, base, target = self.roots[root]

@@ -50,13 +50,19 @@ past it, with the step count at the limit plus one. A statement's tick is
 the first of its group, so a group records at most one line, and only if
 that tick lies within the limit.
 
-Loops that provably run until the step limit are cut short, exactly. A
-loop whose body holds only ``let``s and assignments (``Analysis.loops``)
-calls its jump (``analysis.Jump``), which raises the run's
-``StepLimitExceeded`` at once when the loop's condition provably holds on
-every pass up to the limit; a loop has one only in a version whose body
-moves each variable of its condition, a comparison of affine ints, by a
-fixed amount per pass.
+Loops whose condition moves along a line are cut short, exactly. A loop
+whose body holds only ``let``s and assignments (``Analysis.loops``) calls
+its jump (``analysis.Jump``), with the step count, the limit and the
+loop's variables, and takes back the step count and the variables. The
+jump raises the run's ``StepLimitExceeded`` at once when the loop's
+condition provably holds on every pass up to the limit, and returns the
+state at the head of the pass on which the condition first fails, when
+that pass evaluates it within the limit and the loop moves each variable
+in closed form; the loop's code then evaluates the condition there, with
+its branch distance and its alternatives' redos, and leaves. Otherwise
+the jump returns what it was given. A loop has one only in a version whose
+body moves each variable of its condition, a comparison of affine ints, by
+a fixed amount per pass.
   * Lean code calls the running program's jump, if ``J`` holds one, as the
     loop starts: kill runs, and the redos of a schema run, whose ``J`` is
     empty. A mutated program's counting run passes None and is never cut,
@@ -682,7 +688,10 @@ class _Code:
         """The jump of a loop the analysis lists (see ``analysis.Jump``), a
         function of the step count, the limit and the loop's variables that
         raises the run's ``StepLimitExceeded`` when the loop provably passes
-        its condition on every pass up to the limit. In lean code it is the
+        its condition on every pass up to the limit, and else returns the
+        step count and the variables to go on with, which the call assigns
+        back: those at the head of the pass on which the loop leaves, or
+        those it was given, where it does not jump. In lean code it is the
         running program's, if ``J`` holds one (a run that may be cut), and
         is called as the loop starts. The instrumented and schema shapes run
         only the base program, so a loop jumps there only if the analysed
@@ -697,19 +706,20 @@ class _Code:
             return None
         b = loop.branch_id
         values = "".join(f", {self.names[n]}" for n in found[1])
+        back = f"[S{values}] = J[{b}]"  # the step count and the variables to go on with
         if self.shape == "K":
-            self.emit(f"if J is not None and {b} in J: J[{b}](S, L{values})")
+            self.emit(f"if J is not None and {b} in J: {back}(S, L{values})")
             return None
         if b not in self.module.analysis.own_jumps:
             return None
         flag = self.temp()
         self.emit(f"{flag} = 1")
         if self.instrumented:
-            return f"if {flag}: {flag} = 0; J[{b}].traced(S, L, BB, None if D else BD{values})"
+            return f"if {flag}: {flag} = 0; {back}.traced(S, L, BB, None if D else BD{values})"
         self.rearm = flag
         roots = [loop.cond] + [stmt.expr for stmt in loop.body]
         sites = tuple(self.module.sites.get(root.node_id, -1) for root in roots)
-        return f"if {flag}: {flag} = 0; J[{b}].schema(S, L, C, {sites!r}{values})"
+        return f"if {flag}: {flag} = 0; {back}.schema(S, L, C, {sites!r}{values})"
 
     def cycle_check(self, loop: While, checks: str) -> None:
         """At a lean loop head past ``CYCLE_CHECK_AFTER`` steps of a run

@@ -34,11 +34,13 @@ Every other run, a kill run of a mutated program or a run with side
 evaluations, records only the step count and the outcome. Execution is
 deterministic and bounded by a step limit.
 
-Runs are cut short, exactly, where a loop provably runs to the step limit
+Runs are cut short, exactly, where a loop's passes follow in closed form
 (see ``codegen``). A loop that moves each variable of its condition, a
 comparison of affine ints, by a fixed amount per pass raises the run's
 ``StepLimitExceeded`` at once when the condition provably holds on every
-pass up to the limit: a jump (``analysis.Jump``). A kill run jumps as the
+pass up to the limit, and goes to the head of the pass on which it first
+fails, if it can tell the variables there, when that pass is within the
+limit: a jump (``analysis.Jump``). A kill run jumps as the
 loop starts, by the jump each mutated program builds for its own version
 of the loop. Traced and schema runs take the base program's own jumps,
 which ``execute`` passes in their contexts, and jump at the head of the

@@ -1,10 +1,10 @@
 """Replay the ``sweep`` benchmark matrix on compiled code and on the tree walker.
 
-    python tests/sweep_on_treewalk.py
+    python tests/sweep_on_treewalk.py [--seed N]
 
-The matrix is the ``sweep`` workload of ``perfbench/workloads.py`` at the
-benchmark's seed, 2024: every corpus pair, under each of its goals and
-strategies, for its trials and generation budget. Each goal runs serially
+The matrix is the ``sweep`` workload of ``perfbench/workloads.py`` at a
+master seed, by default the benchmark's, 2024: every corpus pair, under
+each of its goals and strategies, for its trials and generation budget. Each goal runs serially
 through ``harness.run_experiment`` twice: once on compiled code, and once
 with the reference tree walker (``tests/treewalk.py``) patched into
 ``mutation.execute`` and ``tracing.execute``, which every traced, schema
@@ -17,6 +17,7 @@ collect this file.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import sys
 import tempfile
@@ -36,8 +37,6 @@ from affsgen.engine import Budget, EngineConfig  # noqa: E402
 from affsgen.harness import ExperimentConfig, run_experiment  # noqa: E402
 from affsgen.testmodel import GenConfig  # noqa: E402
 
-SEED = 2024
-
 
 def _rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
@@ -45,12 +44,13 @@ def _rows(path: Path) -> list[dict]:
                 for row in csv.DictReader(fh)]
 
 
-def _replay(goal: str, out: Path) -> tuple[list[dict], float]:
-    """One goal of the matrix, run serially into ``out``: its rows and seconds."""
+def _replay(goal: str, seed: int, out: Path) -> tuple[list[dict], float]:
+    """One goal of the matrix at master seed ``seed``, run serially into
+    ``out``: its rows and seconds."""
     workload = WORKLOADS["sweep"]
     cfg = ExperimentConfig(
         goal=Goal(goal), strategies=list(workload.strategies),
-        trials_per_fault=workload.trials, corpus_path=str(ROOT / "corpus"), master_seed=SEED,
+        trials_per_fault=workload.trials, corpus_path=str(ROOT / "corpus"), master_seed=seed,
         engine=EngineConfig(population_size=workload.population, skip_iter=workload.skip_iter,
                             budget=Budget(generations=workload.generations)),
         generation=GenConfig(max_suite_size=workload.max_suite_size,
@@ -61,17 +61,20 @@ def _replay(goal: str, out: Path) -> tuple[list[dict], float]:
     return _rows(out / "trials.csv"), time.perf_counter() - start
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=2024, help="master seed (default 2024)")
+    seed = parser.parse_args(argv).seed
     equal = errors = 0
     seconds = {"compiled": 0.0, "walked": 0.0}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for goal in WORKLOADS["sweep"].goals:
-            compiled, took = _replay(goal, Path(tmp) / "compiled" / goal)
+            compiled, took = _replay(goal, seed, Path(tmp) / "compiled" / goal)
             seconds["compiled"] += took
             with mock.patch.object(mutation, "execute", treewalk.execute), \
                     mock.patch.object(tracing, "execute", treewalk.execute):
-                walked, took = _replay(goal, Path(tmp) / "walked" / goal)
+                walked, took = _replay(goal, seed, Path(tmp) / "walked" / goal)
             seconds["walked"] += took
             if len(compiled) != len(walked):
                 print(f"{goal}: {len(compiled)} compiled rows, {len(walked)} walked rows")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import treewalk
 from affsgen.minilang import codegen, parse
-from affsgen.minilang.analysis import NEGATION, Analysis, _holds, _least
+from affsgen.minilang.analysis import NEGATION, Analysis, _exit, _least
 from affsgen.minilang.interpreter import InterpConfig, kind_of
 from affsgen.minilang.nodes import Assign, Binary, IntLit, Let, Unary, Var
 from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants
@@ -173,13 +173,15 @@ _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operat
        st.integers(0, 9))
 def test_a_comparison_on_a_line_holds_and_is_nearest_false_as_on_every_pass(
         op, start, slope, last):
-    """``_holds`` and ``_least`` against each pass ``t`` in ``0..last`` of
-    ``d = start + slope * t``, with the distance toward false that the
-    generated code computes for ``d op 0``."""
-    line = [start + slope * t for t in range(last + 1)]
-    holds = all(_COMPARE[op](d, 0) for d in line)
-    assert _holds(op, start, slope, last) == holds
-    if holds:
+    """``_exit`` and ``_least`` against each pass ``t`` of ``d = start +
+    slope * t``, with the distance toward false that the generated code
+    computes for ``d op 0``: the first pass on which it fails, which comes
+    within 13 passes or never, and where it holds on every pass in
+    ``0..last``, the least distance over them."""
+    fails = next((t for t in range(30) if not _COMPARE[op](start + slope * t, 0)), None)
+    assert _exit(op, start, slope) == fails
+    if fails is None or fails > last:
+        line = [start + slope * t for t in range(last + 1)]
         toward_false = codegen._distance(NEGATION[op], "d", "0")
         distances = [eval(toward_false, {}, {"d": d}) for d in line]
         least = _least(op, start, slope, last)

@@ -30,6 +30,7 @@ from affsgen.minilang.interpreter import (
 )
 from affsgen.minilang.nodes import (
     Assign,
+    If,
     Let,
     Program,
     While,
@@ -153,6 +154,8 @@ class _ProgramWriter:
             scope = {f"p{j}": kind for j, kind in enumerate(kinds)}
             params = ", ".join(f"p{j}:{kind}" for j, kind in enumerate(kinds))
             body = self.block(scope, 3)
+            if self.rng.random() < 0.3:  # where it is surely reached
+                body = f"{self.counted_loop(scope)} {body}"
             functions.append(f"fn f{i}({params}) {{ {body} }}")
         return "\n".join(functions)
 
@@ -178,9 +181,29 @@ class _ProgramWriter:
         if roll < 0.8 and depth > 0:
             body = self.block(dict(scope), depth - 1)
             return f"while ({self.expr('bool', scope, 3)}) {{ {body} }}"
+        if 0.8 <= roll < 0.85:
+            return self.counted_loop(scope)
         if roll < 0.95:
             return f"return {self.expr(rng.choice(('int', 'bool', 'str')), scope, 3)};"
         return f'throw "t{rng.randint(0, 2)}";'
+
+    def counted_loop(self, scope: dict) -> str:
+        """A loop of the shape that jumps (see ``analysis.Jump``): i moves
+        by a fixed δ and s sums an affine e, from values that leave the
+        loop within a few passes, or never."""
+        rng = self.rng
+        op = rng.choice(["==", "!=", "<", "<=", ">", ">="])
+        cond = f"i {op} n" if rng.random() < 0.7 else f"not (i {op} n)"
+        delta = rng.choice([-3, -1, 0, 1, 2])
+        step = f"i = i - {-delta};" if delta < 0 else f"i = i + {delta};"
+        e = rng.choice(["i", "n", "(2 * i)", "(n - i)", "3"])
+        # n lies about up to three of i's steps away, for a few passes at most
+        i = rng.randint(-4, 4)
+        n = i + delta * rng.randint(0, 3) + rng.choice([-1, 0, 0, 1])
+        scope.update(i="int", n="int", s="int")
+        loop = (f"let i = {i}; let n = {n}; let s = {self.expr('int', scope, 1)};"
+                f" while ({cond}) {{ s = s {rng.choice('+-')} {e}; {step} }}")
+        return loop + " return s;" if rng.random() < 0.5 else loop
 
     def expr(self, kind: str, scope: dict, depth: int) -> str:
         rng = self.rng
@@ -696,6 +719,23 @@ _JUMPS = {
     "pending-deletion": ("fn f(i:int, d:int){ let m = 0; let k = 0;"
                          " while (i != 1) { k = k + d; i = i + 2; } return i + k + m; }",
                          [(0, 0), (0, 1), (1, 0)]),
+    # loops that leave within the limit, and jump to the pass they leave on.
+    # p06's sum_up: t sums i; from n = 0 the condition fails before the first
+    # pass, and from 1, 2 and 3 the loop leaves 0, 1 and 2 passes past the
+    # head of its second, where traced and schema runs jump
+    "exit-sum-up": ("fn f(n:int){ let m = 0; let t = 0; let i = 1;"
+                    " while (i <= n) { t = t + i; i = i + 1; } return t + m; }",
+                    [(0,), (1,), (2,), (3,), (40,), (-5,)]),
+    # i == n holds for one pass at most when d moves i, and to the limit when
+    # it does not; s sums the invariant n and i, which moves before it
+    "exit-equal": ("fn f(i:int, n:int, d:int){ let m = 0; let s = 0;"
+                   " while (i == n) { i = i + d; s = s + (n - i); } return s + m; }",
+                   [(3, 3, 1), (3, 3, 0), (2, 3, 1), (3, 3, -2)]),
+    # a negative δ under a not, and a sum that falls by 2 * i; from 41 the
+    # last pass takes i to -1
+    "exit-falling": ("fn f(i:int, n:int){ let m = 0; let s = 0;"
+                     " while (not (i <= n)) { s = s - 2 * i; i = i - 2; } return s + m; }",
+                     [(40, 0), (41, 0), (0, 5), (7, 6), (-3, -30)]),
 }
 
 
@@ -716,7 +756,7 @@ def test_loops_that_jump_run_as_the_tree_walker_does_at_consecutive_limits(case)
         # the run leaves the loop, or of the limit of 600 where it does not
         walked = treewalk.execute(program, "f", args, InterpConfig(step_limit=600))
         end = walked.steps if type(walked.outcome) is Returned else 600
-        for limit in [*range(1, 40), *range(max(40, end - 24), end + 3)]:
+        for limit in [*range(1, 40), *range(max(40, end - 30), end + 3)]:
             config = InterpConfig(step_limit=limit)
             _assert_same_traced(execute(program, "f", args, config),
                                 treewalk.execute(program, "f", args, config))
@@ -727,7 +767,7 @@ def test_loops_that_jump_run_as_the_tree_walker_does_at_consecutive_limits(case)
             walked = treewalk.execute(mutant.mutated_program, "f", args,
                                       InterpConfig(step_limit=600))
             end = walked.steps if type(walked.outcome) is Returned else 600
-            for limit in range(max(1, end - 24), end + 3):
+            for limit in range(max(1, end - 30), end + 3):
                 config = InterpConfig(step_limit=limit)
                 killed = execute(mutant.mutated_program, "f", args, config)
                 walked = treewalk.execute(mutant.mutated_program, "f", args, config)
@@ -801,6 +841,64 @@ def test_a_schema_run_jumps_to_any_step_limit():
     at_loop = {m.mutant_id: m.operator for m in mutants if m.root.node_id in (cond, step)}
     assert [at_loop[key] for key in set(at_loop) - sides.infected] == ["const:-1"]
     assert sides.infected <= set(at_loop) and not sides.drifted
+
+
+# p11's walk(0, 10**11) at a limit it stays within: 10**11 passes, which a
+# run finishes in well under a second only by jumping to the pass it leaves
+# the loop on, where pos holds 0 + 1 + ... + (10**11 - 1)
+_WALK, _FAR = 10**11, InterpConfig(step_limit=10**13)
+_POS = _WALK * (_WALK - 1) // 2
+
+
+def _walk():
+    """A fresh copy of p11's fixed program, with its mutants, and the exact
+    step count of walk(0, n) for n of at least 3, which the tree walker
+    finds linear in n."""
+    program = parse(next(CORPUS.glob("p11_*/fixed.minij")).read_text())
+    few, more = (treewalk.execute(program, "walk", (0, n)).steps for n in (10, 20))
+    return program, mutants_of(program), few + (more - few) // 10 * (_WALK - 10)
+
+
+def test_a_kill_run_jumps_to_the_pass_its_loop_leaves_on():
+    program, mutants, steps = _walk()
+    # start + start for start * start after the loop: the loop as the base has it
+    mutant = next(m for m in mutants if m.site == 7 and m.operator == "aor:*->+")
+    killed = execute(mutant.mutated_program, "walk", (0, _WALK), _FAR)
+    assert (killed.outcome, killed.steps) == (Returned(_POS), steps)
+
+
+def test_a_traced_run_jumps_to_the_pass_its_loop_leaves_on():
+    program, _, steps = _walk()
+    result = execute(program, "walk", (0, _WALK), _FAR)
+    assert (result.outcome, result.steps) == (Returned(_POS), steps)
+    assert result.lines_hit == {0, 2, 3, 4, 5, 6, 7, 9}  # all but the early return and throw
+    guard, loop, landing = (stmt for stmt in program.function("walk").body
+                            if type(stmt) in (If, While))
+    # steps < 3 fails by steps - 2; i < steps holds on every pass but the
+    # last, where it fails, and pos == 0 fails by pos
+    for table in (result.branch_best, result.branch_best_direct):
+        assert _typed(table) == {guard.branch_id: [(int, _WALK - 2), (float, 0.0)],
+                                 loop.branch_id: [(float, 0.0), (float, 0.0)],
+                                 landing.branch_id: [(int, _POS), (float, 0.0)]}
+
+
+def test_a_schema_run_jumps_to_the_pass_its_loop_leaves_on():
+    program, mutants, steps = _walk()
+    sides = Sides()
+    result = execute(program, "walk", (0, _WALK), _FAR, sides)
+    assert (result.outcome, result.steps) == (Returned(_POS), steps)
+    guard, loop, landing = (stmt for stmt in program.function("walk").body
+                            if type(stmt) in (If, While))
+    counter = program.function("walk").body[2].expr  # the 0 of let i = 0
+    roots = [guard.cond, counter, loop.cond, *(stmt.expr for stmt in loop.body), landing.cond]
+    assert sides.evals == dict(zip((root.node_id for root in roots), (
+        [1, 0], [1, 0], [_WALK + 1, 0], [_WALK, 0], [_WALK, 0], [1, 0])))
+    # the value of pos is all the rest of the walk changes: once past the
+    # first two passes, no infection depends on how far it goes
+    walked = Sides()
+    treewalk.execute(program, "walk", (0, 100), _FAR, walked)
+    assert sides.infected == walked.infected and not sides.drifted
+    assert len(sides.infected) < len(mutants)
 
 
 def test_a_deletion_jumps_a_loop_whose_base_version_cannot():
