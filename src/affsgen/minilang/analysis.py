@@ -362,14 +362,14 @@ def _evaluator(expr: Expr, index: dict):
     return lambda env: op(lhs(env), rhs(env))
 
 
-def _update(expr: Expr, name: str):
-    """``δ`` and its sign when ``expr`` is ``name + δ``, ``δ + name`` or
-    ``name - δ``, with ``name`` not in ``δ``; else None."""
+def _update(expr: Expr, name: str) -> Expr | None:
+    """``δ`` when ``expr`` is ``name + δ`` or ``δ + name``, and ``-δ`` when
+    it is ``name - δ``, with ``name`` not in ``δ``; else None."""
     if type(expr) is not Binary or expr.op not in ("+", "-"):
         return None
     for var, delta in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
         if type(var) is Var and var.name == name and name not in variables(delta):
-            return delta, expr.op == "-"
+            return Unary("neg", delta) if expr.op == "-" else delta
         if expr.op == "-":
             return None
     return None
@@ -399,30 +399,25 @@ def _jump(loop: While, function: str, names: tuple, known: dict,
         return None
     index = {name: i for i, name in enumerate(names)}
     # each int variable the loop moves once per pass as v = v ± e, e affine
-    # in the variables: the root that moves it, e and its sign
+    # in the variables: ±e, its index and the root that moves it
     updates = {}
     for name in sorted(moving):
         at = [i for i, stmt in enumerate(loop.body) if stmt.name == name]
-        found = _update(loop.body[at[0]].expr, name) if len(at) == 1 else None
-        if found is not None and known.get(name) == "int" and _affine(found[0], moving):
-            updates[name] = (at[0] + 1, *found)
-    fixed = {name for name, (_, e, _) in updates.items() if not variables(e) & moving}
+        e = _update(loop.body[at[0]].expr, name) if len(at) == 1 else None
+        if e is not None and known.get(name) == "int" and _affine(e, moving):
+            updates[name] = (e, index[name], at[0] + 1)
+    fixed = {name for name, (e, _, _) in updates.items() if not variables(e) & moving}
     if not variables(comparison) & moving <= fixed:
         return None
-
-    def mover(name: str) -> tuple:  # its index, the root that moves it, and ±e
-        at, e, minus = updates[name]
-        step = _evaluator(e, index)
-        return index[name], at, (lambda env, f=step: -f(env)) if minus else step
-
+    movers = {name: (i, at, _evaluator(e, index)) for name, (e, i, at) in updates.items()}
     # the movers by a loop-invariant δ, and the first-order sums, whose e
     # moves only by them: all the loop's movers, or None
-    shifts = {name: mover(name) for name in sorted(fixed)}
+    shifts = {name: movers[name] for name in sorted(fixed)}
     sums = None
     if all(type(stmt) is Assign for stmt in loop.body) and all(
-            name in updates and variables(updates[name][1]) & moving <= fixed
+            name in updates and variables(updates[name][0]) & moving <= fixed
             for name in moving - fixed):
-        sums = tuple(mover(name) for name in sorted(moving - fixed))
+        sums = tuple(movers[name] for name in sorted(moving - fixed))
     moves = tuple((i, delta) for name, (i, _, delta) in shifts.items()
                   if name in variables(comparison))
     op = NEGATION[comparison.op] if negated else comparison.op
@@ -548,19 +543,17 @@ class Jump:
         start = self.lhs(env) - self.rhs(env)
         return start, self.lhs(moved) - self.rhs(moved) - start
 
-    def _target(self, S: int, L: int, env) -> tuple | None:
+    def _target(self, S: int, L: int, env) -> tuple:
         """``(t, exits, start, slope)``: the pass the jump skips to, ``t*``
         where the loop leaves on it (``exits``), else ``last + 1``, and
-        ``d`` as ``_line`` gives it; None where the jump returns what it was
-        given."""
+        ``d`` as ``_line`` gives it; ``t`` is 0 where the loop leaves but
+        the jump cannot tell the variables there."""
         last = (L - S - self.head) // self.steps
         start, slope = self._line(env)
         t = _exit(self.op, start, slope)
         if t is None or t > last:
             return last + 1, False, start, slope
-        if not t or self.sums is None:
-            return None
-        return t, True, start, slope
+        return (0 if self.sums is None else t), True, start, slope
 
     def _go(self, t: int, exits: bool, S: int, L: int, env) -> tuple:
         """Raise the run's ``StepLimitExceeded`` unless the loop ``exits``
@@ -568,6 +561,8 @@ class Jump:
         head of that pass."""
         if not exits:
             raise MiniJError(STEP_LIMIT_EXCEEDED, self.function, L + 1)
+        if not t:
+            return (S, *env)
         deltas = [(i, at, delta(env)) for i, at, delta in self.shifts]
         values = list(env)
         for i, at, e in self.sums:
@@ -579,10 +574,7 @@ class Jump:
         return (S + t * self.steps, *values)
 
     def __call__(self, S: int, L: int, *env) -> tuple:
-        target = self._target(S, L, env)
-        if target is None:
-            return (S, *env)
-        return self._go(*target[:2], S, L, env)
+        return self._go(*self._target(S, L, env)[:2], S, L, env)
 
     def traced(self, S: int, L: int, best: dict, direct: dict | None, *env) -> tuple:
         """The jump of a traced run, whose branch tables are ``best`` and,
@@ -591,10 +583,7 @@ class Jump:
         each, so its distance toward true is 0, which the first pass merged;
         the only record they can lower is the least distance toward false,
         which they merge as each pass would (``_least``)."""
-        target = self._target(S, L, env)
-        if target is None:
-            return (S, *env)
-        t, exits, start, slope = target
+        t, exits, start, slope = self._target(S, L, env)
         if t:
             least = _least(self.op, start, slope, t - 1)
             zero = 0 if self.op == "==" else 0.0  # the distance toward true, typed as codegen's
@@ -615,10 +604,9 @@ class Jump:
         root on one of those evaluations. An alternative of equal size
         crosses the limit with its root, and so stays pending there, but a
         deleted assignment does not raise, and is infected there."""
-        target = self._target(S, L, env)
-        if target is None:
+        t, exits, _, _ = self._target(S, L, env)
+        if not t:
             return (S, *env)
-        t, exits, _, _ = target
         _, pending, counts, sides, _ = C
         forms = self.forms
         for (node, _, _), site in zip(self.roots, sites):
