@@ -177,9 +177,8 @@ def _killed_goals(ctx: FitnessContext, test: TestCase, wanted: int | None) -> li
     """Goals of the mutants this test kills, among the ``wanted`` mask's
     (all when None), in mutant order."""
     killed = ctx.fold((test,), MutantStatus.KILLED, wanted)[2]
-    mutants = ctx.mutants
-    return [MutantGoal(mutants[position].mutant_id) for position in range(killed.bit_length())
-            if killed >> position & 1]
+    return [MutantGoal(mutant_id) for mutant_id in range(killed.bit_length())
+            if killed >> mutant_id & 1]
 
 
 def make_coverage_fn(goal: Goal, ctx: FitnessContext):
@@ -224,7 +223,7 @@ def make_archive_updater(goal: Goal, ctx: FitnessContext, archive: Archive, cove
             if not fresh:
                 return
             seen.update(fresh)
-            unarchived = sum(1 << position for position, mutant in enumerate(ctx.mutants)
+            unarchived = sum(1 << mutant.mutant_id for mutant in ctx.mutants
                              if MutantGoal(mutant.mutant_id) not in archive.entries)
             for test in fresh:
                 for covered in _killed_goals(ctx, test, unarchived):

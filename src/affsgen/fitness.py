@@ -16,8 +16,8 @@ from affsgen.minilang.interpreter import (
     ExecutionResult,
     InterpConfig,
     Sides,
-    analysis_of,
     merge_best,
+    module_of,
 )
 from affsgen.minilang.nodes import Program
 from affsgen.mutation import (
@@ -71,10 +71,10 @@ def output_buckets(program: Program) -> list[tuple[str, str]]:
     """(function, abstract value) pairs the suite should cover: every
     abstract value of each kind a function may return, by function name and
     then kind. The kinds are ``Analysis.returns`` of the program's compiled
-    module (``interpreter.analysis_of``), the analysis its runs already
-    use, so a function whose every path ends in a ``throw`` has none."""
+    module (``interpreter.module_of``), the analysis its runs already use,
+    so a function whose every path ends in a ``throw`` has none."""
     return [(fname, bucket)
-            for fname, kinds in sorted(analysis_of(program).returns.items())
+            for fname, kinds in sorted(module_of(program).analysis().returns.items())
             for kind in sorted(kinds)
             for bucket in _BUCKETS[kind]]
 
@@ -234,13 +234,13 @@ def levenshtein(a: str, b: str) -> int:
 
 class _CallRecord:
     """What one call of the base program tells about the mutants, as bit
-    masks over positions in the context's mutant list. ``reach`` has the
-    mutants whose site the call hits. Once the call's schema run is in,
-    ``infected`` has the reached mutants that it, or their own run on the
-    call, shows infected or killed, ``killed`` those their run killed, and
-    ``unrun`` those still owed a run: the schema run's infected and drifted
-    mutants and every deleted assignment, until they run. ``infected`` is
-    None before the schema run."""
+    masks over mutant ids. ``reach`` has the mutants whose site the call
+    hits. Once the call's schema run is in, ``infected`` has the reached
+    mutants that it, or their own run on the call, shows infected or
+    killed, ``killed`` those their run killed, and ``unrun`` those still
+    owed a run: the schema run's infected and drifted mutants and every
+    deleted assignment, until they run. ``infected`` is None before the
+    schema run."""
 
     __slots__ = ("reach", "infected", "killed", "unrun")
 
@@ -261,11 +261,12 @@ def _positions(mask: int) -> Iterable[int]:
 class FitnessContext:
     """Program-wide caches shared by every fitness evaluation in a run.
 
-    The program's mutants, which are also its schema, are kept on the
-    program (``mutation.mutants_of``), and the compiled schema shape of its
-    schema runs in its plan, so every context on it shares them; an experiment
-    builds them before its pool starts. Everything else below is per
-    context and freed with it when its search returns.
+    The program's mutants, which are also its schema, and the compiled
+    schema shape of its schema runs are kept on the compiled module of its
+    text (``mutation.mutants_of``), so every context on a program of that
+    text shares them; an experiment builds them before its pool starts.
+    Everything else below is per context and freed with it when its search
+    returns.
 
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
@@ -276,11 +277,11 @@ class FitnessContext:
     mutant's infection on that call (see ``mutation.schema_run``). All of
     them belong to this context's one program and interpreter config.
 
-    Mutant statuses are bit masks over positions in ``mutants``, not over
-    mutant ids, since a program's mutant list may be narrowed.
-    ``_classifications`` maps each ``call_key`` to a ``_CallRecord`` of
-    what the call tells about every mutant, and ``fold`` folds the records
-    of a suite's calls test by test, for all the mutants it wants at once.
+    Mutant statuses are bit masks over mutant ids, which are the mutants'
+    positions in ``mutants``. ``_classifications`` maps each ``call_key``
+    to a ``_CallRecord`` of what the call tells about every mutant, and
+    ``fold`` folds the records of a suite's calls test by test, for all the
+    mutants it wants at once.
     A mutant program runs on a call only when the schema run cannot settle
     the status a fold needs: a drifted mutant or a deleted assignment on
     the first fold that reaches the call while it still wants the mutant,
@@ -312,9 +313,9 @@ class FitnessContext:
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
         self._classifications: dict[tuple, _CallRecord] = {}
-        # (site -> mask of its mutants, mutant id -> bit, deleted assignments'
-        # mask), built on the first fold
-        self._sites: tuple[dict[int, int], dict[int, int], int] | None = None
+        # (site -> mask of its mutants, deleted assignments' mask), built on
+        # the first fold
+        self._sites: tuple[dict[int, int], int] | None = None
         self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
         self._packed: dict[tuple[str, ...], PackedLines] = {}
         self._line_distance: dict = {}  # unused; the perfbench tracer reads its size
@@ -356,17 +357,15 @@ class FitnessContext:
             self._renders[test] = lines
         return lines
 
-    def _site_tables(self) -> tuple[dict[int, int], dict[int, int], int]:
+    def _site_tables(self) -> tuple[dict[int, int], int]:
         sites: dict[int, int] = {}
-        bits: dict[int, int] = {}
         deletions = 0
-        for position, mutant in enumerate(self.mutants):
-            bit = 1 << position
+        for mutant in self.mutants:
+            bit = 1 << mutant.mutant_id
             sites[mutant.site] = sites.get(mutant.site, 0) | bit
-            bits[mutant.mutant_id] = bit
             if mutant.operator == DELETE_ASSIGNMENT:
                 deletions |= bit
-        self._sites = sites, bits, deletions
+        self._sites = sites, deletions
         return self._sites
 
     def fold(self, tests: Iterable[TestCase], stop: MutantStatus = MutantStatus.KILLED,
@@ -382,7 +381,7 @@ class FitnessContext:
         ``stop`` is below KILLED, one the schema run shows infected: that
         kill run waits for the first fold with ``stop`` KILLED that reaches
         the call. It traces no test once no wanted mutant is open."""
-        sites, bits, deletions = self._sites or self._site_tables()
+        sites, deletions = self._sites or self._site_tables()
         if wanted is None:
             wanted = (1 << len(self.mutants)) - 1
         lazy = stop < MutantStatus.KILLED
@@ -407,8 +406,8 @@ class FitnessContext:
                     schema = self._schema_runs[key] = schema_run(
                         self.program, *call_of(key), self.interp)
                     reach = record.reach
-                    shown = sum(bits[m] for m in schema.infected) & reach
-                    drifted = sum(bits[m] for m in schema.drifted)
+                    shown = sum(1 << m for m in schema.infected) & reach
+                    drifted = sum(1 << m for m in schema.drifted)
                     record.infected = shown
                     record.unrun = (shown | drifted | deletions) & reach
                 runs = candidates & record.unrun
@@ -429,8 +428,8 @@ class FitnessContext:
 
     def _run_mutants(self, key: tuple, base: ExecutionResult, record: _CallRecord,
                      runs: int) -> None:
-        """Run the mutants at the positions in ``runs`` on one call and
-        record their outcomes."""
+        """Run the mutants whose ids are the positions in ``runs`` on one
+        call and record their outcomes."""
         mutants = self.mutants
         function, args = call_of(key)
         schema = self._schema_runs[key]
@@ -448,8 +447,7 @@ class FitnessContext:
         """Highest status the tests' calls reach on one mutant of this
         context's list, as ``fold`` finds it: a fold with ``stop`` below
         KILLED may so return INFECTED for a mutant that a later call kills."""
-        bit = (self._sites or self._site_tables())[1][mutant.mutant_id]
-        reached, infected, killed = self.fold(tests, stop, bit)
+        reached, infected, killed = self.fold(tests, stop, 1 << mutant.mutant_id)
         if killed:
             return MutantStatus.KILLED
         if infected:

@@ -8,22 +8,23 @@ faulty version runs for it. Every trial gets a seed derived from (master
 seed, fault, strategy, trial), so reruns reproduce the same rows byte for
 byte.
 
-Everything that depends only on a program is built once per experiment and
-shared by its trials: each fixed program keeps its mutants, which are also
-its schema, on itself (``mutation.mutants_of``), and each program its
-compiled code, the schema shape of its runs with sides included. When the
-experiment returns it lets the mutants go, so its corpus is freed at once.
-The compiled code stays in the interpreter's module cache, shared with any
-later program of the same text: a later experiment on the same corpus
-parses it and generates its mutants again, but compiles nothing again.
-A serial run compiles lazily. A pool's workers are forked, whatever the
-platform's default, so they inherit what the parent set up before the pool
-started: every pair's programs compiled, with the fixed program's lean
-code, schema shape and mutants (``interpreter.precompile``); the pairs, the
-job list, a lock and a shared job counter, from the pool's initializer; and
-any hook patched onto ``_trial_job`` or ``run_trial``. Each worker runs one
-``_drain`` task, which takes jobs by index until none is left and sends its
-records back once, so no message passes per job.
+Everything that depends only on a program's text is built once and shared
+by the trials: the compiled module of the text (``interpreter.module_of``)
+holds the code, the fixed program's mutants, which are also its schema
+(``mutation.mutants_of``), and the schema shape of its runs with sides. The
+module stays in the interpreter's module cache, shared with any later
+program of the same text: a later experiment on the same corpus parses it
+again, but generates no mutant and compiles nothing again. No parsed
+program is part of a reference cycle, so the corpus is freed as soon as
+the experiment returns. A serial run compiles lazily. A pool's workers are
+forked, whatever the platform's default, so they inherit what the parent
+set up before the pool started: every pair's programs compiled, with the
+fixed program's lean code, schema shape and mutants
+(``interpreter.precompile``); the pairs, the job list, a lock and a shared
+job counter, from the pool's initializer; and any hook patched onto
+``_trial_job`` or ``run_trial``. Each worker runs one ``_drain`` task,
+which takes jobs by index until none is left and sends its records back
+once, so no message passes per job.
 """
 
 from __future__ import annotations
@@ -360,11 +361,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             records = [_trial_job(job) for job in jobs]
     finally:
         _use_pairs([])
-        for pair in pairs:
-            # each mutant's program keeps the fixed program as its base, a
-            # cycle that would keep the corpus alive until a full collection,
-            # beside whatever this process parses next
-            pair.fixed_program._mutants = None
 
     # normalization is per fault, across every strategy and trial
     by_fault: dict[str, list[TrialRecord]] = {}

@@ -18,14 +18,15 @@ list: it evaluates every root inline, and at each root a mutant replaces
 it counts the evaluation and calls the alternatives of the mutants still
 pending there in the run. A mutated program's run takes the lean variant
 with a hook, built for the run, that counts the evaluations of its own
-root, and its loops are never cut. Compiled modules
-are cached per base program, keyed by its source text, and the cache holds
-a bounded number of programs. A module keeps one schema shape per list of
-mutation sites, since the shape depends on the program's mutant list,
-which a caller may narrow, and each program keeps the alternatives its own
-list redoes. ``precompile`` compiles ahead what a program's runs, and its
-mutants' runs, would compile on first use, so that forked worker processes
-inherit it.
+root, and its loops are never cut. A compiled module is the one home of
+all that depends on a base program's text alone: its code, its analysis,
+its alternatives, its mutants and the one schema shape built from them.
+Every program of that text shares it, through a plan that holds no
+program, so reference counting frees a caller's program (``module_of``).
+Modules are cached, keyed by the source text, and the cache holds a
+bounded number of them. ``precompile`` compiles ahead what a program's
+runs, and its mutants' runs, would compile on first use, so that forked
+worker processes inherit it.
 
 A traced run records the statements reached, each branch's least distances
 toward both outcomes (over all frames, and over the entry frame alone), the
@@ -83,7 +84,7 @@ __all__ = [
     "DIV_BY_ZERO", "EXPLICIT_THROW", "INDEX_OUT_OF_BOUNDS", "STEP_LIMIT_EXCEEDED",
     "TYPE_ERROR", "MAX_CALL_DEPTH", "ArityError", "ExceptionRecord", "ExecutionResult",
     "InterpConfig", "MiniJError", "Raised", "Returned", "Sides",
-    "UnknownFunctionError", "analysis_of", "execute", "kind_of", "merge_best", "precompile",
+    "UnknownFunctionError", "execute", "kind_of", "merge_best", "module_of", "precompile",
     "string_eq_distance",
 ]
 
@@ -101,20 +102,24 @@ Value = Union[int, bool, str]
 # deepest recursion stacks about 150 frames and stays below Python's default
 # recursion limit of 1000 even when execute is called from 700 frames deep.
 # Everything a run calls is compiled before it starts, so code generation
-# never adds to that stack.
+# never adds to that stack; but a run that compiles first stacks codegen's
+# frames at its own depth: compiling the deepest nesting the parser admits
+# takes up to about 260 frames, so ``precompile`` such a program from a
+# shallow depth before calling execute from a deep one.
 MAX_CALL_DEPTH = 50
 
-# compiled base programs kept, the least recently first run evicted first. A
+# compiled base texts kept, the one least recently looked up evicted first. A
 # program keeps its own module once it has run, so the bound only decides
-# what a freshly parsed copy of the same source finds already compiled. An
-# experiment compiles every corpus program before its pool starts (see
+# what a freshly parsed copy of the same source finds already built. An
+# experiment builds every corpus program before its pool starts (see
 # ``harness``), so 64 entries let a process that runs several experiments
-# over one corpus, each parsing it anew, compile each program once: on a
-# 2-vCPU Xeon, preparing the 24 freshly parsed programs of the corpus (their
-# mutants, and all that ``precompile`` compiles) took a median of 0.009 s
-# with their modules kept, against 0.13 s cold; the static analysis, which
-# shrank the generated source from 237 155 to 186 081 characters, cut the
-# cold time from 0.15 s.
+# over one corpus, each parsing it anew, generate each program's mutants and
+# compile its code once: on a 2-vCPU Xeon, preparing the 24 freshly parsed
+# programs of the corpus (their mutants, and all that ``precompile``
+# compiles) took a median of 0.0007 s with their modules kept, against
+# 0.13 s cold (9 repeats each); the static analysis, which shrank the
+# generated source from 237 155 to 186 081 characters, cut the cold time
+# from 0.15 s.
 _MODULE_CACHE = 64
 
 
@@ -249,27 +254,31 @@ def _crossed(record, limit: int, start: int, line: int, fname: str) -> MiniJErro
 
 
 class _Compiled:
-    """One base program's generated module: its functions, in the
-    instrumented and the lean variant, and the lean alternatives compiled
-    into it, each on first use. ``roots`` holds the lean variant's hook
-    information. Its schema shapes are compiled on first use too, one per
-    list of mutation sites. The program's static ``analysis`` is found on
-    first use as well."""
+    """Everything that depends on one base program's text alone, shared by
+    every program of that text: its functions, in the instrumented and the
+    lean variant, and the lean alternatives compiled into it, each on first
+    use (``roots`` holds the lean variant's hook information); the
+    ``mutants`` that ``mutation.mutants_of`` generates from its own copy of
+    the program, and the ``schema`` built from them; and the program's
+    static ``analysis``, found on first use, which fills ``jumps``."""
 
-    __slots__ = ("program", "namespace", "roots", "index", "_functions", "_alternatives",
-                 "_shapes", "_analysis")
+    __slots__ = ("program", "namespace", "roots", "index", "jumps", "mutants",
+                 "_functions", "_alternatives", "_schema", "_analysis")
 
     def __init__(self, program: Program):
-        # without its plan and mutants: the module outlives the program
-        # while ``_MODULES`` holds it for later programs of the same text,
-        # and must not keep this one's mutants alive meanwhile
-        self.program = replace(program, _compiled=None, _mutants=None)
+        # a copy: the caller's program keeps this module in its plan, and
+        # this must not keep the caller's program
+        self.program = replace(program, _compiled=None)
         self.namespace = dict(_RUNTIME)
         self.roots: dict = {}
         self.index = {fn.name: i for i, fn in enumerate(program.functions)}
+        self.jumps: dict = {}  # the program's own loops' jumps
+        # the plan of every program of the text, the copy's included (see ``_plan``)
+        self.program._compiled = [self, _NO_HOOKS, self.jumps]
+        self.mutants: list | None = None
         self._functions: list = [None, None]  # lean, instrumented
         self._alternatives: dict[tuple[int, str], object] = {}
-        self._shapes: dict[tuple[int, ...], list] = {}
+        self._schema: tuple | None = None
         self._analysis = None
 
     def _exec(self, source: str, name: str) -> None:
@@ -282,6 +291,7 @@ class _Compiled:
             from affsgen.minilang import analysis  # imported on the first run, as codegen is
 
             found = self._analysis = analysis.Analysis(self.program)
+            self.jumps.update(found.own_jumps)
         return found
 
     def functions(self, instrumented: bool) -> list:
@@ -299,18 +309,6 @@ class _Compiled:
                 self.namespace[f"{prefix}{i}"] for i in range(len(self.program.functions))]
         return functions
 
-    def schema_shape(self, sites: tuple[int, ...]) -> list:
-        """The program's functions in the schema shape whose mutation sites
-        are the roots ``sites`` lists, in program order."""
-        functions = self._shapes.get(sites)
-        if functions is None:
-            from affsgen.minilang import codegen
-
-            source, _ = codegen.program_source(self.program, "Q", self.analysis(), sites)
-            self._exec(source, "Q")
-            functions = self._shapes[sites] = self.namespace["Q"]()
-        return functions
-
     def alternative(self, node_id: int, expr: Expr):
         """``expr`` evaluated in place of root ``node_id``, as a lean function."""
         key = (node_id, expr_source(expr))
@@ -325,31 +323,59 @@ class _Compiled:
             fn = self._alternatives[key] = self.namespace[name]
         return fn
 
+    def schema(self) -> tuple:
+        """How the program's runs with sides run, built on the first such
+        run, or by ``precompile``; every alternative they call is compiled
+        then, before any run starts.
+
+        They take its schema shape (see ``codegen``): ``(functions, roots,
+        redos)``, its functions in that shape, the node id of each of its
+        mutation sites, by index, and for each site the ``(mutant id,
+        alternative, hooks)`` of the mutants there, in mutant order; a
+        deleted assignment's alternative is None, and each mutant's own
+        hooks are its plan's. Each alternative at a root of a loop that may
+        jump leaves its closed form with that loop's jump
+        (``analysis.Jump.learn``)."""
+        built = self._schema
+        if built is not None:
+            return built
+        if self.mutants is None:
+            raise ValueError(f"{self.program.source_id}: a run with sides redoes the program's "
+                             "mutants, which mutation.mutants_of generates")
+        from affsgen.minilang import codegen
+
+        owners = self.analysis().owners
+        redos: dict[int, list[tuple]] = {}
+        for mutant in self.mutants:
+            mutated = mutant.mutated_program
+            own = _plan(mutated)[1]  # a deleted assignment's alternative is None
+            alternative = own[mutated.root_id]
+            redos.setdefault(mutated.root_id, []).append((mutant.mutant_id, alternative, own))
+            jump = self.jumps.get(owners.get(mutated.root_id))
+            if jump is not None:  # in a loop that may jump: the alternative's closed form
+                jump.learn(mutated.root_id, mutated.alt_root, alternative)
+        roots = tuple(redos)
+        source, _ = codegen.program_source(self.program, "Q", self.analysis(), roots)
+        self._exec(source, "Q")
+        built = self._schema = (self.namespace["Q"](), roots,
+                                tuple(tuple(redo) for redo in redos.values()))
+        return built
+
 
 _MODULES: dict[str, _Compiled] = {}
 _NO_HOOKS: dict = {}  # shared by every base program's plan; never written
 _NO_JUMPS: dict = {}  # the jumps of a redo; never written
 
 
-def _plan(program: Program) -> list:
-    """The compiled module a program runs on, its hooks, what a base
-    program's runs with sides run on (``_side_plan``; None until the first
-    such run, and always for a mutated program, whose counting runs build
-    their hook per run) and its loops' jumps (branch id to
-    ``analysis.Jump``; a mutated program shares its base's, but for the
-    loop its root is in, which it builds from its own AST), found once per
-    program and kept on it. A copy of the program drops it."""
+def module_of(program: Program) -> _Compiled:
+    """The compiled module of ``program``'s base text: the one its plan
+    holds, or the cached one of its text, made now if there is none. It
+    compiles nothing and finds no analysis, and it sets no plan."""
     plan = program._compiled
     if plan is not None:
-        return plan
+        return plan[0]
     if program.base is not None:
-        # the base may itself be mutated: keep its hooks and jumps under this one
-        module, hooks, _, jumps = _plan(program.base)
-        alternative = (None if program.alt_root is None
-                       else module.alternative(program.root_id, program.alt_root))
-        plan = program._compiled = [module, {**hooks, program.root_id: alternative}, None,
-                                    module.analysis().jumps(program, jumps)]
-        return plan
+        return module_of(program.base)
     key = to_source(program)
     module = _MODULES.pop(key, None)
     if module is None:
@@ -357,14 +383,28 @@ def _plan(program: Program) -> list:
         while len(_MODULES) >= _MODULE_CACHE:
             del _MODULES[next(iter(_MODULES))]
     _MODULES[key] = module
-    plan = program._compiled = [module, _NO_HOOKS, None, module.analysis().own_jumps]
+    return module
+
+
+def _plan(program: Program) -> list:
+    """The compiled module a program runs on, its hooks and its loops'
+    jumps (branch id to ``analysis.Jump``), found once per program and kept
+    on it. A base program shares its module's plan. A mutated program
+    shares its base's jumps, but for the loop its root is in, which it
+    builds from its own AST. A copy of the program drops it."""
+    plan = program._compiled
+    if plan is not None:
+        return plan
+    if program.base is None:
+        plan = program._compiled = module_of(program).program._compiled
+        return plan
+    # the base may itself be mutated: keep its hooks and jumps under this one
+    module, hooks, jumps = _plan(program.base)
+    alternative = (None if program.alt_root is None
+                   else module.alternative(program.root_id, program.alt_root))
+    plan = program._compiled = [module, {**hooks, program.root_id: alternative},
+                                module.analysis().jumps(program, jumps)]
     return plan
-
-
-def analysis_of(program: Program):
-    """The ``analysis.Analysis`` of ``program``'s base: the one its compiled
-    module found and its runs use, found now if none has run yet."""
-    return (program._compiled or _plan(program))[0].analysis()
 
 
 # --- side evaluations --------------------------------------------------------
@@ -373,10 +413,11 @@ def analysis_of(program: Program):
 class Sides:
     """What one run with sides finds at the roots of its program's own schema.
 
-    A base program's schema is its mutant list, which
-    ``mutation.mutants_of`` stores on it: each mutant is one alternative,
-    keyed by its ``mutant_id``, at the statement root its
-    ``mutated_program`` replaces, in mutant order. A mutated program's
+    A base program's schema is the mutant list of its text, which
+    ``mutation.mutants_of`` keeps on its compiled module: each mutant is one
+    alternative, keyed by its ``mutant_id``, its position in the list, at
+    the statement root its ``mutated_program`` replaces, in mutant order.
+    A mutated program's
     schema is its own root, with no alternative. At every evaluation of a
     listed root the run counts the evaluation in ``evals`` (root id to
     ``[values, raises]``) and then, for each alternative whose key is not
@@ -451,55 +492,18 @@ def _counting_hook(node_id: int, inner, evals: dict):
     return hook
 
 
-def _side_plan(program: Program):
-    """How a base program's runs with sides run, built on the first such
-    run, or by ``precompile``, and kept in the program's plan; every
-    alternative they call is compiled then, before any run starts.
-
-    They take its schema shape (see ``codegen``): ``(functions, roots,
-    redos)``, its functions in that shape, the node id of each of its
-    mutation sites, by index, and for each site the ``(mutant id,
-    alternative, hooks)`` of the mutants there, in mutant order; a deleted
-    assignment's alternative is None, and each mutant's own hooks are its
-    plan's. Each alternative at a root of a loop that may jump leaves its
-    closed form with that loop's jump (``analysis.Jump.learn``)."""
-    plan = program._compiled or _plan(program)
-    built = plan[2]
-    if built is not None:
-        return built
-    if program._mutants is None:
-        raise ValueError(f"{program.source_id}: a run with sides redoes the program's mutants, "
-                         "which mutation.mutants_of generates")
-    owners, jumps = plan[0].analysis().owners, plan[3]
-    redos: dict[int, list[tuple]] = {}
-    for mutant in program._mutants:
-        mutated = mutant.mutated_program
-        own = _plan(mutated)[1]  # a deleted assignment's alternative is None
-        alternative = own[mutated.root_id]
-        redos.setdefault(mutated.root_id, []).append((mutant.mutant_id, alternative, own))
-        jump = jumps.get(owners.get(mutated.root_id))
-        if jump is not None:  # in a loop that may jump: the alternative's closed form
-            jump.learn(mutated.root_id, mutated.alt_root, alternative)
-    roots = tuple(redos)
-    built = plan[2] = (plan[0].schema_shape(roots), roots,
-                       tuple(tuple(redo) for redo in redos.values()))
-    return built
-
-
 def precompile(program: Program) -> None:
     """Compile now what later runs of ``program`` would compile on their
     first use: a mutated program's alternative, or a base program's traced
-    variant and, once ``mutation.mutants_of`` has stored its mutants, the
+    variant and, once ``mutation.mutants_of`` has generated its mutants, the
     lean variant their kill runs run, even when every one is a deleted
-    assignment, which compiles no alternative, and its schema shape with
-    every alternative its runs with sides call, which is each mutant's own.
-    Nothing runs."""
-    module, _, _, _ = _plan(program)
+    assignment, and its schema with every alternative. Nothing runs."""
+    module = _plan(program)[0]
     if program.base is None:
         module.functions(True)
-        if program._mutants is not None:
+        if module.mutants is not None:
             module.functions(False)  # what its mutants' kill runs run
-            _side_plan(program)
+            module.schema()
 
 
 # --- execution -------------------------------------------------------------------
@@ -523,7 +527,7 @@ def execute(
     ``sides``, the run also evaluates its program's own schema at its roots
     and records what it finds there in ``sides`` (see ``Sides``); its
     outcome and step count are the same as without. A base program's run
-    with sides takes its schema shape (see ``_side_plan``), a mutated
+    with sides takes its schema shape (see ``_Compiled.schema``), a mutated
     program's the lean variant with its own root counted and no loop cut.
 
     Raises UnknownFunctionError / ArityError for malformed entry calls, and
@@ -542,7 +546,7 @@ def execute(
             got = kind or f"Python {type(value).__name__}"
             raise ArityError(f"{entry} parameter {pname!r} expects {pkind}, got {got}")
 
-    module, hooks, side, jumps = program._compiled or _plan(program)
+    module, hooks, jumps = program._compiled or _plan(program)
     limit = config.step_limit
     index = module.index[entry]
     traced = program.base is None and sides is None
@@ -567,7 +571,7 @@ def execute(
                                                                   sides.evals)}
             context = (limit, hooks, None)
     else:
-        functions, roots, redos = side or _side_plan(program)
+        functions, roots, redos = module._schema or module.schema()
         function = functions[index]
         infected = sides.infected
         # every run shares the sites' tuples; it replaces one by a list of

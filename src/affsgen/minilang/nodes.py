@@ -158,20 +158,16 @@ class Program:
     alt_root: "Expr | None" = field(default=None, repr=False, compare=False)
     _fn_map: dict | None = field(default=None, repr=False, compare=False)
     # the interpreter's plan, set on the first run: the compiled module, the
-    # hooks, what a base program's runs with sides run on, set on the first
-    # such run (a mutated program's build their hook per run), and the loops'
-    # jumps
+    # hooks and the loops' jumps. A base program shares its module's plan,
+    # and the module holds all that depends on the program's text alone:
+    # its mutants and its schema shape included (``interpreter._Compiled``)
     _compiled: list | None = field(default=None, repr=False, compare=False)
-    # the program's mutants, set on first use (``mutation.mutants_of``); they
-    # are also its schema, the roots that its runs with sides redo (see
-    # ``interpreter.Sides``)
-    _mutants: list | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
-        # compiled code does not pickle; a copy compiles on its first run,
-        # schema shape included, and generates its own mutants
+        # compiled code does not pickle; a copy finds its text's module, or
+        # makes one, on its first use
         state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state["_compiled"] = state["_mutants"] = None
+        state["_compiled"] = None
         return (None, state)
 
     def fn_map(self) -> dict[str, FunctionDef]:

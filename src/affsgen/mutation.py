@@ -23,18 +23,18 @@ run of the base program per call (Untch, Offutt and Harrold, ISSTA 1993)
 decides infection for every mutant at once: at each evaluation of a
 mutation site's statement root it redoes the root as each mutant would, in
 the same state, until the mutant is infected. Its schema is the mutant list
-kept on the base program (``mutants_of``), one alternative per mutant (see
-``Sides``), and the run takes the program's schema shape, compiled from
-that list, which evaluates each root inline and calls the mutants'
-alternatives beside it (see ``interpreter``). A mutant is
-infected once a redo gives a different value or raise, and drifted when
-one agrees but takes a different number of steps. A reached mutant that is
-neither runs exactly as the base program does, so it is not run. Any other
-mutant runs on the call at most once, when a fold needs it (see below): it
-is killed when an observable outcome (return value, exception identity)
-differs, and infected when a redo was, or when it drifted and its run,
-which counts the evaluations of its own root, evaluated the root a
-different number of times. A deleted assignment is infected when its right
+of the program's text, kept on its compiled module (``mutants_of``), one
+alternative per mutant (see ``Sides``), and the run takes the module's
+schema shape, compiled from that list, which evaluates each root inline
+and calls the mutants' alternatives beside it (see ``interpreter``). A
+mutant is infected once a redo gives a different value or raise, and
+drifted when one agrees but takes a different number of steps. A reached
+mutant that is neither runs exactly as the base program does, so it is not
+run. Any other mutant runs on the call at most once, when a fold needs it
+(see below): it is killed when an observable outcome (return value,
+exception identity) differs, and infected when a redo was, or when it
+drifted and its run, which counts the evaluations of its own root,
+evaluated the root a different number of times. A deleted assignment is infected when its right
 side raises or changes the variable, and runs even when it is neither.
 This equals comparing the sequences of root values of the two whole runs,
 except when the root calls back into its own function: then each redo
@@ -59,7 +59,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 
-from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, execute
+from affsgen.minilang.interpreter import ExecutionResult, InterpConfig, Sides, execute, module_of
 from affsgen.minilang.nodes import (
     ARITHMETIC_OPS,
     Assign,
@@ -244,15 +244,18 @@ def generate_mutants(program: Program) -> list[Mutant]:
 
 
 def mutants_of(program: Program) -> list[Mutant]:
-    """The program's mutants, generated on first use and kept on the
-    program, so every search on it shares them. The list is also the
-    program's schema: its runs with sides redo each mutant's root, keyed by
-    the mutant's id (see ``Sides``). Nothing compiles here; the first
-    schema run, or ``interpreter.precompile``, compiles the program's
-    schema shape from it."""
-    if program._mutants is None:
-        program._mutants = generate_mutants(program)
-    return program._mutants
+    """The mutants of a base program's text, generated on first use from
+    its compiled module's own copy (``interpreter.module_of``) and kept
+    there, so every program of the text shares them and none keeps the
+    caller's program. A mutant's id is its position in the list. The list is
+    also the program's schema, which its runs with sides redo (see
+    ``Sides``); nothing compiles here. A mutated program raises ValueError."""
+    if program.base is not None:
+        raise ValueError(f"{program.source_id}: a mutated program has no mutants of its own")
+    module = module_of(program)
+    if module.mutants is None:
+        module.mutants = generate_mutants(module.program)
+    return module.mutants
 
 
 def schema_run(program: Program, function: str, args: tuple,

@@ -4,8 +4,10 @@ that are easy to get wrong."""
 import collections
 import contextlib
 import gc
+import os
 import pickle
 import random
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -39,7 +41,7 @@ from affsgen.minilang.nodes import (
 )
 from affsgen.minilang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, to_source
 from affsgen.mutation import DELETE_ASSIGNMENT, generate_mutants, mutants_of
-from affsgen.testmodel import GenConfig, random_test_case
+from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -330,7 +332,8 @@ def test_a_mutant_of_a_mutant_keeps_both_changes():
                 assert (ours.outcome, ours.steps) == (theirs.outcome, theirs.steps)
 
 
-def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own():
+def test_nothing_compiles_before_the_first_run_and_a_copy_compiles_its_own(monkeypatch):
+    monkeypatch.setattr(interpreter, "_MODULES", {})  # no module of the text has run yet
     program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
     context = FitnessContext(program)
     assert context.mutants
@@ -352,53 +355,82 @@ def test_schema_runs_under_different_step_limits_share_one_set_of_hooks():
     for args in ((2, 5), (0, 40), (3, 3)):
         for limit in (5, 10_000, 5):
             execute(program, "walk", args, InterpConfig(step_limit=limit), Sides())
-            built.append(program._compiled[2])
+            built.append(interpreter.module_of(program)._schema)
     assert built[0] is not None and all(plan is built[0] for plan in built)
 
 
-def test_a_copy_of_a_program_generates_its_own_mutants():
-    program = parse("fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }")
-    mutants = FitnessContext(program).mutants
-    assert program._mutants is mutants
-    ours = Sides()
-    result = execute(program, "f", (2,), InterpConfig(), ours)
-    copy = pickle.loads(pickle.dumps(program))
-    assert copy._mutants is copy._compiled is None
-    copied = FitnessContext(copy).mutants
-    assert copied is not mutants
-    assert [(m.operator, m.site) for m in copied] == [(m.operator, m.site) for m in mutants]
-    # it builds its own side hooks, which find what the program's find
-    theirs = Sides()
-    assert execute(copy, "f", (2,), InterpConfig(), theirs) == result
-    assert copy._compiled[2] is not program._compiled[2]
+def test_programs_of_one_text_share_its_mutants_and_its_schema_shape(monkeypatch):
+    monkeypatch.setattr(interpreter, "_MODULES", {})
+    source = "fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }"
+    first, second = parse(source), parse(source)
+    mutants = FitnessContext(first).mutants
+    assert mutants_of(second) is mutants
+    assert [m.mutant_id for m in mutants] == list(range(len(mutants)))
+    ours, theirs = Sides(), Sides()
+    result = execute(first, "f", (2,), InterpConfig(), ours)
+    assert execute(second, "f", (2,), InterpConfig(), theirs) == result
+    module = interpreter.module_of(first)
+    assert interpreter.module_of(second) is module
+    assert module.schema()[0] is interpreter.module_of(second).schema()[0]
     assert (ours.evals, ours.infected, ours.drifted) == (
         theirs.evals, theirs.infected, theirs.drifted)
     assert ours.evals and ours.infected
+    # a copy drops its plan, and finds the same module and list again
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy._compiled is None
+    assert mutants_of(copy) is mutants
+    assert execute(copy, "f", (2,), InterpConfig(), Sides()) == result
 
 
-def test_a_cached_module_keeps_no_mutant_of_the_program_it_was_compiled_from():
-    # a program parsed again from the same text runs on the first one's
-    # module while ``_MODULES`` holds it, so that module must not keep the
-    # first program's mutants alive for as long
-    source = "fn f(x:int){ let y = x * 2; if (y > 3) { return y; } return 0; }"
+def test_a_parsed_program_is_freed_as_soon_as_its_caller_drops_it(monkeypatch):
+    # the module keeps a copy of the program of its own, so no program a
+    # caller parses is part of a reference cycle, and no collection is needed
+    monkeypatch.setattr(interpreter, "_MODULES", {})
+    source = next(CORPUS.glob("p05_*/fixed.minij")).read_text()
+    test = TestCase(calls=(CallStmt("terrain", (78, 84)), CallStmt("plateau", (430, 7))))
 
-    def mutated_programs_alive() -> int:
-        gc.collect()
-        return sum(type(o) is Program and o.base is not None for o in gc.get_objects())
+    def programs_alive() -> list:
+        return [id(o) for o in gc.get_objects() if type(o) is Program]
 
-    with mock.patch.object(interpreter, "_MODULES", {}):
-        before = mutated_programs_alive()
-        first = parse(source)
-        mutants_of(first)
-        precompile(first)
-        result = execute(first, "f", (2,))
-        assert mutated_programs_alive() > before
-        module = first._compiled[0]
-        del first
-        assert mutated_programs_alive() == before
-        second = parse(source)
-        assert execute(second, "f", (2,)) == result
-        assert second._compiled[0] is module
+    gc.collect()
+    gc.disable()
+    try:
+        alive = []
+        for _ in range(3):
+            program = parse(source)
+            context = FitnessContext(program)
+            assert context.fold((test,))[0]
+            caller = id(program)
+            del program, context
+            found = programs_alive()
+            assert caller not in found
+            alive.append(len(found))
+    finally:
+        gc.enable()
+    assert alive[0] == alive[1] == alive[2]
+
+
+def test_a_mutated_program_has_no_mutants_of_its_own():
+    mutant = mutants_of(parse("fn f(x:int){ return x + 1; }"))[0]
+    with pytest.raises(ValueError):
+        mutants_of(mutant.mutated_program)
+
+
+def test_generating_mutants_imports_neither_the_analysis_nor_the_code_generator():
+    # a fresh process, since this one has imported both: finding a text's
+    # module for its mutants compiles nothing
+    script = ("import sys; from affsgen.harness import load_corpus; "
+              "from affsgen.mutation import mutants_of; "
+              f"assert all(mutants_of(p.fixed_program) for p in load_corpus({str(CORPUS)!r})); "
+              "print(*sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    imported = done.stdout.split()
+    assert "affsgen.minilang.interpreter" in imported
+    assert "affsgen.minilang.analysis" not in imported
+    assert "affsgen.minilang.codegen" not in imported
 
 
 def test_no_corpus_program_or_alternative_checks_a_kind_at_run_time():
@@ -499,16 +531,19 @@ def test_generated_code_compiles_and_runs_at_both_parser_caps(block):
             config = InterpConfig(step_limit=steps)
             assert (execute(program, "f", args, config)
                     == treewalk.execute(program, "f", args, config)), bottom
-        # every alternative of the chain, each compiled as a function of its own
-        mutants = mutants_of(program)
-        chain = max((m.root for m in mutants), key=lambda r: len(list(walk_expressions(r))))
-        mutants = [m for m in mutants if m.root.node_id == chain.node_id]
-        assert len(mutants) > 100
-        # the tree walker stacks too many Python frames at these caps to redo
-        # the recursion's mutants too: its schema runs redo the chain alone
-        program._mutants = mutants
-        for args in [(1, True), (2, False)]:
-            _assert_same_runs(program, "f", args, InterpConfig(step_limit=2_000), mutants)
+        # every alternative of the chain, each compiled as a function of its own.
+        # The tree walker stacks too many Python frames at these caps to redo
+        # the recursion's mutants too: its schema runs redo the chain alone,
+        # which a module of their own lists alone
+        with mock.patch.object(interpreter, "_MODULES", {}):
+            program = parse(_deepest_program(block, bottom))
+            mutants = mutants_of(program)
+            chain = max((m.root for m in mutants), key=lambda r: len(list(walk_expressions(r))))
+            mutants = interpreter.module_of(program).mutants = [
+                m for m in mutants if m.root.node_id == chain.node_id]
+            assert len(mutants) > 100
+            for args in [(1, True), (2, False)]:
+                _assert_same_runs(program, "f", args, InterpConfig(step_limit=2_000), mutants)
     # recursed down to x == 0
     assert execute(parse(_deepest_program(block)), "f", (10, True)).outcome == Returned(10)
 
@@ -520,6 +555,9 @@ def test_recursion_at_the_call_depth_cap_stops_at_the_step_limit_from_deep_pytho
     program = parse(_deepest_program(block))
     # the recursion's root (its only arithmetic), hooked at every level
     mutants = [m for m in mutants_of(program) if m.operator.startswith("aor")]
+    # compiled first, from a shallow depth, as an experiment does: compiling
+    # this program stacks a few hundred Python frames (see ``MAX_CALL_DEPTH``)
+    precompile(program)
 
     def from_depth(frames, run):
         return run() if frames == 0 else from_depth(frames - 1, run)
@@ -912,8 +950,8 @@ def test_a_deletion_jumps_a_loop_whose_base_version_cannot():
                     if m.site == loop.body[0].line_id and m.operator == DELETE_ASSIGNMENT)
     for run in (program, deletion):
         execute(run, "f", (0, 5))
-    assert loop.branch_id not in program._compiled[3]
-    assert type(deletion._compiled[3][loop.branch_id]) is Jump
+    assert loop.branch_id not in program._compiled[2]
+    assert type(deletion._compiled[2][loop.branch_id]) is Jump
     for args in ((0, 5), (5, 0)):
         for limit in range(1, 40):
             config = InterpConfig(step_limit=limit)
@@ -1017,11 +1055,12 @@ def test_a_schema_run_redoes_a_pending_call_and_a_pending_deletion():
 
 
 def test_a_schema_run_redoes_an_alternative_only_until_it_is_infected(monkeypatch):
+    monkeypatch.setattr(interpreter, "_MODULES", {})  # a module of its own, counted below
     program = parse(next(CORPUS.glob("p11_*/fixed.minij")).read_text())
     mutants = mutants_of(program)
     precompile(program)
     # count each mutant's redos: ours through its alternative in the
-    # program's plan, and the tree walker's through each mutated run it starts
+    # module's schema, and the tree walker's through each mutated run it starts
     ours, theirs = collections.Counter(), collections.Counter()
 
     def counted(key, alternative):
@@ -1030,8 +1069,9 @@ def test_a_schema_run_redoes_an_alternative_only_until_it_is_infected(monkeypatc
             return alternative(*args)
         return redo
 
-    functions, roots, redos = program._compiled[2]
-    program._compiled[2] = (functions, roots, tuple(
+    module = interpreter.module_of(program)
+    functions, roots, redos = module.schema()
+    module._schema = (functions, roots, tuple(
         [(key, alternative and counted(key, alternative), own) for key, alternative, own in redo]
         for redo in redos))
     keys = {id(m.mutated_program): m.mutant_id for m in mutants}

@@ -233,9 +233,11 @@ STAGED = parse(STAGED_SOURCE, "staged")
 
 
 def test_mutation_fitness_is_the_mean_of_stage_tables():
-    program = parse(STAGED_SOURCE, "staged")  # its own copy: its mutant list is narrowed below
-    ctx = FitnessContext(program)
-    mutants = ctx.mutants
+    weak = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.5,
+            MutantStatus.INFECTED: 0.0, MutantStatus.KILLED: 0.0}
+    strong = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.75,
+              MutantStatus.INFECTED: 0.25, MutantStatus.KILLED: 0.0}
+    ctx = FitnessContext(parse(STAGED_SOURCE, "staged"))
     # f(5): t goes 6 -> 4 without changing the result; 6 >= 0 holds too;
     # 6 < 0 flips the branch; `return 0` is never reached
     picks = {
@@ -244,20 +246,15 @@ def test_mutation_fitness_is_the_mean_of_stage_tables():
         MutantStatus.KILLED: ("ror:>-><", 1),
         MutantStatus.NOT_REACHED: ("const:+1", 3),
     }
-    narrowed = [next(m for m in mutants if (m.operator, m.site) == pick)
-                for pick in picks.values()]
-    program._mutants = narrowed  # its schema runs redo these alone
     suite = (_case("f", 5),)
-    for status, mutant in zip(picks, ctx.mutants):
-        assert ctx.classify(mutant, suite) == status
-    assert eval_fitness(F.WEAK_MUT, suite, ctx) == (1.0 + 0.5 + 0.0 + 0.0) / 4
-    assert eval_fitness(F.STRONG_MUT, suite, ctx) == (1.0 + 0.75 + 0.25 + 0.0) / 4
+    statuses = [ctx.classify(m, suite) for m in ctx.mutants]
+    for status, pick in picks.items():
+        assert [s for m, s in zip(ctx.mutants, statuses) if (m.operator, m.site) == pick] == [status]
+    assert eval_fitness(F.WEAK_MUT, suite, ctx) == sum(weak[s] for s in statuses) / len(statuses)
+    assert eval_fitness(F.STRONG_MUT, suite, ctx) == (
+        sum(strong[s] for s in statuses) / len(statuses))
 
     # every mutant, against the best status the oracle gives any test
-    weak = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.5,
-            MutantStatus.INFECTED: 0.0, MutantStatus.KILLED: 0.0}
-    strong = {MutantStatus.NOT_REACHED: 1.0, MutantStatus.REACHED_NOT_INFECTED: 0.75,
-              MutantStatus.INFECTED: 0.25, MutantStatus.KILLED: 0.0}
     ctx = FitnessContext(STAGED)
     suite = (_case("f", 5), _case("f", 0))
     best = [max(full_reexecution_status(m, t) for t in suite) for m in ctx.mutants]

@@ -12,7 +12,7 @@ from affsgen.engine import _killed_goals, make_archive_updater
 from affsgen.fitness import _STRONG_STAGES, _WEAK_STAGES, FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import parse
-from affsgen.mutation import MutantStatus, generate_mutants
+from affsgen.mutation import MutantStatus
 from affsgen.testmodel import Archive, CallStmt, GenConfig, MutantGoal, TestCase, random_test_case
 from affsgen.tracing import call_key
 from oracles import MutantMajorFold
@@ -23,8 +23,7 @@ MODES = {"weak": (_WEAK_STAGES, MutantStatus.INFECTED),
 
 
 def _fixed_programs() -> list:
-    """The corpus's fixed programs, parsed afresh, so that narrowing one's
-    mutant list touches no other test's program."""
+    """The corpus's fixed programs, parsed afresh."""
     return [pair.fixed_program for pair in load_corpus(CORPUS)]
 
 
@@ -94,14 +93,6 @@ def test_the_mask_fold_equals_the_mutant_major_fold_on_the_corpus(monkeypatch, i
     _check_against_reference(program, random.Random(index), _RunCounter(monkeypatch))
 
 
-def test_the_mask_fold_equals_the_mutant_major_fold_on_a_narrowed_mutant_list(monkeypatch):
-    program = next(p for p in _fixed_programs() if p.source_id.startswith("p05"))
-    # every other mutant: their ids are not their positions in the list
-    program._mutants = generate_mutants(program)[1::2]
-    assert any(m.mutant_id != position for position, m in enumerate(program._mutants))
-    _check_against_reference(program, random.Random(5), _RunCounter(monkeypatch))
-
-
 # a deleted assignment that leaves its variable as it was is neither infected
 # nor drifted, yet it runs; a loop makes mutants drift
 SMALL = [
@@ -142,13 +133,12 @@ def test_a_fold_that_wants_no_mutant_traces_and_runs_nothing(monkeypatch):
 
 
 def test_the_archive_updater_traces_nothing_once_every_mutant_is_archived(monkeypatch):
-    program = parse(DOUBLE)
-    program._mutants = [m for m in generate_mutants(program) if m.operator == "aor:*->+"]
-    ctx, archive = FitnessContext(program), Archive()
+    # f(3) kills every mutant of a * 2
+    ctx, archive = FitnessContext(parse("fn f(a:int){ return a * 2; }")), Archive()
     update = make_archive_updater(Goal.STRONG_MUTATION, ctx, archive, None)
     killer = TestCase(calls=(CallStmt("f", (3,)),))
     update([killer])
-    assert archive.entries == {MutantGoal(program._mutants[0].mutant_id): killer}
+    assert archive.entries == {MutantGoal(m.mutant_id): killer for m in ctx.mutants}
     runs = _count_runs(monkeypatch)
     later = [TestCase(calls=(CallStmt("f", (a,)),)) for a in (4, -2, 5)]
     update(later)

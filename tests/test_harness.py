@@ -1,5 +1,6 @@
 """Corpus loading, fault detection, statistics, experiments, and the CLI."""
 
+import collections
 import csv
 import dataclasses
 import functools
@@ -39,7 +40,7 @@ from affsgen.harness import (
     run_trial,
     vargha_delaney_a,
 )
-from affsgen.minilang import interpreter, parse
+from affsgen.minilang import codegen, interpreter, parse
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import CallStmt, GenConfig, TestCase
@@ -502,23 +503,51 @@ def test_experiment_parses_each_program_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_experiment_frees_its_corpus_when_it_returns(tmp_path, monkeypatch, workers):
-    # a mutant's program keeps its base program, which keeps its mutants: a
-    # cycle that, left to the collector, outlives the experiment
+    # the compiled modules keep the corpus's mutants and code on copies of
+    # their own, so no program the experiment parsed is part of a reference
+    # cycle, and a later experiment on the same corpus builds none of it again
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(interpreter, "_MODULES", {})
+    parsed, built = [], collections.Counter()
+    real_parse = harness.parse
 
-    def mutated_programs_alive() -> int:
-        return sum(type(o) is Program and o.base is not None for o in gc.get_objects())
+    def recording_parse(*args, **kwargs):
+        program = real_parse(*args, **kwargs)
+        parsed.append(id(program))
+        return program
 
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    monkeypatch.setattr(harness, "parse", recording_parse)
+    counted(mutation, "generate_mutants")
+    counted(codegen, "program_source")
+    counted(codegen, "root_source")
     cfg = _experiment_config(_mini_corpus(tmp_path), goal=Goal.STRONG_MUTATION,
                              trials_per_fault=1, workers=workers)
     gc.collect()
-    before = mutated_programs_alive()
     gc.disable()
     try:
-        run_experiment(cfg, tmp_path / "out")
-        assert mutated_programs_alive() == before
+        for run in range(2):
+            parsed.clear()
+            built.clear()
+            run_experiment(cfg, tmp_path / str(run))
+            assert len(parsed) == 2 * 2
+            alive = {id(o) for o in gc.get_objects() if type(o) is Program}
+            assert not alive.intersection(parsed), run
+            if run == 0:
+                assert built["generate_mutants"] == 2 and built["program_source"] > 0
+            else:
+                assert not built
     finally:
         gc.enable()
+    assert _trial_rows(tmp_path / "0") == _trial_rows(tmp_path / "1")
 
 
 def test_experiments_in_one_process_write_the_rows_of_fresh_processes(tmp_path):

@@ -152,17 +152,18 @@ def test_recursion_through_the_site_is_compared_per_evaluation():
 
 
 def test_score_formula():
-    program = parse("fn f(a:int){ return a + 1; } fn g(b:int){ return b * 3 - 2; }", "formula")
+    program = parse("fn f(a:int){ return a + 1; } fn g(b:int){ return b * 3 - 2 + 1; }",
+                    "formula")
     ctx = FitnessContext(program)
     f_test, g_test = _test(("f", (5,))), _test(("g", (4,)))
 
     def killed_by(test):
         return [m for m in ctx.mutants if full_reexecution_status(m, test) == MutantStatus.KILLED]
 
-    # twelve mutants: three that f(5) kills, nine of g's that it never reaches
-    narrowed = killed_by(f_test)[:3] + killed_by(g_test)[:9]
-    assert len(narrowed) == 12
-    program._mutants = narrowed  # its schema runs redo these alone
+    # twenty mutants: the five of f, which f(5) kills, and the fifteen of g,
+    # which g(4) kills and f(5) never reaches
+    assert len(ctx.mutants) == 20
+    assert len(killed_by(f_test)) == 5 and len(killed_by(g_test)) == 15
     suite = (f_test,)
     assert ctx.mutation_score(suite, "strong") == 25.0
     assert ctx.mutation_score(suite, "weak") == 25.0

@@ -31,6 +31,7 @@ from affsgen.minilang.interpreter import (
     UnknownFunctionError,
     Value,
     kind_of,
+    module_of,
     string_eq_distance,
 )
 from affsgen.minilang.codegen import K
@@ -112,14 +113,15 @@ def _schema(program: Program) -> dict:
     """The roots that a run of ``program`` with sides evaluates, each with
     its ``(key, mutated program, root)`` alternatives: a mutated program's
     own root, which it counts and never redoes, or the root of each mutant
-    that ``mutation.mutants_of`` stores on a base program, in mutant order.
-    A deleted assignment has no mutated program to redo."""
+    that ``mutation.mutants_of`` keeps on a base program's compiled module,
+    in mutant order. A deleted assignment has no mutated program to redo."""
     if program.base is not None:
         return {program.root_id: ()}
-    if program._mutants is None:
+    mutants = module_of(program).mutants
+    if mutants is None:
         raise ValueError(f"{program.source_id} has no mutants; mutation.mutants_of makes them")
     roots: dict[int, list[tuple]] = {}
-    for mutant in program._mutants:
+    for mutant in mutants:
         mutated = mutant.mutated_program
         roots.setdefault(mutated.root_id, []).append(
             (mutant.mutant_id, None if mutated.alt_root is None else mutated, mutant.root))
