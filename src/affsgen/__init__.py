@@ -7,7 +7,6 @@ from affsgen.fitness import (
     FitnessFunctionId,
     composite_fitness,
     eval_fitness,
-    levenshtein,
     suite_diversity,
 )
 from affsgen.harness import (
@@ -58,7 +57,6 @@ __all__ = [
     "execute",
     "fault_detected",
     "generate_mutants",
-    "levenshtein",
     "load_corpus",
     "make_strategy",
     "minimize",

@@ -23,7 +23,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from affsgen.affs import Action, Goal, RewardTracker, Strategy, feature_vector
-from affsgen.fitness import FitnessContext, FitnessFunctionId, evaluate_suite, suite_diversity
+from affsgen.fitness import (
+    FitnessContext,
+    FitnessFunctionId,
+    bit_positions,
+    evaluate_suite,
+    suite_diversity,
+)
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.minilang.nodes import Program
 from affsgen.testmodel import (
@@ -177,12 +183,12 @@ def _killed_goals(ctx: FitnessContext, test: TestCase, wanted: int | None) -> li
     """Goals of the mutants this test kills, among the ``wanted`` mask's
     (all when None), in mutant order."""
     killed = ctx.fold((test,), MutantStatus.KILLED, wanted)[2]
-    return [MutantGoal(mutant_id) for mutant_id in range(killed.bit_length())
-            if killed >> mutant_id & 1]
+    return [MutantGoal(mutant_id) for mutant_id in bit_positions(killed)]
 
 
 def make_coverage_fn(goal: Goal, ctx: FitnessContext):
-    """Map a test case to the set of goal ids it covers (memoized per test)."""
+    """Map a test case to the set of goal ids it covers. Nothing is kept per
+    test: each call reads the context's memoized trace or fold records."""
 
     if goal is Goal.EXCEPTIONS:
         def compute(test: TestCase) -> set[GoalId]:
@@ -194,16 +200,7 @@ def make_coverage_fn(goal: Goal, ctx: FitnessContext):
         def compute(test: TestCase) -> set[GoalId]:
             return set(_killed_goals(ctx, test, None))
 
-    cache: dict[TestCase, set[GoalId]] = {}
-
-    def coverage(test: TestCase) -> set[GoalId]:
-        covered = cache.get(test)
-        if covered is None:
-            covered = compute(test)
-            cache[test] = covered
-        return covered
-
-    return coverage
+    return compute
 
 
 def make_archive_updater(goal: Goal, ctx: FitnessContext, archive: Archive, coverage_fn):

@@ -240,17 +240,20 @@ class _CallRecord:
     killed, ``killed`` those their run killed, and ``unrun`` those still
     owed a run: the schema run's infected and drifted mutants and every
     deleted assignment, until they run. ``infected`` is None before the
-    schema run."""
+    schema run. ``schema`` holds the schema run (see
+    ``mutation.schema_run``) while ``unrun`` is not 0, for the mutant runs
+    still owed, and None before and after."""
 
-    __slots__ = ("reach", "infected", "killed", "unrun")
+    __slots__ = ("reach", "infected", "killed", "unrun", "schema")
 
     def __init__(self, reach: int):
         self.reach = reach
         self.infected: int | None = None
         self.killed = self.unrun = 0
+        self.schema: Sides | None = None
 
 
-def _positions(mask: int) -> Iterable[int]:
+def bit_positions(mask: int) -> Iterable[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
@@ -272,10 +275,11 @@ class FitnessContext:
     are memoized for the lifetime of a search run; test cases are value-like,
     so cached results stay valid. Below the traces, every distinct call of
     the base program runs once: ``_calls`` maps each ``call_key`` to its
-    plain run, from which each test's trace is aggregated, and
-    ``_schema_runs`` maps it to its one schema run, which tells every
-    mutant's infection on that call (see ``mutation.schema_run``). All of
-    them belong to this context's one program and interpreter config.
+    plain run, from which each test's trace is aggregated, and the call's
+    ``_CallRecord`` (below) holds its one schema run, which tells every
+    mutant's infection on that call, until no mutant is owed a run on it.
+    All of them belong to this context's one program and interpreter
+    config.
 
     Mutant statuses are bit masks over mutant ids, which are the mutants'
     positions in ``mutants``. ``_classifications`` maps each ``call_key``
@@ -309,7 +313,6 @@ class FitnessContext:
         self.function_names = tuple(program.function_names)
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._calls: dict[tuple, ExecutionResult] = {}
-        self._schema_runs: dict[tuple, Sides] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
         self._classifications: dict[tuple, _CallRecord] = {}
@@ -339,10 +342,11 @@ class FitnessContext:
         return trace
 
     def covered(self, suite: TestSuite, field: str) -> set:
-        """The union of one set-valued ``TestTrace`` field over the suite's tests."""
+        """The union of one ``TestTrace`` field over the suite's tests: of
+        its members, or of its keys for a dict."""
         found: set = set()
         for test in suite:
-            found |= getattr(self.trace(test), field)
+            found.update(getattr(self.trace(test), field))
         return found
 
     def suite_exceptions(self, suite: TestSuite) -> set[tuple[str, str]]:
@@ -403,13 +407,14 @@ class FitnessContext:
                 if not candidates:
                     continue
                 if record.infected is None:
-                    schema = self._schema_runs[key] = schema_run(
-                        self.program, *call_of(key), self.interp)
+                    schema = schema_run(self.program, *call_of(key), self.interp)
                     reach = record.reach
                     shown = sum(1 << m for m in schema.infected) & reach
                     drifted = sum(1 << m for m in schema.drifted)
                     record.infected = shown
                     record.unrun = (shown | drifted | deletions) & reach
+                    if record.unrun:
+                        record.schema = schema
                 runs = candidates & record.unrun
                 if lazy:
                     runs &= ~record.infected
@@ -432,8 +437,8 @@ class FitnessContext:
         call and record their outcomes."""
         mutants = self.mutants
         function, args = call_of(key)
-        schema = self._schema_runs[key]
-        for position in _positions(runs):
+        schema = record.schema
+        for position in bit_positions(runs):
             status = classify_against_mutant(mutants[position], function, args, base,
                                              self.interp, schema).status
             if status >= MutantStatus.INFECTED:
@@ -441,6 +446,8 @@ class FitnessContext:
                 if status is MutantStatus.KILLED:
                     record.killed |= 1 << position
         record.unrun &= ~runs
+        if not record.unrun:
+            record.schema = None
 
     def classify(self, mutant: Mutant, tests: Iterable[TestCase],
                  stop: MutantStatus = MutantStatus.KILLED) -> MutantStatus:
@@ -574,7 +581,7 @@ def _fit_method(suite: TestSuite, ctx: FitnessContext) -> float:
 
 
 def _fit_mnec(suite: TestSuite, ctx: FitnessContext) -> float:
-    return _uncovered(suite, ctx, "clean_direct", len(ctx.function_names))
+    return _uncovered(suite, ctx, "returns", len(ctx.function_names))
 
 
 def _fit_output(suite: TestSuite, ctx: FitnessContext) -> float:

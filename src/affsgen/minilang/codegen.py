@@ -109,8 +109,8 @@ without helper functions. Each MiniJ ``while`` is one ``while True:``, so
 at most 15 loops nest; a mutation site in the schema shape adds a ``try``,
 or a ``for`` with a ``try`` in it, so at most 17 blocks nest there. A
 nested block, an ``and``/``or`` operand and a hooked root or a mutation
-site each indent one level, and the schema shape's functions one more
-inside ``Q``, so the deepest code at both caps indents 80 levels.
+site each indent one level, so the deepest code at both caps, in the lean
+and the schema shape, indents 79 levels.
 """
 
 from __future__ import annotations
@@ -768,9 +768,7 @@ def program_source(program: Program, shape: str, analysis: Analysis,
     each statement root's hook sees (lean code only: the other shapes have
     no hooks). MiniJ function ``i`` (in program order) becomes ``I{i}``,
     instrumented, ``K{i}``, lean, or ``Q{i}``, the schema shape, whose
-    mutation sites are the roots ``sites`` lists, by index. A module may
-    hold schema shapes for several lists of sites, so their functions are
-    closures, made by a function ``Q`` that returns them in order."""
+    mutation sites are the roots ``sites`` lists, by index."""
     module = _Module(program, analysis, {node: i for i, node in enumerate(sites)})
     sources = []
     for i, fn in enumerate(program.functions):
@@ -784,12 +782,7 @@ def program_source(program: Program, shape: str, analysis: Analysis,
         code.flush()
         code.emit("return (0, S)")  # falling off the end yields int 0
         sources.append(code.finish(f"{shape}{i}", params))
-    source = "\n".join(sources)
-    if shape == "Q":
-        functions = ", ".join(f"Q{i}" for i in range(len(program.functions)))
-        source = "def Q():\n" + "\n".join(" " + line for line in source.split("\n"))
-        source += f"\n return [{functions}]"
-    return source + "\n", module.roots
+    return "\n".join(sources) + "\n", module.roots
 
 
 def root_source(name: str, info: RootInfo, expr: Expr, program: Program,

@@ -357,8 +357,8 @@ class _Compiled:
         roots = tuple(redos)
         source, _ = codegen.program_source(self.program, "Q", self.analysis(), roots)
         self._exec(source, "Q")
-        built = self._schema = (self.namespace["Q"](), roots,
-                                tuple(tuple(redo) for redo in redos.values()))
+        functions = [self.namespace[f"Q{i}"] for i in range(len(self.program.functions))]
+        built = self._schema = (functions, roots, tuple(tuple(redo) for redo in redos.values()))
         return built
 
 

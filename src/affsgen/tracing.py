@@ -30,9 +30,8 @@ class TestTrace:
     branch_best_direct: dict
     functions_called: frozenset[str]
     exceptions: frozenset[tuple[str, str]]
-    # functions completing a direct call without raising
-    clean_direct: frozenset[str]
-    # function -> tuple of observed return values from direct calls
+    # function -> tuple of the values its direct calls returned, so its keys
+    # are the functions that completed a direct call without raising
     returns: dict
 
 
@@ -82,7 +81,6 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     branch_best_direct: dict[int, list[float]] = {}
     called: set[str] = set()
     exceptions: set[tuple[str, str]] = set()
-    clean_direct: set[str] = set()
     returns: dict[str, list] = {}
     for call in test.calls:
         args = tuple(test.resolve(a) for a in call.args)
@@ -102,7 +100,6 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         if isinstance(result.outcome, Raised):
             exceptions.add(result.outcome.record.identity)
         else:
-            clean_direct.add(call.function)
             returns.setdefault(call.function, []).append(result.outcome.value)
     return TestTrace(
         call_keys=tuple(keys),
@@ -112,6 +109,5 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         branch_best_direct=branch_best_direct,
         functions_called=frozenset(called),
         exceptions=frozenset(exceptions),
-        clean_direct=frozenset(clean_direct),
         returns={f: tuple(v) for f, v in returns.items()},
     )

@@ -22,7 +22,8 @@ from affsgen.fitness import (
     suite_diversity,
 )
 from affsgen.harness import load_corpus
-from affsgen.minilang import analysis, parse
+from affsgen.minilang import analysis, execute, parse
+from affsgen.minilang.interpreter import Returned
 from affsgen.mutation import MutantStatus
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from oracles import dp_levenshtein, full_reexecution_status, naive_levenshtein
@@ -92,6 +93,26 @@ def test_method_and_mnec_fitness():
     assert eval_fitness(F.MNEC, suite, ctx) == pytest.approx(1.0)
     clean = (_case("crash", 0),)
     assert eval_fitness(F.MNEC, clean, ctx) == pytest.approx(1 / 2)
+
+
+def test_mnec_counts_a_function_covered_exactly_when_a_direct_call_of_it_returns():
+    program = parse("fn outer(x:int){ return inner(x); }"
+                    " fn inner(x:int){ return 10 / x; }"
+                    " fn never(x:int){ throw \"no\"; }")
+    ctx = FitnessContext(program)
+    calls = [CallStmt(*call) for call in [("outer", (0,)), ("outer", (2,)), ("inner", (0,)),
+                                          ("inner", (5,)), ("never", (1,))]]
+    returning = {call.function for call in calls
+                 if isinstance(execute(program, call.function, call.args).outcome, Returned)}
+    assert returning == {"outer", "inner"}
+    for picks in range(1 << len(calls)):
+        chosen = [call for i, call in enumerate(calls) if picks >> i & 1]
+        covered = {call.function for call in chosen
+                   if isinstance(execute(program, call.function, call.args).outcome, Returned)}
+        # as one test of the calls, and as one test per call
+        for suite in [(TestCase(calls=tuple(chosen)),) if chosen else (),
+                      tuple(TestCase(calls=(call,)) for call in chosen)]:
+            assert eval_fitness(F.MNEC, suite, ctx) == pytest.approx(1 - len(covered) / 3)
 
 
 def test_direct_branch_ignores_indirect_evaluations():

@@ -97,7 +97,10 @@ def test_classifications_with_warm_memo_equal_fresh_ones(fault_id):
             weak = ctx.classify(mutant, (test,), MutantStatus.INFECTED)
             assert _WEAK_STAGES[weak] == _WEAK_STAGES[fresh], (mutant.operator, mutant.site, test)
             assert ctx.classify(mutant, (test,)) == fresh, (mutant.operator, mutant.site, test)
-    assert ctx._schema_runs
+    # some call had its schema run, and a record holds it only while a mutant is owed a run
+    records = ctx._classifications.values()
+    assert any(record.infected is not None for record in records)
+    assert all((record.schema is not None) == bool(record.unrun) for record in records)
 
 
 def _pinned_classifications() -> str:
@@ -234,6 +237,32 @@ def test_the_first_killing_call_ends_the_test(monkeypatch):
                            CallStmt("f", (2,)), CallStmt("f", (4,))))
     assert ctx.classify(mutant, (test,)) == MutantStatus.KILLED
     assert [args for prog, args in runs if prog is mutant.mutated_program] == [(3,)]
+
+
+def test_a_call_record_keeps_its_schema_run_only_while_a_mutant_is_owed_a_run(monkeypatch):
+    program = parse(DOUBLE)
+    ctx = FitnessContext(program)
+    runs = _count_runs(monkeypatch)
+    test = TestCase(calls=(CallStmt("f", (3,)),))
+    # a weak fold runs no mutant that the schema run shows infected: their kill runs stay owed
+    ctx.fold((test,), MutantStatus.INFECTED)
+    record = ctx._classifications[call_key("f", (3,))]
+    owed = record.unrun
+    assert owed and owed == record.infected
+    assert record.schema is not None
+    weak_runs = len(runs)
+    # a strong fold that wants one of them leaves the others owed
+    first = owed & -owed
+    assert ctx.fold((test,), MutantStatus.KILLED, first)[2] == first
+    assert record.unrun == owed & ~first
+    assert record.schema is not None
+    # one that wants them all runs the rest, and then no mutant needs the schema run
+    ctx.fold((test,))
+    assert record.unrun == 0
+    assert record.schema is None
+    # the call had one schema run, and each owed mutant one kill run, from the kept schema run
+    assert [args for prog, args in runs if prog is program] == [(3,)]
+    assert len(runs) - weak_runs == owed.bit_count()
 
 
 def test_contexts_on_one_program_share_its_mutants_but_not_their_memos(monkeypatch):
