@@ -141,8 +141,8 @@ class SearchResult:
         for idx, test in enumerate(self.final_suite):
             tests.append({
                 "calls": [
-                    {"function": c.function, "args": [test.resolve(a) for a in c.args]}
-                    for c in test.calls
+                    {"function": c.function, "args": list(args)}
+                    for c, args in zip(test.calls, test.args)
                 ],
                 "covered_goals": self.per_test_goals.get(idx, []),
             })
@@ -381,7 +381,7 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
         metrics=_final_metrics(goal, final, ctx, covered, goals),
         per_test_goals=per_test_goals,
         # the metrics traced every final test: this only reads their traces
-        final_behaviors=tuple(tuple(map(behavior_of, ctx.trace(test).call_results))
+        final_behaviors=tuple(tuple(behavior_of(call.result) for call in ctx.trace(test).calls)
                               for test in final),
     )
 

@@ -12,13 +12,7 @@ import math
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from affsgen.minilang.interpreter import (
-    ExecutionResult,
-    InterpConfig,
-    Sides,
-    merge_best,
-    module_of,
-)
+from affsgen.minilang.interpreter import InterpConfig, merge_best, module_of
 from affsgen.minilang.nodes import Program
 from affsgen.mutation import (
     DELETE_ASSIGNMENT,
@@ -29,7 +23,7 @@ from affsgen.mutation import (
     schema_run,
 )
 from affsgen.testmodel import TestCase, TestSuite, render_test
-from affsgen.tracing import TestTrace, call_of, run_test
+from affsgen.tracing import CallRecord, TestTrace, run_test
 
 INF = math.inf
 
@@ -232,27 +226,6 @@ def levenshtein(a: str, b: str) -> int:
 # --- evaluation context --------------------------------------------------------
 
 
-class _CallRecord:
-    """What one call of the base program tells about the mutants, as bit
-    masks over mutant ids. ``reach`` has the mutants whose site the call
-    hits. Once the call's schema run is in, ``infected`` has the reached
-    mutants that it, or their own run on the call, shows infected or
-    killed, ``killed`` those their run killed, and ``unrun`` those still
-    owed a run: the schema run's infected and drifted mutants and every
-    deleted assignment, until they run. ``infected`` is None before the
-    schema run. ``schema`` holds the schema run (see
-    ``mutation.schema_run``) while ``unrun`` is not 0, for the mutant runs
-    still owed, and None before and after."""
-
-    __slots__ = ("reach", "infected", "killed", "unrun", "schema")
-
-    def __init__(self, reach: int):
-        self.reach = reach
-        self.infected: int | None = None
-        self.killed = self.unrun = 0
-        self.schema: Sides | None = None
-
-
 def bit_positions(mask: int) -> Iterable[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -274,18 +247,17 @@ class FitnessContext:
     Traces, renderings, pairwise test distances, and mutant classifications
     are memoized for the lifetime of a search run; test cases are value-like,
     so cached results stay valid. Below the traces, every distinct call of
-    the base program runs once: ``_calls`` maps each ``call_key`` to its
-    plain run, from which each test's trace is aggregated, and the call's
-    ``_CallRecord`` (below) holds its one schema run, which tells every
-    mutant's infection on that call, until no mutant is owed a run on it.
-    All of them belong to this context's one program and interpreter
-    config.
+    the base program runs once: ``_classifications`` is ``run_test``'s memo,
+    which maps each ``call_key`` to the call's one ``tracing.CallRecord``.
+    The record holds the call's plain run, from which each test's trace is
+    aggregated, and the call's one schema run, which tells every mutant's
+    infection on that call, until no mutant is owed a run on it. All of
+    them belong to this context's one program and interpreter config.
 
     Mutant statuses are bit masks over mutant ids, which are the mutants'
-    positions in ``mutants``. ``_classifications`` maps each ``call_key``
-    to a ``_CallRecord`` of what the call tells about every mutant, and
-    ``fold`` folds the records of a suite's calls test by test, for all the
-    mutants it wants at once.
+    positions in ``mutants``. A call's record keeps the masks of what the
+    call tells about every mutant, and ``fold`` folds the records of a
+    suite's calls test by test, for all the mutants it wants at once.
     A mutant program runs on a call only when the schema run cannot settle
     the status a fold needs: a drifted mutant or a deleted assignment on
     the first fold that reaches the call while it still wants the mutant,
@@ -312,10 +284,9 @@ class FitnessContext:
         self.total_branches = program.branch_count
         self.function_names = tuple(program.function_names)
         self.discovered_exceptions: set[tuple[str, str]] = set()
-        self._calls: dict[tuple, ExecutionResult] = {}
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, tuple[str, ...]] = {}
-        self._classifications: dict[tuple, _CallRecord] = {}
+        self._classifications: dict[tuple, CallRecord] = {}
         # (site -> mask of its mutants, deleted assignments' mask), built on
         # the first fold
         self._sites: tuple[dict[int, int], int] | None = None
@@ -336,7 +307,7 @@ class FitnessContext:
     def trace(self, test: TestCase) -> TestTrace:
         trace = self._traces.get(test)
         if trace is None:
-            trace = run_test(self.program, test, self.interp, self._calls)
+            trace = run_test(self.program, test, self.interp, self._classifications)
             self._traces[test] = trace
             self.discovered_exceptions |= trace.exceptions
         return trace
@@ -389,26 +360,23 @@ class FitnessContext:
         if wanted is None:
             wanted = (1 << len(self.mutants)) - 1
         lazy = stop < MutantStatus.KILLED
-        records = self._classifications
         reached = infected = killed = 0
         open_ = wanted
         for test in tests:
             if not open_:
                 break
-            trace = self.trace(test)
-            for key, base in zip(trace.call_keys, trace.call_results):
-                record = records.get(key)
-                if record is None:
+            for record in self.trace(test).calls:
+                reach = record.reach
+                if reach is None:
                     reach = 0
-                    for line in base.lines_hit:
+                    for line in record.result.lines_hit:
                         reach |= sites.get(line, 0)
-                    record = records[key] = _CallRecord(reach)
-                candidates = record.reach & open_
+                    record.reach = reach
+                candidates = reach & open_
                 if not candidates:
                     continue
                 if record.infected is None:
-                    schema = schema_run(self.program, *call_of(key), self.interp)
-                    reach = record.reach
+                    schema = schema_run(self.program, record.function, record.args, self.interp)
                     shown = sum(1 << m for m in schema.infected) & reach
                     drifted = sum(1 << m for m in schema.drifted)
                     record.infected = shown
@@ -419,7 +387,7 @@ class FitnessContext:
                 if lazy:
                     runs &= ~record.infected
                 if runs:
-                    self._run_mutants(key, base, record, runs)
+                    self._run_mutants(record, runs)
                 reached |= candidates
                 infected |= candidates & record.infected
                 killed |= candidates & record.killed
@@ -431,16 +399,13 @@ class FitnessContext:
                     open_ &= ~reached
         return reached, infected, killed
 
-    def _run_mutants(self, key: tuple, base: ExecutionResult, record: _CallRecord,
-                     runs: int) -> None:
+    def _run_mutants(self, record: CallRecord, runs: int) -> None:
         """Run the mutants whose ids are the positions in ``runs`` on one
         call and record their outcomes."""
         mutants = self.mutants
-        function, args = call_of(key)
-        schema = record.schema
         for position in bit_positions(runs):
-            status = classify_against_mutant(mutants[position], function, args, base,
-                                             self.interp, schema).status
+            status = classify_against_mutant(mutants[position], record.function, record.args,
+                                             record.result, self.interp, record.schema).status
             if status >= MutantStatus.INFECTED:
                 record.infected |= 1 << position
                 if status is MutantStatus.KILLED:

@@ -130,8 +130,8 @@ def fault_detected(suite: TestSuite, pair: FaultPair, fixed: Iterable[tuple[tupl
     """
     memo: dict = {}
     for test, expected in zip(suite, fixed):
-        faulty = run_test(pair.faulty_program, test, interp, memo).call_results
-        if any(a != behavior_of(b) for a, b in zip(expected, faulty)):
+        faulty = run_test(pair.faulty_program, test, interp, memo).calls
+        if any(a != behavior_of(b.result) for a, b in zip(expected, faulty)):
             return True
     return False
 

@@ -43,14 +43,15 @@ each compared on their own, so the statuses can differ.
 ``FitnessContext.fold`` folds a suite's calls test by test for many
 mutants at once, as bit masks over the mutant list, in the manner of the
 mutant-by-test kill matrix of Ammann, Delamaro and Offutt (ICST 2014): each
-distinct call keeps the masks of the mutants its base run reaches, its
-schema run shows infected, and its mutant runs infected or killed, so the
-fold calls ``classify_against_mutant`` only for a mutant that must run. A
-fold that stops at INFECTED, as weak-mutation scoring does (Howden, TSE
-1982), needs no run of a mutant the schema run shows infected, so that run
-waits for the first fold that asks whether the call kills it; a drifted
-mutant or a deleted assignment runs on the first fold that reaches the
-call while it still wants the mutant.
+distinct call has one record (``tracing.CallRecord``), shared by every
+trace that makes the call, which keeps its base run and the masks of the
+mutants that run reaches, its schema run shows infected, and its mutant
+runs infected or killed, so the fold calls ``classify_against_mutant`` only
+for a mutant that must run. A fold that stops at INFECTED, as
+weak-mutation scoring does (Howden, TSE 1982), needs no run of a mutant the
+schema run shows infected, so that run waits for the first fold that asks
+whether the call kills it; a drifted mutant or a deleted assignment runs on
+the first fold that reaches the call while it still wants the mutant.
 """
 
 from __future__ import annotations

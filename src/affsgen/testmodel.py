@@ -2,8 +2,9 @@
 
 A test case is a sequence of calls with literal arguments. An argument may
 also be a reference to a named binding, possibly chained through further
-references; rendering resolves every reference back to its origin literal so
-that alias-only differences disappear from the canonical text.
+references. A test resolves each reference to its origin literal once, when
+built (``TestCase.args``), so that alias-only differences disappear from the
+canonical text; an unknown name or a cyclic chain raises ValueError.
 
 A suite is a plain tuple of test cases. Both are immutable values, hashed and
 compared by content, so a suite can be shared between generations and used
@@ -47,9 +48,17 @@ class TestCase:
     bindings: tuple[tuple[str, Arg], ...] = ()
     # content hash, precomputed: tests are hashed constantly as cache keys
     content_hash: int = field(init=False, repr=False)
+    # per call, its arguments with every reference followed to its literal
+    args: tuple[tuple[Literal, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "content_hash", hash((self.calls, self.bindings)))
+        mapping = dict(self.bindings)
+        # a call with no reference shares its own tuple: tests live as long as the memos
+        object.__setattr__(self, "args", tuple(
+            tuple(_follow(a, mapping) for a in call.args)
+            if any(isinstance(a, Ref) for a in call.args) else call.args
+            for call in self.calls))
 
     def __hash__(self) -> int:
         return self.content_hash
@@ -62,21 +71,18 @@ class TestCase:
             and self.bindings == other.bindings
         )
 
-    def binding_map(self) -> dict[str, Arg]:
-        return dict(self.bindings)
 
-    def resolve(self, arg: Arg) -> Literal:
-        """Trace references through the binding chain to the origin literal."""
-        if not isinstance(arg, Ref):
-            return arg
-        seen = 0
-        mapping = self.binding_map()
-        while isinstance(arg, Ref):
-            arg = mapping[arg.name]
-            seen += 1
-            if seen > len(mapping):
-                raise ValueError("cyclic binding chain")
-        return arg
+def _follow(arg: Arg, mapping: dict[str, Arg]) -> Literal:
+    """Trace a reference through the binding chain to the origin literal."""
+    seen = 0
+    while isinstance(arg, Ref):
+        if arg.name not in mapping:
+            raise ValueError(f"reference to unknown binding {arg.name!r}")
+        arg = mapping[arg.name]
+        seen += 1
+        if seen > len(mapping):
+            raise ValueError("cyclic binding chain")
+    return arg
 
 
 # a suite: an ordered tuple of tests (an alias for annotations, never called)
@@ -311,8 +317,8 @@ def _render_literal(value: Literal) -> str:
 def render_test(test: TestCase) -> str:
     """One line per call, references replaced by their origin literals."""
     lines = []
-    for call in test.calls:
-        rendered = ",".join(_render_literal(test.resolve(a)) for a in call.args)
+    for call, args in zip(test.calls, test.args):
+        rendered = ",".join(map(_render_literal, args))
         lines.append(f"{call.function}({rendered})")
     return "\n".join(lines)
 

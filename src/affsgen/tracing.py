@@ -1,4 +1,7 @@
-"""Execution of whole test cases and the per-test summaries fitness consumes."""
+"""Execution of whole test cases and the per-test summaries fitness consumes.
+
+``run_test``'s memo holds one ``CallRecord`` per distinct call, which every
+trace that makes the call shares."""
 
 from __future__ import annotations
 
@@ -17,13 +20,37 @@ from affsgen.minilang.nodes import Program
 from affsgen.testmodel import TestCase
 
 
+class CallRecord:
+    """One distinct call of a base program: ``function``, ``args`` and their
+    ``result``, and what the call tells about the mutants, as bit masks over
+    mutant ids, which only ``FitnessContext.fold`` and its mutant runs write.
+
+    ``reach`` has the mutants whose site the call hits; it is None until
+    the first fold sees the call. Once the call's schema run is in,
+    ``infected`` has the reached mutants that it, or their own run on the
+    call, shows infected or killed, ``killed`` those their run killed, and
+    ``unrun`` those still owed a run: the schema run's infected and drifted
+    mutants and every deleted assignment, until they run. ``infected`` is
+    None before the schema run. ``schema`` holds the schema run (see
+    ``mutation.schema_run``) while ``unrun`` is not 0, for the mutant runs
+    still owed, and None before and after."""
+
+    __slots__ = ("function", "args", "result", "reach", "infected", "killed", "unrun", "schema")
+
+    def __init__(self, function: str, args: tuple, result: ExecutionResult):
+        self.function = function
+        self.args = args
+        self.result = result
+        self.reach = self.infected = self.schema = None
+        self.killed = self.unrun = 0
+
+
 @dataclass(frozen=True, slots=True)
 class TestTrace:
     """Everything observed while running one test case against a program."""
 
-    # per call, in test order: its ``call_key`` and its result
-    call_keys: tuple[tuple, ...]
-    call_results: tuple[ExecutionResult, ...]
+    # the record of each call, in test order
+    calls: tuple[CallRecord, ...]
     lines_hit: frozenset[int]
     # branch_id -> [best distance_true, best distance_false], over all frames or the entry frame
     branch_best: dict
@@ -57,39 +84,34 @@ def call_key(function: str, args: tuple) -> tuple:
     return (function, *args, *map(type, args))
 
 
-def call_of(key: tuple) -> tuple[str, tuple]:
-    """The function and arguments of a ``call_key``."""
-    return key[0], key[1:(len(key) + 1) // 2]
-
-
 def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConfig(),
              memo: dict | None = None) -> TestTrace:
     """Execute every call of a test case and aggregate the results.
 
     Calls share no state, so a call's result depends only on the program,
     the config and the call itself. ``memo`` maps ``call_key`` to the
-    ``ExecutionResult`` of that call; passing one dict to every test run on
-    the same program and config runs each distinct call once. Entry calls
-    that do not match a signature raise and are not memoized.
+    ``CallRecord`` of that call; passing one dict to every test run on the
+    same program and config runs each distinct call once, and gives each
+    distinct call one record. Entry calls that do not match a signature
+    raise and are not memoized.
     """
     if memo is None:
         memo = {}
-    keys = []
-    results = []
+    records = []
     lines: set[int] = set()
     branch_best: dict[int, list[float]] = {}
     branch_best_direct: dict[int, list[float]] = {}
     called: set[str] = set()
     exceptions: set[tuple[str, str]] = set()
     returns: dict[str, list] = {}
-    for call in test.calls:
-        args = tuple(test.resolve(a) for a in call.args)
+    for call, args in zip(test.calls, test.args):
         key = call_key(call.function, args)
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = execute(program, call.function, args, config)
-        keys.append(key)
-        results.append(result)
+        record = memo.get(key)
+        if record is None:
+            result = execute(program, call.function, args, config)
+            record = memo[key] = CallRecord(call.function, args, result)
+        records.append(record)
+        result = record.result
         lines |= result.lines_hit
         called |= result.called_functions
         # merge_best copies the distances: the memoized result's lists stay as they are
@@ -102,8 +124,7 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
         else:
             returns.setdefault(call.function, []).append(result.outcome.value)
     return TestTrace(
-        call_keys=tuple(keys),
-        call_results=tuple(results),
+        calls=tuple(records),
         lines_hit=frozenset(lines),
         branch_best=branch_best,
         branch_best_direct=branch_best_direct,

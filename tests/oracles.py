@@ -43,8 +43,8 @@ from affsgen.mutation import (
     mutants_of,
     schema_run,
 )
-from affsgen.testmodel import MutantGoal, TestCase, render_test
-from affsgen.tracing import behavior_of, call_of, run_test
+from affsgen.testmodel import MutantGoal, Ref, TestCase, render_test
+from affsgen.tracing import behavior_of, call_key, run_test
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -247,12 +247,21 @@ def _call(name, args, caller, program: Program, steps, events):
     return 0
 
 
+def oracle_resolve(test: TestCase, arg):
+    """A call argument of ``test``, followed through ``test.bindings`` by
+    name to the literal at the end of its chain (``TestCase.args`` is the
+    tested resolution)."""
+    while isinstance(arg, Ref):
+        arg = next(value for name, value in reversed(test.bindings) if name == arg.name)
+    return arg
+
+
 def oracle_run(program: Program, test: TestCase):
     """Per-call outcomes and the full (line, store) event stream with exits."""
     outcomes = []
     events: list = []
     for call in test.calls:
-        args = tuple(test.resolve(a) for a in call.args)
+        args = tuple(oracle_resolve(test, a) for a in call.args)
         steps = [_STEP_BUDGET]
         call_events: list = []
         try:
@@ -303,7 +312,7 @@ class MutantMajorFold:
     def __init__(self, program: Program, interp: InterpConfig = InterpConfig()):
         self.program = program
         self.interp = interp
-        self._calls: dict = {}
+        self._records: dict = {}
         self._traces: dict = {}
         self._schema_runs: dict = {}
         self._classifications: dict = {}
@@ -315,7 +324,7 @@ class MutantMajorFold:
     def trace(self, test: TestCase):
         trace = self._traces.get(test)
         if trace is None:
-            trace = self._traces[test] = run_test(self.program, test, self.interp, self._calls)
+            trace = self._traces[test] = run_test(self.program, test, self.interp, self._records)
         return trace
 
     def classify(self, mutant: Mutant, tests, stop: MutantStatus = MutantStatus.KILLED) -> MutantStatus:
@@ -327,21 +336,24 @@ class MutantMajorFold:
             trace = self.trace(test)
             if site not in trace.lines_hit:
                 continue
-            for key, base in zip(trace.call_keys, trace.call_results):
+            for record in trace.calls:
+                base = record.result
                 if site not in base.lines_hit:
                     continue
+                call = record.function, record.args
+                key = call_key(*call)
                 ckey = (mutant_id, key)
                 status = self._classifications.get(ckey)
                 if status is None or status is _INFECTED_NOT_RUN and not lazy:
                     schema = self._schema_runs.get(key)
                     if schema is None:
                         schema = self._schema_runs[key] = schema_run(
-                            self.program, *call_of(key), self.interp)
+                            self.program, *call, self.interp)
                     if lazy and mutant_id in schema.infected:
                         status = _INFECTED_NOT_RUN
                     else:
                         status = classify_against_mutant(
-                            mutant, *call_of(key), base, self.interp, schema).status
+                            mutant, *call, base, self.interp, schema).status
                     self._classifications[ckey] = status
                 if status is _INFECTED_NOT_RUN:
                     status = MutantStatus.INFECTED
@@ -434,8 +446,8 @@ def rerun_fault_detected(suite, pair, interp: InterpConfig = InterpConfig()) -> 
     """True when any call of any test behaves differently on the faulty
     version, with both versions run again on each test, each with a fresh memo."""
     for test in suite:
-        fixed = run_test(pair.fixed_program, test, interp).call_results
-        faulty = run_test(pair.faulty_program, test, interp).call_results
-        if any(behavior_of(a) != behavior_of(b) for a, b in zip(fixed, faulty)):
+        fixed = run_test(pair.fixed_program, test, interp).calls
+        faulty = run_test(pair.faulty_program, test, interp).calls
+        if any(behavior_of(a.result) != behavior_of(b.result) for a, b in zip(fixed, faulty)):
             return True
     return False

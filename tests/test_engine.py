@@ -1,5 +1,6 @@
 """Search-loop behavior: cadence, elitism, determinism, archive, finalization."""
 
+import gc
 import hashlib
 import random
 from pathlib import Path
@@ -18,6 +19,7 @@ from affsgen.engine import (
 )
 from affsgen.fitness import FitnessContext, evaluate_suite
 from affsgen.fitness import FitnessFunctionId as F
+from affsgen.harness import load_corpus
 from affsgen.minilang import parse
 from affsgen.mutation import MutantStatus
 from affsgen.testmodel import (
@@ -399,3 +401,44 @@ def test_seeded_output_is_byte_identical(goal, strategy):
     result = run_search(program, goal, make_strategy(strategy, goal), config, 11)
     digest = hashlib.sha256(result.to_json(omit_timing=True).encode()).hexdigest()
     assert digest == P05_DIGESTS[goal, strategy]
+
+
+# sha256 of to_json(omit_timing=True) under the default EngineConfig and
+# GenConfig for 30 generations, seed 7: long enough that each distinct
+# call's memoized record serves many generations of the search
+LONG_DIGESTS = {
+    ("p05_terrain_gates", Goal.EXCEPTIONS, "sarsa"):
+        "088430b935f72c6ba750b8fb9b7c1321c63bd5fce340a05bf7d74bfb5291270e",
+    ("p11_triangle_walk", Goal.STRONG_MUTATION, "ucb"):
+        "91d92f0d10163b68403ec0dbb16124bff84209c2c43ad05294cab27dc359828d",
+}
+
+
+@pytest.mark.parametrize("fault_id, goal, strategy", list(LONG_DIGESTS))
+def test_seeded_output_over_thirty_default_generations_is_byte_identical(fault_id, goal, strategy):
+    source = Path(__file__).resolve().parent.parent / "corpus" / fault_id / "fixed.minij"
+    program = parse(source.read_text(), fault_id)
+    config = EngineConfig(budget=Budget(generations=30))
+    result = run_search(program, goal, make_strategy(strategy, goal), config, 7)
+    digest = hashlib.sha256(result.to_json(omit_timing=True).encode()).hexdigest()
+    assert digest == LONG_DIGESTS[fault_id, goal, strategy]
+
+
+@pytest.mark.parametrize("goal", list(Goal))
+@pytest.mark.parametrize("strategy", ["ucb", "sarsa", "default"])
+def test_a_search_leaves_no_cyclic_garbage(goal, strategy):
+    # everything a search builds, the memoized call records, traces and
+    # schema runs included, is freed by reference counting when it returns
+    config = EngineConfig(population_size=4, budget=Budget(generations=2))
+    gen_config = GenConfig(max_suite_size=4, max_calls_per_test=3)
+    pairs = load_corpus(Path(__file__).resolve().parent.parent / "corpus")
+    for pair in pairs:
+        gc.collect()
+        gc.disable()
+        try:
+            run_search(pair.fixed_program, goal, make_strategy(strategy, goal), config, 11,
+                       gen_config)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0, pair.fault_id

@@ -168,8 +168,8 @@ def _pair(fault_id):
 
 def _on_fixed(suite, pair, interp=InterpConfig()) -> list[tuple]:
     """The fixed version's behaviour of each call, test by test."""
-    return [tuple(map(tracing.behavior_of,
-                      run_test(pair.fixed_program, test, interp).call_results))
+    return [tuple(tracing.behavior_of(call.result)
+                  for call in run_test(pair.fixed_program, test, interp).calls)
             for test in suite]
 
 

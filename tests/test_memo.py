@@ -23,13 +23,19 @@ PROGRAMS = [program for pair in load_corpus(CORPUS)
 
 
 def _literal_calls(test: TestCase) -> tuple[CallStmt, ...]:
-    return tuple(CallStmt(c.function, tuple(test.resolve(a) for a in c.args))
-                 for c in test.calls)
+    return tuple(CallStmt(c.function, args) for c, args in zip(test.calls, test.args))
+
+
+def _call(record) -> tuple:
+    return record.function, record.args, record.result
 
 
 def _assert_same_trace(actual, expected) -> None:
     for f in dataclasses.fields(expected):
-        assert getattr(actual, f.name) == getattr(expected, f.name), f.name
+        got, want = getattr(actual, f.name), getattr(expected, f.name)
+        if f.name == "calls":
+            got, want = list(map(_call, got)), list(map(_call, want))
+        assert got == want, f.name
 
 
 @settings(max_examples=8, deadline=None)
@@ -47,7 +53,45 @@ def test_context_trace_equals_run_test_on_cold_and_warm_memo(seed):
         mixed = TestCase(calls=_literal_calls(tests[1])[::-1] + _literal_calls(tests[0]))
         for test in (tests[0], tests[1], mixed, tests[2]):
             _assert_same_trace(warm.trace(test), run_test(program, test))
-        assert len(warm._calls) <= sum(len(t.calls) for t in tests)
+
+
+def test_each_distinct_call_has_one_record_that_every_trace_of_it_shares():
+    rng = random.Random(23)
+    for program in PROGRAMS[::2]:
+        ctx = FitnessContext(program)
+        tests = [random_test_case(program, rng, GenConfig(max_calls_per_test=4))
+                 for _ in range(6)]
+        calls = [_literal_calls(test) for test in tests]
+        # joined tests make calls of earlier tests again, and one repeats its own
+        tests += [TestCase(calls=calls[0] + calls[1]), TestCase(calls=calls[2][::-1] + calls[2])]
+        traces = [ctx.trace(test) for test in tests]
+        records: dict = {}
+        for test, trace in zip(tests, traces):
+            assert len(trace.calls) == len(test.calls)
+            for call, args, record in zip(test.calls, test.args, trace.calls):
+                key = call_key(call.function, args)
+                assert (record.function, record.args) == (call.function, args)
+                assert records.setdefault(key, record) is record
+        assert ctx._classifications == records
+        assert all(a is b for a, b in zip(traces[6].calls, traces[0].calls + traces[1].calls))
+        # the masks fill on the first fold that sees a call, in the records the traces hold
+        assert all(r.reach is None and r.infected is None for r in records.values())
+        for test in tests:
+            ctx.fold((test,), MutantStatus.INFECTED)
+        assert all(r.reach is not None for r in records.values())
+        assert any(r.infected is not None for r in records.values())
+        masks = {key: (r.reach, r.infected) for key, r in records.items()}
+        # later folds, weak and strong, add to the same records and change no reach
+        for test in tests:
+            ctx.fold((test,))
+            ctx.fold((test,), MutantStatus.INFECTED)
+        assert ctx._classifications.keys() == records.keys()
+        for key, record in records.items():
+            assert ctx._classifications[key] is record
+            assert record.reach == masks[key][0]
+            infected = masks[key][1]
+            assert infected is None or record.infected & infected == infected
+        assert all(ctx.trace(test).calls is trace.calls for test, trace in zip(tests, traces))
 
 
 def test_traces_leave_the_memoized_results_as_they_ran():
@@ -62,8 +106,9 @@ def test_traces_leave_the_memoized_results_as_they_ran():
     for test in (TestCase(calls=tuple(calls[:3])), TestCase(calls=tuple(calls[2:]))):
         run_test(program, test, memo=memo)
     assert len(memo) == 4
-    for key, result in memo.items():
-        assert result == execute(program, *tracing.call_of(key))
+    for key, record in memo.items():
+        assert key == call_key(record.function, record.args)
+        assert record.result == execute(program, record.function, record.args)
 
 
 def _fresh_status(mutant, test: TestCase) -> MutantStatus:
@@ -71,8 +116,7 @@ def _fresh_status(mutant, test: TestCase) -> MutantStatus:
     from a fresh schema run of the mutant's base program."""
     statuses = [MutantStatus.NOT_REACHED]
     config = InterpConfig()
-    for call in test.calls:
-        args = tuple(test.resolve(a) for a in call.args)
+    for call, args in zip(test.calls, test.args):
         base = execute(mutant.base_program, call.function, args, config)
         schema = schema_run(mutant.base_program, call.function, args, config)
         statuses.append(classify_against_mutant(mutant, call.function, args, base, config,

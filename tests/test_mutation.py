@@ -288,8 +288,7 @@ def test_classifier_agrees_with_full_reexecution_oracle():
         for test in tests:
             for mutant in mutants:
                 # each call on its own, then the whole test as the fold of its calls
-                for call in test.calls:
-                    args = tuple(test.resolve(a) for a in call.args)
+                for call, args in zip(test.calls, test.args):
                     expected = full_reexecution_status(mutant, _test((call.function, args)))
                     actual = _classify_call(mutant, call.function, args)
                     assert actual == expected, (

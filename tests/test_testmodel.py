@@ -27,6 +27,7 @@ from affsgen.testmodel import (
     random_test_case,
     render_test,
 )
+from oracles import oracle_resolve
 
 TWO_FNS = parse("fn one(x:int){ return x; } fn two(s:str){ return s; }")
 
@@ -76,11 +77,10 @@ def test_generated_tests_satisfy_invariants():
     for _ in range(200):
         test = random_test_case(TWO_FNS, rng, cfg)
         assert 1 <= len(test.calls) <= cfg.max_calls_per_test
-        for call in test.calls:
+        for call, args in zip(test.calls, test.args):
             params = arity[call.function]
             assert len(call.args) == len(params)
-            for arg, (_, kind) in zip(call.args, params):
-                value = test.resolve(arg)
+            for value, (_, kind) in zip(args, params):
                 expected = {"int": int, "bool": bool, "str": str}[kind]
                 if kind == "int":
                     assert isinstance(value, int) and not isinstance(value, bool)
@@ -162,8 +162,8 @@ def test_mutation_sweep_preserves_invariants():
             assert 1 <= len(test.calls) <= cfg.max_calls_per_test
             for call in test.calls:
                 assert len(call.args) == arity[call.function]
-                for arg in call.args:
-                    test.resolve(arg)  # binding chains stay resolvable
+            # binding chains stay resolvable: the test was built
+            assert len(test.args) == len(test.calls)
 
 
 @pytest.mark.parametrize("settings", [
@@ -201,6 +201,37 @@ def test_render_resolves_alias_chains():
         bindings=(("x", "var"), ("y", Ref("x"))),
     )
     assert render_test(test) == 'two("var")'
+
+
+def test_a_cyclic_binding_chain_fails_when_the_test_is_built():
+    for bindings in ((("x", Ref("x")),), (("x", Ref("y")), ("y", Ref("x")))):
+        with pytest.raises(ValueError, match="cyclic"):
+            TestCase(calls=(CallStmt("one", (Ref("x"),)),), bindings=bindings)
+
+
+@pytest.mark.parametrize("bindings", [
+    (),  # no binding at all
+    (("y", 1),),  # only other names
+    (("x", Ref("y")),),  # a chain that ends at a name no binding has
+])
+def test_a_reference_to_an_unknown_name_fails_when_the_test_is_built(bindings):
+    with pytest.raises(ValueError, match="unknown"):
+        TestCase(calls=(CallStmt("one", (Ref("x"),)),), bindings=bindings)
+
+
+def test_a_test_resolves_its_arguments_as_the_bindings_chain_them():
+    program = parse("fn f(a:int, b:str, c:bool){ return a; } fn g(){ return 0; }")
+    rng = random.Random(4)
+    aliased = 0
+    for _ in range(300):
+        test = random_test_case(program, rng)
+        assert test.args == tuple(tuple(oracle_resolve(test, a) for a in call.args)
+                                  for call in test.calls)
+        aliased += any(isinstance(a, Ref) for call in test.calls for a in call.args)
+    assert aliased > 50
+    chained = TestCase(calls=(CallStmt("f", (Ref("z"), "s", True)), CallStmt("g", ())),
+                       bindings=(("x", 7), ("y", Ref("x")), ("z", Ref("y"))))
+    assert chained.args == ((7, "s", True), ())
 
 
 def test_render_keeps_a_harvested_newline_literal_on_one_line():
