@@ -15,6 +15,7 @@ copied.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -310,7 +311,28 @@ def run_search(program: Program, goal: Goal, strategy: Strategy, config: EngineC
                seed: int, gen_config: GenConfig = GenConfig(),
                interp: InterpConfig = InterpConfig()) -> SearchResult:
     """Run one full search, with every random draw from ``seed``, and return
-    the finalized suite plus the run log."""
+    the finalized suite plus the run log.
+
+    The cycle collector is paused while the search runs and switched back
+    on afterwards, even when the search raises, if the caller had it on; no
+    collection is forced on the way out. That is safe because a search
+    makes no reference cycles: all it builds, its memoized call records,
+    traces and schema runs included, is freed by reference counting, which
+    ``tests/test_engine.py::test_a_search_leaves_no_cyclic_garbage`` checks
+    for every corpus pair, goal and strategy. A full collection would walk
+    every object the memos hold, for nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(program, goal, strategy, config, seed, gen_config, interp)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _search(program: Program, goal: Goal, strategy: Strategy, config: EngineConfig,
+            seed: int, gen_config: GenConfig, interp: InterpConfig) -> SearchResult:
     rng = random.Random(seed)
     ctx = FitnessContext(program, interp)
     pool = literal_pool(program)

@@ -108,11 +108,12 @@ class PackedLines(NamedTuple):
     bit of every lane set; ``mask`` has every lane bit set and every guard
     bit clear. ``count`` is the number of lines, empty ones included.
 
-    ``side_by_side_distances`` lays several tests' tables side by side as
-    the blocks of one such pattern: each block is one test's lanes, shifted
-    to start just above the guard bit of the block below, so a block is a
-    run of whole lanes and a pass over the pattern is a pass over every
-    block.
+    ``pack_side_by_side`` lays several tests' tables side by side as the
+    blocks of one such pattern: each block is one test's lanes, shifted to
+    start just above the guard bit of the block below, so a block is a run
+    of whole lanes. A pass over the pattern is a pass over every block, and
+    lanes stay independent, so a pass that reads only some blocks gives
+    each of them what a pass over its table alone would.
     """
 
     peq: dict[str, int]
@@ -190,32 +191,23 @@ def packed_distance(packed: PackedLines, text: str,
             for bits, lines in blocks]
 
 
-def side_by_side_distances(lines: tuple[str, ...], tables: list[PackedLines]) -> list[int]:
-    """The edit distance from ``lines`` to each table's lines, summed over
-    every pair of lines: one ``packed_distance`` pass per line of ``lines``.
-
-    The tables are laid side by side as blocks of one pattern (see
-    ``PackedLines``). Only the characters of ``lines`` are combined, since
-    a pass looks up no other.
-    """
-    peq = dict.fromkeys("".join(lines), 0)
+def pack_side_by_side(tables: Iterable[PackedLines]) -> tuple[PackedLines, list[tuple[int, int]]]:
+    """The tables laid side by side as the blocks of one pattern (see
+    ``PackedLines``), and each table's (lane bits, line count) block, in
+    order, for ``packed_distance``. Each table's ``peq`` is merged once."""
+    peq: dict[str, int] = {}
     lows = mask = count = offset = 0
     blocks = []
     for table in tables:
         for c, bits in table.peq.items():
-            if c in peq:
-                peq[c] |= bits << offset
+            peq[c] = peq.get(c, 0) | bits << offset
         bits = table.mask << offset
         lows |= table.lows << offset
         mask |= bits
         count += table.count
         blocks.append((bits, table.count))
         offset += table.mask.bit_length() + 1  # the top guard bit
-    packed = PackedLines(peq, lows, mask, count)
-    totals = [0] * len(tables)
-    for line in lines:
-        totals = [t + d for t, d in zip(totals, packed_distance(packed, line, blocks))]
-    return totals
+    return PackedLines(peq, lows, mask, count), blocks
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -267,10 +259,11 @@ class FitnessContext:
     Diversity is memoized on rendered lines at two levels:
     ``_pair_distance`` maps an unordered pair of two tests' lines, as an
     ordered key, to their summed line-pair distance, and ``_packed`` maps
-    one test's lines to their ``pack_lines`` table. ``diversity`` scores
-    the pairs the memo lacks by stepping the test in the most of them, line
-    by line, through all its missing partners' tables side by side, and
-    repeats until none is missing.
+    one test's lines to their ``pack_lines`` table. ``diversity`` lays the
+    tables of every test in a pair the memo lacks side by side once, as the
+    blocks of one pattern. It then steps the test in the most missing
+    pairs, one pass over that pattern per line, reading only the blocks of
+    its missing partners, and repeats until none is missing.
 
     The output buckets (``buckets``) are found on first use, from the kinds
     the program's ``Analysis`` proves its functions may return, so a
@@ -460,21 +453,29 @@ class FitnessContext:
             if (a, b) not in memo:
                 partners.setdefault(a, {})[b] = None
                 partners.setdefault(b, {})[a] = None
+        if partners:
+            tables = []
+            for test in partners:
+                table = self._packed.get(test)
+                if table is None:
+                    table = self._packed[test] = pack_lines(test)
+                tables.append(table)
+            packed, blocks = pack_side_by_side(tables)
+            block_of = dict(zip(partners, blocks))
         while partners:
             stepped = max(partners, key=lambda test: len(partners[test]))
             missing = partners.pop(stepped)
-            tables = []
             for other in missing:
                 rest = partners.get(other)  # None for ``stepped`` itself
                 if rest is not None:
                     del rest[stepped]
                     if not rest:
                         del partners[other]
-                table = self._packed.get(other)
-                if table is None:
-                    table = self._packed[other] = pack_lines(other)
-                tables.append(table)
-            for other, total in zip(missing, side_by_side_distances(stepped, tables)):
+            read = [block_of[other] for other in missing]
+            totals = [0] * len(read)
+            for line in stepped:
+                totals = [t + d for t, d in zip(totals, packed_distance(packed, line, read))]
+            for other, total in zip(missing, totals):
                 memo[_pair_key(stepped, other)] = total
         return sum(map(memo.__getitem__, keys))
 
@@ -490,10 +491,11 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
     with at most one test has no pairs and scores fitness 1.0.
 
     Each unordered pair of rendered tests is scored once per context. The
-    pairs the context lacks are scored in batches: the test in the most of
-    them is stepped, one ``packed_distance`` pass per line, through the
-    tables of all its missing partners laid side by side as blocks, until
-    no pair is missing.
+    pairs the context lacks are scored in one batch: the tables of every
+    test in such a pair are packed side by side once, as blocks of one
+    pattern. The test in the most missing pairs is stepped, one
+    ``packed_distance`` pass per line over that pattern, reading the blocks
+    of its missing partners, until no pair is missing.
     """
     div = ctx.diversity(suite)
     return div, 1.0 / (1.0 + div)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from affsgen import fitness
-from affsgen.fitness import FitnessContext, pack_lines, side_by_side_distances, suite_diversity
+from affsgen.fitness import (
+    FitnessContext,
+    pack_lines,
+    pack_side_by_side,
+    packed_distance,
+    suite_diversity,
+)
 from affsgen.harness import load_corpus
 from affsgen.minilang import parse
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
@@ -69,14 +75,21 @@ _TEST = st.lists(_LINE, max_size=6).map(tuple)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_TEST, st.lists(_TEST, min_size=1, max_size=12))
-@example(("ab", "a" * 65), [(), ("a" * 70,), ("", ""), ("中é", "b" * 64)])
-@example(("",), [("a" * 130, "", "ba" * 40)])
-@example((), [(), ("",), ("ab",)])  # no line to step: no pass
+@given(_TEST, st.lists(st.tuples(_TEST, st.booleans()), min_size=1, max_size=12))
+@example(("ab", "a" * 65), [((), True), (("a" * 70,), False), (("", ""), True),
+                            (("中é", "b" * 64), True)])
+@example(("",), [(("a" * 130, "", "ba" * 40), True)])
+@example((), [((), True), (("",), True), (("ab",), False)])  # no line to step: no pass
+@example(("ab",), [(("a" * 70,), False), (("ab", "b"), False)])  # no block read
 def test_the_block_pass_matches_the_dp_oracle(lines, partners):
-    tables = [pack_lines(partner) for partner in partners]
-    assert side_by_side_distances(lines, tables) == [
-        _summed_dp(lines, partner) for partner in partners]
+    # the partners are packed once; a pass reads the flagged blocks only
+    packed, blocks = pack_side_by_side(pack_lines(partner) for partner, _ in partners)
+    read = [block for block, (_, flagged) in zip(blocks, partners) if flagged]
+    totals = [0] * len(read)
+    for line in lines:
+        totals = [t + d for t, d in zip(totals, packed_distance(packed, line, read))]
+    assert totals == [_summed_dp(lines, partner) for partner, flagged in partners if flagged]
+    assert len(blocks) == len(partners)
 
 
 # --- the work done ----------------------------------------------------------------
@@ -133,21 +146,76 @@ def test_one_new_test_makes_one_pass_per_line_of_it(passes):
     assert passes == list(ctx.rendered_lines(new))
 
 
-def test_each_unordered_pair_is_scored_once_per_context(monkeypatch):
+@pytest.fixture
+def packings(monkeypatch):
+    """Every ``pack_side_by_side`` call, as the list of the tables it merges
+    and the blocks it returns."""
+    packed = []
+    real = fitness.pack_side_by_side
+
+    def recording(tables):
+        tables = list(tables)
+        pattern, blocks = real(tables)
+        packed.append((tables, blocks))
+        return pattern, blocks
+
+    monkeypatch.setattr(fitness, "pack_side_by_side", recording)
+    return packed
+
+
+def _random_suites(rng, tests, count=20):
+    return [tuple(rng.choice(tests) for _ in range(rng.randint(0, 7))) for _ in range(count)]
+
+
+def test_each_unordered_pair_is_scored_once_per_context(monkeypatch, packings):
     ctx = FitnessContext(PROGRAM)
-    scored = []
-    real = fitness.side_by_side_distances
+    passes = []  # (stepped line, the blocks list it reads, the partners of those blocks)
+    real = fitness.packed_distance
 
-    def recording(stepped, tables):
+    def recording(packed, text, blocks):
+        tables, pattern_blocks = packings[-1]
         lines_of = {id(table): lines for lines, table in ctx._packed.items()}
-        scored.extend(fitness._pair_key(stepped, lines_of[id(table)]) for table in tables)
-        return real(stepped, tables)
+        partner_of = {block: lines_of[id(table)] for table, block in zip(tables, pattern_blocks)}
+        passes.append((text, blocks, [partner_of[block] for block in blocks]))
+        return real(packed, text, blocks)
 
-    monkeypatch.setattr(fitness, "side_by_side_distances", recording)
+    monkeypatch.setattr(fitness, "packed_distance", recording)
     rng = random.Random(4)
     tests = [random_test_case(PROGRAM, rng) for _ in range(8)] + [EMPTY, SUITE[0]]
-    for _ in range(20):
-        suite_diversity(tuple(rng.choice(tests) for _ in range(rng.randint(0, 7))), ctx)
+    for suite in _random_suites(rng, tests):
+        suite_diversity(suite, ctx)
         ctx.test_pair_distance(rng.choice(tests), rng.choice(tests))
-    assert len(scored) == len(set(scored)) == len(ctx._pair_distance)
-    assert set(scored) == ctx._pair_distance.keys()
+    # a stepped test's passes come one after another and read one blocks list;
+    # their lines are the stepped test's lines
+    steps: list[tuple[list[str], list, list]] = []
+    for text, blocks, partners in passes:
+        if steps and steps[-1][1] is blocks:
+            steps[-1][0].append(text)
+        else:
+            steps.append(([text], blocks, partners))
+    scored = [fitness._pair_key(tuple(lines), partner)
+              for lines, _, partners in steps for partner in partners]
+    assert len(scored) == len(set(scored))
+    # an empty test makes no pass when it is the stepped one
+    assert all(key[0] == () for key in ctx._pair_distance.keys() - set(scored))
+    assert set(scored) <= ctx._pair_distance.keys()
+
+
+def test_each_diversity_call_merges_each_table_at_most_once(packings):
+    ctx = FitnessContext(PROGRAM)
+    rng = random.Random(9)
+    tests = [random_test_case(PROGRAM, rng) for _ in range(8)] + [EMPTY, SUITE[0], SUITE[0]]
+    for suite in _random_suites(rng, tests, 30):
+        keys = {fitness._pair_key(ctx.rendered_lines(a), ctx.rendered_lines(b))
+                for i, a in enumerate(suite) for b in suite[i + 1:]}
+        missing = keys - ctx._pair_distance.keys()
+        packings.clear()
+        ctx.diversity(suite)
+        if not missing:
+            assert packings == []
+            continue
+        [(tables, _)] = packings  # one pattern per call
+        assert len({id(table) for table in tables}) == len(tables)
+        # the tables merged are those of the tests in the missing pairs, cached
+        assert {id(table) for table in tables} == {
+            id(ctx._packed[test]) for key in missing for test in key}

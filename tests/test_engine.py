@@ -442,3 +442,55 @@ def test_a_search_leaves_no_cyclic_garbage(goal, strategy):
         finally:
             gc.enable()
         assert unreachable == 0, pair.fault_id
+
+
+@pytest.fixture
+def collector_on():
+    """The collector on for the test, and as the test found it afterwards."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+def _short_search():
+    config = EngineConfig(population_size=4, budget=Budget(generations=3))
+    return run_search(PROGRAM, Goal.EXCEPTIONS, make_strategy("ucb", Goal.EXCEPTIONS), config, 11)
+
+
+def test_a_search_starts_no_collection_and_leaves_the_collector_on(collector_on):
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        _short_search()
+    finally:
+        gc.callbacks.remove(hook)
+    assert started == []
+    assert gc.isenabled()
+
+
+def test_a_search_leaves_a_paused_collector_paused(collector_on):
+    gc.disable()
+    _short_search()
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_search_that_raises_leaves_the_collector_as_it_found_it(monkeypatch, collector_on,
+                                                                  enabled):
+    def failing(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("generation failed")
+
+    monkeypatch.setattr(engine, "evolve_one_generation", failing)
+    if not enabled:
+        gc.disable()
+    with pytest.raises(RuntimeError, match="generation failed"):
+        _short_search()
+    assert gc.isenabled() is enabled
