@@ -100,7 +100,7 @@ def _int_bucket_distance(bucket: str, values: Iterable[int]) -> int:
 
 
 class PackedLines(NamedTuple):
-    """Several patterns packed as lanes of one integer, for ``packed_distance``.
+    """Several patterns packed as lanes of one integer, for ``end_columns``.
 
     Lane by lane, low bits first, each non-empty line takes as many bits as
     it has characters, followed by one zero guard bit. Bit i of ``peq[c]``
@@ -111,9 +111,10 @@ class PackedLines(NamedTuple):
     ``pack_side_by_side`` lays several tests' tables side by side as the
     blocks of one such pattern: each block is one test's lanes, shifted to
     start just above the guard bit of the block below, so a block is a run
-    of whole lanes. A pass over the pattern is a pass over every block, and
-    lanes stay independent, so a pass that reads only some blocks gives
-    each of them what a pass over its table alone would.
+    of whole lanes. Lanes stay independent, so a column's bits masked to
+    one block are the column a sweep over that block's table alone would
+    reach. The cost of a CPython int operation barely grows with its width,
+    so one sweep over many blocks costs little more than a sweep over one.
     """
 
     peq: dict[str, int]
@@ -140,8 +141,49 @@ def pack_lines(lines: tuple[str, ...]) -> PackedLines:
     return PackedLines(peq, lows, mask, len(lines))
 
 
-def packed_distance(packed: PackedLines, text: str,
-                    blocks: list[tuple[int, int]] | None = None) -> int | list[int]:
+def end_columns(packed: PackedLines, texts: Iterable[str]) -> dict[str, tuple[int, int]]:
+    """The column every packed lane reaches at the end of each text, as its
+    ``(pv, mv)`` deltas (see ``packed_distance``), by distinct text.
+
+    A column depends only on the pattern and the characters stepped so far,
+    so the texts are stepped in sorted order and each resumes from the
+    column kept at the longest prefix it shares with the text before it,
+    which is the longest it shares with any text before it: a walk of the
+    texts' trie, as in Shang and Merrett, "Tries for approximate string
+    matching" (IEEE TKDE 1996). Every character of a shared prefix is
+    stepped once per call.
+    """
+    peq, lows, mask, _ = packed
+    # the columns after each prefix of the last text stepped; in column 0
+    # every vertical delta is +1
+    pvs, mvs = [mask], [0]
+    last = ""
+    ends = {}
+    for text in sorted(texts):
+        shared = 0
+        for c, d in zip(text, last):
+            if c != d:
+                break
+            shared += 1
+        del pvs[shared + 1:], mvs[shared + 1:]
+        pv, mv = pvs[shared], mvs[shared]
+        for c in text[shared:]:
+            eq = peq.get(c, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (xh | pv) ^ mask  # ~(xh | pv) on the lane bits
+            mh = pv & xh
+            ph = (ph << 1) | lows
+            pv = ((mh << 1) | (xv | ph) ^ mask) & mask
+            mv = ph & xv
+            pvs.append(pv)
+            mvs.append(mv)
+        ends[text] = pv, mv
+        last = text
+    return ends
+
+
+def packed_distance(packed: PackedLines, text: str) -> int:
     """Edit distance from ``text`` to every packed line, summed over the lines.
 
     Myers' bit-vector algorithm in Hyyrö's global-distance form (JACM 1999;
@@ -151,7 +193,7 @@ def packed_distance(packed: PackedLines, text: str,
     string matching" (JEA 2005). One column of each lane's
     dynamic-programming matrix is held as two bitmasks of vertical +1 and -1
     deltas, ``pv`` and ``mv``, and each character of ``text`` advances every
-    column in a fixed number of integer operations.
+    column in a fixed number of integer operations (``end_columns``).
 
     Lanes stay independent: the guard bit above each lane is clear in
     ``eq`` and ``pv``, so it absorbs the carry out of ``(eq & pv) + pv``
@@ -164,37 +206,18 @@ def packed_distance(packed: PackedLines, text: str,
     ``D[m][n] = n + Σ`` of the column's vertical deltas, because
     ``D[0][n] = n``; summed over the lanes that is
     ``count·n + popcount(pv) − popcount(mv)``, with ``n = len(text)``. An
-    empty line has no lane and adds its ``n`` through ``count``.
-
-    With ``blocks``, a list of (lane bits, line count) pairs that split the
-    pattern's lanes, the same pass returns the list of each block's sum
-    instead, read with two popcounts masked to the block's bits. The cost
-    of a CPython int operation barely grows with its width, so one pass
-    over many blocks costs little more than a pass over one.
+    empty line has no lane and adds its ``n`` through ``count``. Masked to
+    one block's lane bits, with that block's line count, the same two
+    popcounts give the block's sum.
     """
-    peq, lows, mask, count = packed
-    pv = mask  # vertical deltas of column 0 are all +1
-    mv = 0
-    for c in text:
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (xh | pv) ^ mask  # ~(xh | pv) on the lane bits
-        mh = pv & xh
-        ph = (ph << 1) | lows
-        pv = ((mh << 1) | (xv | ph) ^ mask) & mask
-        mv = ph & xv
-    n = len(text)
-    if blocks is None:
-        return count * n + pv.bit_count() - mv.bit_count()
-    return [lines * n + (pv & bits).bit_count() - (mv & bits).bit_count()
-            for bits, lines in blocks]
+    pv, mv = end_columns(packed, (text,))[text]
+    return packed.count * len(text) + pv.bit_count() - mv.bit_count()
 
 
 def pack_side_by_side(tables: Iterable[PackedLines]) -> tuple[PackedLines, list[tuple[int, int]]]:
     """The tables laid side by side as the blocks of one pattern (see
     ``PackedLines``), and each table's (lane bits, line count) block, in
-    order, for ``packed_distance``. Each table's ``peq`` is merged once."""
+    order, for reading ``end_columns``. Each table's ``peq`` is merged once."""
     peq: dict[str, int] = {}
     lows = mask = count = offset = 0
     blocks = []
@@ -261,9 +284,12 @@ class FitnessContext:
     ordered key, to their summed line-pair distance, and ``_packed`` maps
     one test's lines to their ``pack_lines`` table. ``diversity`` lays the
     tables of every test in a pair the memo lacks side by side once, as the
-    blocks of one pattern. It then steps the test in the most missing
-    pairs, one pass over that pattern per line, reading only the blocks of
-    its missing partners, and repeats until none is missing.
+    blocks of one pattern. It picks the test in the most missing pairs to
+    step against all its missing partners, and repeats until none is
+    missing. One ``end_columns`` sweep over that pattern then steps the
+    distinct lines of every picked test, each prefix they share once, and
+    each pair's sum is read from its stepped test's end columns, masked to
+    the other test's block.
 
     The output buckets (``buckets``) are found on first use, from the kinds
     the program's ``Analysis`` proves its functions may return, so a
@@ -462,21 +488,27 @@ class FitnessContext:
                 tables.append(table)
             packed, blocks = pack_side_by_side(tables)
             block_of = dict(zip(partners, blocks))
-        while partners:
-            stepped = max(partners, key=lambda test: len(partners[test]))
-            missing = partners.pop(stepped)
-            for other in missing:
-                rest = partners.get(other)  # None for ``stepped`` itself
-                if rest is not None:
-                    del rest[stepped]
-                    if not rest:
-                        del partners[other]
-            read = [block_of[other] for other in missing]
-            totals = [0] * len(read)
-            for line in stepped:
-                totals = [t + d for t, d in zip(totals, packed_distance(packed, line, read))]
-            for other, total in zip(missing, totals):
-                memo[_pair_key(stepped, other)] = total
+            steps = []  # (stepped test, its missing partners), in cover order
+            while partners:
+                stepped = max(partners, key=lambda test: len(partners[test]))
+                missing = partners.pop(stepped)
+                for other in missing:
+                    rest = partners.get(other)  # None for ``stepped`` itself
+                    if rest is not None:
+                        del rest[stepped]
+                        if not rest:
+                            del partners[other]
+                steps.append((stepped, missing))
+            ends = end_columns(packed, {line for stepped, _ in steps for line in stepped})
+            for stepped, missing in steps:
+                length = sum(map(len, stepped))
+                columns = [ends[line] for line in stepped]
+                for other in missing:
+                    bits, count = block_of[other]
+                    total = count * length
+                    for pv, mv in columns:
+                        total += (pv & bits).bit_count() - (mv & bits).bit_count()
+                    memo[_pair_key(stepped, other)] = total
         return sum(map(memo.__getitem__, keys))
 
 
@@ -493,9 +525,8 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
     Each unordered pair of rendered tests is scored once per context. The
     pairs the context lacks are scored in one batch: the tables of every
     test in such a pair are packed side by side once, as blocks of one
-    pattern. The test in the most missing pairs is stepped, one
-    ``packed_distance`` pass per line over that pattern, reading the blocks
-    of its missing partners, until no pair is missing.
+    pattern, and one ``end_columns`` sweep over it steps the distinct
+    lines of the tests chosen to cover those pairs (see ``FitnessContext``).
     """
     div = ctx.diversity(suite)
     return div, 1.0 / (1.0 + div)

@@ -33,7 +33,6 @@ from affsgen.minilang.nodes import (
     Var,
     While,
 )
-from affsgen.fitness import pack_lines, packed_distance
 from affsgen.minilang.interpreter import InterpConfig
 from affsgen.mutation import (
     DELETE_ASSIGNMENT,
@@ -389,17 +388,17 @@ _STRONG_DETECTED = {status: int(status >= MutantStatus.KILLED) for status in Mut
 
 class PairwiseDiversity:
     """The reference suite diversity: every pair of a suite's tests scored
-    on its own, through three memos.
+    on its own, each line pair by the full-matrix ``dp_levenshtein``, so
+    that nothing of the bit-vector kernel in ``fitness`` is used.
 
-    ``rendered_lines`` and ``test_pair_distance`` are the ``FitnessContext``
-    methods, and ``suite_diversity`` the function, as they were before pairs
-    were scored in batches, one stepped test against all its partners.
+    ``rendered_lines`` is the ``FitnessContext`` method. Test-pair
+    distances are memoized as the context memoizes them, and line-pair
+    distances by unordered line pair.
     """
 
     def __init__(self):
         self._renders: dict = {}
         self._pair_distance: dict = {}
-        self._packed: dict = {}
         self._line_distance: dict = {}
 
     def rendered_lines(self, test: TestCase) -> tuple[str, ...]:
@@ -417,20 +416,14 @@ class PairwiseDiversity:
         cached = self._pair_distance.get(key)
         if cached is not None:
             return cached
-        # pack the side with more characters, so fewer characters are stepped
-        packed_lines, other = key
-        if sum(map(len, packed_lines)) < sum(map(len, other)):
-            packed_lines, other = other, packed_lines
-        packed = self._packed.get(packed_lines)
-        if packed is None:
-            packed = self._packed[packed_lines] = pack_lines(packed_lines)
         total = 0
-        for line in other:
-            lkey = (packed_lines, line)
-            d = self._line_distance.get(lkey)
-            if d is None:
-                d = self._line_distance[lkey] = packed_distance(packed, line)
-            total += d
+        for x in lines_a:
+            for y in lines_b:
+                lkey = (x, y) if x <= y else (y, x)
+                d = self._line_distance.get(lkey)
+                if d is None:
+                    d = self._line_distance[lkey] = dp_levenshtein(x, y)
+                total += d
         self._pair_distance[key] = total
         return total
 

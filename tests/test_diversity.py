@@ -1,5 +1,6 @@
 """Suite diversity scored in batches: against the pair-by-pair reference,
-the block pass against the full-matrix edit distance, and the work done."""
+the prefix-sharing sweep against the full-matrix edit distance, and the
+work done."""
 
 import random
 from pathlib import Path
@@ -10,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from affsgen import fitness
 from affsgen.fitness import (
     FitnessContext,
+    end_columns,
     pack_lines,
     pack_side_by_side,
-    packed_distance,
     suite_diversity,
 )
 from affsgen.harness import load_corpus
@@ -60,7 +61,7 @@ def test_batched_diversity_equals_the_pairwise_reference_on_the_corpus(index):
     assert not ctx._line_distance
 
 
-# --- the block pass ---------------------------------------------------------------
+# --- the prefix-sharing sweep ---------------------------------------------------
 
 
 # empty lines, runs of one character, non-ASCII text, and lines longer than
@@ -74,22 +75,40 @@ _LINE = st.one_of(
 _TEST = st.lists(_LINE, max_size=6).map(tuple)
 
 
+@st.composite
+def _texts(draw):
+    """Lines, with some cut short and some extended, so that texts share
+    prefixes, one is a prefix of another, and some come twice."""
+    texts = draw(st.lists(_LINE, max_size=6))
+    for text in list(texts):
+        if draw(st.booleans()):
+            texts.append(text[:draw(st.integers(0, len(text)))])
+        if draw(st.booleans()):
+            texts.append(text + draw(_LINE))
+    return tuple(draw(st.permutations(texts)))
+
+
+_SHARED = ("f(1, 2)", "f(1", "", "f(1, 2)", "f(1, 23)", "中" * 70 + "é", "中" * 70, "g(\"é\")")
+
+
 @settings(max_examples=200, deadline=None)
-@given(_TEST, st.lists(st.tuples(_TEST, st.booleans()), min_size=1, max_size=12))
-@example(("ab", "a" * 65), [((), True), (("a" * 70,), False), (("", ""), True),
-                            (("中é", "b" * 64), True)])
-@example(("",), [(("a" * 130, "", "ba" * 40), True)])
-@example((), [((), True), (("",), True), (("ab",), False)])  # no line to step: no pass
-@example(("ab",), [(("a" * 70,), False), (("ab", "b"), False)])  # no block read
-def test_the_block_pass_matches_the_dp_oracle(lines, partners):
-    # the partners are packed once; a pass reads the flagged blocks only
-    packed, blocks = pack_side_by_side(pack_lines(partner) for partner, _ in partners)
-    read = [block for block, (_, flagged) in zip(blocks, partners) if flagged]
-    totals = [0] * len(read)
-    for line in lines:
-        totals = [t + d for t, d in zip(totals, packed_distance(packed, line, read))]
-    assert totals == [_summed_dp(lines, partner) for partner, flagged in partners if flagged]
+@given(_texts(), st.lists(_TEST, min_size=1, max_size=12))
+@example(("ab", "a" * 65), [(), ("a" * 70,), ("", ""), ("中é", "b" * 64)])
+@example(("",), [("a" * 130, "", "ba" * 40)])
+@example((), [(), ("",), ("ab",)])  # no text to step
+@example(("ab",), [("a" * 70,), ("ab", "b")])
+@example(_SHARED, [_SHARED, ("f(1, 2)",), (), ("中" * 64,)])
+def test_the_prefix_sharing_sweep_matches_the_dp_oracle(texts, partners):
+    # the partners are packed once; each block is read from the end columns
+    packed, blocks = pack_side_by_side(pack_lines(partner) for partner in partners)
     assert len(blocks) == len(partners)
+    ends = end_columns(packed, texts)
+    assert ends.keys() == set(texts)
+    for text, (pv, mv) in ends.items():
+        reads = [count * len(text) + (pv & bits).bit_count() - (mv & bits).bit_count()
+                 for bits, count in blocks]
+        assert reads == [_summed_dp((text,), partner) for partner in partners]
+        assert end_columns(packed, (text,)) == {text: (pv, mv)}
 
 
 # --- the work done ----------------------------------------------------------------
@@ -114,36 +133,39 @@ SUITE = (
 
 
 @pytest.fixture
-def passes(monkeypatch):
-    """Every ``packed_distance`` pass, as the line it steps."""
+def sweeps(monkeypatch):
+    """Every ``end_columns`` call, as the list of texts it steps."""
     stepped = []
-    real = fitness.packed_distance
+    real = fitness.end_columns
 
-    def counting(packed, text, *rest):
-        stepped.append(text)
-        return real(packed, text, *rest)
+    def recording(packed, texts):
+        texts = list(texts)
+        stepped.append(texts)
+        return real(packed, texts)
 
-    monkeypatch.setattr(fitness, "packed_distance", counting)
+    monkeypatch.setattr(fitness, "end_columns", recording)
     return stepped
 
 
-def test_a_scored_suite_makes_no_pass(passes):
+def test_a_scored_suite_makes_no_pass(sweeps):
     ctx = FitnessContext(PROGRAM)
     first = suite_diversity(SUITE, ctx)
-    assert passes
-    passes.clear()
+    assert sweeps
+    sweeps.clear()
     assert suite_diversity(SUITE, ctx) == first
     assert suite_diversity(tuple(reversed(SUITE[:3])), ctx)[0] == ctx.diversity(SUITE[:3])
-    assert passes == []
+    assert sweeps == []
 
 
-def test_one_new_test_makes_one_pass_per_line_of_it(passes):
+def test_one_new_test_makes_one_sweep_over_its_distinct_lines(sweeps):
     ctx = FitnessContext(PROGRAM)
     suite_diversity(SUITE, ctx)
-    new = _test(("f", (7, 8)), ("g", ("zz",)), ("f", (9, 9)))
-    passes.clear()
+    new = _test(("f", (7, 8)), ("g", ("zz",)), ("f", (7, 8)))  # one line twice
+    sweeps.clear()
     suite_diversity(SUITE + (new,), ctx)
-    assert passes == list(ctx.rendered_lines(new))
+    [texts] = sweeps
+    assert sorted(texts) == sorted(set(ctx.rendered_lines(new)))
+    assert len(texts) == 2
 
 
 @pytest.fixture
@@ -167,38 +189,38 @@ def _random_suites(rng, tests, count=20):
     return [tuple(rng.choice(tests) for _ in range(rng.randint(0, 7))) for _ in range(count)]
 
 
-def test_each_unordered_pair_is_scored_once_per_context(monkeypatch, packings):
+class _WriteLog(dict):
+    """A pair memo that logs every key written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+
+def test_each_unordered_pair_is_scored_once_per_context(sweeps):
     ctx = FitnessContext(PROGRAM)
-    passes = []  # (stepped line, the blocks list it reads, the partners of those blocks)
-    real = fitness.packed_distance
-
-    def recording(packed, text, blocks):
-        tables, pattern_blocks = packings[-1]
-        lines_of = {id(table): lines for lines, table in ctx._packed.items()}
-        partner_of = {block: lines_of[id(table)] for table, block in zip(tables, pattern_blocks)}
-        passes.append((text, blocks, [partner_of[block] for block in blocks]))
-        return real(packed, text, blocks)
-
-    monkeypatch.setattr(fitness, "packed_distance", recording)
+    ctx._pair_distance = memo = _WriteLog()
     rng = random.Random(4)
     tests = [random_test_case(PROGRAM, rng) for _ in range(8)] + [EMPTY, SUITE[0]]
     for suite in _random_suites(rng, tests):
-        suite_diversity(suite, ctx)
-        ctx.test_pair_distance(rng.choice(tests), rng.choice(tests))
-    # a stepped test's passes come one after another and read one blocks list;
-    # their lines are the stepped test's lines
-    steps: list[tuple[list[str], list, list]] = []
-    for text, blocks, partners in passes:
-        if steps and steps[-1][1] is blocks:
-            steps[-1][0].append(text)
-        else:
-            steps.append(([text], blocks, partners))
-    scored = [fitness._pair_key(tuple(lines), partner)
-              for lines, _, partners in steps for partner in partners]
-    assert len(scored) == len(set(scored))
-    # an empty test makes no pass when it is the stepped one
-    assert all(key[0] == () for key in ctx._pair_distance.keys() - set(scored))
-    assert set(scored) <= ctx._pair_distance.keys()
+        a, b = rng.choice(tests), rng.choice(tests)
+        for score in (lambda: suite_diversity(suite, ctx), lambda: ctx.test_pair_distance(a, b)):
+            sweeps.clear()
+            written = len(memo.writes)
+            score()
+            scored = memo.writes[written:]
+            if not scored:
+                assert sweeps == []
+                continue
+            # one sweep per call, over the lines of one side of each pair it scores
+            [texts] = sweeps
+            assert all(set(x) <= set(texts) or set(y) <= set(texts) for x, y in scored)
+    assert len(memo.writes) == len(set(memo.writes))
+    assert memo.keys() == set(memo.writes)
 
 
 def test_each_diversity_call_merges_each_table_at_most_once(packings):
