@@ -221,8 +221,9 @@ def make_archive_updater(goal: Goal, ctx: FitnessContext, archive: Archive, cove
             if not fresh:
                 return
             seen.update(fresh)
-            unarchived = sum(1 << mutant.mutant_id for mutant in ctx.mutants
-                             if MutantGoal(mutant.mutant_id) not in archive.entries)
+            # the archive's keys are the goals of the mutants killed so far
+            unarchived = (((1 << len(ctx.mutants)) - 1)
+                          & ~sum(1 << goal.mutant_id for goal in archive.entries))
             for test in fresh:
                 for covered in _killed_goals(ctx, test, unarchived):
                     archive.offer(covered, test)

@@ -113,8 +113,10 @@ class PackedLines(NamedTuple):
     start just above the guard bit of the block below, so a block is a run
     of whole lanes. Lanes stay independent, so a column's bits masked to
     one block are the column a sweep over that block's table alone would
-    reach. The cost of a CPython int operation barely grows with its width,
-    so one sweep over many blocks costs little more than a sweep over one.
+    reach. One stepped character costs about 530 ns at up to 150 bits,
+    650–680 ns at 300–600 bits, 800 ns at 1 200 bits and 950 ns at 2 400
+    bits (CPython 3.11.7), so a wide pattern is cheaper than a sweep per
+    block but not free: a batch stays the pairs of one suite.
     """
 
     peq: dict[str, int]

@@ -5,8 +5,6 @@ trace that makes the call shares."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from affsgen.minilang.interpreter import (
     ExecutionResult,
     InterpConfig,
@@ -45,21 +43,69 @@ class CallRecord:
         self.killed = self.unrun = 0
 
 
-@dataclass(frozen=True, slots=True)
 class TestTrace:
-    """Everything observed while running one test case against a program."""
+    """Everything observed while running one test case against a program,
+    built from ``calls``, the record of each of its calls in test order.
 
-    # the record of each call, in test order
-    calls: tuple[CallRecord, ...]
-    lines_hit: frozenset[int]
-    # branch_id -> [best distance_true, best distance_false], over all frames or the entry frame
-    branch_best: dict
-    branch_best_direct: dict
-    functions_called: frozenset[str]
-    exceptions: frozenset[tuple[str, str]]
-    # function -> tuple of the values its direct calls returned, so its keys
-    # are the functions that completed a direct call without raising
-    returns: dict
+    ``exceptions`` and ``functions_called`` are built with the trace, since
+    every search reads them. ``lines_hit``, the branch tables and
+    ``returns`` are each built on first read and kept: a fitness function
+    that never reads one never pays for it. ``branch_best`` maps each branch
+    to its least distances ``[best_true, best_false]`` over all frames, and
+    ``branch_best_direct`` over the entry frames; their lists are copies, so
+    the records' results are never written. ``returns`` maps each function
+    to the tuple of values its direct calls returned, so its keys are the
+    functions that completed a direct call without raising."""
+
+    __slots__ = ("calls", "exceptions", "functions_called",
+                 "lines_hit", "branch_best", "branch_best_direct", "returns")
+
+    def __init__(self, calls: tuple[CallRecord, ...]):
+        self.calls = calls
+        self.exceptions = frozenset([record.result.outcome.record.identity for record in calls
+                                     if type(record.result.outcome) is Raised])
+        self.functions_called = frozenset().union(
+            *[record.result.called_functions for record in calls])
+
+    def __getattr__(self, name: str):
+        # only a lazy field's slot that is not filled yet gets here
+        build = _LAZY_FIELDS.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build(self.calls)
+        setattr(self, name, value)
+        return value
+
+
+def _lines_hit(calls: tuple[CallRecord, ...]) -> frozenset[int]:
+    return frozenset().union(*[record.result.lines_hit for record in calls])
+
+
+def _branch_table(calls: tuple[CallRecord, ...], direct: bool) -> dict:
+    table: dict[int, list[float]] = {}
+    for record in calls:
+        result = record.result
+        for branch_id, (dt, df) in (result.branch_best_direct if direct
+                                    else result.branch_best).items():
+            merge_best(table, branch_id, dt, df)
+    return table
+
+
+def _returns(calls: tuple[CallRecord, ...]) -> dict:
+    returns: dict[str, list] = {}
+    for record in calls:
+        outcome = record.result.outcome
+        if type(outcome) is Returned:
+            returns.setdefault(record.function, []).append(outcome.value)
+    return {f: tuple(v) for f, v in returns.items()}
+
+
+_LAZY_FIELDS = {
+    "lines_hit": _lines_hit,
+    "branch_best": lambda calls: _branch_table(calls, False),
+    "branch_best_direct": lambda calls: _branch_table(calls, True),
+    "returns": _returns,
+}
 
 
 def behavior_of(result: ExecutionResult) -> tuple:
@@ -98,37 +144,11 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     if memo is None:
         memo = {}
     records = []
-    lines: set[int] = set()
-    branch_best: dict[int, list[float]] = {}
-    branch_best_direct: dict[int, list[float]] = {}
-    called: set[str] = set()
-    exceptions: set[tuple[str, str]] = set()
-    returns: dict[str, list] = {}
     for call, args in zip(test.calls, test.args):
         key = call_key(call.function, args)
         record = memo.get(key)
         if record is None:
-            result = execute(program, call.function, args, config)
-            record = memo[key] = CallRecord(call.function, args, result)
+            record = memo[key] = CallRecord(call.function, args,
+                                            execute(program, call.function, args, config))
         records.append(record)
-        result = record.result
-        lines |= result.lines_hit
-        called |= result.called_functions
-        # merge_best copies the distances: the memoized result's lists stay as they are
-        for branch_id, (dt, df) in result.branch_best.items():
-            merge_best(branch_best, branch_id, dt, df)
-        for branch_id, (dt, df) in result.branch_best_direct.items():
-            merge_best(branch_best_direct, branch_id, dt, df)
-        if isinstance(result.outcome, Raised):
-            exceptions.add(result.outcome.record.identity)
-        else:
-            returns.setdefault(call.function, []).append(result.outcome.value)
-    return TestTrace(
-        calls=tuple(records),
-        lines_hit=frozenset(lines),
-        branch_best=branch_best,
-        branch_best_direct=branch_best_direct,
-        functions_called=frozenset(called),
-        exceptions=frozenset(exceptions),
-        returns={f: tuple(v) for f, v in returns.items()},
-    )
+    return TestTrace(tuple(records))
