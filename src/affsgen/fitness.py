@@ -22,7 +22,7 @@ from affsgen.mutation import (
     mutants_of,
     schema_run,
 )
-from affsgen.testmodel import TestCase, TestSuite, render_test
+from affsgen.testmodel import TestCase, TestSuite, render_lines
 from affsgen.tracing import CallRecord, TestTrace, run_test
 
 INF = math.inf
@@ -210,7 +210,12 @@ def packed_distance(packed: PackedLines, text: str) -> int:
     ``count·n + popcount(pv) − popcount(mv)``, with ``n = len(text)``. An
     empty line has no lane and adds its ``n`` through ``count``. Masked to
     one block's lane bits, with that block's line count, the same two
-    popcounts give the block's sum.
+    popcounts give the block's sum. Both fit one AND and one popcount:
+    with ``W = mask.bit_length()``, ``c = (pv << W) | (mask ^ mv)`` and a
+    block's ``both = (bits << W) | bits``, ``popcount(c & both)`` is
+    ``popcount(pv & bits) + popcount(bits) − popcount(mv & bits)``, since
+    ``mv`` and ``bits`` lie within ``mask``; ``FitnessContext.diversity``
+    reads each block so.
     """
     pv, mv = end_columns(packed, (text,))[text]
     return packed.count * len(text) + pv.bit_count() - mv.bit_count()
@@ -284,14 +289,16 @@ class FitnessContext:
     Diversity is memoized on rendered lines at two levels:
     ``_pair_distance`` maps an unordered pair of two tests' lines, as an
     ordered key, to their summed line-pair distance, and ``_packed`` maps
-    one test's lines to their ``pack_lines`` table. ``diversity`` lays the
-    tables of every test in a pair the memo lacks side by side once, as the
-    blocks of one pattern. It picks the test in the most missing pairs to
-    step against all its missing partners, and repeats until none is
-    missing. One ``end_columns`` sweep over that pattern then steps the
-    distinct lines of every picked test, each prefix they share once, and
-    each pair's sum is read from its stepped test's end columns, masked to
-    the other test's block.
+    one test's lines to their ``pack_lines`` table. ``diversity`` first
+    covers the pairs the memo lacks: it picks the test in the most missing
+    pairs to step against all its missing partners, and repeats until none
+    is missing. It then lays side by side, as the blocks of one pattern,
+    the tables of the tests some picked test is read against, so a test
+    that is only stepped is never packed. One ``end_columns`` sweep over
+    that pattern steps the distinct lines of every picked test, each prefix
+    they share once, and each pair's sum is read from its stepped test's
+    end columns with one AND and one popcount per line against the other
+    test's block (see ``packed_distance``).
 
     The output buckets (``buckets``) are found on first use, from the kinds
     the program's ``Analysis`` proves its functions may return, so a
@@ -348,9 +355,7 @@ class FitnessContext:
     def rendered_lines(self, test: TestCase) -> tuple[str, ...]:
         lines = self._renders.get(test)
         if lines is None:
-            text = render_test(test)
-            lines = tuple(text.split("\n")) if text else ()
-            self._renders[test] = lines
+            lines = self._renders[test] = render_lines(test)
         return lines
 
     def _site_tables(self) -> tuple[dict[int, int], int]:
@@ -482,15 +487,8 @@ class FitnessContext:
                 partners.setdefault(a, {})[b] = None
                 partners.setdefault(b, {})[a] = None
         if partners:
-            tables = []
-            for test in partners:
-                table = self._packed.get(test)
-                if table is None:
-                    table = self._packed[test] = pack_lines(test)
-                tables.append(table)
-            packed, blocks = pack_side_by_side(tables)
-            block_of = dict(zip(partners, blocks))
             steps = []  # (stepped test, its missing partners), in cover order
+            read: dict[tuple[str, ...], None] = {}  # every missing partner, in first-read order
             while partners:
                 stepped = max(partners, key=lambda test: len(partners[test]))
                 missing = partners.pop(stepped)
@@ -501,15 +499,31 @@ class FitnessContext:
                         if not rest:
                             del partners[other]
                 steps.append((stepped, missing))
-            ends = end_columns(packed, {line for stepped, _ in steps for line in stepped})
+                read.update(missing)
+            tables = []
+            for test in read:
+                table = self._packed.get(test)
+                if table is None:
+                    table = self._packed[test] = pack_lines(test)
+                tables.append(table)
+            packed, blocks = pack_side_by_side(tables)
+            mask = packed.mask
+            width = mask.bit_length()
+            # a block's lane bits twice, to read pv in the upper half and mv in the lower
+            block_of = {test: ((bits << width) | bits, count, bits.bit_count())
+                        for test, (bits, count) in zip(read, blocks)}
+            texts = {line for stepped, _ in steps for line in stepped}
+            ends = {line: (pv << width) | (mask ^ mv)
+                    for line, (pv, mv) in end_columns(packed, texts).items()}
             for stepped, missing in steps:
                 length = sum(map(len, stepped))
                 columns = [ends[line] for line in stepped]
+                rows = len(columns)
                 for other in missing:
-                    bits, count = block_of[other]
-                    total = count * length
-                    for pv, mv in columns:
-                        total += (pv & bits).bit_count() - (mv & bits).bit_count()
+                    both, count, ones = block_of[other]
+                    total = count * length - rows * ones
+                    for column in columns:
+                        total += (column & both).bit_count()
                     memo[_pair_key(stepped, other)] = total
         return sum(map(memo.__getitem__, keys))
 
@@ -525,10 +539,11 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
     with at most one test has no pairs and scores fitness 1.0.
 
     Each unordered pair of rendered tests is scored once per context. The
-    pairs the context lacks are scored in one batch: the tables of every
-    test in such a pair are packed side by side once, as blocks of one
-    pattern, and one ``end_columns`` sweep over it steps the distinct
-    lines of the tests chosen to cover those pairs (see ``FitnessContext``).
+    pairs the context lacks are scored in one batch: a greedy cover picks
+    the tests to step, the tables of the tests they are read against are
+    packed side by side once, as blocks of one pattern, and one
+    ``end_columns`` sweep over it steps the distinct lines of the picked
+    tests (see ``FitnessContext``).
     """
     div = ctx.diversity(suite)
     return div, 1.0 / (1.0 + div)

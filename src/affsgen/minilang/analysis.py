@@ -212,16 +212,21 @@ class Analysis:
     maps the node id of each statement root in such a loop, its condition's
     included, to the loop's branch id; and ``own_jumps`` holds the analysed
     program's own jumps, which its traced and schema runs take, and its
-    mutants share where they leave a loop as it is."""
+    mutants share where they leave a loop as it is. ``calls`` tells whether
+    any function calls one: without calls, every run stays in its entry
+    frame, and ``codegen`` keeps one branch table for a traced run."""
 
     __slots__ = ("variables", "returns", "known", "known_returns", "bound", "loops",
-                 "owners", "own_jumps")
+                 "owners", "own_jumps", "calls")
 
     def __init__(self, program: Program):
         self.variables = {fn.name: {p: frozenset([kind]) for p, kind in fn.params}
                           for fn in program.functions}
         self.returns = {fn.name: _NO_KINDS for fn in program.functions}
         self.bound: dict[int, frozenset] = {}
+        self.calls = any(type(expr) is Call for fn in program.functions
+                         for stmt in walk_statements(fn.body)
+                         for root in statement_expressions(stmt) for expr in walk_expressions(root))
         falls_off = {}
         for fn in program.functions:
             falls_off[fn.name] = not _scan(fn.body, {p for p, _ in fn.params}, self.bound)

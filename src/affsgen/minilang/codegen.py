@@ -30,9 +30,10 @@ limit; either the hooks (root node id to a function that evaluates that
 root, or None where a deleted assignment skips its statement), or the run's
 pending alternatives at each mutation site, its evaluation counts and its
 ``Sides``, or the line recorder, the best branch distances over all frames
-and over the entry frame (``D == 0``), and the call recorder; and the
-running program's loop jumps (see below; None in a lean run that must never
-be cut). An in-language failure raises ``E`` carrying the step count.
+and over the entry frame (``D == 0``), one table merged once in a program
+without calls, and the call recorder; and the running program's loop jumps
+(see below; None in a lean run that must never be cut). An in-language
+failure raises ``E`` carrying the step count.
 
 Kinds are checked at run time only where the program's ``Analysis`` does
 not prove them. A variable, or a call's return, whose kind it proves for
@@ -634,7 +635,8 @@ class _Code:
         self.root(stmt.cond, True, f"({t}, {dt}, {df})")
         args = f"{stmt.branch_id}, {dt}, {df}"
         self.emit(f"MB(BB, {args})")
-        self.emit(f"if D == 0: MB(BD, {args})")
+        if self.module.analysis.calls:  # else BD is BB (see ``interpreter.execute``)
+            self.emit(f"if D == 0: MB(BD, {args})")
         return t
 
     def block(self, body: list[Stmt]) -> None:
@@ -715,7 +717,8 @@ class _Code:
         flag = self.temp()
         self.emit(f"{flag} = 1")
         if self.instrumented:
-            return f"if {flag}: {flag} = 0; {back}.traced(S, L, BB, None if D else BD{values})"
+            direct = "None if D else BD" if self.module.analysis.calls else "None"
+            return f"if {flag}: {flag} = 0; {back}.traced(S, L, BB, {direct}{values})"
         self.rearm = flag
         roots = [loop.cond] + [stmt.expr for stmt in loop.body]
         sites = tuple(self.module.sites.get(root.node_id, -1) for root in roots)

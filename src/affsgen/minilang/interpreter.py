@@ -181,7 +181,8 @@ class ExecutionResult:
     empty. ``branch_best`` maps each branch evaluated to its least distances
     toward true and false, ``[best_true, best_false]``, over all frames and
     ``branch_best_direct`` over the entry frame; memos share them, so they
-    are never written.
+    are never written. A program without calls runs only in its entry
+    frame, so its traced runs give both fields one dict.
     """
 
     lines_hit: frozenset[int]
@@ -559,7 +560,8 @@ def execute(
         function = module.functions(True)[index]
         lines: set[int] = set()
         best: dict[int, list[float]] = {}
-        best_direct: dict[int, list[float]] = {}
+        # without calls every frame is the entry frame
+        best_direct: dict[int, list[float]] = {} if module.analysis().calls else best
         called = {entry}
         context = (limit, lines.add, best, best_direct, called.add, jumps)
     elif program.base is not None:

@@ -59,10 +59,10 @@ class TestCase:
         self.content_hash = hash((self.calls, self.bindings))
         mapping = dict(self.bindings)
         # a call with no reference shares its own tuple: tests live as long as the memos
-        self.args = tuple(
-            tuple(_follow(a, mapping) for a in call.args)
-            if any(isinstance(a, Ref) for a in call.args) else call.args
-            for call in self.calls)
+        self.args = tuple([
+            tuple([_follow(a, mapping) for a in call.args])
+            if Ref in map(type, call.args) else call.args
+            for call in self.calls])
 
     def __hash__(self) -> int:
         return self.content_hash
@@ -321,13 +321,15 @@ def _render_literal(value: Literal) -> str:
     return string_source(value)
 
 
-def render_test(test: TestCase) -> str:
+def render_lines(test: TestCase) -> tuple[str, ...]:
     """One line per call, references replaced by their origin literals."""
-    lines = []
-    for call, args in zip(test.calls, test.args):
-        rendered = ",".join(map(_render_literal, args))
-        lines.append(f"{call.function}({rendered})")
-    return "\n".join(lines)
+    return tuple([f"{call.function}({','.join(map(_render_literal, args))})"
+                  for call, args in zip(test.calls, test.args)])
+
+
+def render_test(test: TestCase) -> str:
+    """``render_lines`` joined by newlines."""
+    return "\n".join(render_lines(test))
 
 
 # --- archive, minimization, augmentation ------------------------------------

@@ -52,10 +52,12 @@ class TestTrace:
     ``returns`` are each built on first read and kept: a fitness function
     that never reads one never pays for it. ``branch_best`` maps each branch
     to its least distances ``[best_true, best_false]`` over all frames, and
-    ``branch_best_direct`` over the entry frames; their lists are copies, so
-    the records' results are never written. ``returns`` maps each function
-    to the tuple of values its direct calls returned, so its keys are the
-    functions that completed a direct call without raising."""
+    ``branch_best_direct`` over the entry frames, the same dict when every
+    call's result has one table for both (a program without calls); their
+    lists are copies, so the records' results are never written.
+    ``returns`` maps each function to the tuple of values its direct calls
+    returned, so its keys are the functions that completed a direct call
+    without raising."""
 
     __slots__ = ("calls", "exceptions", "functions_called",
                  "lines_hit", "branch_best", "branch_best_direct", "returns")
@@ -72,13 +74,13 @@ class TestTrace:
         build = _LAZY_FIELDS.get(name)
         if build is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = build(self.calls)
+        value = build(self)
         setattr(self, name, value)
         return value
 
 
-def _lines_hit(calls: tuple[CallRecord, ...]) -> frozenset[int]:
-    return frozenset().union(*[record.result.lines_hit for record in calls])
+def _lines_hit(trace: TestTrace) -> frozenset[int]:
+    return frozenset().union(*[record.result.lines_hit for record in trace.calls])
 
 
 def _branch_table(calls: tuple[CallRecord, ...], direct: bool) -> dict:
@@ -91,9 +93,16 @@ def _branch_table(calls: tuple[CallRecord, ...], direct: bool) -> dict:
     return table
 
 
-def _returns(calls: tuple[CallRecord, ...]) -> dict:
+def _branch_best_direct(trace: TestTrace) -> dict:
+    if all(record.result.branch_best is record.result.branch_best_direct
+           for record in trace.calls):
+        return trace.branch_best
+    return _branch_table(trace.calls, True)
+
+
+def _returns(trace: TestTrace) -> dict:
     returns: dict[str, list] = {}
-    for record in calls:
+    for record in trace.calls:
         outcome = record.result.outcome
         if type(outcome) is Returned:
             returns.setdefault(record.function, []).append(outcome.value)
@@ -102,8 +111,8 @@ def _returns(calls: tuple[CallRecord, ...]) -> dict:
 
 _LAZY_FIELDS = {
     "lines_hit": _lines_hit,
-    "branch_best": lambda calls: _branch_table(calls, False),
-    "branch_best_direct": lambda calls: _branch_table(calls, True),
+    "branch_best": lambda trace: _branch_table(trace.calls, False),
+    "branch_best_direct": _branch_best_direct,
     "returns": _returns,
 }
 

@@ -223,14 +223,36 @@ def test_each_unordered_pair_is_scored_once_per_context(sweeps):
     assert memo.keys() == set(memo.writes)
 
 
+def _cover_reads(missing):
+    """The tests that ``FitnessContext.diversity``'s greedy cover of the
+    ``missing`` pairs reads against a stepped test: those in its missing lists."""
+    partners = {}
+    for a, b in missing:
+        partners.setdefault(a, {})[b] = None
+        partners.setdefault(b, {})[a] = None
+    read = set()
+    while partners:
+        stepped = max(partners, key=lambda test: len(partners[test]))
+        for other in partners.pop(stepped):
+            read.add(other)
+            rest = partners.get(other)
+            if rest is not None:
+                del rest[stepped]
+                if not rest:
+                    del partners[other]
+    return read
+
+
 def test_each_diversity_call_merges_each_table_at_most_once(packings):
     ctx = FitnessContext(PROGRAM)
     rng = random.Random(9)
     tests = [random_test_case(PROGRAM, rng) for _ in range(8)] + [EMPTY, SUITE[0], SUITE[0]]
     for suite in _random_suites(rng, tests, 30):
-        keys = {fitness._pair_key(ctx.rendered_lines(a), ctx.rendered_lines(b))
-                for i, a in enumerate(suite) for b in suite[i + 1:]}
-        missing = keys - ctx._pair_distance.keys()
+        lines = [ctx.rendered_lines(test) for test in suite]
+        # the missing pairs in the order the call meets them
+        missing = list(dict.fromkeys(
+            key for i, a in enumerate(lines) for b in lines[i + 1:]
+            if (key := fitness._pair_key(a, b)) not in ctx._pair_distance))
         packings.clear()
         ctx.diversity(suite)
         if not missing:
@@ -238,6 +260,44 @@ def test_each_diversity_call_merges_each_table_at_most_once(packings):
             continue
         [(tables, _)] = packings  # one pattern per call
         assert len({id(table) for table in tables}) == len(tables)
-        # the tables merged are those of the tests in the missing pairs, cached
+        # the tables merged are those of the tests in the cover's missing
+        # lists, cached, and no stepped test's unless it is read too
         assert {id(table) for table in tables} == {
-            id(ctx._packed[test]) for key in missing for test in key}
+            id(ctx._packed[test]) for test in _cover_reads(missing)}
+
+
+def test_a_new_test_that_is_only_stepped_is_never_packed():
+    ctx = FitnessContext(PROGRAM)
+    suite_diversity(SUITE, ctx)
+    new = _test(("f", (7, 8)), ("g", ("zz",)))
+    suite_diversity(SUITE + (new,), ctx)  # the new test is in every missing pair
+    assert ctx.rendered_lines(new) not in ctx._packed
+    assert ctx._packed.keys() == {ctx.rendered_lines(test) for test in SUITE}
+
+
+def _two_popcount_read(stepped, other):
+    """The summed distance of two tests' lines, read as ``packed_distance``
+    reads a block: the stepped lines' end columns over ``other``'s table,
+    one popcount of ``pv`` and one of ``mv`` per line."""
+    packed, [(bits, count)] = pack_side_by_side([pack_lines(other)])
+    ends = end_columns(packed, stepped)
+    return sum(count * len(line) + (ends[line][0] & bits).bit_count()
+               - (ends[line][1] & bits).bit_count() for line in stepped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TEST, min_size=2, max_size=7))
+@example([(), ("a" * 70,), ("", "")])  # empty tests, and a read block of empty lines
+@example([("ab",), ("",), ("b" * 64 + "a",)])  # a long line in the top lane
+@example([("a" * 130, "", "ba" * 40), ("中é", "b" * 64), ("a",), ("a",)])
+def test_the_one_mask_read_equals_the_two_popcount_read(tests):
+    # a context whose tests render to the drawn lines
+    ctx = FitnessContext(PROGRAM)
+    suite = tuple(_test(("f", (i, 0))) for i in range(len(tests)))
+    ctx._renders.update(zip(suite, tests))
+    total = ctx.diversity(suite)
+    assert ctx._pair_distance
+    for (a, b), distance in ctx._pair_distance.items():
+        assert distance == _two_popcount_read(a, b) == _two_popcount_read(b, a)
+        assert distance == _summed_dp(a, b)
+    assert total == sum(_summed_dp(a, b) for i, a in enumerate(tests) for b in tests[i + 1:])

@@ -79,6 +79,24 @@ def test_each_trace_field_equals_an_eager_aggregation_and_leaves_the_records_unw
                 for key, record in memo.items()} == written
 
 
+# the corpus programs in which a function calls a function
+WITH_CALLS = {"p08_account_rules", "p10_scaled_clamp", "p12_char_scan"}
+
+
+def test_a_program_without_calls_keeps_one_branch_table_per_run_and_trace():
+    rng = random.Random(40)
+    for program in PROGRAMS:
+        one = program.source_id.split(":")[0] not in WITH_CALLS
+        memo: dict = {}
+        for _ in range(8):
+            trace = run_test(program, random_test_case(program, rng), memo=memo)
+            if not trace.calls:
+                continue
+            assert all((record.result.branch_best is record.result.branch_best_direct) == one
+                       for record in trace.calls), program.source_id
+            assert (trace.branch_best_direct is trace.branch_best) == one, program.source_id
+
+
 def test_a_trace_of_no_calls_is_empty_and_an_unknown_field_raises():
     trace = run_test(PROGRAMS[0], TestCase(calls=()))
     assert all(not getattr(trace, name) for name in FIELDS)
