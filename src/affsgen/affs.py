@@ -333,7 +333,11 @@ class SarsaStrategy(Strategy):
         return action
 
     def _q(self, features: tuple[float, ...]) -> float:
-        return sum(w * x for w, x in zip(self.weights, features, strict=True))
+        # a left fold, as ``fitness.composite_fitness`` sums: the same bits on every CPython
+        q = 0
+        for w, x in zip(self.weights, features, strict=True):
+            q += w * x
+        return q
 
 
 def make_strategy(spec: str, goal: Goal) -> Strategy:

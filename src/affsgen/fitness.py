@@ -108,39 +108,21 @@ class PackedLines(NamedTuple):
     bit of every lane set; ``mask`` has every lane bit set and every guard
     bit clear. ``count`` is the number of lines, empty ones included.
 
-    ``pack_side_by_side`` lays several tests' tables side by side as the
-    blocks of one such pattern: each block is one test's lanes, shifted to
-    start just above the guard bit of the block below, so a block is a run
-    of whole lanes. Lanes stay independent, so a column's bits masked to
-    one block are the column a sweep over that block's table alone would
-    reach. One stepped character costs about 530 ns at up to 150 bits,
-    650–680 ns at 300–600 bits, 800 ns at 1 200 bits and 950 ns at 2 400
-    bits (CPython 3.11.7), so a wide pattern is cheaper than a sweep per
-    block but not free: a batch stays the pairs of one suite.
+    ``pack_side_by_side`` packs several tests' lines as the blocks of one
+    such pattern: each block is one test's lanes, starting just above the
+    guard bit of the block below, so a block is a run of whole lanes. Lanes
+    stay independent, so a column's bits masked to one block are the column
+    a sweep over that test's ``pack_lines`` pattern alone would reach. One
+    stepped character costs about 530 ns at up to 150 bits, 650–680 ns at
+    300–600 bits, 800 ns at 1 200 bits and 950 ns at 2 400 bits (CPython
+    3.11.7), so a wide pattern is cheaper than a sweep per block but not
+    free: a batch stays the pairs of one suite.
     """
 
     peq: dict[str, int]
     lows: int
     mask: int
     count: int
-
-
-def pack_lines(lines: tuple[str, ...]) -> PackedLines:
-    """Pack every line as one lane of a single bit-vector pattern."""
-    peq: dict[str, int] = {}
-    lows = mask = 0
-    low = 1
-    for line in lines:
-        if not line:
-            continue  # an empty line is all insertions: count * len(text) covers it
-        bit = low
-        for c in line:
-            peq[c] = peq.get(c, 0) | bit
-            bit <<= 1
-        lows |= low
-        mask |= bit - low
-        low = bit << 1  # skip the guard bit
-    return PackedLines(peq, lows, mask, len(lines))
 
 
 def end_columns(packed: PackedLines, texts: Iterable[str]) -> dict[str, tuple[int, int]]:
@@ -221,23 +203,34 @@ def packed_distance(packed: PackedLines, text: str) -> int:
     return packed.count * len(text) + pv.bit_count() - mv.bit_count()
 
 
-def pack_side_by_side(tables: Iterable[PackedLines]) -> tuple[PackedLines, list[tuple[int, int]]]:
-    """The tables laid side by side as the blocks of one pattern (see
-    ``PackedLines``), and each table's (lane bits, line count) block, in
-    order, for reading ``end_columns``. Each table's ``peq`` is merged once."""
+def pack_side_by_side(tests: Iterable[tuple[str, ...]]) -> tuple[PackedLines, list[tuple[int, int]]]:
+    """Every line of the tests packed as one lane of a single pattern, each
+    test's lanes one block (see ``PackedLines``), and each test's (lane bits,
+    line count) block, in order, for reading ``end_columns``."""
     peq: dict[str, int] = {}
-    lows = mask = count = offset = 0
+    lows = mask = count = 0
+    low = 1
     blocks = []
-    for table in tables:
-        for c, bits in table.peq.items():
-            peq[c] = peq.get(c, 0) | bits << offset
-        bits = table.mask << offset
-        lows |= table.lows << offset
-        mask |= bits
-        count += table.count
-        blocks.append((bits, table.count))
-        offset += table.mask.bit_length() + 1  # the top guard bit
+    for lines in tests:
+        below = mask
+        for line in lines:
+            if not line:
+                continue  # an empty line is all insertions: count * len(text) covers it
+            bit = low
+            for c in line:
+                peq[c] = peq.get(c, 0) | bit
+                bit <<= 1
+            lows |= low
+            mask |= bit - low
+            low = bit << 1  # skip the guard bit
+        count += len(lines)
+        blocks.append((mask ^ below, len(lines)))
     return PackedLines(peq, lows, mask, count), blocks
+
+
+def pack_lines(lines: tuple[str, ...]) -> PackedLines:
+    """Every line one lane of a single pattern: ``pack_side_by_side`` of one test."""
+    return pack_side_by_side((lines,))[0]
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -286,19 +279,20 @@ class FitnessContext:
     and an infected one on the first fold that asks whether the call kills
     it. Those runs are not kept.
 
-    Diversity is memoized on rendered lines at two levels:
-    ``_pair_distance`` maps an unordered pair of two tests' lines, as an
-    ordered key, to their summed line-pair distance, and ``_packed`` maps
-    one test's lines to their ``pack_lines`` table. ``diversity`` first
+    Diversity is memoized on ids, one int per distinct rendering in order
+    of first render (hash-consing): ``_ids`` maps a rendering to its id,
+    ``_lines`` an id to its rendering and ``_renders`` a test to its id.
+    ``_pair_distance`` maps an unordered pair of ids, as ``lo << 32 | hi``,
+    to the two renderings' summed line-pair distance. ``diversity`` first
     covers the pairs the memo lacks: it picks the test in the most missing
     pairs to step against all its missing partners, and repeats until none
-    is missing. It then lays side by side, as the blocks of one pattern,
-    the tables of the tests some picked test is read against, so a test
-    that is only stepped is never packed. One ``end_columns`` sweep over
-    that pattern steps the distinct lines of every picked test, each prefix
-    they share once, and each pair's sum is read from its stepped test's
-    end columns with one AND and one popcount per line against the other
-    test's block (see ``packed_distance``).
+    is missing. It then packs the lines of the tests some picked test is
+    read against as the blocks of one pattern, so a test that is only
+    stepped is never packed. One ``end_columns`` sweep over that pattern
+    steps the distinct lines of every picked test, each prefix they share
+    once, and each pair's sum is read from its stepped test's end columns
+    with one AND and one popcount per line against the other test's block
+    (see ``packed_distance``).
 
     The output buckets (``buckets``) are found on first use, from the kinds
     the program's ``Analysis`` proves its functions may return, so a
@@ -313,13 +307,14 @@ class FitnessContext:
         self.function_names = tuple(program.function_names)
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._traces: dict[TestCase, TestTrace] = {}
-        self._renders: dict[TestCase, tuple[str, ...]] = {}
+        self._renders: dict[TestCase, int] = {}
+        self._ids: dict[tuple[str, ...], int] = {}
+        self._lines: list[tuple[str, ...]] = []
         self._classifications: dict[tuple, CallRecord] = {}
         # (site -> mask of its mutants, deleted assignments' mask), built on
         # the first fold
         self._sites: tuple[dict[int, int], int] | None = None
-        self._pair_distance: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-        self._packed: dict[tuple[str, ...], PackedLines] = {}
+        self._pair_distance: dict[int, int] = {}
         self._line_distance: dict = {}  # unused; the perfbench tracer reads its size
         self._suite_scores: dict[tuple[FitnessFunctionId, TestSuite], float] = {}
 
@@ -352,11 +347,18 @@ class FitnessContext:
         """The distinct (kind, function) exceptions the suite's tests raise."""
         return self.covered(suite, "exceptions")
 
+    def render_id(self, test: TestCase) -> int:
+        """The id of the test's rendering (see ``FitnessContext``)."""
+        key = self._renders.get(test)
+        if key is None:
+            lines = render_lines(test)
+            key = self._renders[test] = self._ids.setdefault(lines, len(self._ids))
+            if key == len(self._lines):  # a new rendering
+                self._lines.append(lines)
+        return key
+
     def rendered_lines(self, test: TestCase) -> tuple[str, ...]:
-        lines = self._renders.get(test)
-        if lines is None:
-            lines = self._renders[test] = render_lines(test)
-        return lines
+        return self._lines[self.render_id(test)]
 
     def _site_tables(self) -> tuple[dict[int, int], int]:
         sites: dict[int, int] = {}
@@ -477,18 +479,19 @@ class FitnessContext:
 
     def diversity(self, suite: TestSuite) -> int:
         """The summed distance of every unordered pair of the suite's tests."""
-        lines = [self.rendered_lines(test) for test in suite]
-        keys = [_pair_key(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]]
+        ids = sorted([self.render_id(test) for test in suite])  # so each key is lo << 32 | hi
+        keys = [a << 32 | b for i, a in enumerate(ids) for b in ids[i + 1:]]
         memo = self._pair_distance
         # each test's partners in the pairs the memo lacks, in first-seen order
-        partners: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
-        for a, b in keys:
-            if (a, b) not in memo:
+        partners: dict[int, dict[int, None]] = {}
+        for key in keys:
+            if key not in memo:
+                a, b = key >> 32, key & 0xFFFFFFFF
                 partners.setdefault(a, {})[b] = None
                 partners.setdefault(b, {})[a] = None
         if partners:
             steps = []  # (stepped test, its missing partners), in cover order
-            read: dict[tuple[str, ...], None] = {}  # every missing partner, in first-read order
+            read: dict[int, None] = {}  # every missing partner, in first-read order
             while partners:
                 stepped = max(partners, key=lambda test: len(partners[test]))
                 missing = partners.pop(stepped)
@@ -500,36 +503,27 @@ class FitnessContext:
                             del partners[other]
                 steps.append((stepped, missing))
                 read.update(missing)
-            tables = []
-            for test in read:
-                table = self._packed.get(test)
-                if table is None:
-                    table = self._packed[test] = pack_lines(test)
-                tables.append(table)
-            packed, blocks = pack_side_by_side(tables)
+            lines = self._lines
+            packed, blocks = pack_side_by_side(lines[test] for test in read)
             mask = packed.mask
             width = mask.bit_length()
             # a block's lane bits twice, to read pv in the upper half and mv in the lower
             block_of = {test: ((bits << width) | bits, count, bits.bit_count())
                         for test, (bits, count) in zip(read, blocks)}
-            texts = {line for stepped, _ in steps for line in stepped}
+            texts = {line for stepped, _ in steps for line in lines[stepped]}
             ends = {line: (pv << width) | (mask ^ mv)
                     for line, (pv, mv) in end_columns(packed, texts).items()}
             for stepped, missing in steps:
-                length = sum(map(len, stepped))
-                columns = [ends[line] for line in stepped]
+                columns = [ends[line] for line in lines[stepped]]
+                length = sum(map(len, lines[stepped]))
                 rows = len(columns)
                 for other in missing:
                     both, count, ones = block_of[other]
                     total = count * length - rows * ones
                     for column in columns:
                         total += (column & both).bit_count()
-                    memo[_pair_key(stepped, other)] = total
+                    memo[stepped << 32 | other if stepped <= other else other << 32 | stepped] = total
         return sum(map(memo.__getitem__, keys))
-
-
-def _pair_key(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return (a, b) if a <= b else (b, a)
 
 
 def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
@@ -538,12 +532,12 @@ def suite_diversity(suite: TestSuite, ctx: FitnessContext) -> tuple[int, float]:
     Returns (diversity, fitness) with fitness = 1 / (1 + diversity); a suite
     with at most one test has no pairs and scores fitness 1.0.
 
-    Each unordered pair of rendered tests is scored once per context. The
-    pairs the context lacks are scored in one batch: a greedy cover picks
-    the tests to step, the tables of the tests they are read against are
-    packed side by side once, as blocks of one pattern, and one
-    ``end_columns`` sweep over it steps the distinct lines of the picked
-    tests (see ``FitnessContext``).
+    Each unordered pair of distinct renderings is scored once per context.
+    The pairs the context lacks are scored in one batch: a greedy cover
+    picks the tests to step, the lines of the tests they are read against
+    are packed once, as the blocks of one pattern, and one ``end_columns``
+    sweep over it steps the distinct lines of the picked tests (see
+    ``FitnessContext``).
     """
     div = ctx.diversity(suite)
     return div, 1.0 / (1.0 + div)
@@ -669,12 +663,17 @@ def eval_fitness(fn: FitnessFunctionId, suite: TestSuite, ctx: FitnessContext) -
 def composite_fitness(scores: dict[FitnessFunctionId, float]) -> float:
     """Plain sum of the active functions' scores; lower is better.
 
-    Summed in function-ordinal order so permuting the map cannot change the
-    floating-point total.
+    Summed by a left fold in function-ordinal order, so permuting the map
+    cannot change the floating-point total. From CPython 3.12 on, ``sum()``
+    of floats is compensated (gh-100425): a fixed order no longer fixes its
+    total, and the fold keeps the bits it gives on 3.10 and 3.11.
     """
     if not scores:
         raise ValueError("composite fitness of an empty score map is undefined")
-    return sum(scores[fn] for fn in sorted(scores))
+    total = 0  # an int start, as ``sum()`` takes
+    for fn in sorted(scores):
+        total += scores[fn]
+    return total
 
 
 def evaluate_suite(suite: TestSuite, functions: Iterable[FitnessFunctionId],

@@ -195,6 +195,14 @@ def test_sarsa_hand_computed_step():
     assert entry.q_new == pytest.approx(3.0, abs=1e-12)
 
 
+def test_sarsa_q_is_a_left_fold_on_every_python():
+    # sum() from CPython 3.12 on is compensated and gives 0.6 here
+    strategy = _sarsa([Action((F.EX,), 0)], weights=[0.1, 0.2, 0.3], first_features=(0.0,) * 3)
+    q = strategy._q((1.0, 1.0, 1.0))
+    assert q == (0.1 + 0.2) + 0.3
+    assert q != 0.6
+
+
 DIM = len(F) + 3  # one-hot block plus fitness, size, and coverage slots
 
 

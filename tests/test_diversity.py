@@ -4,6 +4,7 @@ work done."""
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,7 @@ from affsgen.fitness import (
 )
 from affsgen.harness import load_corpus
 from affsgen.minilang import parse
-from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
+from affsgen.testmodel import CallStmt, GenConfig, Ref, TestCase, random_test_case
 from oracles import PairwiseDiversity, dp_levenshtein
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -27,6 +28,28 @@ EMPTY = TestCase(calls=())  # renders to no lines
 
 def _summed_dp(lines, other_lines):
     return sum(dp_levenshtein(x, y) for x in lines for y in other_lines)
+
+
+def _ids_of(key):
+    """The two render ids of a ``_pair_distance`` key ``lo << 32 | hi``."""
+    return key >> 32, key & 0xFFFFFFFF
+
+
+def _lines_of(ctx, key):
+    """The two renderings a ``_pair_distance`` key names, lower id first."""
+    a, b = _ids_of(key)
+    return ctx._lines[a], ctx._lines[b]
+
+
+def _by_lines(ctx):
+    """The context's pair memo keyed as ``PairwiseDiversity`` keys its own:
+    by the two renderings, in string order."""
+    view = {}
+    for key, distance in ctx._pair_distance.items():
+        a, b = _lines_of(ctx, key)
+        view[min(a, b), max(a, b)] = distance
+    assert len(view) == len(ctx._pair_distance)  # one entry per pair of renderings
+    return view
 
 
 # --- against the pair-by-pair reference -------------------------------------------
@@ -51,13 +74,13 @@ def test_batched_diversity_equals_the_pairwise_reference_on_the_corpus(index):
     ctx, reference = FitnessContext(program), PairwiseDiversity()
     for suite in suites:
         assert suite_diversity(suite, ctx) == reference.suite_diversity(suite)
-        assert ctx._pair_distance == reference._pair_distance, program.source_id
+        assert _by_lines(ctx) == reference._pair_distance, program.source_id
         # a few pairs scored on their own in between, some of them new
         for _ in range(3):
             a = rng.choice(tests + [EMPTY])
             b = random_test_case(program, rng) if rng.random() < 0.5 else rng.choice(tests)
             assert ctx.test_pair_distance(a, b) == reference.test_pair_distance(a, b)
-            assert ctx._pair_distance == reference._pair_distance, program.source_id
+            assert _by_lines(ctx) == reference._pair_distance, program.source_id
     assert not ctx._line_distance
 
 
@@ -100,7 +123,7 @@ _SHARED = ("f(1, 2)", "f(1", "", "f(1, 2)", "f(1, 23)", "中" * 70 + "é", "中"
 @example(_SHARED, [_SHARED, ("f(1, 2)",), (), ("中" * 64,)])
 def test_the_prefix_sharing_sweep_matches_the_dp_oracle(texts, partners):
     # the partners are packed once; each block is read from the end columns
-    packed, blocks = pack_side_by_side(pack_lines(partner) for partner in partners)
+    packed, blocks = pack_side_by_side(partners)
     assert len(blocks) == len(partners)
     ends = end_columns(packed, texts)
     assert ends.keys() == set(texts)
@@ -170,15 +193,15 @@ def test_one_new_test_makes_one_sweep_over_its_distinct_lines(sweeps):
 
 @pytest.fixture
 def packings(monkeypatch):
-    """Every ``pack_side_by_side`` call, as the list of the tables it merges
-    and the blocks it returns."""
+    """Every ``pack_side_by_side`` call, as the list of the renderings it
+    packs and the blocks it returns."""
     packed = []
     real = fitness.pack_side_by_side
 
-    def recording(tables):
-        tables = list(tables)
-        pattern, blocks = real(tables)
-        packed.append((tables, blocks))
+    def recording(tests):
+        tests = list(tests)
+        pattern, blocks = real(tests)
+        packed.append((tests, blocks))
         return pattern, blocks
 
     monkeypatch.setattr(fitness, "pack_side_by_side", recording)
@@ -212,7 +235,7 @@ def test_each_unordered_pair_is_scored_once_per_context(sweeps):
             sweeps.clear()
             written = len(memo.writes)
             score()
-            scored = memo.writes[written:]
+            scored = [_lines_of(ctx, key) for key in memo.writes[written:]]
             if not scored:
                 assert sweeps == []
                 continue
@@ -221,6 +244,8 @@ def test_each_unordered_pair_is_scored_once_per_context(sweeps):
             assert all(set(x) <= set(texts) or set(y) <= set(texts) for x, y in scored)
     assert len(memo.writes) == len(set(memo.writes))
     assert memo.keys() == set(memo.writes)
+    # every key is an ordered pair of render ids
+    assert all(lo <= hi < len(ctx._lines) for lo, hi in map(_ids_of, memo))
 
 
 def _cover_reads(missing):
@@ -243,43 +268,62 @@ def _cover_reads(missing):
     return read
 
 
-def test_each_diversity_call_merges_each_table_at_most_once(packings):
+def test_each_diversity_call_packs_the_lines_of_each_read_test_once(packings):
     ctx = FitnessContext(PROGRAM)
     rng = random.Random(9)
     tests = [random_test_case(PROGRAM, rng) for _ in range(8)] + [EMPTY, SUITE[0], SUITE[0]]
     for suite in _random_suites(rng, tests, 30):
-        lines = [ctx.rendered_lines(test) for test in suite]
+        ids = sorted(ctx.render_id(test) for test in suite)
         # the missing pairs in the order the call meets them
         missing = list(dict.fromkeys(
-            key for i, a in enumerate(lines) for b in lines[i + 1:]
-            if (key := fitness._pair_key(a, b)) not in ctx._pair_distance))
+            (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+            if a << 32 | b not in ctx._pair_distance))
         packings.clear()
         ctx.diversity(suite)
         if not missing:
             assert packings == []
             continue
-        [(tables, _)] = packings  # one pattern per call
-        assert len({id(table) for table in tables}) == len(tables)
-        # the tables merged are those of the tests in the cover's missing
-        # lists, cached, and no stepped test's unless it is read too
-        assert {id(table) for table in tables} == {
-            id(ctx._packed[test]) for test in _cover_reads(missing)}
+        [(packed, _)] = packings  # one pattern per call
+        # the lines packed are those of the tests in the cover's missing
+        # lists, each once, and no stepped test's unless it is read too
+        assert sorted(packed) == sorted(ctx._lines[test] for test in _cover_reads(missing))
 
 
-def test_a_new_test_that_is_only_stepped_is_never_packed():
+def test_a_new_test_that_is_only_stepped_is_never_packed(packings):
     ctx = FitnessContext(PROGRAM)
     suite_diversity(SUITE, ctx)
     new = _test(("f", (7, 8)), ("g", ("zz",)))
+    packings.clear()
     suite_diversity(SUITE + (new,), ctx)  # the new test is in every missing pair
-    assert ctx.rendered_lines(new) not in ctx._packed
-    assert ctx._packed.keys() == {ctx.rendered_lines(test) for test in SUITE}
+    [(packed, _)] = packings
+    assert ctx.rendered_lines(new) not in packed
+    assert sorted(packed) == sorted(ctx.rendered_lines(test) for test in SUITE)
+
+
+def test_tests_that_render_alike_share_one_id_and_one_pair_entry():
+    direct = _test(("f", (1, 2)))
+    # the same call through a binding and an alias of it
+    aliased = TestCase(calls=(CallStmt("f", (Ref("v1"), 2)),),
+                       bindings=(("v0", 1), ("v1", Ref("v0"))))
+    assert aliased != direct
+    ctx = FitnessContext(PROGRAM)
+    assert ctx.render_id(aliased) == ctx.render_id(direct)
+    assert ctx.rendered_lines(aliased) is ctx.rendered_lines(direct)
+    assert len(ctx._renders) == 2 and len(ctx._lines) == 1
+    assert ctx.test_pair_distance(direct, aliased) == 0
+    other = SUITE[1]
+    total = suite_diversity((direct, aliased, other), ctx)[0]
+    # the alike pair and the two pairs with ``other`` share two entries
+    assert len(ctx._pair_distance) == 2
+    assert total == 2 * ctx.test_pair_distance(direct, other)
+    assert ctx.test_pair_distance(aliased, other) == ctx.test_pair_distance(direct, other)
 
 
 def _two_popcount_read(stepped, other):
     """The summed distance of two tests' lines, read as ``packed_distance``
-    reads a block: the stepped lines' end columns over ``other``'s table,
+    reads a block: the stepped lines' end columns over ``other``'s pattern,
     one popcount of ``pv`` and one of ``mv`` per line."""
-    packed, [(bits, count)] = pack_side_by_side([pack_lines(other)])
+    packed, [(bits, count)] = pack_side_by_side([other])
     ends = end_columns(packed, stepped)
     return sum(count * len(line) + (ends[line][0] & bits).bit_count()
                - (ends[line][1] & bits).bit_count() for line in stepped)
@@ -292,12 +336,14 @@ def _two_popcount_read(stepped, other):
 @example([("a" * 130, "", "ba" * 40), ("中é", "b" * 64), ("a",), ("a",)])
 def test_the_one_mask_read_equals_the_two_popcount_read(tests):
     # a context whose tests render to the drawn lines
-    ctx = FitnessContext(PROGRAM)
     suite = tuple(_test(("f", (i, 0))) for i in range(len(tests)))
-    ctx._renders.update(zip(suite, tests))
-    total = ctx.diversity(suite)
+    drawn = dict(zip(suite, tests))
+    ctx = FitnessContext(PROGRAM)
+    with mock.patch.object(fitness, "render_lines", drawn.__getitem__):
+        total = ctx.diversity(suite)
     assert ctx._pair_distance
-    for (a, b), distance in ctx._pair_distance.items():
+    for key, distance in ctx._pair_distance.items():
+        a, b = _lines_of(ctx, key)
         assert distance == _two_popcount_read(a, b) == _two_popcount_read(b, a)
         assert distance == _summed_dp(a, b)
     assert total == sum(_summed_dp(a, b) for i, a in enumerate(tests) for b in tests[i + 1:])

@@ -486,6 +486,13 @@ def test_composite_is_plain_sum():
     assert forward == backward
 
 
+def test_composite_is_a_left_fold_on_every_python():
+    # sum() from CPython 3.12 on is compensated and gives 0.6 here
+    total = composite_fitness({F.OUTPUT: 0.3, F.EX: 0.1, F.LINE: 0.2})
+    assert total == (0.1 + 0.2) + 0.3
+    assert total != 0.6
+
+
 def test_composite_rejects_empty_map():
     with pytest.raises(ValueError):
         composite_fitness({})

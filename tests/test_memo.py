@@ -1,4 +1,5 @@
-"""The per-context memos of base-program calls: same traces, same classifications."""
+"""The per-context memos of base-program calls: same traces, same classifications;
+and whole searches that give the same results with every memo wiped."""
 
 import hashlib
 import random
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affsgen import mutation, tracing
+from affsgen import engine, mutation, tracing
+from affsgen.affs import Goal, make_strategy
+from affsgen.engine import Budget, EngineConfig, run_search
 from affsgen.fitness import _DETECTED, _STRONG_STAGES, _WEAK_STAGES, FitnessContext
 from affsgen.harness import load_corpus
 from affsgen.minilang import ArityError, parse
@@ -17,7 +20,8 @@ from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
 from affsgen.tracing import call_key, run_test
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-PROGRAMS = [program for pair in load_corpus(CORPUS)
+PAIRS = load_corpus(CORPUS)
+PROGRAMS = [program for pair in PAIRS
             for program in (pair.fixed_program, pair.faulty_program)]
 
 
@@ -360,3 +364,41 @@ def test_bool_and_int_arguments_are_different_calls():
             run_test(program, test)
         with pytest.raises(ArityError):
             ctx.trace(test)
+
+
+# --- whole searches with every memo wiped -----------------------------------------
+
+
+# every memo of a ``FitnessContext``; ``discovered_exceptions`` is search
+# state, not a memo, and stays
+MEMOS = ("_traces", "_renders", "_ids", "_lines", "_classifications", "_pair_distance",
+         "_suite_scores")
+
+
+def _searches() -> dict:
+    """Every corpus pair's fixed program under every goal and the strategies
+    ucb, sarsa and default: each search's ``to_json(omit_timing=True)``."""
+    config = EngineConfig(population_size=10, skip_iter=1, budget=Budget(generations=10))
+    return {(pair.fault_id, goal, strategy):
+            run_search(pair.fixed_program, goal, make_strategy(strategy, goal), config, 7)
+            .to_json(omit_timing=True)
+            for pair in PAIRS for goal in Goal for strategy in ("ucb", "sarsa", "default")}
+
+
+def test_wiping_every_memo_before_each_generation_changes_no_result(monkeypatch):
+    kept = _searches()
+    real = engine.evolve_one_generation
+    wiped_entries = []
+
+    def wiping(population, functions, program, ctx, *rest):
+        for name in MEMOS:
+            memo = getattr(ctx, name)
+            wiped_entries.append(len(memo))
+            memo.clear()
+        return real(population, functions, program, ctx, *rest)
+
+    monkeypatch.setattr(engine, "evolve_one_generation", wiping)
+    wiped = _searches()
+    assert len(wiped) == 108
+    assert len(wiped_entries) == 108 * 10 * len(MEMOS) and sum(wiped_entries)
+    assert wiped == kept
