@@ -142,8 +142,8 @@ class SearchResult:
         for idx, test in enumerate(self.final_suite):
             tests.append({
                 "calls": [
-                    {"function": c.function, "args": list(args)}
-                    for c, args in zip(test.calls, test.args)
+                    {"function": c.function, "args": list(c.args)}
+                    for c in test.calls
                 ],
                 "covered_goals": self.per_test_goals.get(idx, []),
             })

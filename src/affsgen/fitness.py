@@ -280,8 +280,9 @@ class FitnessContext:
     it. Those runs are not kept.
 
     Diversity is memoized on ids, one int per distinct rendering in order
-    of first render (hash-consing): ``_ids`` maps a rendering to its id,
-    ``_lines`` an id to its rendering and ``_renders`` a test to its id.
+    of first render: ``_renders`` maps a test to its id and ``_lines`` an
+    id to its rendering. Distinct tests render distinctly (see
+    ``TestCase``), so a test ``_renders`` lacks takes the next id.
     ``_pair_distance`` maps an unordered pair of ids, as ``lo << 32 | hi``,
     to the two renderings' summed line-pair distance. ``diversity`` first
     covers the pairs the memo lacks: it picks the test in the most missing
@@ -308,7 +309,6 @@ class FitnessContext:
         self.discovered_exceptions: set[tuple[str, str]] = set()
         self._traces: dict[TestCase, TestTrace] = {}
         self._renders: dict[TestCase, int] = {}
-        self._ids: dict[tuple[str, ...], int] = {}
         self._lines: list[tuple[str, ...]] = []
         self._classifications: dict[tuple, CallRecord] = {}
         # (site -> mask of its mutants, deleted assignments' mask), built on
@@ -351,10 +351,8 @@ class FitnessContext:
         """The id of the test's rendering (see ``FitnessContext``)."""
         key = self._renders.get(test)
         if key is None:
-            lines = render_lines(test)
-            key = self._renders[test] = self._ids.setdefault(lines, len(self._ids))
-            if key == len(self._lines):  # a new rendering
-                self._lines.append(lines)
+            key = self._renders[test] = len(self._lines)
+            self._lines.append(render_lines(test))
         return key
 
     def rendered_lines(self, test: TestCase) -> tuple[str, ...]:

@@ -1,10 +1,10 @@
 """Test case and suite representation plus the genetic variation operators.
 
-A test case is a sequence of calls with literal arguments. An argument may
-also be a reference to a named binding, possibly chained through further
-references. A test resolves each reference to its origin literal once, when
-built (``TestCase.args``), so that alias-only differences disappear from the
-canonical text; an unknown name or a cyclic chain raises ValueError.
+A test case is a sequence of calls with literal arguments, and it is exactly
+those calls: two tests with equal calls are one test, to every memo and every
+fitness function. An argument may be drawn as an alias, which a call notes as
+one bit, so that a literal tweak leaves it as drawn; the bit is no part of the
+call's identity.
 
 A suite is a plain tuple of test cases. Both are values that nothing writes
 after construction, hashed and compared by content, so a suite can be shared
@@ -24,45 +24,36 @@ from affsgen.minilang.parser import string_source
 Literal = Union[int, bool, str]
 
 
-# built once per alias; not frozen, which saves 0.1–0.2 µs a field per build on 3.11; never written
-@dataclass(slots=True, unsafe_hash=True)
-class Ref:
-    """Reference to a named binding inside the same test case."""
-
-    name: str
-
-
-Arg = Union[int, bool, str, Ref]
-
-
 # built once per call; not frozen, which saves 0.1–0.2 µs a field per build on 3.11; never written
 @dataclass(slots=True, unsafe_hash=True)
 class CallStmt:
     function: str
-    args: tuple[Arg, ...]
+    args: tuple[Literal, ...]
+    # bit i set: argument i was drawn as an alias, which no literal tweak
+    # changes; outside the hash and the equality, so a call is its literals
+    aliased: int = field(default=0, compare=False)
 
 
 # built once per test; not frozen, which saves 0.1–0.2 µs a field per build on 3.11; never written
 @dataclass(slots=True, eq=False)
 class TestCase:
+    """A sequence of calls, hashed and compared by ``calls`` alone.
+
+    Rendering is injective on that identity as long as each argument's kind
+    is its parameter's kind, which ``_random_literal`` and ``_tweak_literal``
+    keep true, so one id per distinct test is one id per distinct rendering.
+    Equal calls treat ``True`` and ``1`` as equal, as Python does; a test
+    that passes a bool where its parameter takes an int is never generated.
+    """
+
     __test__ = False  # stop pytest from collecting this domain type
 
     calls: tuple[CallStmt, ...]
-    # binding name -> literal or reference to an earlier binding
-    bindings: tuple[tuple[str, Arg], ...] = ()
     # content hash, precomputed: tests are hashed constantly as cache keys
     content_hash: int = field(init=False, repr=False)
-    # per call, its arguments with every reference followed to its literal
-    args: tuple[tuple[Literal, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.content_hash = hash((self.calls, self.bindings))
-        mapping = dict(self.bindings)
-        # a call with no reference shares its own tuple: tests live as long as the memos
-        self.args = tuple([
-            tuple([_follow(a, mapping) for a in call.args])
-            if Ref in map(type, call.args) else call.args
-            for call in self.calls])
+        self.content_hash = hash(self.calls)
 
     def __hash__(self) -> int:
         return self.content_hash
@@ -72,21 +63,7 @@ class TestCase:
             isinstance(other, TestCase)
             and self.content_hash == other.content_hash
             and self.calls == other.calls
-            and self.bindings == other.bindings
         )
-
-
-def _follow(arg: Arg, mapping: dict[str, Arg]) -> Literal:
-    """Trace a reference through the binding chain to the origin literal."""
-    seen = 0
-    while isinstance(arg, Ref):
-        if arg.name not in mapping:
-            raise ValueError(f"reference to unknown binding {arg.name!r}")
-        arg = mapping[arg.name]
-        seen += 1
-        if seen > len(mapping):
-            raise ValueError("cyclic binding chain")
-    return arg
 
 
 # a suite: an ordered tuple of tests (an alias for annotations, never called)
@@ -139,7 +116,7 @@ def goal_label(goal: GoalId) -> str:
 INT_MIN = -1000  # range of ints drawn outside the literal pool
 INT_MAX = 1000
 POOL_PROB = 0.5  # probability that a literal comes from the program's literal pool
-ALIAS_PROB = 0.1  # probability that an argument is passed through a named binding
+ALIAS_PROB = 0.1  # probability that an argument is drawn as an alias, which tweaks skip
 STR_ALPHABET = "abc"  # characters of strings drawn outside the literal pool
 STR_MAX_LEN = 4
 MAX_INITIAL_TESTS = 10  # tests in a random suite, at most
@@ -193,25 +170,18 @@ def _random_literal(kind: str, pool, rng: random.Random) -> Literal:
     return "".join(rng.choice(STR_ALPHABET) for _ in range(length))
 
 
-def _random_call(program: Program, pool, rng: random.Random,
-                 bindings: list[tuple[str, Arg]]) -> CallStmt:
+def _random_call(program: Program, pool, rng: random.Random) -> CallStmt:
     fn = program.functions[rng.randrange(len(program.functions))]
-    args: list[Arg] = []
-    for _, kind in fn.params:
-        value = _random_literal(kind, pool, rng)
+    args: list[Literal] = []
+    aliased = 0
+    for i, (_, kind) in enumerate(fn.params):
+        args.append(_random_literal(kind, pool, rng))
         if rng.random() < ALIAS_PROB:
-            name = f"v{len(bindings)}"
-            bindings.append((name, value))
-            if rng.random() < 0.5:
-                # occasionally chain through an alias of the alias
-                alias = f"v{len(bindings)}"
-                bindings.append((alias, Ref(name)))
-                args.append(Ref(alias))
-            else:
-                args.append(Ref(name))
-        else:
-            args.append(value)
-    return CallStmt(function=fn.name, args=tuple(args))
+            aliased |= 1 << i
+            # the draw that once chose an alias of the alias: kept so that
+            # seeded searches draw as before
+            rng.random()
+    return CallStmt(fn.name, tuple(args), aliased)
 
 
 def random_test_case(program: Program, rng: random.Random, cfg: GenConfig = GenConfig(),
@@ -221,10 +191,8 @@ def random_test_case(program: Program, rng: random.Random, cfg: GenConfig = GenC
         raise ValueError("cannot generate tests for a program with no functions")
     if pool is None:
         pool = literal_pool(program)
-    bindings: list[tuple[str, Arg]] = []
     n_calls = rng.randint(1, cfg.max_calls_per_test)
-    calls = tuple(_random_call(program, pool, rng, bindings) for _ in range(n_calls))
-    return TestCase(calls=calls, bindings=tuple(bindings))
+    return TestCase(tuple(_random_call(program, pool, rng) for _ in range(n_calls)))
 
 
 def random_suite(program: Program, rng: random.Random, cfg: GenConfig = GenConfig(),
@@ -268,27 +236,26 @@ def _tweak_literal(value: Literal, pool, rng: random.Random) -> Literal:
 def _mutate_test(test: TestCase, program: Program, pool, rng: random.Random,
                  cfg: GenConfig) -> TestCase:
     calls = list(test.calls)
-    bindings = list(test.bindings)
     choice = rng.random()
     if choice < 0.25 and len(calls) < cfg.max_calls_per_test:
         idx = rng.randint(0, len(calls))
-        calls.insert(idx, _random_call(program, pool, rng, bindings))
+        calls.insert(idx, _random_call(program, pool, rng))
     elif choice < 0.45 and len(calls) > 1:
         del calls[rng.randrange(len(calls))]
     else:
-        # replace one literal argument somewhere in the test
+        # replace one argument not drawn as an alias somewhere in the test
         slots = [
             (ci, ai)
             for ci, call in enumerate(calls)
-            for ai, arg in enumerate(call.args)
-            if not isinstance(arg, Ref)
+            for ai in range(len(call.args))
+            if not call.aliased >> ai & 1
         ]
         if slots:
             ci, ai = slots[rng.randrange(len(slots))]
             args = list(calls[ci].args)
-            args[ai] = _tweak_literal(args[ai], pool, rng)  # type: ignore[arg-type]
+            args[ai] = _tweak_literal(args[ai], pool, rng)
             calls[ci] = replace(calls[ci], args=tuple(args))
-    return TestCase(calls=tuple(calls), bindings=tuple(bindings))
+    return TestCase(tuple(calls))
 
 
 def mutate_suite(suite: TestSuite, program: Program, rng: random.Random,
@@ -322,9 +289,9 @@ def _render_literal(value: Literal) -> str:
 
 
 def render_lines(test: TestCase) -> tuple[str, ...]:
-    """One line per call, references replaced by their origin literals."""
-    return tuple([f"{call.function}({','.join(map(_render_literal, args))})"
-                  for call, args in zip(test.calls, test.args)])
+    """One line per call: its function and its literal arguments."""
+    return tuple([f"{call.function}({','.join(map(_render_literal, call.args))})"
+                  for call in test.calls])
 
 
 def render_test(test: TestCase) -> str:

@@ -153,11 +153,11 @@ def run_test(program: Program, test: TestCase, config: InterpConfig = InterpConf
     if memo is None:
         memo = {}
     records = []
-    for call, args in zip(test.calls, test.args):
-        key = call_key(call.function, args)
+    for call in test.calls:
+        key = call_key(call.function, call.args)
         record = memo.get(key)
         if record is None:
-            record = memo[key] = CallRecord(call.function, args,
-                                            execute(program, call.function, args, config))
+            record = memo[key] = CallRecord(call.function, call.args,
+                                            execute(program, call.function, call.args, config))
         records.append(record)
     return TestTrace(tuple(records))

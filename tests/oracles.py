@@ -42,7 +42,7 @@ from affsgen.mutation import (
     mutants_of,
     schema_run,
 )
-from affsgen.testmodel import MutantGoal, Ref, TestCase, render_test
+from affsgen.testmodel import MutantGoal, TestCase, render_test
 from affsgen.tracing import behavior_of, call_key, run_test
 
 
@@ -246,25 +246,15 @@ def _call(name, args, caller, program: Program, steps, events):
     return 0
 
 
-def oracle_resolve(test: TestCase, arg):
-    """A call argument of ``test``, followed through ``test.bindings`` by
-    name to the literal at the end of its chain (``TestCase.args`` is the
-    tested resolution)."""
-    while isinstance(arg, Ref):
-        arg = next(value for name, value in reversed(test.bindings) if name == arg.name)
-    return arg
-
-
 def oracle_run(program: Program, test: TestCase):
     """Per-call outcomes and the full (line, store) event stream with exits."""
     outcomes = []
     events: list = []
     for call in test.calls:
-        args = tuple(oracle_resolve(test, a) for a in call.args)
         steps = [_STEP_BUDGET]
         call_events: list = []
         try:
-            value = _call(call.function, list(args), call.function, program, steps, call_events)
+            value = _call(call.function, list(call.args), call.function, program, steps, call_events)
             # tagged with its kind, since True == 1
             outcomes.append(("return", _kind(value), value))
         except _Abort as abort:

@@ -115,8 +115,8 @@ def _corpus_runs_as_the_tree_walker_does(seed: int, programs) -> None:
         calls: dict[str, tuple] = {}  # one call of each function, drawn from random tests
         while len(calls) < len(program.functions):
             test = random_test_case(program, rng, GenConfig(max_calls_per_test=4))
-            for call, args in zip(test.calls, test.args):
-                calls.setdefault(call.function, args)
+            for call in test.calls:
+                calls.setdefault(call.function, call.args)
         for function, args in calls.items():
             config = InterpConfig(step_limit=rng.choice(STEP_LIMITS))
             _assert_same_runs(program, function, args, config,

@@ -11,22 +11,25 @@ from hypothesis import given, settings, strategies as st
 from affsgen import engine, mutation, tracing
 from affsgen.affs import Goal, make_strategy
 from affsgen.engine import Budget, EngineConfig, run_search
-from affsgen.fitness import _DETECTED, _STRONG_STAGES, _WEAK_STAGES, FitnessContext
+from affsgen.fitness import (
+    _DETECTED,
+    _STRONG_STAGES,
+    _WEAK_STAGES,
+    FitnessContext,
+    FitnessFunctionId,
+    eval_fitness,
+)
 from affsgen.harness import load_corpus
 from affsgen.minilang import ArityError, parse
 from affsgen.minilang.interpreter import InterpConfig, execute
 from affsgen.mutation import MutantStatus, classify_against_mutant, schema_run
-from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
+from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case, render_lines
 from affsgen.tracing import call_key, run_test
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 PAIRS = load_corpus(CORPUS)
 PROGRAMS = [program for pair in PAIRS
             for program in (pair.fixed_program, pair.faulty_program)]
-
-
-def _literal_calls(test: TestCase) -> tuple[CallStmt, ...]:
-    return tuple(CallStmt(c.function, args) for c, args in zip(test.calls, test.args))
 
 
 def _call(record) -> tuple:
@@ -54,7 +57,7 @@ def test_context_trace_equals_run_test_on_cold_and_warm_memo(seed):
         # warm: earlier tests put their calls in the memo first; the last
         # test repeats calls of both in a new order
         warm = FitnessContext(program)
-        mixed = TestCase(calls=_literal_calls(tests[1])[::-1] + _literal_calls(tests[0]))
+        mixed = TestCase(calls=tests[1].calls[::-1] + tests[0].calls)
         for test in (tests[0], tests[1], mixed, tests[2]):
             _assert_same_trace(warm.trace(test), run_test(program, test))
 
@@ -65,16 +68,16 @@ def test_each_distinct_call_has_one_record_that_every_trace_of_it_shares():
         ctx = FitnessContext(program)
         tests = [random_test_case(program, rng, GenConfig(max_calls_per_test=4))
                  for _ in range(6)]
-        calls = [_literal_calls(test) for test in tests]
+        calls = [test.calls for test in tests]
         # joined tests make calls of earlier tests again, and one repeats its own
         tests += [TestCase(calls=calls[0] + calls[1]), TestCase(calls=calls[2][::-1] + calls[2])]
         traces = [ctx.trace(test) for test in tests]
         records: dict = {}
         for test, trace in zip(tests, traces):
             assert len(trace.calls) == len(test.calls)
-            for call, args, record in zip(test.calls, test.args, trace.calls):
-                key = call_key(call.function, args)
-                assert (record.function, record.args) == (call.function, args)
+            for call, record in zip(test.calls, trace.calls):
+                key = call_key(call.function, call.args)
+                assert (record.function, record.args) == (call.function, call.args)
                 assert records.setdefault(key, record) is record
         assert ctx._classifications == records
         assert all(a is b for a, b in zip(traces[6].calls, traces[0].calls + traces[1].calls))
@@ -120,10 +123,10 @@ def _fresh_status(mutant, test: TestCase) -> MutantStatus:
     from a fresh schema run of the mutant's base program."""
     statuses = [MutantStatus.NOT_REACHED]
     config = InterpConfig()
-    for call, args in zip(test.calls, test.args):
-        base = execute(mutant.base_program, call.function, args, config)
-        schema = schema_run(mutant.base_program, call.function, args, config)
-        statuses.append(classify_against_mutant(mutant, call.function, args, base, config,
+    for call in test.calls:
+        base = execute(mutant.base_program, call.function, call.args, config)
+        schema = schema_run(mutant.base_program, call.function, call.args, config)
+        statuses.append(classify_against_mutant(mutant, call.function, call.args, base, config,
                                                 schema).status)
     return max(statuses)
 
@@ -134,7 +137,7 @@ def test_classifications_with_warm_memo_equal_fresh_ones(fault_id):
     rng = random.Random(17)
     cfg = GenConfig(max_calls_per_test=4)
     tests = [random_test_case(program, rng, cfg) for _ in range(8)]
-    tests.append(TestCase(calls=_literal_calls(tests[0]) + _literal_calls(tests[1])))
+    tests.append(TestCase(calls=tests[0].calls + tests[1].calls))
     ctx = FitnessContext(program)
     # weak folds first leave the calls they find infected unrun
     for mutant in ctx.mutants:
@@ -162,7 +165,7 @@ def _pinned_classifications() -> str:
         rng = random.Random(index)
         tests = [random_test_case(program, rng, GenConfig(max_calls_per_test=4))
                  for _ in range(6)]
-        calls = [_literal_calls(test) for test in tests]
+        calls = [test.calls for test in tests]
         tests += [TestCase(calls=calls[0] + calls[1]),
                   TestCase(calls=calls[2] + calls[2]),
                   TestCase(calls=calls[3][::-1] + calls[0])]
@@ -366,12 +369,27 @@ def test_bool_and_int_arguments_are_different_calls():
             ctx.trace(test)
 
 
+def test_tests_whose_calls_differ_only_in_alias_bits_are_one_test_to_every_memo():
+    program = parse("fn f(x:int, s:str){ if (x > 2) { return 1; } return 0; }")
+    direct = TestCase(calls=(CallStmt("f", (3, "a")), CallStmt("f", (0, "b"))))
+    aliased = TestCase(calls=(CallStmt("f", (3, "a"), aliased=0b11), CallStmt("f", (0, "b"), 1)))
+    assert aliased == direct and hash(aliased) == hash(direct)
+    assert render_lines(aliased) == render_lines(direct)
+    ctx = FitnessContext(program)
+    assert ctx.trace(aliased) is ctx.trace(direct)
+    assert ctx.render_id(aliased) == ctx.render_id(direct)
+    for fn in FitnessFunctionId:
+        assert eval_fitness(fn, (aliased,), ctx) == eval_fitness(fn, (direct,), ctx)
+    assert len(ctx._traces) == len(ctx._renders) == 1
+    assert len(ctx._suite_scores) == len(FitnessFunctionId)
+
+
 # --- whole searches with every memo wiped -----------------------------------------
 
 
 # every memo of a ``FitnessContext``; ``discovered_exceptions`` is search
 # state, not a memo, and stays
-MEMOS = ("_traces", "_renders", "_ids", "_lines", "_classifications", "_pair_distance",
+MEMOS = ("_traces", "_renders", "_lines", "_classifications", "_pair_distance",
          "_suite_scores")
 
 

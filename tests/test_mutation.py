@@ -288,9 +288,9 @@ def test_classifier_agrees_with_full_reexecution_oracle():
         for test in tests:
             for mutant in mutants:
                 # each call on its own, then the whole test as the fold of its calls
-                for call, args in zip(test.calls, test.args):
-                    expected = full_reexecution_status(mutant, _test((call.function, args)))
-                    actual = _classify_call(mutant, call.function, args)
+                for call in test.calls:
+                    expected = full_reexecution_status(mutant, _test((call.function, call.args)))
+                    actual = _classify_call(mutant, call.function, call.args)
                     assert actual == expected, (
                         program.source_id, mutant.operator, mutant.site, call,
                         actual.name, expected.name,

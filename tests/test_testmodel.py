@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from affsgen import testmodel
+from affsgen.harness import load_corpus
 from affsgen.minilang import parse
 from affsgen.minilang.parser import expr_source
 from affsgen.testmodel import (
@@ -15,7 +17,6 @@ from affsgen.testmodel import (
     GenConfig,
     MethodGoal,
     MutantGoal,
-    Ref,
     TestCase,
     augment_from_archive,
     crossover,
@@ -25,15 +26,27 @@ from affsgen.testmodel import (
     mutate_suite,
     random_suite,
     random_test_case,
+    render_lines,
     render_test,
 )
-from oracles import oracle_resolve
 
 TWO_FNS = parse("fn one(x:int){ return x; } fn two(s:str){ return s; }")
+# one parameter of each kind
+KINDS = parse("fn f(a:int, b:bool, c:str){ return a; } fn g(){ return 0; }")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _case(name, *args):
     return TestCase(calls=(CallStmt(name, tuple(args)),))
+
+
+def _assert_kinds(test: TestCase, program) -> None:
+    """Each call passes one argument of its parameter's kind per parameter."""
+    params = {fn.name: fn.params for fn in program.functions}
+    for call in test.calls:
+        assert len(call.args) == len(params[call.function])
+        for value, (_, kind) in zip(call.args, params[call.function]):
+            assert type(value) is {"int": int, "bool": bool, "str": str}[kind], (call, kind)
 
 
 # --- random generation ---------------------------------------------------------
@@ -73,19 +86,24 @@ def test_function_choice_is_uniform(monkeypatch):
 def test_generated_tests_satisfy_invariants():
     rng = random.Random(5)
     cfg = GenConfig()
-    arity = {fn.name: fn.params for fn in TWO_FNS.functions}
-    for _ in range(200):
-        test = random_test_case(TWO_FNS, rng, cfg)
-        assert 1 <= len(test.calls) <= cfg.max_calls_per_test
-        for call, args in zip(test.calls, test.args):
-            params = arity[call.function]
-            assert len(call.args) == len(params)
-            for value, (_, kind) in zip(args, params):
-                expected = {"int": int, "bool": bool, "str": str}[kind]
-                if kind == "int":
-                    assert isinstance(value, int) and not isinstance(value, bool)
-                else:
-                    assert isinstance(value, expected)
+    for program in (TWO_FNS, KINDS):
+        for _ in range(200):
+            test = random_test_case(program, rng, cfg)
+            assert 1 <= len(test.calls) <= cfg.max_calls_per_test
+            _assert_kinds(test, program)
+
+
+def test_a_test_holds_the_literals_its_calls_were_drawn_with():
+    # an argument drawn as an alias is a literal too, marked by its bit
+    rng = random.Random(4)
+    aliased = 0
+    for _ in range(300):
+        test = random_test_case(KINDS, rng)
+        for call in test.calls:
+            assert call.aliased >> len(call.args) == 0
+            assert all(type(a) in (int, bool, str) for a in call.args)
+        aliased += any(call.aliased for call in test.calls)
+    assert aliased > 50
 
 
 # --- crossover -------------------------------------------------------------------
@@ -152,18 +170,54 @@ def test_mutation_forced_add_on_empty_suite(monkeypatch):
 
 def test_mutation_sweep_preserves_invariants():
     cfg = GenConfig()
-    arity = {fn.name: len(fn.params) for fn in TWO_FNS.functions}
-    rng = random.Random(8)
-    suite = random_suite(TWO_FNS, rng)
-    for i in range(1_000):
-        suite = mutate_suite(suite, TWO_FNS, random.Random(i), cfg)
-        assert len(suite) <= cfg.max_suite_size
-        for test in suite:
-            assert 1 <= len(test.calls) <= cfg.max_calls_per_test
-            for call in test.calls:
-                assert len(call.args) == arity[call.function]
-            # binding chains stay resolvable: the test was built
-            assert len(test.args) == len(test.calls)
+    for program in (TWO_FNS, KINDS):
+        rng = random.Random(8)
+        suite = random_suite(program, rng)
+        for i in range(1_000):
+            suite = mutate_suite(suite, program, random.Random(i), cfg)
+            assert len(suite) <= cfg.max_suite_size
+            for test in suite:
+                assert 1 <= len(test.calls) <= cfg.max_calls_per_test
+                # a rendering names one test only while every kind holds
+                _assert_kinds(test, program)
+
+
+# one call at the call bound: no insertion, no deletion, so every change
+# of ``_mutate_test`` is a literal tweak
+ONE_CALL = GenConfig(max_calls_per_test=1)
+
+
+def test_a_literal_tweak_skips_the_arguments_drawn_as_aliases():
+    pool = literal_pool(KINDS)
+    rng = random.Random(11)
+    test = TestCase((CallStmt("f", (5, True, "x"), aliased=0b101),))
+    for _ in range(1_000):
+        before = test.calls[0]
+        test = testmodel._mutate_test(test, KINDS, pool, rng, ONE_CALL)
+        call = test.calls[0]
+        assert call.aliased == 0b101 and (call.args[0], call.args[2]) == (5, "x")
+        assert call.args[1] is not before.args[1]  # the one free slot, a bool, flipped
+    # with every argument an alias, nothing is left to tweak
+    test = TestCase((CallStmt("f", (5, True, "x"), aliased=0b111),))
+    assert testmodel._mutate_test(test, KINDS, pool, rng, ONE_CALL) == test
+
+
+def test_an_argument_drawn_as_an_alias_stays_as_drawn_under_literal_tweaks():
+    # random calls of up to three arguments, some of them aliases
+    pool = literal_pool(KINDS)
+    rng = random.Random(11)
+    tweaked = 0
+    for _ in range(1_000):
+        test = random_test_case(KINDS, rng, ONE_CALL)
+        before = test.calls[0]
+        call = testmodel._mutate_test(test, KINDS, pool, rng, ONE_CALL).calls[0]
+        assert call.aliased == before.aliased
+        for i, (old, new) in enumerate(zip(before.args, call.args)):
+            if before.aliased >> i & 1:
+                assert type(new) is type(old) and new == old
+        tweaked += call != before
+    # about half the calls are of g, which takes no argument to tweak
+    assert tweaked > 350
 
 
 @pytest.mark.parametrize("settings", [
@@ -195,45 +249,6 @@ def test_gen_config_accepts_its_edge_values():
 # --- rendering ----------------------------------------------------------------------
 
 
-def test_render_resolves_alias_chains():
-    test = TestCase(
-        calls=(CallStmt("two", (Ref("y"),)),),
-        bindings=(("x", "var"), ("y", Ref("x"))),
-    )
-    assert render_test(test) == 'two("var")'
-
-
-def test_a_cyclic_binding_chain_fails_when_the_test_is_built():
-    for bindings in ((("x", Ref("x")),), (("x", Ref("y")), ("y", Ref("x")))):
-        with pytest.raises(ValueError, match="cyclic"):
-            TestCase(calls=(CallStmt("one", (Ref("x"),)),), bindings=bindings)
-
-
-@pytest.mark.parametrize("bindings", [
-    (),  # no binding at all
-    (("y", 1),),  # only other names
-    (("x", Ref("y")),),  # a chain that ends at a name no binding has
-])
-def test_a_reference_to_an_unknown_name_fails_when_the_test_is_built(bindings):
-    with pytest.raises(ValueError, match="unknown"):
-        TestCase(calls=(CallStmt("one", (Ref("x"),)),), bindings=bindings)
-
-
-def test_a_test_resolves_its_arguments_as_the_bindings_chain_them():
-    program = parse("fn f(a:int, b:str, c:bool){ return a; } fn g(){ return 0; }")
-    rng = random.Random(4)
-    aliased = 0
-    for _ in range(300):
-        test = random_test_case(program, rng)
-        assert test.args == tuple(tuple(oracle_resolve(test, a) for a in call.args)
-                                  for call in test.calls)
-        aliased += any(isinstance(a, Ref) for call in test.calls for a in call.args)
-    assert aliased > 50
-    chained = TestCase(calls=(CallStmt("f", (Ref("z"), "s", True)), CallStmt("g", ())),
-                       bindings=(("x", 7), ("y", Ref("x")), ("z", Ref("y"))))
-    assert chained.args == ((7, "s", True), ())
-
-
 def test_render_keeps_a_harvested_newline_literal_on_one_line():
     program = parse('fn two(s:str){ if (s == "a\\nb") { return 1; } return 0; }')
     value = "a\nb"
@@ -256,12 +271,48 @@ def test_render_one_line_per_call_in_order():
 
 
 def test_render_alias_invariance():
-    direct = TestCase(calls=(CallStmt("two", ("var",)),))
-    aliased = TestCase(
-        calls=(CallStmt("two", (Ref("a"),)),),
-        bindings=(("a", "var"),),
-    )
-    assert render_test(direct) == render_test(aliased)
+    # a call whose argument was drawn as an alias is the call of its literal
+    direct = TestCase(calls=(CallStmt("two", ("var",)), CallStmt("one", (3,))))
+    aliased = TestCase(calls=(CallStmt("two", ("var",), aliased=1), CallStmt("one", (3,), 1)))
+    assert render_test(direct) == render_test(aliased) == 'two("var")\none(3)'
+    assert aliased == direct and hash(aliased) == hash(direct)
+
+
+def test_render_resolves_alias_chains():
+    # an alias, or an alias of an alias, holds the literal at the end of its
+    # chain, and the call renders that literal
+    test = TestCase(calls=(CallStmt("two", ("var",), aliased=1),))
+    assert render_test(test) == 'two("var")'
+    rng = random.Random(5)
+    drawn = 0
+    for _ in range(300):
+        for call in random_test_case(KINDS, rng, GenConfig(max_calls_per_test=3)).calls:
+            if call.aliased:
+                drawn += 1
+                plain = TestCase(calls=(CallStmt(call.function, call.args),))
+                assert render_test(TestCase(calls=(call,))) == render_test(plain)
+    assert drawn > 20
+
+
+def test_equal_tests_and_equal_renderings_go_together():
+    # one id per distinct test is one id per distinct rendering only while
+    # rendering is injective on a test's identity
+    rng = random.Random(12)
+    cfg = GenConfig(max_calls_per_test=4)
+    tests = []
+    for pair in load_corpus(CORPUS):
+        program = pair.fixed_program
+        pool = literal_pool(program)
+        suites = [random_suite(program, rng, cfg, pool) for _ in range(30)]
+        for _ in range(3):
+            tests += [test for suite in suites for test in suite]
+            suites = [mutate_suite(suite, program, rng, cfg, pool) for suite in suites]
+        tests += [test for suite in suites for test in suite]
+    assert len(tests) > 2_000
+    renderings = {test: render_lines(test) for test in tests}
+    assert len(set(renderings.values())) == len(renderings)  # distinct tests, distinct lines
+    assert all(render_lines(test) == renderings[test] for test in tests)  # equal, same lines
+    assert len(renderings) < len(tests)  # some tests recur, unchanged or equal
 
 
 def test_render_literal_forms():

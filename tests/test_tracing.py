@@ -2,6 +2,7 @@
 
 import copy
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from affsgen.testmodel import (
     GenConfig,
     MethodGoal,
     MutantGoal,
-    Ref,
     TestCase,
     random_test_case,
 )
@@ -39,8 +39,8 @@ def _eager_trace(program, test: TestCase) -> dict:
     """Every field of the test's trace, aggregated from fresh runs of its calls."""
     lines, called, exceptions = set(), set(), set()
     best, best_direct, returns = {}, {}, {}
-    for call, args in zip(test.calls, test.args):
-        result = execute(program, call.function, args)
+    for call in test.calls:
+        result = execute(program, call.function, call.args)
         lines |= result.lines_hit
         called |= result.called_functions
         _least(best, result.branch_best)
@@ -59,9 +59,7 @@ def test_each_trace_field_equals_an_eager_aggregation_and_leaves_the_records_unw
     for program in PROGRAMS:
         tests = [random_test_case(program, rng, cfg) for _ in range(6)]
         # a joined test makes the calls of two others again, in its own order
-        tests.append(TestCase(calls=tuple(
-            CallStmt(c.function, args) for test in tests[1::-1]
-            for c, args in zip(test.calls, test.args))))
+        tests.append(TestCase(calls=tuple(c for test in tests[1::-1] for c in test.calls)))
         memo: dict = {}
         traces = [run_test(program, test, memo=memo) for test in tests]
         written = {key: copy.deepcopy((record.result.branch_best, record.result.branch_best_direct))
@@ -108,7 +106,6 @@ def test_equal_value_objects_are_equal_and_hash_as_their_field_tuples():
     # goal sets' iteration order, and with it every digest, follows these hashes
     cases = [
         (CallStmt, ("f", (1, "ab", True)), ("f", (1, "ab", False))),
-        (Ref, ("v0",), ("v1",)),
         (ExceptionGoal, ("DivByZero", "f"), ("DivByZero", "g")),
         (MethodGoal, ("f",), ("g",)),
         (MutantGoal, (3,), (4,)),
@@ -122,3 +119,8 @@ def test_equal_value_objects_are_equal_and_hash_as_their_field_tuples():
         assert a == b and hash(a) == hash(b) == hash(fields), cls
         assert a != cls(*other), cls
         assert len({a, b, cls(*other)}) == 2, cls
+    # a call's alias bits are outside its hash and its equality
+    call, aliased = CallStmt("f", (1, "ab")), CallStmt("f", (1, "ab"), 0b10)
+    assert call == aliased and hash(aliased) == hash(("f", (1, "ab")))
+    assert aliased != CallStmt("f", (1, "ab", True), 0b10)
+    assert replace(aliased, args=(2, "ab")).aliased == 0b10
