@@ -117,6 +117,13 @@ class PackedLines(NamedTuple):
     300–600 bits, 800 ns at 1 200 bits and 950 ns at 2 400 bits (CPython
     3.11.7), so a wide pattern is cheaper than a sweep per block but not
     free: a batch stays the pairs of one suite.
+
+    The ints are built by C-level byte operations, not per character: the
+    lanes are joined as one text with a guard character in each guard
+    bit's place, and each distinct character's ``peq`` is that text
+    translated to ``0`` and ``1`` bytes and parsed by ``int(..., 2)``.
+    The guard is a byte no line uses; a batch with a character above
+    U+00FF, or with no free byte, is first remapped onto byte codes.
     """
 
     peq: dict[str, int]
@@ -203,29 +210,80 @@ def packed_distance(packed: PackedLines, text: str) -> int:
     return packed.count * len(text) + pv.bit_count() - mv.bit_count()
 
 
+_BYTES = bytes(range(256))  # every byte once
+# _ONES[b] translates byte b to ``1`` and every other byte to ``0``
+_ONES = [b"0" * b + b"1" + b"0" * (255 - b) for b in range(256)]
+
+
+def _planes(text: str, chars: list[str]) -> dict[str, int]:
+    """Each of ``chars``, the distinct characters of ``text`` in order, with
+    the int whose bit i is set where ``text[i]`` is that character (see
+    ``pack_side_by_side``). The text is encoded and reversed, since
+    ``int(..., 2)`` reads its last digit as bit 0. A text with a character
+    above U+00FF is first mapped onto byte codes by ``str.translate``, 255
+    characters a pass and every other character to code 0.
+    """
+    if max(chars) < "\u0100":
+        raw = text.encode("latin-1")[::-1]
+        return {c: int(raw.translate(_ONES[ord(c)]), 2) for c in chars}
+    planes = {}
+    for first in range(0, len(chars), 255):
+        group = chars[first:first + 255]
+        codes = dict.fromkeys(map(ord, chars), 0)
+        codes.update(zip(map(ord, group), range(1, 256)))
+        raw = text.translate(codes).encode("latin-1")[::-1]
+        for code, c in enumerate(group, 1):
+            planes[c] = int(raw.translate(_ONES[code]), 2)
+    return planes
+
+
 def pack_side_by_side(tests: Iterable[tuple[str, ...]]) -> tuple[PackedLines, list[tuple[int, int]]]:
     """Every line of the tests packed as one lane of a single pattern, each
     test's lanes one block (see ``PackedLines``), and each test's (lane bits,
-    line count) block, in order, for reading ``end_columns``."""
-    peq: dict[str, int] = {}
-    lows = mask = count = 0
-    low = 1
-    blocks = []
+    line count) block, in order, for reading ``end_columns``.
+
+    No Python code runs per character. The non-empty lines are joined into
+    one text, each followed by a guard character, so character i of the
+    text is bit i of the pattern. The guard is the lowest code point no
+    line uses: the lowest free byte, found by deleting the lines' bytes
+    from all 256. ``_planes`` gives each character of the text the int of
+    its bits by one ``bytes.translate`` to ``0`` and ``1`` digits and one
+    ``int(..., 2)``; a text with a character above U+00FF, or with no free
+    byte for the guard, is first remapped onto byte codes. Only base 2 is
+    parsed: ``sys.set_int_max_str_digits`` (4 300 digits by default)
+    limits ``int`` of a string in every base but the powers of two, and a
+    batch can be thousands of bits wide. The lines' characters' ints are
+    ``peq``, in first-occurrence order, and ``mask`` is every bit but the
+    guard's; ``lows`` is each lane bit with no lane bit below it, and a
+    test's block is ``mask`` cut to the bits from its first lane to its
+    last guard.
+    """
+    lanes: list[str] = []
+    spans = []  # each test's (first bit, bit past its last guard, line count)
+    start = count = 0
     for lines in tests:
-        below = mask
-        for line in lines:
-            if not line:
-                continue  # an empty line is all insertions: count * len(text) covers it
-            bit = low
-            for c in line:
-                peq[c] = peq.get(c, 0) | bit
-                bit <<= 1
-            lows |= low
-            mask |= bit - low
-            low = bit << 1  # skip the guard bit
+        before = len(lanes)
+        lanes += filter(None, lines)  # an empty line is all insertions: count * len(text) covers it
+        end = start + sum(map(len, lines)) + len(lanes) - before
+        spans.append((start, end, len(lines)))
         count += len(lines)
-        blocks.append((mask ^ below, len(lines)))
-    return PackedLines(peq, lows, mask, count), blocks
+        start = end
+    body = "".join(lanes)
+    try:
+        unused = _BYTES.translate(None, body.encode("latin-1"))  # the bytes no line uses
+    except UnicodeEncodeError:
+        unused = b""
+    if unused:
+        chars = sorted(_BYTES.translate(None, unused).decode("latin-1"), key=body.find)
+        guard = chr(unused[0])
+    else:
+        chars = [*dict.fromkeys(body)]
+        guard = min({*map(chr, range(len(chars) + 1))}.difference(chars))
+    text = guard.join(lanes) + guard
+    peq = _planes(text, chars + [guard])
+    mask = ((1 << len(text)) - 1) ^ peq.pop(guard)
+    blocks = [(mask & ((1 << end) - (1 << start)), n) for start, end, n in spans]
+    return PackedLines(peq, mask & ~(mask << 1), mask, count), blocks
 
 
 def pack_lines(lines: tuple[str, ...]) -> PackedLines:
@@ -289,7 +347,10 @@ class FitnessContext:
     pairs to step against all its missing partners, and repeats until none
     is missing. It then packs the lines of the tests some picked test is
     read against as the blocks of one pattern, so a test that is only
-    stepped is never packed. One ``end_columns`` sweep over that pattern
+    stepped is never packed. Packing costs one ``bytes.translate`` and one
+    base-2 ``int`` per distinct character of the batch, not a Python step
+    per character (``pack_side_by_side``), so nothing packed is kept
+    between batches. One ``end_columns`` sweep over that pattern
     steps the distinct lines of every picked test, each prefix they share
     once, and each pair's sum is read from its stepped test's end columns
     with one AND and one popcount per line against the other test's block

@@ -376,6 +376,32 @@ _WEAK_DETECTED = {status: int(status >= MutantStatus.INFECTED) for status in Mut
 _STRONG_DETECTED = {status: int(status >= MutantStatus.KILLED) for status in MutantStatus}
 
 
+def reference_pack_side_by_side(tests):
+    """``fitness.pack_side_by_side`` one character at a time: the tests'
+    non-empty lines as lanes of one pattern, low bits first, each lane
+    followed by one clear guard bit, and each test's (lane bits, line
+    count) block. Returns ``(peq, lows, mask, count), blocks``."""
+    peq: dict[str, int] = {}
+    lows = mask = count = 0
+    low = 1
+    blocks = []
+    for lines in tests:
+        below = mask
+        for line in lines:
+            if not line:
+                continue
+            bit = low
+            for c in line:
+                peq[c] = peq.get(c, 0) | bit
+                bit <<= 1
+            lows |= low
+            mask |= bit - low
+            low = bit << 1  # skip the guard bit
+        count += len(lines)
+        blocks.append((mask ^ below, len(lines)))
+    return (peq, lows, mask, count), blocks
+
+
 class PairwiseDiversity:
     """The reference suite diversity: every pair of a suite's tests scored
     on its own, each line pair by the full-matrix ``dp_levenshtein``, so

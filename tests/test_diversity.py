@@ -1,8 +1,9 @@
 """Suite diversity scored in batches: against the pair-by-pair reference,
-the prefix-sharing sweep against the full-matrix edit distance, and the
-work done."""
+the prefix-sharing sweep against the full-matrix edit distance, the byte
+packer against the per-character reference, and the work done."""
 
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,7 @@ from affsgen.fitness import (
 from affsgen.harness import load_corpus
 from affsgen.minilang import parse
 from affsgen.testmodel import CallStmt, GenConfig, TestCase, random_test_case
-from oracles import PairwiseDiversity, dp_levenshtein
+from oracles import PairwiseDiversity, dp_levenshtein, reference_pack_side_by_side
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 EMPTY = TestCase(calls=())  # renders to no lines
@@ -132,6 +133,56 @@ def test_the_prefix_sharing_sweep_matches_the_dp_oracle(texts, partners):
                  for bits, count in blocks]
         assert reads == [_summed_dp((text,), partner) for partner in partners]
         assert end_columns(packed, (text,)) == {text: (pv, mv)}
+
+
+# --- the byte packer -------------------------------------------------------------
+
+
+def _assert_packs_like_the_reference(tests):
+    packed, blocks = pack_side_by_side(tests)
+    (peq, lows, mask, count), want = reference_pack_side_by_side(tests)
+    assert list(packed.peq.items()) == list(peq.items())  # first-occurrence order too
+    assert (packed.lows, packed.mask, packed.count) == (lows, mask, count)
+    assert blocks == want
+
+
+# empty lines, NUL (the first guard candidate), Latin-1 and wider characters
+_PACKED_LINE = st.one_of(
+    st.just(""),
+    st.text(alphabet="ab(\x00\x01é\xff中", max_size=40),
+    st.text(max_size=30),
+)
+_EVERY_BYTE = tuple(map(chr, range(256)))  # no byte left for the guard
+_MANY = "".join(map(chr, range(0x4E00, 0x4E00 + 600)))  # 600 distinct characters
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_PACKED_LINE, max_size=5).map(tuple), max_size=8))
+@example([])
+@example([(), ("",), ()])  # no lane at all
+@example([("ab",), (), ("", "ba")])
+@example([("a\x00b",), ("\x01",)])  # the guard skips NUL and \x01
+@example([_EVERY_BYTE, ("ab",)])
+@example([_EVERY_BYTE[128:] + ("中",), _EVERY_BYTE[:128]])
+@example([(_MANY, "ab"), ("\x00", _MANY[::-3])])  # more than 255 distinct characters
+def test_the_byte_packer_equals_the_per_character_reference(tests):
+    _assert_packs_like_the_reference(tests)
+
+
+def test_a_batch_wider_than_the_int_digit_limit_packs_exactly():
+    # far wider than the 4 300 digits ``int`` parses by default in base 10,
+    # packed under a lower limit of 640 where the interpreter has one
+    wide = [("f(" + "ab" * 2200 + ")", "g(1)"), ("", "x" * 900), (_MANY + "é" * 700,)]
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(640)
+    try:
+        assert pack_side_by_side(wide[:2])[0].mask.bit_length() > 4300
+        _assert_packs_like_the_reference(wide[:2])  # byte-sized characters
+        _assert_packs_like_the_reference(wide)  # and remapped ones
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 # --- the work done ----------------------------------------------------------------
